@@ -33,9 +33,9 @@ func parseBenchConfig(args []string, out io.Writer) (benchConfig, error) {
 	fs.BoolVar(&cfg.Quick, "quick", false, "smaller parameters (CI-sized)")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
 	fs.StringVar(&cfg.JSONPath, "json", "",
-		"write the machine-readable points to this JSON file (throughput, codec, latency, hotpath, recovery, cluster, and engines experiments)")
+		"write the machine-readable points to this JSON file (throughput, codec, latency, hotpath, recovery, cluster, engines, and wallclock experiments)")
 	fs.BoolVar(&cfg.Check, "check", false,
-		"fail when an experiment's acceptance criterion does not hold (hotpath: flat log-engine allocation growth; recovery: flat GC-on recovered residency; cluster: shards=1 GlobalScan within 1.2× of the svc scan baseline; engines: fastsnap contention-free scan p50 below eqaso's)")
+		"fail when an experiment's acceptance criterion does not hold (hotpath: flat log-engine allocation growth; recovery: flat GC-on recovered residency; cluster: shards=1 GlobalScan within 1.2× of the svc scan baseline; engines: fastsnap contention-free scan p50 below eqaso's; wallclock: every measured point above its floor of the committed BENCH_wallclock.json)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}

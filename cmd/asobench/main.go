@@ -71,7 +71,6 @@ func main() {
 		wcN       = 4
 		wcDur     = 2 * time.Second
 		wcWarm    = 500 * time.Millisecond
-		wcBakeoff = 1024
 	)
 	if cfg.Quick {
 		engN, engOps = 5, 8
@@ -87,11 +86,10 @@ func main() {
 		hpWindows, hpHs = 8, []int{1024, 4096, 16384}
 		rcHs = []int{1024, 4096, 16384}
 		clShards, clKeys, clScans = []int{1, 2, 4}, 6, 3
-		// 256 clients is the smallest count where the mesh is saturated
-		// enough for the tuned/legacy gap to clear the -check gate
-		// reliably in a sub-second window.
-		wcEngines, wcClients = []string{"fastsnap"}, []int{64, 256}
-		wcDur, wcWarm, wcBakeoff = 700*time.Millisecond, 200*time.Millisecond, 256
+		// One saturated point per engine: 256 clients is in the committed
+		// artifact, so every engine is gated against its own floor.
+		wcClients = []int{256}
+		wcDur, wcWarm = 700*time.Millisecond, 200*time.Millisecond
 	}
 
 	experiments := []experiment{
@@ -105,162 +103,53 @@ func main() {
 		{"messages", func() (string, error) { return bench.Messages(table1N, table1Ops, seed) }},
 		{"latency", func() (string, error) {
 			l, err := bench.RunLatency(latN, latOps, seed)
-			if err != nil {
-				return "", err
-			}
-			out := l.Render()
-			if cfg.JSONPath != "" {
-				blob, err := l.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(cfg.JSONPath, append(blob, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("points written to %s\n", cfg.JSONPath)
-			}
-			return out, nil
+			return emit(cfg, l, err, "")
 		}},
 		{"throughput", func() (string, error) {
 			out, points, err := bench.Throughput(tputNs, tputCs, tputOps, seed)
 			if err != nil {
 				return "", err
 			}
-			if cfg.JSONPath != "" {
-				report := bench.ThroughputReport{Env: bench.CaptureEnv(), Points: points}
-				if err := writeJSON(cfg.JSONPath, report); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("points written to %s\n", cfg.JSONPath)
-			}
-			return out, nil
+			return withJSON(cfg, out, bench.ThroughputReport{Env: bench.CaptureEnv(), Points: points})
 		}},
 		{"hotpath", func() (string, error) {
-			h := bench.RunHotpath(hpN, hpWindow, hpWindows, hpHs)
-			out := h.Render()
-			if cfg.JSONPath != "" {
-				blob, err := h.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(cfg.JSONPath, append(blob, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("points written to %s\n", cfg.JSONPath)
-			}
-			if cfg.Check {
-				if err := h.Check(1.5); err != nil {
-					return "", err
-				}
-				out += "check passed: log-engine allocations per window are flat in H\n"
-			}
-			return out, nil
+			return emit(cfg, bench.RunHotpath(hpN, hpWindow, hpWindows, hpHs), nil,
+				"log-engine allocations per window are flat in H")
 		}},
 		{"recovery", func() (string, error) {
-			r := bench.RunRecovery(rcN, rcWindow, rcReps, rcHs)
-			out := r.Render()
-			if cfg.JSONPath != "" {
-				blob, err := r.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(cfg.JSONPath, append(blob, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("points written to %s\n", cfg.JSONPath)
-			}
-			if cfg.Check {
-				if err := r.Check(2.0); err != nil {
-					return "", err
-				}
-				out += "check passed: GC-on recovered residency is flat in H\n"
-			}
-			return out, nil
+			return emit(cfg, bench.RunRecovery(rcN, rcWindow, rcReps, rcHs), nil,
+				"GC-on recovered residency is flat in H")
 		}},
 		{"cluster", func() (string, error) {
 			c, err := bench.RunCluster(clN, clF, clShards, clKeys, clScans, seed)
-			if err != nil {
-				return "", err
-			}
-			out := c.Render()
-			if cfg.JSONPath != "" {
-				blob, err := c.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(cfg.JSONPath, append(blob, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("points written to %s\n", cfg.JSONPath)
-			}
-			if cfg.Check {
-				if err := c.Check(1.2); err != nil {
-					return "", err
-				}
-				out += "check passed: shards=1 GlobalScan is within 1.2× of the svc scan baseline\n"
-			}
-			return out, nil
+			return emit(cfg, c, err, "shards=1 GlobalScan stays within its limit over the svc scan baseline")
 		}},
 		{"engines", func() (string, error) {
 			e, err := bench.RunEngines(engN, engOps, seed)
-			if err != nil {
-				return "", err
-			}
-			out := e.Render()
-			if cfg.JSONPath != "" {
-				blob, err := e.JSON()
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(cfg.JSONPath, append(blob, '\n'), 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("points written to %s\n", cfg.JSONPath)
-			}
-			if cfg.Check {
-				if err := e.Check(); err != nil {
-					return "", err
-				}
-				out += "check passed: fastsnap contention-free scan p50 is below eqaso's\n"
-			}
-			return out, nil
+			return emit(cfg, e, err, "fastsnap contention-free scan p50 is below eqaso's")
 		}},
 		{"wallclock", func() (string, error) {
+			// The baseline is read before the run: -json may name the very
+			// file it comes from.
+			var baseline *bench.Wallclock
+			if cfg.Check {
+				var err error
+				if baseline, err = bench.LoadWallclock(wallclockBaseline); err != nil {
+					return "", fmt.Errorf("load baseline: %w", err)
+				}
+			}
 			w, err := bench.RunWallclock(bench.WallclockConfig{
 				Engines: wcEngines, Clients: wcClients, N: wcN,
-				Duration: wcDur, Warmup: wcWarm, ScanPct: 10,
-				Seed: seed, BakeoffClients: wcBakeoff,
-			})
-			if err != nil {
-				return "", err
-			}
-			out := w.Render()
-			if cfg.JSONPath != "" {
-				if err := writeJSON(cfg.JSONPath, w); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("points written to %s\n", cfg.JSONPath)
-			}
-			if cfg.Check {
-				if err := w.Check(1.5); err != nil {
-					return "", err
-				}
-				out += "check passed: tuned transport reaches >= 1.5x legacy ops/s at the bake-off client count\n"
-			}
-			return out, nil
+				Duration: wcDur, Warmup: wcWarm, ScanPct: 10, Seed: seed,
+			}, baseline)
+			return emit(cfg, w, err, "every (engine, clients) point is above its floor of the committed "+wallclockBaseline)
 		}},
 		{"codec", func() (string, error) {
 			out, report, err := bench.Codec()
 			if err != nil {
 				return "", err
 			}
-			if cfg.JSONPath != "" {
-				if err := writeJSON(cfg.JSONPath, report); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("report written to %s\n", cfg.JSONPath)
-			}
-			return out, nil
+			return withJSON(cfg, out, report)
 		}},
 	}
 
@@ -282,10 +171,50 @@ func main() {
 	}
 }
 
-func writeJSON(path string, v any) error {
+// wallclockBaseline is the committed artifact the wallclock -check gate
+// compares against (relative to the repository root, where make runs).
+const wallclockBaseline = "BENCH_wallclock.json"
+
+// report is what every experiment with a BENCH_*.json artifact returns
+// (bench.Latency, Hotpath, Recovery, ClusterBench, Engines, Wallclock).
+type report interface {
+	Render() string
+	Check() error
+}
+
+// emit is the shared tail of those experiments: render, marshal the
+// report as the artifact under -json, enforce its acceptance criterion
+// under -check. passed describes the criterion ("" = the experiment has
+// none).
+func emit(cfg benchConfig, r report, err error, passed string) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	out, err := withJSON(cfg, r.Render(), r)
+	if err != nil {
+		return "", err
+	}
+	if cfg.Check && passed != "" {
+		if err := r.Check(); err != nil {
+			return "", err
+		}
+		out += "check passed: " + passed + "\n"
+	}
+	return out, nil
+}
+
+// withJSON writes v as the -json artifact, when one was asked for, and
+// notes it at the end of out.
+func withJSON(cfg benchConfig, out string, v any) (string, error) {
+	if cfg.JSONPath == "" {
+		return out, nil
+	}
 	blob, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return err
+		return "", err
 	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	if err := os.WriteFile(cfg.JSONPath, append(blob, '\n'), 0o644); err != nil {
+		return "", err
+	}
+	return out + fmt.Sprintf("points written to %s\n", cfg.JSONPath), nil
 }

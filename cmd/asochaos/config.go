@@ -33,7 +33,6 @@ func parseChaosConfig(args []string, out io.Writer) (chaosConfig, error) {
 	var (
 		cfg     chaosConfig
 		backend string
-		alg     string
 	)
 	fs := flag.NewFlagSet("asochaos", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -41,7 +40,6 @@ func parseChaosConfig(args []string, out io.Writer) (chaosConfig, error) {
 	fs.DurationVar(&cfg.Duration, "duration", 5*time.Second, "workload length (wall time on transports; 1 D per 10ms everywhere)")
 	fs.StringVar(&backend, "backend", "both", "backend(s): sim|chan|tcp|both (sim+tcp)|all, or a comma list")
 	fs.StringVar(&cfg.Chaos.Engine, "engine", "", "engine under test: "+engine.FlagHelp()+" (default eqaso)")
-	fs.StringVar(&alg, "alg", "", "deprecated alias for -engine")
 	fs.IntVar(&cfg.Chaos.N, "n", 5, "number of nodes")
 	fs.IntVar(&cfg.Chaos.F, "f", 2, "resilience bound")
 	fs.IntVar(&cfg.Chaos.Mix.Crashes, "crashes", 1, "crash events (clamped to f; every other one strikes mid-broadcast)")
@@ -73,10 +71,6 @@ func parseChaosConfig(args []string, out io.Writer) (chaosConfig, error) {
 	}
 	cfg.Chaos.Duration = chaos.TicksOf(cfg.Duration)
 	cfg.Chaos.MonitorWindow = rt.Ticks(monWindowD * float64(rt.TicksPerD))
-	// -engine wins over the deprecated -alg alias; both empty means eqaso.
-	if cfg.Chaos.Engine == "" {
-		cfg.Chaos.Engine = alg
-	}
 	if cfg.Chaos.Engine == "" {
 		cfg.Chaos.Engine = "eqaso"
 	}

@@ -71,15 +71,6 @@ func TestParseChaosConfig(t *testing.T) {
 			},
 		},
 		{
-			name: "alg alias still works, engine wins when both set",
-			args: []string{"-alg", "sso", "-engine", "fastsnap"},
-			check: func(t *testing.T, c chaosConfig) {
-				if c.Chaos.Engine != "fastsnap" {
-					t.Errorf("engine: %q, want fastsnap (-engine beats -alg)", c.Chaos.Engine)
-				}
-			},
-		},
-		{
 			name: "shards forward the engine to the cluster config",
 			args: []string{"-shards", "2", "-engine", "fastsnap"},
 			check: func(t *testing.T, c chaosConfig) {
@@ -89,6 +80,7 @@ func TestParseChaosConfig(t *testing.T) {
 			},
 		},
 		{name: "bad engine", args: []string{"-engine", "paxos"}, wantErr: "unknown engine"},
+		{name: "alg alias removed", args: []string{"-alg", "eqaso"}, wantErr: "flag provided but not defined: -alg"},
 		{name: "bad backend", args: []string{"-backend", "carrier-pigeon"}, wantErr: "unknown backend"},
 		{name: "empty backend", args: []string{"-backend", ","}, wantErr: "no backend selected"},
 		{name: "bad flag", args: []string{"-nope"}, wantErr: "flag provided but not defined"},

@@ -36,8 +36,6 @@ func parseLoadConfig(args []string, out io.Writer) (loadConfig, error) {
 	fs.Int64Var(&cfg.Gen.Seed, "seed", 1, "workload seed")
 	fs.DurationVar(&cfg.Gen.D, "d", 5*time.Millisecond, "transport delay bound D")
 	fs.IntVar(&cfg.Gen.MaxPending, "max-pending", 0, "per-node service queue bound (0 = svc default)")
-	fs.BoolVar(&cfg.Gen.Legacy, "legacy", false, "run the pre-optimization transport and service path")
-	fs.DurationVar(&cfg.Gen.FlushDelay, "flush", 0, "outbound coalescing window (0 = transport default, negative = disabled)")
 	fs.StringVar(&cfg.JSONPath, "json", "", "write the machine-readable result to this JSON file")
 	fs.BoolVar(&cfg.Quiet, "quiet", false, "suppress the human-readable report")
 	if err := fs.Parse(args); err != nil {

@@ -18,11 +18,8 @@ func TestParseLoadConfigDefaults(t *testing.T) {
 	if cfg.Gen.Duration != 2*time.Second || cfg.Gen.Warmup != 500*time.Millisecond {
 		t.Errorf("defaults: duration=%v warmup=%v", cfg.Gen.Duration, cfg.Gen.Warmup)
 	}
-	if cfg.Gen.Legacy || cfg.Gen.Rate != 0 || cfg.Gen.ZipfS != 0 {
-		t.Errorf("defaults: legacy=%v rate=%g zipf=%g", cfg.Gen.Legacy, cfg.Gen.Rate, cfg.Gen.ZipfS)
-	}
-	if cfg.Gen.Path() != "tuned" {
-		t.Errorf("default path = %q, want tuned", cfg.Gen.Path())
+	if cfg.Gen.Rate != 0 || cfg.Gen.ZipfS != 0 {
+		t.Errorf("defaults: rate=%g zipf=%g", cfg.Gen.Rate, cfg.Gen.ZipfS)
 	}
 }
 
@@ -30,7 +27,7 @@ func TestParseLoadConfigFull(t *testing.T) {
 	cfg, err := parseLoadConfig(strings.Fields(
 		"-engine fastsnap -n 7 -f 3 -clients 1024 -duration 5s -warmup 1s "+
 			"-scans 25 -keys 4096 -zipf 1.2 -rate 50000 -payload 64 -seed 9 "+
-			"-d 2ms -max-pending 8192 -legacy -flush 50us -json out.json -quiet"), io.Discard)
+			"-d 2ms -max-pending 8192 -json out.json -quiet"), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +43,6 @@ func TestParseLoadConfigFull(t *testing.T) {
 	}
 	if g.Payload != 64 || g.Seed != 9 || g.MaxPending != 8192 {
 		t.Errorf("parsed: payload=%d seed=%d max-pending=%d", g.Payload, g.Seed, g.MaxPending)
-	}
-	if !g.Legacy || g.FlushDelay != 50*time.Microsecond {
-		t.Errorf("parsed: legacy=%v flush=%v", g.Legacy, g.FlushDelay)
-	}
-	if g.Path() != "legacy" {
-		t.Errorf("path = %q, want legacy", g.Path())
 	}
 	if cfg.JSONPath != "out.json" || !cfg.Quiet {
 		t.Errorf("parsed: json=%q quiet=%v", cfg.JSONPath, cfg.Quiet)
@@ -69,6 +60,8 @@ func TestParseLoadConfigRejects(t *testing.T) {
 		{"-rate", "-1"},               // negative arrival rate
 		{"-n", "5", "-f", "3"},        // f > (n-1)/2
 		{"-bogus"},                    // unknown flag
+		{"-legacy"},                   // removed in PR 13 with the legacy stack
+		{"-flush", "50us"},            // removed in PR 13 (fixed transport constant)
 		{"positional"},                // stray argument
 		{"-duration", "not-a-number"}, // malformed duration
 	} {

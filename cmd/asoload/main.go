@@ -9,7 +9,7 @@
 //	asoload                                    # 4-node eqaso mesh, 64 closed-loop sessions, 2s
 //	asoload -engine fastsnap -clients 1024     # saturate the fastsnap challenger
 //	asoload -rate 50000 -zipf 1.2              # open loop at 50k ops/s with skewed keys
-//	asoload -legacy -json legacy.json          # measure the pre-optimization stack
+//	asoload -json run.json                     # also write the machine-readable result
 package main
 
 import (
@@ -48,8 +48,8 @@ func main() {
 
 // render formats one run for humans.
 func render(r loadgen.Result) string {
-	out := fmt.Sprintf("engine=%s path=%s n=%d clients=%d: %.0f ops/s (%d ops in %.2fs, %d errors)\n",
-		r.Engine, r.Path, r.N, r.Clients, r.OpsPerSec, r.Ops, r.Seconds, r.Errors)
+	out := fmt.Sprintf("engine=%s n=%d clients=%d: %.0f ops/s (%d ops in %.2fs, %d errors)\n",
+		r.Engine, r.N, r.Clients, r.OpsPerSec, r.Ops, r.Seconds, r.Errors)
 	out += fmt.Sprintf("  update: n=%-8d p50=%-8.0f p90=%-8.0f p99=%-8.0f max=%.0f µs\n",
 		r.Update.Count, r.Update.P50, r.Update.P90, r.Update.P99, r.Update.Max)
 	out += fmt.Sprintf("  scan:   n=%-8d p50=%-8.0f p90=%-8.0f p99=%-8.0f max=%.0f µs\n",

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mpsnap/internal/engine"
+	"mpsnap/internal/rt"
 	"mpsnap/internal/svc"
 )
 
@@ -41,18 +42,31 @@ type nodeConfig struct {
 // N is the cluster size implied by the address list.
 func (c nodeConfig) N() int { return len(c.Addrs) }
 
+// svcOptions is the service front of a deployed node. TCP is a real-time
+// backend, so the node runs the path every benchmark measures: waiters
+// resolved through per-request channels and an adaptive drain window,
+// not the simulator-safe condvar wait with an unbounded drain.
+func (c nodeConfig) svcOptions(observer rt.Observer) svc.Options {
+	return svc.Options{
+		Mode:           svc.ModeFor(c.Engine),
+		MaxPending:     c.MaxPending,
+		Observer:       observer,
+		DirectWait:     true,
+		AdaptiveWindow: true,
+	}
+}
+
 // parseNodeConfig parses the asonode command line. Usage and flag errors
 // are written to out; validation errors are returned.
 func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 	var cfg nodeConfig
-	var addrs, alg string
+	var addrs string
 	fs := flag.NewFlagSet("asonode", flag.ContinueOnError)
 	fs.SetOutput(out)
 	fs.IntVar(&cfg.ID, "id", 0, "this node's index into -addrs")
 	fs.StringVar(&addrs, "addrs", "", "comma-separated listen addresses of all nodes")
 	fs.IntVar(&cfg.F, "f", 0, "resilience bound (default: (n-1)/2, or (n-1)/3 for Byzantine engines)")
 	fs.StringVar(&cfg.Engine, "engine", "", "engine: "+engine.FlagHelp()+" (default eqaso)")
-	fs.StringVar(&alg, "alg", "", "deprecated alias for -engine")
 	fs.DurationVar(&cfg.D, "d", 10*time.Millisecond, "wall-clock duration treated as one D (reporting only)")
 	fs.DurationVar(&cfg.DialTimeout, "dial-timeout", 10*time.Second, "total per-peer connection budget at startup")
 	fs.StringVar(&cfg.Clients, "clients", "", "optional listen address for concurrent TCP client sessions")
@@ -69,10 +83,6 @@ func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 	}
 	if len(cfg.Addrs) < 3 {
 		return cfg, fmt.Errorf("need -addrs with at least 3 comma-separated addresses")
-	}
-	// -engine wins over the deprecated -alg alias; both empty means eqaso.
-	if cfg.Engine == "" {
-		cfg.Engine = alg
 	}
 	if cfg.Engine == "" {
 		cfg.Engine = "eqaso"

@@ -9,6 +9,7 @@ import (
 
 	"mpsnap/internal/obs"
 	"mpsnap/internal/rt"
+	"mpsnap/internal/svc"
 )
 
 func TestParseNodeConfig(t *testing.T) {
@@ -35,8 +36,8 @@ func TestParseNodeConfig(t *testing.T) {
 			},
 		},
 		{
-			name: "byzaso default f via alg alias",
-			args: []string{addrs, "-addrs=:1,:2,:3,:4,:5,:6,:7", "-alg", "byzaso"},
+			name: "byzaso default f",
+			args: []string{addrs, "-addrs=:1,:2,:3,:4,:5,:6,:7", "-engine", "byzaso"},
 			check: func(t *testing.T, c nodeConfig) {
 				if c.Engine != "byzaso" || c.F != 2 {
 					t.Errorf("engine=%q f=%d, want byzaso/(7-1)/3=2", c.Engine, c.F)
@@ -53,15 +54,6 @@ func TestParseNodeConfig(t *testing.T) {
 			},
 		},
 		{
-			name: "engine wins over the alg alias",
-			args: []string{addrs, "-engine", "acr", "-alg", "sso"},
-			check: func(t *testing.T, c nodeConfig) {
-				if c.Engine != "acr" {
-					t.Errorf("engine=%q, want acr (-engine beats -alg)", c.Engine)
-				}
-			},
-		},
-		{
 			name: "explicit flags",
 			args: []string{addrs, "-id", "3", "-f", "1", "-http", ":9090", "-trace-cap", "64", "-d", "5ms"},
 			check: func(t *testing.T, c nodeConfig) {
@@ -72,11 +64,11 @@ func TestParseNodeConfig(t *testing.T) {
 		},
 		{name: "no addrs", args: nil, wantErr: "at least 3"},
 		{name: "two addrs", args: []string{"-addrs=:1,:2"}, wantErr: "at least 3"},
-		{name: "bad alg", args: []string{addrs, "-alg", "paxos"}, wantErr: "unknown engine"},
+		{name: "alg alias removed", args: []string{addrs, "-alg", "eqaso"}, wantErr: "flag provided but not defined: -alg"},
 		{name: "bad engine", args: []string{addrs, "-engine", "raft"}, wantErr: "unknown engine"},
 		{name: "id out of range", args: []string{addrs, "-id", "5"}, wantErr: "out of range"},
 		{name: "f too big", args: []string{addrs, "-f", "2", "-addrs=:1,:2,:3"}, wantErr: "n > 2f"},
-		{name: "byzaso f too big", args: []string{addrs, "-alg", "byzaso", "-f", "2"}, wantErr: "n > 3f"},
+		{name: "byzaso f too big", args: []string{addrs, "-engine", "byzaso", "-f", "2"}, wantErr: "n > 3f"},
 		{name: "wal needs durability", args: []string{addrs, "-engine", "fastsnap", "-wal", "x.wal"}, wantErr: "no WAL support"},
 		{name: "bad trace cap", args: []string{addrs, "-trace-cap", "0"}, wantErr: "-trace-cap"},
 		{name: "bad flag", args: []string{"-nope"}, wantErr: "flag provided but not defined"},
@@ -95,6 +87,24 @@ func TestParseNodeConfig(t *testing.T) {
 			}
 			tc.check(t, c)
 		})
+	}
+}
+
+// TestSvcOptionsRunTheMeasuredPath pins the deployed node to the service
+// path the benchmarks exercise: TCP is a real-time backend, so asonode must
+// not fall back to the condvar wait and unbounded drain.
+func TestSvcOptionsRunTheMeasuredPath(t *testing.T) {
+	c, err := parseNodeConfig([]string{"-addrs=:1,:2,:3", "-engine", "sso", "-max-pending", "512"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := obs.NewTrace(4)
+	o := c.svcOptions(trace)
+	if !o.DirectWait || !o.AdaptiveWindow {
+		t.Errorf("DirectWait=%v AdaptiveWindow=%v, want both set", o.DirectWait, o.AdaptiveWindow)
+	}
+	if o.Mode != svc.ModeSequential || o.MaxPending != 512 || o.Observer != rt.Observer(trace) {
+		t.Errorf("mode=%v maxPending=%d observer=%v", o.Mode, o.MaxPending, o.Observer)
 	}
 }
 

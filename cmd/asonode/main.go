@@ -141,11 +141,7 @@ func main() {
 		fmt.Println("wal: rejoined the cluster from the recovered checkpoint")
 	}
 
-	service := svc.New(tn.Runtime(), obj, svc.Options{
-		Mode:       svc.ModeFor(cfg.Engine),
-		MaxPending: cfg.MaxPending,
-		Observer:   observer,
-	})
+	service := svc.New(tn.Runtime(), obj, cfg.svcOptions(observer))
 	go func() {
 		if err := service.Serve(); err != nil {
 			log.Printf("service stopped: %v", err)

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"sync"
 	"time"
 
@@ -21,48 +20,25 @@ import (
 func main() {
 	const n, f = 4, 1
 
-	// Bind ephemeral ports first so the addresses are known to everyone.
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+	// Bring up the full mesh: every listener binds an ephemeral port first
+	// so the addresses are known to everyone, then each node handshakes
+	// with every peer.
+	nodes, err := transport.LoopbackMesh(n, transport.TCPConfig{F: f, D: 5 * time.Millisecond})
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println("cluster addresses:")
-	for i, a := range addrs {
-		fmt.Printf("  node %d: %s\n", i, a)
-	}
-
-	// Bring up the full mesh (each node handshakes with every peer).
-	nodes := make([]*transport.TCPNode, n)
-	objs := make([]*eqaso.Node, n)
-	var setup sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		setup.Add(1)
-		go func() {
-			defer setup.Done()
-			tn, err := transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: f, D: 5 * time.Millisecond, Listener: listeners[i],
-			})
-			if err != nil {
-				log.Fatalf("node %d: %v", i, err)
-			}
-			nodes[i] = tn
-			objs[i] = eqaso.New(tn.Runtime())
-			tn.SetHandler(objs[i])
-		}()
-	}
-	setup.Wait()
 	defer func() {
 		for _, tn := range nodes {
 			tn.Close()
 		}
 	}()
+	fmt.Println("cluster addresses:")
+	objs := make([]*eqaso.Node, n)
+	for i, tn := range nodes {
+		fmt.Printf("  node %d: %s\n", i, tn.Addr())
+		objs[i] = eqaso.New(tn.Runtime())
+		tn.SetHandler(objs[i])
+	}
 
 	// Concurrent clients on every node.
 	var wg sync.WaitGroup

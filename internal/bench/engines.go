@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -189,9 +188,6 @@ func (e Engines) Check() error {
 	}
 	return nil
 }
-
-// JSON renders the result for BENCH_engines.json.
-func (e Engines) JSON() ([]byte, error) { return json.MarshalIndent(e, "", "  ") }
 
 // Render formats the bake-off as the human-readable table printed by
 // cmd/asobench -e engines.

@@ -28,7 +28,7 @@ func TestRunEngines(t *testing.T) {
 	if fs.ScanMax > 2.0 {
 		t.Errorf("fastsnap contention-free scan max = %.1fD, want ≤ 2D (fast path)", fs.ScanMax)
 	}
-	blob, err := e.JSON()
+	blob, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}

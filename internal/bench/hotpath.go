@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -194,20 +193,21 @@ func (h Hotpath) growth(engine string, metric func(HotpathPoint) float64) float6
 	return last / first
 }
 
+// hotpathLimit caps the log engine's allocs/window growth across the H
+// sweep.
+const hotpathLimit = 1.5
+
 // Check enforces the flat-growth acceptance criterion: the log engine's
-// allocations per window may grow at most `limit`× across the whole H
-// sweep (wall time is too noisy to gate on; allocation counts are
+// allocations per window may grow at most hotpathLimit× across the whole
+// H sweep (wall time is too noisy to gate on; allocation counts are
 // deterministic for this single-goroutine workload).
-func (h Hotpath) Check(limit float64) error {
-	if h.LogAllocGrowth > limit {
+func (h Hotpath) Check() error {
+	if h.LogAllocGrowth > hotpathLimit {
 		return fmt.Errorf("hotpath: log engine allocs/window grew %.2f× from H=%d to H=%d (limit %.2f×)",
-			h.LogAllocGrowth, h.Hs[0], h.Hs[len(h.Hs)-1], limit)
+			h.LogAllocGrowth, h.Hs[0], h.Hs[len(h.Hs)-1], hotpathLimit)
 	}
 	return nil
 }
-
-// JSON renders the result for BENCH_hotpath.json.
-func (h Hotpath) JSON() ([]byte, error) { return json.MarshalIndent(h, "", "  ") }
 
 // Render formats the experiment as the human-readable table printed by
 // cmd/asobench -e hotpath.
@@ -222,7 +222,7 @@ func (h Hotpath) Render() string {
 			p.Engine, p.H, p.NsPerWindow, p.AllocsPerWindow, p.BytesPerWindow/1024)
 	}
 	w.Flush()
-	fmt.Fprintf(&sb, "growth %d→%d: log allocs %.2f× (must stay ≤1.5×), map bytes %.2f× (linear in H)\n",
-		h.Hs[0], h.Hs[len(h.Hs)-1], h.LogAllocGrowth, h.MapBytesGrowth)
+	fmt.Fprintf(&sb, "growth %d→%d: log allocs %.2f× (must stay ≤%.1f×), map bytes %.2f× (linear in H)\n",
+		h.Hs[0], h.Hs[len(h.Hs)-1], h.LogAllocGrowth, hotpathLimit, h.MapBytesGrowth)
 	return sb.String()
 }

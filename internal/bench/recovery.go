@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -154,20 +153,20 @@ func (r Recovery) heapGrowth(gc bool) float64 {
 	return last / first
 }
 
+// recoveryLimit caps the GC-on recovered heap's growth across the H sweep.
+const recoveryLimit = 2.0
+
 // Check enforces the flat-residency acceptance criterion: with GC on, the
-// recovered log's heap bytes may grow at most `limit`× across the whole H
-// sweep (replay latency is too noisy to gate on; residency is a
+// recovered log's heap bytes may grow at most recoveryLimit× across the
+// whole H sweep (replay latency is too noisy to gate on; residency is a
 // deterministic function of the WAL contents).
-func (r Recovery) Check(limit float64) error {
-	if r.GCHeapGrowth > limit {
+func (r Recovery) Check() error {
+	if r.GCHeapGrowth > recoveryLimit {
 		return fmt.Errorf("recovery: GC-on recovered heap grew %.2f× from H=%d to H=%d (limit %.2f×)",
-			r.GCHeapGrowth, r.Hs[0], r.Hs[len(r.Hs)-1], limit)
+			r.GCHeapGrowth, r.Hs[0], r.Hs[len(r.Hs)-1], recoveryLimit)
 	}
 	return nil
 }
-
-// JSON renders the result for BENCH_recovery.json.
-func (r Recovery) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // Render formats the experiment as the human-readable table printed by
 // cmd/asobench -e recovery.
@@ -183,7 +182,7 @@ func (r Recovery) Render() string {
 			float64(p.HeapBytes)/1024, p.Retained, p.Pruned)
 	}
 	w.Flush()
-	fmt.Fprintf(&sb, "recovered heap growth %d→%d: GC on %.2f× (must stay ≤2.0×), GC off %.2f× (linear in H)\n",
-		r.Hs[0], r.Hs[len(r.Hs)-1], r.GCHeapGrowth, r.NoGCHeapGrowth)
+	fmt.Fprintf(&sb, "recovered heap growth %d→%d: GC on %.2f× (must stay ≤%.1f×), GC off %.2f× (linear in H)\n",
+		r.Hs[0], r.Hs[len(r.Hs)-1], r.GCHeapGrowth, recoveryLimit, r.NoGCHeapGrowth)
 	return sb.String()
 }

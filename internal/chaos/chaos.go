@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math/rand"
 
 	"mpsnap/internal/engine"
 	_ "mpsnap/internal/engine/all" // register every snapshot engine
@@ -242,3 +243,43 @@ type Result struct {
 // operation may take before it is considered stuck: generous against the
 // worst measured op latencies (≤ ~10D) plus spike delays.
 const graceTicks = 30 * rt.TicksPerD
+
+// clientMix is one client's workload shape, shared by RunSim and
+// RunTransport so the two backends draw the same mix from the same seed.
+type clientMix struct {
+	scanP    float64  // probability an iteration scans
+	maxSleep rt.Ticks // think-time cap between iterations
+	bursty   bool     // iterations repeat their op 1..6 times back to back
+}
+
+// clientMix returns the mix for a client of the given node. Outside churn
+// it is the configured ratio and think time. Churn's adversarial workload:
+// every third node hammers its own segment (hot-segment update storms),
+// the rest lean into scan storms, and all clients fire bursts of
+// back-to-back operations with halved think time.
+func (c *Config) clientMix(node int) clientMix {
+	if !c.Churn {
+		return clientMix{scanP: c.ScanRatio, maxSleep: c.MaxSleep}
+	}
+	m := clientMix{scanP: 1 - (1-c.ScanRatio)/3, maxSleep: c.MaxSleep / 2, bursty: true}
+	if node%3 == 0 {
+		m.scanP = c.ScanRatio / 3
+	}
+	return m
+}
+
+// next draws one iteration: whether it scans, and how many times the
+// operation repeats.
+func (m clientMix) next(rng *rand.Rand) (scans bool, burst int) {
+	scans = rng.Float64() < m.scanP
+	burst = 1
+	if m.bursty {
+		burst = 1 + rng.Intn(6)
+	}
+	return scans, burst
+}
+
+// think draws the pause after an iteration.
+func (m clientMix) think(rng *rand.Rand) rt.Ticks {
+	return rt.Ticks(rng.Int63n(int64(m.maxSleep) + 1))
+}

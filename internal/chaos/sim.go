@@ -211,25 +211,9 @@ func RunSim(cfg Config) (*Result, error) {
 				rejoin.Rejoin()
 			}
 			rng := rand.New(rand.NewSource(seed))
-			// Churn's adversarial workload: every third node hammers its
-			// own segment (hot-segment update storms), the rest lean into
-			// scan storms; all clients fire bursts of back-to-back
-			// operations with halved think time.
-			scanP, maxSleep := cfg.ScanRatio, cfg.MaxSleep
-			if cfg.Churn {
-				if o.Node()%3 == 0 {
-					scanP = cfg.ScanRatio / 3
-				} else {
-					scanP = 1 - (1-cfg.ScanRatio)/3
-				}
-				maxSleep = cfg.MaxSleep / 2
-			}
+			mix := cfg.clientMix(o.Node())
 			for o.P.Now() < deadline {
-				scans := rng.Float64() < scanP
-				burst := 1
-				if cfg.Churn {
-					burst = 1 + rng.Intn(6)
-				}
+				scans, burst := mix.next(rng)
 				for b := 0; b < burst; b++ {
 					var err error
 					if scans {
@@ -244,7 +228,7 @@ func RunSim(cfg Config) (*Result, error) {
 						return
 					}
 				}
-				if err := o.P.Sleep(rt.Ticks(rng.Int63n(int64(maxSleep) + 1))); err != nil {
+				if err := o.P.Sleep(mix.think(rng)); err != nil {
 					return
 				}
 			}

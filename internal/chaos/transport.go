@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -27,6 +26,53 @@ const tickReal = DReal / time.Duration(rt.TicksPerD)
 // DReal mapping, so "-duration 5s" means the same schedule on every
 // backend.
 func TicksOf(d time.Duration) rt.Ticks { return rt.Ticks(d / tickReal) }
+
+// Backend is a real-time transport reduced to what the wall-clock runners
+// (RunTransport here, the cluster runner in internal/cluster) drive:
+// per-node runtimes plus crash, handler-install, restart and close hooks.
+type Backend struct {
+	Runtimes   []rt.Runtime
+	Crash      func(id int)
+	SetHandler func(id int, h rt.Handler)
+	// Restart swaps a recovered node's handler in; nil on tcp, where a
+	// restart is a process restart.
+	Restart func(id int, h rt.Handler)
+	Close   func()
+}
+
+// DialBackend brings up n nodes with D = DReal on "chan" (in-process
+// goroutine links) or "tcp" (a loopback mesh, all nodes in this process,
+// one shared epoch so Now() is comparable across nodes).
+func DialBackend(name string, n, f int, seed int64, obs rt.Observer) (*Backend, error) {
+	switch name {
+	case "chan":
+		cn := transport.NewChanNet(transport.ChanConfig{N: n, F: f, D: DReal, Seed: seed, Observer: obs})
+		b := &Backend{Crash: cn.Crash, SetHandler: cn.SetHandler, Restart: cn.Restart, Close: cn.Close}
+		for i := 0; i < n; i++ {
+			b.Runtimes = append(b.Runtimes, cn.Runtime(i))
+		}
+		return b, nil
+	case "tcp":
+		nodes, err := transport.LoopbackMesh(n, transport.TCPConfig{F: f, D: DReal, Observer: obs})
+		if err != nil {
+			return nil, err
+		}
+		b := &Backend{
+			Crash:      func(id int) { nodes[id].Crash() },
+			SetHandler: func(id int, h rt.Handler) { nodes[id].SetHandler(h) },
+			Close: func() {
+				for _, nd := range nodes {
+					nd.Close()
+				}
+			},
+		}
+		for _, nd := range nodes {
+			b.Runtimes = append(b.Runtimes, nd.Runtime())
+		}
+		return b, nil
+	}
+	return nil, fmt.Errorf("chaos: unknown backend %q (want chan|tcp)", name)
+}
 
 // RunTransport executes one chaos run over a real transport backend:
 // "chan" (in-process goroutine links) or "tcp" (a TCP loopback cluster,
@@ -53,42 +99,14 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 	sched := cfg.schedule()
 	res := &Result{Schedule: sched}
 
-	unders := make([]rt.Runtime, cfg.N)
-	var crashFn func(id int)
-	var setHandler func(id int, h rt.Handler)
-	var restartFn func(id int, h rt.Handler)
-	var closeAll func()
-	switch backend {
-	case "chan":
-		cn := transport.NewChanNet(transport.ChanConfig{N: cfg.N, F: cfg.F, D: DReal, Seed: cfg.Seed})
-		for i := 0; i < cfg.N; i++ {
-			unders[i] = cn.Runtime(i)
-		}
-		crashFn = cn.Crash
-		setHandler = cn.SetHandler
-		restartFn = cn.Restart
-		closeAll = cn.Close
-	case "tcp":
-		nodes, err := dialLoopback(cfg.N, cfg.F)
-		if err != nil {
-			return nil, err
-		}
-		for i, nd := range nodes {
-			unders[i] = nd.Runtime()
-		}
-		crashFn = func(id int) { nodes[id].Crash() }
-		setHandler = func(id int, h rt.Handler) { nodes[id].SetHandler(h) }
-		closeAll = func() {
-			for _, nd := range nodes {
-				nd.Close()
-			}
-		}
-	default:
-		return nil, fmt.Errorf("chaos: unknown backend %q (want chan|tcp)", backend)
+	be, err := DialBackend(backend, cfg.N, cfg.F, cfg.Seed, nil)
+	if err != nil {
+		return nil, err
 	}
-	defer closeAll()
+	defer be.Close()
+	unders := be.Runtimes
 
-	nt := NewNet(cfg.Seed+3, unders, crashFn)
+	nt := NewNet(cfg.Seed+3, unders, be.Crash)
 	nt.SetCorrupter(newCorrupter(cfg.Seed+4, cfg.info.Byzantine))
 	objs := make([]object, cfg.N)
 	var walFiles []*wal.MemFile
@@ -101,7 +119,7 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 			walFiles[i] = wal.NewMemFile()
 			obj.(engine.Durable).AttachWAL(wal.NewWriter(walFiles[i], chaosWALBatch), true)
 		}
-		setHandler(i, h)
+		be.SetHandler(i, h)
 		objs[i] = obj
 	}
 
@@ -137,25 +155,10 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 			rejoin.Rejoin()
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed*1009 + int64(i) + 104729*int64(cid)))
-		// Churn's adversarial workload, mirroring RunSim: hot-segment
-		// writers on every third node, scan storms elsewhere, bursts of
-		// back-to-back operations with halved think time.
-		scanP, maxSleep := cfg.ScanRatio, cfg.MaxSleep
-		if cfg.Churn {
-			if i%3 == 0 {
-				scanP = cfg.ScanRatio / 3
-			} else {
-				scanP = 1 - (1-cfg.ScanRatio)/3
-			}
-			maxSleep = cfg.MaxSleep / 2
-		}
+		mix := cfg.clientMix(i)
 		seq := 0
 		for now() < cfg.Duration {
-			scans := rng.Float64() < scanP
-			burst := 1
-			if cfg.Churn {
-				burst = 1 + rng.Intn(6)
-			}
+			scans, burst := mix.next(rng)
 			for b := 0; b < burst; b++ {
 				if scans {
 					p := rec.BeginScanAs(i, cid, now())
@@ -180,7 +183,7 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 					return
 				}
 			}
-			time.Sleep(time.Duration(rng.Int63n(int64(maxSleep)+1)) * tickReal)
+			time.Sleep(time.Duration(mix.think(rng)) * tickReal)
 		}
 	}
 
@@ -213,7 +216,7 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 			f.Crash()
 			st := wal.Recover(f.Durable(), cfg.N, id)
 			h, obj, rj := cfg.recoverNode(nt.Runtime(id), st, wal.NewWriter(f, chaosWALBatch))
-			restartFn(id, h)
+			be.Restart(id, h)
 			nt.ClearCrashed(id)
 			incarnation[id]++
 			go client(id, incarnation[id], obj, rj)
@@ -249,48 +252,4 @@ func RunTransport(cfg Config, backend string) (*Result, error) {
 	res.Check = check(h)
 	harvestMonitor(mon, res)
 	return res, nil
-}
-
-// dialLoopback brings up an n-node TCP full mesh in this process: every
-// listener binds 127.0.0.1:0 first so the real addresses are known before
-// any node starts dialing.
-func dialLoopback(n, f int) ([]*transport.TCPNode, error) {
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, l := range lns[:i] {
-				l.Close()
-			}
-			return nil, fmt.Errorf("chaos: listen: %w", err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nodes[i], errs[i] = transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: f, D: DReal, Listener: lns[i],
-			})
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			for _, nd := range nodes {
-				if nd != nil {
-					nd.Close()
-				}
-			}
-			return nil, fmt.Errorf("chaos: tcp node %d: %w", i, err)
-		}
-	}
-	return nodes, nil
 }

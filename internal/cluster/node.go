@@ -61,8 +61,8 @@ type Config struct {
 }
 
 // shardState is one owned shard: its service front plus this node's
-// cumulative key map (router-thread-only state, same discipline as
-// svc.Store's per-shard merge).
+// cumulative key map (router-thread-only state: only the shard's svc
+// worker calls merge, so it needs no lock).
 type shardState struct {
 	shard int
 	svc   *svc.Service
@@ -70,8 +70,11 @@ type shardState struct {
 	order []string
 }
 
-// merge folds routed key writes into the cumulative map; see
-// svc.Store's merge for why the map must be cumulative.
+// merge folds a batch of routed key writes into the cumulative map and
+// returns the full map as the committed segment payload. The map must be
+// cumulative — a snapshot only keeps each writer's latest segment, so a
+// key written in an earlier batch survives only by being re-committed
+// here.
 func (st *shardState) merge(payloads [][]byte) []byte {
 	for _, p := range payloads {
 		for _, rec := range svc.DecodeRecords(p) {

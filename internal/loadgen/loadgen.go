@@ -22,18 +22,10 @@
 // node, so the key only selects the target node and colours the payload —
 // but the resulting per-node load imbalance is exactly what the skew knob
 // is for.
-//
-// The tuned/legacy split (Config.Legacy) selects the whole pre- vs
-// post-optimization stack in one flag: the transport's serial dispatch,
-// per-frame writes and raceful batching, and the service layer's condvar
-// completion and unbounded drain, versus pipelined per-source dispatch,
-// coalesced flushes, channel completion and the adaptive drain window.
 package loadgen
 
 import (
-	"fmt"
 	"math/rand"
-	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -74,12 +66,6 @@ type Config struct {
 	D time.Duration
 	// MaxPending bounds each node's service queue (default svc default).
 	MaxPending int
-	// Legacy selects the pre-optimization transport and service path
-	// (TCPConfig.Legacy, condvar completion, unbounded drain window).
-	Legacy bool
-	// FlushDelay overrides the transport's outbound coalescing window
-	// (0 = transport default; negative disables). Ignored under Legacy.
-	FlushDelay time.Duration
 }
 
 func (c *Config) fill() {
@@ -121,14 +107,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Path names the measured stack variant.
-func (c *Config) Path() string {
-	if c.Legacy {
-		return "legacy"
-	}
-	return "tuned"
-}
-
 // LatencySummary is the client-visible latency digest of one op kind, in
 // microseconds.
 type LatencySummary struct {
@@ -150,8 +128,6 @@ type Result struct {
 	Engine  string `json:"engine"`
 	Clients int    `json:"clients"`
 	N       int    `json:"n"`
-	// Path is "tuned" or "legacy" (the pre-optimization stack).
-	Path string `json:"path"`
 	// Ops and Errors count operations completed inside the recording
 	// window; OpsPerSec is Ops over the window's actual wall time.
 	Ops       int64   `json:"ops"`
@@ -182,62 +158,30 @@ type Result struct {
 // Run executes one load run and reports it.
 func Run(cfg Config) (Result, error) {
 	cfg.fill()
-	if _, err := engine.Lookup(cfg.Engine); err != nil {
+	info, err := engine.Lookup(cfg.Engine)
+	if err != nil {
 		return Result{}, err
 	}
-
-	// Bind ephemeral loopback ports first so every node knows the mesh.
-	listeners := make([]net.Listener, cfg.N)
-	addrs := make([]string, cfg.N)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return Result{}, err
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, cfg.N)
-	services := make([]*svc.Service, cfg.N)
-	errs := make(chan error, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		i := i
-		go func() {
-			tn, err := transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: cfg.F, D: cfg.D,
-				Listener: listeners[i],
-				Legacy:   cfg.Legacy, FlushDelay: cfg.FlushDelay,
-			})
-			if err != nil {
-				errs <- fmt.Errorf("node %d: %w", i, err)
-				return
-			}
-			nodes[i] = tn
-			eng := engine.MustLookup(cfg.Engine).New(tn.Runtime())
-			tn.SetHandler(eng)
-			services[i] = svc.New(tn.Runtime(), eng, svc.Options{
-				Mode:       svc.ModeFor(cfg.Engine),
-				MaxPending: cfg.MaxPending,
-				// The optimized completion/batching path; Legacy keeps the
-				// pre-PR condvar wait and unbounded drain.
-				DirectWait:     !cfg.Legacy,
-				AdaptiveWindow: !cfg.Legacy,
-			})
-			errs <- nil
-		}()
-	}
-	for i := 0; i < cfg.N; i++ {
-		if err := <-errs; err != nil {
-			return Result{}, err
-		}
+	nodes, err := transport.LoopbackMesh(cfg.N, transport.TCPConfig{F: cfg.F, D: cfg.D})
+	if err != nil {
+		return Result{}, err
 	}
 	defer func() {
 		for _, tn := range nodes {
-			if tn != nil {
-				tn.Close()
-			}
+			tn.Close()
 		}
 	}()
+	services := make([]*svc.Service, cfg.N)
+	for i, tn := range nodes {
+		eng := info.New(tn.Runtime())
+		tn.SetHandler(eng)
+		services[i] = svc.New(tn.Runtime(), eng, svc.Options{
+			Mode:           svc.ModeFor(cfg.Engine),
+			MaxPending:     cfg.MaxPending,
+			DirectWait:     true,
+			AdaptiveWindow: true,
+		})
+	}
 	var workers sync.WaitGroup
 	for _, s := range services {
 		workers.Add(1)
@@ -361,7 +305,7 @@ func Run(cfg Config) (Result, error) {
 	workers.Wait()
 
 	res := Result{
-		Engine: cfg.Engine, Clients: cfg.Clients, N: cfg.N, Path: cfg.Path(),
+		Engine: cfg.Engine, Clients: cfg.Clients, N: cfg.N,
 		Ops: ops.Load(), Errors: errops.Load(),
 		Seconds: elapsed.Seconds(),
 		Update:  summarize(updHist), Scan: summarize(scanHist),

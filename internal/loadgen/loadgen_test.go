@@ -7,8 +7,7 @@ import (
 	_ "mpsnap/internal/engine/all"
 )
 
-// TestClosedLoopSmoke: a short closed-loop run on the tuned stack
-// completes operations without errors and reports coherent numbers.
+// TestClosedLoopSmoke: a short closed-loop run completes operations without errors and reports coherent numbers.
 func TestClosedLoopSmoke(t *testing.T) {
 	res, err := Run(Config{
 		Engine: "fastsnap", N: 3, F: 1, Clients: 16,
@@ -24,9 +23,6 @@ func TestClosedLoopSmoke(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("%d operation errors", res.Errors)
 	}
-	if res.Path != "tuned" {
-		t.Errorf("Path = %q, want tuned", res.Path)
-	}
 	if res.OpsPerSec <= 0 {
 		t.Errorf("OpsPerSec = %g", res.OpsPerSec)
 	}
@@ -38,13 +34,13 @@ func TestClosedLoopSmoke(t *testing.T) {
 	}
 }
 
-// TestOpenLoopLegacySmoke: the open-loop scheduler and the legacy path
-// both function end to end (zipf-skewed keys included).
-func TestOpenLoopLegacySmoke(t *testing.T) {
+// TestOpenLoopSmoke: the open-loop scheduler functions end to end
+// (zipf-skewed keys included).
+func TestOpenLoopSmoke(t *testing.T) {
 	res, err := Run(Config{
 		Engine: "eqaso", N: 3, F: 1, Clients: 8,
 		Duration: 400 * time.Millisecond, Warmup: 100 * time.Millisecond,
-		Rate: 2000, ZipfS: 1.2, Legacy: true, Seed: 7,
+		Rate: 2000, ZipfS: 1.2, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,14 +50,6 @@ func TestOpenLoopLegacySmoke(t *testing.T) {
 	}
 	if res.Errors != 0 {
 		t.Fatalf("%d operation errors", res.Errors)
-	}
-	if res.Path != "legacy" {
-		t.Errorf("Path = %q, want legacy", res.Path)
-	}
-	// Legacy keeps the unbounded drain: the window must report 0 and
-	// never resize.
-	if res.SvcWindow != 0 || res.SvcWindowGrows != 0 {
-		t.Errorf("legacy run resized the window: window=%d grows=%d", res.SvcWindow, res.SvcWindowGrows)
 	}
 }
 

@@ -139,6 +139,7 @@ type Monitor struct {
 	latest     rt.Ticks                           // newest completion time seen
 	stats      Stats
 	violations []Violation
+	pruneWalks int // value-map walks done by prune (cost counter, pinned by tests)
 }
 
 // New creates a monitor for an n-node object.
@@ -343,7 +344,10 @@ func (m *Monitor) prune() {
 	m.frontier.PruneBefore(cutoff)
 	for _, w := range m.writers {
 		w.compl.PruneBefore(cutoff)
-		if floor := w.compl.Before(cutoff); floor > w.pruned {
+		// Walk the value map only when the floor has advanced past what
+		// is already pruned (everything below floor goes; floor stays).
+		if floor := w.compl.Before(cutoff); floor-1 > w.pruned {
+			m.pruneWalks++
 			for v, seq := range w.vals {
 				if seq < floor {
 					delete(w.vals, v)

@@ -329,3 +329,51 @@ func TestMonitorTranscriptRing(t *testing.T) {
 		t.Fatalf("ring should keep the newest ops oldest-first: %+v", d.Transcript)
 	}
 }
+
+// TestMonitorPruneWalksOnlyWhenFloorAdvances pins prune's cost: a writer's
+// value map is walked when its pruning floor advances, not on every
+// completion anywhere in the system. Seven writers go idle after a few
+// updates while an eighth keeps completing; the idle writers' maps must be
+// walked O(1) times each, not once per completion of the busy one.
+func TestMonitorPruneWalksOnlyWhenFloorAdvances(t *testing.T) {
+	const (
+		writers     = 8
+		idleUpdates = 3
+		busyUpdates = 500
+		window      = 100
+	)
+	f := newFeed(writers, Config{Window: window})
+	now := rt.Ticks(0)
+	update := func(node int, val string) {
+		u := f.rec.BeginUpdateAs(node, 0, val, now)
+		u.End(now + 1)
+		now += 2
+	}
+	for i := 1; i < writers; i++ {
+		for k := 1; k <= idleUpdates; k++ {
+			update(i, fmt.Sprintf("w%d-%d", i, k))
+		}
+	}
+	for k := 1; k <= busyUpdates; k++ {
+		update(0, fmt.Sprintf("busy-%d", k))
+	}
+	if !f.m.OK() {
+		t.Fatalf("clean stream flagged: %v", f.m.Violations())
+	}
+	// The busy writer's floor can advance once per completion; each idle
+	// writer's at most once per update it ever made.
+	if limit := busyUpdates + (writers-1)*idleUpdates; f.m.pruneWalks > limit {
+		t.Errorf("prune walked value maps %d times for %d completions (limit %d): it re-walks writers whose floor did not move",
+			f.m.pruneWalks, f.m.Stats().Updates, limit)
+	}
+	// Pruning still happens: an idle writer keeps only its floor value, the
+	// busy one only what is inside the window.
+	for i, w := range f.m.writers {
+		if i > 0 && (len(w.vals) != 1 || w.pruned != idleUpdates-1) {
+			t.Errorf("idle writer %d retains %d values, pruned=%d; want 1 and %d", i, len(w.vals), w.pruned, idleUpdates-1)
+		}
+		if i == 0 && len(w.vals) > window {
+			t.Errorf("busy writer retains %d values past a %d-tick window", len(w.vals), window)
+		}
+	}
+}

@@ -115,7 +115,7 @@ func TestBindTwicePanics(t *testing.T) {
 
 // TestBindErrReportsDuplicate: the non-panicking registration reports a
 // duplicate channel name descriptively and leaves the original handler in
-// place (components that assemble channels dynamically, like svc.Store,
+// place (components that assemble channels dynamically, like cluster.Node,
 // depend on both properties).
 func TestBindErrReportsDuplicate(t *testing.T) {
 	w := sim.New(sim.Config{N: 1, F: 0, Seed: 1})

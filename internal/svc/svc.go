@@ -122,7 +122,7 @@ type Options struct {
 	Serialize bool
 	// Coalesce, if set, folds an update batch's payloads (in arrival
 	// order) into the single payload committed for the batch; it takes
-	// precedence over BatchObject. The sharded Store uses it to merge
+	// precedence over BatchObject. internal/cluster uses it to merge
 	// per-key writes into one segment map.
 	Coalesce func(payloads [][]byte) []byte
 	// Observer, if set, receives "svc.update"/"svc.scan" operation

@@ -2,7 +2,6 @@ package transport_test
 
 import (
 	"math/rand"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,35 +45,11 @@ func (h *countingHandler) HandleMessage(src int, msg rt.Message) { h.n.Add(1) }
 
 // benchPair builds a two-node mesh and returns the sender runtime plus
 // the receiver's delivery counter.
-func benchPair(b *testing.B, legacy bool) (rt.Runtime, *countingHandler, func()) {
+func benchPair(b *testing.B) (rt.Runtime, *countingHandler, func()) {
 	b.Helper()
-	listeners := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, 2)
-	done := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		go func() {
-			tn, err := transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: 0, D: 5 * time.Millisecond,
-				Listener: listeners[i], Legacy: legacy,
-			})
-			nodes[i] = tn
-			done <- err
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
+	nodes, err := transport.LoopbackMesh(2, transport.TCPConfig{D: 5 * time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
 	}
 	h := &countingHandler{}
 	nodes[0].SetHandler(h)
@@ -86,10 +61,11 @@ func benchPair(b *testing.B, legacy bool) (rt.Runtime, *countingHandler, func())
 	}
 }
 
-// runDeliver ships b.N messages from node 1 to node 0 and waits for the
-// last delivery, reporting allocations per delivered message.
-func runDeliver(b *testing.B, legacy bool) {
-	rtm, h, closeAll := benchPair(b, legacy)
+// BenchmarkTCPDeliver ships b.N messages from node 1 to node 0 and waits
+// for the last delivery, reporting allocations per delivered message on
+// the transport path: pipelined dispatch, pooled buffers, coalesced writes.
+func BenchmarkTCPDeliver(b *testing.B) {
+	rtm, h, closeAll := benchPair(b)
 	defer closeAll()
 	pad := []byte("0123456789abcdef0123456789abcdef") // 32B body
 	b.ReportAllocs()
@@ -107,11 +83,3 @@ func runDeliver(b *testing.B, legacy bool) {
 	}
 	b.StopTimer()
 }
-
-// BenchmarkTCPDeliver measures the tuned transport path: pipelined
-// dispatch, pooled buffers, coalesced writes.
-func BenchmarkTCPDeliver(b *testing.B) { runDeliver(b, false) }
-
-// BenchmarkTCPDeliverLegacy measures the pre-optimization path kept
-// behind TCPConfig.Legacy (serial inline dispatch, per-frame writes).
-func BenchmarkTCPDeliverLegacy(b *testing.B) { runDeliver(b, true) }

@@ -16,38 +16,11 @@ import (
 // startRawMesh brings up an n-node TCP mesh with the given handlers
 // installed (no protocol on top — the tests drive the transport
 // directly). Reuses benchMsg from bench_test.go as the payload.
-func startRawMesh(t *testing.T, handlers []rt.Handler, legacy bool) []*transport.TCPNode {
+func startRawMesh(t *testing.T, handlers []rt.Handler) []*transport.TCPNode {
 	t.Helper()
-	n := len(handlers)
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, n)
-	errs := make([]error, n)
-	var setup sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		setup.Add(1)
-		go func() {
-			defer setup.Done()
-			nodes[i], errs[i] = transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: 0, D: 5 * time.Millisecond,
-				Listener: listeners[i], Legacy: legacy,
-			})
-		}()
-	}
-	setup.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d setup: %v", i, err)
-		}
+	nodes, err := transport.LoopbackMesh(len(handlers), transport.TCPConfig{D: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, tn := range nodes {
@@ -104,7 +77,7 @@ func TestTCPPerSourceFIFO(t *testing.T) {
 	for i := 1; i <= senders; i++ {
 		handlers[i] = &fifoHandler{}
 	}
-	nodes := startRawMesh(t, handlers, false)
+	nodes := startRawMesh(t, handlers)
 
 	var wg sync.WaitGroup
 	for i := 1; i <= senders; i++ {
@@ -234,47 +207,10 @@ func TestTCPSendBatchCapStalledReader(t *testing.T) {
 // TestTCPFlushTimerSolitaryFrame pins the flush timer's liveness: a
 // frame with no follow-up traffic must still reach the peer once the
 // coalescing window expires — the batch write may not wait for a
-// successor that never comes. A generous FlushDelay makes a stuck timer
-// path show up as a timeout rather than a flake.
+// successor that never comes.
 func TestTCPFlushTimerSolitaryFrame(t *testing.T) {
 	sink := &fifoHandler{}
-	listeners := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	nodes := make([]*transport.TCPNode, 2)
-	errs := make([]error, 2)
-	var setup sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		setup.Add(1)
-		go func() {
-			defer setup.Done()
-			nodes[i], errs[i] = transport.NewTCPNode(transport.TCPConfig{
-				ID: i, Addrs: addrs, F: 0, D: 5 * time.Millisecond,
-				Listener: listeners[i], FlushDelay: 50 * time.Millisecond,
-			})
-		}()
-	}
-	setup.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d setup: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, tn := range nodes {
-			tn.Close()
-		}
-	}()
-	nodes[0].SetHandler(sink)
-	nodes[1].SetHandler(&fifoHandler{})
+	nodes := startRawMesh(t, []rt.Handler{sink, &fifoHandler{}})
 
 	start := time.Now()
 	nodes[1].Runtime().Send(0, benchMsg{Seq: 0, Pad: []byte("solo")})

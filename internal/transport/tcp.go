@@ -70,18 +70,6 @@ type TCPConfig struct {
 	// share one epoch, or per-node construction skew shows up as clock
 	// skew; for nodes in one process, pass the same time.Time to all.
 	Epoch time.Time
-	// Legacy selects the pre-optimization hot path (serial inline
-	// dispatch, per-frame socket writes, no flush coalescing). Kept so
-	// wall-clock bake-offs can measure the optimized path against the
-	// original one inside the same binary.
-	Legacy bool
-	// FlushDelay is the outbound coalescing window: after encoding a
-	// frame with no successor already queued, the send loop waits up to
-	// this long for more frames before handing the batch to the socket,
-	// so coalescing no longer depends on the len(queue)>0 race alone.
-	// 0 means the 5µs default; negative disables the timer (every
-	// drained batch is written immediately). Ignored under Legacy.
-	FlushDelay time.Duration
 	// Observer, if set, receives a rt.MsgEvent for every outbound send,
 	// inbound delivery, and corrupt inbound stream. It is called from
 	// client and receive goroutines concurrently, so it must be
@@ -190,6 +178,7 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 			return nil, fmt.Errorf("transport: node %d unreachable at %s (retried with backoff for %v): %w",
 				peer, cfg.Addrs[peer], cfg.DialTimeout, err)
 		}
+		t.conns[peer] = conn // recorded first: a failed handshake's Close must reach it
 		frame, err := wire.MarshalFrame(Hello{ID: cfg.ID}, cfg.MaxFrame)
 		if err != nil {
 			t.Close()
@@ -199,15 +188,10 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 			t.Close()
 			return nil, fmt.Errorf("transport: handshake with node %d: %w", peer, err)
 		}
-		t.conns[peer] = conn
 		out := make(chan rt.Message, 1<<14)
 		t.outs[peer] = out
 		t.wg.Add(1)
-		if cfg.Legacy {
-			go t.sendLoopLegacy(peer, conn, out)
-		} else {
-			go t.sendLoop(peer, conn, out)
-		}
+		go t.sendLoop(peer, conn, out)
 	}
 	return t, nil
 }
@@ -254,8 +238,8 @@ func (t *TCPNode) acceptLoop() {
 	}
 }
 
-// recvBufSize is the inbound read buffer of the optimized path: large
-// enough that a coalesced burst of frames costs one read syscall.
+// recvBufSize is the inbound read buffer: large enough that a coalesced
+// burst of frames costs one read syscall.
 const recvBufSize = 64 << 10
 
 // recvLoop reads frames from one inbound connection until the stream
@@ -265,18 +249,13 @@ const recvBufSize = 64 << 10
 // unknown tag, malformed body — closes only this connection and surfaces
 // a descriptive error through the error hook.
 //
-// On the optimized path the loop only frames and decodes: decoded
-// messages are handed to the source's FIFO dispatcher, so the next frame
-// is read off the socket while the handler still runs (pipelining). The
-// Legacy path runs the handler inline, one frame at a time.
+// The loop only frames and decodes: decoded messages are handed to the
+// source's FIFO dispatcher, so the next frame is read off the socket while
+// the handler still runs (pipelining).
 func (t *TCPNode) recvLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
-	size := recvBufSize
-	if t.cfg.Legacy {
-		size = 4096 // bufio.NewReader's default, the pre-optimization size
-	}
-	r := bufio.NewReaderSize(conn, size)
+	r := bufio.NewReaderSize(conn, recvBufSize)
 	var buf []byte
 
 	// Handshake: the first frame must be a Hello naming the peer.
@@ -298,10 +277,7 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 		return
 	}
 	src := h.ID
-	var disp *dispatcher
-	if !t.cfg.Legacy {
-		disp = t.dispatcherFor(src)
-	}
+	disp := t.dispatcherFor(src)
 
 	for {
 		payload, err := wire.ReadFrame(r, buf, t.cfg.MaxFrame)
@@ -324,10 +300,6 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 		// Decoders copy all byte fields, so reusing buf for the next
 		// frame cannot mutate a delivered message.
 		t.observeMsg(rt.MsgDeliver, src, t.cfg.ID, msg.Kind(), len(payload))
-		if disp == nil {
-			t.deliver(src, msg)
-			continue
-		}
 		select {
 		case disp.ch <- msg:
 		case <-t.closed:
@@ -453,31 +425,23 @@ func (t *TCPNode) Errors() []error {
 // the hard bound is maxSendBatch plus one frame.
 const maxSendBatch = 64 << 10
 
-// defaultFlushDelay is the outbound coalescing window applied when
-// TCPConfig.FlushDelay is zero: long enough to catch the reply frames a
-// burst of handler executions produces, short enough not to tax the
-// request-reply rounds of a lightly loaded protocol (measured: 5µs beats
-// both no timer and 20µs across 32..1024 loadgen clients on loopback).
-const defaultFlushDelay = 5 * time.Microsecond
-
-// flushDelay resolves the configured coalescing window (0 = disabled).
-func (t *TCPNode) flushDelay() time.Duration {
-	if t.cfg.Legacy || t.cfg.FlushDelay < 0 {
-		return 0
-	}
-	if t.cfg.FlushDelay == 0 {
-		return defaultFlushDelay
-	}
-	return t.cfg.FlushDelay
-}
+// flushWindow is the outbound coalescing window: after encoding a frame
+// with no successor already queued, the send loop waits up to this long
+// for more frames before handing the batch to the socket, so coalescing
+// does not depend on the len(queue)>0 race alone. Long enough to catch
+// the reply frames a burst of handler executions produces, short enough
+// not to tax the request-reply rounds of a lightly loaded protocol
+// (measured: 5µs beats both no timer and 20µs across 32..1024 loadgen
+// clients on loopback).
+const flushWindow = 5 * time.Microsecond
 
 // sendLoop encodes and writes frames for one peer. Frames are encoded
 // directly into a pending batch buffer and written to the socket once the
-// queue is drained AND the flush window (flushDelay) has passed without a
-// successor arriving — or immediately once the batch reaches maxSendBatch
-// — so bursts coalesce into one write syscall without racing on queue
-// length. A write failure (or a stale flag raised by the receive side)
-// means the connection died; the loop redials with backoff and resends
+// queue is drained AND flushWindow has passed without a successor
+// arriving — or immediately once the batch reaches maxSendBatch — so
+// bursts coalesce into one write syscall without racing on queue length.
+// A write failure (or a stale flag raised by the receive side) means the
+// connection died; the loop redials with backoff and resends
 // the WHOLE unwritten batch on the fresh connection — the buffer is
 // cleared only after a successful write, so a transient connection reset
 // between two live processes cannot silently drop frames that were
@@ -492,15 +456,11 @@ func (t *TCPNode) sendLoop(peer int, conn net.Conn, out <-chan rt.Message) {
 	var body wire.Buffer
 	// pending holds encoded frames not yet accepted by a socket write.
 	var pending []byte
-	flush := t.flushDelay()
-	var timer *time.Timer
-	if flush > 0 {
-		timer = time.NewTimer(flush)
-		if !timer.Stop() {
-			<-timer.C
-		}
-		defer timer.Stop()
+	timer := time.NewTimer(flushWindow)
+	if !timer.Stop() {
+		<-timer.C
 	}
+	defer timer.Stop()
 	// encode appends msg as one frame to pending. Encode failures are
 	// local programming errors (unregistered type, oversized frame); they
 	// are surfaced but must not tear down the connection.
@@ -523,11 +483,11 @@ func (t *TCPNode) sendLoop(peer int, conn net.Conn, out <-chan rt.Message) {
 			return
 		case msg := <-out:
 			encode(msg)
-			// Gather: coalesce everything already queued, plus — when a
-			// flush window is configured — frames arriving within it. The
-			// window is armed once per batch (it bounds the write's total
-			// delay, not the gap between frames), and the batch is flushed
-			// at maxSendBatch even though more frames are queued.
+			// Gather: coalesce everything already queued, plus frames
+			// arriving within the flush window. The window is armed once
+			// per batch (it bounds the write's total delay, not the gap
+			// between frames), and the batch is flushed at maxSendBatch
+			// even though more frames are queued.
 			armed := false
 		gather:
 			for len(pending) < maxSendBatch {
@@ -537,11 +497,8 @@ func (t *TCPNode) sendLoop(peer int, conn net.Conn, out <-chan rt.Message) {
 					continue
 				default:
 				}
-				if timer == nil {
-					break gather
-				}
 				if !armed {
-					timer.Reset(flush)
+					timer.Reset(flushWindow)
 					armed = true
 				}
 				select {
@@ -566,55 +523,6 @@ func (t *TCPNode) sendLoop(peer int, conn net.Conn, out <-chan rt.Message) {
 				if conn = t.redial(peer, conn); conn == nil {
 					return // node shut down while reconnecting
 				}
-			}
-			for {
-				_, werr := conn.Write(pending)
-				if werr == nil {
-					pending = pending[:0]
-					break
-				}
-				if conn = t.redial(peer, conn); conn == nil {
-					return // node shut down while reconnecting
-				}
-			}
-		}
-	}
-}
-
-// sendLoopLegacy is the pre-optimization send loop, byte-for-byte the
-// behaviour the optimized sendLoop is benchmarked against: per-frame
-// encode into an intermediate buffer, batching only when the queue
-// happens to be non-empty at check time, one write per check. The redial
-// resend-all-unwritten invariant is identical.
-func (t *TCPNode) sendLoopLegacy(peer int, conn net.Conn, out <-chan rt.Message) {
-	defer t.wg.Done()
-	var body wire.Buffer
-	var frame []byte
-	var pending []byte
-	for {
-		select {
-		case <-t.closed:
-			return
-		case msg := <-out:
-			body.Reset()
-			if err := wire.AppendMessage(&body, msg); err != nil {
-				t.reportError(peer, fmt.Errorf("transport: encode to node %d: %w", peer, err))
-				continue
-			}
-			var err error
-			frame, err = wire.AppendFrame(frame[:0], body.Bytes(), t.cfg.MaxFrame)
-			if err != nil {
-				t.reportError(peer, fmt.Errorf("transport: encode to node %d: %w", peer, err))
-				continue
-			}
-			pending = append(pending, frame...)
-			if t.stale[peer].CompareAndSwap(true, false) {
-				if conn = t.redial(peer, conn); conn == nil {
-					return // node shut down while reconnecting
-				}
-			}
-			if len(out) > 0 && len(pending) < maxSendBatch {
-				continue // batch: more frames are already queued
 			}
 			for {
 				_, werr := conn.Write(pending)

@@ -20,61 +20,29 @@ import (
 // per node and returns the nodes plus a per-node error sink.
 func startMesh(t *testing.T, n, f int) ([]*transport.TCPNode, []*eqaso.Node, func() []error) {
 	t.Helper()
-	listeners := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
 	var errMu sync.Mutex
 	var surfaced []error
-	tnodes := make([]*transport.TCPNode, n)
-	nodes := make([]*eqaso.Node, n)
-	var setup sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		setup.Add(1)
-		go func() {
-			defer setup.Done()
-			tn, err := transport.NewTCPNode(transport.TCPConfig{
-				ID:       i,
-				Addrs:    addrs,
-				F:        f,
-				D:        5 * time.Millisecond,
-				Listener: listeners[i],
-				OnError: func(peer int, err error) {
-					errMu.Lock()
-					surfaced = append(surfaced, err)
-					errMu.Unlock()
-				},
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			tnodes[i] = tn
-			nodes[i] = eqaso.New(tn.Runtime())
-			tn.SetHandler(nodes[i])
-		}()
-	}
-	setup.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d setup: %v", i, err)
-		}
+	tnodes, err := transport.LoopbackMesh(n, transport.TCPConfig{
+		F: f, D: 5 * time.Millisecond,
+		OnError: func(peer int, err error) {
+			errMu.Lock()
+			surfaced = append(surfaced, err)
+			errMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		for _, tn := range tnodes {
-			if tn != nil {
-				tn.Close()
-			}
+			tn.Close()
 		}
 	})
+	nodes := make([]*eqaso.Node, n)
+	for i, tn := range tnodes {
+		nodes[i] = eqaso.New(tn.Runtime())
+		tn.SetHandler(nodes[i])
+	}
 	return tnodes, nodes, func() []error {
 		errMu.Lock()
 		defer errMu.Unlock()
@@ -223,36 +191,17 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp loopback test")
 	}
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	cfg := transport.TCPConfig{D: 5 * time.Millisecond}
+	mesh, err := transport.LoopbackMesh(2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := []string{lnA.Addr().String(), lnB.Addr().String()}
-
-	newNode := func(id int, ln net.Listener, got chan<- int) *transport.TCPNode {
-		t.Helper()
-		cfg := transport.TCPConfig{ID: id, Addrs: addrs, F: 0, D: 5 * time.Millisecond, Listener: ln}
-		tn, err := transport.NewTCPNode(cfg)
-		if err != nil {
-			t.Fatalf("node %d: %v", id, err)
-		}
-		tn.SetHandler(rtHandlerCapture(got))
-		return tn
-	}
-	// Nodes dial each other concurrently (NewTCPNode waits for the full
-	// mesh, so bringing them up serially would deadlock).
+	a, b1 := mesh[0], mesh[1]
+	defer a.Close()
 	gotA := make(chan int, 16)
 	gotB := make(chan int, 16)
-	var a *transport.TCPNode
-	done := make(chan struct{})
-	go func() { a = newNode(0, lnA, gotA); close(done) }()
-	b1 := newNode(1, lnB, gotB)
-	<-done
-	defer a.Close()
+	a.SetHandler(rtHandlerCapture(gotA))
+	b1.SetHandler(rtHandlerCapture(gotB))
 
 	recv := func(ch <-chan int, want int, when string) {
 		t.Helper()
@@ -277,12 +226,16 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	// blocks until it reaches every peer, so once it returns the mesh is
 	// re-formed from its side; the survivor's side must self-heal.
 	gotB2 := make(chan int, 16)
-	lnB2, err := net.Listen("tcp", addrs[1])
-	if err != nil {
+	cfg.ID, cfg.Addrs = 1, []string{a.Addr(), b1.Addr()}
+	if cfg.Listener, err = net.Listen("tcp", cfg.Addrs[1]); err != nil {
 		t.Fatal(err)
 	}
-	b2 := newNode(1, lnB2, gotB2)
+	b2, err := transport.NewTCPNode(cfg)
+	if err != nil {
+		t.Fatalf("restarted node: %v", err)
+	}
 	defer b2.Close()
+	b2.SetHandler(rtHandlerCapture(gotB2))
 
 	a.Runtime().Send(1, transport.Hello{ID: 8})
 	recv(gotB2, 8, "after restart")
