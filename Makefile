@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-examples test bench-test test-race test-short test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke fuzz fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check clean
+.PHONY: all build build-examples test bench-test test-race test-short test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke fuzz fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check loc clean
 
 all: vet test
 
@@ -27,6 +27,11 @@ fmt-check:
 test:
 	$(GO) test ./...
 
+# Non-test Go lines outside the frozen benchmark module: the number a
+# simplification PR is meant to move (CI prints it on every run).
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l
+
 # The frozen repository benchmark is its own module (benchmark/, replace
 # mpsnap => ../), so root `go test ./...` does not compile it: this is the
 # step that fails when an internal/ API change breaks it (~4 s).
@@ -48,11 +53,13 @@ test-recovery:
 # Sharded-cluster matrix under the race detector: routing, shard-map
 # races, and validated cross-shard cuts on the sim and chan backends
 # (TestRunChanSeeds covers 4 seeds with per-shard fault schedules), plus
-# whole-shard crash+recover and whole-shard partition episodes.
+# whole-shard crash+recover and whole-shard partition episodes, each
+# shard a 3-node cluster under a one-of-each fault mix with a restart.
+CLUSTER_MIX = -n 3 -f 1 -restarts 1 -partitions 1 -drops 1 -spikes 1 -scan-ratio 0.2
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/mux/
-	$(GO) run ./cmd/asocluster -backend sim,chan -seed 7 -duration 1s -shards 3 -shard-crash 1
-	$(GO) run ./cmd/asocluster -backend sim,chan -seed 9 -duration 1s -shards 2 -shard-partition 0
+	$(GO) run ./cmd/asochaos -backend sim,chan $(CLUSTER_MIX) -seed 7 -duration 1s -shards 3 -shard-crash 1
+	$(GO) run ./cmd/asochaos -backend sim,chan $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
 
 # Engine matrix under the race detector: the registry smoke across every
 # registered engine, the eqaso/acr/fastsnap differential corpus, and the

@@ -79,6 +79,30 @@ func TestParseChaosConfig(t *testing.T) {
 				}
 			},
 		},
+		{
+			name: "shard-crash forwards with the topology and mix",
+			args: []string{"-shards", "3", "-n", "3", "-f", "1", "-restarts", "1", "-seed", "7", "-scan-ratio", "0.2", "-shard-crash", "1"},
+			check: func(t *testing.T, c chaosConfig) {
+				r := c.Cluster
+				if r.Shards != 3 || r.N != 3 || r.F != 1 || r.Seed != 7 || r.CrashShard != 1 || r.PartitionShard != -1 {
+					t.Errorf("cluster cfg: %+v", r)
+				}
+				if r.Mix.Restarts != 1 || r.ScanRatio != 0.2 || r.Duration != c.Chaos.Duration {
+					t.Errorf("cluster mix/workload: %+v", r)
+				}
+			},
+		},
+		{
+			name: "shard-partition forwards",
+			args: []string{"-shards", "2", "-shard-partition", "0"},
+			check: func(t *testing.T, c chaosConfig) {
+				if c.Cluster.PartitionShard != 0 || c.Cluster.CrashShard != -1 {
+					t.Errorf("cluster cfg: %+v", c.Cluster)
+				}
+			},
+		},
+		{name: "shard-crash without shards", args: []string{"-shard-crash", "1"}, wantErr: "require -shards"},
+		{name: "corrupts with shards", args: []string{"-shards", "2", "-corrupts", "1"}, wantErr: "-corrupts is not supported with -shards"},
 		{name: "bad engine", args: []string{"-engine", "paxos"}, wantErr: "unknown engine"},
 		{name: "alg alias removed", args: []string{"-alg", "eqaso"}, wantErr: "flag provided but not defined: -alg"},
 		{name: "bad backend", args: []string{"-backend", "carrier-pigeon"}, wantErr: "unknown backend"},

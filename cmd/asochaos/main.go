@@ -46,14 +46,8 @@ func main() {
 	var reports []chaos.Report
 	failed := false
 	for _, be := range cfg.Backends {
-		var res *chaos.Result
-		var err error
 		startWall := time.Now()
-		if be == "sim" {
-			res, err = chaos.RunSim(cfg.Chaos)
-		} else {
-			res, err = chaos.RunTransport(cfg.Chaos, be)
-		}
+		res, err := chaos.Run(cfg.Chaos, be)
 		if err != nil {
 			log.Fatalf("backend %s: %v", be, err)
 		}
@@ -98,17 +92,8 @@ func runClusterMode(cfg chaosConfig) {
 	var outs []outcome
 	failed := false
 	for _, be := range cfg.Backends {
-		var rep *cluster.Report
-		var err error
 		startWall := time.Now()
-		switch be {
-		case "sim":
-			rep, err = cluster.RunSim(cfg.Cluster)
-		case "chan":
-			rep, err = cluster.RunChan(cfg.Cluster)
-		case "tcp":
-			rep, err = cluster.RunTCP(cfg.Cluster)
-		}
+		rep, err := cluster.Run(cfg.Cluster, be)
 		if err != nil {
 			log.Fatalf("backend %s: %v", be, err)
 		}

@@ -3,13 +3,17 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 
 	"mpsnap/internal/engine"
 	_ "mpsnap/internal/engine/all" // register every snapshot engine
+	"mpsnap/internal/harness"
 	"mpsnap/internal/history"
 	"mpsnap/internal/monitor"
+	"mpsnap/internal/obs"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
+	"mpsnap/internal/svc"
 	"mpsnap/internal/wal"
 )
 
@@ -176,21 +180,6 @@ func durableNames() string {
 	return out
 }
 
-// newNode constructs the engine node for one runtime.
-func (cfg *Config) newNode(r rt.Runtime) (rt.Handler, object) {
-	e := cfg.info.New(r)
-	return e, e
-}
-
-// recoverNode rebuilds the engine node of a restarted process from its
-// replayed WAL (GC stays enabled — recovery under pruning is the point).
-// normalize already guaranteed the engine is durable, and durable engines
-// rejoin after recovery.
-func (cfg *Config) recoverNode(r rt.Runtime, st *wal.State, w *wal.Writer) (rt.Handler, object, engine.Rejoiner) {
-	e := cfg.info.Recover(r, st, w, true)
-	return e, e, e.(engine.Rejoiner)
-}
-
 // checker returns the consistency check for the engine: linearizability
 // for the atomic objects, sequential consistency for the SSO family.
 func (cfg *Config) checker() func(*history.History) *history.Report {
@@ -239,13 +228,18 @@ type Result struct {
 	MonitorTracePath string
 }
 
-// graceTicks is how long past the workload deadline an in-flight
-// operation may take before it is considered stuck: generous against the
-// worst measured op latencies (≤ ~10D) plus spike delays.
-const graceTicks = 30 * rt.TicksPerD
+// Grace is how long past the workload deadline an in-flight operation may
+// take before it is considered stuck: generous against the worst measured
+// op latencies (≤ ~10D) plus spike delays.
+const Grace = 30 * rt.TicksPerD
 
-// clientMix is one client's workload shape, shared by RunSim and
-// RunTransport so the two backends draw the same mix from the same seed.
+// WALBatch is the WAL fsync batch for chaos runs: foreign values may ride
+// a batch, while the protocol's critical points (own values before
+// dissemination, checkpoints before vouches, prunes before execution)
+// force explicit syncs regardless.
+const WALBatch = 8
+
+// clientMix is one client's workload shape.
 type clientMix struct {
 	scanP    float64  // probability an iteration scans
 	maxSleep rt.Ticks // think-time cap between iterations
@@ -282,4 +276,222 @@ func (m clientMix) next(rng *rand.Rand) (scans bool, burst int) {
 // think draws the pause after an iteration.
 func (m clientMix) think(rng *rand.Rand) rt.Ticks {
 	return rt.Ticks(rng.Int63n(int64(m.maxSleep) + 1))
+}
+
+// Run executes one chaos run on backend: "sim" (the deterministic
+// simulator — schedule, workload and recorded history are a function of
+// cfg alone, so a failing seed replays byte-identically), "chan"
+// (in-process goroutine links) or "tcp" (a TCP loopback cluster, all n
+// nodes in this process). The same seeded Schedule is injected on every
+// backend; on the real transports only the fault schedule and the check
+// verdict reproduce, not the exact history.
+func Run(cfg Config, backend string) (*Result, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	if backend != "sim" {
+		if cfg.Service {
+			return nil, fmt.Errorf("chaos: Service mode runs on the sim backend only")
+		}
+		if cfg.Mix.Restarts > 0 && backend != "chan" {
+			return nil, fmt.Errorf("chaos: restarts run on the sim and chan backends only (a tcp restart is a process restart)")
+		}
+		if cfg.Churn && cfg.info.Durable() && backend != "chan" {
+			return nil, fmt.Errorf("chaos: churn on a durable engine includes restarts, which run on the sim and chan backends only")
+		}
+	}
+	sched := cfg.schedule()
+	res := &Result{Schedule: sched}
+	w, err := NewWorld(backend, WorldConfig{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Byzantine: cfg.info.Byzantine})
+	if err != nil {
+		return nil, err
+	}
+	defer w.Close()
+
+	// Crash-recovery: each node persists to an in-memory WAL (with GC of
+	// the value log below the globally-vouched checkpoint); a restart
+	// event replays the durable prefix, rejoins, and respawns the client.
+	objs := make([]object, cfg.N)
+	var walFiles []*wal.MemFile
+	if sched.HasRestarts() {
+		walFiles = make([]*wal.MemFile, cfg.N)
+	}
+	for i := range objs {
+		e := cfg.info.New(w.Runtime(i))
+		if walFiles != nil {
+			walFiles[i] = wal.NewMemFile()
+			e.(engine.Durable).AttachWAL(wal.NewWriter(walFiles[i], WALBatch), true)
+		}
+		w.SetHandler(i, e)
+		objs[i] = e
+	}
+
+	// Observability trace (sim only: the dump is worth keeping because it
+	// is a function of the seed): op/phase events from the objects and
+	// service fronts, fault events from the simulator's tracer. Raw
+	// send/deliver traffic is deliberately NOT recorded — it would evict
+	// the op events a failure post-mortem actually needs from the ring.
+	var tr *obs.Trace
+	observe := func(obj object) {
+		if so, ok := obj.(interface{ SetObserver(rt.Observer) }); ok && tr != nil {
+			so.SetObserver(tr)
+		}
+	}
+	if sw, ok := w.(*simWorld); ok && cfg.TraceDir != "" {
+		capacity := cfg.TraceCap
+		if capacity <= 0 {
+			capacity = 8192
+		}
+		tr = obs.NewTrace(capacity)
+		sw.SetTracer(func(te sim.TraceEvent) {
+			switch te.Kind {
+			case "crash", "restart", "partition", "heal", "drop", "corrupt", "hold":
+				tr.Sys(te.T, te.Kind, te.Src, te.Dst, te.Msg)
+			}
+		})
+		for _, obj := range objs {
+			observe(obj)
+		}
+	}
+
+	// Streaming invariant monitor: consumes completions as the recorder
+	// produces them; the first violation dumps the monitor transcript and
+	// the obs ring as they stand at that moment.
+	rec := history.NewRecorder(cfg.N)
+	mon := attachMonitor(&cfg, sched, rec, tr, res)
+
+	// Workload: every client thread alternates seeded updates/scans with
+	// think time until the deadline, recording each operation against the
+	// world's one clock. cid names the thread among its node's clients:
+	// client 0 writes "v<node>-<seq>", client c>0 "v<node>.<c>-<seq>", so
+	// values stay unique across a node's clients and incarnations. rejoin,
+	// when set, runs before the first operation.
+	client := func(i, cid int, seed int64, obj object, rejoin engine.Rejoiner) {
+		name, prefix := fmt.Sprintf("client-%d", i), fmt.Sprintf("v%d-", i)
+		if cid > 0 {
+			name, prefix = fmt.Sprintf("client-%d.%d", i, cid), fmt.Sprintf("v%d.%d-", i, cid)
+		}
+		w.GoClient(name, i, func() {
+			if rejoin != nil {
+				rejoin.Rejoin()
+			}
+			rng := rand.New(rand.NewSource(seed))
+			mix := cfg.clientMix(i)
+			seq := 0
+			for w.Now() < cfg.Duration {
+				scans, burst := mix.next(rng)
+				for b := 0; b < burst; b++ {
+					if scans {
+						p := rec.BeginScanAs(i, cid, w.Now())
+						snap, err := obj.Scan()
+						if err != nil {
+							return // node crashed: op stays pending
+						}
+						p.EndScan(harness.SnapStrings(snap), w.Now())
+					} else {
+						seq++
+						v := fmt.Sprintf("%s%d", prefix, seq)
+						p := rec.BeginUpdateAs(i, cid, v, w.Now())
+						if err := obj.Update([]byte(v)); err != nil {
+							return
+						}
+						p.End(w.Now())
+					}
+					if w.Now() >= cfg.Duration {
+						return
+					}
+				}
+				if w.Sleep(mix.think(rng)) != nil {
+					return
+				}
+			}
+		})
+	}
+
+	// Crash-recovery: replay the victim's durable WAL prefix (the unsynced
+	// tail died with the process), rebuild the node on the same runtime,
+	// un-crash it, and respawn its client — which first rejoins (re-
+	// disseminating retained values above the recovered frontier and
+	// requesting the delta it missed) and then resumes the workload. The
+	// incarnation count is both the respawned client's cid (restarts drive
+	// direct clients only, so cid 0 was the node's one pre-crash client)
+	// and part of its seed, so a node restarted twice neither reuses value
+	// names nor replays the same RNG stream.
+	incarnation := make([]int, cfg.N)
+	restart := func(id int) {
+		if walFiles == nil || !w.Crashed(id) {
+			return
+		}
+		f := walFiles[id]
+		f.Crash()
+		st := wal.Recover(f.Durable(), cfg.N, id)
+		// GC stays on: recovery under pruning is the point. Durable engines
+		// (normalize checked) rejoin after recovery.
+		e := cfg.info.Recover(w.Runtime(id), st, wal.NewWriter(f, WALBatch), true)
+		observe(e)
+		w.Restart(id, e)
+		incarnation[id]++
+		inc := incarnation[id]
+		client(id, inc, cfg.Seed*1009+int64(id)+104729*int64(inc), e, e.(engine.Rejoiner))
+	}
+	Inject(w, sched.Events, restart)
+
+	// Service layer (optional): wrap each node's object in a svc.Service
+	// whose worker runs on a dedicated node thread; all of the node's
+	// clients then share it.
+	fronts := objs
+	var drain func()
+	if cfg.Service {
+		services := make([]*svc.Service, cfg.N)
+		fronts = make([]object, cfg.N)
+		for i := range services {
+			opts := svc.Options{Mode: svc.ModeFor(cfg.Engine)}
+			if tr != nil {
+				opts.Observer = tr
+			}
+			s := svc.New(w.Runtime(i), objs[i], opts)
+			services[i], fronts[i] = s, s
+			w.GoService(fmt.Sprintf("svc-%d", i), i, func() {
+				_ = s.Serve() // returns on drain (nil) or node crash
+			})
+		}
+		drain = func() {
+			for _, s := range services {
+				s.Close()
+			}
+		}
+	}
+	for i := 0; i < cfg.N; i++ {
+		for cid := 0; cid < cfg.Clients; cid++ {
+			client(i, cid, cfg.Seed*1009+int64(i)+7919*int64(cid), fronts[i], nil)
+		}
+	}
+
+	res.Blocked, err = w.Run(cfg.Duration, Grace, drain)
+	res.Hist = rec.History()
+	if err != nil {
+		return res, err
+	}
+	switch b := w.(type) {
+	case *simWorld:
+		st := b.Stats()
+		res.Stats = &st
+	case *wallWorld:
+		res.NetDrops, res.NetHeld, res.NetCorrupt = b.Counters()
+	}
+	res.Check = cfg.checker()(res.Hist)
+	if cfg.forceCheckFail {
+		res.Check = &history.Report{OK: false, Violations: []string{"forced failure (chaos test hook)"}}
+	}
+	harvestMonitor(mon, res)
+	if tr != nil && (!res.Check.OK || cfg.TraceAlways || len(res.MonitorViolations) > 0) {
+		path := filepath.Join(cfg.TraceDir,
+			fmt.Sprintf("chaos-%s-seed%d-%s.jsonl", cfg.Engine, cfg.Seed, sched.Hash()))
+		if err := tr.DumpJSONL(path); err != nil {
+			return res, fmt.Errorf("chaos: %w", err)
+		}
+		res.TracePath = path
+		res.TraceDropped = tr.Dropped()
+	}
+	return res, nil
 }

@@ -17,7 +17,7 @@ import (
 func TestSeedDeterminism(t *testing.T) {
 	cfg := Config{N: 5, F: 2, Seed: 42, Duration: 60 * rt.TicksPerD}
 	run := func() ([]byte, Schedule) {
-		res, err := RunSim(cfg)
+		res, err := Run(cfg, "sim")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestRunSimAllAlgs(t *testing.T) {
 		{"sso", 5, 2},
 	} {
 		t.Run(tc.alg, func(t *testing.T) {
-			res, err := RunSim(Config{N: tc.n, F: tc.f, Engine: tc.alg, Seed: 5, Duration: 50 * rt.TicksPerD})
+			res, err := Run(Config{N: tc.n, F: tc.f, Engine: tc.alg, Seed: 5, Duration: 50 * rt.TicksPerD}, "sim")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestRunSimAllAlgs(t *testing.T) {
 // TestRunTransportChan: the same schedule machinery drives the real
 // channel transport; the verdict (not the exact history) must hold.
 func TestRunTransportChan(t *testing.T) {
-	res, err := RunTransport(Config{N: 5, F: 2, Seed: 3, Duration: 30 * rt.TicksPerD}, "chan")
+	res, err := Run(Config{N: 5, F: 2, Seed: 3, Duration: 30 * rt.TicksPerD}, "chan")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRunTransportTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp loopback cluster is slow in -short mode")
 	}
-	res, err := RunTransport(Config{N: 5, F: 2, Seed: 3, Duration: 30 * rt.TicksPerD}, "tcp")
+	res, err := Run(Config{N: 5, F: 2, Seed: 3, Duration: 30 * rt.TicksPerD}, "tcp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestConfigValidation(t *testing.T) {
 		{N: 5, F: 2, Engine: "paxos", Duration: 1000},  // unknown alg
 		{N: 5, F: 2}, // no duration
 	} {
-		if _, err := RunSim(cfg); err == nil {
+		if _, err := Run(cfg, "sim"); err == nil {
 			t.Errorf("config %+v accepted, want error", cfg)
 		}
 	}

@@ -20,7 +20,7 @@ func TestChurnSimEngines(t *testing.T) {
 	for _, eng := range []string{"eqaso", "acr", "fastsnap"} {
 		eng := eng
 		t.Run(eng, func(t *testing.T) {
-			res, err := RunSim(Config{N: 5, F: 2, Engine: eng, Seed: 11, Duration: 150 * rt.TicksPerD, Churn: true})
+			res, err := Run(Config{N: 5, F: 2, Engine: eng, Seed: 11, Duration: 150 * rt.TicksPerD, Churn: true}, "sim")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestChurnSimEngines(t *testing.T) {
 // the monitor attached.
 func TestChurnSimDeterministic(t *testing.T) {
 	run := func() *Result {
-		res, err := RunSim(Config{N: 5, F: 2, Seed: 5, Duration: 120 * rt.TicksPerD, Churn: true})
+		res, err := Run(Config{N: 5, F: 2, Seed: 5, Duration: 120 * rt.TicksPerD, Churn: true}, "sim")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,10 +80,10 @@ func TestChurnSimDeterministic(t *testing.T) {
 // the corruption never left the monitor's view.
 func TestChurnMonitorCatchesInjectedCorruption(t *testing.T) {
 	dir := t.TempDir()
-	res, err := RunSim(Config{
+	res, err := Run(Config{
 		N: 5, F: 2, Seed: 11, Duration: 150 * rt.TicksPerD,
 		Churn: true, TraceDir: dir, monitorCorrupt: true,
-	})
+	}, "sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +130,13 @@ func TestChurnMonitorCatchesInjectedCorruption(t *testing.T) {
 // restart lane off the chan/sim backends, and the monitor usable on its
 // own outside churn mode.
 func TestChurnConfigRules(t *testing.T) {
-	if _, err := RunSim(Config{N: 5, F: 2, Seed: 1, Duration: 10 * rt.TicksPerD, Churn: true, Service: true}); err == nil || !strings.Contains(err.Error(), "Service") {
+	if _, err := Run(Config{N: 5, F: 2, Seed: 1, Duration: 10 * rt.TicksPerD, Churn: true, Service: true}, "sim"); err == nil || !strings.Contains(err.Error(), "Service") {
 		t.Fatalf("churn with Service must be rejected, got %v", err)
 	}
-	if _, err := RunTransport(Config{N: 3, F: 1, Seed: 1, Duration: 10 * rt.TicksPerD, Churn: true}, "tcp"); err == nil || !strings.Contains(err.Error(), "chan") {
+	if _, err := Run(Config{N: 3, F: 1, Seed: 1, Duration: 10 * rt.TicksPerD, Churn: true}, "tcp"); err == nil || !strings.Contains(err.Error(), "chan") {
 		t.Fatalf("churn restarts on tcp must be rejected, got %v", err)
 	}
-	res, err := RunSim(Config{N: 3, F: 1, Seed: 2, Duration: 60 * rt.TicksPerD, Monitor: true})
+	res, err := Run(Config{N: 3, F: 1, Seed: 2, Duration: 60 * rt.TicksPerD, Monitor: true}, "sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestChurnChan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock churn run")
 	}
-	res, err := RunTransport(Config{N: 5, F: 2, Seed: 6, Duration: TicksOf(1500 * time.Millisecond), Churn: true}, "chan")
+	res, err := Run(Config{N: 5, F: 2, Seed: 6, Duration: TicksOf(1500 * time.Millisecond), Churn: true}, "chan")
 	if err != nil {
 		t.Fatal(err)
 	}

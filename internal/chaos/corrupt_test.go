@@ -146,7 +146,7 @@ func TestRunSimWithCorruption(t *testing.T) {
 		{"byzaso", 7, 2},
 	} {
 		t.Run(tc.alg, func(t *testing.T) {
-			res, err := RunSim(Config{N: tc.n, F: tc.f, Engine: tc.alg, Seed: 9, Duration: 60 * rt.TicksPerD, Mix: mix})
+			res, err := Run(Config{N: tc.n, F: tc.f, Engine: tc.alg, Seed: 9, Duration: 60 * rt.TicksPerD, Mix: mix}, "sim")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestRunTransportChanWithCorruption(t *testing.T) {
 	mix := DefaultMix()
 	mix.CorruptWindows = 3
 	mix.CorruptProb = 0.5
-	res, err := RunTransport(Config{N: 5, F: 2, Seed: 9, Duration: 30 * rt.TicksPerD, Mix: mix}, "chan")
+	res, err := Run(Config{N: 5, F: 2, Seed: 9, Duration: 30 * rt.TicksPerD, Mix: mix}, "chan")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,10 @@ func TestChallengerEnginesUnderChaosSim(t *testing.T) {
 			eng, seed := eng, seed
 			t.Run(eng+"/seed="+itoa(seed), func(t *testing.T) {
 				t.Parallel()
-				res, err := RunSim(Config{
+				res, err := Run(Config{
 					N: 5, F: 2, Engine: eng, Seed: seed,
 					Duration: 60 * rt.TicksPerD, Mix: DefaultMix(),
-				})
+				}, "sim")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -51,7 +51,7 @@ func TestChallengerEnginesUnderChaosChan(t *testing.T) {
 		for _, seed := range engineSeeds[:2] {
 			eng, seed := eng, seed
 			t.Run(eng+"/seed="+itoa(seed), func(t *testing.T) {
-				res, err := RunTransport(Config{
+				res, err := Run(Config{
 					N: 5, F: 2, Engine: eng, Seed: seed,
 					Duration: 30 * rt.TicksPerD, Mix: DefaultMix(),
 				}, "chan")

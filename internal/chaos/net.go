@@ -3,16 +3,15 @@ package chaos
 import (
 	"math/rand"
 	"sync"
-	"time"
 
 	"mpsnap/internal/rt"
 )
 
-// Net injects a chaos Schedule into a real transport: it wraps each
-// node's rt.Runtime so every outgoing Send/Broadcast passes through the
-// shared fault state (partition cut, per-link drop probability, per-link
-// spike hold, crash flags). The same Schedule that drives the simulator
-// drives a ChanNet or TCP loopback cluster through this wrapper.
+// Net is the wall world's fault state: it wraps each node's rt.Runtime so
+// every outgoing Send/Broadcast passes through the shared partition cut,
+// per-link drop probability, per-link spike hold and crash flags. The same
+// Schedule that drives the simulator drives a ChanNet or TCP loopback
+// cluster through this wrapper.
 //
 // Partitioned and spiked links hold messages (in send order) and release
 // them when the cut heals or the window closes, preserving per-link FIFO
@@ -34,12 +33,8 @@ type Net struct {
 	held    []heldNetMsg
 	crashed []bool
 	armed   []bool
-	// onRestart, if set, handles EvRestart events from Apply: it restores
-	// the backing transport and node (WAL replay, handler reinstall,
-	// client respawn) and finishes by calling ClearCrashed.
-	onRestart func(id int)
-	// corr, if set, mutates messages at the wire layer inside corrupt
-	// windows (see corrupter); accessed under mu.
+	// corr mutates messages at the wire layer inside corrupt windows (see
+	// corrupter); accessed under mu.
 	corr *corrupter
 
 	drops, holds, corrupts int64
@@ -52,13 +47,14 @@ type heldNetMsg struct {
 
 // NewNet wraps the underlying per-node runtimes. crashFn must crash-stop
 // node id on the backing transport.
-func NewNet(seed int64, unders []rt.Runtime, crashFn func(id int)) *Net {
+func NewNet(seed int64, unders []rt.Runtime, crashFn func(id int), corr *corrupter) *Net {
 	n := len(unders)
 	nt := &Net{
 		n:       n,
 		rng:     rand.New(rand.NewSource(seed)),
 		unders:  unders,
 		crashFn: crashFn,
+		corr:    corr,
 		cut:     make([][]bool, n),
 		drop:    make(map[[2]int]float64),
 		spike:   make(map[[2]int]bool),
@@ -84,51 +80,20 @@ func (nt *Net) Crashed(id int) bool {
 	return nt.crashed[id]
 }
 
-// Drops returns how many messages the loss windows discarded.
-func (nt *Net) Drops() int64 {
+// Counters returns how many messages the loss windows discarded, how many
+// were parked at a cut or spike, and how many the corrupt windows hit.
+func (nt *Net) Counters() (drops, holds, corrupts int64) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
-	return nt.drops
+	return nt.drops, nt.holds, nt.corrupts
 }
 
-// Holds returns how many messages were parked at a cut or spike.
-func (nt *Net) Holds() int64 {
+// Corrupt sets the wire-corruption probability of the src→dst link (0
+// ends the window).
+func (nt *Net) Corrupt(src, dst int, prob float64) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
-	return nt.holds
-}
-
-// SetCorrupter installs the wire-corruption fault; call before traffic
-// flows.
-func (nt *Net) SetCorrupter(c *corrupter) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	nt.corr = c
-}
-
-// Corrupts returns how many messages the corrupt windows hit.
-func (nt *Net) Corrupts() int64 {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	return nt.corrupts
-}
-
-// CorruptOn starts a wire-corruption window on the src→dst link.
-func (nt *Net) CorruptOn(src, dst int, prob float64) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	if nt.corr != nil {
-		nt.corr.windows[[2]int{src, dst}] = prob
-	}
-}
-
-// CorruptOff ends the wire-corruption window on the src→dst link.
-func (nt *Net) CorruptOff(src, dst int) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	if nt.corr != nil {
-		delete(nt.corr.windows, [2]int{src, dst})
-	}
+	nt.corr.windows[[2]int{src, dst}] = prob
 }
 
 // Crash crash-stops node id: its sends are suppressed and the backing
@@ -141,17 +106,7 @@ func (nt *Net) Crash(id int) {
 	}
 	nt.crashed[id] = true
 	nt.mu.Unlock()
-	if nt.crashFn != nil {
-		nt.crashFn(id)
-	}
-}
-
-// OnRestart registers the crash-recovery callback invoked for EvRestart
-// events during Apply; set it before traffic flows.
-func (nt *Net) OnRestart(fn func(id int)) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	nt.onRestart = fn
+	nt.crashFn(id)
 }
 
 // ClearCrashed unmarks a crash-stopped node so its sends flow again. The
@@ -171,9 +126,9 @@ func (nt *Net) CrashAll() {
 	}
 }
 
-// Arm makes node id's next broadcast reach only a random prefix of the
-// destinations before the node crashes (mid-broadcast crash).
-func (nt *Net) Arm(id int) {
+// ArmMidCrash makes node id's next broadcast reach only a random prefix
+// of the destinations before the node crashes (mid-broadcast crash).
+func (nt *Net) ArmMidCrash(id int) {
 	nt.mu.Lock()
 	nt.armed[id] = true
 	nt.mu.Unlock()
@@ -215,32 +170,24 @@ func (nt *Net) Heal() {
 	nt.flushLocked()
 }
 
-// DropOn starts a loss window on the src→dst link.
-func (nt *Net) DropOn(src, dst int, prob float64) {
+// Drop sets the loss probability of the src→dst link (0 ends the window).
+func (nt *Net) Drop(src, dst int, prob float64) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	nt.drop[[2]int{src, dst}] = prob
 }
 
-// DropOff ends the loss window on the src→dst link.
-func (nt *Net) DropOff(src, dst int) {
+// Spike starts a delay spike on the src→dst link when extra > 0: the link
+// holds its messages until the window closes (extra == 0), delaying them
+// by up to the window length rather than by extra itself; closing
+// releases the held messages.
+func (nt *Net) Spike(src, dst int, extra rt.Ticks) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
-	delete(nt.drop, [2]int{src, dst})
-}
-
-// SpikeOn starts a delay spike on the src→dst link: the link holds its
-// messages until SpikeOff, delaying them by up to the window length.
-func (nt *Net) SpikeOn(src, dst int) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	nt.spike[[2]int{src, dst}] = true
-}
-
-// SpikeOff ends the delay spike and releases the link's held messages.
-func (nt *Net) SpikeOff(src, dst int) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
+	if extra > 0 {
+		nt.spike[[2]int{src, dst}] = true
+		return
+	}
 	delete(nt.spike, [2]int{src, dst})
 	nt.flushLocked()
 }
@@ -277,15 +224,13 @@ func (nt *Net) sendLocked(src, dst int, msg rt.Message) {
 			nt.drops++
 			return
 		}
-		if nt.corr != nil {
-			if m, drop := nt.corr.OnWire(0, src, dst, msg); drop {
-				nt.corrupts++
-				nt.drops++
-				return
-			} else if m != nil {
-				nt.corrupts++
-				msg = m
-			}
+		if m, drop := nt.corr.OnWire(0, src, dst, msg); drop {
+			nt.corrupts++
+			nt.drops++
+			return
+		} else if m != nil {
+			nt.corrupts++
+			msg = m
 		}
 		if (nt.cutOn && nt.cut[src][dst]) || nt.spike[key] {
 			nt.holds++
@@ -316,75 +261,14 @@ func (nt *Net) broadcast(src int, msg rt.Message) {
 		// the victim's blocked waits — lands as soon as the in-progress
 		// critical section ends.
 		nt.crashed[src] = true
-		fn := nt.crashFn
 		nt.mu.Unlock()
-		if fn != nil {
-			go fn(src)
-		}
+		go nt.crashFn(src)
 		return
 	}
 	for dst := 0; dst < nt.n; dst++ {
 		nt.sendLocked(src, dst, msg)
 	}
 	nt.mu.Unlock()
-}
-
-// Apply spawns a driver that replays the schedule against this Net,
-// mapping ev.At ticks to wall time via tick (the real duration of one
-// virtual tick). It returns immediately; close done to stop early.
-func (nt *Net) Apply(sched Schedule, tick time.Duration, done <-chan struct{}) {
-	go func() {
-		start := time.Now()
-		for _, ev := range sched.Events {
-			if wait := time.Duration(ev.At)*tick - time.Since(start); wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-done:
-					return
-				}
-			}
-			select {
-			case <-done:
-				return
-			default:
-			}
-			switch ev.Kind {
-			case EvCrash:
-				if ev.Mid {
-					nt.Arm(ev.Node)
-					// Hard-crash fallback if the victim never
-					// broadcasts (mirrors the sim runner).
-					node := ev.Node
-					time.AfterFunc(time.Duration(2*rt.TicksPerD)*tick, func() { nt.Crash(node) })
-				} else {
-					nt.Crash(ev.Node)
-				}
-			case EvPartition:
-				nt.Partition(ev.Groups...)
-			case EvHeal:
-				nt.Heal()
-			case EvDropOn:
-				nt.DropOn(ev.Src, ev.Dst, ev.Prob)
-			case EvDropOff:
-				nt.DropOff(ev.Src, ev.Dst)
-			case EvSpikeOn:
-				nt.SpikeOn(ev.Src, ev.Dst)
-			case EvSpikeOff:
-				nt.SpikeOff(ev.Src, ev.Dst)
-			case EvCorruptOn:
-				nt.CorruptOn(ev.Src, ev.Dst, ev.Prob)
-			case EvCorruptOff:
-				nt.CorruptOff(ev.Src, ev.Dst)
-			case EvRestart:
-				nt.mu.Lock()
-				cb := nt.onRestart
-				nt.mu.Unlock()
-				if cb != nil {
-					cb(ev.Node)
-				}
-			}
-		}
-	}()
 }
 
 // faultyRuntime is a node's fault-injected view of the transport.

@@ -58,10 +58,10 @@ func TestRestartRecoverySim(t *testing.T) {
 	}
 	for _, alg := range []string{"eqaso", "sso"} {
 		for _, seed := range seeds {
-			res, err := RunSim(Config{
+			res, err := Run(Config{
 				N: 5, F: 2, Engine: alg, Seed: seed,
 				Duration: 60 * rt.TicksPerD, Mix: restartMix(),
-			})
+			}, "sim")
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", alg, seed, err)
 			}
@@ -80,7 +80,7 @@ func TestRestartRecoverySim(t *testing.T) {
 func TestRestartDeterminism(t *testing.T) {
 	cfg := Config{N: 5, F: 2, Engine: "eqaso", Seed: 9, Duration: 60 * rt.TicksPerD, Mix: restartMix()}
 	run := func() []byte {
-		res, err := RunSim(cfg)
+		res, err := Run(cfg, "sim")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestRestartDeterminism(t *testing.T) {
 func TestRestartRecoveryChan(t *testing.T) {
 	for _, alg := range []string{"eqaso", "sso"} {
 		t.Run(alg, func(t *testing.T) {
-			res, err := RunTransport(Config{
+			res, err := Run(Config{
 				N: 5, F: 2, Engine: alg, Seed: 7,
 				Duration: 40 * rt.TicksPerD, Mix: restartMix(),
 			}, "chan")
@@ -123,13 +123,13 @@ func TestRestartRecoveryChan(t *testing.T) {
 // direct clients, and an in-process backend.
 func TestRestartConfigValidation(t *testing.T) {
 	mix := Mix{Crashes: 1, Restarts: 1}
-	if _, err := RunSim(Config{N: 7, F: 2, Engine: "byzaso", Duration: 1000, Mix: mix}); err == nil {
+	if _, err := Run(Config{N: 7, F: 2, Engine: "byzaso", Duration: 1000, Mix: mix}, "sim"); err == nil {
 		t.Error("byzaso with restarts accepted, want error")
 	}
-	if _, err := RunSim(Config{N: 5, F: 2, Engine: "sso", Service: true, Duration: 1000, Mix: mix}); err == nil {
+	if _, err := Run(Config{N: 5, F: 2, Engine: "sso", Service: true, Duration: 1000, Mix: mix}, "sim"); err == nil {
 		t.Error("service mode with restarts accepted, want error")
 	}
-	if _, err := RunTransport(Config{N: 5, F: 2, Duration: 1000, Mix: mix}, "tcp"); err == nil {
+	if _, err := Run(Config{N: 5, F: 2, Duration: 1000, Mix: mix}, "tcp"); err == nil {
 		t.Error("tcp backend with restarts accepted, want error")
 	}
 }

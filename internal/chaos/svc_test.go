@@ -21,13 +21,13 @@ func TestServiceConcurrentClientsUnderChaos(t *testing.T) {
 	seeds := []int64{101, 202, 303, 404}
 	for _, alg := range []string{"eqaso", "sso"} {
 		for _, seed := range seeds {
-			res, err := RunSim(Config{
+			res, err := Run(Config{
 				N: 5, F: 2, Engine: alg, Seed: seed,
 				Duration: 40 * rt.TicksPerD,
 				Mix:      mix,
 				Service:  true,
 				Clients:  4,
-			})
+			}, "sim")
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", alg, seed, err)
 			}
@@ -59,13 +59,13 @@ func TestServiceConcurrentClientsUnderChaos(t *testing.T) {
 // TestServiceRequiresSimBackend: service mode is rejected on transports
 // and multi-client runs require the service.
 func TestServiceRequiresSimBackend(t *testing.T) {
-	if _, err := RunTransport(Config{N: 3, F: 1, Seed: 1, Duration: 1000, Service: true}, "chan"); err == nil {
+	if _, err := Run(Config{N: 3, F: 1, Seed: 1, Duration: 1000, Service: true}, "chan"); err == nil {
 		t.Error("transport + Service must error")
 	}
-	if _, err := RunSim(Config{N: 3, F: 1, Seed: 1, Duration: 1000, Clients: 2}); err == nil {
+	if _, err := Run(Config{N: 3, F: 1, Seed: 1, Duration: 1000, Clients: 2}, "sim"); err == nil {
 		t.Error("Clients > 1 without Service must error")
 	}
-	if _, err := RunSim(Config{N: 3, F: 1, Seed: 1, Duration: 1000, Clients: -1}); err == nil {
+	if _, err := Run(Config{N: 3, F: 1, Seed: 1, Duration: 1000, Clients: -1}, "sim"); err == nil {
 		t.Error("negative Clients must error")
 	}
 }
@@ -73,11 +73,11 @@ func TestServiceRequiresSimBackend(t *testing.T) {
 // TestServiceSingleClientDeterminism: service-mode runs replay exactly.
 func TestServiceSingleClientDeterminism(t *testing.T) {
 	cfg := Config{N: 5, F: 2, Seed: 55, Duration: 30 * rt.TicksPerD, Service: true, Clients: 2}
-	a, err := RunSim(cfg)
+	a, err := Run(cfg, "sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSim(cfg)
+	b, err := Run(cfg, "sim")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestTraceDumpOnForcedFailure(t *testing.T) {
 		N: 5, F: 2, Seed: 42, Duration: 60 * rt.TicksPerD,
 		TraceDir: dir, forceCheckFail: true,
 	}
-	res, err := RunSim(cfg)
+	res, err := Run(cfg, "sim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestTraceDumpOnForcedFailure(t *testing.T) {
 // the seed — two runs write byte-identical files.
 func TestTraceDeterministic(t *testing.T) {
 	run := func(dir string) []byte {
-		res, err := RunSim(Config{
+		res, err := Run(Config{
 			N: 5, F: 2, Seed: 7, Duration: 40 * rt.TicksPerD,
 			TraceDir: dir, TraceAlways: true, Service: true,
-		})
+		}, "sim")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,9 +104,9 @@ func TestTraceDeterministic(t *testing.T) {
 // file behind.
 func TestTracePassingRunNoDump(t *testing.T) {
 	dir := t.TempDir()
-	res, err := RunSim(Config{
+	res, err := Run(Config{
 		N: 5, F: 2, Seed: 42, Duration: 40 * rt.TicksPerD, TraceDir: dir,
-	})
+	}, "sim")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,25 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"mpsnap/internal/chaos"
 	"mpsnap/internal/core"
 	"mpsnap/internal/engine"
 	_ "mpsnap/internal/engine/all" // register every snapshot engine
 	"mpsnap/internal/rt"
-	"mpsnap/internal/sim"
 	"mpsnap/internal/svc"
 	"mpsnap/internal/wal"
 )
-
-// clusterWALBatch is the WAL fsync batch for cluster chaos runs (same
-// rationale as the chaos harness: the protocol's critical points force
-// explicit syncs regardless of batching).
-const clusterWALBatch = 8
-
-// clusterGrace mirrors the chaos harness's post-deadline grace before
-// stuck operations are crash-aborted.
-const clusterGrace = 30 * rt.TicksPerD
 
 // RunConfig parameterizes one cluster chaos run: Shards independent
 // EQ-ASO clusters of N nodes each (contiguous placement), every node
@@ -193,9 +184,6 @@ func (r *Report) String() string {
 		len(r.Violations), len(r.Blocked))
 }
 
-// rejoinable is the recovery face of a WAL-recovered engine.
-type rejoinable interface{ Rejoin() }
-
 // shardSchedules generates one fault schedule per shard (each over the
 // shard's local IDs) from the run seed.
 func shardSchedules(cfg RunConfig) []chaos.Schedule {
@@ -210,16 +198,19 @@ func shardSchedules(cfg RunConfig) []chaos.Schedule {
 // member IDs. Mid-broadcast flags are dropped: the cluster stack never
 // issues runtime broadcasts (shard runtimes loop sends), so an armed
 // mid-crash would only fire its fallback; a plain crash at the same tick
-// is the equivalent fault.
+// is the equivalent fault. Corruption windows are dropped too: cluster
+// runs have never injected wire corruption on any backend (asochaos
+// rejects -corrupts with -shards).
 func remapEvents(evs []chaos.Event, members []int) []chaos.Event {
-	out := make([]chaos.Event, len(evs))
-	for i, ev := range evs {
+	out := make([]chaos.Event, 0, len(evs))
+	for _, ev := range evs {
 		ev.Mid = false
 		switch ev.Kind {
+		case chaos.EvCorruptOn, chaos.EvCorruptOff:
+			continue
 		case chaos.EvCrash, chaos.EvRestart:
 			ev.Node = members[ev.Node]
-		case chaos.EvDropOn, chaos.EvDropOff, chaos.EvSpikeOn, chaos.EvSpikeOff,
-			chaos.EvCorruptOn, chaos.EvCorruptOff:
+		case chaos.EvDropOn, chaos.EvDropOff, chaos.EvSpikeOn, chaos.EvSpikeOff:
 			ev.Src, ev.Dst = members[ev.Src], members[ev.Dst]
 		case chaos.EvPartition:
 			groups := make([][]int, len(ev.Groups))
@@ -232,7 +223,7 @@ func remapEvents(evs []chaos.Event, members []int) []chaos.Event {
 			}
 			ev.Groups = groups
 		}
-		out[i] = ev
+		out = append(out, ev)
 	}
 	return out
 }
@@ -317,32 +308,6 @@ func globalEvents(cfg RunConfig, m ShardMap, scheds []chaos.Schedule) []chaos.Ev
 	return mergeSchedules(sources)
 }
 
-// runLink realizes drop and spike windows for the sim backend (the
-// cluster-topology counterpart of the chaos harness's link adversary).
-type runLink struct {
-	rng   *rand.Rand
-	drop  map[[2]int]float64
-	extra map[[2]int]rt.Ticks
-}
-
-func newRunLink(seed int64) *runLink {
-	return &runLink{
-		rng:   rand.New(rand.NewSource(seed)),
-		drop:  make(map[[2]int]float64),
-		extra: make(map[[2]int]rt.Ticks),
-	}
-}
-
-// OnSend implements sim.LinkAdversary.
-func (l *runLink) OnSend(now rt.Ticks, src, dst int, kind string) sim.LinkFate {
-	key := [2]int{src, dst}
-	fate := sim.LinkFate{Extra: l.extra[key]}
-	if p := l.drop[key]; p > 0 && l.rng.Float64() < p {
-		fate.Drop = true
-	}
-	return fate
-}
-
 // nodeBuilder wires one node's engine construction for both fresh boot
 // and WAL recovery, capturing the rejoin handle and recovered segment.
 type nodeBuilder struct {
@@ -350,13 +315,13 @@ type nodeBuilder struct {
 	m       ShardMap
 	health  *Health
 	files   []*wal.MemFile
-	rejoins []rejoinable
+	rejoins []engine.Rejoiner
 }
 
 func newNodeBuilder(cfg RunConfig, m ShardMap, health *Health) *nodeBuilder {
 	total := m.NumNodes()
 	b := &nodeBuilder{cfg: cfg, m: m, health: health,
-		files: make([]*wal.MemFile, total), rejoins: make([]rejoinable, total)}
+		files: make([]*wal.MemFile, total), rejoins: make([]engine.Rejoiner, total)}
 	for i := range b.files {
 		b.files[i] = wal.NewMemFile()
 	}
@@ -374,7 +339,7 @@ func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
 		if !recover {
 			nd := in.New(r)
 			if d, ok := nd.(engine.Durable); ok {
-				d.AttachWAL(wal.NewWriter(b.files[id], clusterWALBatch), true)
+				d.AttachWAL(wal.NewWriter(b.files[id], chaos.WALBatch), true)
 			}
 			b.rejoins[id] = nil
 			return nd, nd
@@ -386,8 +351,8 @@ func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
 				seed = v
 			}
 		}
-		nd := in.Recover(r, st, wal.NewWriter(f, clusterWALBatch), true)
-		b.rejoins[id] = nd.(rejoinable)
+		nd := in.Recover(r, st, wal.NewWriter(f, chaos.WALBatch), true)
+		b.rejoins[id] = nd.(engine.Rejoiner)
 		return nd, nd
 	}
 	c.SeedSegment = func(shard int) []byte { return seed }
@@ -481,91 +446,108 @@ func (r *Report) finishSkew() {
 	}
 }
 
-// RunSim executes one cluster chaos run on the deterministic simulator:
-// Shards×N nodes, per-shard fault schedules (plus the whole-shard
-// knobs), marked cross-shard workload, and per-shard coordinators taking
-// closure-repaired GlobalScans checked by the CutValidator.
-func RunSim(cfg RunConfig) (*Report, error) {
+// buildNode constructs one node's cluster stack; tests swap it to force a
+// failed restart rebuild.
+var buildNode = NewNode
+
+// Run executes one cluster chaos run on backend ("sim", "chan" or "tcp"):
+// Shards×N nodes, per-shard fault schedules (plus the whole-shard knobs),
+// the marked cross-shard workload, and per-shard coordinators taking
+// closure-repaired GlobalScans checked by the CutValidator. On the
+// simulator the whole run is a function of the seed; on the real
+// transports (one virtual D = chaos.DReal) the reproducible artifact is
+// the fault schedule and the validator verdict, not the exact op counts.
+// Restarts — including the whole-shard crash scenario, whose victims
+// recover — are sim/chan only: a TCP restart is a process restart.
+func Run(cfg RunConfig, backend string) (*Report, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
+	}
+	if backend == "tcp" && (cfg.Mix.Restarts > 0 || cfg.CrashShard >= 0) {
+		return nil, fmt.Errorf("cluster: restarts (incl. the recovering whole-shard crash) run on sim and chan only (a tcp restart is a process restart)")
 	}
 	m := ContiguousMap(cfg.Shards, cfg.N, cfg.F, cfg.VNodes)
 	total := m.NumNodes()
 	health := NewHealth(total)
-	link := newRunLink(cfg.Seed + 1)
-	w := sim.New(sim.Config{N: total, F: cfg.F, Seed: cfg.Seed, Observer: health, Link: link})
-	scheds := shardSchedules(cfg)
-	events := globalEvents(cfg, m, scheds)
+	w, err := chaos.NewWorld(backend, chaos.WorldConfig{N: total, F: cfg.F, Seed: cfg.Seed, Observer: health})
+	if err != nil {
+		return nil, err
+	}
+	defer w.Close()
 	b := newNodeBuilder(cfg, m, health)
 	validator := NewCutValidator(ValidatorOptions{CheckPlacement: true, RequireMarks: true})
 	rep := &Report{Shards: cfg.Shards, Nodes: total}
 	deadline := cfg.Duration
-	noLock := func(fn func()) { fn() } // sim procs are scheduler-serialized
 
+	// One mutex guards the report, the node table and buildErr: on the real
+	// transports clients, coordinators and the restart driver are concurrent
+	// goroutines (on the simulator it is never contended).
+	var mu sync.Mutex
+	lock := func(fn func()) { mu.Lock(); fn(); mu.Unlock() }
 	nodes := make([]*Node, total)
-	incarnation := make([]int64, total)
+	node := func(id int) *Node { mu.Lock(); defer mu.Unlock(); return nodes[id] }
+	var buildErr error
 
-	spawnServe := func(id int) {
-		nd := nodes[id]
+	spawnServe := func(id int, nd *Node) {
 		for si, s := range nd.Services() {
-			s := s
-			w.GoNode(fmt.Sprintf("svc-%d.%d", id, si), id, func(p *sim.Proc) { _ = s.Serve() })
+			w.GoService(fmt.Sprintf("svc-%d.%d", id, si), id, func() { _ = s.Serve() })
 		}
-		w.GoNode(fmt.Sprintf("router-%d", id), id, func(p *sim.Proc) { _ = nd.ServeRouter() })
+		w.GoService(fmt.Sprintf("router-%d", id), id, func() { _ = nd.ServeRouter() })
 	}
-	clientLoop := func(id, cid int, inc int64) func(p *sim.Proc) {
+	client := func(id, cid int, inc int64) func() {
 		writer := fmt.Sprintf("w%dc%d", id, cid)
 		if inc > 0 {
 			writer = fmt.Sprintf("w%dc%d.%d", id, cid, inc)
 		}
 		mc := newMarkClient(writer, cfg.Seed*1009+int64(id)+7919*int64(cid)+104729*inc, cfg.KeysPerClient)
-		return func(p *sim.Proc) {
-			nd := nodes[id]
-			for p.Now() < deadline {
-				if !mc.step(nd, cfg.ScanRatio, rep, noLock) {
+		return func() {
+			for w.Now() < deadline {
+				if !mc.step(node(id), cfg.ScanRatio, rep, lock) {
 					return
 				}
-				if p.Now() >= deadline {
+				if w.Now() >= deadline {
 					return
 				}
-				if err := p.Sleep(rt.Ticks(mc.rng.Int63n(int64(cfg.MaxSleep) + 1))); err != nil {
+				if w.Sleep(rt.Ticks(mc.rng.Int63n(int64(cfg.MaxSleep)+1))) != nil {
 					return
 				}
 			}
 		}
 	}
-	coordLoop := func(id int) func(p *sim.Proc) {
-		return func(p *sim.Proc) {
+	// The coordinator jitters its period from its own seeded stream, so
+	// the shards' cuts drift against each other instead of marching in
+	// lock-step.
+	coordinator := func(id int) func() {
+		return func() {
 			rng := rand.New(rand.NewSource(cfg.Seed*31 + int64(id)))
-			for p.Now() < deadline {
+			for w.Now() < deadline {
 				jitter := rt.Ticks(rng.Int63n(int64(cfg.GlobalScanEvery/4) + 1))
-				if err := p.Sleep(cfg.GlobalScanEvery + jitter); err != nil {
+				if w.Sleep(cfg.GlobalScanEvery+jitter) != nil {
 					return
 				}
-				if p.Now() >= deadline {
+				if w.Now() >= deadline {
 					return
 				}
-				cut, err := nodes[id].GlobalScanClosed(validator, 0)
+				cut, err := node(id).GlobalScanClosed(validator, 0)
 				if err != nil && errors.Is(err, rt.ErrCrashed) {
 					return
 				}
-				recordCut(rep, validator, cut, err, noLock)
+				recordCut(rep, validator, cut, err, lock)
 			}
 		}
 	}
 	spawnClients := func(id int, inc int64) {
 		for cid := 0; cid < cfg.Clients; cid++ {
-			w.GoNode(fmt.Sprintf("client-%d.%d", id, cid), id, clientLoop(id, cid, inc))
+			w.GoClient(fmt.Sprintf("client-%d.%d", id, cid), id, client(id, cid, inc))
 		}
 		s := id / cfg.N
 		if id == m.Members[s][cfg.N-1] { // last member coordinates its shard
-			w.GoNode(fmt.Sprintf("coord-%d", s), id, coordLoop(id))
+			w.GoClient(fmt.Sprintf("coord-%d", s), id, coordinator(id))
 		}
 	}
 
-	var buildErr error
 	for id := 0; id < total; id++ {
-		nd, err := NewNode(w.Runtime(id), b.nodeConfig(id, false))
+		nd, err := buildNode(w.Runtime(id), b.nodeConfig(id, false))
 		if err != nil {
 			return nil, err
 		}
@@ -573,91 +555,53 @@ func RunSim(cfg RunConfig) (*Report, error) {
 		w.SetHandler(id, nd.Handler())
 	}
 	for id := 0; id < total; id++ {
-		spawnServe(id)
+		spawnServe(id, nodes[id])
 		spawnClients(id, 0)
 	}
 
 	// Restart: replay the durable WAL prefix into a fresh engine, rebuild
 	// the whole node stack (router state dies with the incarnation; the
 	// key map is re-seeded from the recovered segment), rejoin, and
-	// respawn the serving threads and clients under a new incarnation.
-	restartNode := func(id int) {
+	// respawn the serving threads and clients under a new incarnation. The
+	// rejoin thread counts as a client, so the run cannot end under it.
+	incarnation := make([]int64, total)
+	restart := func(id int) {
 		if !w.Crashed(id) {
 			return
 		}
 		b.files[id].Crash()
-		nd, err := NewNode(w.Runtime(id), b.nodeConfig(id, true))
+		nd, err := buildNode(w.Runtime(id), b.nodeConfig(id, true))
 		if err != nil {
-			buildErr = err
+			lock(func() { buildErr = err })
 			return
 		}
-		nodes[id] = nd
-		w.SetHandler(id, nd.Handler())
-		w.Restart(id)
+		lock(func() { nodes[id] = nd })
+		w.Restart(id, nd.Handler())
 		incarnation[id]++
-		inc := incarnation[id]
-		rj := b.rejoins[id]
-		w.GoNode(fmt.Sprintf("rejoin-%d.%d", id, inc), id, func(p *sim.Proc) {
+		inc, rj := incarnation[id], b.rejoins[id]
+		w.GoClient(fmt.Sprintf("rejoin-%d.%d", id, inc), id, func() {
 			if rj != nil {
 				rj.Rejoin()
 			}
-			spawnServe(id)
-			if p.Now() < deadline {
+			spawnServe(id, nd)
+			if w.Now() < deadline {
 				spawnClients(id, inc)
 			}
 		})
 	}
+	chaos.Inject(w, globalEvents(cfg, m, shardSchedules(cfg)), restart)
 
-	for _, ev := range events {
-		ev := ev
-		switch ev.Kind {
-		case chaos.EvCrash:
-			w.CrashAt(ev.Node, ev.At)
-		case chaos.EvPartition:
-			w.After(ev.At, func() { w.Partition(ev.Groups...) })
-		case chaos.EvHeal:
-			w.After(ev.At, func() { w.Heal() })
-		case chaos.EvDropOn:
-			w.After(ev.At, func() { link.drop[[2]int{ev.Src, ev.Dst}] = ev.Prob })
-		case chaos.EvDropOff:
-			w.After(ev.At, func() { delete(link.drop, [2]int{ev.Src, ev.Dst}) })
-		case chaos.EvSpikeOn:
-			w.After(ev.At, func() { link.extra[[2]int{ev.Src, ev.Dst}] = ev.Extra })
-		case chaos.EvSpikeOff:
-			w.After(ev.At, func() { delete(link.extra, [2]int{ev.Src, ev.Dst}) })
-		case chaos.EvRestart:
-			w.After(ev.At, func() { restartNode(ev.Node) })
-		}
-	}
-
-	// Close everything shortly past the deadline — strictly before the
-	// first unblock sweep — so drained workers and idle routers exit
-	// instead of being mistaken for stuck operations.
-	w.After(deadline+clusterGrace/2, func() {
-		for _, nd := range nodes {
-			nd.Close()
+	// Draining closes every node, so drained workers and idle routers exit.
+	rep.Blocked, err = w.Run(deadline, chaos.Grace, func() {
+		for id := range nodes {
+			node(id).Close()
 		}
 	})
-	// Unblock sweeps: any operation still blocked past deadline + grace
-	// lost its quorum to drops or excess crashes; crash-abort its node so
-	// the run terminates. Each sweep either finds nothing or crashes at
-	// least one node, so total+1 sweeps suffice.
-	for k := 1; k <= total+1; k++ {
-		w.After(deadline+clusterGrace*rt.Ticks(k), func() {
-			for _, bw := range w.Blocked() {
-				if bw.Node >= 0 && !w.Crashed(bw.Node) {
-					rep.Blocked = append(rep.Blocked, bw.String())
-					w.Crash(bw.Node)
-				}
-			}
-		})
+	if err == nil {
+		err = buildErr
 	}
-
-	if err := w.Run(); err != nil {
+	if err != nil {
 		return rep, err
-	}
-	if buildErr != nil {
-		return rep, buildErr
 	}
 	rep.finishSkew()
 	return rep, nil

@@ -21,7 +21,7 @@ func TestRunChanSeeds(t *testing.T) {
 		cfg.Duration = 120 * rt.TicksPerD
 		cfg.Mix = chaos.Mix{Crashes: 1, Partitions: 1, DropWindows: 1, SpikeWindows: 1, Restarts: 1}
 		cfg.GlobalScanEvery = 15 * rt.TicksPerD
-		rep, err := RunChan(cfg)
+		rep, err := Run(cfg, "chan")
 		if err != nil {
 			t.Fatalf("seed %d: %v (report: %v)", seed, err, rep)
 		}
@@ -37,7 +37,7 @@ func TestRunChanSeeds(t *testing.T) {
 
 // TestRunTCPSmoke runs one cluster chaos run over the TCP loopback mesh:
 // partitions and loss windows only (restarts are chan/sim-only — a TCP
-// restart is a process restart, which RunTCP rejects).
+// restart is a process restart, which Run rejects on tcp).
 func TestRunTCPSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp chaos runs burn wall clock; skipped with -short")
@@ -47,9 +47,9 @@ func TestRunTCPSmoke(t *testing.T) {
 	cfg.Duration = 100 * rt.TicksPerD
 	cfg.Mix = chaos.Mix{Partitions: 1, DropWindows: 1}
 	cfg.GlobalScanEvery = 15 * rt.TicksPerD
-	rep, err := RunTCP(cfg)
+	rep, err := Run(cfg, "tcp")
 	if err != nil {
-		t.Fatalf("RunTCP: %v (report: %v)", err, rep)
+		t.Fatalf("Run: %v (report: %v)", err, rep)
 	}
 	if len(rep.Violations) > 0 {
 		t.Errorf("cut violations: %v", rep.Violations)
@@ -60,12 +60,12 @@ func TestRunTCPSmoke(t *testing.T) {
 	t.Logf("%v", rep)
 
 	cfg.Mix = chaos.Mix{Crashes: 1, Restarts: 1}
-	if _, err := RunTCP(cfg); err == nil {
-		t.Error("RunTCP accepted a restarting mix")
+	if _, err := Run(cfg, "tcp"); err == nil {
+		t.Error("tcp accepted a restarting mix")
 	}
 	cfg.Mix = chaos.Mix{}
 	cfg.CrashShard = 0
-	if _, err := RunTCP(cfg); err == nil {
-		t.Error("RunTCP accepted a whole-shard crash (restarting) scenario")
+	if _, err := Run(cfg, "tcp"); err == nil {
+		t.Error("tcp accepted a whole-shard crash (restarting) scenario")
 	}
 }

@@ -136,6 +136,15 @@ func (p *Proc) Sleep(d rt.Ticks) error {
 	return p.waitUntilThen(p.node, fmt.Sprintf("sleep(%d)", d), func() bool { return p.w.now >= target }, func() {})
 }
 
+// Sleep suspends the currently running process for d ticks — Proc.Sleep
+// for callers that hold the World rather than their Proc handle.
+func (w *World) Sleep(d rt.Ticks) error {
+	if w.current == nil {
+		panic("sim: World.Sleep called outside a process")
+	}
+	return w.current.Sleep(d)
+}
+
 // Now returns the current virtual time.
 func (p *Proc) Now() rt.Ticks { return p.w.now }
 
