@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-examples test bench-test test-race test-short test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke fuzz fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check loc clean
+.PHONY: all build build-examples test bench-test test-race test-short test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke bench-wallclock fuzz fuzz-checker fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check loc clean
 
 all: vet test
 
@@ -62,11 +62,12 @@ test-cluster:
 	$(GO) run ./cmd/asochaos -backend sim,chan $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
 
 # Engine matrix under the race detector: the registry smoke across every
-# registered engine, the eqaso/acr/fastsnap differential corpus, and the
+# registered engine, the eqaso/acr/fastsnap differential corpus, the
+# register-vector core's own suite (both first-collect rules), and the
 # challenger chaos matrix (4 seeds × sim + chan with the default fault
 # mix).
 test-engines:
-	$(GO) test -race -count=1 ./internal/engine/
+	$(GO) test -race -count=1 ./internal/engine/ ./internal/regsnap/
 	$(GO) test -race -count=1 -run 'TestChallengerEngines|TestRunEngines' ./internal/chaos/ ./internal/bench/
 
 # Coverage profile across all packages plus a per-function summary; the
@@ -150,10 +151,14 @@ fuzz-monitor:
 fuzz-engines:
 	$(GO) test -fuzz=FuzzEngineEquivalence -fuzztime=30s -run '^$$' ./internal/engine/
 
-# Bounded-exhaustive schedule exploration of the core algorithms.
+# Bounded-exhaustive schedule exploration of the core algorithms; acr and
+# fastsnap are one core (internal/regsnap) explored under its two
+# first-collect rules, across the fast/slow-path boundary.
 explore:
 	$(GO) run ./cmd/asoexplore -alg eqaso -depth 6
 	$(GO) run ./cmd/asoexplore -alg oneshot -depth 6
+	$(GO) run ./cmd/asoexplore -alg acr -depth 6
+	$(GO) run ./cmd/asoexplore -alg fastsnap -depth 6
 
 # Regenerate every table/figure of EXPERIMENTS.md.
 experiments:

@@ -176,9 +176,7 @@ type Node struct {
 	stats Stats
 
 	// Operation instrumentation (see obs.go); owned by the client thread.
-	obs   rt.Observer
-	opSeq int64
-	curOp opCtx
+	op rt.OpTrace
 
 	// OnGoodLattice observes good lattice operations (for tests).
 	OnGoodLattice func(tag core.Tag, view core.View)
@@ -194,6 +192,7 @@ func New(r rt.Runtime) *Node {
 		n:         n,
 		f:         r.F(),
 		quorum:    n - r.F(),
+		op:        rt.NewOpTrace(r),
 		log:       core.NewValueLog(n, r.ID()),
 		haveQueue: make([][]core.Timestamp, n),
 		announced: make([]core.Tag, n),

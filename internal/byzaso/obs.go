@@ -2,47 +2,8 @@ package byzaso
 
 import "mpsnap/internal/rt"
 
-// Operation instrumentation, mirroring internal/eqaso: one sequential
-// client thread per node owns these fields, so no synchronization is
-// needed; the observer itself must be concurrency-safe.
-
-type opCtx struct {
-	id    int64
-	op    string
-	start rt.Ticks
-}
-
 // SetObserver installs an operation observer. Events emitted: "update"
 // and "scan" lifecycles with protocol phases "stable" (value held and tag
 // corroborated at a quorum), "readTag", and "lattice" (one mark per
 // lattice-loop round) in between.
-func (nd *Node) SetObserver(o rt.Observer) { nd.obs = o }
-
-func (nd *Node) opStart(op string) opCtx {
-	nd.opSeq++
-	c := opCtx{id: nd.opSeq, op: op, start: nd.rt.Now()}
-	nd.curOp = c
-	if nd.obs != nil {
-		nd.obs.OnOp(rt.OpEvent{T: c.start, Node: nd.id, ID: c.id, Op: c.op, Phase: rt.PhaseStart})
-	}
-	return c
-}
-
-func (nd *Node) phase(name string) {
-	if nd.obs == nil || nd.curOp.op == "" {
-		return
-	}
-	nd.obs.OnOp(rt.OpEvent{T: nd.rt.Now(), Node: nd.id, ID: nd.curOp.id, Op: nd.curOp.op, Phase: name})
-}
-
-func (nd *Node) opEnd(c opCtx, err error) {
-	nd.curOp = opCtx{}
-	if nd.obs == nil {
-		return
-	}
-	now := nd.rt.Now()
-	nd.obs.OnOp(rt.OpEvent{
-		T: now, Node: nd.id, ID: c.id, Op: c.op,
-		Phase: rt.PhaseEnd, Dur: now - c.start, Err: err != nil,
-	})
-}
+func (nd *Node) SetObserver(o rt.Observer) { nd.op.SetObserver(o) }

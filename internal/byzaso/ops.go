@@ -36,7 +36,7 @@ func (nd *Node) tagQuorum(r core.Tag) error {
 // package comment).
 func (nd *Node) latticeLoop(r core.Tag) (core.View, error) {
 	for {
-		nd.phase("lattice")
+		nd.op.Phase("lattice")
 		nd.rt.Atomic(func() {
 			nd.stats.LatticeOps++
 			nd.announceTag(r)
@@ -91,8 +91,8 @@ func (nd *Node) UpdateWithView(payload []byte) (view core.View, ts core.Timestam
 	if nd.rt.Crashed() {
 		return core.View{}, core.Timestamp{}, rt.ErrCrashed
 	}
-	c := nd.opStart("update")
-	defer func() { nd.opEnd(c, err) }()
+	nd.op.Start("update")
+	defer func() { nd.op.End(err) }()
 	nd.rt.Atomic(func() {
 		nd.stats.Updates++
 		ts = core.Timestamp{Tag: nd.maxTag + 1, Writer: nd.id}
@@ -119,7 +119,7 @@ func (nd *Node) UpdateWithView(payload []byte) (view core.View, ts core.Timestam
 	if err != nil {
 		return core.View{}, ts, err
 	}
-	nd.phase("stable")
+	nd.op.Phase("stable")
 	var r core.Tag
 	nd.rt.Atomic(func() {
 		r = ts.Tag
@@ -146,7 +146,7 @@ func (nd *Node) RefreshView() (core.View, error) {
 // largest: at least one honest node vouches for it (liveness) and every
 // completed operation's tag is covered by quorum intersection (safety).
 func (nd *Node) readTag() (core.Tag, error) {
-	nd.phase("readTag")
+	nd.op.Phase("readTag")
 	var req int64
 	var st *readState
 	nd.rt.Atomic(func() {
@@ -179,8 +179,8 @@ func (nd *Node) Scan() (res [][]byte, err error) {
 	if nd.rt.Crashed() {
 		return nil, rt.ErrCrashed
 	}
-	c := nd.opStart("scan")
-	defer func() { nd.opEnd(c, err) }()
+	nd.op.Start("scan")
+	defer func() { nd.op.End(err) }()
 	nd.rt.Atomic(func() { nd.stats.Scans++ })
 	r, err := nd.readTag()
 	if err != nil {

@@ -6,13 +6,12 @@
 package all
 
 import (
-	_ "mpsnap/internal/acr"
 	_ "mpsnap/internal/baseline/delporte"
 	_ "mpsnap/internal/baseline/laaso"
 	_ "mpsnap/internal/baseline/stacked"
 	_ "mpsnap/internal/baseline/storecollect"
 	_ "mpsnap/internal/byzaso"
 	_ "mpsnap/internal/eqaso"
-	_ "mpsnap/internal/fastsnap"
+	_ "mpsnap/internal/regsnap"
 	_ "mpsnap/internal/sso"
 )

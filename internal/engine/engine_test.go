@@ -142,6 +142,18 @@ func TestCapabilities(t *testing.T) {
 			t.Errorf("%s.Durable() = %v, want %v", tc.name, got, tc.durable)
 		}
 	}
+	// Optional surfaces the layers above probe for: without Batcher the svc
+	// layer silently stops coalescing updates, without Observable an
+	// engine's ops vanish from traces and latency histograms.
+	for _, name := range []string{"eqaso", "acr", "fastsnap"} {
+		e := engine.MustLookup(name).New(sim.New(sim.Config{N: 3, F: 1}).Runtime(0))
+		if _, ok := e.(engine.Batcher); !ok {
+			t.Errorf("%s does not implement engine.Batcher", name)
+		}
+		if _, ok := e.(engine.Observable); !ok {
+			t.Errorf("%s does not implement engine.Observable", name)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		f    int

@@ -124,9 +124,7 @@ type Node struct {
 	stats Stats
 
 	// Operation instrumentation (see obs.go); owned by the client thread.
-	obs   rt.Observer
-	opSeq int64
-	curOp opCtx
+	op rt.OpTrace
 
 	// OnGoodLattice, if set, observes every good lattice operation
 	// completed by this node (used by invariant-checking tests and by
@@ -146,6 +144,7 @@ func New(r rt.Runtime) *Node {
 		id:        r.ID(),
 		n:         n,
 		quorum:    n - r.F(),
+		op:        rt.NewOpTrace(r),
 		log:       core.NewValueLog(n, r.ID()),
 		borrow:    make(map[core.Tag]map[int]core.View),
 		ownGood:   make(map[core.Tag]core.View),

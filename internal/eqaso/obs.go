@@ -2,57 +2,13 @@ package eqaso
 
 import "mpsnap/internal/rt"
 
-// Operation instrumentation. Each node has one sequential client thread
-// (the rt model), so the current-op fields need no synchronization: only
-// that thread starts ops, crosses phases, and ends ops. The observer
-// itself must be concurrency-safe (events from different nodes interleave).
-
-type opCtx struct {
-	id    int64
-	op    string
-	start rt.Ticks
-}
-
 // SetObserver installs an operation observer. Events emitted: "update"
 // and "scan" lifecycles, with protocol phases "readTag", "disseminate",
 // "writeTag", "eqWait", "eqGood"/"eqNotGood", "renewal:<1..3>", and
 // "borrow" in between. Ops run on behalf of a wrapping layer (the SSO's
 // RefreshView) emit phases only when that layer started an op here, which
 // it does not — each layer reports its own latencies.
-func (nd *Node) SetObserver(o rt.Observer) { nd.obs = o }
-
-// opStart opens an op event stream and makes it current for phase marks.
-func (nd *Node) opStart(op string) opCtx {
-	nd.opSeq++
-	c := opCtx{id: nd.opSeq, op: op, start: nd.rt.Now()}
-	nd.curOp = c
-	if nd.obs != nil {
-		nd.obs.OnOp(rt.OpEvent{T: c.start, Node: nd.id, ID: c.id, Op: c.op, Phase: rt.PhaseStart})
-	}
-	return c
-}
-
-// phase marks a protocol phase of the current op (no-op outside an op,
-// e.g. RefreshView called by the SSO).
-func (nd *Node) phase(name string) {
-	if nd.obs == nil || nd.curOp.op == "" {
-		return
-	}
-	nd.obs.OnOp(rt.OpEvent{T: nd.rt.Now(), Node: nd.id, ID: nd.curOp.id, Op: nd.curOp.op, Phase: name})
-}
-
-// opEnd closes the op event stream with its latency.
-func (nd *Node) opEnd(c opCtx, err error) {
-	nd.curOp = opCtx{}
-	if nd.obs == nil {
-		return
-	}
-	now := nd.rt.Now()
-	nd.obs.OnOp(rt.OpEvent{
-		T: now, Node: nd.id, ID: c.id, Op: c.op,
-		Phase: rt.PhaseEnd, Dur: now - c.start, Err: err != nil,
-	})
-}
+func (nd *Node) SetObserver(o rt.Observer) { nd.op.SetObserver(o) }
 
 // renewalPhases are precomputed so the hot path allocates nothing.
 var renewalPhases = [...]string{"renewal:1", "renewal:2", "renewal:3"}

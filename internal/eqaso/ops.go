@@ -8,7 +8,7 @@ import (
 // readTag implements readTag() (lines 35-37): read the largest maxTag from
 // at least n-f nodes.
 func (nd *Node) readTag() (core.Tag, error) {
-	nd.phase("readTag")
+	nd.op.Phase("readTag")
 	var req int64
 	var st *readState
 	nd.rt.Atomic(func() {
@@ -34,7 +34,7 @@ func (nd *Node) readTag() (core.Tag, error) {
 // writeTag implements writeTag(tag) (lines 38-39): write the tag to at
 // least n-f nodes.
 func (nd *Node) writeTag(tag core.Tag) error {
-	nd.phase("writeTag")
+	nd.op.Phase("writeTag")
 	var req int64
 	nd.rt.Atomic(func() {
 		nd.nextReq++
@@ -64,7 +64,7 @@ func (nd *Node) lattice(r core.Tag) (good bool, view core.View, err error) {
 		tracker = core.NewEQTrackerFromLog(nd.log, r, nd.quorum)
 		nd.wait = tracker
 	})
-	nd.phase("eqWait")
+	nd.op.Phase("eqWait")
 	err = nd.rt.WaitUntilThen("EQ predicate",
 		tracker.Satisfied,
 		func() {
@@ -90,9 +90,9 @@ func (nd *Node) lattice(r core.Tag) (good bool, view core.View, err error) {
 		return false, core.View{}, err
 	}
 	if good {
-		nd.phase("eqGood")
+		nd.op.Phase("eqGood")
 	} else {
-		nd.phase("eqNotGood")
+		nd.op.Phase("eqNotGood")
 	}
 	return good, view, nil
 }
@@ -102,7 +102,7 @@ func (nd *Node) lattice(r core.Tag) (good bool, view core.View, err error) {
 // borrows an indirect view from a peer's good lattice operation.
 func (nd *Node) latticeRenewal(r core.Tag) (core.View, error) {
 	for phase := 1; phase <= 3; phase++ {
-		nd.phase(renewalPhases[phase-1])
+		nd.op.Phase(renewalPhases[phase-1])
 		good, view, err := nd.lattice(r)
 		if err != nil {
 			return core.View{}, err
@@ -121,7 +121,7 @@ func (nd *Node) latticeRenewal(r core.Tag) (core.View, error) {
 	// The request advertises the stable frontier so holders can reply
 	// with a delta, and is answered by a sampled subset of nodes first
 	// (escalated to everyone on a borrowNak — see maybeEscalate).
-	nd.phase("borrow")
+	nd.op.Phase("borrow")
 	var req MsgBorrowReq
 	nd.rt.Atomic(func() {
 		nd.pruneBelow(r)
@@ -189,8 +189,8 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 	if len(payloads) == 0 {
 		return core.View{}, nil, nil
 	}
-	c := nd.opStart("update")
-	defer func() { nd.opEnd(c, err) }()
+	nd.op.Start("update")
+	defer func() { nd.op.End(err) }()
 	k := core.Tag(len(payloads))
 	nd.rt.Atomic(func() {
 		nd.stats.Updates += int64(k)
@@ -229,7 +229,7 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 		// the node is write-fenced until the operator intervenes.
 		return core.View{}, nil, walErr
 	}
-	nd.phase("disseminate")
+	nd.op.Phase("disseminate")
 	for i, payload := range payloads {
 		nd.rt.Broadcast(MsgValue{Val: core.Value{TS: tss[i], Payload: payload}})
 	}
@@ -274,8 +274,8 @@ func (nd *Node) ScanView() (view core.View, err error) {
 	if nd.rt.Crashed() {
 		return core.View{}, rt.ErrCrashed
 	}
-	c := nd.opStart("scan")
-	defer func() { nd.opEnd(c, err) }()
+	nd.op.Start("scan")
+	defer func() { nd.op.End(err) }()
 	nd.rt.Atomic(func() { nd.stats.Scans++ })
 	r, err := nd.readTag()
 	if err != nil {

@@ -64,3 +64,63 @@ func TestErrCrashed(t *testing.T) {
 		t.Fatal("ErrCrashed must have a message")
 	}
 }
+
+// tickRuntime is fakeRuntime with a clock that advances on every read.
+type tickRuntime struct {
+	fakeRuntime
+	now Ticks
+}
+
+func (r *tickRuntime) ID() int    { return 3 }
+func (r *tickRuntime) Now() Ticks { r.now += 10; return r.now }
+
+type opRecorder struct{ ops []OpEvent }
+
+func (o *opRecorder) OnOp(e OpEvent) { o.ops = append(o.ops, e) }
+func (o *opRecorder) OnMsg(MsgEvent) {}
+
+func TestOpTrace(t *testing.T) {
+	r := &tickRuntime{}
+	tr := NewOpTrace(r)
+
+	// No observer: nothing is emitted, the clock is not read, but the op
+	// still takes its sequence number.
+	tr.Start("update")
+	tr.Phase("p")
+	tr.End(nil)
+	if r.now != 0 {
+		t.Fatalf("clock read %d ticks' worth without an observer", r.now)
+	}
+
+	rec := &opRecorder{}
+	tr.SetObserver(rec)
+	tr.Phase("outside") // no op in flight: dropped
+	tr.Start("scan")
+	tr.Phase("collect")
+	tr.End(ErrCrashed)
+	tr.Phase("outside")
+	tr.End(nil) // no op in flight: dropped
+	want := []OpEvent{
+		{T: 10, Node: 3, ID: 2, Op: "scan", Phase: PhaseStart},
+		{T: 20, Node: 3, ID: 2, Op: "scan", Phase: "collect"},
+		{T: 30, Node: 3, ID: 2, Op: "scan", Phase: PhaseEnd, Dur: 20, Err: true},
+	}
+	if len(rec.ops) != len(want) {
+		t.Fatalf("events = %+v, want %+v", rec.ops, want)
+	}
+	for i := range want {
+		if rec.ops[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, rec.ops[i], want[i])
+		}
+	}
+
+	rec.ops = make([]OpEvent, 0, 8)
+	if n := testing.AllocsPerRun(100, func() {
+		rec.ops = rec.ops[:0]
+		tr.Start("update")
+		tr.Phase("p")
+		tr.End(nil)
+	}); n != 0 {
+		t.Errorf("an op's three events allocate %v times, want 0", n)
+	}
+}

@@ -29,7 +29,7 @@ func (nd *Node) AttachWAL(w *wal.Writer, gc bool) {
 // it before serving any operation.
 func Recover(r rt.Runtime, st *wal.State, w *wal.Writer, gc bool) *Node {
 	inner := eqaso.Recover(r, st, w, gc)
-	nd := &Node{rtm: r, inner: inner}
+	nd := &Node{rtm: r, inner: inner, op: rt.NewOpTrace(r)}
 	inner.OnGoodLattice = func(tag core.Tag, view core.View) { nd.adopt(view) }
 	inner.OnGoodLAView = func(tag core.Tag, from int, view core.View) { nd.adopt(view) }
 	nd.stored = st.Log.ViewLE(st.Frontier.Tag)

@@ -61,42 +61,20 @@ type Node struct {
 	stats  Stats
 
 	// Operation instrumentation; owned by the client thread.
-	obs   rt.Observer
-	opSeq int64
+	op rt.OpTrace
 }
 
 // SetObserver installs an operation observer. The SSO emits its own
 // "update" and "scan" lifecycles; it deliberately does NOT install the
 // observer on its inner ASO — each layer reports only its own
 // operations, so an SSO update is one event, not one per inner renewal.
-func (nd *Node) SetObserver(o rt.Observer) { nd.obs = o }
-
-// opStart/opEnd bracket one operation (single client thread; see eqaso).
-func (nd *Node) opStart(op string) (int64, rt.Ticks) {
-	nd.opSeq++
-	start := nd.rtm.Now()
-	if nd.obs != nil {
-		nd.obs.OnOp(rt.OpEvent{T: start, Node: nd.rtm.ID(), ID: nd.opSeq, Op: op, Phase: rt.PhaseStart})
-	}
-	return nd.opSeq, start
-}
-
-func (nd *Node) opEnd(id int64, op string, start rt.Ticks, err error) {
-	if nd.obs == nil {
-		return
-	}
-	now := nd.rtm.Now()
-	nd.obs.OnOp(rt.OpEvent{
-		T: now, Node: nd.rtm.ID(), ID: id, Op: op,
-		Phase: rt.PhaseEnd, Dur: now - start, Err: err != nil,
-	})
-}
+func (nd *Node) SetObserver(o rt.Observer) { nd.op.SetObserver(o) }
 
 // New creates the crash-tolerant SSO (SSO-Fast-Scan in Table I) on top of
 // EQ-ASO. Register the returned node as the node's message handler.
 func New(r rt.Runtime) *Node {
 	inner := eqaso.New(r)
-	nd := &Node{rtm: r, inner: inner}
+	nd := &Node{rtm: r, inner: inner, op: rt.NewOpTrace(r)}
 	// Passive adoption: every good view this node produces or learns
 	// about refreshes the stored view (still zero extra messages).
 	inner.OnGoodLattice = func(tag core.Tag, view core.View) { nd.adopt(view) }
@@ -107,7 +85,7 @@ func New(r rt.Runtime) *Node {
 // NewWithBackend builds an SSO over a custom backend (used for the
 // Byzantine SSO, see NewByzantine in byz.go).
 func NewWithBackend(r rt.Runtime, b backend) *Node {
-	return &Node{rtm: r, inner: b}
+	return &Node{rtm: r, inner: b, op: rt.NewOpTrace(r)}
 }
 
 // adopt replaces the stored view if the candidate is larger. Must run in
@@ -130,8 +108,8 @@ func (nd *Node) Update(payload []byte) (err error) {
 	if nd.rtm.Crashed() {
 		return rt.ErrCrashed
 	}
-	id, start := nd.opStart("update")
-	defer func() { nd.opEnd(id, "update", start, err) }()
+	nd.op.Start("update")
+	defer func() { nd.op.End(err) }()
 	nd.rtm.Atomic(func() { nd.stats.Updates++ })
 	view, ts, err := nd.inner.UpdateWithView(payload)
 	if err != nil {
@@ -181,9 +159,9 @@ func (nd *Node) UpdateBatch(payloads [][]byte) error {
 	if nd.rtm.Crashed() {
 		return rt.ErrCrashed
 	}
-	id, start := nd.opStart("update")
+	nd.op.Start("update")
 	var err error
-	defer func() { nd.opEnd(id, "update", start, err) }()
+	defer func() { nd.op.End(err) }()
 	nd.rtm.Atomic(func() { nd.stats.Updates += int64(len(payloads)) })
 	view, tss, err := bb.UpdateBatchWithView(payloads)
 	if err != nil {
@@ -213,13 +191,13 @@ func (nd *Node) Scan() ([][]byte, error) {
 	if nd.rtm.Crashed() {
 		return nil, rt.ErrCrashed
 	}
-	id, start := nd.opStart("scan")
+	nd.op.Start("scan")
 	var snap [][]byte
 	nd.rtm.Atomic(func() {
 		nd.stats.Scans++
 		snap = nd.stored.Extract(nd.rtm.N())
 	})
-	nd.opEnd(id, "scan", start, nil)
+	nd.op.End(nil)
 	return snap, nil
 }
 
