@@ -85,26 +85,22 @@ bench:
 bench-core:
 	$(GO) test ./internal/core -bench . -benchmem -run '^$$'
 
-# Quick service-layer throughput sweep (batched vs serialized clients)
-# plus the wire-vs-gob codec micro-benchmark; writes the machine-readable
-# points to BENCH_throughput.json and BENCH_codec.json.
+# The artifact-bearing experiments `-e all` runs, at their -quick sizes,
+# gates enforced (-check is a no-op for an experiment without one); each
+# writes its committed BENCH_<name>.json. The list is bench.Experiments'
+# (internal/bench TestBenchSmokeListMatchesTable fails when they differ).
+BENCH_SMOKE = latency throughput hotpath recovery cluster engines
 bench-smoke:
-	$(GO) run ./cmd/asobench -e throughput -quick -json BENCH_throughput.json
-	$(GO) run ./cmd/asobench -e codec -json BENCH_codec.json
-	$(GO) run ./cmd/asobench -e latency -quick -json BENCH_latency.json
-	$(GO) run ./cmd/asobench -e hotpath -quick -check -json BENCH_hotpath.json
-	$(GO) run ./cmd/asobench -e recovery -quick -check -json BENCH_recovery.json
-	$(GO) run ./cmd/asobench -e cluster -quick -check -json BENCH_cluster.json
-	$(GO) run ./cmd/asobench -e engines -quick -check -json BENCH_engines.json
+	@for e in $(BENCH_SMOKE); do \
+		$(GO) run ./cmd/asobench -e $$e -quick -check -json BENCH_$$e.json || exit 1; \
+	done
 
-# Wall-clock saturation smoke on the real TCP loopback stack, behind the
-# per-engine floor gate: eqaso, acr and fastsnap at 256 clients; -check
-# fails the build unless every point reaches 1/3 of the same point's ops/s
-# in the committed BENCH_wallclock.json (loaded before the run). That
-# artifact comes from the unreduced run
-# (`go run ./cmd/asobench -e wallclock -json BENCH_wallclock.json -check`).
+# Wall-clock floor on the real TCP loopback stack: eqaso, acr and fastsnap
+# at 256 clients; -check fails the build unless every engine reaches 1/3 of
+# its ops/s in the committed BENCH_wallclock.json, which the same command
+# plus `-json BENCH_wallclock.json` regenerates.
 bench-wallclock:
-	$(GO) run ./cmd/asobench -e wallclock -quick -check -json BENCH_wallclock_smoke.json
+	$(GO) run ./cmd/asobench -e wallclock -check
 
 # Churn matrix under the race detector: the streaming monitor's unit,
 # equivalence, and injected-violation suites, the churn schedule property
@@ -155,10 +151,10 @@ fuzz-engines:
 # fastsnap are one core (internal/regsnap) explored under its two
 # first-collect rules, across the fast/slow-path boundary.
 explore:
-	$(GO) run ./cmd/asoexplore -alg eqaso -depth 6
-	$(GO) run ./cmd/asoexplore -alg oneshot -depth 6
-	$(GO) run ./cmd/asoexplore -alg acr -depth 6
-	$(GO) run ./cmd/asoexplore -alg fastsnap -depth 6
+	$(GO) run ./cmd/asoexplore -engine eqaso -depth 6
+	$(GO) run ./cmd/asoexplore -engine oneshot -depth 6
+	$(GO) run ./cmd/asoexplore -engine acr -depth 6
+	$(GO) run ./cmd/asoexplore -engine fastsnap -depth 6
 
 # Regenerate every table/figure of EXPERIMENTS.md.
 experiments:

@@ -4,14 +4,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-)
+	"slices"
+	"strings"
 
-// knownExperiments is the -e vocabulary, in run order.
-var knownExperiments = []string{
-	"table1", "sqrtk", "amortized", "failurefree", "byzantine",
-	"sso", "lattice", "messages", "throughput", "codec", "latency",
-	"hotpath", "recovery", "cluster", "engines", "wallclock",
-}
+	"mpsnap/internal/bench"
+)
 
 // benchConfig is the parsed asobench command line.
 type benchConfig struct {
@@ -23,33 +20,44 @@ type benchConfig struct {
 }
 
 // parseBenchConfig parses and validates the asobench command line. Usage
-// and flag errors are written to out.
+// and flag errors are written to out. The -e vocabulary and the help text
+// are bench.Experiments.
 func parseBenchConfig(args []string, out io.Writer) (benchConfig, error) {
+	var names, explicit, artifacts, gates []string
+	for _, e := range bench.Experiments {
+		names = append(names, e.Name)
+		if e.Explicit {
+			explicit = append(explicit, e.Name)
+		}
+		if e.Artifact != "" {
+			artifacts = append(artifacts, e.Name)
+		}
+		if e.Gate != "" {
+			gates = append(gates, e.Name+": "+e.Gate)
+		}
+	}
 	var cfg benchConfig
 	fs := flag.NewFlagSet("asobench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	fs.StringVar(&cfg.Exp, "e", "all",
-		"experiment: table1|sqrtk|amortized|failurefree|byzantine|sso|lattice|messages|throughput|codec|latency|hotpath|recovery|cluster|engines|wallclock|all")
+	fs.StringVar(&cfg.Exp, "e", "all", "experiment: "+strings.Join(names, "|")+
+		"|all (all skips "+strings.Join(explicit, ", ")+")")
 	fs.BoolVar(&cfg.Quick, "quick", false, "smaller parameters (CI-sized)")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
 	fs.StringVar(&cfg.JSONPath, "json", "",
-		"write the machine-readable points to this JSON file (throughput, codec, latency, hotpath, recovery, cluster, engines, and wallclock experiments)")
+		"write the report to this JSON file; needs -e to name one of "+strings.Join(artifacts, ", "))
 	fs.BoolVar(&cfg.Check, "check", false,
-		"fail when an experiment's acceptance criterion does not hold (hotpath: flat log-engine allocation growth; recovery: flat GC-on recovered residency; cluster: shards=1 GlobalScan within 1.2× of the svc scan baseline; engines: fastsnap contention-free scan p50 below eqaso's; wallclock: every measured point above its floor of the committed BENCH_wallclock.json)")
+		"fail when an experiment's acceptance criterion does not hold ("+strings.Join(gates, "; ")+")")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
-	if cfg.Exp != "all" {
-		ok := false
-		for _, name := range knownExperiments {
-			if cfg.Exp == name {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return cfg, fmt.Errorf("unknown experiment %q (want all or one of %v)", cfg.Exp, knownExperiments)
-		}
+	if cfg.Exp != "all" && !slices.Contains(names, cfg.Exp) {
+		return cfg, fmt.Errorf("unknown experiment %q (want all or one of %v)", cfg.Exp, names)
+	}
+	// One path holds one report: under -e all every experiment would
+	// overwrite the last, and a table-only experiment would write nothing.
+	if cfg.JSONPath != "" && !slices.Contains(artifacts, cfg.Exp) {
+		return cfg, fmt.Errorf("-json needs -e to name one experiment with an artifact (%s), not %q",
+			strings.Join(artifacts, ", "), cfg.Exp)
 	}
 	return cfg, nil
 }

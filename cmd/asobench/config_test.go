@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"mpsnap/internal/bench"
 )
 
 func TestParseBenchConfig(t *testing.T) {
@@ -25,6 +27,16 @@ func TestParseBenchConfig(t *testing.T) {
 		},
 		{name: "every known experiment parses", args: []string{"-e", "table1"}, want: benchConfig{Exp: "table1", Seed: 1}},
 		{name: "unknown experiment", args: []string{"-e", "warp"}, wantErr: "unknown experiment"},
+		{name: "codec was removed", args: []string{"-e", "codec"}, wantErr: "unknown experiment"},
+		// One -json path holds one report: -e all would have every
+		// experiment overwrite the last, a table-only one writes nothing.
+		{name: "json with all", args: []string{"-json", "out.json"}, wantErr: "-json needs -e"},
+		{name: "json with a table-only experiment", args: []string{"-e", "table1", "-json", "x.json"}, wantErr: "-json needs -e"},
+		{
+			name: "json with an explicit-only experiment",
+			args: []string{"-e", "wallclock", "-json", "BENCH_wallclock.json", "-check"},
+			want: benchConfig{Exp: "wallclock", Seed: 1, JSONPath: "BENCH_wallclock.json", Check: true},
+		},
 		{name: "bad flag", args: []string{"-nope"}, wantErr: "flag provided but not defined"},
 	}
 	for _, tc := range cases {
@@ -44,10 +56,15 @@ func TestParseBenchConfig(t *testing.T) {
 			}
 		})
 	}
-	// The -e vocabulary itself: every listed name must validate.
-	for _, name := range knownExperiments {
-		if _, err := parseBenchConfig([]string{"-e", name}, io.Discard); err != nil {
-			t.Errorf("known experiment %q rejected: %v", name, err)
+	// The -e vocabulary is the experiment table, help text included.
+	var help strings.Builder
+	_, _ = parseBenchConfig([]string{"-h"}, &help)
+	for _, e := range bench.Experiments {
+		if _, err := parseBenchConfig([]string{"-e", e.Name}, io.Discard); err != nil {
+			t.Errorf("experiment %q rejected: %v", e.Name, err)
+		}
+		if !strings.Contains(help.String(), e.Name+"|") {
+			t.Errorf("-h does not list %q:\n%s", e.Name, help.String())
 		}
 	}
 }

@@ -6,9 +6,9 @@
 //
 // Usage:
 //
-//	asoexplore -alg eqaso -depth 6
-//	asoexplore -alg fastsnap -depth 6         # any registered engine works
-//	asoexplore -alg oneshot-sketch -depth 8   # finds the paper's Sec. III-C gap
+//	asoexplore -engine eqaso -depth 6
+//	asoexplore -engine fastsnap -depth 6         # any registered engine works
+//	asoexplore -engine oneshot-sketch -depth 8   # finds the paper's Sec. III-C gap
 package main
 
 import (
@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		alg     = flag.String("alg", "eqaso", "object under exploration: any registered engine ("+engine.FlagHelp()+") or oneshot|oneshot-sketch")
+		alg     = flag.String("engine", "eqaso", "object under exploration: any registered engine ("+engine.FlagHelp()+") or oneshot|oneshot-sketch")
 		depth   = flag.Int("depth", 6, "scheduling decisions explored exhaustively")
 		maxRuns = flag.Int("max-runs", 500000, "execution cap")
 	)

@@ -9,7 +9,7 @@
 //
 //	asofuzz                    # fuzz all algorithms until interrupted
 //	asofuzz -count 100         # a bounded batch (CI)
-//	asofuzz -alg eqaso -seed 7 # reproduce one case
+//	asofuzz -engine eqaso -seed 7 # reproduce one case
 //	asofuzz -wire -count 1000  # fuzz the wire codec layer instead
 //
 // With -wire, each run generates one message per registered codec and
@@ -27,13 +27,14 @@ import (
 	"time"
 
 	"mpsnap"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/wire"
 )
 
 func main() {
 	var (
 		count    = flag.Int("count", 0, "number of runs (0 = until interrupted)")
-		alg      = flag.String("alg", "", "restrict to one algorithm (default: rotate all)")
+		alg      = flag.String("engine", "", "restrict to one engine: "+engine.FlagHelp()+", or a registered baseline (default: rotate all)")
 		seed     = flag.Int64("seed", 0, "starting seed (default: time-based)")
 		wireMode = flag.Bool("wire", false, "fuzz the wire codec round trip instead of the protocols")
 	)
@@ -58,7 +59,7 @@ func main() {
 		a := algs[run%len(algs)]
 		if err := fuzzOne(a, s); err != nil {
 			fmt.Fprintf(os.Stderr, "\nVIOLATION after %d runs (%.1fs):\n", run, time.Since(start).Seconds())
-			fmt.Fprintf(os.Stderr, "  reproduce: asofuzz -alg %s -seed %d -count 1\n", a, s)
+			fmt.Fprintf(os.Stderr, "  reproduce: asofuzz -engine %s -seed %d -count 1\n", a, s)
 			fmt.Fprintf(os.Stderr, "  %v\n", err)
 			os.Exit(1)
 		}

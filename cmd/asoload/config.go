@@ -62,11 +62,8 @@ func parseLoadConfig(args []string, out io.Writer) (loadConfig, error) {
 	if cfg.Gen.Rate < 0 {
 		return cfg, fmt.Errorf("-rate %g: must be >= 0", cfg.Gen.Rate)
 	}
-	if f := maxF(cfg.Gen.N); cfg.Gen.F > f {
+	if f := (cfg.Gen.N - 1) / 2; cfg.Gen.F > f {
 		return cfg, fmt.Errorf("-f %d: crash resilience requires f <= (n-1)/2 = %d", cfg.Gen.F, f)
 	}
 	return cfg, nil
 }
-
-// maxF is the crash-model resilience ceiling for an n-node mesh.
-func maxF(n int) int { return (n - 1) / 2 }

@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"mpsnap"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/history"
 	"mpsnap/internal/la"
 	"mpsnap/internal/sim"
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	var (
-		alg       = flag.String("alg", "eqaso", "algorithm: eqaso|byzaso|sso|sso-byz|delporte|storecollect|stacked|laaso")
+		alg       = flag.String("engine", "eqaso", "engine: "+engine.FlagHelp()+", or a registered baseline")
 		n         = flag.Int("n", 5, "number of nodes")
 		f         = flag.Int("f", 2, "resilience bound")
 		ops       = flag.Int("ops", 4, "operations per node")

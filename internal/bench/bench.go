@@ -17,6 +17,8 @@ import (
 	_ "mpsnap/internal/engine/all" // register every snapshot engine
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/harness"
+	"mpsnap/internal/history"
+	"mpsnap/internal/la"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
 )
@@ -42,13 +44,14 @@ func TableAlgos() []Algo {
 	return []Algo{Delporte, StoreCollect, Stacked, LAASO, ByzASO, EQASO, SSOFast}
 }
 
-// make1 builds one node of the engine via the registry.
-func make1(a Algo, r rt.Runtime) (rt.Handler, harness.Object) {
-	e, err := engine.New(string(a), r)
-	if err != nil {
-		panic("bench: " + err.Error())
-	}
-	return e, e
+// build brings up a simulated cluster of engine a via the registry (an
+// unregistered name is a bug in this package: it panics).
+func build(cfg sim.Config, a Algo) *harness.Cluster {
+	in := engine.MustLookup(string(a))
+	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
+		e := in.New(r)
+		return e, e
+	})
 }
 
 // Faults selects the fault injection of a run.
@@ -98,16 +101,47 @@ type Result struct {
 	CheckPassed bool
 }
 
-// keyOf identifies forwardable value messages for the chain adversary.
-func keyOf(a Algo) func(rt.Message) (any, bool) {
-	return func(m rt.Message) (any, bool) {
-		switch msg := m.(type) {
-		case eqaso.MsgValue:
-			return msg.Val.TS, true
-		case laaso.MsgValue:
-			return msg.Val.TS, true
+// chainKey identifies forwardable value messages for the chain adversary.
+func chainKey(m rt.Message) (any, bool) {
+	switch msg := m.(type) {
+	case eqaso.MsgValue:
+		return msg.Val.TS, true
+	case laaso.MsgValue:
+		return msg.Val.TS, true
+	case la.OSValue:
+		return msg.Val.TS, true
+	}
+	return nil, false
+}
+
+// chainFaults builds the Definition 11 failure chains over nodes 0..k-1 of
+// cfg's cluster and arms cfg with the adversary that realizes them; used
+// is how many of the k nodes the chains consumed.
+func chainFaults(cfg *sim.Config, k int) (chains []sim.ChainSpec, used int) {
+	pool := make([]int, k)
+	for i := range pool {
+		pool[i] = i
+	}
+	chains, used = sim.BuildChains(pool, k, cfg.N-1)
+	if used > 0 {
+		cfg.Adversary = sim.NewFailureChains(chainKey, chains...)
+	}
+	return chains, used
+}
+
+// mixedOps issues ops operations, each a scan with probability scanRatio
+// and an update otherwise, stopping at the first error (the node crashed).
+func mixedOps(o *harness.OpRunner, rng *rand.Rand, ops int, scanRatio float64) {
+	for k := 0; k < ops; k++ {
+		var err error
+		if rng.Float64() < scanRatio {
+			_, err = o.Scan()
+		} else {
+			_, err = o.Update()
 		}
-		return nil, false
+		if err != nil {
+			return
+		}
 	}
 }
 
@@ -119,26 +153,16 @@ func Run(cfg Config) (Result, error) {
 		simCfg.Delay = sim.Constant{Ticks: rt.TicksPerD}
 	}
 
-	liveFrom := 0 // first live (non-fault-designated) node
+	// res.K nodes are fault-designated; the first live node is res.K.
 	var chains []sim.ChainSpec
 	if cfg.Faults.Chains && cfg.Faults.Crashes > 0 {
-		pool := make([]int, cfg.Faults.Crashes)
-		for i := range pool {
-			pool[i] = i
-		}
-		var used int
-		chains, used = sim.BuildChains(pool, cfg.Faults.Crashes, cfg.N-1)
-		res.K = used
-		liveFrom = used
-		simCfg.Adversary = sim.NewFailureChains(keyOf(cfg.Algo), chains...)
+		chains, res.K = chainFaults(&simCfg, cfg.Faults.Crashes)
 	} else {
 		res.K = cfg.Faults.Crashes
-		liveFrom = cfg.Faults.Crashes
 	}
+	liveFrom := res.K
 
-	c := harness.Build(simCfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
-		return make1(cfg.Algo, r)
-	})
+	c := build(simCfg, cfg.Algo)
 	if cfg.Observer != nil {
 		for _, o := range c.Objects {
 			if so, ok := o.(interface{ SetObserver(rt.Observer) }); ok {
@@ -181,17 +205,7 @@ func Run(cfg Config) (Result, error) {
 		c.Client(i, func(o *harness.OpRunner) {
 			rng := rand.New(rand.NewSource(cfg.Seed*7919 + int64(i)))
 			_ = o.P.Sleep(rt.Ticks(rng.Int63n(int64(2 * rt.TicksPerD))))
-			for k := 0; k < cfg.OpsPerNode; k++ {
-				var err error
-				if rng.Float64() < cfg.ScanRatio {
-					_, err = o.Scan()
-				} else {
-					_, err = o.Update()
-				}
-				if err != nil {
-					return
-				}
-			}
+			mixedOps(o, rng, cfg.OpsPerNode, cfg.ScanRatio)
 		})
 	}
 
@@ -208,17 +222,18 @@ func Run(cfg Config) (Result, error) {
 	res.MeanUpd, res.MeanScan = st.MeanUpdate, st.MeanScan
 	res.MeanAll = st.MeanAll
 	res.P50, res.P99 = st.P50All, st.P99All
-	if cfg.Check {
-		if engine.MustLookup(string(cfg.Algo)).Sequential {
-			res.CheckPassed = h.CheckSequentiallyConsistent().OK
-		} else {
-			res.CheckPassed = h.CheckLinearizable().OK
-		}
-		if !res.CheckPassed {
-			return res, fmt.Errorf("bench %s: history check failed", cfg.Algo)
-		}
-	} else {
-		res.CheckPassed = true
+	res.CheckPassed = !cfg.Check || consistent(cfg.Algo, h)
+	if !res.CheckPassed {
+		return res, fmt.Errorf("bench %s: history check failed", cfg.Algo)
 	}
 	return res, nil
+}
+
+// consistent checks h against engine a's contract: sequential consistency
+// for the SSOs, linearizability for every other engine.
+func consistent(a Algo, h *history.History) bool {
+	if engine.MustLookup(string(a)).Sequential {
+		return h.CheckSequentiallyConsistent().OK
+	}
+	return h.CheckLinearizable().OK
 }

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"mpsnap/internal/cluster"
 	"mpsnap/internal/engine"
@@ -37,105 +35,108 @@ type ClusterPoint struct {
 	Repairs    int     `json:"repairs"` // closure-repair rounds beyond the first
 }
 
-// ClusterBench is the full experiment result, serialized to
-// BENCH_cluster.json by cmd/asobench -e cluster.
-type ClusterBench struct {
-	Env          Env   `json:"env"`
-	N            int   `json:"n"` // nodes per shard
-	F            int   `json:"f"` // crash bound per shard
-	ShardCounts  []int `json:"shardCounts"`
-	KeysPerShard int   `json:"keysPerShard"`
-	Scans        int   `json:"scans"`
-	Seed         int64 `json:"seed"`
+// clusterLimit caps the shards=1 GlobalScan cost relative to the plain svc
+// scan: the full GlobalScan machinery over one shard may cost at most
+// clusterLimit× the plain single-cluster svc scan path (growth with shard
+// count is reported, not gated — it measures coordination, not overhead).
+const clusterLimit = 1.2
 
-	// BaselineScanD is the mean svc.Service scan latency on one plain
-	// n-node cluster (same engine, same service front, no cluster layer).
-	BaselineScanD float64 `json:"baselineScanD"`
-
-	Points []ClusterPoint `json:"points"`
-
-	// OneShardRatio is ScanMeanD at shards=1 over BaselineScanD: the
-	// multiplicative cost of routing + cut assembly + validation when
-	// there is nothing to coordinate across.
-	OneShardRatio float64 `json:"oneShardRatio"`
-}
-
-// RunCluster sweeps shard counts, measuring validated GlobalScan latency
+// clusterScan sweeps shard counts, measuring validated GlobalScan latency
 // and cut skew with keysPerShard mark-chain keys per shard, plus the
-// single-cluster svc baseline for the shards=1 ratio.
-func RunCluster(n, f int, shardCounts []int, keysPerShard, scans int, seed int64) (ClusterBench, error) {
-	out := ClusterBench{
-		Env: CaptureEnv(),
-		N:   n, F: f, ShardCounts: shardCounts,
-		KeysPerShard: keysPerShard, Scans: scans, Seed: seed,
+// single-cluster svc baseline for the shards=1 ratio: the multiplicative
+// cost of routing + cut assembly + validation when there is nothing to
+// coordinate across.
+func clusterScan(p Params) (*Report, error) {
+	n, f, shardCounts, keysPerShard, scans := 3, 1, []int{1, 2, 4, 8}, 8, 5
+	if p.Quick {
+		shardCounts, keysPerShard, scans = []int{1, 2, 4}, 6, 3
 	}
-	base, err := baselineSvcScan(n, f, keysPerShard, scans, seed)
+	base, err := baselineSvcScan(n, f, keysPerShard, scans, p.Seed)
 	if err != nil {
-		return out, fmt.Errorf("cluster baseline: %w", err)
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	out.BaselineScanD = base
+	var points []ClusterPoint
+	var oneShard float64
+	t := Table{Title: fmt.Sprintf("Cross-shard GlobalScan vs shard count: n=%d f=%d per shard, %d keys/shard, %d scans, fault-free\n",
+		n, f, keysPerShard, scans)}
+	t.Row("shards\tnodes\tkeys\tscan mean\tscan worst\tskew mean\tskew max\trepairs")
 	for _, s := range shardCounts {
-		p, err := clusterScanPoint(s, n, f, keysPerShard, scans, seed+int64(s)*131)
+		pt, err := clusterScanPoint(s, n, f, keysPerShard, scans, p.Seed+int64(s)*131)
 		if err != nil {
-			return out, fmt.Errorf("cluster shards=%d: %w", s, err)
+			return nil, fmt.Errorf("shards=%d: %w", s, err)
 		}
-		out.Points = append(out.Points, p)
-		if s == 1 && base > 0 {
-			out.OneShardRatio = p.ScanMeanD / base
+		points = append(points, pt)
+		if s == 1 {
+			oneShard = ratio(pt.ScanMeanD, base)
 		}
+		t.Row("%d\t%d\t%d\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%d",
+			pt.Shards, pt.Nodes, pt.Keys, pt.ScanMeanD, pt.ScanWorstD, pt.SkewMeanD, pt.SkewMaxD, pt.Repairs)
 	}
-	return out, nil
+	t.Notes = fmt.Sprintf("baseline: plain svc scan on one %d-node cluster = %.1fD; shards=1 ratio %.2f× (must stay ≤%.1f×)\n",
+		n, base, oneShard, clusterLimit) +
+		"shape: scan latency stays ~flat in shard count (shards are scanned in\n" +
+		"parallel; the cut waits for the slowest shard, not the sum), while skew\n" +
+		"grows mildly — more shards give the frontier more chances to land mid-op.\n"
+	return &Report{
+		Params: map[string]any{"n": n, "f": f, "shardCounts": shardCounts, "keysPerShard": keysPerShard, "scans": scans},
+		Points: points,
+		// baselineScanD is the mean svc.Service scan latency on one plain
+		// n-node cluster (same engine, same service front, no cluster layer).
+		Derived: map[string]float64{"baselineScanD": base, "oneShardRatio": oneShard},
+		Table:   t,
+		check: atMost(fmt.Sprintf("cluster: shards=1 GlobalScan (%.2fD) over the svc scan baseline (%.2fD)", oneShard*base, base),
+			oneShard, clusterLimit),
+	}, nil
 }
 
 // baselineSvcScan times svc.Service.Scan on one plain n-node EQ-ASO
 // cluster after keys sequential updates — the exact scan path a
 // single-shard deployment without the cluster layer would use.
 func baselineSvcScan(n, f, keys, scans int, seed int64) (float64, error) {
-	w := sim.New(sim.Config{N: n, F: f, Seed: seed})
-	services := make([]*svc.Service, n)
-	for i := 0; i < n; i++ {
-		nd := engine.MustLookup("eqaso").New(w.Runtime(i))
-		w.SetHandler(i, nd)
-		s := svc.New(w.Runtime(i), nd, svc.Options{})
-		services[i] = s
-		w.GoNode(fmt.Sprintf("svc-%d", i), i, func(p *sim.Proc) { _ = s.Serve() })
-	}
+	c := build(sim.Config{N: n, F: f, Seed: seed}, EQASO)
+	services := serveAll(c, svc.Options{})
 	var total rt.Ticks
-	var failed error
-	probeDone := false
-	// Closing from a node-unbound driver (not the probe's defer) makes
-	// every node's idle waiter re-evaluate and drain; a node-0 proc only
-	// wakes node 0's.
-	w.Go("closer", func(p *sim.Proc) {
-		_ = p.WaitUntilGlobal("probe done", func() bool { return probeDone })
+	err := runProbe(c.W, func() {
 		for _, s := range services {
 			s.Close()
 		}
-	})
-	w.GoNode("probe", 0, func(p *sim.Proc) {
-		defer func() { probeDone = true }()
+	}, func(p *sim.Proc) error {
 		for i := 0; i < keys; i++ {
 			if err := services[0].Update([]byte(fmt.Sprintf("bench/k%d", i))); err != nil {
-				failed = fmt.Errorf("update %d: %w", i, err)
-				return
+				return fmt.Errorf("update %d: %w", i, err)
 			}
 		}
 		for i := 0; i < scans; i++ {
 			start := p.Now()
 			if _, err := services[0].Scan(); err != nil {
-				failed = fmt.Errorf("scan %d: %w", i, err)
-				return
+				return fmt.Errorf("scan %d: %w", i, err)
 			}
 			total += p.Now() - start
 		}
+		return nil
+	})
+	return total.DUnits() / float64(scans), err
+}
+
+// runProbe runs probe on node 0 and the world to completion, calling
+// closeAll once the probe returns. The close runs from a node-unbound
+// driver (not the probe's defer) so that every node's idle service and
+// router waiter re-evaluates and drains; a node-0 proc only wakes node 0's.
+func runProbe(w *sim.World, closeAll func(), probe func(*sim.Proc) error) error {
+	var failed error
+	done := false
+	w.Go("closer", func(p *sim.Proc) {
+		_ = p.WaitUntilGlobal("probe done", func() bool { return done })
+		closeAll()
+	})
+	w.GoNode("probe", 0, func(p *sim.Proc) {
+		defer func() { done = true }()
+		failed = probe(p)
 	})
 	if err := w.Run(); err != nil {
-		return 0, err
+		return err
 	}
-	if failed != nil {
-		return 0, failed
-	}
-	return total.DUnits() / float64(scans), nil
+	return failed
 }
 
 // clusterScanPoint brings up a shards×n cluster topology on the
@@ -176,18 +177,11 @@ func clusterScanPoint(shards, n, f, keysPerShard, scans int, seed int64) (Cluste
 	pt := ClusterPoint{Shards: shards, Nodes: total, Keys: keys, Scans: scans}
 	v := cluster.NewCutValidator(cluster.ValidatorOptions{CheckPlacement: true, RequireMarks: true})
 	var scanTotal, scanWorst, skewTotal, skewMax rt.Ticks
-	var failed error
-	probeDone := false
-	// See baselineSvcScan: the close must run node-unbound so every
-	// node's idle router and shard worker re-evaluates and drains.
-	w.Go("closer", func(p *sim.Proc) {
-		_ = p.WaitUntilGlobal("probe done", func() bool { return probeDone })
+	err := runProbe(w, func() {
 		for _, nd := range nodes {
 			nd.Close()
 		}
-	})
-	w.GoNode("probe", 0, func(p *sim.Proc) {
-		defer func() { probeDone = true }()
+	}, func(p *sim.Proc) error {
 		nd := nodes[0]
 		// One mark chain across all shards: the ring spreads the keys, so
 		// successive marks usually cross shard boundaries and every cut's
@@ -198,8 +192,7 @@ func clusterScanPoint(shards, n, f, keysPerShard, scans int, seed int64) (Cluste
 			key := fmt.Sprintf("bench/k%d", i)
 			mk := cluster.Mark{Writer: "bench", Seq: int64(i + 1), PrevKey: lastKey, PrevSeq: lastSeq}
 			if err := nd.Update(key, mk.Encode()); err != nil {
-				failed = fmt.Errorf("update %d: %w", i, err)
-				return
+				return fmt.Errorf("update %d: %w", i, err)
 			}
 			lastKey, lastSeq = key, int64(i+1)
 		}
@@ -207,8 +200,7 @@ func clusterScanPoint(shards, n, f, keysPerShard, scans int, seed int64) (Cluste
 			start := p.Now()
 			cut, err := nd.GlobalScanClosed(v, 0)
 			if err != nil {
-				failed = fmt.Errorf("global scan %d: %w", i, err)
-				return
+				return fmt.Errorf("global scan %d: %w", i, err)
 			}
 			lat := p.Now() - start
 			scanTotal += lat
@@ -222,53 +214,14 @@ func clusterScanPoint(shards, n, f, keysPerShard, scans int, seed int64) (Cluste
 			}
 			pt.Repairs += cut.Rounds - 1
 		}
+		return nil
 	})
-	if err := w.Run(); err != nil {
+	if err != nil {
 		return pt, err
-	}
-	if failed != nil {
-		return pt, failed
 	}
 	pt.ScanMeanD = scanTotal.DUnits() / float64(scans)
 	pt.ScanWorstD = scanWorst.DUnits()
 	pt.SkewMeanD = skewTotal.DUnits() / float64(scans)
 	pt.SkewMaxD = skewMax.DUnits()
 	return pt, nil
-}
-
-// clusterLimit caps the shards=1 GlobalScan cost relative to the plain svc
-// scan.
-const clusterLimit = 1.2
-
-// Check enforces the shards=1 acceptance criterion: the full GlobalScan
-// machinery over one shard may cost at most clusterLimit× the plain
-// single-cluster svc scan path (growth with shard count is reported, not
-// gated — it measures coordination, not overhead).
-func (c ClusterBench) Check() error {
-	if c.OneShardRatio > clusterLimit {
-		return fmt.Errorf("cluster: shards=1 GlobalScan is %.2f× the svc scan baseline (%.2fD vs %.2fD, limit %.2f×)",
-			c.OneShardRatio, c.OneShardRatio*c.BaselineScanD, c.BaselineScanD, clusterLimit)
-	}
-	return nil
-}
-
-// Render formats the experiment as the human-readable table printed by
-// cmd/asobench -e cluster.
-func (c ClusterBench) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Cross-shard GlobalScan vs shard count: n=%d f=%d per shard, %d keys/shard, %d scans, fault-free\n",
-		c.N, c.F, c.KeysPerShard, c.Scans)
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "shards\tnodes\tkeys\tscan mean\tscan worst\tskew mean\tskew max\trepairs\n")
-	for _, p := range c.Points {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%d\n",
-			p.Shards, p.Nodes, p.Keys, p.ScanMeanD, p.ScanWorstD, p.SkewMeanD, p.SkewMaxD, p.Repairs)
-	}
-	w.Flush()
-	fmt.Fprintf(&sb, "baseline: plain svc scan on one %d-node cluster = %.1fD; shards=1 ratio %.2f× (must stay ≤%.1f×)\n",
-		c.N, c.BaselineScanD, c.OneShardRatio, clusterLimit)
-	sb.WriteString("shape: scan latency stays ~flat in shard count (shards are scanned in\n")
-	sb.WriteString("parallel; the cut waits for the slowest shard, not the sum), while skew\n")
-	sb.WriteString("grows mildly — more shards give the frontier more chances to land mid-op.\n")
-	return sb.String()
 }

@@ -6,19 +6,20 @@ import (
 )
 
 func TestRunClusterSmall(t *testing.T) {
-	// Shipped keys/scans parameters: the 1.2× gate is measured on means,
+	// The full keys/scans parameters: the 1.2× gate is measured on means,
 	// and smaller samples are noisy enough to sit right at the limit.
-	c, err := RunCluster(3, 1, []int{1, 2}, 8, 5, 42)
+	c, err := clusterScan(Params{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Points) != 2 {
-		t.Fatalf("points: got %d want 2", len(c.Points))
+	points := c.Points.([]ClusterPoint)
+	if len(points) != 4 {
+		t.Fatalf("points: got %d want 4", len(points))
 	}
-	if c.BaselineScanD <= 0 {
-		t.Fatalf("baseline scan %.2fD, want > 0", c.BaselineScanD)
+	if base := c.Derived["baselineScanD"]; base <= 0 {
+		t.Fatalf("baseline scan %.2fD, want > 0", base)
 	}
-	for _, p := range c.Points {
+	for _, p := range points {
 		if p.ScanMeanD <= 0 || p.ScanWorstD < p.ScanMeanD {
 			t.Errorf("shards=%d: implausible scan latency %+v", p.Shards, p)
 		}
@@ -29,8 +30,8 @@ func TestRunClusterSmall(t *testing.T) {
 			t.Errorf("shards=%d: wrong topology in point %+v", p.Shards, p)
 		}
 	}
-	if c.OneShardRatio <= 0 {
-		t.Fatalf("one-shard ratio %.2f, want > 0", c.OneShardRatio)
+	if ratio := c.Derived["oneShardRatio"]; ratio <= 0 {
+		t.Fatalf("one-shard ratio %.2f, want > 0", ratio)
 	}
 	// The acceptance gate the bench-smoke run enforces.
 	if err := c.Check(); err != nil {

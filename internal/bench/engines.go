@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"text/tabwriter"
 
 	"mpsnap/internal/engine"
 	"mpsnap/internal/harness"
@@ -23,13 +21,9 @@ import (
 // Check enforces. Latencies are computed from the recorded history, so
 // engines without op-event instrumentation are measured identically.
 
-// EnginePoint is one engine's measurements in the bake-off.
-type EnginePoint struct {
-	Engine string `json:"engine"`
-	N      int    `json:"n"`
-	F      int    `json:"f"`
-	Unit   string `json:"unit"` // always "d" (sim backend)
-
+// OpLatency is the UPDATE/SCAN latency digest, in D units, that the
+// bake-off and the latency sweep both report per row.
+type OpLatency struct {
 	UpdateCount int     `json:"updateCount"`
 	UpdateP50   float64 `json:"updateP50"`
 	UpdateP99   float64 `json:"updateP99"`
@@ -39,49 +33,56 @@ type EnginePoint struct {
 	ScanP50   float64 `json:"scanP50"`
 	ScanP99   float64 `json:"scanP99"`
 	ScanMax   float64 `json:"scanMax"`
+}
 
+// EnginePoint is one engine's measurements in the bake-off.
+type EnginePoint struct {
+	Engine string `json:"engine"`
+	N      int    `json:"n"`
+	F      int    `json:"f"`
+	Unit   string `json:"unit"` // always "d" (sim backend)
+	OpLatency
 	Msgs        int64 `json:"msgs"`
 	CheckPassed bool  `json:"checkPassed"`
 }
 
-// Engines is the full bake-off result, serialized to BENCH_engines.json
-// by cmd/asobench -e engines.
-type Engines struct {
-	Env        Env           `json:"env"`
-	N          int           `json:"n"`
-	OpsPerNode int           `json:"opsPerNode"`
-	Seed       int64         `json:"seed"`
-	Points     []EnginePoint `json:"points"`
-}
-
-// RunEngines executes the bake-off over every registered engine.
-func RunEngines(n, opsPerNode int, seed int64) (Engines, error) {
-	out := Engines{Env: CaptureEnv(), N: n, OpsPerNode: opsPerNode, Seed: seed}
-	for _, name := range engine.Names() {
-		p, err := engineSweep(name, n, opsPerNode, seed)
-		if err != nil {
-			return out, fmt.Errorf("engines %s: %w", name, err)
-		}
-		out.Points = append(out.Points, p)
+// engines executes the bake-off over every registered engine.
+func engines(p Params) (*Report, error) {
+	n, opsPerNode := 7, 12
+	if p.Quick {
+		n, opsPerNode = 5, 8
 	}
-	return out, nil
+	var points []EnginePoint
+	t := Table{Title: fmt.Sprintf("Engine bake-off: n=%d (byzantine engines use f=%d), %d updates + %d scans per node,\n",
+		n, (n-1)/3, opsPerNode, opsPerNode) +
+		"constant-D delays, scans issued after full quiescence (contention-free)\n"}
+	t.Row("engine\tupd p50\tupd p99\tupd max\tscan p50\tscan p99\tscan max\tmsgs\tcheck")
+	for _, name := range engine.Names() {
+		pt, err := engineSweep(name, n, opsPerNode, p.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		points = append(points, pt)
+		t.Row("%s\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%d\tok",
+			pt.Engine, pt.UpdateP50, pt.UpdateP99, pt.UpdateMax, pt.ScanP50, pt.ScanP99, pt.ScanMax, pt.Msgs)
+	}
+	t.Notes = "shape: with no scan/update contention, fastsnap's one-collect fast path and\n" +
+		"acr's committed-cache hit finish in ~2D — below eqaso's multi-round scan —\n" +
+		"while sso stays ~0 (local reads, sequential consistency only).\n"
+	return &Report{
+		Params: map[string]any{"n": n, "opsPerNode": opsPerNode},
+		Points: points,
+		Table:  t,
+		check:  func() error { return checkEngines(points) },
+	}, nil
 }
 
 // engineSweep runs the two-phase workload on one engine.
 func engineSweep(name string, n, opsPerNode int, seed int64) (EnginePoint, error) {
-	in := engine.MustLookup(name)
-	f := (n - 1) / 2
-	if in.Byzantine {
-		f = (n - 1) / 3
-	}
+	f := bound(Algo(name), n)
 	pt := EnginePoint{Engine: name, N: n, F: f, Unit: "d"}
 
-	c := harness.Build(sim.Config{
-		N: n, F: f, Seed: seed, Delay: sim.Constant{Ticks: rt.TicksPerD},
-	}, func(r rt.Runtime) (rt.Handler, harness.Object) {
-		e := in.New(r)
-		return e, e
-	})
+	c := build(sim.Config{N: n, F: f, Seed: seed, Delay: sim.Constant{Ticks: rt.TicksPerD}}, Algo(name))
 
 	// Quiescence point: by this virtual time every update has completed
 	// AND its writes have reached all n servers (fault-free, delay ≤ D),
@@ -116,11 +117,7 @@ func engineSweep(name string, n, opsPerNode int, seed int64) (EnginePoint, error
 	if err != nil {
 		return pt, err
 	}
-	if in.Sequential {
-		pt.CheckPassed = h.CheckSequentiallyConsistent().OK
-	} else {
-		pt.CheckPassed = h.CheckLinearizable().OK
-	}
+	pt.CheckPassed = consistent(Algo(name), h)
 	if !pt.CheckPassed {
 		return pt, fmt.Errorf("history check failed")
 	}
@@ -145,40 +142,28 @@ func engineSweep(name string, n, opsPerNode int, seed int64) (EnginePoint, error
 	return pt, nil
 }
 
+// quantiles digests one op kind's latencies.
 func quantiles(vals []float64) (p50, p99, max float64) {
 	if len(vals) == 0 {
 		return 0, 0, 0
 	}
 	sort.Float64s(vals)
-	return percentile(vals, 0.50), percentile(vals, 0.99), vals[len(vals)-1]
+	return harness.Percentile(vals, 0.50), harness.Percentile(vals, 0.99), vals[len(vals)-1]
 }
 
-func percentile(sorted []float64, p float64) float64 {
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// Point returns the named engine's row.
-func (e Engines) Point(name string) (EnginePoint, bool) {
-	for _, p := range e.Points {
-		if p.Engine == name {
-			return p, true
-		}
-	}
-	return EnginePoint{}, false
-}
-
-// Check enforces the bake-off acceptance criteria: every engine's history
-// check passed, and fastsnap's contention-free SCAN p50 is strictly below
-// EQ-ASO's.
-func (e Engines) Check() error {
-	for _, p := range e.Points {
+// checkEngines enforces the bake-off acceptance criteria: every engine's
+// history check passed, and fastsnap's contention-free SCAN p50 is strictly
+// below EQ-ASO's.
+func checkEngines(points []EnginePoint) error {
+	byName := map[string]EnginePoint{}
+	for _, p := range points {
 		if !p.CheckPassed {
 			return fmt.Errorf("engines: %s failed its history check", p.Engine)
 		}
+		byName[p.Engine] = p
 	}
-	fs, ok1 := e.Point("fastsnap")
-	eq, ok2 := e.Point("eqaso")
+	fs, ok1 := byName["fastsnap"]
+	eq, ok2 := byName["eqaso"]
 	if !ok1 || !ok2 {
 		return fmt.Errorf("engines: bake-off missing fastsnap or eqaso row")
 	}
@@ -187,29 +172,4 @@ func (e Engines) Check() error {
 			fs.ScanP50, eq.ScanP50)
 	}
 	return nil
-}
-
-// Render formats the bake-off as the human-readable table printed by
-// cmd/asobench -e engines.
-func (e Engines) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Engine bake-off: n=%d (byzantine engines use f=%d), %d updates + %d scans per node,\n",
-		e.N, (e.N-1)/3, e.OpsPerNode, e.OpsPerNode)
-	sb.WriteString("constant-D delays, scans issued after full quiescence (contention-free)\n")
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "engine\tupd p50\tupd p99\tupd max\tscan p50\tscan p99\tscan max\tmsgs\tcheck\n")
-	for _, p := range e.Points {
-		check := "ok"
-		if !p.CheckPassed {
-			check = "FAIL"
-		}
-		fmt.Fprintf(w, "%s\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%d\t%s\n",
-			p.Engine, p.UpdateP50, p.UpdateP99, p.UpdateMax,
-			p.ScanP50, p.ScanP99, p.ScanMax, p.Msgs, check)
-	}
-	w.Flush()
-	sb.WriteString("shape: with no scan/update contention, fastsnap's one-collect fast path and\n")
-	sb.WriteString("acr's committed-cache hit finish in ~2D — below eqaso's multi-round scan —\n")
-	sb.WriteString("while sso stays ~0 (local reads, sequential consistency only).\n")
-	return sb.String()
 }

@@ -1,11 +1,10 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	mrand "math/rand"
-	"strings"
-	"text/tabwriter"
 
 	"mpsnap/internal/engine"
 	"mpsnap/internal/harness"
@@ -15,43 +14,50 @@ import (
 	"mpsnap/internal/sim"
 )
 
-// Table1 regenerates the shape of the paper's Table I: per-algorithm worst
+// bound is the resilience bound algorithm a runs with at cluster size n.
+func bound(a Algo, n int) int {
+	if engine.MustLookup(string(a)).Byzantine {
+		return (n - 1) / 3
+	}
+	return (n - 1) / 2
+}
+
+// table1 regenerates the shape of the paper's Table I: per-algorithm worst
 // and amortized (mean) UPDATE/SCAN latency in D units, failure-free and
 // with k failures. Forwarding algorithms (EQ-ASO, SSO, LAASO) face the
 // failure-chain adversary — their analytical worst case — while the
 // others face random crash times.
-func Table1(n, f, k, opsPerNode int, seed int64) (string, error) {
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(&sb, "Table I reproduction: n=%d, f=%d (byzantine rows use f=%d), k=%d, %d ops/node, all delays = D\n",
-		n, f, (n-1)/3, k, opsPerNode)
-	fmt.Fprintf(w, "algorithm\tUPDATE worst\tUPDATE amort\tSCAN worst\tSCAN amort\tworst(k=%d)\tamort(k=%d)\tmsgs\n", k, k)
+func table1(p Params) (*Report, error) {
+	n, k, ops := 16, 4, 6
+	if p.Quick {
+		n, k, ops = 7, 2, 3
+	}
+	var t Table
+	t.Title = fmt.Sprintf("Table I reproduction: n=%d, f=%d (byzantine rows use f=%d), k=%d, %d ops/node, all delays = D\n",
+		n, bound(EQASO, n), bound(ByzASO, n), k, ops)
+	t.Row("algorithm\tUPDATE worst\tUPDATE amort\tSCAN worst\tSCAN amort\tworst(k=%d)\tamort(k=%d)\tmsgs", k, k)
 	for _, a := range TableAlgos() {
-		af := f
-		if a == ByzASO {
-			af = (n - 1) / 3
-		}
-		free, err := Run(Config{Algo: a, N: n, F: af, OpsPerNode: opsPerNode, ScanRatio: 0.5, Seed: seed, Check: true})
+		af := bound(a, n)
+		free, err := Run(Config{Algo: a, N: n, F: af, OpsPerNode: ops, ScanRatio: 0.5, Seed: p.Seed, Check: true})
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		chains := a == EQASO || a == SSOFast || a == LAASO
-		faulty, err := Run(Config{Algo: a, N: n, F: af, OpsPerNode: opsPerNode, ScanRatio: 0.5, Seed: seed + 1,
+		faulty, err := Run(Config{Algo: a, N: n, F: af, OpsPerNode: ops, ScanRatio: 0.5, Seed: p.Seed + 1,
 			Faults: Faults{Crashes: min(k, af), Chains: chains}, Check: true})
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		fmt.Fprintf(w, "%s\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%d\n",
+		t.Row("%s\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%.1fD\t%d",
 			a, free.WorstUpd, free.MeanUpd, free.WorstScan, free.MeanScan,
 			math.Max(faulty.WorstUpd, faulty.WorstScan), faulty.MeanAll, free.Msgs)
 	}
-	w.Flush()
-	sb.WriteString("paper's shapes: [19] O(D)/O(nD); [12] O(nD)/O(nD); stacking O(n²D); LA-ASO O(nD);\n")
-	sb.WriteString("Byz O(kD); EQ-ASO O(√kD) worst + O(D) amortized; SSO scans O(1).\n")
-	return sb.String(), nil
+	t.Notes = "paper's shapes: [19] O(D)/O(nD); [12] O(nD)/O(nD); stacking O(n²D); LA-ASO O(nD);\n" +
+		"Byz O(kD); EQ-ASO O(√kD) worst + O(D) amortized; SSO scans O(1).\n"
+	return &Report{Table: t}, nil
 }
 
-// SqrtK regenerates the √k worst-case experiment (Lemma 8). The failure
+// sqrtK regenerates the √k worst-case experiment (Lemma 8). The failure
 // chains of Definition 11 expose one value per interval: chain ℓ's value
 // first reaches a correct node at ~(ℓ+1)·D and perturbs every equivalence
 // quorum for the following ~D. A probe UPDATE invoked at t=0 — whose
@@ -59,34 +65,31 @@ func Table1(n, f, k, opsPerNode int, seed int64) (string, error) {
 // the last chain drains: ~(L+4)·D where L ≈ √(2k) is the longest chain.
 // The pull-based LAASO baseline pays roughly a pull round (2D) per
 // exposure instead.
-func SqrtK(ks []int, _ int, seed int64) (string, error) {
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	sb.WriteString("Probe UPDATE latency under failure chains (constant-D delays)\n")
-	fmt.Fprintf(w, "k\tn\tL=longest chain\teqaso probe\t(probe-4D)/L\tlaaso probe\n")
-	for _, k := range ks {
-		n := 2*k + 3
-		if n < 5 {
-			n = 5
-		}
-		eq, L, err := SqrtKProbe(EQASO, n, k, seed)
-		if err != nil {
-			return "", err
-		}
-		lb, _, err := SqrtKProbe(LAASO, n, k, seed)
-		if err != nil {
-			return "", err
-		}
-		norm := (eq - 4) / float64(max(L, 1))
-		fmt.Fprintf(w, "%d\t%d\t%d\t%.1fD\t%.2f\t%.1fD\n", k, n, L, eq, norm, lb)
+func sqrtK(p Params) (*Report, error) {
+	ks := []int{0, 1, 2, 4, 8, 16, 25, 36, 50}
+	if p.Quick {
+		ks = []int{0, 2, 4, 8}
 	}
-	w.Flush()
-	sb.WriteString("shape: the eqaso probe grows like the longest chain L ≈ √(2k)·D (the\n")
-	sb.WriteString("normalized column settles ~constant once L dominates the fixed 4-6D base\n")
-	sb.WriteString("cost). The pull-based laaso runs the same workload for reference; chains\n")
-	sb.WriteString("cannot form against it (it never forwards), so its column reflects pull\n")
-	sb.WriteString("contention with the concurrent head updates instead.\n")
-	return sb.String(), nil
+	t := Table{Title: "Probe UPDATE latency under failure chains (constant-D delays)\n"}
+	t.Row("k\tn\tL=longest chain\teqaso probe\t(probe-4D)/L\tlaaso probe")
+	for _, k := range ks {
+		n := max(2*k+3, 5)
+		eq, L, err := SqrtKProbe(EQASO, n, k, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		lb, _, err := SqrtKProbe(LAASO, n, k, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		t.Row("%d\t%d\t%d\t%.1fD\t%.2f\t%.1fD", k, n, L, eq, (eq-4)/float64(max(L, 1)), lb)
+	}
+	t.Notes = "shape: the eqaso probe grows like the longest chain L ≈ √(2k)·D (the\n" +
+		"normalized column settles ~constant once L dominates the fixed 4-6D base\n" +
+		"cost). The pull-based laaso runs the same workload for reference; chains\n" +
+		"cannot form against it (it never forwards), so its column reflects pull\n" +
+		"contention with the concurrent head updates instead.\n"
+	return &Report{Table: t}, nil
 }
 
 // SqrtKProbe runs chain heads' updates plus one probe update on a live
@@ -98,97 +101,81 @@ func SqrtK(ks []int, _ int, seed int64) (string, error) {
 // keeping the equivalence quorum perturbed continuously (with exact ties,
 // the predicate can slip through between two same-instant deliveries).
 func SqrtKProbe(a Algo, n, k int, seed int64) (float64, int, error) {
-	f := (n - 1) / 2
-	pool := make([]int, k)
-	for i := range pool {
-		pool[i] = i
-	}
-	chains, used := sim.BuildChains(pool, k, n-1)
+	cfg := sim.Config{N: n, F: (n - 1) / 2, Seed: seed}
+	chains, used := chainFaults(&cfg, k)
 	longest := 1
-	for _, ch := range chains {
-		if len(ch.Nodes) > longest {
-			longest = len(ch.Nodes)
-		}
-	}
 	faulty := make(map[int]bool, used)
 	for _, ch := range chains {
+		longest = max(longest, len(ch.Nodes))
 		for _, nd := range ch.Nodes[:len(ch.Nodes)-1] {
 			faulty[nd] = true
 		}
 	}
 	const delta = rt.TicksPerD / 20
-	delay := sim.DelayFunc(func(src, dst int, kind string, now rt.Ticks, _ *mrand.Rand) rt.Ticks {
+	cfg.Delay = sim.DelayFunc(func(src, dst int, kind string, now rt.Ticks, _ *mrand.Rand) rt.Ticks {
 		if faulty[src] && kind == "value" {
 			return rt.TicksPerD - delta
 		}
 		return rt.TicksPerD
 	})
-	cfg := sim.Config{N: n, F: f, Seed: seed, Delay: delay}
-	if used > 0 {
-		cfg.Adversary = sim.NewFailureChains(keyOf(a), chains...)
-	}
-	c := harnessBuild(cfg, a)
+	c := build(cfg, a)
 	for _, ch := range chains {
 		head := ch.Nodes[0]
 		c.Client(head, func(o *harness.OpRunner) { _, _ = o.Update() })
 	}
 	probe := used // first live node
-	var latency rt.Ticks
+	var lat rt.Ticks
 	c.Client(probe, func(o *harness.OpRunner) {
 		start := o.P.Now()
 		if _, err := o.Update(); err != nil {
 			return
 		}
-		latency = o.P.Now() - start
+		lat = o.P.Now() - start
 	})
 	if _, err := c.Run(); err != nil {
 		return 0, longest, fmt.Errorf("sqrtk %s k=%d: %w", a, k, err)
 	}
-	return latency.DUnits(), longest, nil
+	return lat.DUnits(), longest, nil
 }
 
-func harnessBuild(cfg sim.Config, a Algo) *harness.Cluster {
-	return harness.Build(cfg, func(r rt.Runtime) (rt.Handler, harness.Object) {
-		return make1(a, r)
-	})
-}
-
-// Amortized regenerates the amortized-constant-time claim: with k fixed
+// amortized regenerates the amortized-constant-time claim: with k fixed
 // and the number of operations growing past √k, the mean per-operation
 // latency flattens to a constant.
-func Amortized(k int, opsList []int, seed int64) (string, error) {
+func amortized(p Params) (*Report, error) {
+	k, opsList := 16, []int{1, 2, 4, 8, 16, 32}
+	if p.Quick {
+		k, opsList = 8, []int{1, 2, 4, 8}
+	}
 	n := 2*k + 3
-	f := (n - 1) / 2
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(&sb, "Amortized time, EQ-ASO, k=%d failure-chain faults, n=%d\n", k, n)
-	fmt.Fprintf(w, "ops/node\ttotal ops\tmean\tp50\tp99\tworst\n")
+	t := Table{Title: fmt.Sprintf("Amortized time, EQ-ASO, k=%d failure-chain faults, n=%d\n", k, n)}
+	t.Row("ops/node\ttotal ops\tmean\tp50\tp99\tworst")
 	for _, ops := range opsList {
-		res, err := Run(Config{Algo: EQASO, N: n, F: f, OpsPerNode: ops, ScanRatio: 0.5,
-			Seed: seed, Faults: Faults{Crashes: k, Chains: true}, Check: ops <= 8})
+		res, err := Run(Config{Algo: EQASO, N: n, F: bound(EQASO, n), OpsPerNode: ops, ScanRatio: 0.5,
+			Seed: p.Seed, Faults: Faults{Crashes: k, Chains: true}, Check: ops <= 8})
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		fmt.Fprintf(w, "%d\t%d\t%.2fD\t%.1fD\t%.1fD\t%.1fD\n", ops, res.Ops, res.MeanAll,
+		t.Row("%d\t%d\t%.2fD\t%.1fD\t%.1fD\t%.1fD", ops, res.Ops, res.MeanAll,
 			res.P50, res.P99, math.Max(res.WorstUpd, res.WorstScan))
 	}
-	w.Flush()
-	sb.WriteString("shape: mean latency approaches a constant as operations exceed √k.\n")
-	return sb.String(), nil
+	t.Notes = "shape: mean latency approaches a constant as operations exceed √k.\n"
+	return &Report{Table: t}, nil
 }
 
-// FailureFree regenerates the unconditional failure-free constant-time
+// failureFree regenerates the unconditional failure-free constant-time
 // claim and the baselines' growth with n: every message takes exactly D,
 // every node runs a contended mixed workload.
-func FailureFree(ns []int, opsPerNode int, seed int64) (string, error) {
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	sb.WriteString("Failure-free worst op latency vs n (constant-D delays, contended)\n")
+func failureFree(p Params) (*Report, error) {
+	ns := []int{4, 8, 16, 32}
+	if p.Quick {
+		ns = []int{4, 8, 16}
+	}
+	t := Table{Title: "Failure-free worst op latency vs n (constant-D delays, contended)\n"}
 	header := "n"
 	for _, a := range TableAlgos() {
 		header += "\t" + string(a)
 	}
-	fmt.Fprintln(w, header)
+	t.Row(header)
 	for _, n := range ns {
 		row := fmt.Sprintf("%d", n)
 		for _, a := range TableAlgos() {
@@ -196,68 +183,64 @@ func FailureFree(ns []int, opsPerNode int, seed int64) (string, error) {
 				row += "\t(skip)"
 				continue
 			}
-			f := (n - 1) / 2
-			if a == ByzASO {
-				f = (n - 1) / 3
-			}
-			res, err := Run(Config{Algo: a, N: n, F: f, OpsPerNode: opsPerNode, ScanRatio: 0.5, Seed: seed, Check: n <= 16})
+			res, err := Run(Config{Algo: a, N: n, F: bound(a, n), OpsPerNode: 2, ScanRatio: 0.5, Seed: p.Seed, Check: n <= 16})
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			row += fmt.Sprintf("\t%.1fD", math.Max(res.WorstUpd, res.WorstScan))
 		}
-		fmt.Fprintln(w, row)
+		t.Row(row)
 	}
-	w.Flush()
-	sb.WriteString("shape: eqaso/sso stay flat; delporte's scans, storecollect, and the stacked\n")
-	sb.WriteString("construction grow with n (stacking grows ~n² and is skipped past n=16).\n")
-	return sb.String(), nil
+	t.Notes = "shape: eqaso/sso stay flat; delporte's scans, storecollect, and the stacked\n" +
+		"construction grow with n (stacking grows ~n² and is skipped past n=16).\n"
+	return &Report{Table: t}, nil
 }
 
-// Byzantine regenerates the Byzantine ASO behaviour under two strategies:
+// byzantine regenerates the Byzantine ASO behaviour under two strategies:
 // silent cohorts of size k (crash-like; the algorithm absorbs them at
 // near-constant latency), and the tag-ratchet attack, where Byzantine
 // nodes keep announcing maxTag+1 — the corroboration ladder limits them to
 // one step per round trip, so a victim operation is stretched by ~one
 // lattice iteration per ratchet step (the k-proportional interference
 // behind the paper's O(k·D) bound).
-func Byzantine(fs []int, opsPerNode int, seed int64) (string, error) {
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	sb.WriteString("Byzantine ASO, n = 3f+1 (constant-D delays)\n")
-	fmt.Fprintln(w, "f\tn\tstrategy\tworst\tmean\tmsgs")
+func byzantine(p Params) (*Report, error) {
+	fs := []int{1, 2, 4}
+	if p.Quick {
+		fs = []int{1, 2}
+	}
+	t := Table{Title: "Byzantine ASO, n = 3f+1 (constant-D delays)\n"}
+	t.Row("f\tn\tstrategy\tworst\tmean\tmsgs")
 	for _, f := range fs {
 		n := 3*f + 1
 		for _, k := range []int{0, f} {
-			res, err := Run(Config{Algo: ByzASO, N: n, F: f, OpsPerNode: opsPerNode, ScanRatio: 0.5,
-				Seed: seed, Faults: Faults{Crashes: k}, Check: true})
+			res, err := Run(Config{Algo: ByzASO, N: n, F: f, OpsPerNode: 3, ScanRatio: 0.5,
+				Seed: p.Seed, Faults: Faults{Crashes: k}, Check: true})
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			strat := "honest"
 			if k > 0 {
 				strat = fmt.Sprintf("%d silent", res.K)
 			}
-			fmt.Fprintf(w, "%d\t%d\t%s\t%.1fD\t%.2fD\t%d\n", f, n, strat,
+			t.Row("%d\t%d\t%s\t%.1fD\t%.2fD\t%d", f, n, strat,
 				math.Max(res.WorstUpd, res.WorstScan), res.MeanAll, res.Msgs)
 		}
 	}
 	// Tag-ratchet rows: probe scan latency while the attack is running.
 	for _, steps := range []int{0, 4, 8, 16} {
-		lat, err := byzRatchetProbe(2, steps, seed)
+		lat, err := byzRatchetProbe(2, steps, p.Seed)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		fmt.Fprintf(w, "2\t7\tratchet ×%d\t%.1fD\t\t\n", steps, lat)
+		t.Row("2\t7\tratchet ×%d\t%.1fD\t\t", steps, lat)
 	}
-	w.Flush()
-	sb.WriteString("shape: silent cohorts cost ~nothing. The tag-ratchet attack (Byzantine\n")
-	sb.WriteString("nodes perpetually announcing maxTag+1) cannot starve operations either:\n")
-	sb.WriteString("the corroboration ladder needs a full RBC round (≥3D) per step while a\n")
-	sb.WriteString("victim's lattice retry takes 2D, so interference is bounded by a couple\n")
-	sb.WriteString("of extra iterations regardless of attack depth — within the paper's\n")
-	sb.WriteString("O(k·D) bound.\n")
-	return sb.String(), nil
+	t.Notes = "shape: silent cohorts cost ~nothing. The tag-ratchet attack (Byzantine\n" +
+		"nodes perpetually announcing maxTag+1) cannot starve operations either:\n" +
+		"the corroboration ladder needs a full RBC round (≥3D) per step while a\n" +
+		"victim's lattice retry takes 2D, so interference is bounded by a couple\n" +
+		"of extra iterations regardless of attack depth — within the paper's\n" +
+		"O(k·D) bound.\n"
+	return &Report{Table: t}, nil
 }
 
 // byzRatchetProbe measures one scan's latency at a live node while f
@@ -283,7 +266,7 @@ func byzRatchetProbe(f, steps int, seed int64) (float64, error) {
 		})
 	}
 	probe := f
-	var latency rt.Ticks
+	var lat rt.Ticks
 	w.GoNode("probe", probe, func(p *sim.Proc) {
 		// Scan in the middle of the attack, when the ratchet pipeline
 		// is warm — the adversary's best window.
@@ -292,12 +275,12 @@ func byzRatchetProbe(f, steps int, seed int64) (float64, error) {
 		if _, err := nodes[probe].Scan(); err != nil {
 			return
 		}
-		latency = p.Now() - start
+		lat = p.Now() - start
 	})
 	if err := w.Run(); err != nil {
 		return 0, err
 	}
-	return latency.DUnits(), nil
+	return lat.DUnits(), nil
 }
 
 // encodeByzTag mirrors byzaso's tag payload encoding (kind byte 2 + 8-byte
@@ -305,115 +288,91 @@ func byzRatchetProbe(f, steps int, seed int64) (float64, error) {
 func encodeByzTag(tag rt.Ticks) []byte {
 	buf := make([]byte, 9)
 	buf[0] = 2
-	for i := 0; i < 8; i++ {
-		buf[8-i] = byte(uint64(tag) >> (8 * i))
-	}
+	binary.BigEndian.PutUint64(buf[1:], uint64(tag))
 	return buf
 }
 
-// SSOScan regenerates the fast-scan rows: the SSO's scans complete in zero
+// ssoScan regenerates the fast-scan rows: the SSO's scans complete in zero
 // time with zero messages while its updates match EQ-ASO's.
-func SSOScan(n, opsPerNode int, seed int64) (string, error) {
-	f := (n - 1) / 2
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(&sb, "SSO-Fast-Scan vs EQ-ASO, n=%d, scan-heavy workload (constant-D delays)\n", n)
-	fmt.Fprintln(w, "algorithm\tscan worst\tscan mean\tupdate worst\tmsgs total")
+func ssoScan(p Params) (*Report, error) {
+	n, ops := 9, 6
+	if p.Quick {
+		n, ops = 5, 3
+	}
+	t := Table{Title: fmt.Sprintf("SSO-Fast-Scan vs EQ-ASO, n=%d, scan-heavy workload (constant-D delays)\n", n)}
+	t.Row("algorithm\tscan worst\tscan mean\tupdate worst\tmsgs total")
 	for _, a := range []Algo{EQASO, SSOFast} {
-		res, err := Run(Config{Algo: a, N: n, F: f, OpsPerNode: opsPerNode, ScanRatio: 0.75, Seed: seed, Check: true})
+		res, err := Run(Config{Algo: a, N: n, F: bound(a, n), OpsPerNode: ops, ScanRatio: 0.75, Seed: p.Seed, Check: true})
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		fmt.Fprintf(w, "%s\t%.2fD\t%.2fD\t%.1fD\t%d\n", a, res.WorstScan, res.MeanScan, res.WorstUpd, res.Msgs)
+		t.Row("%s\t%.2fD\t%.2fD\t%.1fD\t%d", a, res.WorstScan, res.MeanScan, res.WorstUpd, res.Msgs)
 	}
-	w.Flush()
-	sb.WriteString("shape: SSO scans take 0D and send 0 messages; updates match EQ-ASO.\n")
-	return sb.String(), nil
+	t.Notes = "shape: SSO scans take 0D and send 0 messages; updates match EQ-ASO.\n"
+	return &Report{Table: t}, nil
 }
 
-// Messages reports per-operation message complexity: total messages sent
+// messages reports per-operation message complexity: total messages sent
 // divided by completed operations, per algorithm, on the same contended
-// failure-free workload. The paper optimizes time; this table records the
-// message price each design pays for it (EQ-ASO's proactive forwarding is
-// O(n²) messages per new value; Bracha RBC costs another factor).
-func Messages(n, opsPerNode int, seed int64) (string, error) {
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(&sb, "Message complexity, n=%d, %d ops/node (constant-D delays)\n", n, opsPerNode)
-	fmt.Fprintln(w, "algorithm\tmsgs total\tmsgs/op\tworst op")
-	for _, a := range TableAlgos() {
-		if a == Stacked && n > 16 {
-			continue
-		}
-		f := (n - 1) / 2
-		if a == ByzASO {
-			f = (n - 1) / 3
-		}
-		res, err := Run(Config{Algo: a, N: n, F: f, OpsPerNode: opsPerNode, ScanRatio: 0.5, Seed: seed, Check: true})
-		if err != nil {
-			return "", err
-		}
-		perOp := float64(res.Msgs) / float64(max(res.Ops, 1))
-		worst := math.Max(res.WorstUpd, res.WorstScan)
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.1fD\n", a, res.Msgs, perOp, worst)
+// failure-free workload (Table I's n and ops/node). The paper optimizes
+// time; this table records the message price each design pays for it
+// (EQ-ASO's proactive forwarding is O(n²) messages per new value; Bracha
+// RBC costs another factor).
+func messages(p Params) (*Report, error) {
+	n, ops := 16, 6
+	if p.Quick {
+		n, ops = 7, 3
 	}
-	w.Flush()
-	sb.WriteString("shape: eqaso trades O(n²) value-forwarding messages for its flat latency;\n")
-	sb.WriteString("byzaso pays the additional Bracha amplification; the double-collect family\n")
-	sb.WriteString("sends fewer messages per op but many more ops' worth of rounds.\n")
-	return sb.String(), nil
+	t := Table{Title: fmt.Sprintf("Message complexity, n=%d, %d ops/node (constant-D delays)\n", n, ops)}
+	t.Row("algorithm\tmsgs total\tmsgs/op\tworst op")
+	for _, a := range TableAlgos() {
+		res, err := Run(Config{Algo: a, N: n, F: bound(a, n), OpsPerNode: ops, ScanRatio: 0.5, Seed: p.Seed, Check: true})
+		if err != nil {
+			return nil, err
+		}
+		t.Row("%s\t%d\t%.0f\t%.1fD", a, res.Msgs, float64(res.Msgs)/float64(max(res.Ops, 1)),
+			math.Max(res.WorstUpd, res.WorstScan))
+	}
+	t.Notes = "shape: eqaso trades O(n²) value-forwarding messages for its flat latency;\n" +
+		"byzaso pays the additional Bracha amplification; the double-collect family\n" +
+		"sends fewer messages per op but many more ops' worth of rounds.\n"
+	return &Report{Table: t}, nil
 }
 
-// Lattice regenerates the early-stopping lattice agreement comparison:
+// lattice regenerates the early-stopping lattice agreement comparison:
 // EQ-LA vs the pull-based baseline under failure chains of size k.
-func Lattice(ks []int, seed int64) (string, error) {
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	sb.WriteString("One-shot lattice agreement under failure chains (constant-D delays)\n")
-	fmt.Fprintln(w, "k\tn\teqla worst\troundla worst")
-	for _, k := range ks {
-		n := 2*k + 3
-		if n < 5 {
-			n = 5
-		}
-		eq, err := RunLAProbe(true, n, k, seed)
-		if err != nil {
-			return "", err
-		}
-		rl, err := RunLAProbe(false, n, k, seed)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(w, "%d\t%d\t%.1fD\t%.1fD\n", k, n, eq, rl)
+func lattice(p Params) (*Report, error) {
+	ks := []int{0, 1, 2, 4, 8, 16}
+	if p.Quick {
+		ks = []int{0, 2, 4, 8}
 	}
-	w.Flush()
-	sb.WriteString("shape: EQ-LA's worst decision grows ~√k under its own worst-case adversary.\n")
-	sb.WriteString("The failure-chain adversary exploits proactive forwarding, so it cannot\n")
-	sb.WriteString("attack the pull baseline at all (that column is failure-free); the pull\n")
-	sb.WriteString("baseline's Θ(n·D) weakness under proposal storms is shown separately in\n")
-	sb.WriteString("the staggered-proposal comparison (internal/la tests, examples).\n")
-	return sb.String(), nil
+	t := Table{Title: "One-shot lattice agreement under failure chains (constant-D delays)\n"}
+	t.Row("k\tn\teqla worst\troundla worst")
+	for _, k := range ks {
+		n := max(2*k+3, 5)
+		eq, err := RunLAProbe(true, n, k, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		rl, err := RunLAProbe(false, n, k, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		t.Row("%d\t%d\t%.1fD\t%.1fD", k, n, eq, rl)
+	}
+	t.Notes = "shape: EQ-LA's worst decision grows ~√k under its own worst-case adversary.\n" +
+		"The failure-chain adversary exploits proactive forwarding, so it cannot\n" +
+		"attack the pull baseline at all (that column is failure-free); the pull\n" +
+		"baseline's Θ(n·D) weakness under proposal storms is shown separately in\n" +
+		"the staggered-proposal comparison (internal/la tests, examples).\n"
+	return &Report{Table: t}, nil
 }
 
 // RunLAProbe measures the worst decision latency of live proposers under
 // chain faults (EQ-LA when eq is true, the pull baseline otherwise).
 func RunLAProbe(eq bool, n, k int, seed int64) (float64, error) {
-	f := (n - 1) / 2
-	keyOf := func(m rt.Message) (any, bool) {
-		if mv, ok := m.(la.OSValue); ok {
-			return mv.Val.TS, true
-		}
-		return nil, false
-	}
-	pool := make([]int, k)
-	for i := range pool {
-		pool[i] = i
-	}
-	chains, used := sim.BuildChains(pool, k, n-1)
-	cfg := sim.Config{N: n, F: f, Seed: seed, Delay: sim.Constant{Ticks: rt.TicksPerD}}
-	if used > 0 {
-		cfg.Adversary = sim.NewFailureChains(keyOf, chains...)
-	}
+	cfg := sim.Config{N: n, F: (n - 1) / 2, Seed: seed, Delay: sim.Constant{Ticks: rt.TicksPerD}}
+	chains, used := chainFaults(&cfg, k)
 	w := sim.New(cfg)
 	propose := make([]func([]byte) (interface{ Len() int }, error), n)
 	for i := 0; i < n; i++ {

@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"strings"
-	"text/tabwriter"
 	"time"
 
 	"mpsnap/internal/core"
@@ -35,25 +33,6 @@ type HotpathPoint struct {
 	BytesPerWindow  float64 `json:"bytesPerWindow"`
 }
 
-// Hotpath is the full experiment result, serialized to
-// BENCH_hotpath.json by cmd/asobench -e hotpath.
-type Hotpath struct {
-	Env     Env   `json:"env"`
-	N       int   `json:"n"`       // cluster size
-	Window  int   `json:"window"`  // value arrivals per operation window
-	Windows int   `json:"windows"` // measured windows per point
-	Hs      []int `json:"hs"`
-
-	Points []HotpathPoint `json:"points"`
-
-	// Growth ratios from the smallest to the largest H. The log engine's
-	// allocation growth is the flatness criterion (deterministic, unlike
-	// wall time); the map engine's byte growth documents the O(H) per-op
-	// behavior being replaced.
-	LogAllocGrowth float64 `json:"logAllocGrowth"`
-	MapBytesGrowth float64 `json:"mapBytesGrowth"`
-}
-
 // hotpathEngine is one implementation of the per-window protocol cycle.
 type hotpathEngine interface {
 	name() string
@@ -72,7 +51,7 @@ type hotpathEngine interface {
 
 type mapEngine struct{ V []*core.ValueSet }
 
-func newMapEngine(n int) *mapEngine {
+func newMapEngine(n int) hotpathEngine {
 	e := &mapEngine{V: make([]*core.ValueSet, n)}
 	for j := range e.V {
 		e.V[j] = core.NewValueSet()
@@ -97,7 +76,7 @@ func (e *mapEngine) stabilize(core.Tag) {}
 
 type logEngine struct{ l *core.ValueLog }
 
-func newLogEngine(n int) *logEngine { return &logEngine{l: core.NewValueLog(n, 0)} }
+func newLogEngine(n int) hotpathEngine { return &logEngine{l: core.NewValueLog(n, 0)} }
 
 func (e *logEngine) name() string { return "log" }
 
@@ -112,30 +91,41 @@ func (e *logEngine) goodOp(r core.Tag, quorum int) {
 
 func (e *logEngine) stabilize(r core.Tag) { e.l.AdvanceFrontier(r) }
 
-// hotpathValue deterministically derives the i-th arriving value.
-func hotpathValue(i, n int) core.Value {
-	return core.Value{
-		TS:      core.Timestamp{Tag: core.Tag(i + 1), Writer: i % n},
-		Payload: []byte("hotpath-payload-0123456789abcdef"),
-	}
+// arrival deterministically derives the i-th value of a round-robin
+// arrival stream over n writers (the hotpath and recovery workloads).
+func arrival(i, n int, payload string) core.Value {
+	return core.Value{TS: core.Timestamp{Tag: core.Tag(i + 1), Writer: i % n}, Payload: []byte(payload)}
 }
 
-// RunHotpath sweeps history lengths hs for both engines, measuring the
+// hotpathLimit caps the log engine's allocs/window growth across the H
+// sweep: the flat-growth acceptance criterion (wall time is too noisy to
+// gate on; allocation counts are deterministic for this single-goroutine
+// workload). The map engine's byte growth documents the O(H) per-op
+// behavior being replaced.
+const hotpathLimit = 1.5
+
+// hotpath sweeps history lengths hs for both engines, measuring the
 // steady-state per-window cost with n nodes and `window` arrivals per
 // window, averaged over `windows` measured windows.
-func RunHotpath(n, window, windows int, hs []int) Hotpath {
-	out := Hotpath{Env: CaptureEnv(), N: n, Window: window, Windows: windows, Hs: hs}
+func hotpath(p Params) (*Report, error) {
+	n, window, windows, hs := 8, 128, 16, []int{1024, 4096, 16384, 65536}
+	if p.Quick {
+		windows, hs = 8, []int{1024, 4096, 16384}
+	}
+	const payload = "hotpath-payload-0123456789abcdef"
+	var points []HotpathPoint
+	var t Table
+	t.Title = fmt.Sprintf("History-independent hot path: per-window cost (%d arrivals + 1 good lattice cycle), n=%d, %d windows/point\n",
+		window, n, windows)
+	t.Row("engine\tH\tns/window\tallocs/window\tKB/window")
 	quorum := n - (n-1)/2
-	for _, mk := range []func(int) hotpathEngine{
-		func(n int) hotpathEngine { return newMapEngine(n) },
-		func(n int) hotpathEngine { return newLogEngine(n) },
-	} {
+	for _, mk := range []func(int) hotpathEngine{newMapEngine, newLogEngine} {
 		for _, h := range hs {
 			e := mk(n)
 			// Prefill H values; keep the log's frontier tracking its
 			// history the way a live node's good operations would.
 			for i := 0; i < h; i++ {
-				e.add(i%n, hotpathValue(i, n))
+				e.add(i%n, arrival(i, n, payload))
 				if (i+1)%window == 0 {
 					e.stabilize(core.Tag(i + 1))
 				}
@@ -144,7 +134,7 @@ func RunHotpath(n, window, windows int, hs []int) Hotpath {
 			// only engine work.
 			vals := make([]core.Value, windows*window)
 			for i := range vals {
-				vals[i] = hotpathValue(h+i, n)
+				vals[i] = arrival(h+i, n, payload)
 			}
 			runtime.GC()
 			var before, after runtime.MemStats
@@ -159,70 +149,29 @@ func RunHotpath(n, window, windows int, hs []int) Hotpath {
 			}
 			elapsed := time.Since(start)
 			runtime.ReadMemStats(&after)
-			out.Points = append(out.Points, HotpathPoint{
+			pt := HotpathPoint{
 				Engine:          e.name(),
 				H:               h,
 				NsPerWindow:     float64(elapsed.Nanoseconds()) / float64(windows),
 				AllocsPerWindow: float64(after.Mallocs-before.Mallocs) / float64(windows),
 				BytesPerWindow:  float64(after.TotalAlloc-before.TotalAlloc) / float64(windows),
-			})
+			}
+			points = append(points, pt)
+			t.Row("%s\t%d\t%.0f\t%.1f\t%.1f", pt.Engine, pt.H, pt.NsPerWindow, pt.AllocsPerWindow, pt.BytesPerWindow/1024)
 		}
 	}
-	out.LogAllocGrowth = out.growth("log", func(p HotpathPoint) float64 { return p.AllocsPerWindow })
-	out.MapBytesGrowth = out.growth("map", func(p HotpathPoint) float64 { return p.BytesPerWindow })
-	return out
-}
-
-// growth returns metric(largest H) / metric(smallest H) for one engine.
-func (h Hotpath) growth(engine string, metric func(HotpathPoint) float64) float64 {
-	var first, last float64
-	seen := false
-	for _, p := range h.Points {
-		if p.Engine != engine {
-			continue
-		}
-		if !seen {
-			first = metric(p)
-			seen = true
-		}
-		last = metric(p)
-	}
-	if !seen || first == 0 {
-		return 0
-	}
-	return last / first
-}
-
-// hotpathLimit caps the log engine's allocs/window growth across the H
-// sweep.
-const hotpathLimit = 1.5
-
-// Check enforces the flat-growth acceptance criterion: the log engine's
-// allocations per window may grow at most hotpathLimit× across the whole
-// H sweep (wall time is too noisy to gate on; allocation counts are
-// deterministic for this single-goroutine workload).
-func (h Hotpath) Check() error {
-	if h.LogAllocGrowth > hotpathLimit {
-		return fmt.Errorf("hotpath: log engine allocs/window grew %.2f× from H=%d to H=%d (limit %.2f×)",
-			h.LogAllocGrowth, h.Hs[0], h.Hs[len(h.Hs)-1], hotpathLimit)
-	}
-	return nil
-}
-
-// Render formats the experiment as the human-readable table printed by
-// cmd/asobench -e hotpath.
-func (h Hotpath) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "History-independent hot path: per-window cost (%d arrivals + 1 good lattice cycle), n=%d, %d windows/point\n",
-		h.Window, h.N, h.Windows)
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "engine\tH\tns/window\tallocs/window\tKB/window\n")
-	for _, p := range h.Points {
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.1f\t%.1f\n",
-			p.Engine, p.H, p.NsPerWindow, p.AllocsPerWindow, p.BytesPerWindow/1024)
-	}
-	w.Flush()
-	fmt.Fprintf(&sb, "growth %d→%d: log allocs %.2f× (must stay ≤%.1f×), map bytes %.2f× (linear in H)\n",
-		h.Hs[0], h.Hs[len(h.Hs)-1], h.LogAllocGrowth, hotpathLimit, h.MapBytesGrowth)
-	return sb.String()
+	// The sweep ran the map engine over every H, then the log engine.
+	last := len(hs) - 1
+	mapBytes := ratio(points[last].BytesPerWindow, points[0].BytesPerWindow)
+	logAllocs := ratio(points[len(hs)+last].AllocsPerWindow, points[len(hs)].AllocsPerWindow)
+	span := fmt.Sprintf("%d→%d", hs[0], hs[last])
+	t.Notes = fmt.Sprintf("growth %s: log allocs %.2f× (must stay ≤%.1f×), map bytes %.2f× (linear in H)\n",
+		span, logAllocs, hotpathLimit, mapBytes)
+	return &Report{
+		Params:  map[string]any{"n": n, "window": window, "windows": windows, "hs": hs},
+		Points:  points,
+		Derived: map[string]float64{"logAllocGrowth": logAllocs, "mapBytesGrowth": mapBytes},
+		Table:   t,
+		check:   atMost("hotpath: log engine allocs/window growth over H="+span, logAllocs, hotpathLimit),
+	}, nil
 }

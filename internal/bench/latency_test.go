@@ -22,15 +22,16 @@ func TestLatencyKs(t *testing.T) {
 }
 
 func TestRunLatencySmall(t *testing.T) {
-	l, err := RunLatency(8, 3, 42)
+	l, err := latency(Params{Quick: true, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Points) != len(l.Ks)*3 {
-		t.Fatalf("points: got %d want %d", len(l.Points), len(l.Ks)*3)
+	points := l.Points.([]LatencyPoint)
+	if want := len(LatencyKs(8)) * 3; len(points) != want {
+		t.Fatalf("points: got %d want %d", len(points), want)
 	}
 	byAlgoK := map[Algo]map[int]LatencyPoint{}
-	for _, p := range l.Points {
+	for _, p := range points {
 		if p.Unit != "d" {
 			t.Fatalf("unit: got %q want d", p.Unit)
 		}
@@ -62,8 +63,5 @@ func TestRunLatencySmall(t *testing.T) {
 		if p.ScanP50 > 0.5 {
 			t.Errorf("sso k=%d scan p50 %.2fD, want ~0 (local scans)", k, p.ScanP50)
 		}
-	}
-	if out := l.Render(); len(out) == 0 {
-		t.Fatal("empty render")
 	}
 }

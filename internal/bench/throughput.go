@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"strings"
-	"text/tabwriter"
 
 	"mpsnap/internal/harness"
 	"mpsnap/internal/rt"
@@ -31,30 +29,31 @@ type ThroughputConfig struct {
 // maximum message delay); ratios between runs are delay-model-free.
 type ThroughputResult struct {
 	ThroughputConfig
-	Ops         int     // completed operations
-	VirtTimeD   float64 // virtual makespan in D units
-	OpsPerD     float64 // Ops / VirtTimeD — the throughput figure
-	ProtoOps    int64   // protocol operations issued by the services
-	MaxBatch    int     // largest coalesced update batch
-	CheckPassed bool
+	Ops       int     // completed operations
+	VirtTimeD float64 // virtual makespan in D units
+	OpsPerD   float64 // Ops / VirtTimeD — the throughput figure
+	ProtoOps  int64   // protocol operations issued by the services
+	MaxBatch  int     // largest coalesced update batch
+}
+
+// serveAll fronts every node of c with a svc.Service and starts its worker.
+func serveAll(c *harness.Cluster, opts svc.Options) []*svc.Service {
+	services := make([]*svc.Service, len(c.Objects))
+	for i, obj := range c.Objects {
+		s := svc.New(c.W.Runtime(i), obj, opts)
+		services[i] = s
+		c.W.GoNode(fmt.Sprintf("svc-%d", i), i, func(p *sim.Proc) { _ = s.Serve() })
+	}
+	return services
 }
 
 // RunThroughput executes one throughput configuration on the simulator
 // with the constant-D delay model.
 func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	res := ThroughputResult{ThroughputConfig: cfg}
-	c := harness.Build(sim.Config{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Delay: sim.Constant{Ticks: rt.TicksPerD}},
-		func(r rt.Runtime) (rt.Handler, harness.Object) {
-			return make1(EQASO, r)
-		})
+	c := build(sim.Config{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Delay: sim.Constant{Ticks: rt.TicksPerD}}, EQASO)
 
-	opts := svc.Options{Serialize: !cfg.Batched}
-	services := make([]*svc.Service, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		s := svc.New(c.W.Runtime(i), c.Objects[i], opts)
-		services[i] = s
-		c.W.GoNode(fmt.Sprintf("svc-%d", i), i, func(p *sim.Proc) { _ = s.Serve() })
-	}
+	services := serveAll(c, svc.Options{Serialize: !cfg.Batched})
 
 	total := cfg.N * cfg.Clients
 	done := 0
@@ -63,18 +62,7 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 			seed := cfg.Seed*7919 + int64(i*cfg.Clients+cid)
 			c.ClientOn(i, services[i], func(o *harness.OpRunner) {
 				defer func() { done++ }()
-				rng := rand.New(rand.NewSource(seed))
-				for k := 0; k < cfg.OpsPerClient; k++ {
-					var err error
-					if rng.Float64() < cfg.ScanRatio {
-						_, err = o.Scan()
-					} else {
-						_, err = o.Update()
-					}
-					if err != nil {
-						return
-					}
-				}
+				mixedOps(o, rand.New(rand.NewSource(seed)), cfg.OpsPerClient, cfg.ScanRatio)
 			})
 		}
 	}
@@ -92,9 +80,7 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	st := harness.Latencies(h)
 	res.Ops = st.Count
 	res.VirtTimeD = c.W.Stats().Now.DUnits()
-	if res.VirtTimeD > 0 {
-		res.OpsPerD = float64(res.Ops) / res.VirtTimeD
-	}
+	res.OpsPerD = ratio(float64(res.Ops), res.VirtTimeD)
 	for _, s := range services {
 		sst := s.Stats()
 		res.ProtoOps += sst.ProtoUpdates + sst.ProtoScans
@@ -102,22 +88,13 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 			res.MaxBatch = sst.MaxBatch
 		}
 	}
-	res.CheckPassed = true
 	if cfg.Check {
 		if rep := h.CheckLinearizable(); !rep.OK {
-			res.CheckPassed = false
 			return res, fmt.Errorf("throughput n=%d clients=%d batched=%v: history check failed: %s",
 				cfg.N, cfg.Clients, cfg.Batched, rep.Violations[0])
 		}
 	}
 	return res, nil
-}
-
-// ThroughputReport wraps the sweep's points with the runtime environment
-// for BENCH_throughput.json.
-type ThroughputReport struct {
-	Env    Env               `json:"env"`
-	Points []ThroughputPoint `json:"points"`
 }
 
 // ThroughputPoint pairs the batched and serialized measurements at one
@@ -133,40 +110,36 @@ type ThroughputPoint struct {
 	ProtoOps   int64   `json:"batchedProtoOps"`
 }
 
-// Throughput measures service-layer throughput (ops per D of virtual
+// throughput measures service-layer throughput (ops per D of virtual
 // time) against the one-op-at-a-time baseline across cluster sizes and
 // client counts. Histories are checked at the smaller client counts
 // (checking 4096-op histories is the run's dominant cost, the protocol
 // behaviour is identical).
-func Throughput(ns []int, clientCounts []int, opsPerClient int, seed int64) (string, []ThroughputPoint, error) {
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
-	sb.WriteString("Service-layer throughput vs concurrent clients (EQ-ASO, constant-D delays, 50/50 mix)\n")
-	fmt.Fprintln(w, "n\tclients/node\tops\tbatched ops/D\tserialized ops/D\tspeedup\tmax batch")
+func throughput(p Params) (*Report, error) {
+	ns, clientCounts, opsPerClient := []int{8, 16}, []int{1, 4, 16, 64}, 2
+	if p.Quick {
+		clientCounts = []int{1, 16, 64}
+	}
 	var points []ThroughputPoint
+	t := Table{Title: "Service-layer throughput vs concurrent clients (EQ-ASO, constant-D delays, 50/50 mix)\n"}
+	t.Row("n\tclients/node\tops\tbatched ops/D\tserialized ops/D\tspeedup\tmax batch")
 	for _, n := range ns {
-		f := (n - 1) / 2
 		for _, clients := range clientCounts {
-			check := n*clients*opsPerClient <= 512
-			batched, err := RunThroughput(ThroughputConfig{
-				N: n, F: f, Clients: clients, OpsPerClient: opsPerClient,
-				ScanRatio: 0.5, Seed: seed, Batched: true, Check: check,
-			})
+			cfg := ThroughputConfig{
+				N: n, F: (n - 1) / 2, Clients: clients, OpsPerClient: opsPerClient,
+				ScanRatio: 0.5, Seed: p.Seed, Batched: true, Check: n*clients*opsPerClient <= 512,
+			}
+			batched, err := RunThroughput(cfg)
 			if err != nil {
-				return "", nil, err
+				return nil, err
 			}
-			serial, err := RunThroughput(ThroughputConfig{
-				N: n, F: f, Clients: clients, OpsPerClient: opsPerClient,
-				ScanRatio: 0.5, Seed: seed, Batched: false, Check: check,
-			})
+			cfg.Batched = false
+			serial, err := RunThroughput(cfg)
 			if err != nil {
-				return "", nil, err
+				return nil, err
 			}
-			speedup := 0.0
-			if serial.OpsPerD > 0 {
-				speedup = batched.OpsPerD / serial.OpsPerD
-			}
-			fmt.Fprintf(w, "%d\t%d\t%d\t%.2f\t%.2f\t%.1f×\t%d\n",
+			speedup := ratio(batched.OpsPerD, serial.OpsPerD)
+			t.Row("%d\t%d\t%d\t%.2f\t%.2f\t%.1f×\t%d",
 				n, clients, batched.Ops, batched.OpsPerD, serial.OpsPerD, speedup, batched.MaxBatch)
 			points = append(points, ThroughputPoint{
 				N: n, Clients: clients, Ops: batched.Ops,
@@ -175,9 +148,13 @@ func Throughput(ns []int, clientCounts []int, opsPerClient int, seed int64) (str
 			})
 		}
 	}
-	w.Flush()
-	sb.WriteString("shape: batched throughput grows with the client count (two protocol ops serve a whole queue drain);\nserialized throughput stays flat — the gap is the amortization win.\n")
-	return sb.String(), points, nil
+	t.Notes = "shape: batched throughput grows with the client count (two protocol ops serve a whole queue drain);\n" +
+		"serialized throughput stays flat — the gap is the amortization win.\n"
+	return &Report{
+		Params: map[string]any{"ns": ns, "clientsPerNode": clientCounts, "opsPerClient": opsPerClient},
+		Points: points,
+		Table:  t,
+	}, nil
 }
 
 func round2(x float64) float64 { return float64(int(x*100+0.5)) / 100 }

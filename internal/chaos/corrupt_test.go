@@ -161,7 +161,7 @@ func TestRunSimWithCorruption(t *testing.T) {
 }
 
 // TestRunTransportChanWithCorruption: the corrupter also rides the real
-// transport path through Net.
+// transport path through faultNet.
 func TestRunTransportChanWithCorruption(t *testing.T) {
 	mix := DefaultMix()
 	mix.CorruptWindows = 3

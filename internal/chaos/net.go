@@ -7,7 +7,7 @@ import (
 	"mpsnap/internal/rt"
 )
 
-// Net is the wall world's fault state: it wraps each node's rt.Runtime so
+// faultNet is the wall world's fault state: it wraps each node's rt.Runtime so
 // every outgoing Send/Broadcast passes through the shared partition cut,
 // per-link drop probability, per-link spike hold and crash flags. The same
 // Schedule that drives the simulator drives a ChanNet or TCP loopback
@@ -17,7 +17,7 @@ import (
 // them when the cut heals or the window closes, preserving per-link FIFO
 // — a partition is indistinguishable from a long delay, exactly as on
 // the simulator. Dropped messages are lost for good.
-type Net struct {
+type faultNet struct {
 	mu     sync.Mutex
 	n      int
 	rng    *rand.Rand
@@ -45,11 +45,11 @@ type heldNetMsg struct {
 	msg      rt.Message
 }
 
-// NewNet wraps the underlying per-node runtimes. crashFn must crash-stop
+// newFaultNet wraps the underlying per-node runtimes. crashFn must crash-stop
 // node id on the backing transport.
-func NewNet(seed int64, unders []rt.Runtime, crashFn func(id int), corr *corrupter) *Net {
+func newFaultNet(seed int64, unders []rt.Runtime, crashFn func(id int), corr *corrupter) *faultNet {
 	n := len(unders)
-	nt := &Net{
+	nt := &faultNet{
 		n:       n,
 		rng:     rand.New(rand.NewSource(seed)),
 		unders:  unders,
@@ -69,12 +69,12 @@ func NewNet(seed int64, unders []rt.Runtime, crashFn func(id int), corr *corrupt
 
 // Runtime returns node id's fault-injected runtime; install the
 // algorithm node against this, not the underlying transport runtime.
-func (nt *Net) Runtime(id int) rt.Runtime {
+func (nt *faultNet) Runtime(id int) rt.Runtime {
 	return &faultyRuntime{nt: nt, id: id, under: nt.unders[id]}
 }
 
 // Crashed reports whether the chaos controller crashed node id.
-func (nt *Net) Crashed(id int) bool {
+func (nt *faultNet) Crashed(id int) bool {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	return nt.crashed[id]
@@ -82,7 +82,7 @@ func (nt *Net) Crashed(id int) bool {
 
 // Counters returns how many messages the loss windows discarded, how many
 // were parked at a cut or spike, and how many the corrupt windows hit.
-func (nt *Net) Counters() (drops, holds, corrupts int64) {
+func (nt *faultNet) Counters() (drops, holds, corrupts int64) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	return nt.drops, nt.holds, nt.corrupts
@@ -90,7 +90,7 @@ func (nt *Net) Counters() (drops, holds, corrupts int64) {
 
 // Corrupt sets the wire-corruption probability of the src→dst link (0
 // ends the window).
-func (nt *Net) Corrupt(src, dst int, prob float64) {
+func (nt *faultNet) Corrupt(src, dst int, prob float64) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	nt.corr.windows[[2]int{src, dst}] = prob
@@ -98,7 +98,7 @@ func (nt *Net) Corrupt(src, dst int, prob float64) {
 
 // Crash crash-stops node id: its sends are suppressed and the backing
 // transport releases its blocked waits with rt.ErrCrashed.
-func (nt *Net) Crash(id int) {
+func (nt *faultNet) Crash(id int) {
 	nt.mu.Lock()
 	if nt.crashed[id] {
 		nt.mu.Unlock()
@@ -112,7 +112,7 @@ func (nt *Net) Crash(id int) {
 // ClearCrashed unmarks a crash-stopped node so its sends flow again. The
 // caller must have restored the backing transport (and reinstalled the
 // recovered handler) first.
-func (nt *Net) ClearCrashed(id int) {
+func (nt *faultNet) ClearCrashed(id int) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	nt.crashed[id] = false
@@ -120,7 +120,7 @@ func (nt *Net) ClearCrashed(id int) {
 }
 
 // CrashAll crash-stops every node (end-of-run abort of stuck clients).
-func (nt *Net) CrashAll() {
+func (nt *faultNet) CrashAll() {
 	for id := 0; id < nt.n; id++ {
 		nt.Crash(id)
 	}
@@ -128,7 +128,7 @@ func (nt *Net) CrashAll() {
 
 // ArmMidCrash makes node id's next broadcast reach only a random prefix
 // of the destinations before the node crashes (mid-broadcast crash).
-func (nt *Net) ArmMidCrash(id int) {
+func (nt *faultNet) ArmMidCrash(id int) {
 	nt.mu.Lock()
 	nt.armed[id] = true
 	nt.mu.Unlock()
@@ -136,7 +136,7 @@ func (nt *Net) ArmMidCrash(id int) {
 
 // Partition isolates the given islands (nodes in no group form one
 // implicit extra island), holding cross-cut messages until Heal.
-func (nt *Net) Partition(groups ...[]int) {
+func (nt *faultNet) Partition(groups ...[]int) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	island := make([]int, nt.n)
@@ -158,7 +158,7 @@ func (nt *Net) Partition(groups ...[]int) {
 
 // Heal removes the partition and releases every releasable held message
 // in send order.
-func (nt *Net) Heal() {
+func (nt *faultNet) Heal() {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	nt.cutOn = false
@@ -171,7 +171,7 @@ func (nt *Net) Heal() {
 }
 
 // Drop sets the loss probability of the src→dst link (0 ends the window).
-func (nt *Net) Drop(src, dst int, prob float64) {
+func (nt *faultNet) Drop(src, dst int, prob float64) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	nt.drop[[2]int{src, dst}] = prob
@@ -181,7 +181,7 @@ func (nt *Net) Drop(src, dst int, prob float64) {
 // holds its messages until the window closes (extra == 0), delaying them
 // by up to the window length rather than by extra itself; closing
 // releases the held messages.
-func (nt *Net) Spike(src, dst int, extra rt.Ticks) {
+func (nt *faultNet) Spike(src, dst int, extra rt.Ticks) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	if extra > 0 {
@@ -196,7 +196,7 @@ func (nt *Net) Spike(src, dst int, extra rt.Ticks) {
 // the rest parked. Held messages survive a sender crash (they were
 // in flight), though a crash-stop backing transport may still discard
 // them on the sender side.
-func (nt *Net) flushLocked() {
+func (nt *faultNet) flushLocked() {
 	var keep []heldNetMsg
 	for _, hm := range nt.held {
 		if (nt.cutOn && nt.cut[hm.src][hm.dst]) || nt.spike[[2]int{hm.src, hm.dst}] {
@@ -208,13 +208,13 @@ func (nt *Net) flushLocked() {
 	nt.held = keep
 }
 
-func (nt *Net) send(src, dst int, msg rt.Message) {
+func (nt *faultNet) send(src, dst int, msg rt.Message) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	nt.sendLocked(src, dst, msg)
 }
 
-func (nt *Net) sendLocked(src, dst int, msg rt.Message) {
+func (nt *faultNet) sendLocked(src, dst int, msg rt.Message) {
 	if nt.crashed[src] {
 		return
 	}
@@ -241,7 +241,7 @@ func (nt *Net) sendLocked(src, dst int, msg rt.Message) {
 	nt.unders[src].Send(dst, msg)
 }
 
-func (nt *Net) broadcast(src int, msg rt.Message) {
+func (nt *faultNet) broadcast(src int, msg rt.Message) {
 	nt.mu.Lock()
 	if nt.crashed[src] {
 		nt.mu.Unlock()
@@ -273,7 +273,7 @@ func (nt *Net) broadcast(src int, msg rt.Message) {
 
 // faultyRuntime is a node's fault-injected view of the transport.
 type faultyRuntime struct {
-	nt    *Net
+	nt    *faultNet
 	id    int
 	under rt.Runtime
 }

@@ -25,13 +25,13 @@ func TicksOf(d time.Duration) rt.Ticks { return rt.Ticks(d / tickReal) }
 
 // wallWorld is the World over a real transport — "chan" (in-process
 // goroutine links) or "tcp" (a loopback mesh, all nodes in this process)
-// — with D = DReal. The embedded Net holds the fault state and wraps the
+// — with D = DReal. The embedded faultNet holds the fault state and wraps the
 // transport's runtimes; threads are goroutines; At callbacks replay on one
 // driver goroutine (so restarts are serialized); and since real scheduling
 // is not deterministic, only the fault schedule and the verdict reproduce,
 // not the exact history.
 type wallWorld struct {
-	*Net
+	*faultNet
 	backend    string
 	setHandler func(id int, h rt.Handler)
 	// restart swaps a recovered node's handler in; nil on tcp, where a
@@ -91,7 +91,7 @@ func newWallWorld(backend string, cfg WorldConfig) (*wallWorld, error) {
 	default:
 		return nil, fmt.Errorf("chaos: unknown backend %q (want sim|chan|tcp)", backend)
 	}
-	w.Net = NewNet(cfg.Seed+3, unders, crash, newCorrupter(cfg.Seed+4, cfg.Byzantine))
+	w.faultNet = newFaultNet(cfg.Seed+3, unders, crash, newCorrupter(cfg.Seed+4, cfg.Byzantine))
 	w.start = time.Now()
 	return w, nil
 }
@@ -138,7 +138,7 @@ func (w *wallWorld) At(t rt.Ticks, fn func()) { w.timers = append(w.timers, wall
 // handlers and WAL appends run under the transport node's mutex, and a
 // crashed node starts no new one.
 func (w *wallWorld) Crashed(id int) bool {
-	if !w.Net.Crashed(id) {
+	if !w.faultNet.Crashed(id) {
 		return false
 	}
 	w.unders[id].Atomic(func() {})

@@ -201,14 +201,14 @@ func Latencies(h *history.History) LatencyStats {
 	if st.Count > 0 {
 		st.MeanAll = (sumU + sumS) / float64(st.Count)
 		sort.Float64s(all)
-		st.P50All = percentile(all, 0.50)
-		st.P99All = percentile(all, 0.99)
+		st.P50All = Percentile(all, 0.50)
+		st.P99All = Percentile(all, 0.99)
 	}
 	return st
 }
 
-// percentile returns the p-quantile of sorted values (nearest rank).
-func percentile(sorted []float64, p float64) float64 {
+// Percentile returns the p-quantile of sorted values (nearest rank).
+func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -37,35 +37,38 @@ import (
 	"mpsnap/internal/transport"
 )
 
-// Config parameterizes one load run.
+// Config parameterizes one load run. Its JSON form is the "params" of the
+// reports cmd/asoload and the asobench wallclock experiment write.
 type Config struct {
 	// Engine is the registered engine name (default "eqaso").
-	Engine string
+	Engine string `json:"engine,omitempty"`
 	// N and F size the mesh (defaults 4 and 1).
-	N, F int
+	N int `json:"n,omitempty"`
+	F int `json:"f,omitempty"`
 	// Clients is the number of concurrent client sessions (default 64).
-	Clients int
+	Clients int `json:"clients,omitempty"`
 	// Duration is the recording window (default 2s); Warmup runs before
 	// it and is excluded from every reported number (default 500ms).
-	Duration, Warmup time.Duration
+	Duration time.Duration `json:"durationNs,omitempty"`
+	Warmup   time.Duration `json:"warmupNs,omitempty"`
 	// ScanPct is the percentage of operations that are scans (0..100,
 	// default 10).
-	ScanPct int
+	ScanPct int `json:"scanPct,omitempty"`
 	// Keys is the virtual key-space size (default 1024); ZipfS > 1 skews
 	// key choice (and thus per-node load) Zipf-style, 0 means uniform.
-	Keys  int
-	ZipfS float64
+	Keys  int     `json:"keys,omitempty"`
+	ZipfS float64 `json:"zipf,omitempty"`
 	// Rate, when > 0, switches to open-loop generation at Rate ops/sec
 	// across all sessions.
-	Rate float64
+	Rate float64 `json:"rate,omitempty"`
 	// Payload is the update payload size in bytes (default 16).
-	Payload int
+	Payload int `json:"payload,omitempty"`
 	// Seed drives key choice and the op mix.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// D is the transport's delay bound passed to the mesh (default 5ms).
-	D time.Duration
+	D time.Duration `json:"dNs,omitempty"`
 	// MaxPending bounds each node's service queue (default svc default).
-	MaxPending int
+	MaxPending int `json:"maxPending,omitempty"`
 }
 
 func (c *Config) fill() {
