@@ -58,8 +58,8 @@ test-recovery:
 CLUSTER_MIX = -n 3 -f 1 -restarts 1 -partitions 1 -drops 1 -spikes 1 -scan-ratio 0.2
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/mux/
-	$(GO) run ./cmd/asochaos -backend sim,chan $(CLUSTER_MIX) -seed 7 -duration 1s -shards 3 -shard-crash 1
-	$(GO) run ./cmd/asochaos -backend sim,chan $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
+	$(GO) run ./cmd/aso chaos -backend sim,chan $(CLUSTER_MIX) -seed 7 -duration 1s -shards 3 -shard-crash 1
+	$(GO) run ./cmd/aso chaos -backend sim,chan $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
 
 # Engine matrix under the race detector: the registry smoke across every
 # registered engine, the eqaso/acr/fastsnap differential corpus, the
@@ -92,7 +92,7 @@ bench-core:
 BENCH_SMOKE = latency throughput hotpath recovery cluster engines
 bench-smoke:
 	@for e in $(BENCH_SMOKE); do \
-		$(GO) run ./cmd/asobench -e $$e -quick -check -json BENCH_$$e.json || exit 1; \
+		$(GO) run ./cmd/aso bench -e $$e -quick -check -json BENCH_$$e.json || exit 1; \
 	done
 
 # Wall-clock floor on the real TCP loopback stack: eqaso, acr and fastsnap
@@ -100,7 +100,7 @@ bench-smoke:
 # its ops/s in the committed BENCH_wallclock.json, which the same command
 # plus `-json BENCH_wallclock.json` regenerates.
 bench-wallclock:
-	$(GO) run ./cmd/asobench -e wallclock -check
+	$(GO) run ./cmd/aso bench -e wallclock -check
 
 # Churn matrix under the race detector: the streaming monitor's unit,
 # equivalence, and injected-violation suites, the churn schedule property
@@ -111,22 +111,21 @@ test-churn:
 	$(GO) test -race -count=1 -run 'TestChurn|TestGenerateChurn' ./internal/chaos/
 	@for eng in eqaso acr fastsnap; do \
 		for seed in 1 2; do \
-			$(GO) run ./cmd/asochaos -backend sim,chan -engine $$eng -seed $$seed -duration 2s -churn || exit 1; \
+			$(GO) run ./cmd/aso chaos -backend sim,chan -engine $$eng -seed $$seed -duration 2s -churn || exit 1; \
 		done; \
 	done
 
 # Randomized conformance fuzzing across all algorithms (bounded batch).
 fuzz:
-	$(GO) run ./cmd/asofuzz -count 5000
+	$(GO) run ./cmd/aso fuzz -count 5000
 
 # Native Go fuzzing of the checker against brute force (30s).
 fuzz-checker:
 	$(GO) test -fuzz=FuzzCheckerAgainstBruteForce -fuzztime=30s ./internal/history/
 
-# Wire codec fuzzing: canonical round trips + mutated-frame decodes, via
-# both the asofuzz soak driver and the native fuzz engines.
+# Wire codec fuzzing: canonical round trips + mutated-frame decodes over
+# every registered codec (the engine registry, the cluster router, la).
 fuzz-wire:
-	$(GO) run ./cmd/asofuzz -wire -count 5000 -seed 1
 	$(GO) test -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s ./internal/wire/
 
@@ -151,21 +150,21 @@ fuzz-engines:
 # fastsnap are one core (internal/regsnap) explored under its two
 # first-collect rules, across the fast/slow-path boundary.
 explore:
-	$(GO) run ./cmd/asoexplore -engine eqaso -depth 6
-	$(GO) run ./cmd/asoexplore -engine oneshot -depth 6
-	$(GO) run ./cmd/asoexplore -engine acr -depth 6
-	$(GO) run ./cmd/asoexplore -engine fastsnap -depth 6
+	$(GO) run ./cmd/aso explore -engine eqaso -depth 6
+	$(GO) run ./cmd/aso explore -engine oneshot -depth 6
+	$(GO) run ./cmd/aso explore -engine acr -depth 6
+	$(GO) run ./cmd/aso explore -engine fastsnap -depth 6
 
 # Regenerate every table/figure of EXPERIMENTS.md.
 experiments:
-	$(GO) run ./cmd/asobench
+	$(GO) run ./cmd/aso bench
 
 # Seeded chaos run (crashes, partitions, loss, delay spikes) with
 # end-to-end linearizability checking, on both the simulator and a TCP
 # loopback cluster. Override: make chaos SEED=7
 SEED ?= 42
 chaos:
-	$(GO) run ./cmd/asochaos -seed $(SEED) -duration 5s
+	$(GO) run ./cmd/aso chaos -seed $(SEED) -duration 5s
 
 # Long churn soak on the simulator: rolling restarts, membership flaps,
 # lagging links, and an adversarial bursty workload across the atomic
@@ -175,7 +174,7 @@ SOAK_DURATION ?= 60s
 soak-churn:
 	@mkdir -p traces
 	@for eng in eqaso acr fastsnap; do \
-		$(GO) run ./cmd/asochaos -backend sim -engine $$eng -seed $(SEED) -duration $(SOAK_DURATION) -churn -trace-dir traces || exit 1; \
+		$(GO) run ./cmd/aso chaos -backend sim -engine $$eng -seed $(SEED) -duration $(SOAK_DURATION) -churn -trace-dir traces || exit 1; \
 	done
 
 clean:

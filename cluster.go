@@ -254,7 +254,7 @@ type Stats struct {
 }
 
 // DumpHistory writes the recorded history as JSON (valid after Run); load
-// it back with the asosim tool's -check flag, or via internal/history's
+// it back with the aso sim tool's -check flag, or via internal/history's
 // LoadJSON, to re-check or render it offline.
 func (s *SimCluster) DumpHistory(w io.Writer) error {
 	if s.hist == nil {

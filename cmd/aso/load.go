@@ -4,27 +4,28 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
+	"mpsnap/internal/bench"
 	"mpsnap/internal/loadgen"
 )
 
-// loadConfig is the parsed asoload command line.
+// loadConfig is the parsed `aso load` command line.
 type loadConfig struct {
 	Gen      loadgen.Config
 	JSONPath string
 	Quiet    bool
 }
 
-// parseLoadConfig parses and validates the asoload command line. Usage
+// parseLoadConfig parses and validates the `aso load` command line. Usage
 // and flag errors are written to out.
 func parseLoadConfig(args []string, out io.Writer) (loadConfig, error) {
+	t := topology{Engine: "eqaso", N: 4, Seed: 1}
 	var cfg loadConfig
-	fs := flag.NewFlagSet("asoload", flag.ContinueOnError)
+	fs := flag.NewFlagSet("aso load", flag.ContinueOnError)
 	fs.SetOutput(out)
-	fs.StringVar(&cfg.Gen.Engine, "engine", "eqaso", "engine to drive (any registered atomic or sequential engine)")
-	fs.IntVar(&cfg.Gen.N, "n", 4, "mesh size (nodes)")
-	fs.IntVar(&cfg.Gen.F, "f", 0, "resilience bound (0 = derive from n)")
+	t.register(fs, flagEngine, flagN, flagF, flagSeed)
 	fs.IntVar(&cfg.Gen.Clients, "clients", 64, "concurrent client sessions")
 	fs.DurationVar(&cfg.Gen.Duration, "duration", 2*time.Second, "recording window")
 	fs.DurationVar(&cfg.Gen.Warmup, "warmup", 500*time.Millisecond, "warmup excluded from every reported number")
@@ -33,7 +34,6 @@ func parseLoadConfig(args []string, out io.Writer) (loadConfig, error) {
 	fs.Float64Var(&cfg.Gen.ZipfS, "zipf", 0, "Zipf skew exponent for key choice (>1 skews; 0 = uniform)")
 	fs.Float64Var(&cfg.Gen.Rate, "rate", 0, "open-loop arrival rate in ops/sec across all sessions (0 = closed loop)")
 	fs.IntVar(&cfg.Gen.Payload, "payload", 16, "update payload bytes")
-	fs.Int64Var(&cfg.Gen.Seed, "seed", 1, "workload seed")
 	fs.DurationVar(&cfg.Gen.D, "d", 5*time.Millisecond, "transport delay bound D")
 	fs.IntVar(&cfg.Gen.MaxPending, "max-pending", 0, "per-node service queue bound (0 = svc default)")
 	fs.StringVar(&cfg.JSONPath, "json", "", "write the machine-readable result to this JSON file")
@@ -44,9 +44,13 @@ func parseLoadConfig(args []string, out io.Writer) (loadConfig, error) {
 	if len(fs.Args()) != 0 {
 		return cfg, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if cfg.Gen.N < 2 {
-		return cfg, fmt.Errorf("-n %d: need at least 2 nodes", cfg.Gen.N)
+	if t.N < 2 {
+		return cfg, fmt.Errorf("-n %d: need at least 2 nodes", t.N)
 	}
+	if err := t.resolve(); err != nil {
+		return cfg, err
+	}
+	cfg.Gen.Engine, cfg.Gen.N, cfg.Gen.F, cfg.Gen.Seed = t.Engine, t.N, t.F, t.Seed
 	if cfg.Gen.Clients < 1 {
 		return cfg, fmt.Errorf("-clients %d: need at least 1 session", cfg.Gen.Clients)
 	}
@@ -62,8 +66,37 @@ func parseLoadConfig(args []string, out io.Writer) (loadConfig, error) {
 	if cfg.Gen.Rate < 0 {
 		return cfg, fmt.Errorf("-rate %g: must be >= 0", cfg.Gen.Rate)
 	}
-	if f := (cfg.Gen.N - 1) / 2; cfg.Gen.F > f {
-		return cfg, fmt.Errorf("-f %d: crash resilience requires f <= (n-1)/2 = %d", cfg.Gen.F, f)
-	}
 	return cfg, nil
+}
+
+// runLoad is the wall-clock load generator: it brings up an in-process TCP
+// mesh (the exact transport `aso node` deploys, on loopback sockets),
+// fronts every node with the svc batching layer, and drives it with
+// thousands of concurrent client sessions in a closed or open loop,
+// reporting ops/sec and client-visible latency percentiles.
+//
+//	aso load                                    # 4-node eqaso mesh, 64 closed-loop sessions, 2s
+//	aso load -engine fastsnap -clients 1024     # saturate the fastsnap challenger
+//	aso load -rate 50000 -zipf 1.2              # open loop at 50k ops/s with skewed keys
+//	aso load -json run.json                     # also write the report (bench.Report envelope)
+func runLoad(args []string, out io.Writer) error {
+	cfg, err := parseLoadConfig(args, os.Stderr)
+	if err != nil {
+		return err
+	}
+	res, err := loadgen.Run(cfg.Gen)
+	if err != nil {
+		return err
+	}
+	r := bench.LoadReport(cfg.Gen, res)
+	if !cfg.Quiet {
+		fmt.Fprint(out, r.Render())
+	}
+	if cfg.JSONPath != "" {
+		if err := r.WriteJSON(cfg.JSONPath); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "result written to %s\n", cfg.JSONPath)
+	}
+	return nil
 }

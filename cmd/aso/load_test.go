@@ -59,6 +59,7 @@ func TestParseLoadConfigRejects(t *testing.T) {
 		{"-zipf", "0.5"},              // exponent must be > 1
 		{"-rate", "-1"},               // negative arrival rate
 		{"-n", "5", "-f", "3"},        // f > (n-1)/2
+		{"-engine", "raft"},           // not in the registry
 		{"-bogus"},                    // unknown flag
 		{"-legacy"},                   // removed in PR 13 with the legacy stack
 		{"-flush", "50us"},            // removed in PR 13 (fixed transport constant)
@@ -67,6 +68,30 @@ func TestParseLoadConfigRejects(t *testing.T) {
 	} {
 		if _, err := parseLoadConfig(args, io.Discard); err == nil {
 			t.Errorf("parseLoadConfig(%v): want error, got nil", args)
+		}
+	}
+}
+
+// TestParseLoadConfigTopology: the shared flag set resolves -f by the
+// engine's fault model, so a Byzantine engine gets the registry's n > 3f
+// rule (asoload's own f <= (n-1)/2 check let byzaso n=5 f=2 through to a
+// panic inside rbc.New) and f = 0 means the most that model allows.
+func TestParseLoadConfigTopology(t *testing.T) {
+	_, err := parseLoadConfig(strings.Fields("-engine byzaso -n 5 -f 2"), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "n > 3f") {
+		t.Errorf("byzaso n=5 f=2: err=%v, want the registry's n > 3f error", err)
+	}
+	for _, tc := range []struct {
+		args string
+		f    int
+	}{
+		{"-engine byzaso -n 7", 2},
+		{"-engine eqaso -n 7", 3},
+		{"-n 4", 1},
+	} {
+		cfg, err := parseLoadConfig(strings.Fields(tc.args), io.Discard)
+		if err != nil || cfg.Gen.F != tc.f {
+			t.Errorf("%s: f=%d err=%v, want f=%d", tc.args, cfg.Gen.F, err, tc.f)
 		}
 	}
 }

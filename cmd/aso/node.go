@@ -1,10 +1,119 @@
-// Command asonode runs one snapshot-object node over real TCP. Start one
-// process per node with the same -addrs list (peers may come up in any
+package main
+
+import (
+	"bufio"
+	"flag"
+	"fmt"
+	"io"
+	"log"
+	"net"
+	"net/http"
+	"net/http/pprof"
+	"os"
+	"strings"
+	"time"
+
+	"mpsnap/internal/chaos"
+	"mpsnap/internal/engine"
+	"mpsnap/internal/obs"
+	"mpsnap/internal/rt"
+	"mpsnap/internal/svc"
+	"mpsnap/internal/transport"
+	"mpsnap/internal/wal"
+)
+
+// nodeConfig is the parsed and validated command line of one `aso node`
+// process; the topology's N is the length of the address list.
+type nodeConfig struct {
+	topology
+	ID          int
+	Addrs       []string
+	D           time.Duration
+	DialTimeout time.Duration
+	Clients     string
+	MaxPending  int
+	// HTTP, if non-empty, serves GET /metrics (Prometheus text format,
+	// wall-clock µs latencies) and GET /debug/trace (recent events as
+	// JSONL) on this address.
+	HTTP string
+	// TraceCap bounds the /debug/trace ring buffer.
+	TraceCap int
+	// WAL, if non-empty, persists the node's protocol state to this
+	// file; if the file already holds a durable prefix the node recovers
+	// from it and rejoins the cluster (durable engines only).
+	WAL string
+	// GC prunes the in-memory value log below the globally-vouched
+	// checkpoint (requires WAL).
+	GC bool
+}
+
+// svcOptions is the service front of a deployed node. TCP is a real-time
+// backend, so the node runs the path every benchmark measures: waiters
+// resolved through per-request channels and an adaptive drain window,
+// not the simulator-safe condvar wait with an unbounded drain.
+func (c nodeConfig) svcOptions(observer rt.Observer) svc.Options {
+	return svc.Options{
+		Mode:           svc.ModeFor(c.Engine),
+		MaxPending:     c.MaxPending,
+		Observer:       observer,
+		DirectWait:     true,
+		AdaptiveWindow: true,
+	}
+}
+
+// parseNodeConfig parses the `aso node` command line. Usage and flag errors
+// are written to out; validation errors are returned.
+func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
+	cfg := nodeConfig{topology: topology{Engine: "eqaso"}}
+	var addrs string
+	fs := flag.NewFlagSet("aso node", flag.ContinueOnError)
+	fs.SetOutput(out)
+	cfg.register(fs, flagEngine, flagF)
+	fs.IntVar(&cfg.ID, "id", 0, "this node's index into -addrs")
+	fs.StringVar(&addrs, "addrs", "", "comma-separated listen addresses of all nodes")
+	fs.DurationVar(&cfg.D, "d", 10*time.Millisecond, "wall-clock duration treated as one D (reporting only)")
+	fs.DurationVar(&cfg.DialTimeout, "dial-timeout", 10*time.Second, "total per-peer connection budget at startup")
+	fs.StringVar(&cfg.Clients, "clients", "", "optional listen address for concurrent TCP client sessions")
+	fs.IntVar(&cfg.MaxPending, "max-pending", svc.DefaultMaxPending, "service queue bound (backpressure blocks past it)")
+	fs.StringVar(&cfg.HTTP, "http", "", "optional listen address for /metrics and /debug/trace")
+	fs.IntVar(&cfg.TraceCap, "trace-cap", 4096, "event capacity of the /debug/trace ring buffer")
+	fs.StringVar(&cfg.WAL, "wal", "", "write-ahead log file for crash-recovery; recovers and rejoins if it already has content (durable engines)")
+	fs.BoolVar(&cfg.GC, "gc", false, "prune the value log below the globally-vouched checkpoint (requires -wal)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	cfg.Addrs = strings.Split(addrs, ",")
+	if len(cfg.Addrs) < 3 {
+		return cfg, fmt.Errorf("need -addrs with at least 3 comma-separated addresses")
+	}
+	cfg.N = len(cfg.Addrs)
+	if err := cfg.resolve(); err != nil {
+		return cfg, err
+	}
+	if cfg.ID < 0 || cfg.ID >= cfg.N {
+		return cfg, fmt.Errorf("-id %d out of range for %d addresses", cfg.ID, cfg.N)
+	}
+	if cfg.D <= 0 {
+		return cfg, fmt.Errorf("-d must be positive")
+	}
+	if cfg.TraceCap <= 0 {
+		return cfg, fmt.Errorf("-trace-cap must be positive")
+	}
+	if cfg.WAL != "" && !cfg.Info.Durable() {
+		return cfg, fmt.Errorf("-wal needs a crash-recovery engine, and %q has no WAL support", cfg.Engine)
+	}
+	if cfg.GC && cfg.WAL == "" {
+		return cfg, fmt.Errorf("-gc requires -wal (pruning is only safe below a durable checkpoint)")
+	}
+	return cfg, nil
+}
+
+// runNode runs one snapshot-object node over real TCP. Start one process per node with the same -addrs list (peers may come up in any
 // order — dialing retries with exponential backoff for -dial-timeout),
 // then drive any node through its stdin REPL:
 //
 //	# shell 1                                  # shell 2, 3 ...
-//	asonode -id 0 -addrs :7000,:7001,:7002     asonode -id 1 -addrs ...
+//	aso node -id 0 -addrs :7000,:7001,:7002   aso node -id 1 -addrs ...
 //
 //	> update hello          write to the own segment
 //	> scan                  atomic snapshot of all segments
@@ -17,7 +126,7 @@
 // number of concurrent TCP client sessions speaking the same line
 // protocol, all multiplexed onto this node's single protocol instance:
 //
-//	asonode -id 0 -addrs ... -clients :8000 &
+//	aso node -id 0 -addrs ... -clients :8000 &
 //	nc localhost 8000
 //
 // With -http ADDR the node serves its observability surface: GET /metrics
@@ -28,37 +137,10 @@
 //
 // The transport relies on TCP's in-order delivery for the paper's FIFO
 // channel assumption; the deployment is crash-stop (no reconnects).
-package main
-
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"log"
-	"net"
-	"net/http"
-	"net/http/pprof"
-	"os"
-	"strings"
-	"time"
-
-	"mpsnap/internal/engine"
-	_ "mpsnap/internal/engine/all"
-	"mpsnap/internal/obs"
-	"mpsnap/internal/rt"
-	"mpsnap/internal/svc"
-	"mpsnap/internal/transport"
-	"mpsnap/internal/wal"
-)
-
-// walBatch is the fsync batch for -wal: foreign values may ride a batch;
-// the protocol's durability points force explicit syncs regardless.
-const walBatch = 8
-
-func main() {
-	cfg, err := parseNodeConfig(os.Args[1:], os.Stderr)
+func runNode(args []string, out io.Writer) error {
+	cfg, err := parseNodeConfig(args, os.Stderr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Observability: one Metrics (histograms in wall-clock µs, D = cfg.D)
@@ -78,7 +160,7 @@ func main() {
 		DialTimeout: cfg.DialTimeout, Observer: observer,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer tn.Close()
 
@@ -94,37 +176,36 @@ func main() {
 	if cfg.WAL != "" {
 		data, err := os.ReadFile(cfg.WAL)
 		if err != nil && !os.IsNotExist(err) {
-			log.Fatalf("wal: %v", err)
+			return fmt.Errorf("wal: %w", err)
 		}
 		if len(data) > 0 {
-			walSt = wal.Recover(data, cfg.N(), cfg.ID)
+			walSt = wal.Recover(data, cfg.N, cfg.ID)
 			if walSt.Intact < len(data) {
 				if err := os.Truncate(cfg.WAL, int64(walSt.Intact)); err != nil {
-					log.Fatalf("wal: truncate torn tail: %v", err)
+					return fmt.Errorf("wal: truncate torn tail: %w", err)
 				}
 			}
-			fmt.Printf("wal: replayed %d records from %s (frontier count=%d, tail: %v)\n",
+			fmt.Fprintf(out, "wal: replayed %d records from %s (frontier count=%d, tail: %v)\n",
 				walSt.Records, cfg.WAL, walSt.Frontier.Count, walSt.TailErr)
 		}
 		f, err := os.OpenFile(cfg.WAL, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			log.Fatalf("wal: %v", err)
+			return fmt.Errorf("wal: %w", err)
 		}
 		defer f.Close()
-		walW = wal.NewWriter(f, walBatch)
+		walW = wal.NewWriter(f, chaos.WALBatch)
 	}
 
 	// Registry construction: the capability interfaces replace the old
 	// per-algorithm switch. Config validation already guaranteed -wal is
 	// only set for durable engines.
-	in := engine.MustLookup(cfg.Engine)
 	var nd engine.Engine
 	var rejoin func()
 	if walSt != nil {
-		nd = in.Recover(tn.Runtime(), walSt, walW, cfg.GC)
+		nd = cfg.Info.Recover(tn.Runtime(), walSt, walW, cfg.GC)
 		rejoin = nd.(engine.Rejoiner).Rejoin
 	} else {
-		nd = in.New(tn.Runtime())
+		nd = cfg.Info.New(tn.Runtime())
 		if walW != nil {
 			nd.(engine.Durable).AttachWAL(walW, cfg.GC)
 		}
@@ -134,14 +215,13 @@ func main() {
 			o.SetObserver(observer)
 		}
 	}
-	var obj svc.Object = nd
 	tn.SetHandler(nd)
 	if rejoin != nil {
 		rejoin()
-		fmt.Println("wal: rejoined the cluster from the recovered checkpoint")
+		fmt.Fprintln(out, "wal: rejoined the cluster from the recovered checkpoint")
 	}
 
-	service := svc.New(tn.Runtime(), obj, cfg.svcOptions(observer))
+	service := svc.New(tn.Runtime(), nd, cfg.svcOptions(observer))
 	go func() {
 		if err := service.Serve(); err != nil {
 			log.Printf("service stopped: %v", err)
@@ -152,31 +232,32 @@ func main() {
 	if cfg.HTTP != "" {
 		ln, err := net.Listen("tcp", cfg.HTTP)
 		if err != nil {
-			log.Fatalf("http listener: %v", err)
+			return fmt.Errorf("http listener: %w", err)
 		}
 		defer ln.Close()
 		go http.Serve(ln, obsMux(metrics, trace))
-		fmt.Printf("metrics on http://%s/metrics, trace on http://%s/debug/trace, profiles on http://%s/debug/pprof/\n",
+		fmt.Fprintf(out, "metrics on http://%s/metrics, trace on http://%s/debug/trace, profiles on http://%s/debug/pprof/\n",
 			ln.Addr(), ln.Addr(), ln.Addr())
 	}
 
 	if cfg.Clients != "" {
 		ln, err := net.Listen("tcp", cfg.Clients)
 		if err != nil {
-			log.Fatalf("client listener: %v", err)
+			return fmt.Errorf("client listener: %w", err)
 		}
 		defer ln.Close()
 		go acceptClients(ln, service)
-		fmt.Printf("client sessions on %s\n", ln.Addr())
+		fmt.Fprintf(out, "client sessions on %s\n", ln.Addr())
 	}
 
-	fmt.Printf("node %d/%d up (%s, f=%d, service mode %s); commands: update <value> | scan | stats | quit\n",
-		cfg.ID, cfg.N(), cfg.Engine, cfg.F, svc.ModeFor(cfg.Engine))
-	session(os.Stdin, os.Stdout, service, true)
+	fmt.Fprintf(out, "node %d/%d up (%s, f=%d, service mode %s); commands: update <value> | scan | stats | quit\n",
+		cfg.ID, cfg.N, cfg.Engine, cfg.F, svc.ModeFor(cfg.Engine))
+	session(os.Stdin, out, service, true)
+	return nil
 }
 
 // obsMux serves the node's observability endpoints, including the
-// standard pprof surface so saturation runs (cmd/asoload against this
+// standard pprof surface so saturation runs (`aso load` against this
 // node) can be profiled live:
 //
 //	go tool pprof http://HOST:PORT/debug/pprof/profile?seconds=10

@@ -24,8 +24,8 @@ func TestParseNodeConfig(t *testing.T) {
 			name: "defaults",
 			args: []string{addrs},
 			check: func(t *testing.T, c nodeConfig) {
-				if c.N() != 5 || c.F != 2 {
-					t.Errorf("n=%d f=%d, want 5/2", c.N(), c.F)
+				if c.N != 5 || c.F != 2 {
+					t.Errorf("n=%d f=%d, want 5/2", c.N, c.F)
 				}
 				if c.Engine != "eqaso" || c.D != 10*time.Millisecond {
 					t.Errorf("engine=%q d=%v", c.Engine, c.D)
@@ -91,7 +91,7 @@ func TestParseNodeConfig(t *testing.T) {
 }
 
 // TestSvcOptionsRunTheMeasuredPath pins the deployed node to the service
-// path the benchmarks exercise: TCP is a real-time backend, so asonode must
+// path the benchmarks exercise: TCP is a real-time backend, so aso node must
 // not fall back to the condvar wait and unbounded drain.
 func TestSvcOptionsRunTheMeasuredPath(t *testing.T) {
 	c, err := parseNodeConfig([]string{"-addrs=:1,:2,:3", "-engine", "sso", "-max-pending", "512"}, io.Discard)

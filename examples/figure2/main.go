@@ -1,8 +1,8 @@
 // Figure 2 of the paper, replayed: the one-shot ASO execution where op1
 // and op4 return immediately from the EQ predicate while op6 must block
 // for forwarded values (the figure's blue arrows). Node numbering follows
-// the paper (1-based); link delays are scripted so the views match the
-// figure exactly.
+// the paper (1-based); the scenario and its scripted link delays are
+// la.Figure2.
 //
 // Run with: go run ./examples/figure2
 package main
@@ -12,67 +12,24 @@ import (
 	"log"
 
 	"mpsnap/internal/la"
-	"mpsnap/internal/sim"
 )
 
 func main() {
-	const fast, slow = 50, 800
-	delays := sim.SlowLinks{
-		Slow: map[[2]int]bool{
-			{0, 1}: true, // node1 → node2 slow (paper numbering)
-			{2, 1}: true, // node3 → node2 slow
-			{1, 0}: true, // node2 → node1 slow
-		},
-		SlowDelay: slow,
-		FastDelay: fast,
-	}
-	w := sim.New(sim.Config{N: 3, F: 1, Seed: 1, Delay: delays})
-	objs := make([]*la.OneShot, 3)
-	for i := 0; i < 3; i++ {
-		objs[i] = la.NewOneShot(w.Runtime(i))
-		w.SetHandler(i, objs[i])
-	}
-
-	scan := func(p *sim.Proc, node int, name string) {
-		inv := p.Now()
-		snap, err := objs[node].Scan()
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+	err := la.Figure2(func(op la.Figure2Op) {
+		if op.Snap == nil {
+			fmt.Printf("%s: UPDATE(%s) by node %d  [t=%4d .. %4d]\n", op.Name, op.Value, op.Node+1, op.Inv, op.Rsp)
+			return
 		}
 		var view []string
-		for _, seg := range snap {
+		for _, seg := range op.Snap {
 			if seg != nil {
 				view = append(view, string(seg))
 			}
 		}
 		fmt.Printf("%s: SCAN by node %d  [t=%4d .. %4d]  returned %v (waited %d ticks)\n",
-			name, node+1, inv, p.Now(), view, p.Now()-inv)
-	}
-	update := func(p *sim.Proc, node int, val, name string) {
-		inv := p.Now()
-		if err := objs[node].Update([]byte(val)); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Printf("%s: UPDATE(%s) by node %d  [t=%4d .. %4d]\n", name, val, node+1, inv, p.Now())
-	}
-
-	w.GoNode("node1", 0, func(p *sim.Proc) {
-		update(p, 0, "u", "op2")
-		_ = p.Sleep(150 - p.Now())
-		scan(p, 0, "op4")
+			op.Name, op.Node+1, op.Inv, op.Rsp, view, op.Rsp-op.Inv)
 	})
-	w.GoNode("node2", 1, func(p *sim.Proc) {
-		_ = p.Sleep(200)
-		update(p, 1, "w", "op5")
-	})
-	w.GoNode("node3", 2, func(p *sim.Proc) {
-		scan(p, 2, "op1")
-		update(p, 2, "v", "op3")
-		_ = p.Sleep(260 - p.Now())
-		scan(p, 2, "op6")
-	})
-
-	if err := w.Run(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nas in the paper: op1 returns {} and op4 returns {u,v} immediately,")

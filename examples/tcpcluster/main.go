@@ -1,5 +1,5 @@
 // A real-network deployment in one process: four EQ-ASO nodes talk over
-// actual TCP loopback connections (the same transport cmd/asonode uses),
+// actual TCP loopback connections (the same transport `aso node` uses),
 // with real wall-clock latencies and true parallelism. Shows that the
 // algorithm code is transport-agnostic: this is the exact code path the
 // simulator verifies, now on the kernel's sockets.

@@ -73,8 +73,6 @@ type Config struct {
 	ScanRatio  float64 // fraction of scans (0.5 default-ish; set explicitly)
 	Seed       int64
 	Faults     Faults
-	// UniformDelay uses random delays in (0, D] instead of constant D.
-	UniformDelay bool
 	// Check verifies the history (linearizability, or sequential
 	// consistency for SSO) after the run.
 	Check bool
@@ -148,10 +146,8 @@ func mixedOps(o *harness.OpRunner, rng *rand.Rand, ops int, scanRatio float64) {
 // Run executes one configuration and returns its measurements.
 func Run(cfg Config) (Result, error) {
 	res := Result{Config: cfg}
-	simCfg := sim.Config{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Observer: cfg.Observer}
-	if !cfg.UniformDelay {
-		simCfg.Delay = sim.Constant{Ticks: rt.TicksPerD}
-	}
+	simCfg := sim.Config{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Observer: cfg.Observer,
+		Delay: sim.Constant{Ticks: rt.TicksPerD}}
 
 	// res.K nodes are fault-designated; the first live node is res.K.
 	var chains []sim.ChainSpec

@@ -64,18 +64,6 @@ func TestRunChecksHistories(t *testing.T) {
 	}
 }
 
-// TestRunWithRandomDelays: the UniformDelay path works too.
-func TestRunWithRandomDelays(t *testing.T) {
-	res, err := Run(Config{Algo: EQASO, N: 5, F: 2, OpsPerNode: 2, ScanRatio: 0.5, Seed: 4,
-		UniformDelay: true, Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 {
-		t.Fatalf("no ops: %+v", res)
-	}
-}
-
 // TestRunLAProbeBothKinds covers the lattice-agreement probe runner.
 func TestRunLAProbeBothKinds(t *testing.T) {
 	for _, eq := range []bool{true, false} {

@@ -15,12 +15,7 @@ import (
 )
 
 // bound is the resilience bound algorithm a runs with at cluster size n.
-func bound(a Algo, n int) int {
-	if engine.MustLookup(string(a)).Byzantine {
-		return (n - 1) / 3
-	}
-	return (n - 1) / 2
-}
+func bound(a Algo, n int) int { return engine.MustLookup(string(a)).MaxF(n) }
 
 // table1 regenerates the shape of the paper's Table I: per-algorithm worst
 // and amortized (mean) UPDATE/SCAN latency in D units, failure-free and

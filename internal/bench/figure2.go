@@ -6,57 +6,20 @@ import (
 	"mpsnap/internal/harness"
 	"mpsnap/internal/la"
 	"mpsnap/internal/rt"
-	"mpsnap/internal/sim"
 )
 
-// Figure2 replays the paper's Figure 2 one-shot execution and returns
-// op6's blocking time (in ticks) and its returned snapshot. The same
-// scenario is asserted in detail by internal/la.TestFigure2 and printable
-// via `asosim -scenario figure2`.
+// Figure2 replays the paper's Figure 2 one-shot execution (la.Figure2) and
+// returns op6's blocking time (in ticks) and its returned snapshot.
 func Figure2() (rt.Ticks, []string, error) {
-	delays := sim.SlowLinks{
-		Slow:      map[[2]int]bool{{0, 1}: true, {2, 1}: true, {1, 0}: true},
-		SlowDelay: 800,
-		FastDelay: 50,
-	}
-	w := sim.New(sim.Config{N: 3, F: 1, Seed: 1, Delay: delays})
-	objs := make([]*la.OneShot, 3)
-	for i := 0; i < 3; i++ {
-		objs[i] = la.NewOneShot(w.Runtime(i))
-		w.SetHandler(i, objs[i])
-	}
 	var op6Wait rt.Ticks
 	var op6Snap []string
-	w.GoNode("node1", 0, func(p *sim.Proc) {
-		if err := objs[0].Update([]byte("u")); err != nil {
-			return
+	err := la.Figure2(func(op la.Figure2Op) {
+		if op.Name == "op6" {
+			op6Wait, op6Snap = op.Rsp-op.Inv, harness.SnapStrings(op.Snap)
 		}
-		_ = p.Sleep(150 - p.Now())
-		_, _ = objs[0].Scan() // op4
 	})
-	w.GoNode("node2", 1, func(p *sim.Proc) {
-		_ = p.Sleep(200)
-		_ = objs[1].Update([]byte("w")) // op5
-	})
-	w.GoNode("node3", 2, func(p *sim.Proc) {
-		_, _ = objs[2].Scan() // op1
-		if err := objs[2].Update([]byte("v")); err != nil {
-			return
-		}
-		_ = p.Sleep(260 - p.Now())
-		inv := p.Now()
-		snap, err := objs[2].Scan() // op6
-		if err != nil {
-			return
-		}
-		op6Wait = p.Now() - inv
-		op6Snap = harness.SnapStrings(snap)
-	})
-	if err := w.Run(); err != nil {
-		return 0, nil, err
+	if err == nil && op6Snap == nil {
+		err = fmt.Errorf("bench: figure2 op6 did not complete")
 	}
-	if op6Snap == nil {
-		return 0, nil, fmt.Errorf("bench: figure2 op6 did not complete")
-	}
-	return op6Wait, op6Snap, nil
+	return op6Wait, op6Snap, err
 }

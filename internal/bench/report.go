@@ -24,7 +24,7 @@ type Experiment struct {
 	run      func(Params) (*Report, error)
 }
 
-// Experiments is every experiment, in run order. cmd/asobench's -e
+// Experiments is every experiment, in run order. `aso bench`'s -e
 // vocabulary, its help text and the `-e all` skip set come from here;
 // `make bench-smoke` and EXPERIMENTS.md are checked against it. Each run
 // function sits beside its driver with its full and quick parameters.

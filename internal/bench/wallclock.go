@@ -14,7 +14,7 @@ import (
 // (ops per D on the simulator); this one measures what a deployment would:
 // wall-clock ops/sec and client-visible latency percentiles. It measures
 // exactly what it gates, so it has one parameter set; wider client sweeps
-// are `asoload -clients N` by hand.
+// are `aso load -clients N` by hand.
 
 const wallclockArtifact = "BENCH_wallclock.json"
 
@@ -96,7 +96,7 @@ func loadPoint(points []loadgen.Result, engine string, clients int) *loadgen.Res
 }
 
 // LoadReport is the report of wall-clock load runs, one table row per run:
-// the wallclock experiment's three and cmd/asoload's one. params is the
+// the wallclock experiment's three and `aso load`'s one. params is the
 // loadgen.Config the runs share.
 func LoadReport(params loadgen.Config, points ...loadgen.Result) *Report {
 	env := CaptureEnv()

@@ -17,12 +17,6 @@ import (
 	"mpsnap/internal/wal"
 )
 
-// object is the client face of every snapshot object under test.
-type object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
-
 // Config parameterizes one chaos run.
 type Config struct {
 	// N nodes with resilience bound F (n > 2f; n > 3f for Byzantine
@@ -47,8 +41,6 @@ type Config struct {
 	// scan-storm workload. Mix is ignored, and the streaming invariant
 	// monitor is armed automatically. Not compatible with Service.
 	Churn bool
-	// ChurnMix tunes the churn schedule; zero fields take defaults.
-	ChurnMix ChurnMix
 	// Monitor arms the streaming invariant monitor (internal/monitor): it
 	// consumes operations as they complete and checks validity, scan
 	// containment, base comparability, frontier non-regression, prefix
@@ -61,9 +53,6 @@ type Config struct {
 	MonitorWindow rt.Ticks
 	// ScanRatio is the fraction of scans in the workload (default 0.5).
 	ScanRatio float64
-	// MaxSleep is the maximum client think time between operations, in
-	// ticks (default 1.5·D).
-	MaxSleep rt.Ticks
 	// Service routes all client operations through the internal/svc
 	// concurrent service layer (UPDATE coalescing + SCAN sharing)
 	// instead of calling the object directly. Sim backend only.
@@ -117,9 +106,6 @@ func (cfg *Config) normalize() error {
 	if cfg.ScanRatio == 0 {
 		cfg.ScanRatio = 0.5
 	}
-	if cfg.MaxSleep == 0 {
-		cfg.MaxSleep = 3 * rt.TicksPerD / 2
-	}
 	if cfg.Clients == 0 {
 		cfg.Clients = 1
 	}
@@ -161,7 +147,7 @@ func (cfg *Config) normalize() error {
 // churn.
 func (cfg *Config) schedule() Schedule {
 	if cfg.Churn {
-		return GenerateChurn(cfg.Seed, cfg.N, cfg.F, cfg.Duration, cfg.ChurnMix, cfg.info.Durable())
+		return GenerateChurn(cfg.Seed, cfg.N, cfg.F, cfg.Duration, cfg.info.Durable())
 	}
 	return Generate(cfg.Seed, cfg.N, cfg.F, cfg.Duration, cfg.Mix)
 }
@@ -233,11 +219,14 @@ type Result struct {
 // op latencies (≤ ~10D) plus spike delays.
 const Grace = 30 * rt.TicksPerD
 
-// WALBatch is the WAL fsync batch for chaos runs: foreign values may ride
+// WALBatch is the WAL fsync batch of chaos runs and `aso node -wal`: foreign values may ride
 // a batch, while the protocol's critical points (own values before
 // dissemination, checkpoints before vouches, prunes before execution)
 // force explicit syncs regardless.
 const WALBatch = 8
+
+// maxSleep is the maximum client think time between operations, in ticks.
+const maxSleep = 3 * rt.TicksPerD / 2
 
 // clientMix is one client's workload shape.
 type clientMix struct {
@@ -253,9 +242,9 @@ type clientMix struct {
 // back-to-back operations with halved think time.
 func (c *Config) clientMix(node int) clientMix {
 	if !c.Churn {
-		return clientMix{scanP: c.ScanRatio, maxSleep: c.MaxSleep}
+		return clientMix{scanP: c.ScanRatio, maxSleep: maxSleep}
 	}
-	m := clientMix{scanP: 1 - (1-c.ScanRatio)/3, maxSleep: c.MaxSleep / 2, bursty: true}
+	m := clientMix{scanP: 1 - (1-c.ScanRatio)/3, maxSleep: maxSleep / 2, bursty: true}
 	if node%3 == 0 {
 		m.scanP = c.ScanRatio / 3
 	}
@@ -311,7 +300,7 @@ func Run(cfg Config, backend string) (*Result, error) {
 	// Crash-recovery: each node persists to an in-memory WAL (with GC of
 	// the value log below the globally-vouched checkpoint); a restart
 	// event replays the durable prefix, rejoins, and respawns the client.
-	objs := make([]object, cfg.N)
+	objs := make([]svc.Object, cfg.N)
 	var walFiles []*wal.MemFile
 	if sched.HasRestarts() {
 		walFiles = make([]*wal.MemFile, cfg.N)
@@ -332,7 +321,7 @@ func Run(cfg Config, backend string) (*Result, error) {
 	// send/deliver traffic is deliberately NOT recorded — it would evict
 	// the op events a failure post-mortem actually needs from the ring.
 	var tr *obs.Trace
-	observe := func(obj object) {
+	observe := func(obj svc.Object) {
 		if so, ok := obj.(interface{ SetObserver(rt.Observer) }); ok && tr != nil {
 			so.SetObserver(tr)
 		}
@@ -366,7 +355,7 @@ func Run(cfg Config, backend string) (*Result, error) {
 	// client 0 writes "v<node>-<seq>", client c>0 "v<node>.<c>-<seq>", so
 	// values stay unique across a node's clients and incarnations. rejoin,
 	// when set, runs before the first operation.
-	client := func(i, cid int, seed int64, obj object, rejoin engine.Rejoiner) {
+	client := func(i, cid int, seed int64, obj svc.Object, rejoin engine.Rejoiner) {
 		name, prefix := fmt.Sprintf("client-%d", i), fmt.Sprintf("v%d-", i)
 		if cid > 0 {
 			name, prefix = fmt.Sprintf("client-%d.%d", i, cid), fmt.Sprintf("v%d.%d-", i, cid)
@@ -443,7 +432,7 @@ func Run(cfg Config, backend string) (*Result, error) {
 	var drain func()
 	if cfg.Service {
 		services := make([]*svc.Service, cfg.N)
-		fronts = make([]object, cfg.N)
+		fronts = make([]svc.Object, cfg.N)
 		for i := range services {
 			opts := svc.Options{Mode: svc.ModeFor(cfg.Engine)}
 			if tr != nil {

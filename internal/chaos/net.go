@@ -70,7 +70,7 @@ func newFaultNet(seed int64, unders []rt.Runtime, crashFn func(id int), corr *co
 // Runtime returns node id's fault-injected runtime; install the
 // algorithm node against this, not the underlying transport runtime.
 func (nt *faultNet) Runtime(id int) rt.Runtime {
-	return &faultyRuntime{nt: nt, id: id, under: nt.unders[id]}
+	return &faultyRuntime{Runtime: nt.unders[id], nt: nt}
 }
 
 // Crashed reports whether the chaos controller crashed node id.
@@ -271,25 +271,12 @@ func (nt *faultNet) broadcast(src int, msg rt.Message) {
 	nt.mu.Unlock()
 }
 
-// faultyRuntime is a node's fault-injected view of the transport.
+// faultyRuntime is a node's fault-injected view of the transport: the
+// node's own runtime with its sends routed through the fault net.
 type faultyRuntime struct {
-	nt    *faultNet
-	id    int
-	under rt.Runtime
+	rt.Runtime
+	nt *faultNet
 }
 
-var _ rt.Runtime = (*faultyRuntime)(nil)
-
-func (r *faultyRuntime) ID() int { return r.under.ID() }
-func (r *faultyRuntime) N() int  { return r.under.N() }
-func (r *faultyRuntime) F() int  { return r.under.F() }
-
-func (r *faultyRuntime) Send(dst int, msg rt.Message) { r.nt.send(r.id, dst, msg) }
-func (r *faultyRuntime) Broadcast(msg rt.Message)     { r.nt.broadcast(r.id, msg) }
-
-func (r *faultyRuntime) Atomic(fn func()) { r.under.Atomic(fn) }
-func (r *faultyRuntime) WaitUntilThen(label string, pred func() bool, then func()) error {
-	return r.under.WaitUntilThen(label, pred, then)
-}
-func (r *faultyRuntime) Now() rt.Ticks { return r.under.Now() }
-func (r *faultyRuntime) Crashed() bool { return r.under.Crashed() }
+func (r *faultyRuntime) Send(dst int, msg rt.Message) { r.nt.send(r.ID(), dst, msg) }
+func (r *faultyRuntime) Broadcast(msg rt.Message)     { r.nt.broadcast(r.ID(), msg) }

@@ -11,7 +11,7 @@ import (
 )
 
 // Report is the machine-readable outcome of one chaos run, emitted by
-// cmd/asochaos -json.
+// `aso chaos -json`.
 type Report struct {
 	Backend  string   `json:"backend"`
 	Engine   string   `json:"engine"`

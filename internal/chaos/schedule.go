@@ -150,8 +150,8 @@ type Schedule struct {
 	// Churn is set on schedules produced by GenerateChurn (Mix is then
 	// zero); it participates in Hash, so churn and plain schedules with
 	// the same seed never collide.
-	Churn  *ChurnMix `json:"churn,omitempty"`
-	Events []Event   `json:"events"`
+	Churn  bool    `json:"churn,omitempty"`
+	Events []Event `json:"events"`
 }
 
 // HasRestarts reports whether the schedule contains any restart event —
@@ -324,64 +324,29 @@ func Generate(seed int64, n, f int, duration rt.Ticks, mix Mix) Schedule {
 	return Schedule{Seed: seed, N: n, F: f, Duration: duration, Mix: mix, Events: evs}
 }
 
-// ChurnMix parameterizes the churn schedule: sustained lanes of rolling
-// crash→restart cycles, single-node membership flaps, and lagging-node
-// delay windows running for the whole duration, instead of the handful of
-// one-shot faults of Mix. Zero fields take defaults. All durations are in
-// units of D.
-type ChurnMix struct {
-	// RestartPeriodD is the target gap between crash starts of the rolling
-	// restart lane (default 40).
-	RestartPeriodD float64 `json:"restartPeriodD,omitempty"`
-	// RestartDownD is each cycle's downtime (default 8, minimum 3 so the
-	// mid-broadcast fallback crash at +2D always precedes the restart).
-	RestartDownD float64 `json:"restartDownD,omitempty"`
-	// FlapPeriodD is the target gap between membership flaps (default 25).
-	FlapPeriodD float64 `json:"flapPeriodD,omitempty"`
-	// FlapDownD is how long a flapped node stays isolated (default 6).
-	FlapDownD float64 `json:"flapDownD,omitempty"`
-	// SlowNodes is how many lagging-node lanes run (default 1).
-	SlowNodes int `json:"slowNodes,omitempty"`
-	// SlowExtraD is the added delay on a lagging node's links (default 2).
-	SlowExtraD float64 `json:"slowExtraD,omitempty"`
-	// SlowPeriodD is the gap between lag windows (default 15).
-	SlowPeriodD float64 `json:"slowPeriodD,omitempty"`
-	// SlowOnD is each lag window's length (default 5). Keep it short: the
-	// transport fault injector parks spiked messages until the window ends.
-	SlowOnD float64 `json:"slowOnD,omitempty"`
-}
-
-// withDefaults fills zero fields and enforces the floor on downtime.
-func (cm ChurnMix) withDefaults() ChurnMix {
-	if cm.RestartPeriodD == 0 {
-		cm.RestartPeriodD = 40
-	}
-	if cm.RestartDownD == 0 {
-		cm.RestartDownD = 8
-	}
-	if cm.RestartDownD < 3 {
-		cm.RestartDownD = 3
-	}
-	if cm.FlapPeriodD == 0 {
-		cm.FlapPeriodD = 25
-	}
-	if cm.FlapDownD == 0 {
-		cm.FlapDownD = 6
-	}
-	if cm.SlowNodes == 0 {
-		cm.SlowNodes = 1
-	}
-	if cm.SlowExtraD == 0 {
-		cm.SlowExtraD = 2
-	}
-	if cm.SlowPeriodD == 0 {
-		cm.SlowPeriodD = 15
-	}
-	if cm.SlowOnD == 0 {
-		cm.SlowOnD = 5
-	}
-	return cm
-}
+// The churn schedule's lanes — sustained rolling crash→restart cycles,
+// single-node membership flaps and lagging-node delay windows running for
+// the whole duration, instead of the handful of one-shot faults of Mix —
+// in units of D.
+const (
+	// churnRestartPeriodD is the target gap between crash starts of the
+	// rolling restart lane; churnRestartDownD is each cycle's downtime
+	// (at least 3, so the mid-broadcast fallback crash at +2D always
+	// precedes the restart).
+	churnRestartPeriodD float64 = 40
+	churnRestartDownD   float64 = 8
+	// churnFlapPeriodD is the target gap between membership flaps;
+	// churnFlapDownD is how long a flapped node stays isolated.
+	churnFlapPeriodD float64 = 25
+	churnFlapDownD   float64 = 6
+	// One lagging-node lane: churnSlowExtraD of added delay on the node's
+	// links for churnSlowOnD, every churnSlowPeriodD. The window is short
+	// because the transport fault injector parks spiked messages until it
+	// ends.
+	churnSlowExtraD  float64 = 2
+	churnSlowPeriodD float64 = 15
+	churnSlowOnD     float64 = 5
+)
 
 // GenerateChurn derives a churn schedule from the seed: round-robin
 // crash→restart cycles (when restarts is set — the engine can recover
@@ -392,17 +357,10 @@ func (cm ChurnMix) withDefaults() ChurnMix {
 // and flap lanes are serialized into one alternating lane; with f ≥ 2
 // they run concurrently (each lane impairs at most one node at a time).
 // All faults land in [5D, 0.9·duration), leaving a clean tail to drain.
-func GenerateChurn(seed int64, n, f int, duration rt.Ticks, cm ChurnMix, restarts bool) Schedule {
-	cm = cm.withDefaults()
+func GenerateChurn(seed int64, n, f int, duration rt.Ticks, restarts bool) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	ticksD := func(d float64) rt.Ticks { return rt.Ticks(d * float64(rt.TicksPerD)) }
-	jit := func(maxD float64) rt.Ticks {
-		t := int64(ticksD(maxD))
-		if t <= 0 {
-			return 0
-		}
-		return rt.Ticks(rng.Int63n(t + 1))
-	}
+	jit := func(maxD float64) rt.Ticks { return rt.Ticks(rng.Int63n(int64(ticksD(maxD)) + 1)) }
 	warmup := ticksD(5)
 	end := duration * 9 / 10
 	var evs []Event
@@ -436,24 +394,24 @@ func GenerateChurn(seed int64, n, f int, duration rt.Ticks, cm ChurnMix, restart
 		// One unit of fault budget: a restart cycle and a flap may never
 		// overlap, so a single serialized lane alternates them.
 		rv, fv := rng.Intn(n), rng.Intn(n)
-		t := warmup + jit(cm.RestartPeriodD/4)
+		t := warmup + jit(churnRestartPeriodD/4)
 		for i := 0; ; i++ {
 			if i%2 == 0 {
-				down := ticksD(cm.RestartDownD) + jit(1)
+				down := ticksD(churnRestartDownD) + jit(1)
 				if t+down >= end {
 					break
 				}
 				crashCycle(rv, t, down, (i/2)%2 == 1)
 				rv = (rv + 1) % n
-				t += down + ticksD(cm.RestartPeriodD/2) + jit(cm.RestartPeriodD/4)
+				t += down + ticksD(churnRestartPeriodD/2) + jit(churnRestartPeriodD/4)
 			} else {
-				down := ticksD(cm.FlapDownD) + jit(1)
+				down := ticksD(churnFlapDownD) + jit(1)
 				if t+down >= end {
 					break
 				}
 				flapCycle(fv, t, down)
 				fv = (fv + 1) % n
-				t += down + ticksD(cm.FlapPeriodD/2) + jit(cm.FlapPeriodD/4)
+				t += down + ticksD(churnFlapPeriodD/2) + jit(churnFlapPeriodD/4)
 			}
 		}
 	default:
@@ -462,28 +420,24 @@ func GenerateChurn(seed int64, n, f int, duration rt.Ticks, cm ChurnMix, restart
 		// charges at most one budget unit at any instant.
 		if restartLane {
 			v := rng.Intn(n)
-			t := warmup + jit(cm.RestartPeriodD/4)
+			t := warmup + jit(churnRestartPeriodD/4)
 			for i := 0; ; i++ {
-				down := ticksD(cm.RestartDownD) + jit(1)
+				down := ticksD(churnRestartDownD) + jit(1)
 				if t+down >= end {
 					break
 				}
 				crashCycle(v, t, down, i%2 == 1)
 				v = (v + 1) % n
-				gap := ticksD(cm.RestartPeriodD) - down
-				if gap < ticksD(2) {
-					gap = ticksD(2)
-				}
-				t += down + gap + jit(cm.RestartPeriodD/4)
+				t += ticksD(churnRestartPeriodD) + jit(churnRestartPeriodD/4)
 			}
 		}
 		// With f == 1 and no restart lane, flapping is the only lane and
 		// may run alone; with f ≥ 2 it runs concurrently with restarts.
 		if flapLane && (f >= 2 || !restartLane) {
 			v := rng.Intn(n)
-			t := warmup + ticksD(cm.FlapPeriodD/3) + jit(cm.FlapPeriodD/4)
+			t := warmup + ticksD(churnFlapPeriodD/3) + jit(churnFlapPeriodD/4)
 			for {
-				down := ticksD(cm.FlapDownD) + jit(1)
+				down := ticksD(churnFlapDownD) + jit(1)
 				if t+down >= end {
 					break
 				}
@@ -509,44 +463,38 @@ func GenerateChurn(seed int64, n, f int, duration rt.Ticks, cm ChurnMix, restart
 					flapCycle(pick, t, down)
 					v = (pick + 1) % n
 				}
-				gap := ticksD(cm.FlapPeriodD) - down
-				if gap < ticksD(2) {
-					gap = ticksD(2)
-				}
-				t += down + gap + jit(cm.FlapPeriodD/4)
+				t += ticksD(churnFlapPeriodD) + jit(churnFlapPeriodD/4)
 			}
 		}
 	}
 
-	// Lagging-node lanes: periodic windows where one node's links (both
+	// The lagging-node lane: periodic windows where one node's links (both
 	// directions) carry extra delay. Delay charges no fault budget. The
 	// lagging node rotates window to window.
-	if cm.SlowNodes > 0 && cm.SlowExtraD > 0 && n > 1 {
-		extra := ticksD(cm.SlowExtraD)
-		for s := 0; s < cm.SlowNodes; s++ {
-			v := rng.Intn(n)
-			t := warmup + jit(cm.SlowPeriodD)
-			for {
-				on := ticksD(cm.SlowOnD) + jit(1)
-				if t+on >= end {
-					break
-				}
-				for j := 0; j < n; j++ {
-					if j == v {
-						continue
-					}
-					evs = append(evs,
-						Event{At: t, Kind: EvSpikeOn, Src: v, Dst: j, Extra: extra},
-						Event{At: t + on, Kind: EvSpikeOff, Src: v, Dst: j},
-						Event{At: t, Kind: EvSpikeOn, Src: j, Dst: v, Extra: extra},
-						Event{At: t + on, Kind: EvSpikeOff, Src: j, Dst: v})
-				}
-				v = (v + 1) % n
-				t += on + ticksD(cm.SlowPeriodD) + jit(cm.SlowPeriodD/2)
+	if n > 1 {
+		extra := ticksD(churnSlowExtraD)
+		v := rng.Intn(n)
+		t := warmup + jit(churnSlowPeriodD)
+		for {
+			on := ticksD(churnSlowOnD) + jit(1)
+			if t+on >= end {
+				break
 			}
+			for j := 0; j < n; j++ {
+				if j == v {
+					continue
+				}
+				evs = append(evs,
+					Event{At: t, Kind: EvSpikeOn, Src: v, Dst: j, Extra: extra},
+					Event{At: t + on, Kind: EvSpikeOff, Src: v, Dst: j},
+					Event{At: t, Kind: EvSpikeOn, Src: j, Dst: v, Extra: extra},
+					Event{At: t + on, Kind: EvSpikeOff, Src: j, Dst: v})
+			}
+			v = (v + 1) % n
+			t += on + ticksD(churnSlowPeriodD) + jit(churnSlowPeriodD/2)
 		}
 	}
 
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	return Schedule{Seed: seed, N: n, F: f, Duration: duration, Churn: &cm, Events: evs}
+	return Schedule{Seed: seed, N: n, F: f, Duration: duration, Churn: true, Events: evs}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mpsnap/internal/mux"
 	"mpsnap/internal/rt"
@@ -176,7 +177,7 @@ func NewNode(r rt.Runtime, cfg Config) (*Node, error) {
 	for _, m := range maps {
 		for _, s := range m.OwnedBy(r.ID()) {
 			if prev, ok := bound[s]; ok {
-				if !sameMembers(prev, m.Members[s]) {
+				if !slices.Equal(prev, m.Members[s]) {
 					return nil, fmt.Errorf("cluster: shard %d provisioned twice with different members", s)
 				}
 				continue
@@ -188,18 +189,6 @@ func NewNode(r rt.Runtime, cfg Config) (*Node, error) {
 		}
 	}
 	return n, nil
-}
-
-func sameMembers(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // bindShard builds shard s's engine on its shard-local runtime and its
@@ -239,20 +228,12 @@ func (n *Node) Services() []*svc.Service {
 			shards = append(shards, s)
 		}
 	})
-	sortInts(shards)
+	slices.Sort(shards)
 	out := make([]*svc.Service, 0, len(shards))
 	for _, s := range shards {
 		out = append(out, n.owned[s].svc)
 	}
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // OwnedShards returns the shard indices this node hosts engines for.
@@ -263,7 +244,7 @@ func (n *Node) OwnedShards() []int {
 			shards = append(shards, s)
 		}
 	})
-	sortInts(shards)
+	slices.Sort(shards)
 	return shards
 }
 
@@ -362,24 +343,24 @@ func (n *Node) maxAttempts(m ShardMap) int {
 	return max + 2
 }
 
-// Update writes key=val, routing to the owning shard (committing through
-// this node's own service when it is a member — no network hop). It
-// retries across shard members on timeout and re-routes under the newer
-// map on a stale-map rejection.
-func (n *Node) Update(key string, val []byte) error {
-	payload := svc.EncodeRecords([]svc.Record{{K: key, V: val}})
+// routed runs one keyed operation against the key's owning shard: local
+// commits it through this node's own service when the node is a member
+// (no network hop); otherwise the request build makes goes to a shard
+// member, retrying across members on timeout and re-routing under the
+// newer map on a stale-map rejection. status reads the reply (ok = it is
+// the operation's response type).
+func (n *Node) routed(op, key string, local func(st *shardState) error,
+	build func(req uint64, m ShardMap, s int) rt.Message, status func(resp rt.Message) (code byte, ok bool)) error {
 	var lastErr error
 	m, _ := n.route(key)
 	for attempt := 0; attempt < n.maxAttempts(m); attempt++ {
 		var s int
 		m, s = n.route(key)
 		if st := n.ownedState(s); st != nil {
-			return st.svc.Update(payload)
+			return local(st)
 		}
 		contact := n.pickContact(m, s, attempt)
-		resp, err := n.call(contact, func(req uint64) rt.Message {
-			return MsgUpdateReq{Req: req, MapVer: m.Version, Shard: s, Key: key, Val: val}
-		})
+		resp, err := n.call(contact, func(req uint64) rt.Message { return build(req, m, s) })
 		if err == errTimeout {
 			n.suspect(contact)
 			lastErr = err
@@ -388,70 +369,60 @@ func (n *Node) Update(key string, val []byte) error {
 		if err != nil {
 			return err
 		}
-		r, ok := resp.(MsgUpdateResp)
-		if !ok {
+		code, ok := status(resp)
+		switch {
+		case !ok:
 			lastErr = fmt.Errorf("cluster: unexpected %s from node %d", resp.Kind(), contact)
-			continue
-		}
-		switch r.Status {
-		case StatusOK:
+		case code == StatusOK:
 			return nil
-		case StatusStaleMap, StatusWrongShard:
+		case code == StatusStaleMap || code == StatusWrongShard:
+			// The adopted newer map re-routes on the next attempt.
 			lastErr = fmt.Errorf("cluster: map v%d stale at node %d", m.Version, contact)
-			continue // the adopted newer map re-routes on the next attempt
 		default:
-			lastErr = fmt.Errorf("cluster: update refused by node %d", contact)
-			continue
+			lastErr = fmt.Errorf("cluster: %s refused by node %d", op, contact)
 		}
 	}
-	return fmt.Errorf("%w: update %q: %v", ErrNoContact, key, lastErr)
+	return fmt.Errorf("%w: %s %q: %v", ErrNoContact, op, key, lastErr)
+}
+
+// Update writes key=val on the key's owning shard (see routed).
+func (n *Node) Update(key string, val []byte) error {
+	return n.routed("update", key,
+		func(st *shardState) error {
+			return st.svc.Update(svc.EncodeRecords([]svc.Record{{K: key, V: val}}))
+		},
+		func(req uint64, m ShardMap, s int) rt.Message {
+			return MsgUpdateReq{Req: req, MapVer: m.Version, Shard: s, Key: key, Val: val}
+		},
+		func(resp rt.Message) (byte, bool) {
+			r, ok := resp.(MsgUpdateResp)
+			return r.Status, ok
+		})
 }
 
 // Scan snapshots the key's owning shard and returns the key's per-member
 // value vector (one entry per shard member, nil = that member's segment
 // never wrote the key), from one linearizable shard snapshot.
 func (n *Node) Scan(key string) ([][]byte, error) {
-	var lastErr error
-	m, _ := n.route(key)
-	for attempt := 0; attempt < n.maxAttempts(m); attempt++ {
-		var s int
-		m, s = n.route(key)
-		if st := n.ownedState(s); st != nil {
+	var vals [][]byte
+	err := n.routed("scan", key,
+		func(st *shardState) error {
 			snap, err := st.svc.Scan()
-			if err != nil {
-				return nil, err
-			}
-			return extractKey(snap, key), nil
-		}
-		contact := n.pickContact(m, s, attempt)
-		resp, err := n.call(contact, func(req uint64) rt.Message {
+			vals = extractKey(snap, key)
+			return err
+		},
+		func(req uint64, m ShardMap, s int) rt.Message {
 			return MsgScanReq{Req: req, MapVer: m.Version, Shard: s, Key: key}
+		},
+		func(resp rt.Message) (byte, bool) {
+			r, ok := resp.(MsgScanResp)
+			vals = r.Vals
+			return r.Status, ok
 		})
-		if err == errTimeout {
-			n.suspect(contact)
-			lastErr = err
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		r, ok := resp.(MsgScanResp)
-		if !ok {
-			lastErr = fmt.Errorf("cluster: unexpected %s from node %d", resp.Kind(), contact)
-			continue
-		}
-		switch r.Status {
-		case StatusOK:
-			return r.Vals, nil
-		case StatusStaleMap, StatusWrongShard:
-			lastErr = fmt.Errorf("cluster: map v%d stale at node %d", m.Version, contact)
-			continue
-		default:
-			lastErr = fmt.Errorf("cluster: scan refused by node %d", contact)
-			continue
-		}
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: scan %q: %v", ErrNoContact, key, lastErr)
+	return vals, nil
 }
 
 // extractKey projects a shard snapshot onto one key.

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"mpsnap/internal/chaos"
@@ -33,21 +35,12 @@ type RunConfig struct {
 	// onto its members. Mid-broadcast flags are ignored (cluster
 	// broadcasts are loops of sends by construction).
 	Mix chaos.Mix
-	// Clients is the number of workload threads per node (default 1).
-	Clients int
 	// ScanRatio is each client's probability of scanning instead of
 	// updating (default 0.2).
 	ScanRatio float64
-	// MaxSleep bounds each client's think time (default 2D).
-	MaxSleep rt.Ticks
 	// GlobalScanEvery is each coordinator's period between validated
 	// GlobalScans (default 25D).
 	GlobalScanEvery rt.Ticks
-	// VNodes is the placement ring's virtual-node count (default
-	// DefaultVNodes).
-	VNodes int
-	// KeysPerClient is each writer's private key-pool size (default 8).
-	KeysPerClient int
 	// CrashShard, if >= 0, crashes every member of that shard at 40% of
 	// the run and restarts them (WAL recovery) at 55%.
 	CrashShard int
@@ -59,15 +52,17 @@ type RunConfig struct {
 	// name (default "eqaso"). Sequentially-consistent engines are
 	// rejected: the cut validator assumes linearizable shard scans.
 	Engine string
-	// ShardEngines optionally overrides Engine per shard: entry s
-	// applies to shard s, "" falls back to Engine. Shards running
-	// restart faults need a durable (WAL-recovering) engine.
-	ShardEngines []string
 
-	// engines is the resolved per-shard registry info, filled by
-	// normalize.
-	engines []engine.Info
+	// info is the resolved registry entry of Engine, filled by normalize.
+	info engine.Info
 }
+
+// Each node runs one workload thread, which thinks for at most maxSleep
+// between operations and writes a private pool of keysPerClient keys.
+const (
+	maxSleep      = 2 * rt.TicksPerD
+	keysPerClient = 8
+)
 
 // DefaultRunConfig returns the standard run shape with the whole-shard
 // faults disabled (their zero values would target shard 0).
@@ -85,29 +80,14 @@ func (c *RunConfig) normalize() error {
 	if c.N <= 0 {
 		c.N = 3
 	}
-	if c.N <= 2*c.F {
-		return fmt.Errorf("cluster: shard size n=%d needs n > 2f (f=%d)", c.N, c.F)
-	}
 	if c.Duration <= 0 {
 		c.Duration = 200 * rt.TicksPerD
-	}
-	if c.Clients <= 0 {
-		c.Clients = 1
 	}
 	if c.ScanRatio == 0 {
 		c.ScanRatio = 0.2
 	}
-	if c.MaxSleep <= 0 {
-		c.MaxSleep = 2 * rt.TicksPerD
-	}
 	if c.GlobalScanEvery <= 0 {
 		c.GlobalScanEvery = 25 * rt.TicksPerD
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.KeysPerClient <= 0 {
-		c.KeysPerClient = 8
 	}
 	if c.CrashShard >= c.Shards {
 		return fmt.Errorf("cluster: -shard-crash %d out of range (shards=%d)", c.CrashShard, c.Shards)
@@ -118,37 +98,22 @@ func (c *RunConfig) normalize() error {
 	if c.Engine == "" {
 		c.Engine = "eqaso"
 	}
-	if len(c.ShardEngines) > c.Shards {
-		return fmt.Errorf("cluster: %d shard engines for %d shards", len(c.ShardEngines), c.Shards)
+	in, err := engine.Lookup(c.Engine)
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
-	c.engines = make([]engine.Info, c.Shards)
-	for s := 0; s < c.Shards; s++ {
-		name := c.Engine
-		if s < len(c.ShardEngines) && c.ShardEngines[s] != "" {
-			name = c.ShardEngines[s]
-		}
-		in, err := engine.Lookup(name)
-		if err != nil {
-			return fmt.Errorf("cluster: shard %d: %w", s, err)
-		}
-		if in.Sequential {
-			return fmt.Errorf("cluster: engine %q is sequentially consistent; shards need linearizable scans for cut validation", name)
-		}
-		if err := in.Validate(c.N, c.F); err != nil {
-			return fmt.Errorf("cluster: shard %d: %w", s, err)
-		}
-		restarts := c.Mix.Restarts > 0 || c.CrashShard == s
-		if restarts && !in.Durable() {
-			return fmt.Errorf("cluster: shard %d runs restart faults but engine %q has no WAL recovery", s, name)
-		}
-		c.engines[s] = in
+	if in.Sequential {
+		return fmt.Errorf("cluster: engine %q is sequentially consistent; shards need linearizable scans for cut validation", c.Engine)
 	}
+	if err := in.Validate(c.N, c.F); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	if (c.Mix.Restarts > 0 || c.CrashShard >= 0) && !in.Durable() {
+		return fmt.Errorf("cluster: the run has restart faults but engine %q has no WAL recovery", c.Engine)
+	}
+	c.info = in
 	return nil
 }
-
-// engineFor returns the resolved engine of a shard (normalize must have
-// run).
-func (c *RunConfig) engineFor(shard int) engine.Info { return c.engines[shard] }
 
 // Report is one cluster chaos run's outcome. Violations (consistency)
 // must be empty on every seed; CutErrs (availability: a cut that could
@@ -199,7 +164,7 @@ func shardSchedules(cfg RunConfig) []chaos.Schedule {
 // issues runtime broadcasts (shard runtimes loop sends), so an armed
 // mid-crash would only fire its fallback; a plain crash at the same tick
 // is the equivalent fault. Corruption windows are dropped too: cluster
-// runs have never injected wire corruption on any backend (asochaos
+// runs have never injected wire corruption on any backend (aso chaos
 // rejects -corrupts with -shards).
 func remapEvents(evs []chaos.Event, members []int) []chaos.Event {
 	out := make([]chaos.Event, 0, len(evs))
@@ -246,11 +211,7 @@ func mergeSchedules(sources [][]chaos.Event) []chaos.Event {
 		}
 	}
 	// Stable sort by time (source order breaks ties).
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j].ev.At < all[j-1].ev.At; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
+	slices.SortStableFunc(all, func(a, b tagged) int { return cmp.Compare(a.ev.At, b.ev.At) })
 	active := make(map[int][][]int)
 	union := func() [][]int {
 		var groups [][]int
@@ -335,7 +296,7 @@ func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
 	var seed []byte
 	c := Config{Map: b.m, Health: b.health}
 	c.NewEngine = func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
-		in := b.cfg.engineFor(shard)
+		in := b.cfg.info
 		if !recover {
 			nd := in.New(r)
 			if d, ok := nd.(engine.Durable); ok {
@@ -466,7 +427,7 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 	if backend == "tcp" && (cfg.Mix.Restarts > 0 || cfg.CrashShard >= 0) {
 		return nil, fmt.Errorf("cluster: restarts (incl. the recovering whole-shard crash) run on sim and chan only (a tcp restart is a process restart)")
 	}
-	m := ContiguousMap(cfg.Shards, cfg.N, cfg.F, cfg.VNodes)
+	m := ContiguousMap(cfg.Shards, cfg.N, cfg.F, DefaultVNodes)
 	total := m.NumNodes()
 	health := NewHealth(total)
 	w, err := chaos.NewWorld(backend, chaos.WorldConfig{N: total, F: cfg.F, Seed: cfg.Seed, Observer: health})
@@ -494,12 +455,12 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 		}
 		w.GoService(fmt.Sprintf("router-%d", id), id, func() { _ = nd.ServeRouter() })
 	}
-	client := func(id, cid int, inc int64) func() {
-		writer := fmt.Sprintf("w%dc%d", id, cid)
+	client := func(id int, inc int64) func() {
+		writer := fmt.Sprintf("w%dc0", id)
 		if inc > 0 {
-			writer = fmt.Sprintf("w%dc%d.%d", id, cid, inc)
+			writer = fmt.Sprintf("w%dc0.%d", id, inc)
 		}
-		mc := newMarkClient(writer, cfg.Seed*1009+int64(id)+7919*int64(cid)+104729*inc, cfg.KeysPerClient)
+		mc := newMarkClient(writer, cfg.Seed*1009+int64(id)+104729*inc, keysPerClient)
 		return func() {
 			for w.Now() < deadline {
 				if !mc.step(node(id), cfg.ScanRatio, rep, lock) {
@@ -508,7 +469,7 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 				if w.Now() >= deadline {
 					return
 				}
-				if w.Sleep(rt.Ticks(mc.rng.Int63n(int64(cfg.MaxSleep)+1))) != nil {
+				if w.Sleep(rt.Ticks(mc.rng.Int63n(int64(maxSleep)+1))) != nil {
 					return
 				}
 			}
@@ -537,9 +498,7 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 		}
 	}
 	spawnClients := func(id int, inc int64) {
-		for cid := 0; cid < cfg.Clients; cid++ {
-			w.GoClient(fmt.Sprintf("client-%d.%d", id, cid), id, client(id, cid, inc))
-		}
+		w.GoClient(fmt.Sprintf("client-%d.0", id), id, client(id, inc))
 		s := id / cfg.N
 		if id == m.Members[s][cfg.N-1] { // last member coordinates its shard
 			w.GoClient(fmt.Sprintf("coord-%d", s), id, coordinator(id))

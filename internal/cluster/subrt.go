@@ -14,18 +14,16 @@ import "mpsnap/internal/rt"
 // at shard scope (a plain pass-through Broadcast would leak the envelope
 // to every node of every shard).
 type shardRuntime struct {
-	under   rt.Runtime // mux channel runtime (global IDs)
-	members []int      // members[local] = global node ID
-	local   int        // this node's shard-local ID
-	f       int
+	rt.Runtime       // mux channel runtime (global IDs)
+	members    []int // members[local] = global node ID
+	local      int   // this node's shard-local ID
+	f          int
 }
-
-var _ rt.Runtime = (*shardRuntime)(nil)
 
 // newShardRuntime builds the member view. The caller guarantees the
 // node is a member (LocalID >= 0).
 func newShardRuntime(under rt.Runtime, members []int, local, f int) *shardRuntime {
-	return &shardRuntime{under: under, members: members, local: local, f: f}
+	return &shardRuntime{Runtime: under, members: members, local: local, f: f}
 }
 
 func (r *shardRuntime) ID() int { return r.local }
@@ -33,24 +31,14 @@ func (r *shardRuntime) N() int  { return len(r.members) }
 func (r *shardRuntime) F() int  { return r.f }
 
 func (r *shardRuntime) Send(dst int, msg rt.Message) {
-	r.under.Send(r.members[dst], msg)
+	r.Runtime.Send(r.members[dst], msg)
 }
 
 func (r *shardRuntime) Broadcast(msg rt.Message) {
 	for _, g := range r.members {
-		r.under.Send(g, msg)
+		r.Runtime.Send(g, msg)
 	}
 }
-
-func (r *shardRuntime) Atomic(fn func()) { r.under.Atomic(fn) }
-
-func (r *shardRuntime) WaitUntilThen(label string, pred func() bool, then func()) error {
-	return r.under.WaitUntilThen(label, pred, then)
-}
-
-func (r *shardRuntime) Now() rt.Ticks { return r.under.Now() }
-
-func (r *shardRuntime) Crashed() bool { return r.under.Crashed() }
 
 // remapHandler translates inbound shard traffic from global to shard-
 // local source IDs before handing it to the engine, and drops messages

@@ -103,13 +103,13 @@ type Info struct {
 // from it.
 func (in Info) Durable() bool { return in.Recover != nil }
 
-// MinN is the smallest cluster size that tolerates f faults under the
-// engine's fault model.
-func (in Info) MinN(f int) int {
+// MaxF is the most faults a cluster of n nodes tolerates under the
+// engine's fault model — what every front door means by f = 0.
+func (in Info) MaxF(n int) int {
 	if in.Byzantine {
-		return 3*f + 1
+		return (n - 1) / 3
 	}
-	return 2*f + 1
+	return (n - 1) / 2
 }
 
 // Validate checks an (n, f) topology against the engine's resilience

@@ -156,13 +156,13 @@ func TestCapabilities(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		f    int
-		minN int
+		n    int
+		maxF int
 	}{
-		{"eqaso", 1, 3}, {"eqaso", 2, 5}, {"byzaso", 1, 4}, {"byzaso", 2, 7},
+		{"eqaso", 3, 1}, {"eqaso", 4, 1}, {"eqaso", 5, 2}, {"byzaso", 4, 1}, {"byzaso", 6, 1}, {"byzaso", 7, 2},
 	} {
-		if got := engine.MustLookup(tc.name).MinN(tc.f); got != tc.minN {
-			t.Errorf("%s.MinN(%d) = %d, want %d", tc.name, tc.f, got, tc.minN)
+		if got := engine.MustLookup(tc.name).MaxF(tc.n); got != tc.maxF {
+			t.Errorf("%s.MaxF(%d) = %d, want %d", tc.name, tc.n, got, tc.maxF)
 		}
 	}
 }

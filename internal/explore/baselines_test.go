@@ -40,7 +40,7 @@ func TestBaselinesUnderExploration(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := explore.Run(explore.Options{Depth: tc.depth, MaxRuns: 300000},
-				oneShotScenario(tc.mk))
+				explore.UpdateThenScan(tc.mk))
 			if err != nil {
 				t.Fatalf("after %d runs: %v", res.Runs, err)
 			}

@@ -8,58 +8,9 @@ import (
 	"mpsnap/internal/eqaso"
 	"mpsnap/internal/explore"
 	"mpsnap/internal/harness"
-	"mpsnap/internal/history"
 	"mpsnap/internal/la"
 	"mpsnap/internal/sim"
 )
-
-// oneShotScenario builds the canonical two-operation scenario: node 0
-// updates; after the update completes, node 2 scans. A linearizable
-// object must make the scan see the update under EVERY schedule.
-func oneShotScenario(mk func(w *sim.World, i int) harness.Object) func(s sim.Sequencer) error {
-	return func(s sim.Sequencer) error {
-		const n, f = 3, 1
-		w := sim.New(sim.Config{N: n, F: f, Seed: 1, Sequencer: s})
-		objs := make([]harness.Object, n)
-		for i := 0; i < n; i++ {
-			objs[i] = mk(w, i)
-		}
-		rec := history.NewRecorder(n)
-		var updDone bool
-		w.GoNode("u0", 0, func(p *sim.Proc) {
-			pend := rec.BeginUpdate(0, "a", w.Now())
-			if err := objs[0].Update([]byte("a")); err != nil {
-				return
-			}
-			pend.End(w.Now())
-			updDone = true
-		})
-		w.GoNode("s2", 2, func(p *sim.Proc) {
-			if err := p.WaitUntilGlobal("update done", func() bool { return updDone }); err != nil {
-				return
-			}
-			// Advance the clock so the scan strictly follows the update
-			// in real time (equal timestamps would make them concurrent
-			// and mask violations).
-			if err := p.Sleep(1); err != nil {
-				return
-			}
-			pend := rec.BeginScan(2, w.Now())
-			snap, err := objs[2].Scan()
-			if err != nil {
-				return
-			}
-			pend.EndScan(harness.SnapStrings(snap), w.Now())
-		})
-		if err := w.Run(); err != nil {
-			return fmt.Errorf("run: %w", err)
-		}
-		if rep := rec.History().CheckLinearizable(); !rep.OK {
-			return fmt.Errorf("%s", rep.Violations[0])
-		}
-		return nil
-	}
-}
 
 // TestSketchCounterexampleFound: the paper's one-shot warm-up sketch
 // (Section III-C) guarantees only (A1); the explorer must find a schedule
@@ -67,7 +18,7 @@ func oneShotScenario(mk func(w *sim.World, i int) harness.Object) func(s sim.Seq
 // the "typical quorum techniques" of Section III-B.
 func TestSketchCounterexampleFound(t *testing.T) {
 	res, err := explore.Run(explore.Options{Depth: 8, MaxRuns: 200000},
-		oneShotScenario(func(w *sim.World, i int) harness.Object {
+		explore.UpdateThenScan(func(w *sim.World, i int) harness.Object {
 			o := la.NewOneShot(w.Runtime(i))
 			w.SetHandler(i, o)
 			return o
@@ -79,7 +30,7 @@ func TestSketchCounterexampleFound(t *testing.T) {
 	t.Logf("counterexample schedule %v found after %d runs: %v", v.Schedule, res.Runs, v.Err)
 
 	// The violation must replay deterministically.
-	replay := oneShotScenario(func(w *sim.World, i int) harness.Object {
+	replay := explore.UpdateThenScan(func(w *sim.World, i int) harness.Object {
 		o := la.NewOneShot(w.Runtime(i))
 		w.SetHandler(i, o)
 		return o
@@ -93,7 +44,7 @@ func TestSketchCounterexampleFound(t *testing.T) {
 // added, every schedule of the bounded tree is linearizable.
 func TestOneShotAtomicSurvivesAllSchedules(t *testing.T) {
 	res, err := explore.Run(explore.Options{Depth: 6, MaxRuns: 300000},
-		oneShotScenario(func(w *sim.World, i int) harness.Object {
+		explore.UpdateThenScan(func(w *sim.World, i int) harness.Object {
 			o := la.NewOneShotAtomic(w.Runtime(i))
 			w.SetHandler(i, o)
 			return o
@@ -114,7 +65,7 @@ func TestOneShotAtomicSurvivesAllSchedules(t *testing.T) {
 // bounded-exhaustive exploration.
 func TestEQASOSurvivesAllSchedules(t *testing.T) {
 	res, err := explore.Run(explore.Options{Depth: 5, MaxRuns: 300000},
-		oneShotScenario(func(w *sim.World, i int) harness.Object {
+		explore.UpdateThenScan(func(w *sim.World, i int) harness.Object {
 			nd := eqaso.New(w.Runtime(i))
 			w.SetHandler(i, nd)
 			return nd

@@ -10,7 +10,7 @@ import (
 
 // jsonHistory is the stable on-disk representation of a history, so
 // histories recorded in one process (or by a user's own deployment) can be
-// checked offline by the tooling (`asosim -check file.json`).
+// checked offline by the tooling (`aso sim -check file.json`).
 type jsonHistory struct {
 	N   int      `json:"n"`
 	Ops []jsonOp `json:"ops"`

@@ -6,98 +6,24 @@ import (
 	"mpsnap/internal/harness"
 	"mpsnap/internal/la"
 	"mpsnap/internal/rt"
-	"mpsnap/internal/sim"
 )
 
-// TestFigure2 reproduces the paper's Figure 2 execution of the one-shot
-// ASO. Paper node numbering is 1-based; here node 1→0, node 2→1, node 3→2.
-//
-//	op1: SCAN by node 3  → returns {} immediately (all views empty).
-//	op2: UPDATE(u) by node 1.
-//	op3: UPDATE(v) by node 3.
-//	op4: SCAN by node 1  → returns {u,v} immediately
-//	     (V1[1] = V1[3] = {u,v}, V1[2] = {}).
-//	op5: UPDATE(w) by node 2.
-//	op6: SCAN by node 3  → blocked: V3[1]={u,v}, V3[2]={w}, V3[3]={u,v,w};
-//	     it must wait for forwarded values from node 1 or node 2, and then
-//	     returns {u,v,w}.
-//
-// The slow links isolate node 2 (paper numbering): everything it receives
-// is slow, as is node 1's inbound link from it.
+// TestFigure2 asserts the paper's Figure 2 execution of the one-shot ASO
+// (la.Figure2 holds the scenario and its op-by-op description): op1 and
+// op4 return immediately from the EQ predicate, op6 blocks for forwarded
+// values, and the three bases form a chain.
 func TestFigure2(t *testing.T) {
-	const (
-		fast = 50
-		slow = 800
-		D    = rt.TicksPerD
-	)
-	delays := sim.SlowLinks{
-		Slow: map[[2]int]bool{
-			{0, 1}: true, // node1 → node2 (paper) slow
-			{2, 1}: true, // node3 → node2 slow
-			{1, 0}: true, // node2 → node1 slow
-		},
-		SlowDelay: slow,
-		FastDelay: fast,
-	}
-	w := sim.New(sim.Config{N: 3, F: 1, Seed: 1, D: D, Delay: delays})
-	objs := make([]*la.OneShot, 3)
-	for i := 0; i < 3; i++ {
-		objs[i] = la.NewOneShot(w.Runtime(i))
-		w.SetHandler(i, objs[i])
-	}
-
 	type scanResult struct {
 		snap     []string
 		inv, rsp rt.Ticks
 	}
 	results := make(map[string]*scanResult)
-	scan := func(p *sim.Proc, node int, name string) {
-		r := &scanResult{inv: p.Now()}
-		snap, err := objs[node].Scan()
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			return
-		}
-		r.snap = harness.SnapStrings(snap)
-		r.rsp = p.Now()
-		results[name] = r
-	}
-
-	// Node 1 (idx 0): op2 = UPDATE(u) at t≈0, then op4 = SCAN at t=150.
-	w.GoNode("node1", 0, func(p *sim.Proc) {
-		if err := objs[0].Update([]byte("u")); err != nil {
-			t.Errorf("op2: %v", err)
-		}
-		if err := p.Sleep(150 - p.Now()); err != nil {
-			return
-		}
-		scan(p, 0, "op4")
-	})
-	// Node 2 (idx 1): op5 = UPDATE(w) at t=200.
-	w.GoNode("node2", 1, func(p *sim.Proc) {
-		if err := p.Sleep(200); err != nil {
-			return
-		}
-		if err := objs[1].Update([]byte("w")); err != nil {
-			t.Errorf("op5: %v", err)
+	err := la.Figure2(func(op la.Figure2Op) {
+		if op.Snap != nil {
+			results[op.Name] = &scanResult{snap: harness.SnapStrings(op.Snap), inv: op.Inv, rsp: op.Rsp}
 		}
 	})
-	// Node 3 (idx 2): op1 = SCAN at t=0, op3 = UPDATE(v), op6 = SCAN at
-	// t=260 — right after w reached it (t=250) and before any forwarded
-	// copy of w can come back, so the scan observes the blocked state of
-	// the figure: V3[1]={u,v}, V3[2]={w}, V3[3]={u,v,w}.
-	w.GoNode("node3", 2, func(p *sim.Proc) {
-		scan(p, 2, "op1")
-		if err := objs[2].Update([]byte("v")); err != nil {
-			t.Errorf("op3: %v", err)
-		}
-		if err := p.Sleep(260 - p.Now()); err != nil {
-			return
-		}
-		scan(p, 2, "op6")
-	})
-
-	if err := w.Run(); err != nil {
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 

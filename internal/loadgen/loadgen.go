@@ -1,8 +1,8 @@
 // Package loadgen drives wall-clock load against an in-process TCP mesh:
-// N asonode-equivalent processes (real sockets on loopback, the exact
-// transport cmd/asonode deploys) fronted by svc Services, hammered by
+// N `aso node`-equivalent processes (real sockets on loopback, the exact
+// transport `aso node` deploys) fronted by svc Services, hammered by
 // thousands of concurrent client sessions. It is the measurement engine
-// behind cmd/asoload and the asobench wallclock experiment.
+// behind `aso load` and the `aso bench` wallclock experiment.
 //
 // Two generation disciplines:
 //
@@ -38,11 +38,12 @@ import (
 )
 
 // Config parameterizes one load run. Its JSON form is the "params" of the
-// reports cmd/asoload and the asobench wallclock experiment write.
+// reports `aso load` and the `aso bench` wallclock experiment write.
 type Config struct {
 	// Engine is the registered engine name (default "eqaso").
 	Engine string `json:"engine,omitempty"`
-	// N and F size the mesh (defaults 4 and 1).
+	// N and F size the mesh (default 4 nodes; F = 0 means the most faults
+	// the engine's fault model allows among N).
 	N int `json:"n,omitempty"`
 	F int `json:"f,omitempty"`
 	// Clients is the number of concurrent client sessions (default 64).
@@ -77,15 +78,6 @@ func (c *Config) fill() {
 	}
 	if c.N == 0 {
 		c.N = 4
-	}
-	if c.N > 1 && c.F == 0 {
-		c.F = (c.N - 1) / 3
-		if c.F == 0 {
-			c.F = 1
-		}
-		if c.F > (c.N-1)/2 {
-			c.F = (c.N - 1) / 2
-		}
 	}
 	if c.Clients == 0 {
 		c.Clients = 64
@@ -163,6 +155,12 @@ func Run(cfg Config) (Result, error) {
 	cfg.fill()
 	info, err := engine.Lookup(cfg.Engine)
 	if err != nil {
+		return Result{}, err
+	}
+	if cfg.F == 0 {
+		cfg.F = info.MaxF(cfg.N)
+	}
+	if err := info.Validate(cfg.N, cfg.F); err != nil {
 		return Result{}, err
 	}
 	nodes, err := transport.LoopbackMesh(cfg.N, transport.TCPConfig{F: cfg.F, D: cfg.D})

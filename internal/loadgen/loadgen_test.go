@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -58,5 +59,15 @@ func TestOpenLoopSmoke(t *testing.T) {
 func TestUnknownEngine(t *testing.T) {
 	if _, err := Run(Config{Engine: "no-such-engine"}); err == nil {
 		t.Fatal("want error for unknown engine")
+	}
+}
+
+// TestTopologyValidated: a topology outside the engine's fault model is a
+// named error before any socket is bound, not a panic in the engine's
+// constructor (byzaso needs n > 3f).
+func TestTopologyValidated(t *testing.T) {
+	_, err := Run(Config{Engine: "byzaso", N: 5, F: 2})
+	if err == nil || !strings.Contains(err.Error(), "n > 3f") {
+		t.Fatalf("byzaso n=5 f=2: err=%v, want the registry's n > 3f error", err)
 	}
 }

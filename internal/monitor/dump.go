@@ -10,7 +10,7 @@ import (
 
 // opJSON is the dump representation of one operation, matching the field
 // names of the history package's stable JSON format so dump transcripts
-// can be eyeballed next to `asochaos -dump` histories.
+// can be eyeballed next to `aso chaos -dump` histories.
 type opJSON struct {
 	ID     int      `json:"id"`
 	Node   int      `json:"node"`

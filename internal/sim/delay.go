@@ -8,7 +8,7 @@ import (
 
 // DelayModel chooses the delivery delay of each message. Returned delays
 // are clamped by the simulator to [1, D]. The model is consulted only for
-// messages between distinct nodes (self-delivery uses Config.SelfDelay).
+// messages between distinct nodes (self-delivery takes 1 tick).
 type DelayModel interface {
 	Delay(src, dst int, kind string, now rt.Ticks, r *rand.Rand) rt.Ticks
 }

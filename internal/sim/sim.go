@@ -43,9 +43,6 @@ type Config struct {
 	D rt.Ticks
 	// Delay chooses per-message delays. nil means Uniform{1, D}.
 	Delay DelayModel
-	// SelfDelay is the delivery delay for messages a node sends to
-	// itself. 0 means 1 tick.
-	SelfDelay rt.Ticks
 	// Adversary intercepts broadcasts to model crash-during-send and
 	// other failure patterns. nil means no interference.
 	Adversary Adversary
@@ -210,9 +207,6 @@ func New(cfg Config) *World {
 	}
 	if cfg.Delay == nil {
 		cfg.Delay = Uniform{Min: 1, Max: cfg.D}
-	}
-	if cfg.SelfDelay == 0 {
-		cfg.SelfDelay = 1
 	}
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 100_000_000
@@ -425,13 +419,12 @@ func (w *World) observeMsg(event string, src, dst int, msg rt.Message) {
 }
 
 // dispatch schedules the actual delivery: base delay in [1, D] from the
-// delay model, plus any adversarial extra, never overtaking earlier sends
+// delay model (1 tick for a message a node sends to itself), plus any
+// adversarial extra, never overtaking earlier sends
 // on the same channel (FIFO).
 func (w *World) dispatch(src, dst int, msg rt.Message, extra rt.Ticks) {
-	var d rt.Ticks
-	if src == dst {
-		d = w.cfg.SelfDelay
-	} else {
+	d := rt.Ticks(1)
+	if src != dst {
 		d = w.cfg.Delay.Delay(src, dst, msg.Kind(), w.now, w.rng)
 	}
 	if d < 1 {

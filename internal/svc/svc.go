@@ -133,20 +133,17 @@ type Options struct {
 	// measures bare protocol latency. Must be concurrency-safe and
 	// non-blocking.
 	Observer rt.Observer
-	// Window caps how many queued requests one worker cycle drains.
-	// 0 means unbounded (every pending request is served each cycle,
-	// the original behaviour) unless AdaptiveWindow is set. A bounded
-	// window trades peak amortization for tail latency: requests behind
-	// the cap wait a cycle instead of joining a huge batch whose commit
-	// they would all share.
-	Window int
-	// AdaptiveWindow sizes the drain window from observed queue depth
-	// instead of a fixed cap: starting from Window (or MinWindow when
-	// Window is 0), the window doubles when a cycle drains a full window
-	// with requests still queued (demand exceeds the cap) and halves when
-	// a cycle drains everything with less than a quarter window of work
-	// (the cap is slack). Bounds: [MinWindow, MaxPending]. Growth and
-	// shrink counts are reported in Stats.
+	// AdaptiveWindow caps how many queued requests one worker cycle
+	// drains, sizing the cap from observed queue depth; without it every
+	// pending request is served each cycle (the original behaviour). A
+	// bounded window trades peak amortization for tail latency: requests
+	// behind the cap wait a cycle instead of joining a huge batch whose
+	// commit they would all share. Starting from MinWindow, the window
+	// doubles when a cycle drains a full window with requests still
+	// queued (demand exceeds the cap) and halves when a cycle drains
+	// everything with less than a quarter window of work (the cap is
+	// slack). Bounds: [MinWindow, MaxPending]. Growth and shrink counts
+	// are reported in Stats.
 	AdaptiveWindow bool
 	// DirectWait resolves Update/Scan waiters through a per-request
 	// channel closed by the worker, instead of the runtime's
@@ -225,16 +222,9 @@ func New(r rt.Runtime, obj Object, opts Options) *Service {
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = DefaultMaxPending
 	}
-	window := opts.Window
+	window := 0
 	if opts.AdaptiveWindow {
-		if window <= 0 {
-			window = MinWindow
-		}
-		if window > opts.MaxPending {
-			window = opts.MaxPending
-		}
-	} else if window < 0 {
-		window = 0
+		window = min(MinWindow, opts.MaxPending)
 	}
 	s := &Service{rtm: r, obj: obj, opts: opts, window: window}
 	s.stats.Window = window

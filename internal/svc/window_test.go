@@ -15,36 +15,6 @@ import (
 	"mpsnap/internal/transport"
 )
 
-// TestFixedWindowCapsBatches: a fixed drain window bounds the size of
-// every committed batch, at the cost of more protocol operations.
-func TestFixedWindowCapsBatches(t *testing.T) {
-	const n, f, clients, each, window = 4, 1, 8, 3, 2
-	fx := build(n, f, 13, "eqaso", svc.Options{Window: window})
-	for k := 0; k < clients; k++ {
-		fx.client(0, func(o *harness.OpRunner) {
-			for j := 0; j < each; j++ {
-				if _, err := o.Update(); err != nil {
-					t.Errorf("update: %v", err)
-					return
-				}
-			}
-		})
-	}
-	if _, err := fx.c.MustLinearizable(); err != nil {
-		t.Fatal(err)
-	}
-	st := fx.svcs[0].Stats()
-	if st.MaxBatch > window {
-		t.Errorf("MaxBatch = %d, want <= window %d", st.MaxBatch, window)
-	}
-	if st.Window != window {
-		t.Errorf("Stats.Window = %d, want %d (fixed)", st.Window, window)
-	}
-	if st.WindowGrows != 0 || st.WindowShrinks != 0 {
-		t.Errorf("fixed window resized: grows=%d shrinks=%d", st.WindowGrows, st.WindowShrinks)
-	}
-}
-
 // TestAdaptiveWindowGrows: under sustained demand exceeding the window,
 // the adaptive window grows (and stays within [MinWindow, MaxPending]),
 // and the history stays linearizable.

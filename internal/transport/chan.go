@@ -5,7 +5,7 @@
 //     channels with injectable random delays (integration testing and the
 //     examples);
 //   - TCP: one node per process over internal/wire frames on TCP
-//     (cmd/asonode), where the kernel's stream ordering provides FIFO.
+//     (`aso node`), where the kernel's stream ordering provides FIFO.
 //
 // Both satisfy the paper's channel model: reliable FIFO point-to-point
 // links. Atomicity of handlers and critical sections is provided by a

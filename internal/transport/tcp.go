@@ -86,7 +86,7 @@ type TCPConfig struct {
 // order, so a transient reset between two live processes does not open a
 // FIFO gap; frames already written to the dead socket are the in-flight
 // loss of the crash model — the crashed-receiver semantics crash-recovery
-// deployments (`asonode -wal`) repair on rejoin — but the mesh heals, so
+// deployments (`aso node -wal`) repair on rejoin — but the mesh heals, so
 // a restarted process receives the replies it is owed. The transport
 // never re-delivers frames it knows a socket accepted.
 type TCPNode struct {

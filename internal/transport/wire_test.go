@@ -185,7 +185,7 @@ func TestTCPUnknownTagSurfaced(t *testing.T) {
 // new incarnation comes back on the same address, the surviving node's
 // send loop must redial (its old outbound connection died with the old
 // process) so the restarted peer receives the messages it is owed —
-// without it, a recovered `asonode -wal` would starve on its first
+// without it, a recovered `aso node -wal` would starve on its first
 // post-restart operation, never seeing the mesh's replies.
 func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	if testing.Short() {

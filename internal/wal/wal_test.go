@@ -231,7 +231,7 @@ func TestRecoverTruncateAppendRecover(t *testing.T) {
 		t.Fatalf("Intact = %d, want < %d (the torn tail)", st.Intact, len(torn))
 	}
 
-	// Reopen for append the way cmd/asonode does: truncate to the intact
+	// Reopen for append the way `aso node` does: truncate to the intact
 	// prefix first, then attach a writer.
 	f2 := NewMemFile()
 	f2.Write(torn[:st.Intact])

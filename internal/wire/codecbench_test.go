@@ -41,7 +41,7 @@ func benchCorpus() []rt.Message {
 
 // BenchmarkWireCodec round-trips the corpus through the typed codec: one
 // self-contained encode plus decode per message, the unit of work a
-// framed transport performs. cmd/asobench -e codec parses this output.
+// framed transport performs. `aso bench` -e codec parses this output.
 func BenchmarkWireCodec(b *testing.B) {
 	msgs := benchCorpus()
 	var buf wire.Buffer

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math/rand"
+	"sort"
 
 	"mpsnap/internal/core"
 )
@@ -119,7 +120,7 @@ func GenValues(rng *rand.Rand) []core.Value {
 	for i := range vs {
 		vs[i] = GenValue(rng)
 	}
-	sortValues(vs)
+	sort.SliceStable(vs, func(i, j int) bool { return vs[i].TS.Less(vs[j].TS) })
 	return vs
 }
 
@@ -134,11 +135,3 @@ func GenCheckpoint(rng *rand.Rand) core.Checkpoint {
 
 // GenView builds a random view.
 func GenView(rng *rand.Rand) core.View { return core.ViewOf(GenValues(rng)...) }
-
-func sortValues(vs []core.Value) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j].TS.Less(vs[j-1].TS); j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
-}

@@ -6,16 +6,13 @@ import (
 
 	"mpsnap/internal/wire"
 
-	// Blank imports pull in every package that registers message codecs,
-	// so the fuzz targets and benchmarks exercise the full registry.
-	_ "mpsnap/internal/abd"
-	_ "mpsnap/internal/baseline/laaso"
-	_ "mpsnap/internal/byzaso"
-	_ "mpsnap/internal/eqaso"
+	// Blank imports pull in every package that registers message codecs —
+	// the whole engine registry, the sharded cluster's router messages, and
+	// the lattice-agreement objects no engine links — so the fuzz targets
+	// and benchmarks exercise the full registry (TestRegistryComplete).
+	_ "mpsnap/internal/cluster"
+	_ "mpsnap/internal/engine/all"
 	_ "mpsnap/internal/la"
-	_ "mpsnap/internal/mux"
-	_ "mpsnap/internal/rbc"
-	_ "mpsnap/internal/transport"
 )
 
 // FuzzWireRoundTrip: for every registered codec, a generated message must
@@ -71,4 +68,36 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		_, _ = wire.UnmarshalFrame(data, 0)
 	})
+}
+
+// TestRegistryComplete pins what the fuzz targets cover to DESIGN.md's tag
+// map: every package's block, with its codec count. A codec registered
+// outside the table, or a package this file stopped linking, fails here
+// instead of silently leaving a message set un-fuzzed.
+func TestRegistryComplete(t *testing.T) {
+	blocks := []struct {
+		pkg    string
+		lo, hi uint16
+		n      int
+	}{
+		{"mux", 1, 1, 1}, {"transport", 2, 2, 1}, {"eqaso", 16, 29, 14}, {"la", 32, 38, 7},
+		{"laaso", 48, 56, 9}, {"abd", 64, 67, 4}, {"rbc", 80, 82, 3}, {"byzaso", 96, 100, 5},
+		{"cluster", 112, 119, 8}, {"regsnap", 128, 134, 6},
+	}
+	got := make([]int, len(blocks))
+next:
+	for _, c := range wire.Registered() {
+		for i, b := range blocks {
+			if b.lo <= c.Tag && c.Tag <= b.hi {
+				got[i]++
+				continue next
+			}
+		}
+		t.Errorf("tag %d (%T) is in no block of the tag table", c.Tag, c.Proto)
+	}
+	for i, b := range blocks {
+		if got[i] != b.n {
+			t.Errorf("%s: %d codecs registered in tags %d–%d, the tag table says %d", b.pkg, got[i], b.lo, b.hi, b.n)
+		}
+	}
 }
