@@ -46,9 +46,10 @@ test-race:
 
 # Crash-recovery matrix under the race detector: WAL replay, restart and
 # rejoin under chaos on both the sim and chan backends, plus the WAL's
-# crash-point suite and the pruned-log differential oracle.
+# crash-point suite, the pruned-log differential oracle and the value
+# log's straggler (below-frontier insert) tests.
 test-recovery:
-	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential' ./internal/chaos/ ./internal/wal/ ./internal/core/
+	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential|Straggler' ./internal/chaos/ ./internal/wal/ ./internal/core/
 
 # Sharded-cluster matrix under the race detector: routing, shard-map
 # races, and validated cross-shard cuts on the sim and chan backends
@@ -81,9 +82,12 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 # Data-structure micro-benchmarks: the reference map engine (ValueSet)
-# vs the history-independent value log on Add/CountLE/ViewLE/EQ setup.
+# vs the history-independent value log on Add/CountLE/ViewLE/EQ setup,
+# and what a below-frontier insert costs at H = 1k, 16k, 64k. CI runs
+# them for one iteration (BENCHTIME=1x) so they build and run on every push.
+BENCHTIME ?= 1s
 bench-core:
-	$(GO) test ./internal/core -bench . -benchmem -run '^$$'
+	$(GO) test ./internal/core -bench . -benchmem -benchtime=$(BENCHTIME) -run '^$$'
 
 # The artifact-bearing experiments `-e all` runs, at their -quick sizes,
 # gates enforced (-check is a no-op for an experiment without one); each

@@ -14,6 +14,12 @@ import (
 //
 // Payloads are a function of the timestamp, matching the protocol
 // invariant that a timestamp names exactly one written value.
+//
+// Every view the log hands out is also remembered, with what it held, and
+// re-read after each later step: a published view must never change,
+// whichever piece of the log the steps since have copied, sealed or pruned.
+// Streams run with the window capacity shrunk so that their ≤ 320 values
+// cross the sealed/window boundary.
 
 const diffNodes = 5
 
@@ -25,6 +31,42 @@ type diffState struct {
 	// which the equivalence contract no longer applies.
 	pruned map[Timestamp]bool
 	floor  Tag
+	pub    []publishedView
+}
+
+// publishedView is a view the log handed out and what it held then.
+type publishedView struct {
+	view View
+	ts   []Timestamp
+	pays [][]byte
+}
+
+// publish remembers v for verifyPublished.
+func (d *diffState) publish(v View) View {
+	p := publishedView{view: v}
+	v.Each(func(val Value) {
+		p.ts = append(p.ts, val.TS)
+		p.pays = append(p.pays, val.Payload)
+	})
+	d.pub = append(d.pub, p)
+	return v
+}
+
+// verifyPublished re-reads every remembered view.
+func (d *diffState) verifyPublished() {
+	for k, p := range d.pub {
+		if p.view.Len() != len(p.ts) {
+			panic(fmt.Sprintf("published view %d changed length: %d, was %d", k, p.view.Len(), len(p.ts)))
+		}
+		i := 0
+		p.view.Each(func(val Value) {
+			if val.TS != p.ts[i] || !bytes.Equal(val.Payload, p.pays[i]) {
+				panic(fmt.Sprintf("published view %d changed at %d: %v %q, was %v %q",
+					k, i, val.TS, val.Payload, p.ts[i], p.pays[i]))
+			}
+			i++
+		})
+	}
 }
 
 func newDiffState() *diffState {
@@ -56,7 +98,7 @@ func (d *diffState) step(data []byte, i int) int {
 		// in both engines — modelling the catch-up a real vouch round
 		// implies (NoteVouch advances cursors only for values every node
 		// provably holds) — then prune below the current frontier.
-		all := d.log.AllView()
+		all := d.publish(d.log.AllView())
 		for j := 1; j < diffNodes; j++ {
 			all.Each(func(v Value) {
 				d.log.Add(j, v)
@@ -82,10 +124,12 @@ func (d *diffState) step(data []byte, i int) int {
 		// Checkpoint round-trip: split a view at the frontier and
 		// recompose it; the result must equal the original.
 		ck := d.log.Frontier()
-		view := d.log.ViewLE(Tag(1 + a%64))
+		view := d.publish(d.log.ViewLE(Tag(1 + a%64)))
 		if delta, ok := d.log.DeltaAbove(view, ck); ok {
 			if got, ok2 := d.log.ComposeAt(ck, delta); !ok2 || !got.Equal(view) {
 				panic(fmt.Sprintf("compose(%+v) != original view %v", ck, view))
+			} else {
+				d.publish(got)
 			}
 		}
 	default:
@@ -136,7 +180,7 @@ func (d *diffState) check(t *testing.T) {
 			if got, want := d.log.CountLE(j, r), d.sets[j].CountLE(r); got != want {
 				t.Fatalf("CountLE(%d, %d): log %d, map %d", j, r, got, want)
 			}
-			lv, mv := d.log.PeerViewLE(j, r), d.sets[j].ViewLE(r)
+			lv, mv := d.publish(d.log.PeerViewLE(j, r)), d.sets[j].ViewLE(r)
 			if !lv.Equal(d.retained(mv)) {
 				t.Fatalf("PeerViewLE(%d, %d): log %v, map %v", j, r, lv, mv)
 			}
@@ -154,7 +198,7 @@ func (d *diffState) check(t *testing.T) {
 		if r < d.floor {
 			continue
 		}
-		lv, mv := d.log.ViewLE(r), d.sets[0].ViewLE(r)
+		lv, mv := d.publish(d.log.ViewLE(r)), d.sets[0].ViewLE(r)
 		if !lv.Equal(d.retained(mv)) {
 			t.Fatalf("ViewLE(%d): log %v, map %v", r, lv, mv)
 		}
@@ -197,10 +241,16 @@ func (d *diffState) check(t *testing.T) {
 	}
 }
 
-// run replays a whole byte stream, checking equivalence periodically and
-// at the end.
-func diffRun(t *testing.T, data []byte) {
+// diffWindow is the window capacity the fuzz target and the hand-built
+// streams run at; the seeds below are laid out against it.
+const diffWindow = 8
+
+// diffRun replays a whole byte stream at window capacity window, re-reading
+// the published views after every step and checking equivalence
+// periodically and at the end.
+func diffRun(t *testing.T, data []byte, window int) *diffState {
 	t.Helper()
+	shrinkWindow(t, window)
 	d := newDiffState()
 	steps := 0
 	for i := 0; ; steps++ {
@@ -209,11 +259,14 @@ func diffRun(t *testing.T, data []byte) {
 			break
 		}
 		i += n
+		d.verifyPublished()
 		if steps%32 == 31 {
 			d.check(t)
 		}
 	}
 	d.check(t)
+	d.verifyPublished()
+	return d
 }
 
 func TestValueLogDifferential(t *testing.T) {
@@ -221,47 +274,97 @@ func TestValueLogDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 64+rng.Intn(2048))
 		rng.Read(data)
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { diffRun(t, data) })
+		window := []int{2, diffWindow, 32, windowCap}[seed%4]
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { diffRun(t, data, window) })
+	}
+}
+
+// Stream encodings of the harness's operations.
+func diffAdd(src, tag, w byte) []byte { return []byte{0, src, tag - 1, w} }
+func diffFreeze(tag byte) []byte      { return []byte{6, tag - 1, 0, 0} }
+func diffCompose(tag byte) []byte     { return []byte{7, tag - 1, 0, 0} }
+
+var diffPrune = []byte{5, 0, 0, 0}
+
+// stragglerStream builds twenty values at even tags 2..40, freezes them all
+// — at diffWindow that seals positions 0..15 (tags ≤ 32) and leaves
+// positions 16..19 (tags 34..40) frozen in the window — cuts a view, lands
+// one straggler at tag, and composes again.
+func stragglerStream(tag byte) []byte {
+	var stream []byte
+	for t := byte(2); t <= 40; t += 2 {
+		stream = append(stream, diffAdd(1, t, 1)...)
+	}
+	stream = append(stream, diffFreeze(40)...)
+	stream = append(stream, diffCompose(64)...)
+	stream = append(stream, diffAdd(2, tag, 2)...)
+	return append(stream, diffCompose(64)...)
+}
+
+// The three places a straggler can land relative to the sealed boundary.
+const (
+	stragglerDepth0     = 39 // just under the frontier: the window's last frozen slot
+	stragglerAtBoundary = 33 // position len(sealed): the window's first slot
+	stragglerBelow      = 31 // inside the sealed prefix: the full-copy fallback
+)
+
+// TestStragglerStreamsLandWhereNamed pins the layout the fuzz seeds rely
+// on: what each straggler copies says which piece it landed in.
+func TestStragglerStreamsLandWhereNamed(t *testing.T) {
+	for _, c := range []struct {
+		tag    byte
+		copied int64
+		sealed int
+	}{
+		{stragglerDepth0, 4, 16},
+		{stragglerAtBoundary, 4, 16},
+		{stragglerBelow, 16, 17},
+	} {
+		d := diffRun(t, stragglerStream(c.tag), diffWindow)
+		st := d.log.Stats()
+		if st.COWInserts != 1 || st.COWCopied != c.copied || len(d.log.sealed) != c.sealed {
+			t.Errorf("straggler at tag %d: COWInserts=%d COWCopied=%d len(sealed)=%d, want 1, %d, %d",
+				c.tag, st.COWInserts, st.COWCopied, len(d.log.sealed), c.copied, c.sealed)
+		}
 	}
 }
 
 // TestValueLogDifferentialAdversarial replays hand-picked streams that
 // exercise the structurally interesting paths: inserts below the frontier
-// (copy-on-write), prefix demotions, and straggler absorption.
+// (copy-on-write, in the window and below the sealed boundary), prefix
+// demotions, and straggler absorption.
 func TestValueLogDifferentialAdversarial(t *testing.T) {
-	add := func(src, tag, w byte) []byte { return []byte{0, src, tag - 1, w} }
-	freeze := func(tag byte) []byte { return []byte{6, tag - 1, 0, 0} }
-	compose := func(tag byte) []byte { return []byte{7, tag - 1, 0, 0} }
-	prune := []byte{5, 0, 0, 0}
 	var stream []byte
 	// Build a prefix, freeze it, then land older values under it.
 	for tag := byte(10); tag <= 30; tag += 2 {
-		stream = append(stream, add(1, tag, 1)...)
+		stream = append(stream, diffAdd(1, tag, 1)...)
 	}
-	stream = append(stream, freeze(30)...)
+	stream = append(stream, diffFreeze(30)...)
 	for tag := byte(9); tag >= 3; tag -= 2 {
-		stream = append(stream, add(2, tag, 2)...) // COW inserts
+		stream = append(stream, diffAdd(2, tag, 2)...) // COW inserts
 	}
-	stream = append(stream, compose(30)...)
+	stream = append(stream, diffCompose(30)...)
 	// Peer 1 receives the stragglers out of order, then the gap filler.
-	stream = append(stream, add(1, 40, 3)...)
-	stream = append(stream, add(1, 36, 4)...)
-	stream = append(stream, add(1, 38, 0)...)
-	stream = append(stream, freeze(40)...)
-	stream = append(stream, compose(64)...)
+	stream = append(stream, diffAdd(1, 40, 3)...)
+	stream = append(stream, diffAdd(1, 36, 4)...)
+	stream = append(stream, diffAdd(1, 38, 0)...)
+	stream = append(stream, diffFreeze(40)...)
+	stream = append(stream, diffCompose(64)...)
 	// Garbage-collect below the vouched frontier, keep writing above it,
 	// freeze and prune again (cumulative pre-extract), then compose on the
 	// pruned log.
-	stream = append(stream, prune...)
-	stream = append(stream, add(3, 50, 2)...)
-	stream = append(stream, add(3, 44, 1)...)
-	stream = append(stream, add(1, 47, 0)...)
-	stream = append(stream, freeze(50)...)
-	stream = append(stream, compose(64)...)
-	stream = append(stream, prune...)
-	stream = append(stream, add(2, 60, 4)...)
-	stream = append(stream, compose(64)...)
-	diffRun(t, stream)
+	stream = append(stream, diffPrune...)
+	stream = append(stream, diffAdd(3, 50, 2)...)
+	stream = append(stream, diffAdd(3, 44, 1)...)
+	stream = append(stream, diffAdd(1, 47, 0)...)
+	stream = append(stream, diffFreeze(50)...)
+	stream = append(stream, diffCompose(64)...)
+	stream = append(stream, diffPrune...)
+	stream = append(stream, diffAdd(2, 60, 4)...)
+	stream = append(stream, diffCompose(64)...)
+	for _, window := range []int{2, diffWindow, windowCap} {
+		diffRun(t, stream, window)
+	}
 }
 
 // FuzzValueSetEquivalence feeds arbitrary operation streams through both
@@ -272,6 +375,9 @@ func FuzzValueSetEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 2, 6, 10, 0, 0, 0, 2, 3, 1, 7, 63, 0, 0})
 	// Truncation events: build, freeze, prune (5), keep writing, re-prune.
 	f.Add([]byte{0, 1, 9, 1, 0, 2, 14, 2, 6, 20, 0, 0, 5, 0, 0, 0, 0, 3, 30, 3, 6, 40, 0, 0, 5, 0, 0, 0, 7, 63, 0, 0})
+	for _, tag := range []byte{stragglerDepth0, stragglerAtBoundary, stragglerBelow} {
+		f.Add(stragglerStream(tag))
+	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 4; i++ {
 		data := make([]byte, 128)
@@ -282,6 +388,6 @@ func FuzzValueSetEquivalence(f *testing.F) {
 		if len(data) > 1<<14 {
 			t.Skip("bounded input")
 		}
-		diffRun(t, data)
+		diffRun(t, data, diffWindow)
 	})
 }

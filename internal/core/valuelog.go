@@ -3,8 +3,8 @@ package core
 import "sort"
 
 // ValueLog is the history-independent replacement for an array of per-peer
-// ValueSets. One timestamp-sorted backing array holds each value the node
-// knows exactly once; per-peer membership (V[j] in the paper) is tracked as
+// ValueSets. One timestamp-sorted sequence holds each value the node knows
+// exactly once; per-peer membership (V[j] in the paper) is tracked as
 // a prefix cursor plus a small straggler set, which is sound because the
 // algorithms maintain V[j] ⊆ V[self] (every value received from any j is
 // also added to V[self], line 40 of Algorithm 1).
@@ -13,8 +13,24 @@ import "sort"
 // a good lattice operation at tag r — so the prefix with tags ≤ r is known
 // good at n−f nodes — AdvanceFrontier(r) freezes that prefix. The frozen
 // region is immutable in place: views returned by ViewLE/AllView alias it
-// zero-copy, and a straggler insert below the frontier reallocates the
-// backing array (copy-on-write) so already-published views never change.
+// zero-copy, and a straggler insert below the frontier copies on write so
+// already-published views never change.
+//
+// Stragglers are not rare — measured at 1.7% of all inserts on a 3-node
+// TCP mesh — but they are shallow: every one landed within 32 positions of
+// the end of the log there, within 64 on a 7-node simulated cluster with
+// crashes. The sequence is therefore stored as two pieces. The sealed
+// prefix holds frozen values old enough that no straggler reaches them: it
+// only ever grows by amortized append, which is safe under aliasing because
+// views cap their slices. The recent window holds the newest frozen values
+// (between windowCap/2 and windowCap of them) followed by the unfrozen
+// tail; frozen values migrate window → sealed in blocks as the frontier
+// advances. A below-frontier insert copies only the window — O(windowCap +
+// unfrozen tail), independent of H. One that lands below the sealed
+// boundary still copies the whole sealed prefix (with growth headroom, so
+// the next append does not copy it again): the correct fallback, which the
+// measured depths never reach.
+//
 // A digest prefix-sum array summarizes every log prefix, so a frontier
 // Checkpoint (count + order-independent digest) advertised by a peer can
 // be vouched for in O(1); borrow replies then ship only the delta above
@@ -22,21 +38,26 @@ import "sort"
 //
 // Per-operation costs with H total values and n nodes: Add is O(log H)
 // amortized (appends dominate in tag order; a mid-tail insert memmoves
-// only the unfrozen tail), CountLE is O(log H), NewEQTrackerFromLog is
-// O(n log H), and ViewLE at or below the frontier is O(1).
+// only the unfrozen tail; a straggler allocates O(windowCap)), CountLE is
+// O(log H), NewEQTrackerFromLog is O(n log H), and ViewLE at or below the
+// frontier is O(1).
 // Garbage collection: once a checkpoint has been vouched by every node
 // (each peer's NoteVouch recorded), PruneTo drops the value prefix below
 // it. Counts stay absolute across pruning — off is the number of pruned
 // values, and SelfLen/Len/CountLE/Frontier all report off + physical —
 // while digsum is re-based so digsum[i] remains the absolute digest of
-// pruned ∪ vals[:i] exactly (the digests are order-independent sums).
+// pruned ∪ the first i retained values exactly (the digests are
+// order-independent sums).
 // The pruned prefix survives as a per-writer extract (preExt) attached to
 // views, so SCAN extraction still sees every writer's latest value.
 type ValueLog struct {
-	n, self  int
-	vals     []Value  // sorted by timestamp, no duplicates (above the pruned prefix)
-	digsum   []uint64 // digsum[i] = digest of pruned prefix ∪ vals[:i]; len = len(vals)+1
-	frozen   int      // vals[:frozen] is immutable in place
+	n, self int
+	// The retained values, sorted by timestamp, no duplicates: position p is
+	// sealed[p] below len(sealed) and win[p-len(sealed)] above.
+	sealed   []Value  // frozen and out of straggler reach: append-only
+	win      []Value  // the newest frozen values, then the unfrozen tail
+	digsum   []uint64 // digsum[i] = digest of pruned prefix ∪ positions [0,i); len = size()+1
+	frozen   int      // positions [0,frozen) are immutable in place; ≥ len(sealed)
 	frontier Tag      // largest tag passed to AdvanceFrontier
 	peers    []peerSet
 
@@ -60,9 +81,16 @@ type ValueLog struct {
 	stats LogStats
 }
 
-// peerSet is node j's membership in the shared log: j holds every value in
-// vals[:prefix) plus the timestamps in strag. Invariant: every straggler's
-// position in vals is ≥ prefix (so all straggler timestamps are greater
+// windowCap is the most frozen values the recent window holds before the
+// oldest are sealed; half of them stay, so a straggler up to windowCap/2
+// positions below the frozen boundary still costs only a window copy (the
+// measured depth is ≤ 64 from the end of the log). A variable only so the
+// tests can shrink it to cross the seal boundary with short streams.
+var windowCap = 256
+
+// peerSet is node j's membership in the shared log: j holds every value at
+// positions [0,prefix) plus the timestamps in strag. Invariant: every
+// straggler's position is ≥ prefix (so all straggler timestamps are greater
 // than all prefix timestamps, and strag is sorted).
 type peerSet struct {
 	prefix int
@@ -85,6 +113,7 @@ type LogStats struct {
 	Appends     int64 // new value appended at the end of the log
 	TailInserts int64 // new value memmoved into the unfrozen tail
 	COWInserts  int64 // new value below the frontier forced a reallocation
+	COWCopied   int64 // values those reallocations copied
 	Demotions   int64 // peer prefix values demoted to stragglers
 	Freezes     int64 // AdvanceFrontier calls that grew the frozen prefix
 	Prunes      int64 // PruneTo calls that dropped a prefix
@@ -117,15 +146,36 @@ func (l *ValueLog) N() int { return l.n }
 // Stats returns the structural counters.
 func (l *ValueLog) Stats() LogStats { return l.stats }
 
-// upperBound returns the number of values with tag ≤ r.
+// size returns the number of values held physically.
+func (l *ValueLog) size() int { return len(l.sealed) + len(l.win) }
+
+// at returns the value at position p.
+func (l *ValueLog) at(p int) Value {
+	if p < len(l.sealed) {
+		return l.sealed[p]
+	}
+	return l.win[p-len(l.sealed)]
+}
+
+// upperBound returns the number of values with tag ≤ r. Like locate it
+// searches one piece: the window when the answer lies past its first value
+// (queries cluster at the end of the log), else the sealed prefix.
 func (l *ValueLog) upperBound(r Tag) int {
-	return sort.Search(len(l.vals), func(i int) bool { return l.vals[i].TS.Tag > r })
+	seg, off := l.sealed, 0
+	if len(l.win) > 0 && l.win[0].TS.Tag <= r {
+		seg, off = l.win, len(l.sealed)
+	}
+	return off + sort.Search(len(seg), func(i int) bool { return seg[i].TS.Tag > r })
 }
 
 // locate returns the insertion position for ts and whether it is present.
 func (l *ValueLog) locate(ts Timestamp) (int, bool) {
-	p := searchSeg(l.vals, ts)
-	return p, p < len(l.vals) && l.vals[p].TS == ts
+	seg, off := l.sealed, 0
+	if len(l.win) > 0 && !ts.Less(l.win[0].TS) {
+		seg, off = l.win, len(l.sealed)
+	}
+	p := searchSeg(seg, ts)
+	return off + p, p < len(seg) && seg[p].TS == ts
 }
 
 // Has reports whether the node holds a value with timestamp ts.
@@ -140,15 +190,15 @@ func (l *ValueLog) Get(ts Timestamp) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return l.vals[p].Payload, true
+	return l.at(p).Payload, true
 }
 
 // SelfLen returns |V[self]|: the total number of values held, counting
 // the pruned prefix.
-func (l *ValueLog) SelfLen() int { return l.off + len(l.vals) }
+func (l *ValueLog) SelfLen() int { return l.off + l.size() }
 
 // RetainedLen returns the number of values held physically (after GC).
-func (l *ValueLog) RetainedLen() int { return len(l.vals) }
+func (l *ValueLog) RetainedLen() int { return l.size() }
 
 // PrunedCount returns how many values have been garbage-collected.
 func (l *ValueLog) PrunedCount() int { return l.off }
@@ -160,7 +210,7 @@ func (l *ValueLog) PrunedTag() Tag { return l.prunedTag }
 // peer's cursor to cover it).
 func (l *ValueLog) Len(j int) int {
 	if j == l.self {
-		return l.off + len(l.vals)
+		return l.SelfLen()
 	}
 	ps := &l.peers[j]
 	return l.off + ps.prefix + len(ps.strag)
@@ -236,7 +286,7 @@ func (l *ValueLog) AddSelf(v Value) bool {
 // absorb advances a peer prefix over stragglers that have become
 // contiguous with it.
 func (l *ValueLog) absorb(ps *peerSet) {
-	for len(ps.strag) > 0 && ps.prefix < len(l.vals) && ps.strag[0] == l.vals[ps.prefix].TS {
+	for len(ps.strag) > 0 && ps.prefix < l.size() && ps.strag[0] == l.at(ps.prefix).TS {
 		ps.prefix++
 		ps.strag = ps.strag[1:]
 	}
@@ -245,9 +295,10 @@ func (l *ValueLog) absorb(ps *peerSet) {
 // insert places v at position p, demoting any peer prefix that spans p
 // (its values at positions ≥ p become stragglers, keeping the position
 // invariant; Add re-absorbs them right away when j is receiving v itself).
-// Below the frontier the backing array is reallocated so published views
-// stay immutable; inside the unfrozen tail a memmove suffices because no
-// view references those positions.
+// Below the frontier the piece holding p is reallocated so published views
+// stay immutable — the window, or for a straggler deeper than the window
+// the whole sealed prefix; inside the unfrozen tail a memmove suffices
+// because no view references those positions.
 func (l *ValueLog) insert(p int, v Value) {
 	for j := range l.peers {
 		if j == l.self {
@@ -257,40 +308,53 @@ func (l *ValueLog) insert(p int, v Value) {
 		if ps.prefix <= p {
 			continue
 		}
-		demoted := l.vals[p:ps.prefix]
-		ns := make([]Timestamp, 0, len(demoted)+len(ps.strag))
-		for i := range demoted {
-			ns = append(ns, demoted[i].TS)
+		ns := make([]Timestamp, 0, ps.prefix-p+len(ps.strag))
+		for i := p; i < ps.prefix; i++ {
+			ns = append(ns, l.at(i).TS)
 		}
+		l.stats.Demotions += int64(ps.prefix - p)
 		ps.strag = append(ns, ps.strag...)
 		ps.prefix = p
-		l.stats.Demotions += int64(len(demoted))
 	}
+	w := p - len(l.sealed)
 	switch {
 	case p < l.frozen:
-		nv := make([]Value, len(l.vals)+1)
-		copy(nv, l.vals[:p])
-		nv[p] = v
-		copy(nv[p+1:], l.vals[p:])
-		l.vals = nv
+		if w < 0 {
+			l.sealed = insertCopy(l.sealed, p, v)
+			l.stats.COWCopied += int64(len(l.sealed) - 1)
+		} else {
+			l.win = insertCopy(l.win, w, v)
+			l.stats.COWCopied += int64(len(l.win) - 1)
+		}
 		l.frozen++
 		l.noteFrozen(v)
 		l.publishExt()
 		l.stats.COWInserts++
-	case p == len(l.vals):
-		l.vals = append(l.vals, v)
+	case w == len(l.win):
+		l.win = append(l.win, v)
 		l.stats.Appends++
 	default:
-		l.vals = append(l.vals, Value{})
-		copy(l.vals[p+1:], l.vals[p:])
-		l.vals[p] = v
+		l.win = append(l.win, Value{})
+		copy(l.win[w+1:], l.win[w:])
+		l.win[w] = v
 		l.stats.TailInserts++
 	}
-	// Extend/repair the digest prefix sums from p on.
+	// Every prefix digest above p gains v.
+	d := digestValue(v)
 	l.digsum = append(l.digsum, 0)
-	for i := p; i < len(l.vals); i++ {
-		l.digsum[i+1] = l.digsum[i] + digestValue(l.vals[i])
+	for k := len(l.digsum) - 1; k > p; k-- {
+		l.digsum[k] = l.digsum[k-1] + d
 	}
+}
+
+// insertCopy returns a fresh array holding s with v at position p, with
+// growth headroom so the append that follows does not copy it all again.
+func insertCopy(s []Value, p int, v Value) []Value {
+	out := make([]Value, len(s)+1, len(s)+len(s)/4+8)
+	copy(out, s[:p])
+	out[p] = v
+	copy(out[p+1:], s[p:])
+	return out
 }
 
 // noteFrozen folds a newly frozen value into the master per-writer extract.
@@ -333,14 +397,26 @@ func (l *ValueLog) AdvanceFrontier(r Tag) {
 		return
 	}
 	l.frontier = r
-	nf := l.upperBound(r)
-	if nf > l.frozen {
-		for i := l.frozen; i < nf; i++ {
-			l.noteFrozen(l.vals[i])
-		}
-		l.frozen = nf
-		l.publishExt()
-		l.stats.Freezes++
+	if nf := l.upperBound(r); nf > l.frozen {
+		l.freezeTo(nf)
+	}
+}
+
+// freezeTo grows the frozen prefix to nf values, then seals the oldest
+// frozen values out of the window once more than windowCap have gathered
+// there, leaving the newest windowCap/2 within a straggler's reach.
+func (l *ValueLog) freezeTo(nf int) {
+	ns := len(l.sealed)
+	for _, v := range l.win[l.frozen-ns : nf-ns] {
+		l.noteFrozen(v)
+	}
+	l.frozen = nf
+	l.publishExt()
+	l.stats.Freezes++
+	if wf := nf - ns; wf > windowCap {
+		k := wf - windowCap/2
+		l.sealed = append(l.sealed, l.win[:k]...)
+		l.win = l.win[k:]
 	}
 }
 
@@ -363,8 +439,14 @@ func (l *ValueLog) Vouches(ck Checkpoint) bool {
 	return idx >= 0 && idx < len(l.digsum) && l.digsum[idx] == ck.Digest
 }
 
-// withPre attaches the pruned-prefix summary to a view cut from this log.
-func (l *ValueLog) withPre(v View) View {
+// frozenView returns the first k ≤ frozen values as a zero-copy alias of
+// the log's two pieces, with the pruned-prefix summary attached.
+func (l *ValueLog) frozenView(k int) View {
+	ns := min(k, len(l.sealed))
+	v := View{base: l.sealed[:ns:ns], mid: l.win[: k-ns : k-ns]}
+	if k == l.frozen {
+		v.ext = l.ext
+	}
 	if l.off > 0 {
 		v.pre = l.preExt
 		v.pruned = l.off
@@ -373,20 +455,10 @@ func (l *ValueLog) withPre(v View) View {
 }
 
 // ViewLE returns V[self]^{≤r}. At or below the frozen prefix this is a
-// zero-copy alias of the log; above it, the base aliases the frozen prefix
-// and only the unfrozen tail portion is copied.
+// zero-copy alias of the log; above it, the frozen prefix is aliased and
+// only the unfrozen tail portion is copied.
 func (l *ValueLog) ViewLE(r Tag) View {
-	ub := l.upperBound(r)
-	if ub <= l.frozen {
-		var ext *baseExtract
-		if ub == l.frozen {
-			ext = l.ext
-		}
-		return l.withPre(View{base: l.vals[:ub:ub], ext: ext})
-	}
-	tail := make([]Value, ub-l.frozen)
-	copy(tail, l.vals[l.frozen:ub])
-	return l.withPre(View{base: l.vals[:l.frozen:l.frozen], tail: tail, ext: l.ext})
+	return l.PeerViewLE(l.self, r)
 }
 
 // AllView returns a view of every value held.
@@ -397,37 +469,27 @@ func (l *ValueLog) AllView() View { return l.ViewLE(MaxTag) }
 // tag ≤ r. The straggler-position invariant guarantees the concatenation
 // is sorted.
 func (l *ValueLog) PeerViewLE(j int, r Tag) View {
-	if j == l.self {
-		return l.ViewLE(r)
+	limit := l.upperBound(r)
+	var strag []Timestamp
+	if j != l.self {
+		ps := &l.peers[j]
+		limit, strag = min(limit, ps.prefix), ps.strag
 	}
-	ps := &l.peers[j]
-	ub := l.upperBound(r)
-	limit := ps.prefix
-	if ub < limit {
-		limit = ub
+	v := l.frozenView(min(limit, l.frozen))
+	if m := limit - l.frozen; m > 0 {
+		w := l.frozen - len(l.sealed)
+		v.tail = make([]Value, m, m+len(strag))
+		copy(v.tail, l.win[w:w+m])
 	}
-	baseN := limit
-	if l.frozen < baseN {
-		baseN = l.frozen
-	}
-	var tail []Value
-	if m := limit - baseN; m > 0 {
-		tail = make([]Value, m, m+len(ps.strag))
-		copy(tail, l.vals[baseN:limit])
-	}
-	for _, ts := range ps.strag {
+	for _, ts := range strag {
 		if ts.Tag > r {
 			break
 		}
 		if p, ok := l.locate(ts); ok {
-			tail = append(tail, l.vals[p])
+			v.tail = append(v.tail, l.at(p))
 		}
 	}
-	var ext *baseExtract
-	if baseN == l.frozen {
-		ext = l.ext
-	}
-	return l.withPre(View{base: l.vals[:baseN:baseN], tail: tail, ext: ext})
+	return v
 }
 
 // DeltaAbove splits view into (ck, delta): when this log vouches for ck
@@ -441,10 +503,16 @@ func (l *ValueLog) DeltaAbove(view View, ck Checkpoint) ([]Value, bool) {
 	if idx < 0 || idx > view.Len() || view.pruned != l.off || !l.Vouches(ck) {
 		return nil, false
 	}
-	if idx > 0 {
-		// The view's base must alias this log's array so that
-		// view[:idx] == vals[:idx] without comparing elements.
-		if len(view.base) < idx || !sameBacking(view.base, l.vals) {
+	// The view's first idx values must be this log's: below the sealed
+	// boundary by aliasing, without comparing elements; in the window — a
+	// piece that is reallocated every few hundred appends — by comparing at
+	// most the window's worth of timestamps.
+	nb := len(view.base)
+	if idx > nb+len(view.mid) || (min(idx, nb) > 0 && !sameBacking(view.base, l.sealed)) {
+		return nil, false
+	}
+	for i := nb; i < idx; i++ {
+		if view.mid[i-nb].TS != l.at(i).TS {
 			return nil, false
 		}
 	}
@@ -456,7 +524,7 @@ func (l *ValueLog) DeltaAbove(view View, ck Checkpoint) ([]Value, bool) {
 }
 
 // ComposeAt rebuilds a view from a checkpoint this log vouches for and the
-// delta above it. The base aliases the local frozen prefix (zero-copy);
+// delta above it. The prefix aliases the local frozen pieces (zero-copy);
 // the delta may contain values this node does not hold. Returns false
 // when the checkpoint no longer matches local state (the prefix changed
 // under a copy-on-write insert) or the delta is not a sorted extension —
@@ -466,10 +534,9 @@ func (l *ValueLog) ComposeAt(ck Checkpoint, delta []Value) (View, bool) {
 	if idx < 0 || idx > l.frozen || !l.Vouches(ck) {
 		return View{}, false
 	}
-	base := l.vals[:idx:idx]
 	last := Timestamp{Tag: -1}
 	if idx > 0 {
-		last = base[idx-1].TS
+		last = l.at(idx - 1).TS
 	}
 	for i := range delta {
 		if !last.Less(delta[i].TS) {
@@ -477,11 +544,9 @@ func (l *ValueLog) ComposeAt(ck Checkpoint, delta []Value) (View, bool) {
 		}
 		last = delta[i].TS
 	}
-	var ext *baseExtract
-	if idx == l.frozen {
-		ext = l.ext
-	}
-	return l.withPre(View{base: base, tail: delta, ext: ext}), true
+	view := l.frozenView(idx)
+	view.tail = delta
+	return view, true
 }
 
 // NoteVouch records that node j vouched for checkpoint ck: j attests it
@@ -505,7 +570,7 @@ func (l *ValueLog) NoteVouch(j int, ck Checkpoint) bool {
 	if idx <= ps.prefix {
 		return true
 	}
-	cut := l.vals[idx-1].TS
+	cut := l.at(idx - 1).TS
 	keep := ps.strag[:0]
 	for _, ts := range ps.strag {
 		if cut.Less(ts) {
@@ -522,14 +587,14 @@ func (l *ValueLog) NoteVouch(j int, ck Checkpoint) bool {
 // node has vouched for (the caller establishes global agreement; this log
 // re-verifies its own digest and that every peer cursor covers the
 // prefix). The pruned values are folded into the cumulative per-writer
-// pre-extract so extracts stay exact, the retained values move to a fresh
-// backing array so the dropped prefix becomes collectable, and all
-// absolute counts (SelfLen, CountLE, Frontier.Count, checkpoint digests)
-// are preserved via the base offset. Must not be called while an
+// pre-extract so extracts stay exact, the retained values of each piece cut
+// move to a fresh backing array so the dropped prefix becomes collectable,
+// and all absolute counts (SelfLen, CountLE, Frontier.Count, checkpoint
+// digests) are preserved via the base offset. Must not be called while an
 // EQTracker from this log is live — prune between lattice operations.
 func (l *ValueLog) PruneTo(ck Checkpoint) bool {
 	idx := ck.Count - l.off
-	if idx <= 0 || idx > len(l.vals) || !l.Vouches(ck) {
+	if idx <= 0 || idx > l.size() || !l.Vouches(ck) {
 		return false
 	}
 	for j := range l.peers {
@@ -538,7 +603,7 @@ func (l *ValueLog) PruneTo(ck Checkpoint) bool {
 		}
 	}
 	for i := 0; i < idx; i++ {
-		if w := l.vals[i].TS.Writer; w < 0 || w >= l.n {
+		if w := l.at(i).TS.Writer; w < 0 || w >= l.n {
 			return false // the pre-extract cannot summarize foreign writers
 		}
 	}
@@ -546,18 +611,13 @@ func (l *ValueLog) PruneTo(ck Checkpoint) bool {
 	// prefix is globally vouched, a strictly stronger stability guarantee
 	// than the n−f a frontier advance needs.
 	if idx > l.frozen {
-		for i := l.frozen; i < idx; i++ {
-			l.noteFrozen(l.vals[i])
-		}
-		l.frozen = idx
+		l.freezeTo(idx)
 		if ck.Tag > l.frontier && ck.Tag != MaxTag {
 			l.frontier = ck.Tag
 		}
-		l.publishExt()
-		l.stats.Freezes++
 	}
 	for i := 0; i < idx; i++ {
-		v := l.vals[i]
+		v := l.at(i)
 		w := v.TS.Writer
 		if v.TS.Tag > l.preTags[w] {
 			l.preTags[w] = v.TS.Tag
@@ -568,11 +628,13 @@ func (l *ValueLog) PruneTo(ck Checkpoint) bool {
 		tags: append([]Tag(nil), l.preTags...),
 		pays: append([][]byte(nil), l.prePays...),
 	}
-	// Fresh backing arrays: the old ones stay alive only while previously
-	// published views still reference them.
-	nv := make([]Value, len(l.vals)-idx)
-	copy(nv, l.vals[idx:])
-	l.vals = nv
+	// Fresh backing arrays for the pieces the prune cuts: the old ones stay
+	// alive only while previously published views still reference them.
+	ks := min(idx, len(l.sealed))
+	l.sealed = append([]Value(nil), l.sealed[ks:]...)
+	if idx > ks {
+		l.win = append([]Value(nil), l.win[idx-ks:]...)
+	}
 	nd := make([]uint64, len(l.digsum)-idx)
 	copy(nd, l.digsum[idx:])
 	l.digsum = nd
@@ -595,9 +657,11 @@ func (l *ValueLog) PruneTo(ck Checkpoint) bool {
 // payloads, straggler sets) — deterministic, for benchmarks.
 func (l *ValueLog) HeapBytes() int {
 	const valHdr = 40 // Timestamp (16) + payload slice header (24)
-	b := cap(l.digsum)*8 + cap(l.vals)*valHdr
-	for i := range l.vals {
-		b += len(l.vals[i].Payload)
+	b := cap(l.digsum)*8 + (cap(l.sealed)+cap(l.win))*valHdr
+	for _, seg := range [2][]Value{l.sealed, l.win} {
+		for i := range seg {
+			b += len(seg[i].Payload)
+		}
 	}
 	for j := range l.peers {
 		b += cap(l.peers[j].strag) * 16

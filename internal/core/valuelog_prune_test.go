@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -155,5 +156,72 @@ func TestAddBelowPruneRejected(t *testing.T) {
 	// Values above the prune tag are unaffected.
 	if _, newSelf := l.Add(1, diffValue(9, 1)); !newSelf {
 		t.Fatal("Add rejected a value above the pruned checkpoint tag")
+	}
+}
+
+// TestPruneToAcrossSealSeam prunes a two-piece log (ten values sealed, two
+// frozen in the window) at points on both sides of the seam and on it:
+// absolute counts, extraction, the views cut before and the log's further
+// growth must not notice which piece the cut fell in.
+func TestPruneToAcrossSealSeam(t *testing.T) {
+	var tags []Tag
+	for tag := Tag(2); tag <= 24; tag += 2 {
+		tags = append(tags, tag)
+	}
+	for _, c := range []struct {
+		name  string
+		count int
+	}{
+		{"inside the sealed prefix", 6},
+		{"at the seam", 10},
+		{"inside the window", 11},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			shrinkWindow(t, 4)
+			ck := pruneFixture(t, tags, Tag(2*c.count)).Frontier()
+			l := pruneFixture(t, tags, 24)
+			if len(l.sealed) != 10 || l.frozen != 12 {
+				t.Fatalf("layout: %d sealed, %d frozen, want 10 and 12", len(l.sealed), l.frozen)
+			}
+			before := l.AllView()
+			beforeTS, want := before.Timestamps(), before.Extract(3)
+			if !l.PruneTo(ck) {
+				t.Fatalf("PruneTo(%+v) refused", ck)
+			}
+			if got := l.RetainedLen(); got != 12-c.count {
+				t.Fatalf("RetainedLen = %d, want %d", got, 12-c.count)
+			}
+			if l.SelfLen() != 12 || l.Frontier().Count != 12 || !l.Vouches(ck) {
+				t.Fatalf("absolute counts moved: SelfLen %d, frontier %+v", l.SelfLen(), l.Frontier())
+			}
+			// A straggler under the frontier and an append above it, on the
+			// pieces the prune left behind.
+			l.Add(1, diffValue(23, 1))
+			l.Add(1, diffValue(26, 2))
+			after := l.AllView()
+			wantTS := append(append([]Timestamp{}, beforeTS[c.count:11]...),
+				Timestamp{Tag: 23, Writer: 1}, beforeTS[11], Timestamp{Tag: 26, Writer: 2})
+			if got := after.Timestamps(); !slices.Equal(got, wantTS) {
+				t.Fatalf("retained = %v, want %v", got, wantTS)
+			}
+			if after.LogicalLen() != 14 {
+				t.Fatalf("LogicalLen = %d, want 14", after.LogicalLen())
+			}
+			want[1], want[2] = diffValue(23, 1).Payload, diffValue(26, 2).Payload
+			for w, got := range after.Extract(3) {
+				if !bytes.Equal(got, want[w]) {
+					t.Fatalf("Extract[%d] = %q, want %q", w, got, want[w])
+				}
+			}
+			if got := before.Timestamps(); !slices.Equal(got, beforeTS) {
+				t.Fatalf("view cut before the prune changed: %v, was %v", got, beforeTS)
+			}
+			ck = l.Frontier()
+			if delta, ok := l.DeltaAbove(after, ck); !ok {
+				t.Fatal("DeltaAbove refused the frontier of the pruned log")
+			} else if got, ok := l.ComposeAt(ck, delta); !ok || !got.Equal(after) {
+				t.Fatalf("ComposeAt mismatch: %v vs %v", got, after)
+			}
+		})
 	}
 }

@@ -6,30 +6,32 @@ import "sort"
 // good lattice operations return and what SCANs extract their vectors from
 // (Definition 9).
 //
-// A View is stored as two sorted segments: base, a shared immutable prefix
-// of a node's value log (never mutated in place once handed out — the log
-// copies on write for below-frontier inserts), and tail, a small owned
-// slice of values whose timestamps are all strictly greater than every
-// timestamp in base. Views cut directly from a frozen log prefix are
-// zero-copy: base aliases the log's backing array and tail is empty.
-// Callers must treat both segments as read-only.
+// A View is stored as three sorted segments, each strictly above the one
+// before: base and mid alias the two frozen pieces of a node's value log
+// (its sealed prefix and the frozen part of its recent window — never
+// mutated in place once handed out; the log copies on write for
+// below-frontier inserts), and tail is a small owned slice. Views cut
+// directly from a frozen log prefix are zero-copy: base and mid alias the
+// log's backing arrays and tail is empty. Callers must treat all segments
+// as read-only.
 type View struct {
 	base []Value
+	mid  []Value
 	tail []Value
-	// ext, when set, caches the per-writer latest value over base, so
-	// Extract only walks tail. It is published by the owning ValueLog
-	// together with base and is immutable.
+	// ext, when set, caches the per-writer latest value over base and mid,
+	// so Extract only walks tail. It is published by the owning ValueLog
+	// together with the frozen prefix and is immutable.
 	ext *baseExtract
 	// pre, when set, summarizes a garbage-collected log prefix that the
 	// view logically includes but no longer holds physically: for each
 	// writer, the latest pruned value. Every pruned timestamp sorts below
-	// every value in base/tail. pruned counts the values the summary
+	// every value in the segments. pruned counts the values the summary
 	// stands for (the view's logical length is pruned + Len()).
 	pre    *baseExtract
 	pruned int
 }
 
-// baseExtract is the cached extract(base) of a frozen log prefix: for each
+// baseExtract is the cached extract of a frozen log prefix: for each
 // writer, the largest tag (−1 = none) and its payload.
 type baseExtract struct {
 	tags []Tag
@@ -44,7 +46,10 @@ func ViewOf(vals ...Value) View { return View{tail: vals} }
 // from a pruned log logically also includes the pruned prefix (see
 // LogicalLen); Len, At, Each and the subset relations see only the
 // physical values.
-func (v View) Len() int { return len(v.base) + len(v.tail) }
+func (v View) Len() int { return len(v.base) + len(v.mid) + len(v.tail) }
+
+// segs returns the segments in timestamp order.
+func (v View) segs() [3][]Value { return [3][]Value{v.base, v.mid, v.tail} }
 
 // LogicalLen returns the number of values the view stands for, counting
 // the garbage-collected prefix it summarizes. Two good views from logs
@@ -60,43 +65,42 @@ func (v View) At(i int) Value {
 	if i < len(v.base) {
 		return v.base[i]
 	}
-	return v.tail[i-len(v.base)]
+	i -= len(v.base)
+	if i < len(v.mid) {
+		return v.mid[i]
+	}
+	return v.tail[i-len(v.mid)]
 }
 
 // Values returns the view's values as one sorted slice. When the view is a
 // single segment the underlying array is returned without copying; treat
 // the result as read-only.
 func (v View) Values() []Value {
-	switch {
-	case len(v.tail) == 0:
-		return v.base
-	case len(v.base) == 0:
-		return v.tail
+	for _, seg := range v.segs() {
+		if len(seg) == v.Len() {
+			return seg
+		}
 	}
 	out := make([]Value, 0, v.Len())
-	out = append(out, v.base...)
-	return append(out, v.tail...)
+	for _, seg := range v.segs() {
+		out = append(out, seg...)
+	}
+	return out
 }
 
 // Each calls fn for every value in timestamp order.
 func (v View) Each(fn func(Value)) {
-	for i := range v.base {
-		fn(v.base[i])
-	}
-	for i := range v.tail {
-		fn(v.tail[i])
+	for _, seg := range v.segs() {
+		for i := range seg {
+			fn(seg[i])
+		}
 	}
 }
 
 // Timestamps returns the view's timestamps, in order.
 func (v View) Timestamps() []Timestamp {
 	out := make([]Timestamp, 0, v.Len())
-	for i := range v.base {
-		out = append(out, v.base[i].TS)
-	}
-	for i := range v.tail {
-		out = append(out, v.tail[i].TS)
-	}
+	v.Each(func(val Value) { out = append(out, val.TS) })
 	return out
 }
 
@@ -108,12 +112,13 @@ func searchSeg(seg []Value, ts Timestamp) int {
 
 // Contains reports whether the view holds a value with timestamp ts.
 func (v View) Contains(ts Timestamp) bool {
-	seg := v.base
-	if len(v.base) == 0 || v.base[len(v.base)-1].TS.Less(ts) {
-		seg = v.tail
+	for _, seg := range v.segs() {
+		if n := len(seg); n > 0 && !seg[n-1].TS.Less(ts) {
+			i := searchSeg(seg, ts)
+			return seg[i].TS == ts
+		}
 	}
-	i := searchSeg(seg, ts)
-	return i < len(seg) && seg[i].TS == ts
+	return false
 }
 
 // Covers reports whether the view holds ts physically or its garbage-
@@ -132,25 +137,25 @@ func (v View) Covers(ts Timestamp) bool {
 }
 
 // sameBacking reports whether a and b alias the same backing array start,
-// i.e. they are prefixes of the same frozen log array and therefore agree
+// i.e. they are prefixes of the same frozen log piece and therefore agree
 // on their common prefix.
 func sameBacking(a, b []Value) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
-// SubsetOf reports v ⊆ o (by timestamp). When both views cut their base
-// from the same log array the shared prefix is skipped without comparing,
-// making containment checks between sibling views O(tail).
+// SubsetOf reports v ⊆ o (by timestamp). When both views cut their frozen
+// segments from the same log arrays the shared prefix is skipped without
+// comparing, making containment checks between sibling views O(tail).
 func (v View) SubsetOf(o View) bool {
 	if v.Len() > o.Len() {
 		return false
 	}
 	start := 0
 	if sameBacking(v.base, o.base) {
-		start = len(v.base)
-		if len(o.base) < start {
-			start = len(o.base)
-		}
+		start = min(len(v.base), len(o.base))
+	}
+	if len(v.base) == len(o.base) && start == len(v.base) && sameBacking(v.mid, o.mid) {
+		start += min(len(v.mid), len(o.mid))
 	}
 	i := start
 	for k := start; k < v.Len(); k++ {
@@ -179,9 +184,9 @@ func (v View) Equal(o View) bool {
 
 // Extract implements the extract(S) procedure (lines 31–34 of Algorithm 1):
 // for each node j, the payload with the largest tag among j's values in the
-// view; nil marks ⊥ (no value). When the view carries a cached base
-// extract (views cut from a frozen log prefix do), only the tail is
-// walked, so SCAN extraction is O(n + |tail|) instead of O(H).
+// view; nil marks ⊥ (no value). When the view carries a cached extract of
+// its frozen segments (views cut from a frozen log prefix do), only the
+// tail is walked, so SCAN extraction is O(n + |tail|) instead of O(H).
 func (v View) Extract(n int) [][]byte {
 	snap := make([][]byte, n)
 	best := make([]Tag, n)
@@ -195,7 +200,7 @@ func (v View) Extract(n int) [][]byte {
 		// extract is cumulative and never truncated), so pre is subsumed.
 		copy(best, v.ext.tags)
 		copy(snap, v.ext.pays)
-		start = len(v.base)
+		start = len(v.base) + len(v.mid)
 	case v.pre != nil && len(v.pre.tags) <= n:
 		copy(best, v.pre.tags)
 		copy(snap, v.pre.pays)

@@ -434,3 +434,47 @@ func TestStatsAndDirectViews(t *testing.T) {
 		t.Fatalf("update needs ≥2 lattice ops and scan ≥1: %+v", st)
 	}
 }
+
+// TestStragglerCopiesStayWindowSized: with concurrent writers some values
+// arrive below a node's frontier, and each such insert copies the log's
+// recent window (core's windowCap: at most 256 frozen values, plus the
+// unfrozen tail) — not the history, which here grows to several windows.
+func TestStragglerCopiesStayWindowSized(t *testing.T) {
+	const n, opsPerNode, window = 3, 400, 256
+	var nodes []*eqaso.Node
+	c := harness.Build(sim.Config{N: n, F: 1, Seed: 5}, func(r rt.Runtime) (rt.Handler, harness.Object) {
+		nd := eqaso.New(r)
+		nodes = append(nodes, nd)
+		return nd, nd
+	})
+	for i := 0; i < n; i++ {
+		c.Client(i, func(o *harness.OpRunner) {
+			for k := 0; k < opsPerNode; k++ {
+				if _, err := o.Update(); err != nil {
+					t.Errorf("node %d: %v", o.Node(), err)
+					return
+				}
+			}
+		})
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var inserts, copied int64
+	for i, nd := range nodes {
+		if got := nd.Memory().Values; got != n*opsPerNode {
+			t.Fatalf("node %d holds %d values, want %d", i, got, n*opsPerNode)
+		}
+		st := nd.LogStats()
+		inserts += st.COWInserts
+		copied += st.COWCopied
+	}
+	if inserts == 0 {
+		t.Fatal("no value arrived below a frontier: the workload no longer exercises the straggler path")
+	}
+	if copied > inserts*window {
+		t.Errorf("%d below-frontier inserts copied %d values, %.0f apiece: want at most the window's %d",
+			inserts, copied, float64(copied)/float64(inserts), window)
+	}
+	t.Logf("%d below-frontier inserts copied %.0f values apiece", inserts, float64(copied)/float64(inserts))
+}

@@ -233,6 +233,14 @@ func (t *TCPNode) acceptLoop() {
 		t.acceptedMu.Lock()
 		t.accepted = append(t.accepted, conn)
 		t.acceptedMu.Unlock()
+		select {
+		case <-t.closed:
+			// Accepted while Close was running, registered after its sweep
+			// of t.accepted: nobody else would close it, and Close waits
+			// for the recvLoop below, which waits for the peer.
+			conn.Close()
+		default:
+		}
 		t.wg.Add(1)
 		go t.recvLoop(conn)
 	}
