@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-examples test bench-test test-race test-short test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke bench-wallclock fuzz fuzz-checker fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check loc clean
+.PHONY: all build build-examples test bench-test test-race test-short test-transport test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke bench-wallclock fuzz fuzz-checker fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check loc clean
 
 all: vet test
 
@@ -43,6 +43,12 @@ test-short:
 
 test-race:
 	$(GO) test -race ./...
+
+# The transport's send, redial and accept paths, repeated under the race
+# detector on one and two Ps: where PR 18 found a once-in-twelve hang,
+# and where the FIFO/redial invariants of the send loop are pinned.
+test-transport:
+	$(GO) test -race -count=20 -cpu 1,2 ./internal/transport/
 
 # Crash-recovery matrix under the race detector: WAL replay, restart and
 # rejoin under chaos on both the sim and chan backends, plus the WAL's

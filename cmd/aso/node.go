@@ -61,6 +61,17 @@ func (c nodeConfig) svcOptions(observer rt.Observer) svc.Options {
 	}
 }
 
+// tcpConfig is the transport of a deployed node. A peer connection dropped
+// for a framing or decode error is logged: nobody polls TCPNode.Errors in
+// a long-running process, so without the hook the drop would be silent.
+func (c nodeConfig) tcpConfig(observer rt.Observer) transport.TCPConfig {
+	return transport.TCPConfig{
+		ID: c.ID, Addrs: c.Addrs, F: c.F, D: c.D,
+		DialTimeout: c.DialTimeout, Observer: observer,
+		OnError: func(peer int, err error) { log.Printf("peer %d: %v", peer, err) },
+	}
+}
+
 // parseNodeConfig parses the `aso node` command line. Usage and flag errors
 // are written to out; validation errors are returned.
 func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
@@ -155,10 +166,7 @@ func runNode(args []string, out io.Writer) error {
 		observer = obs.Multi{metrics, trace}
 	}
 
-	tn, err := transport.NewTCPNode(transport.TCPConfig{
-		ID: cfg.ID, Addrs: cfg.Addrs, F: cfg.F, D: cfg.D,
-		DialTimeout: cfg.DialTimeout, Observer: observer,
-	})
+	tn, err := transport.NewTCPNode(cfg.tcpConfig(observer))
 	if err != nil {
 		return err
 	}

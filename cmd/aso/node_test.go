@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"io"
+	"log"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +109,30 @@ func TestSvcOptionsRunTheMeasuredPath(t *testing.T) {
 	}
 	if o.Mode != svc.ModeSequential || o.MaxPending != 512 || o.Observer != rt.Observer(trace) {
 		t.Errorf("mode=%v maxPending=%d observer=%v", o.Mode, o.MaxPending, o.Observer)
+	}
+}
+
+// TestTCPConfigLogsDroppedPeers pins the deployed node's error hook: a
+// peer connection the transport drops must leave a log line, not vanish
+// into TCPNode.Errors, which no long-running process reads.
+func TestTCPConfigLogsDroppedPeers(t *testing.T) {
+	c, err := parseNodeConfig([]string{"-id", "1", "-addrs=:1,:2,:3", "-dial-timeout", "3s"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := c.tcpConfig(nil)
+	if tc.ID != 1 || len(tc.Addrs) != 3 || tc.F != 1 || tc.D != c.D || tc.DialTimeout != 3*time.Second {
+		t.Errorf("tcpConfig = %+v, want the parsed topology", tc)
+	}
+	if tc.OnError == nil {
+		t.Fatal("OnError unset: dropped peer connections would be silent")
+	}
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(os.Stderr)
+	tc.OnError(2, errors.New("bad frame version"))
+	if got := buf.String(); !strings.Contains(got, "peer 2: bad frame version") {
+		t.Errorf("log output %q does not name the peer and the error", got)
 	}
 }
 

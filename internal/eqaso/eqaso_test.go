@@ -401,9 +401,6 @@ func TestGoodViewCachesStayBounded(t *testing.T) {
 			t.Errorf("node %d good-view caches unbounded: borrow=%d own=%d (> %d)",
 				i, m.BorrowTags, m.OwnGoodTags, cacheBound)
 		}
-		if m.Forwarded < m.Values {
-			t.Errorf("node %d forwarded set %d < values %d", i, m.Forwarded, m.Values)
-		}
 	}
 }
 

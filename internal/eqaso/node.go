@@ -92,11 +92,10 @@ type Node struct {
 
 	// Algorithm 1 local variables. log holds V[0..n-1] (the per-peer value
 	// sets) as one shared value log.
-	log       *core.ValueLog
-	maxTag    core.Tag                       // largest tag seen via writeTag/echoTag
-	borrow    map[core.Tag]map[int]core.View // D, kept per (tag, sender)
-	ownGood   map[core.Tag]core.View         // this node's good-lattice views
-	forwarded map[core.Timestamp]bool        // values already sent to all
+	log     *core.ValueLog
+	maxTag  core.Tag                       // largest tag seen via writeTag/echoTag
+	borrow  map[core.Tag]map[int]core.View // D, kept per (tag, sender)
+	ownGood map[core.Tag]core.View         // this node's good-lattice views
 
 	// In-flight quorum calls and the active EQ wait.
 	nextReq   int64
@@ -148,7 +147,6 @@ func New(r rt.Runtime) *Node {
 		log:       core.NewValueLog(n, r.ID()),
 		borrow:    make(map[core.Tag]map[int]core.View),
 		ownGood:   make(map[core.Tag]core.View),
-		forwarded: make(map[core.Timestamp]bool),
 		readAcks:  make(map[int64]*readState),
 		writeAcks: make(map[int64]int),
 		pending:   make(map[int]pendingBorrow),
@@ -196,8 +194,6 @@ type MemoryStats struct {
 	Frozen int
 	// BorrowTags / OwnGoodTags count cached good views.
 	BorrowTags, OwnGoodTags int
-	// Forwarded is the size of the forwarding dedup set.
-	Forwarded int
 }
 
 // Memory returns current state sizes (for tests and capacity planning).
@@ -211,7 +207,6 @@ func (nd *Node) Memory() MemoryStats {
 		m.Frozen = nd.log.Frontier().Count
 		m.BorrowTags = len(nd.borrow)
 		m.OwnGoodTags = len(nd.ownGood)
-		m.Forwarded = len(nd.forwarded)
 	})
 	return m
 }
@@ -328,8 +323,9 @@ func (nd *Node) HandleMessage(src int, m rt.Message) {
 }
 
 // addValue admits a value received from src (the "value" handler, line 40
-// of Algorithm 1): into the log, the active EQ wait, the WAL, and —
-// once per timestamp — back out to everyone (reliable broadcast).
+// of Algorithm 1): into the log, the active EQ wait, the WAL, and — on
+// first receipt, which the log reports as newToSelf — back out to everyone
+// (reliable broadcast). The writer's own values went out from Update.
 func (nd *Node) addValue(src int, v core.Value) {
 	newToJ, newToSelf := nd.log.Add(src, v)
 	if nd.wait != nil {
@@ -338,8 +334,7 @@ func (nd *Node) addValue(src int, v core.Value) {
 	if newToSelf && nd.wal != nil {
 		nd.wal.AppendValue(src, v)
 	}
-	if !nd.forwarded[v.TS] {
-		nd.forwarded[v.TS] = true
+	if newToSelf && v.TS.Writer != nd.id {
 		nd.rt.Broadcast(MsgValue{Val: v})
 	}
 }

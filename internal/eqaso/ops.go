@@ -205,7 +205,6 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 	nd.rt.Atomic(func() {
 		for i := range payloads {
 			tss[i] = core.Timestamp{Tag: r + 1 + core.Tag(i), Writer: nd.id}
-			nd.forwarded[tss[i]] = true
 		}
 		if nd.wal != nil {
 			// Durable-before-disseminate: admit the batch to V[self] and

@@ -14,9 +14,11 @@ import (
 //     match what live peers computed for the same prefixes;
 //   - maxTag at least the largest tag it ever observed durably, so the
 //     next readTag can never hand out a timestamp the node already wrote
-//     (per-writer timestamps stay strictly increasing across the crash);
-//   - every retained value marked forwarded, so re-receiving pre-crash
-//     values does not trigger a re-forward of history.
+//     (per-writer timestamps stay strictly increasing across the crash).
+//
+// Re-receiving pre-crash values does not re-forward history: a value is
+// forwarded on first receipt only, and the replayed log (pruned prefix
+// included) already answers that.
 //
 // The caller installs the node as the message handler (exactly as with
 // New) and then calls Rejoin from the client thread.
@@ -26,9 +28,6 @@ func Recover(r rt.Runtime, st *wal.State, w *wal.Writer, gc bool) *Node {
 	nd.maxTag = st.MaxTag
 	if st.OwnTag > nd.maxTag {
 		nd.maxTag = st.OwnTag
-	}
-	for _, v := range st.Log.AllView().Values() {
-		nd.forwarded[v.TS] = true
 	}
 	// The frontier was WAL-synced before any vouch for it was sent, so the
 	// node still stands behind it.

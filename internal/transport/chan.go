@@ -165,13 +165,83 @@ type chanNode struct {
 	node
 	net *ChanNet
 	id  int
-	out []chan timedMsg // per-destination FIFO queues
+	out []*link // per-destination FIFO queues
 }
 
 type timedMsg struct {
 	src     int
 	msg     rt.Message
 	notBefo time.Time
+}
+
+// linkDepth bounds the messages queued on one directed link; Send panics
+// past it (a receiver that far behind is a bug, not backpressure).
+const linkDepth = 1 << 16
+
+// link is one directed FIFO link: a queue that grows with use (an idle
+// link holds no buffer) drained by one delivery goroutine.
+type link struct {
+	mu    sync.Mutex
+	in    []timedMsg    // queued, oldest first; the drainer takes it whole
+	depth atomic.Int32  // queued and not yet taken for delivery, for the overflow check
+	wake  chan struct{} // capacity 1: signalled after every push
+}
+
+// push enqueues tm, reporting false when linkDepth messages already wait
+// behind the one being delivered.
+func (l *link) push(tm timedMsg) bool {
+	if l.depth.Add(1) > linkDepth {
+		l.depth.Add(-1)
+		return false
+	}
+	l.mu.Lock()
+	l.in = append(l.in, tm)
+	l.mu.Unlock()
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+	return true
+}
+
+// drain delivers the link's messages to node dst in order, each no
+// earlier than its notBefo, until the net closes. It swaps the queue for
+// the batch it just finished, so a link in steady state allocates nothing.
+func (l *link) drain(net *ChanNet, dst int) {
+	done := net.done
+	var batch []timedMsg
+	for {
+		l.mu.Lock()
+		batch, l.in = l.in, batch[:0]
+		l.mu.Unlock()
+		if len(batch) == 0 {
+			select {
+			case <-l.wake:
+				continue
+			case <-done:
+				return
+			}
+		}
+		for i, tm := range batch {
+			l.depth.Add(-1)
+			if wait := time.Until(tm.notBefo); wait > 0 {
+				select {
+				case <-time.After(wait):
+				case <-done:
+					return
+				}
+			} else {
+				select {
+				case <-done:
+					return // Close must not wait out a backlog
+				default:
+				}
+			}
+			net.observeMsg(rt.MsgDeliver, tm.src, dst, tm.msg)
+			net.nodes[dst].deliver(tm.src, tm.msg)
+			batch[i] = timedMsg{}
+		}
+	}
 }
 
 // ChanConfig parameterizes a ChanNet.
@@ -213,7 +283,7 @@ func NewChanNet(cfg ChanConfig) *ChanNet {
 	}
 	net.nodes = make([]*chanNode, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		nd := &chanNode{net: net, id: i, out: make([]chan timedMsg, cfg.N)}
+		nd := &chanNode{net: net, id: i, out: make([]*link, cfg.N)}
 		nd.init()
 		net.nodes[i] = nd
 	}
@@ -221,28 +291,12 @@ func NewChanNet(cfg ChanConfig) *ChanNet {
 	// per-message delays.
 	for src := 0; src < cfg.N; src++ {
 		for dst := 0; dst < cfg.N; dst++ {
-			ch := make(chan timedMsg, 1<<16)
-			net.nodes[src].out[dst] = ch
-			dstNode := net.nodes[dst]
+			l := &link{wake: make(chan struct{}, 1)}
+			net.nodes[src].out[dst] = l
 			net.wg.Add(1)
 			go func() {
 				defer net.wg.Done()
-				for {
-					select {
-					case <-net.done:
-						return
-					case tm := <-ch:
-						if wait := time.Until(tm.notBefo); wait > 0 {
-							select {
-							case <-time.After(wait):
-							case <-net.done:
-								return
-							}
-						}
-						net.observeMsg(rt.MsgDeliver, tm.src, dst, tm.msg)
-						dstNode.deliver(tm.src, tm.msg)
-					}
-				}
+				l.drain(net, dst)
 			}()
 		}
 	}
@@ -315,9 +369,7 @@ func (r *chanRuntime) Send(dst int, msg rt.Message) {
 	}
 	tm := timedMsg{src: r.nd.id, msg: msg, notBefo: time.Now().Add(r.net.delay())}
 	r.net.observeMsg(rt.MsgSend, r.nd.id, dst, msg)
-	select {
-	case r.nd.out[dst] <- tm:
-	default:
+	if !r.nd.out[dst].push(tm) {
 		panic(fmt.Sprintf("transport: link %d->%d overflow", r.nd.id, dst))
 	}
 }

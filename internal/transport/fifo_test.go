@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -204,11 +205,11 @@ func TestTCPSendBatchCapStalledReader(t *testing.T) {
 	}
 }
 
-// TestTCPFlushTimerSolitaryFrame pins the flush timer's liveness: a
-// frame with no follow-up traffic must still reach the peer once the
-// coalescing window expires — the batch write may not wait for a
-// successor that never comes.
-func TestTCPFlushTimerSolitaryFrame(t *testing.T) {
+// TestTCPSolitaryFrameNeedsNoTimer pins the send loop's liveness under
+// the one batching rule: a frame with no follow-up traffic must still
+// reach the peer — the batch is written when the queue is seen empty, not
+// when a successor (that never comes) or a timer says so.
+func TestTCPSolitaryFrameNeedsNoTimer(t *testing.T) {
 	sink := &fifoHandler{}
 	nodes := startRawMesh(t, []rt.Handler{sink, &fifoHandler{}})
 
@@ -220,8 +221,42 @@ func TestTCPFlushTimerSolitaryFrame(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("solitary frame never delivered: the flush timer did not fire")
+			t.Fatal("solitary frame never delivered: the send loop waited for more traffic")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTCPEchoRoundNeedsNoTimer bounds what one request–reply round costs
+// on an otherwise idle link: two solitary frames, so any wait-for-more in
+// the send loop shows up twice. With the 5µs flush timer the median was
+// ≈1.2ms (an idle P's timer is rounded up to a netpoll millisecond);
+// written on queue-empty it is ≈30µs.
+func TestTCPEchoRoundNeedsNoTimer(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("wall-clock latency bound")
+	}
+	const rounds = 200
+	reply := make(chan struct{}, 1)
+	var nodes []*transport.TCPNode
+	nodes = startRawMesh(t, []rt.Handler{
+		rt.HandlerFunc(func(int, rt.Message) { reply <- struct{}{} }),
+		rt.HandlerFunc(func(src int, msg rt.Message) { nodes[1].Runtime().Send(src, msg) }),
+	})
+
+	rtts := make([]time.Duration, rounds)
+	for i := range rtts {
+		start := time.Now()
+		nodes[0].Runtime().Send(1, benchMsg{Seq: i})
+		select {
+		case <-reply:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: no reply", i)
+		}
+		rtts[i] = time.Since(start)
+	}
+	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
+	if p50 := rtts[rounds/2]; p50 >= 500*time.Microsecond {
+		t.Errorf("median echo round = %v over %d rounds, want < 500µs", p50, rounds)
 	}
 }

@@ -95,6 +95,7 @@ type TCPNode struct {
 
 	listener net.Listener
 	start    time.Time
+	hello    []byte // this node's encoded handshake frame
 
 	outs []chan rt.Message // per-peer outbound queues
 
@@ -105,11 +106,13 @@ type TCPNode struct {
 	// a dead socket.
 	stale []atomic.Bool
 
-	// disp[src] is the per-source FIFO dispatcher decoupling socket
-	// reads from handler execution (nil until the first inbound frame
-	// from src; see dispatchLoop). Guarded by dispMu.
+	// disp[src] is the per-source inbound FIFO decoupling socket reads
+	// from handler execution: every connection claiming the same source ID
+	// feeds the same queue, so per-peer delivery order is preserved even
+	// across a peer's reconnect (nil until the first inbound frame from
+	// src; see dispatchLoop). Guarded by dispMu.
 	dispMu sync.Mutex
-	disp   []*dispatcher
+	disp   []chan rt.Message
 
 	connsMu sync.Mutex
 	conns   []net.Conn
@@ -117,8 +120,9 @@ type TCPNode struct {
 	acceptedMu sync.Mutex
 	accepted   []net.Conn
 
-	errMu sync.Mutex
-	errs  []error
+	errMu       sync.Mutex
+	errs        []error // the first maxRecordedErrs errors, when no OnError hook is set
+	errsDropped int     // how many more were counted but not kept
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -142,19 +146,23 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 	if start.IsZero() {
 		start = time.Now()
 	}
+	hello, err := wire.MarshalFrame(Hello{ID: cfg.ID}, cfg.MaxFrame)
+	if err != nil {
+		return nil, fmt.Errorf("transport: encode handshake: %w", err)
+	}
 	t := &TCPNode{
 		cfg:    cfg,
 		start:  start,
+		hello:  hello,
 		outs:   make([]chan rt.Message, n),
 		stale:  make([]atomic.Bool, n),
-		disp:   make([]*dispatcher, n),
+		disp:   make([]chan rt.Message, n),
 		conns:  make([]net.Conn, n),
 		closed: make(chan struct{}),
 	}
 	t.init()
 	ln := cfg.Listener
 	if ln == nil {
-		var err error
 		ln, err = net.Listen("tcp", cfg.Addrs[cfg.ID])
 		if err != nil {
 			return nil, fmt.Errorf("transport: listen %s: %w", cfg.Addrs[cfg.ID], err)
@@ -168,25 +176,18 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 	t.wg.Add(1)
 	go t.acceptLoop()
 
-	// Dial every peer (including ourselves, for uniform self-delivery
-	// through the loopback).
+	// Connect to every peer (including ourselves, for uniform
+	// self-delivery through the loopback). Peers of a cluster may come up
+	// in any order, so early connection refusals are expected, not fatal;
+	// only a peer still unreachable once the whole budget is spent is an
+	// error.
 	deadline := time.Now().Add(cfg.DialTimeout)
 	for peer := 0; peer < n; peer++ {
-		conn, err := dialUntil(cfg.Addrs[peer], deadline)
+		conn, err := t.connect(peer, deadline)
 		if err != nil {
 			t.Close()
 			return nil, fmt.Errorf("transport: node %d unreachable at %s (retried with backoff for %v): %w",
 				peer, cfg.Addrs[peer], cfg.DialTimeout, err)
-		}
-		t.conns[peer] = conn // recorded first: a failed handshake's Close must reach it
-		frame, err := wire.MarshalFrame(Hello{ID: cfg.ID}, cfg.MaxFrame)
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("transport: encode handshake: %w", err)
-		}
-		if _, err := conn.Write(frame); err != nil {
-			t.Close()
-			return nil, fmt.Errorf("transport: handshake with node %d: %w", peer, err)
 		}
 		out := make(chan rt.Message, 1<<14)
 		t.outs[peer] = out
@@ -196,30 +197,49 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 	return t, nil
 }
 
-// dialUntil dials addr with bounded exponential backoff (50ms doubling to
-// a 2s cap) until the deadline passes. Peers of a cluster may come up in
-// any order, so early connection refusals are expected, not fatal; only a
-// peer still unreachable once the whole budget is spent is an error.
-func dialUntil(addr string, deadline time.Time) (net.Conn, error) {
+// connect dials peer and performs the Hello handshake on the fresh
+// connection, retrying with capped exponential backoff (50ms doubling to
+// 2s) until it succeeds, the deadline passes (the zero deadline never
+// does) or the node shuts down. It serves the first connection and every
+// reconnection; the connection is recorded in conns, where Close reaches
+// it, and the peer's stale flag is cleared.
+func (t *TCPNode) connect(peer int, deadline time.Time) (net.Conn, error) {
 	backoff := 50 * time.Millisecond
 	const maxBackoff = 2 * time.Second
 	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		conn, err := net.DialTimeout("tcp", t.cfg.Addrs[peer], time.Second)
 		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
+			if _, err = conn.Write(t.hello); err == nil {
+				t.connsMu.Lock()
+				t.conns[peer] = conn
+				t.connsMu.Unlock()
+				t.stale[peer].Store(false)
+				select {
+				case <-t.closed:
+					// Close may already have walked conns; make sure the
+					// connection cannot outlive the node.
+					conn.Close()
+					return nil, net.ErrClosed
+				default:
+				}
+				return conn, nil
+			}
+			conn.Close()
 		}
 		sleep := backoff
-		if rem := time.Until(deadline); rem < sleep {
-			sleep = rem
+		if !deadline.IsZero() {
+			rem := time.Until(deadline)
+			if rem <= 0 {
+				return nil, err
+			}
+			sleep = min(sleep, rem)
 		}
-		time.Sleep(sleep)
-		backoff *= 2
-		if backoff > maxBackoff {
-			backoff = maxBackoff
+		select {
+		case <-t.closed:
+			return nil, net.ErrClosed
+		case <-time.After(sleep):
 		}
+		backoff = min(2*backoff, maxBackoff)
 	}
 }
 
@@ -309,7 +329,7 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 		// frame cannot mutate a delivered message.
 		t.observeMsg(rt.MsgDeliver, src, t.cfg.ID, msg.Kind(), len(payload))
 		select {
-		case disp.ch <- msg:
+		case disp <- msg:
 		case <-t.closed:
 			return
 		}
@@ -325,23 +345,15 @@ const dispQueue = 4096
 // the handler inside a single critical section.
 const dispBatch = 256
 
-// dispatcher is one source's inbound FIFO: every connection claiming the
-// same source ID feeds the same queue, so per-peer delivery order is
-// preserved even across a peer's reconnect.
-type dispatcher struct {
-	ch chan rt.Message
-}
-
-// dispatcherFor returns src's dispatcher, starting its worker on first
+// dispatcherFor returns src's dispatch queue, starting its worker on first
 // use.
-func (t *TCPNode) dispatcherFor(src int) *dispatcher {
+func (t *TCPNode) dispatcherFor(src int) chan rt.Message {
 	t.dispMu.Lock()
 	defer t.dispMu.Unlock()
 	if t.disp[src] == nil {
-		d := &dispatcher{ch: make(chan rt.Message, dispQueue)}
-		t.disp[src] = d
+		t.disp[src] = make(chan rt.Message, dispQueue)
 		t.wg.Add(1)
-		go t.dispatchLoop(src, d)
+		go t.dispatchLoop(src, t.disp[src])
 	}
 	return t.disp[src]
 }
@@ -351,19 +363,19 @@ func (t *TCPNode) dispatcherFor(src int) *dispatcher {
 // the whole batch in one critical section with a single waiter wakeup,
 // amortizing the node mutex and the condition broadcast over the batch
 // instead of paying both per message.
-func (t *TCPNode) dispatchLoop(src int, d *dispatcher) {
+func (t *TCPNode) dispatchLoop(src int, ch <-chan rt.Message) {
 	defer t.wg.Done()
 	batch := make([]rt.Message, 0, dispBatch)
 	for {
 		select {
 		case <-t.closed:
 			return
-		case msg := <-d.ch:
+		case msg := <-ch:
 			batch = append(batch[:0], msg)
 		drain:
 			for len(batch) < dispBatch {
 				select {
-				case m := <-d.ch:
+				case m := <-ch:
 					batch = append(batch, m)
 				default:
 					break drain
@@ -413,16 +425,29 @@ func (t *TCPNode) reportError(peer int, err error) {
 		return
 	}
 	t.errMu.Lock()
-	t.errs = append(t.errs, err)
+	if len(t.errs) < maxRecordedErrs {
+		t.errs = append(t.errs, err)
+	} else {
+		t.errsDropped++
+	}
 	t.errMu.Unlock()
 }
 
+// maxRecordedErrs bounds the fallback error record: a corrupt or hostile
+// peer can redial and fail forever, and nobody may ever call Errors.
+const maxRecordedErrs = 64
+
 // Errors returns the decode errors recorded so far (when no OnError hook
-// is installed).
+// is installed): the first maxRecordedErrs of them, then one error
+// counting the rest.
 func (t *TCPNode) Errors() []error {
 	t.errMu.Lock()
 	defer t.errMu.Unlock()
-	return append([]error(nil), t.errs...)
+	errs := append([]error(nil), t.errs...)
+	if t.errsDropped > 0 {
+		errs = append(errs, fmt.Errorf("transport: %d further errors not recorded", t.errsDropped))
+	}
+	return errs
 }
 
 // maxSendBatch caps the pending (encoded, unwritten) buffer of one send
@@ -433,42 +458,29 @@ func (t *TCPNode) Errors() []error {
 // the hard bound is maxSendBatch plus one frame.
 const maxSendBatch = 64 << 10
 
-// flushWindow is the outbound coalescing window: after encoding a frame
-// with no successor already queued, the send loop waits up to this long
-// for more frames before handing the batch to the socket, so coalescing
-// does not depend on the len(queue)>0 race alone. Long enough to catch
-// the reply frames a burst of handler executions produces, short enough
-// not to tax the request-reply rounds of a lightly loaded protocol
-// (measured: 5µs beats both no timer and 20µs across 32..1024 loadgen
-// clients on loopback).
-const flushWindow = 5 * time.Microsecond
-
-// sendLoop encodes and writes frames for one peer. Frames are encoded
-// directly into a pending batch buffer and written to the socket once the
-// queue is drained AND flushWindow has passed without a successor
-// arriving — or immediately once the batch reaches maxSendBatch — so
-// bursts coalesce into one write syscall without racing on queue length.
+// sendLoop encodes and writes frames for one peer under the data path's
+// one batching rule: take what is queued, never wait for more. It blocks
+// for one message, encodes everything else already queued into the
+// pending batch (cut at maxSendBatch), and writes as soon as it sees the
+// queue empty — so a burst coalesces into one write syscall, a backlog
+// into 64 KB writes, and a solitary frame leaves at once.
+//
 // A write failure (or a stale flag raised by the receive side) means the
-// connection died; the loop redials with backoff and resends
-// the WHOLE unwritten batch on the fresh connection — the buffer is
-// cleared only after a successful write, so a transient connection reset
-// between two live processes cannot silently drop frames that were
-// batched but never handed to a socket, which would open a FIFO gap the
-// protocol's reliable-channel assumption does not tolerate. Frames
-// already written before the failure are the in-flight loss of the crash
-// model, repaired by the rejoin path when the peer recovers with a WAL;
-// without the redial a restarted process would never again receive this
-// node's messages and its first operation would starve awaiting a quorum.
+// connection died; the loop reconnects with backoff and resends the WHOLE
+// unwritten batch on the fresh connection — the buffer is cleared only
+// after a successful write, so a transient connection reset between two
+// live processes cannot silently drop frames that were batched but never
+// handed to a socket, which would open a FIFO gap the protocol's
+// reliable-channel assumption does not tolerate. Frames already written
+// before the failure are the in-flight loss of the crash model, repaired
+// by the rejoin path when the peer recovers with a WAL; without the
+// reconnect a restarted process would never again receive this node's
+// messages and its first operation would starve awaiting a quorum.
 func (t *TCPNode) sendLoop(peer int, conn net.Conn, out <-chan rt.Message) {
 	defer t.wg.Done()
 	var body wire.Buffer
 	// pending holds encoded frames not yet accepted by a socket write.
 	var pending []byte
-	timer := time.NewTimer(flushWindow)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
 	// encode appends msg as one frame to pending. Encode failures are
 	// local programming errors (unregistered type, oversized frame); they
 	// are surfaced but must not tear down the connection.
@@ -491,103 +503,35 @@ func (t *TCPNode) sendLoop(peer int, conn net.Conn, out <-chan rt.Message) {
 			return
 		case msg := <-out:
 			encode(msg)
-			// Gather: coalesce everything already queued, plus frames
-			// arriving within the flush window. The window is armed once
-			// per batch (it bounds the write's total delay, not the gap
-			// between frames), and the batch is flushed at maxSendBatch
-			// even though more frames are queued.
-			armed := false
-		gather:
-			for len(pending) < maxSendBatch {
-				select {
-				case m := <-out:
-					encode(m)
-					continue
-				default:
-				}
-				if !armed {
-					timer.Reset(flushWindow)
-					armed = true
-				}
-				select {
-				case m := <-out:
-					encode(m)
-				case <-timer.C:
-					armed = false
-					break gather
-				case <-t.closed:
-					return
-				}
+		}
+	gather:
+		for len(pending) < maxSendBatch {
+			select {
+			case m := <-out:
+				encode(m)
+			default:
+				break gather
 			}
-			if armed && !timer.Stop() {
-				<-timer.C
-			}
-			if len(pending) == 0 {
-				continue // every gathered frame failed to encode
-			}
-			if t.stale[peer].CompareAndSwap(true, false) {
-				// The peer's inbound stream ended since the last frame: the
-				// kernel would accept this write and drop it on the floor.
-				if conn = t.redial(peer, conn); conn == nil {
-					return // node shut down while reconnecting
-				}
-			}
-			for {
-				_, werr := conn.Write(pending)
-				if werr == nil {
-					pending = pending[:0]
+		}
+		if len(pending) == 0 {
+			continue // every gathered frame failed to encode
+		}
+		for {
+			// A raised stale flag means the peer's inbound stream ended
+			// since the last batch: the kernel would accept this write and
+			// drop it on the floor, so it counts as a failed one.
+			if !t.stale[peer].CompareAndSwap(true, false) {
+				if _, err := conn.Write(pending); err == nil {
 					break
 				}
-				if conn = t.redial(peer, conn); conn == nil {
-					return // node shut down while reconnecting
-				}
-			}
-		}
-	}
-}
-
-// redial replaces a dead peer connection: it closes the old one, dials
-// the peer with capped exponential backoff until the node itself shuts
-// down, and performs the Hello handshake on the fresh connection. It
-// returns nil only when the node closed while reconnecting.
-func (t *TCPNode) redial(peer int, old net.Conn) net.Conn {
-	old.Close()
-	hello, err := wire.MarshalFrame(Hello{ID: t.cfg.ID}, t.cfg.MaxFrame)
-	if err != nil {
-		t.reportError(peer, fmt.Errorf("transport: encode handshake: %w", err))
-		return nil
-	}
-	backoff := 50 * time.Millisecond
-	const maxBackoff = 2 * time.Second
-	for {
-		conn, err := net.DialTimeout("tcp", t.cfg.Addrs[peer], time.Second)
-		if err == nil {
-			if _, err = conn.Write(hello); err == nil {
-				t.connsMu.Lock()
-				t.conns[peer] = conn
-				t.connsMu.Unlock()
-				t.stale[peer].Store(false)
-				select {
-				case <-t.closed:
-					// Close may already have walked conns; make sure the
-					// replacement cannot outlive the node.
-					conn.Close()
-					return nil
-				default:
-				}
-				return conn
 			}
 			conn.Close()
+			var err error
+			if conn, err = t.connect(peer, time.Time{}); err != nil {
+				return // node shut down while reconnecting
+			}
 		}
-		select {
-		case <-t.closed:
-			return nil
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-		if backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+		pending = pending[:0]
 	}
 }
 

@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +89,83 @@ func TestChanNetCrash(t *testing.T) {
 	}
 	if string(snap[0]) != "a" {
 		t.Fatalf("scan = %v", harness.SnapStrings(snap))
+	}
+}
+
+// TestChanNetIdleLinksHoldNoBuffers bounds what an unused cluster costs:
+// link queues grow with use, so the 81 directed links of a 9-node net
+// (the 3-shard × 3-node cluster topology) must not pre-allocate their
+// full depth (that was 3 MB a link, 255 MB for this net).
+func TestChanNetIdleLinksHoldNoBuffers(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	cnet := transport.NewChanNet(transport.ChanConfig{N: 9, F: 4})
+	defer cnet.Close()
+	after := heap()
+	if after > before && after-before >= 16<<20 {
+		t.Errorf("NewChanNet(N=9) retains %d MB before any message, want < 16", (after-before)>>20)
+	}
+}
+
+// gateHandler blocks its first delivery until released, then records the
+// order of everything delivered.
+type gateHandler struct {
+	entered, release chan struct{}
+	seqs             []int
+}
+
+func (h *gateHandler) HandleMessage(src int, msg rt.Message) {
+	if len(h.seqs) == 0 {
+		close(h.entered)
+		<-h.release
+	}
+	h.seqs = append(h.seqs, msg.(benchMsg).Seq)
+}
+
+// TestChanNetLinkDepthAndOrder pins the grown link queue to the contract
+// of the fixed channel it replaced: 65,536 messages may wait behind the
+// one being delivered, the next Send panics, and the backlog is delivered
+// in order.
+func TestChanNetLinkDepthAndOrder(t *testing.T) {
+	const depth = 1 << 16
+	cnet := transport.NewChanNet(transport.ChanConfig{N: 2, F: 0, D: time.Microsecond})
+	defer cnet.Close()
+	h := &gateHandler{entered: make(chan struct{}), release: make(chan struct{})}
+	cnet.SetHandler(1, h)
+	rtm := cnet.Runtime(0)
+	rtm.Send(1, benchMsg{Seq: 0})
+	<-h.entered
+	for seq := 1; seq <= depth; seq++ {
+		rtm.Send(1, benchMsg{Seq: seq})
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Send past %d queued messages did not panic", depth)
+			}
+		}()
+		rtm.Send(1, benchMsg{Seq: -1})
+	}()
+	close(h.release)
+
+	var got []int
+	for deadline := time.Now().Add(10 * time.Second); len(got) <= depth; {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d of %d messages", len(got), depth+1)
+		}
+		time.Sleep(time.Millisecond)
+		// Handlers run under the receiving node's lock; so does Atomic.
+		cnet.Runtime(1).Atomic(func() { got = append(got[:0], h.seqs...) })
+	}
+	for i, seq := range got {
+		if seq != i {
+			t.Fatalf("position %d: got Seq %d (reordered or dropped)", i, seq)
+		}
 	}
 }
 

@@ -180,6 +180,50 @@ func TestTCPUnknownTagSurfaced(t *testing.T) {
 	}
 }
 
+// TestTCPRecordedErrorsAreBounded: with no OnError hook the node records
+// dropped-connection errors for Errors(), and a peer that keeps
+// reconnecting with garbage must not grow that record without bound —
+// the first 64 are kept, the rest only counted.
+func TestTCPRecordedErrorsAreBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tcp loopback test")
+	}
+	tnodes, err := transport.LoopbackMesh(2, transport.TCPConfig{D: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, tn := range tnodes {
+			tn.Close()
+		}
+	}()
+	const kept, rogues = 64, 70
+	for i := 0; i < rogues; i++ {
+		rogue := dialRaw(t, tcpAddr(tnodes, 0), 1)
+		if _, err := rogue.Write([]byte{0xFF, 0, 0, 0, 1, 42}); err != nil {
+			t.Fatal(err)
+		}
+		// The node records the error before it closes the connection.
+		rogue.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, rerr := rogue.Read(make([]byte, 1)); rerr == nil {
+			t.Fatal("rogue connection still open after decode error")
+		}
+		rogue.Close()
+	}
+	errs := tnodes[0].Errors()
+	if len(errs) != kept+1 {
+		t.Fatalf("Errors() holds %d entries after %d drops, want %d and a count of the rest", len(errs), rogues, kept)
+	}
+	for _, err := range errs[:kept] {
+		if !errors.Is(err, wire.ErrBadVersion) {
+			t.Fatalf("recorded error = %v, want ErrBadVersion", err)
+		}
+	}
+	if got := errs[kept].Error(); !strings.Contains(got, "6 further errors") {
+		t.Fatalf("last entry = %q, want the count of the %d unrecorded errors", got, rogues-kept)
+	}
+}
+
 // TestTCPReconnectAfterPeerRestart is the regression test for the
 // crash-recovery rejoin path over TCP: when a peer's process dies and a
 // new incarnation comes back on the same address, the surviving node's
