@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-examples test bench-test test-race test-short test-transport test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke bench-wallclock fuzz fuzz-checker fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check loc clean
+.PHONY: all build build-examples test bench-test test-race test-short test-transport test-svc test-recovery test-cluster test-engines test-churn cover bench bench-core bench-smoke bench-wallclock fuzz fuzz-checker fuzz-wire fuzz-wal fuzz-engines fuzz-monitor explore experiments chaos soak-churn vet fmt-check loc clean
 
 all: vet test
 
@@ -49,6 +49,11 @@ test-race:
 # and where the FIFO/redial invariants of the send loop are pinned.
 test-transport:
 	$(GO) test -race -count=20 -cpu 1,2 ./internal/transport/
+
+# The service's serve loop and its crash drain (failAll closing every
+# DirectWait channel), repeated under the race detector the same way.
+test-svc:
+	$(GO) test -race -count=20 -cpu 1,2 ./internal/svc/
 
 # Crash-recovery matrix under the race detector: WAL replay, restart and
 # rejoin under chaos on both the sim and chan backends, plus the WAL's

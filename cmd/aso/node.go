@@ -48,16 +48,15 @@ type nodeConfig struct {
 }
 
 // svcOptions is the service front of a deployed node. TCP is a real-time
-// backend, so the node runs the path every benchmark measures: waiters
-// resolved through per-request channels and an adaptive drain window,
-// not the simulator-safe condvar wait with an unbounded drain.
+// backend, so the node runs the completion path every benchmark measures:
+// waiters resolved through per-request channels, not the simulator-safe
+// condvar wait.
 func (c nodeConfig) svcOptions(observer rt.Observer) svc.Options {
 	return svc.Options{
-		Mode:           svc.ModeFor(c.Engine),
-		MaxPending:     c.MaxPending,
-		Observer:       observer,
-		DirectWait:     true,
-		AdaptiveWindow: true,
+		Mode:       svc.ModeFor(c.Engine),
+		MaxPending: c.MaxPending,
+		Observer:   observer,
+		DirectWait: true,
 	}
 }
 

@@ -273,15 +273,16 @@ func globalEvents(cfg RunConfig, m ShardMap, scheds []chaos.Schedule) []chaos.Ev
 // and WAL recovery, capturing the rejoin handle and recovered segment.
 type nodeBuilder struct {
 	cfg     RunConfig
+	backend string
 	m       ShardMap
 	health  *Health
 	files   []*wal.MemFile
 	rejoins []engine.Rejoiner
 }
 
-func newNodeBuilder(cfg RunConfig, m ShardMap, health *Health) *nodeBuilder {
+func newNodeBuilder(cfg RunConfig, backend string, m ShardMap, health *Health) *nodeBuilder {
 	total := m.NumNodes()
-	b := &nodeBuilder{cfg: cfg, m: m, health: health,
+	b := &nodeBuilder{cfg: cfg, backend: backend, m: m, health: health,
 		files: make([]*wal.MemFile, total), rejoins: make([]engine.Rejoiner, total)}
 	for i := range b.files {
 		b.files[i] = wal.NewMemFile()
@@ -291,10 +292,13 @@ func newNodeBuilder(cfg RunConfig, m ShardMap, health *Health) *nodeBuilder {
 
 // nodeConfig builds the cluster Config for node id. On recovery the
 // engine replays the durable WAL prefix and the router key map is
-// re-seeded from the last segment the dead incarnation published.
+// re-seeded from the last segment the dead incarnation published. The
+// real-time backends complete requests the way deployments do (per-request
+// channels, failAll on a crash), so the fault matrix covers that path;
+// only the simulator needs the condvar wait.
 func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
 	var seed []byte
-	c := Config{Map: b.m, Health: b.health}
+	c := Config{Map: b.m, Health: b.health, SvcOptions: svc.Options{DirectWait: b.backend != "sim"}}
 	c.NewEngine = func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
 		in := b.cfg.info
 		if !recover {
@@ -435,7 +439,7 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 		return nil, err
 	}
 	defer w.Close()
-	b := newNodeBuilder(cfg, m, health)
+	b := newNodeBuilder(cfg, backend, m, health)
 	validator := NewCutValidator(ValidatorOptions{CheckPlacement: true, RequireMarks: true})
 	rep := &Report{Shards: cfg.Shards, Nodes: total}
 	deadline := cfg.Duration

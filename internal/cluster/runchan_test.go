@@ -1,10 +1,17 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"mpsnap/internal/chaos"
+	"mpsnap/internal/engine"
 	"mpsnap/internal/rt"
+	"mpsnap/internal/svc"
+	"mpsnap/internal/transport"
 )
 
 // TestRunChanSeeds runs the cluster chaos harness on the channel
@@ -67,5 +74,69 @@ func TestRunTCPSmoke(t *testing.T) {
 	cfg.CrashShard = 0
 	if _, err := Run(cfg, "tcp"); err == nil {
 		t.Error("tcp accepted a whole-shard crash (restarting) scenario")
+	}
+}
+
+// TestRoutedCallTimesOutOnIdleNode: a routed write to a shard whose every
+// member is down must fail with ErrNoContact after its timeouts — on a
+// node where nothing else is happening. The call's deadline sits inside a
+// wait predicate, and no message or other client will ever make the
+// runtime look at it again; chaos runs never saw the stall because other
+// clients' traffic kept waking the waiter.
+func TestRoutedCallTimesOutOnIdleNode(t *testing.T) {
+	const shards, n, f = 2, 3, 1
+	m := ContiguousMap(shards, n, f, 0)
+	net := transport.NewChanNet(transport.ChanConfig{N: m.NumNodes(), F: f, D: time.Millisecond})
+	defer net.Close()
+	nodes := make([]*Node, m.NumNodes())
+	var serving sync.WaitGroup
+	serve := func(fn func() error) {
+		serving.Add(1)
+		go func() { defer serving.Done(); _ = fn() }()
+	}
+	for id := range nodes {
+		nd, err := NewNode(net.Runtime(id), Config{
+			Map:     m,
+			Timeout: 5 * rt.TicksPerD,
+			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
+				e := engine.MustLookup("eqaso").New(r)
+				return e, e
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[id] = nd
+		net.SetHandler(id, nd.Handler())
+		for _, s := range nd.Services() {
+			serve(s.Serve)
+		}
+		serve(nd.ServeRouter)
+	}
+	defer func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+		serving.Wait()
+	}()
+	var key string
+	for i := 0; ; i++ {
+		key = fmt.Sprintf("k%d", i)
+		if _, s := nodes[0].route(key); s == 1 {
+			break
+		}
+	}
+	for _, id := range m.Members[1] {
+		net.Crash(id)
+	}
+	done := make(chan error, 1)
+	go func() { done <- nodes[0].Update(key, []byte("v")) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrNoContact) {
+			t.Errorf("Update = %v, want ErrNoContact", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("routed update still blocked after 3s with a 5ms timeout: nothing re-evaluates the deadline on an idle node")
 	}
 }

@@ -145,9 +145,6 @@ type Result struct {
 	SvcProtoUpdates int64 `json:"svc_proto_updates"`
 	SvcProtoScans   int64 `json:"svc_proto_scans"`
 	SvcMaxBatch     int   `json:"svc_max_batch"`
-	SvcWindow       int   `json:"svc_window"`
-	SvcWindowGrows  int64 `json:"svc_window_grows"`
-	SvcWindowShr    int64 `json:"svc_window_shrinks"`
 }
 
 // Run executes one load run and reports it.
@@ -177,10 +174,9 @@ func Run(cfg Config) (Result, error) {
 		eng := info.New(tn.Runtime())
 		tn.SetHandler(eng)
 		services[i] = svc.New(tn.Runtime(), eng, svc.Options{
-			Mode:           svc.ModeFor(cfg.Engine),
-			MaxPending:     cfg.MaxPending,
-			DirectWait:     true,
-			AdaptiveWindow: true,
+			Mode:       svc.ModeFor(cfg.Engine),
+			MaxPending: cfg.MaxPending,
+			DirectWait: true,
 		})
 	}
 	var workers sync.WaitGroup
@@ -327,11 +323,6 @@ func Run(cfg Config) (Result, error) {
 		if st.MaxBatch > res.SvcMaxBatch {
 			res.SvcMaxBatch = st.MaxBatch
 		}
-		if st.Window > res.SvcWindow {
-			res.SvcWindow = st.Window
-		}
-		res.SvcWindowGrows += st.WindowGrows
-		res.SvcWindowShr += st.WindowShrinks
 	}
 	return res, nil
 }

@@ -9,84 +9,10 @@ import (
 
 	"mpsnap/internal/engine"
 	_ "mpsnap/internal/engine/all"
-	"mpsnap/internal/harness"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/svc"
 	"mpsnap/internal/transport"
 )
-
-// TestAdaptiveWindowGrows: under sustained demand exceeding the window,
-// the adaptive window grows (and stays within [MinWindow, MaxPending]),
-// and the history stays linearizable.
-func TestAdaptiveWindowGrows(t *testing.T) {
-	const n, f, clients, each = 4, 1, 48, 2
-	fx := build(n, f, 17, "eqaso", svc.Options{AdaptiveWindow: true})
-	for k := 0; k < clients; k++ {
-		fx.client(0, func(o *harness.OpRunner) {
-			for j := 0; j < each; j++ {
-				if _, err := o.Update(); err != nil {
-					t.Errorf("update: %v", err)
-					return
-				}
-			}
-		})
-	}
-	if _, err := fx.c.MustLinearizable(); err != nil {
-		t.Fatal(err)
-	}
-	st := fx.svcs[0].Stats()
-	if st.WindowGrows == 0 {
-		t.Errorf("WindowGrows = 0 with %d clients pressing a %d-wide initial window",
-			clients, svc.MinWindow)
-	}
-	if st.Window < svc.MinWindow || st.Window > svc.DefaultMaxPending {
-		t.Errorf("Window = %d, want within [%d, %d]", st.Window, svc.MinWindow, svc.DefaultMaxPending)
-	}
-	if st.ProtoUpdates >= st.Updates {
-		t.Errorf("no amortization under adaptive window: %d proto for %d client updates",
-			st.ProtoUpdates, st.Updates)
-	}
-}
-
-// TestAdaptiveWindowShrinks exercises the resize logic directly on the
-// drain path: bursts far above the window double it; sparse cycles far
-// below a quarter window halve it back down to the floor.
-func TestAdaptiveWindowShrinks(t *testing.T) {
-	const n, f = 4, 1
-	fx := build(n, f, 19, "eqaso", svc.Options{AdaptiveWindow: true})
-	// Burst: far more concurrent updates than the initial window.
-	const burst = 40
-	for k := 0; k < burst; k++ {
-		fx.client(0, func(o *harness.OpRunner) {
-			if _, err := o.Update(); err != nil {
-				t.Errorf("update: %v", err)
-			}
-		})
-	}
-	// Trickle: sequential single updates drain one at a time, each cycle
-	// far under a quarter of the grown window.
-	fx.client(0, func(o *harness.OpRunner) {
-		for j := 0; j < 12; j++ {
-			if _, err := o.Update(); err != nil {
-				t.Errorf("update: %v", err)
-				return
-			}
-		}
-	})
-	if _, err := fx.c.MustLinearizable(); err != nil {
-		t.Fatal(err)
-	}
-	st := fx.svcs[0].Stats()
-	if st.WindowGrows == 0 {
-		t.Errorf("WindowGrows = 0 after a %d-client burst", burst)
-	}
-	if st.WindowShrinks == 0 {
-		t.Errorf("WindowShrinks = 0 after a sequential trickle")
-	}
-	if st.Window < svc.MinWindow {
-		t.Errorf("Window = %d fell below floor %d", st.Window, svc.MinWindow)
-	}
-}
 
 // TestDirectWaitChan: channel-based completion on a real-time backend
 // serves concurrent clients correctly (this is the loadgen configuration;
@@ -101,7 +27,7 @@ func TestDirectWaitChan(t *testing.T) {
 		r := net.Runtime(i)
 		nd := engine.MustLookup("eqaso").New(r)
 		net.SetHandler(i, nd)
-		services[i] = svc.New(r, nd, svc.Options{DirectWait: true, AdaptiveWindow: true})
+		services[i] = svc.New(r, nd, svc.Options{DirectWait: true})
 		workers.Add(1)
 		go func(s *svc.Service) {
 			defer workers.Done()

@@ -4,8 +4,11 @@
 // otherwise bakes into the public API.
 //
 // A Service owns a per-node request queue and a single worker thread that
-// drives the underlying object. Concurrency is turned into amortization
-// exactly the way the paper's O(D) amortized bound intends:
+// drives the underlying object. The worker follows the data path's one
+// batching rule (DESIGN §13): block for one request, take everything
+// already queued — MaxPending bounds the queue, so that is the cap — and
+// serve it. Concurrency is turned into amortization exactly the way the
+// paper's O(D) amortized bound intends:
 //
 //   - UPDATE coalescing: all UPDATEs pending at the start of a worker
 //     cycle commit through one protocol UPDATE (a true protocol batch via
@@ -95,12 +98,6 @@ const (
 // DefaultMaxPending is the queue bound when Options.MaxPending is 0.
 const DefaultMaxPending = 4096
 
-// MinWindow is the floor of the adaptive drain window: small enough that
-// a lightly loaded service stays near per-request latency, large enough
-// that the window can halve a few times without collapsing batching
-// entirely.
-const MinWindow = 16
-
 // ErrOverloaded is returned under PolicyReject when the queue is full.
 var ErrOverloaded = errors.New("svc: queue full (overloaded)")
 
@@ -133,17 +130,8 @@ type Options struct {
 	// measures bare protocol latency. Must be concurrency-safe and
 	// non-blocking.
 	Observer rt.Observer
-	// AdaptiveWindow caps how many queued requests one worker cycle
-	// drains, sizing the cap from observed queue depth; without it every
-	// pending request is served each cycle (the original behaviour). A
-	// bounded window trades peak amortization for tail latency: requests
-	// behind the cap wait a cycle instead of joining a huge batch whose
-	// commit they would all share. Starting from MinWindow, the window
-	// doubles when a cycle drains a full window with requests still
-	// queued (demand exceeds the cap) and halves when a cycle drains
-	// everything with less than a quarter window of work (the cap is
-	// slack). Bounds: [MinWindow, MaxPending]. Growth and shrink counts
-	// are reported in Stats.
+	// AdaptiveWindow is inert: the frozen benchmark/ module sets it
+	// (ROADMAP item 6 deletes it).
 	AdaptiveWindow bool
 	// DirectWait resolves Update/Scan waiters through a per-request
 	// channel closed by the worker, instead of the runtime's
@@ -167,9 +155,8 @@ type Stats struct {
 	ProtoUpdates, ProtoScans int64
 	// MaxBatch is the largest update batch committed at once.
 	MaxBatch int
-	// Window is the current drain window (0 = unbounded).
-	Window int
-	// WindowGrows / WindowShrinks count adaptive window resizes.
+	// WindowGrows / WindowShrinks are inert, always zero: the frozen
+	// benchmark/ module reads them (ROADMAP item 6 deletes them).
 	WindowGrows, WindowShrinks int64
 }
 
@@ -210,7 +197,6 @@ type Service struct {
 	closed  bool
 	serving bool
 	stopped bool // worker exited with an error; no one will drain q
-	window  int  // current drain cap (0 = unbounded)
 	stats   Stats
 	nextOp  int64
 }
@@ -222,13 +208,7 @@ func New(r rt.Runtime, obj Object, opts Options) *Service {
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = DefaultMaxPending
 	}
-	window := 0
-	if opts.AdaptiveWindow {
-		window = min(MinWindow, opts.MaxPending)
-	}
-	s := &Service{rtm: r, obj: obj, opts: opts, window: window}
-	s.stats.Window = window
-	return s
+	return &Service{rtm: r, obj: obj, opts: opts}
 }
 
 // Stats returns a copy of the counters.
@@ -389,8 +369,8 @@ func (s *Service) await(req *request) error {
 }
 
 // Serve runs the worker loop on the calling thread (the node's one client
-// thread in the paper's model): it repeatedly drains the queue and serves
-// it with batched protocol operations. It returns nil after Close once the
+// thread in the paper's model): it repeatedly takes the whole queue and
+// serves it with batched protocol operations. It returns nil after Close once the
 // queue is drained, or rt.ErrCrashed if the node crashes.
 func (s *Service) Serve() error {
 	s.rtm.Atomic(func() {
@@ -405,7 +385,7 @@ func (s *Service) Serve() error {
 		err := s.rtm.WaitUntilThen("svc: worker idle",
 			func() bool { return len(s.q) > 0 || s.closed },
 			func() {
-				batch = s.drainWindow()
+				batch, s.q = s.q, nil
 				closed = s.closed
 			})
 		if err != nil {
@@ -424,39 +404,6 @@ func (s *Service) Serve() error {
 		}
 		s.serveCycle(batch)
 	}
-}
-
-// drainWindow takes up to one window of requests off the queue and, under
-// AdaptiveWindow, resizes the window from what it observed: a capped
-// drain with work left behind means demand exceeds the window (double
-// it); a full drain that used under a quarter of the window means the cap
-// is slack (halve it). Must run inside the atomicity domain.
-func (s *Service) drainWindow() []*request {
-	batch := s.q
-	if s.window > 0 && len(s.q) > s.window {
-		batch = s.q[:s.window:s.window]
-		s.q = s.q[s.window:]
-	} else {
-		s.q = nil
-	}
-	if s.opts.AdaptiveWindow {
-		switch {
-		case len(s.q) > 0 && s.window < s.opts.MaxPending:
-			s.window *= 2
-			if s.window > s.opts.MaxPending {
-				s.window = s.opts.MaxPending
-			}
-			s.stats.WindowGrows++
-		case len(s.q) == 0 && len(batch) < s.window/4 && s.window > MinWindow:
-			s.window /= 2
-			if s.window < MinWindow {
-				s.window = MinWindow
-			}
-			s.stats.WindowShrinks++
-		}
-		s.stats.Window = s.window
-	}
-	return batch
 }
 
 // failAll resolves every queued request with err and stops admission.

@@ -10,7 +10,7 @@
 // Both satisfy the paper's channel model: reliable FIFO point-to-point
 // links. Atomicity of handlers and critical sections is provided by a
 // per-node mutex; blocking waits use condition variables signalled on
-// every state change.
+// every state change and once per D (a wait predicate may read the clock).
 package transport
 
 import (
@@ -44,7 +44,26 @@ type pendingMsg struct {
 	msg rt.Message
 }
 
-func (nd *node) init() { nd.cond = sync.NewCond(&nd.mu) }
+// init arms the condvar and its once-per-D tick. Waiters otherwise
+// re-evaluate their predicates only on a state change, and a predicate may
+// read the clock (a routed call's deadline): on an idle node no state
+// change would ever announce that the deadline has passed. The tick ends
+// when stop is closed.
+func (nd *node) init(d time.Duration, stop <-chan struct{}) {
+	nd.cond = sync.NewCond(&nd.mu)
+	go func() {
+		tick := time.NewTicker(d)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				nd.cond.Broadcast()
+			}
+		}
+	}()
+}
 
 // deliver runs the handler atomically and wakes blocked waiters.
 func (nd *node) deliver(src int, msg rt.Message) {
@@ -284,7 +303,7 @@ func NewChanNet(cfg ChanConfig) *ChanNet {
 	net.nodes = make([]*chanNode, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		nd := &chanNode{net: net, id: i, out: make([]*link, cfg.N)}
-		nd.init()
+		nd.init(cfg.D, net.done)
 		net.nodes[i] = nd
 	}
 	// One goroutine per (src,dst) link preserves FIFO while applying

@@ -119,3 +119,36 @@ func TestAllAlgorithmsOverChanTransport(t *testing.T) {
 		})
 	}
 }
+
+// TestWaitUntilDeadlinePredicate: a predicate that reads the clock must
+// come true on a node where nothing else happens — no message, no Atomic,
+// no other waiter. Both transports re-evaluate parked predicates at least
+// once per D; without that a routed call's timeout never fires on an idle
+// node.
+func TestWaitUntilDeadlinePredicate(t *testing.T) {
+	const d = 2 * time.Millisecond
+	cn := transport.NewChanNet(transport.ChanConfig{N: 1, D: d})
+	defer cn.Close()
+	mesh, err := transport.LoopbackMesh(1, transport.TCPConfig{D: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh[0].Close()
+	for name, r := range map[string]rt.Runtime{"chan": cn.Runtime(0), "tcp": mesh[0].Runtime()} {
+		t.Run(name, func(t *testing.T) {
+			deadline := r.Now() + 5*rt.TicksPerD
+			done := make(chan error, 1)
+			go func() {
+				done <- rt.WaitUntil(r, "deadline", func() bool { return r.Now() >= deadline })
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("still parked 3s after a 10ms deadline: nothing re-evaluates the predicate")
+			}
+		})
+	}
+}

@@ -160,7 +160,7 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 		conns:  make([]net.Conn, n),
 		closed: make(chan struct{}),
 	}
-	t.init()
+	t.init(cfg.D, t.closed)
 	ln := cfg.Listener
 	if ln == nil {
 		ln, err = net.Listen("tcp", cfg.Addrs[cfg.ID])
