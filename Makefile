@@ -57,10 +57,12 @@ test-svc:
 
 # Crash-recovery matrix under the race detector: WAL replay, restart and
 # rejoin under chaos on both the sim and chan backends, plus the WAL's
-# crash-point suite, the pruned-log differential oracle and the value
-# log's straggler (below-frontier insert) tests.
+# crash-point suite, the pruned-log differential oracle, the value log's
+# straggler (below-frontier insert) tests, eqaso's acts-follow-syncs suite
+# (one sync per update, vouch and prune only after a durable record) and
+# the cluster's recovered-seed test.
 test-recovery:
-	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential|Straggler' ./internal/chaos/ ./internal/wal/ ./internal/core/
+	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential|Straggler|Sync|Vouch|Seed' ./internal/chaos/ ./internal/wal/ ./internal/core/ ./internal/eqaso/ ./internal/cluster/
 
 # Sharded-cluster matrix under the race detector: routing, shard-map
 # races, and validated cross-shard cuts on the sim and chan backends

@@ -140,8 +140,9 @@ func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 //	nc localhost 8000
 //
 // With -http ADDR the node serves its observability surface: GET /metrics
-// exports per-operation latency histograms (wall-clock µs) and message
-// counters in Prometheus text format; GET /debug/trace streams the most
+// exports per-operation latency histograms (wall-clock µs), message
+// counters and — with -wal — the log's append, sync and byte counters in
+// Prometheus text format; GET /debug/trace streams the most
 // recent operation/phase/message events as JSONL; /debug/pprof/ serves
 // the standard Go profiling endpoints for profiling saturation runs.
 //
@@ -242,7 +243,11 @@ func runNode(args []string, out io.Writer) error {
 			return fmt.Errorf("http listener: %w", err)
 		}
 		defer ln.Close()
-		go http.Serve(ln, obsMux(metrics, trace))
+		var walCounters func() wal.Counters
+		if walW != nil {
+			walCounters = walCountersOf(tn.Runtime(), walW)
+		}
+		go http.Serve(ln, obsMux(metrics, trace, walCounters))
 		fmt.Fprintf(out, "metrics on http://%s/metrics, trace on http://%s/debug/trace, profiles on http://%s/debug/pprof/\n",
 			ln.Addr(), ln.Addr(), ln.Addr())
 	}
@@ -269,7 +274,9 @@ func runNode(args []string, out io.Writer) error {
 //
 //	go tool pprof http://HOST:PORT/debug/pprof/profile?seconds=10
 //	go tool pprof http://HOST:PORT/debug/pprof/heap
-func obsMux(metrics *obs.Metrics, trace *obs.Trace) *http.ServeMux {
+//
+// walCounters, nil without -wal, adds the WAL families to /metrics.
+func obsMux(metrics *obs.Metrics, trace *obs.Trace, walCounters func() wal.Counters) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -281,6 +288,19 @@ func obsMux(metrics *obs.Metrics, trace *obs.Trace) *http.ServeMux {
 		if err := obs.WritePrometheus(w, metrics.Snapshot()); err != nil {
 			log.Printf("/metrics: %v", err)
 		}
+		if walCounters != nil {
+			c := walCounters()
+			for _, m := range []struct {
+				name, help string
+				v          int64
+			}{
+				{"mpsnap_wal_appends_total", "Records appended to the write-ahead log.", c.Appends},
+				{"mpsnap_wal_syncs_total", "File syncs the write-ahead log paid (syncs/appends is the group-commit ratio).", c.Syncs},
+				{"mpsnap_wal_bytes_total", "Bytes written to the write-ahead log, framing included.", c.Bytes},
+			} {
+				fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.v)
+			}
+		}
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
@@ -289,6 +309,16 @@ func obsMux(metrics *obs.Metrics, trace *obs.Trace) *http.ServeMux {
 		}
 	})
 	return mux
+}
+
+// walCountersOf reads the node's WAL counters the way everything else
+// touches the writer: inside the node's critical section (the writer is
+// owned by the protocol node and not safe for concurrent use).
+func walCountersOf(r rt.Runtime, w *wal.Writer) func() wal.Counters {
+	return func() (c wal.Counters) {
+		r.Atomic(func() { c = w.Counters() })
+		return c
+	}
 }
 
 // acceptClients serves each inbound connection as an independent client

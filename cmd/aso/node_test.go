@@ -7,13 +7,18 @@ import (
 	"log"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"mpsnap/internal/chaos"
+	"mpsnap/internal/eqaso"
 	"mpsnap/internal/obs"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/svc"
+	"mpsnap/internal/transport"
+	"mpsnap/internal/wal"
 )
 
 func TestParseNodeConfig(t *testing.T) {
@@ -144,7 +149,7 @@ func TestObsMux(t *testing.T) {
 		o.OnOp(rt.OpEvent{T: 5, Node: 0, ID: 1, Op: "update", Phase: rt.PhaseEnd, Dur: 2000})
 		o.OnMsg(rt.MsgEvent{T: 5, Event: rt.MsgSend, Src: 0, Dst: 1, Kind: "value"})
 	}
-	mux := obsMux(metrics, trace)
+	mux := obsMux(metrics, trace, nil)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -175,5 +180,61 @@ func TestObsMux(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/heap?debug=1", nil))
 	if rec.Code != 200 {
 		t.Errorf("/debug/pprof/heap: code %d", rec.Code)
+	}
+}
+
+// TestMetricsExportWALCounters: a durable node's /metrics carries the WAL
+// families, and they show the group commit an operator should see — ten
+// updates through one node of a loopback cluster cost it at most one file
+// sync each (plus slack for a batch threshold crossed by received values),
+// not one per checkpoint and prune on top.
+func TestMetricsExportWALCounters(t *testing.T) {
+	const n, updates = 3, 10
+	mesh, err := transport.LoopbackMesh(n, transport.TCPConfig{F: 1, D: 10 * time.Millisecond, DialTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]*eqaso.Node, n)
+	var w0 *wal.Writer
+	for i, tn := range mesh {
+		defer tn.Close()
+		w := wal.NewWriter(wal.NewMemFile(), chaos.WALBatch)
+		if i == 0 {
+			w0 = w
+		}
+		nodes[i] = eqaso.New(tn.Runtime())
+		nodes[i].AttachWAL(w, true)
+		tn.SetHandler(nodes[i])
+	}
+	for i := 0; i < updates; i++ {
+		if err := nodes[0].Update([]byte{byte(i)}); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	mux := obsMux(obs.NewWallMetrics(10*time.Millisecond), obs.NewTrace(16), walCountersOf(mesh[0].Runtime(), w0))
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	read := func(name string) int64 {
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				x, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return x
+			}
+		}
+		t.Fatalf("/metrics has no %s:\n%s", name, rec.Body.String())
+		return 0
+	}
+	appends, syncs, bytes := read("mpsnap_wal_appends_total"), read("mpsnap_wal_syncs_total"), read("mpsnap_wal_bytes_total")
+	if syncs < updates || syncs > updates+2 {
+		t.Errorf("%d syncs for %d updates, want one each (+2 at most)", syncs, updates)
+	}
+	if appends < 2*updates || bytes < 10*appends {
+		t.Errorf("appends %d, bytes %d: want the values and their checkpoints counted", appends, bytes)
+	}
+	if st := nodes[0].Stats(); st.WALSyncs != syncs || st.WALAppends != appends {
+		t.Errorf("Stats reports %d appends / %d syncs, /metrics %d / %d", st.WALAppends, st.WALSyncs, appends, syncs)
 	}
 }

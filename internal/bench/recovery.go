@@ -57,14 +57,12 @@ func recoveryWAL(n, h, window int, gc bool) *wal.MemFile {
 		}
 		l.AdvanceFrontier(core.Tag(i + 1))
 		ck := l.Frontier()
-		w.AppendCheckpoint(ck)
-		w.Sync() // checkpoints sync before vouching
+		w.AppendCheckpoint(ck) // vouched once a later sync covers it
 		if gc && lastCk.Count > 0 {
 			for j := 1; j < n; j++ {
 				l.NoteVouch(j, lastCk)
 			}
-			w.AppendPrune(lastCk)
-			w.Sync() // prunes sync before executing
+			w.AppendPrune(lastCk) // likewise executed after a later sync
 			l.PruneTo(lastCk)
 		}
 		lastCk = ck

@@ -219,10 +219,10 @@ type Result struct {
 // op latencies (≤ ~10D) plus spike delays.
 const Grace = 30 * rt.TicksPerD
 
-// WALBatch is the WAL fsync batch of chaos runs and `aso node -wal`: foreign values may ride
-// a batch, while the protocol's critical points (own values before
-// dissemination, checkpoints before vouches, prunes before execution)
-// force explicit syncs regardless.
+// WALBatch is the WAL fsync batch of chaos runs and `aso node -wal`: foreign
+// values, checkpoints and prunes ride a batch (a vouch or a prune is
+// performed once a sync has covered its record), while an own value forces
+// an explicit sync before it is disseminated regardless.
 const WALBatch = 8
 
 // maxSleep is the maximum client think time between operations, in ticks.

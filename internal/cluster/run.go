@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"mpsnap/internal/chaos"
-	"mpsnap/internal/core"
 	"mpsnap/internal/engine"
 	_ "mpsnap/internal/engine/all" // register every snapshot engine
 	"mpsnap/internal/rt"
@@ -311,11 +310,9 @@ func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
 		}
 		f := b.files[id]
 		st := wal.Recover(f.Durable(), r.N(), r.ID())
-		if st.OwnTag != 0 {
-			if v, ok := st.Log.Get(core.Timestamp{Tag: st.OwnTag, Writer: r.ID()}); ok {
-				seed = v
-			}
-		}
+		// From the extract, not Log.Get: once GC has pruned the member's
+		// last own value only the pruned-prefix summary still holds it.
+		seed = st.Log.AllView().Extract(r.N())[r.ID()]
 		nd := in.Recover(r, st, wal.NewWriter(f, chaos.WALBatch), true)
 		b.rejoins[id] = nd.(engine.Rejoiner)
 		return nd, nd

@@ -57,6 +57,8 @@ type Stats struct {
 	RejoinDeltaReplies int64 // rejoinReq answered with a delta above the base
 	RejoinFullReplies  int64 // rejoinReq answered with a full standalone view
 	Rejoins            int64 // crash-recovery rejoins performed by this node
+	WALAppends         int64 // records written to the WAL
+	WALSyncs           int64 // file syncs paid for them (own values' plus the every-batch-appends ones)
 }
 
 type readState struct {
@@ -108,17 +110,23 @@ type Node struct {
 	curBorrow *borrowWait
 
 	// Crash-recovery state (nil/zero when the node runs without a WAL).
-	// wal is the durability sink: own values are synced before they are
-	// disseminated, frontier checkpoints before they are vouched, prunes
-	// before they execute. vouched[j] is the largest checkpoint node j has
-	// durably vouched AND this log can verify; rawVouch[j] is the largest
-	// vouch received from j regardless of local verifiability (re-checked
-	// when the local frontier catches up); gc enables pruning below the
-	// global minimum.
-	wal      *wal.Writer
-	gc       bool
-	vouched  []core.Checkpoint
-	rawVouch []core.Checkpoint
+	// wal is the durability sink. Only own values force a sync (before they
+	// are disseminated); a frontier checkpoint or a prune is appended and
+	// its act — the vouch, the PruneTo — parked until a later sync has
+	// covered the record (releaseDurable). ckpt is the latest checkpoint
+	// appended and prune the floor of the latest prune record; ckptSeq and
+	// pruneSeq are the WAL append counts as of those records while the act
+	// is parked, 0 once it is done. vouched[j] is the largest checkpoint
+	// node j has durably vouched AND this log can verify; rawVouch[j] is the
+	// largest vouch received from j regardless of local verifiability
+	// (re-checked when the local frontier catches up); gc enables pruning
+	// below the global minimum.
+	wal               *wal.Writer
+	gc                bool
+	ckpt, prune       core.Checkpoint
+	ckptSeq, pruneSeq int64
+	vouched           []core.Checkpoint
+	rawVouch          []core.Checkpoint
 
 	stats Stats
 
@@ -158,9 +166,10 @@ func New(r rt.Runtime) *Node {
 
 // AttachWAL makes the node durable: every value admitted to V[self] is
 // appended to w (own values synced before dissemination), frontier
-// checkpoints are synced and then vouched to peers, and — when gc is set
-// — the value log is pruned below the globally-vouched checkpoint. Must
-// be called before the node is installed as a message handler.
+// checkpoints are appended and vouched to peers once durable, and — when
+// gc is set — the value log is pruned below the globally-vouched
+// checkpoint. Must be called before the node is installed as a message
+// handler.
 func (nd *Node) AttachWAL(w *wal.Writer, gc bool) {
 	nd.wal = w
 	nd.gc = gc
@@ -169,7 +178,13 @@ func (nd *Node) AttachWAL(w *wal.Writer, gc bool) {
 // Stats returns a copy of the node's counters.
 func (nd *Node) Stats() Stats {
 	var s Stats
-	nd.rt.Atomic(func() { s = nd.stats })
+	nd.rt.Atomic(func() {
+		s = nd.stats
+		if nd.wal != nil {
+			c := nd.wal.Counters()
+			s.WALAppends, s.WALSyncs = c.Appends, c.Syncs
+		}
+	})
 	return s
 }
 
@@ -333,38 +348,61 @@ func (nd *Node) addValue(src int, v core.Value) {
 	}
 	if newToSelf && nd.wal != nil {
 		nd.wal.AppendValue(src, v)
+		nd.releaseDurable() // this append may have been the batch's last
 	}
 	if newToSelf && v.TS.Writer != nd.id {
 		nd.rt.Broadcast(MsgValue{Val: v})
 	}
 }
 
-// vouchFrontier durably checkpoints the current frontier and vouches it to
-// all peers. Called (atomically) after a good lattice operation advanced
-// the frontier; the checkpoint is WAL-synced BEFORE the vouch broadcast,
-// so a peer can only GC below a frontier this node will still hold after
-// any crash. The node's own vouch is recorded via the self-delivered
-// broadcast.
+// vouchFrontier logs a checkpoint of the current frontier and parks the
+// vouch for it. Called (atomically) after a good lattice operation advanced
+// the frontier. The record forces no sync: the vouch goes out from
+// releaseDurable once the record IS durable, so a peer can only GC below a
+// frontier this node will still hold after any crash. A checkpoint logged
+// while an older one is still parked replaces it — one vouch, for the
+// latest, covers both.
 func (nd *Node) vouchFrontier() {
 	if nd.wal == nil {
 		return
 	}
 	ck := nd.log.Frontier()
-	if ck.Count <= nd.vouched[nd.id].Count {
+	if ck.Count <= nd.ckpt.Count || nd.wal.AppendCheckpoint(ck) != nil {
 		return
 	}
-	nd.wal.AppendCheckpoint(ck)
-	if nd.wal.Sync() != nil {
-		return
+	nd.ckpt, nd.ckptSeq = ck, nd.wal.Counters().Appends
+	nd.releaseDurable()
+}
+
+// releaseDurable performs the parked acts whose WAL records a sync has
+// covered: it is called (atomically) after every append and after the
+// writer's own sync-before-disseminate, so an act leaves in the critical
+// section of the sync that made it safe — the node's next update, or the
+// every-batch-appends sync of a node that is only receiving. After a
+// write or sync error Durable never advances and nothing is released. The
+// node's own vouch is recorded via the self-delivered broadcast.
+func (nd *Node) releaseDurable() {
+	durable := nd.wal.Counters().Durable
+	if nd.pruneSeq != 0 && nd.pruneSeq <= durable && nd.wait == nil {
+		// Not while an EQ wait is active (the tracker caches absolute
+		// counts): the prune stays parked for the next release. PruneTo
+		// re-verifies the digest and every peer cursor.
+		nd.pruneSeq = 0
+		if nd.log.PruneTo(nd.prune) {
+			nd.stats.LogPrunes++
+		}
 	}
-	nd.stats.VouchesSent++
-	nd.rt.Broadcast(MsgCkptVouch{Ck: ck})
-	// The frontier just advanced: vouches that outran this log when they
-	// arrived may verify now. Without this re-check a peer's vouch received
-	// while this node lagged would stay buffered until the peer's NEXT good
-	// lattice op, stalling GC indefinitely.
-	nd.recheckVouches()
-	nd.maybeGC()
+	if nd.ckptSeq != 0 && nd.ckptSeq <= durable {
+		nd.ckptSeq = 0
+		nd.stats.VouchesSent++
+		nd.rt.Broadcast(MsgCkptVouch{Ck: nd.ckpt})
+		// The frontier advanced: vouches that outran this log when they
+		// arrived may verify now. Without this re-check a peer's vouch
+		// received while this node lagged would stay buffered until the
+		// peer's NEXT good lattice op, stalling GC indefinitely.
+		nd.recheckVouches()
+		nd.maybeGC()
+	}
 }
 
 // noteVouch records j's durable checkpoint: the raw vouch is always
@@ -398,12 +436,13 @@ func (nd *Node) recheckVouches() {
 	}
 }
 
-// maybeGC prunes the value log below the smallest checkpoint every node
-// has durably vouched. The prune is WAL-logged and synced first so replay
-// prunes at the same point and recovered digests match live peers. Never
-// runs while an EQ wait is active (the tracker caches absolute counts).
+// maybeGC logs a prune below the smallest checkpoint every node has durably
+// vouched and parks it; releaseDurable executes it once the record is
+// durable, so replay prunes at least as far as the live node did and
+// recovered digests match live peers. One prune is parked at a time: a
+// higher floor is logged after it has run.
 func (nd *Node) maybeGC() {
-	if nd.wal == nil || !nd.gc || nd.wait != nil {
+	if nd.wal == nil || !nd.gc || nd.pruneSeq != 0 {
 		return
 	}
 	floor := nd.vouched[0]
@@ -412,16 +451,11 @@ func (nd *Node) maybeGC() {
 			floor = ck
 		}
 	}
-	if floor.Count <= nd.log.PrunedCount() || !nd.log.Vouches(floor) {
+	if floor.Count <= nd.log.PrunedCount() || !nd.log.Vouches(floor) || nd.wal.AppendPrune(floor) != nil {
 		return
 	}
-	nd.wal.AppendPrune(floor)
-	if nd.wal.Sync() != nil {
-		return
-	}
-	if nd.log.PruneTo(floor) {
-		nd.stats.LogPrunes++
-	}
+	nd.prune, nd.pruneSeq = floor, nd.wal.Counters().Appends
+	nd.releaseDurable()
 }
 
 // adoptBorrowed records a good view received from a peer and serves any

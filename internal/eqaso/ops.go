@@ -218,7 +218,10 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 					nd.wal.AppendValue(nd.id, v)
 				}
 			}
+			// The one sync an operation waits for; checkpoint vouches and
+			// prunes parked since the last one ride it.
 			walErr = nd.wal.Sync()
+			nd.releaseDurable()
 		}
 	})
 	if walErr != nil {

@@ -29,8 +29,10 @@ func Recover(r rt.Runtime, st *wal.State, w *wal.Writer, gc bool) *Node {
 	if st.OwnTag > nd.maxTag {
 		nd.maxTag = st.OwnTag
 	}
-	// The frontier was WAL-synced before any vouch for it was sent, so the
-	// node still stands behind it.
+	// The recovered frontier is the latest durable checkpoint — one the node
+	// vouched before the crash or had parked for it — so the node stands
+	// behind it either way (Rejoin's MsgRejoinReq carries it to the peers).
+	nd.ckpt = st.Frontier
 	nd.vouched[nd.id] = st.Frontier
 	nd.AttachWAL(w, gc)
 	return nd

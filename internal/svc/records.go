@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"mpsnap/internal/wire"
@@ -17,9 +18,16 @@ type Record struct {
 	V []byte
 }
 
-// EncodeRecords serializes a record list in the given order.
+// EncodeRecords serializes a record list in the given order. The buffer is
+// sized once from the records (a shard re-encodes its whole key map on
+// every routed batch; growing by doubling allocated over twice the payload).
 func EncodeRecords(recs []Record) []byte {
+	size := binary.MaxVarintLen64
+	for _, rec := range recs {
+		size += len(rec.K) + len(rec.V) + 2*binary.MaxVarintLen32
+	}
 	var b wire.Buffer
+	b.Grow(size)
 	b.PutUvarint(uint64(len(recs)))
 	for _, rec := range recs {
 		b.PutString(rec.K)

@@ -1,9 +1,12 @@
 package svc_test
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"mpsnap/internal/svc"
+	"mpsnap/internal/wire"
 )
 
 // TestMergeKeysDeterministic: MergeKeys yields the sorted, deduplicated
@@ -52,5 +55,42 @@ func TestRecordsRoundTrip(t *testing.T) {
 	}
 	if got := svc.DecodeRecords([]byte{0xff, 0x01}); got != nil {
 		t.Errorf("corrupt payload decoded to %v, want nil", got)
+	}
+}
+
+// TestEncodeRecordsBytesUnchanged: sizing the buffer up front changes what
+// EncodeRecords allocates, never what it writes — every fixture encodes to
+// the bytes the unsized field-by-field encoding produces (and the smallest
+// to a literal), and a call allocates its one buffer: a shard re-encodes
+// its cumulative key map on every routed batch, where growth by doubling
+// allocated ≈ 2.3× the payload.
+func TestEncodeRecordsBytesUnchanged(t *testing.T) {
+	keyMap := make([]svc.Record, 300)
+	for i := range keyMap {
+		keyMap[i] = svc.Record{K: fmt.Sprintf("key-%04d", i), V: bytes.Repeat([]byte{byte(i)}, 1+i%200)}
+	}
+	fixtures := [][]svc.Record{
+		nil,
+		{{K: "a", V: []byte("x")}, {K: "b", V: nil}, {K: "", V: []byte{}}},
+		{{K: "zeta", V: []byte("v-zeta")}, {K: "alpha", V: []byte("v-alpha")}, {K: "mu", V: []byte("v-mu")}},
+		{{K: "big", V: make([]byte, 70_000)}},
+		keyMap,
+	}
+	for i, recs := range fixtures {
+		var want wire.Buffer
+		want.PutUvarint(uint64(len(recs)))
+		for _, rec := range recs {
+			want.PutString(rec.K)
+			want.PutBytes(rec.V)
+		}
+		if got := svc.EncodeRecords(recs); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("fixture %d: encoded %d bytes differ from the field-by-field encoding (%d bytes)", i, len(got), want.Len())
+		}
+	}
+	if got, want := svc.EncodeRecords(fixtures[1]), []byte{3, 1, 'a', 1, 'x', 1, 'b', 0, 0, 0}; !bytes.Equal(got, want) {
+		t.Errorf("EncodeRecords = %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { svc.EncodeRecords(keyMap) }); allocs != 1 {
+		t.Errorf("EncodeRecords allocates %.0f times per call, want 1 (the sized buffer)", allocs)
 	}
 }

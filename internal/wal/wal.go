@@ -4,14 +4,20 @@
 //
 // Three record kinds cover the whole state machine:
 //
-//   - value: a value entered V[self] (own UPDATEs before they are
-//     disseminated; received values as they are admitted);
+//   - value: a value entered V[self] (own UPDATEs are synced before they
+//     are disseminated — the one sync an operation waits for; received
+//     values are appended as they are admitted);
 //   - checkpoint: the node's frontier advanced after a good lattice
-//     operation — synced before the node vouches for the checkpoint to
+//     operation — durable before the node vouches for the checkpoint to
 //     peers, so a vouch is never retracted by a crash;
-//   - prune: the node garbage-collected its log below a globally-vouched
-//     checkpoint — synced before the prune executes, so replay prunes at
-//     the same point and recovered digests match live peers exactly.
+//   - prune: the node garbage-collects its log below a globally-vouched
+//     checkpoint — durable before the prune executes, so a recovered
+//     node has pruned at least as far as it had live and its digests
+//     match live peers exactly.
+//
+// A checkpoint or prune record forces no sync of its own: the node parks
+// the act and performs it once Counters.Durable shows that a later sync
+// (its next own value, or the every-batch-appends one) covered the record.
 //
 // # Record layout
 //
@@ -82,17 +88,28 @@ type File interface {
 
 // Writer appends records to a WAL file with batched fsync: appends
 // accumulate and the file is synced every batch records, or explicitly
-// via Sync at the protocol's durability points (before disseminating an
-// own value, before vouching a checkpoint, before pruning). Errors latch:
-// after the first write failure every call reports it and nothing more is
-// written.
+// via Sync at the protocol's one blocking durability point (before
+// disseminating an own value). Whoever must act only after a record is
+// durable remembers Counters().Appends as of the append and waits for
+// Counters().Durable to reach it. Errors latch: after the first write or
+// sync failure every call reports it, nothing more is written and Durable
+// never advances again.
 type Writer struct {
-	f       File
-	batch   int
-	pending int
-	buf     wire.Buffer
-	frame   []byte
-	err     error
+	f     File
+	batch int
+	n     Counters
+	buf   wire.Buffer
+	frame []byte
+	err   error
+}
+
+// Counters are a writer's running totals. Records Durable+1..Appends are
+// written but not yet covered by a successful sync.
+type Counters struct {
+	Appends int64 // records written
+	Durable int64 // of those, how many the last successful sync covered
+	Syncs   int64 // successful file syncs
+	Bytes   int64 // bytes written, framing included
 }
 
 // NewWriter returns a writer over f syncing every batch appends (batch
@@ -103,6 +120,9 @@ func NewWriter(f File, batch int) *Writer {
 
 // Err returns the first write or sync failure, or nil.
 func (w *Writer) Err() error { return w.err }
+
+// Counters returns the writer's running totals.
+func (w *Writer) Counters() Counters { return w.n }
 
 func (w *Writer) append(kind byte, body func(*wire.Buffer)) error {
 	if w.err != nil {
@@ -125,8 +145,9 @@ func (w *Writer) append(kind byte, body func(*wire.Buffer)) error {
 		w.err = fmt.Errorf("wal: append: %w", err)
 		return w.err
 	}
-	w.pending++
-	if w.pending >= w.batch {
+	w.n.Appends++
+	w.n.Bytes += int64(len(w.frame))
+	if w.n.Appends-w.n.Durable >= int64(w.batch) {
 		return w.Sync()
 	}
 	return nil
@@ -137,14 +158,15 @@ func (w *Writer) Sync() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.pending == 0 {
+	if w.n.Durable == w.n.Appends {
 		return nil
 	}
 	if err := w.f.Sync(); err != nil {
 		w.err = fmt.Errorf("wal: sync: %w", err)
 		return w.err
 	}
-	w.pending = 0
+	w.n.Durable = w.n.Appends
+	w.n.Syncs++
 	return nil
 }
 
@@ -156,14 +178,16 @@ func (w *Writer) AppendValue(src int, v core.Value) error {
 	})
 }
 
-// AppendCheckpoint records a frontier advance. Callers Sync before
-// vouching the checkpoint to peers.
+// AppendCheckpoint records a frontier advance. It forces no sync: the
+// caller vouches the checkpoint to peers only once Counters().Durable
+// covers the record.
 func (w *Writer) AppendCheckpoint(ck core.Checkpoint) error {
 	return w.append(RecCheckpoint, func(b *wire.Buffer) { wire.PutCheckpoint(b, ck) })
 }
 
-// AppendPrune records a garbage collection below ck. Callers Sync before
-// executing the prune.
+// AppendPrune records a garbage collection below ck. It forces no sync:
+// the caller executes the prune only once Counters().Durable covers the
+// record.
 func (w *Writer) AppendPrune(ck core.Checkpoint) error {
 	return w.append(RecPrune, func(b *wire.Buffer) { wire.PutCheckpoint(b, ck) })
 }

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -256,5 +258,89 @@ func TestRecoverEmptyAndGarbage(t *testing.T) {
 	st := Recover([]byte("not a wal at all, just bytes"), 3, 0)
 	if st.Records != 0 || st.TailErr == nil {
 		t.Fatalf("garbage wal: records=%d err=%v", st.Records, st.TailErr)
+	}
+}
+
+// parentFormatWAL is the byte image the writer of the commit before PR 23
+// (the last one whose checkpoint and prune records forced their own sync)
+// produced for recs below: value(1, 3·1), value(0, 5·0), checkpoint,
+// value(2, 9·2), prune.
+const parentFormatWAL = "0000000a93f28ae501010206020470332d31" +
+	"0000000a12119dfe0101000a000470352d30" +
+	"0000000ce54c10f701020a02000000000000feed" +
+	"0000000a143bc53901010412040470392d32" +
+	"0000000c723de73601030a02000000000000feed"
+
+// TestParentFormatFixtureReplays: moving the flushes did not touch the
+// record layout — a WAL written before the change replays after it, and
+// the writer still produces those bytes, so an old binary replays a new WAL.
+func TestParentFormatFixtureReplays(t *testing.T) {
+	fixture, err := hex.DecodeString(parentFormatWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := core.Checkpoint{Tag: 5, Count: 2, Digest: 0xfeed}
+	want := []Record{
+		{Kind: RecValue, Src: 1, Val: val(3, 1)},
+		{Kind: RecValue, Src: 0, Val: val(5, 0)},
+		{Kind: RecCheckpoint, Ck: ck},
+		{Kind: RecValue, Src: 2, Val: val(9, 2)},
+		{Kind: RecPrune, Ck: ck},
+	}
+	got, intact, err := Replay(fixture)
+	if err != nil || intact != len(fixture) || len(got) != len(want) {
+		t.Fatalf("replayed %d records, %d of %d bytes, err %v", len(got), intact, len(fixture), err)
+	}
+	f := NewMemFile()
+	w := NewWriter(f, 64)
+	for i, r := range want {
+		if got[i].Kind != r.Kind || got[i].Src != r.Src || got[i].Val.TS != r.Val.TS ||
+			!bytes.Equal(got[i].Val.Payload, r.Val.Payload) || got[i].Ck != r.Ck {
+			t.Fatalf("record %d: %+v, want %+v", i, got[i], r)
+		}
+		switch r.Kind {
+		case RecValue:
+			w.AppendValue(r.Src, r.Val)
+		case RecCheckpoint:
+			w.AppendCheckpoint(r.Ck)
+		case RecPrune:
+			w.AppendPrune(r.Ck)
+		}
+	}
+	if !bytes.Equal(f.Bytes(), fixture) {
+		t.Fatalf("the writer's bytes changed:\n got %x\nwant %x", f.Bytes(), fixture)
+	}
+}
+
+// TestWriterCounters: Appends counts records written, Durable how many of
+// them the last successful sync covered — what a caller that must act only
+// after a record is durable compares against — and a failed sync latches:
+// Durable never moves again.
+func TestWriterCounters(t *testing.T) {
+	f := NewMemFile()
+	w := NewWriter(f, 3)
+	ck := core.Checkpoint{Tag: 2, Count: 2, Digest: 7}
+	w.AppendValue(0, val(1, 0))
+	w.AppendCheckpoint(ck) // forces no sync of its own
+	if c := w.Counters(); c != (Counters{Appends: 2, Bytes: int64(f.Len())}) {
+		t.Fatalf("after two appends: %+v", c)
+	}
+	w.AppendPrune(ck) // the batch's third record: the threshold sync
+	if c := w.Counters(); c != (Counters{Appends: 3, Durable: 3, Syncs: 1, Bytes: int64(f.Len())}) {
+		t.Fatalf("after the batch filled: %+v", c)
+	}
+	if err := w.Sync(); err != nil || w.Counters().Syncs != 1 {
+		t.Fatalf("a sync with nothing pending must not reach the file: err %v, %+v", err, w.Counters())
+	}
+	w.AppendValue(0, val(3, 0))
+	f.SyncHook = func() error { return errors.New("power cut") }
+	if err := w.Sync(); err == nil {
+		t.Fatal("failed sync reported no error")
+	}
+	f.SyncHook = nil
+	w.AppendValue(0, val(4, 0))
+	w.Sync()
+	if c := w.Counters(); c.Appends != 4 || c.Durable != 3 || c.Syncs != 1 || f.SyncedLen() == f.Len() {
+		t.Fatalf("after a latched sync error: %+v, synced %d of %d bytes", c, f.SyncedLen(), f.Len())
 	}
 }

@@ -28,6 +28,14 @@ func (b *Buffer) Bytes() []byte { return b.buf }
 // Len returns the number of encoded bytes.
 func (b *Buffer) Len() int { return len(b.buf) }
 
+// Grow makes room for n more bytes, so the Puts that follow an encoder's
+// size estimate append without reallocating.
+func (b *Buffer) Grow(n int) {
+	if cap(b.buf)-len(b.buf) < n {
+		b.buf = append(make([]byte, 0, len(b.buf)+n), b.buf...)
+	}
+}
+
 // PutByte appends one raw byte.
 func (b *Buffer) PutByte(v byte) { b.buf = append(b.buf, v) }
 
