@@ -69,9 +69,13 @@ test-recovery:
 # (TestRunChanSeeds covers 4 seeds with per-shard fault schedules), plus
 # whole-shard crash+recover and whole-shard partition episodes, each
 # shard a 3-node cluster under a one-of-each fault mix with a restart.
+# The chan/tcp tests are repeated on one and two Ps the way test-svc
+# repeats svc: a handler admitting into the shard's svc queue is exactly
+# what only a real mutex can deadlock (the simulator can only flag it).
 CLUSTER_MIX = -n 3 -f 1 -restarts 1 -partitions 1 -drops 1 -spikes 1 -scan-ratio 0.2
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/mux/
+	$(GO) test -race -count=5 -cpu 1,2 -run 'Chan|TCP|Routed|Queue' ./internal/cluster/
 	$(GO) run ./cmd/aso chaos -backend sim,chan $(CLUSTER_MIX) -seed 7 -duration 1s -shards 3 -shard-crash 1
 	$(GO) run ./cmd/aso chaos -backend sim,chan $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
 

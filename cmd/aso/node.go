@@ -147,7 +147,8 @@ func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 // the standard Go profiling endpoints for profiling saturation runs.
 //
 // The transport relies on TCP's in-order delivery for the paper's FIFO
-// channel assumption; the deployment is crash-stop (no reconnects).
+// channel assumption, and keeps it across a broken connection: the send
+// loop redials with backoff and resends the batch it had not written.
 func runNode(args []string, out io.Writer) error {
 	cfg, err := parseNodeConfig(args, os.Stderr)
 	if err != nil {

@@ -120,8 +120,8 @@ func baselineSvcScan(n, f, keys, scans int, seed int64) (float64, error) {
 
 // runProbe runs probe on node 0 and the world to completion, calling
 // closeAll once the probe returns. The close runs from a node-unbound
-// driver (not the probe's defer) so that every node's idle service and
-// router waiter re-evaluates and drains; a node-0 proc only wakes node 0's.
+// driver (not the probe's defer) so that every node's idle service waiter
+// re-evaluates and drains; a node-0 proc only wakes node 0's.
 func runProbe(w *sim.World, closeAll func(), probe func(*sim.Proc) error) error {
 	var failed error
 	done := false
@@ -170,7 +170,6 @@ func clusterScanPoint(shards, n, f, keysPerShard, scans int, seed int64) (Cluste
 			s := s
 			w.GoNode(fmt.Sprintf("svc-%d.%d", id, si), id, func(p *sim.Proc) { _ = s.Serve() })
 		}
-		w.GoNode(fmt.Sprintf("router-%d", id), id, func(p *sim.Proc) { _ = nodes[id].ServeRouter() })
 	}
 
 	keys := shards * keysPerShard

@@ -16,6 +16,15 @@ import (
 // spawned. Returns the world and the nodes.
 func buildWorld(t *testing.T, shards, n, f int, seed int64) (*sim.World, []*Node) {
 	t.Helper()
+	return buildWorldWith(t, shards, n, f, seed, func(r rt.Runtime) (rt.Handler, svc.Object) {
+		e := engine.MustLookup("eqaso").New(r)
+		return e, e
+	})
+}
+
+// buildWorldWith is buildWorld with the shard engines built by newEngine.
+func buildWorldWith(t *testing.T, shards, n, f int, seed int64, newEngine func(rt.Runtime) (rt.Handler, svc.Object)) (*sim.World, []*Node) {
+	t.Helper()
 	m := ContiguousMap(shards, n, f, 0)
 	total := m.NumNodes()
 	health := NewHealth(total)
@@ -23,12 +32,9 @@ func buildWorld(t *testing.T, shards, n, f int, seed int64) (*sim.World, []*Node
 	nodes := make([]*Node, total)
 	for id := 0; id < total; id++ {
 		nd, err := NewNode(w.Runtime(id), Config{
-			Map:    m,
-			Health: health,
-			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
-				e := engine.MustLookup("eqaso").New(r)
-				return e, e
-			},
+			Map:       m,
+			Health:    health,
+			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, svc.Object) { return newEngine(r) },
 		})
 		if err != nil {
 			t.Fatalf("NewNode(%d): %v", id, err)
@@ -42,7 +48,6 @@ func buildWorld(t *testing.T, shards, n, f int, seed int64) (*sim.World, []*Node
 			s := s
 			w.GoNode(fmt.Sprintf("svc-%d.%d", id, si), id, func(p *sim.Proc) { _ = s.Serve() })
 		}
-		w.GoNode(fmt.Sprintf("router-%d", id), id, func(p *sim.Proc) { _ = nodes[id].ServeRouter() })
 	}
 	return w, nodes
 }
@@ -232,7 +237,6 @@ func TestShardMapVersionRace(t *testing.T) {
 			s := s
 			w.GoNode(fmt.Sprintf("svc-%d.%d", id, si), id, func(p *sim.Proc) { _ = s.Serve() })
 		}
-		w.GoNode(fmt.Sprintf("router-%d", id), id, func(p *sim.Proc) { _ = nodes[id].ServeRouter() })
 	}
 
 	// A key that moves to shard 1 under v2.

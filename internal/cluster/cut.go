@@ -60,7 +60,7 @@ func ParseMark(p []byte) (Mark, bool) {
 // produced it.
 type ShardCut struct {
 	Shard     int
-	Contact   int      // global node that served the scan (-1: local fast path)
+	Contact   int      // global node that served the scan (-1: this node's own shard)
 	ScanStart rt.Ticks // admission time at the serving node (≥ Frontier)
 	ScanEnd   rt.Ticks // completion time at the serving node
 	Pending   int      // updates queued behind the scan at admission
@@ -132,8 +132,8 @@ func bestMarks(segments [][]byte) map[string]Mark {
 }
 
 // GlobalScan takes one frontier cut: it stamps the frontier now, then
-// scans every shard in parallel (own shards through the local fast path,
-// the rest via one contact each, retrying members on timeout). Every
+// scans every shard in parallel (own shards through their own service
+// queue, the rest via one contact each, retrying members on timeout). Every
 // shard scan linearizes at or after the frontier. The result is NOT yet
 // guaranteed prefix-closed — a writer's predecessor can commit between
 // two shards' linearization points — use GlobalScanClosed for a
@@ -196,96 +196,61 @@ func (n *Node) GlobalScanClosed(v *CutValidator, maxRounds int) (*Cut, error) {
 }
 
 // scanShards scans the target shards at the given frontier in parallel,
-// writing results into out (indexed by shard). Unresponsive contacts are
-// suspected and the shard retried on another member; a stale-map
-// rejection aborts the cut (placement moved under it).
+// writing results into out (indexed by shard). An owned shard's scan is
+// admitted like a routed one, its answer filling the same kind of slot a
+// remote MsgCutResp fills. Unresponsive contacts are suspected and the
+// shard retried on another member; a stale-map rejection aborts the cut
+// (placement moved under it).
 func (n *Node) scanShards(m ShardMap, frontier rt.Ticks, targets []int, out []ShardCut) error {
-	type slot struct {
-		shard   int
-		lc      *localCut
-		pc      *pendingCall
-		id      uint64
-		contact int
-	}
 	remaining := targets
 	for attempt := 0; len(remaining) > 0 && attempt < n.maxAttempts(m); attempt++ {
-		slots := make([]*slot, 0, len(remaining))
-		for _, s := range remaining {
-			if n.ownedState(s) != nil {
-				lc := &localCut{shard: s, frontier: frontier}
-				n.enqueueLocal(lc)
-				slots = append(slots, &slot{shard: s, lc: lc, contact: -1})
+		calls := make([]*pendingCall, len(remaining))
+		contacts := make([]int, len(remaining))
+		for i, s := range remaining {
+			n.rtm.Atomic(func() {
+				if n.owned[s] == nil {
+					return
+				}
+				pc := &pendingCall{}
+				calls[i], contacts[i] = pc, -1
+				n.admit(s, m.Version, nil, func(r MsgCutResp) {
+					r.Frontier = frontier
+					pc.fill(r)
+				})
+			})
+			if calls[i] != nil {
 				continue
 			}
-			contact := n.pickContact(m, s, attempt)
-			shard := s
-			id, pc, msg := n.beginCall(func(req uint64) rt.Message {
-				return MsgCutReq{Req: req, MapVer: m.Version, Shard: shard, Frontier: frontier}
+			contacts[i] = n.pickContact(m, s, attempt)
+			var msg rt.Message
+			calls[i], msg = n.beginCall(func(req uint64) rt.Message {
+				return MsgCutReq{Req: req, MapVer: m.Version, Shard: s, Frontier: frontier}
 			})
-			n.cl.Send(contact, msg)
-			slots = append(slots, &slot{shard: s, pc: pc, id: id, contact: contact})
+			n.cl.Send(contacts[i], msg)
 		}
-		deadline := n.rtm.Now() + n.cfg.Timeout
-		err := n.rtm.WaitUntilThen("cluster: await cut",
-			func() bool {
-				if n.rtm.Now() >= deadline {
-					return true
-				}
-				for _, sl := range slots {
-					if sl.lc != nil && !sl.lc.done {
-						return false
-					}
-					if sl.pc != nil && !sl.pc.done {
-						return false
-					}
-				}
-				return true
-			},
-			func() {
-				for _, sl := range slots {
-					if sl.pc != nil && !sl.pc.done {
-						delete(n.calls, sl.id)
-					}
-				}
-			})
-		if err != nil {
+		if err := n.await("cluster: await cut", calls...); err != nil {
 			return err
 		}
 		var retry []int
-		stale := false
-		for _, sl := range slots {
-			var resp MsgCutResp
-			done := false
-			n.rtm.Atomic(func() {
-				if sl.lc != nil {
-					done = sl.lc.done
-					resp = sl.lc.resp
-				} else if sl.pc.done {
-					// Tolerate a mistyped response (a stale-request
-					// collision) as a non-answer: the shard is retried.
-					resp, done = sl.pc.resp.(MsgCutResp)
-				}
-			})
-			if !done {
-				n.suspect(sl.contact)
-				retry = append(retry, sl.shard)
-				continue
-			}
-			switch resp.Status {
-			case StatusOK:
-				out[sl.shard] = ShardCut{
-					Shard: sl.shard, Contact: sl.contact,
+		for i, s := range remaining {
+			// A mistyped response (a stale-request collision) is a
+			// non-answer, like none at all: the shard is retried.
+			resp, ok := calls[i].resp.(MsgCutResp)
+			switch {
+			case !ok:
+				n.suspect(contacts[i])
+				retry = append(retry, s)
+			case resp.Status == StatusOK:
+				out[s] = ShardCut{
+					Shard: s, Contact: contacts[i],
 					ScanStart: resp.ScanStart, ScanEnd: resp.ScanEnd,
 					Pending: resp.Pending, Segments: resp.Segments, Rounds: 1,
 				}
-			case StatusStaleMap:
-				stale = true
+			case resp.Status == StatusStaleMap:
+				return fmt.Errorf("cluster: shard map changed during cut (had v%d)", m.Version)
 			default:
-				retry = append(retry, sl.shard)
+				retry = append(retry, s)
 			}
-		}
-		if stale {
-			return fmt.Errorf("cluster: shard map changed during cut (had v%d)", m.Version)
 		}
 		remaining = retry
 	}

@@ -16,19 +16,13 @@ import (
 // Health is advisory: routing never *requires* a node to look alive, it
 // only orders contacts healthy-first. Safe for concurrent use.
 type Health struct {
-	mu        sync.Mutex
-	lastHeard []rt.Ticks
-	heard     []bool
-	suspect   []bool
+	mu      sync.Mutex
+	suspect []bool
 }
 
 // NewHealth tracks n global nodes.
 func NewHealth(n int) *Health {
-	return &Health{
-		lastHeard: make([]rt.Ticks, n),
-		heard:     make([]bool, n),
-		suspect:   make([]bool, n),
-	}
+	return &Health{suspect: make([]bool, n)}
 }
 
 // OnMsg implements rt.Observer: a delivered message is proof its sender
@@ -38,11 +32,7 @@ func (h *Health) OnMsg(e rt.MsgEvent) {
 		return
 	}
 	h.mu.Lock()
-	if e.Src < len(h.lastHeard) {
-		if e.T > h.lastHeard[e.Src] {
-			h.lastHeard[e.Src] = e.T
-		}
-		h.heard[e.Src] = true
+	if e.Src < len(h.suspect) {
 		h.suspect[e.Src] = false
 	}
 	h.mu.Unlock()
@@ -66,14 +56,4 @@ func (h *Health) Suspected(id int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return id >= 0 && id < len(h.suspect) && h.suspect[id]
-}
-
-// LastHeard returns when the node was last heard from (0, false if never).
-func (h *Health) LastHeard(id int) (rt.Ticks, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if id < 0 || id >= len(h.lastHeard) {
-		return 0, false
-	}
-	return h.lastHeard[id], h.heard[id]
 }

@@ -19,21 +19,21 @@ const (
 	// under the responder's (same-version) map — a placement bug, or a
 	// racing map the responder has not adopted yet. Clients refetch.
 	StatusWrongShard
-	// StatusErr: the shard engine failed the operation (e.g. the service
-	// is draining for shutdown).
+	// StatusErr: the contact could not serve the operation — the shard
+	// engine failed it, or its service queue is full, draining for
+	// shutdown or dead. Clients try the next member.
 	StatusErr
 )
 
 // Wire tags 112–119: the cluster routing block (see DESIGN.md §10 and the
-// ALGORITHMS.md cluster table). All cluster messages travel inside mux
-// envelopes on the "cluster" channel.
+// ALGORITHMS.md cluster table); 116–117 carried a map-fetch RPC nothing
+// called and stay unassigned (never reused). All cluster messages travel
+// inside mux envelopes on the "cluster" channel.
 const (
 	tagUpdateReq  = 112
 	tagUpdateResp = 113
 	tagScanReq    = 114
 	tagScanResp   = 115
-	tagMapReq     = 116
-	tagMapResp    = 117
 	tagCutReq     = 118
 	tagCutResp    = 119
 )
@@ -83,23 +83,6 @@ type MsgScanResp struct {
 
 // Kind implements rt.Message.
 func (MsgScanResp) Kind() string { return "cl.scanResp" }
-
-// MsgMapReq fetches the responder's current shard map.
-type MsgMapReq struct {
-	Req uint64
-}
-
-// Kind implements rt.Message.
-func (MsgMapReq) Kind() string { return "cl.mapReq" }
-
-// MsgMapResp serves the responder's current shard map.
-type MsgMapResp struct {
-	Req uint64
-	Map ShardMap
-}
-
-// Kind implements rt.Message.
-func (MsgMapResp) Kind() string { return "cl.mapResp" }
 
 // MsgCutReq asks a shard member for the shard's contribution to a
 // coordinated cut: a full shard snapshot linearized at-or-after Frontier
@@ -300,30 +283,6 @@ func init() {
 		},
 		Gen: func(rng *rand.Rand) rt.Message {
 			return MsgScanResp{Req: rng.Uint64() >> 1, Status: byte(rng.Intn(4)), Map: genMap(rng), Vals: genSegs(rng)}
-		},
-	})
-	wire.Register(wire.Codec{
-		Tag: tagMapReq, Proto: MsgMapReq{},
-		Encode: func(b *wire.Buffer, m rt.Message) { b.PutUvarint(m.(MsgMapReq).Req) },
-		Decode: func(d *wire.Decoder) (rt.Message, error) {
-			v := MsgMapReq{Req: d.Uvarint()}
-			return v, d.Err()
-		},
-		Gen: func(rng *rand.Rand) rt.Message { return MsgMapReq{Req: rng.Uint64() >> 1} },
-	})
-	wire.Register(wire.Codec{
-		Tag: tagMapResp, Proto: MsgMapResp{},
-		Encode: func(b *wire.Buffer, m rt.Message) {
-			v := m.(MsgMapResp)
-			b.PutUvarint(v.Req)
-			encodeMap(b, v.Map)
-		},
-		Decode: func(d *wire.Decoder) (rt.Message, error) {
-			v := MsgMapResp{Req: d.Uvarint(), Map: decodeMap(d)}
-			return v, d.Err()
-		},
-		Gen: func(rng *rand.Rand) rt.Message {
-			return MsgMapResp{Req: rng.Uint64() >> 1, Map: genMap(rng)}
 		},
 	})
 	wire.Register(wire.Codec{

@@ -62,8 +62,8 @@ type Config struct {
 }
 
 // shardState is one owned shard: its service front plus this node's
-// cumulative key map (router-thread-only state: only the shard's svc
-// worker calls merge, so it needs no lock).
+// cumulative key map (only the shard's svc worker calls merge, so it needs
+// no lock).
 type shardState struct {
 	shard int
 	svc   *svc.Service
@@ -92,38 +92,34 @@ func (st *shardState) merge(payloads [][]byte) []byte {
 	return svc.EncodeRecords(recs)
 }
 
-// inbound is one routed request parked for the router thread (handlers
-// must not block; the router serves the queue from a dedicated thread).
-type inbound struct {
-	src   int        // global sender to reply to (-1: local fast path)
-	msg   rt.Message // MsgUpdateReq, MsgScanReq, or MsgCutReq
-	local *localCut  // local fast-path cut target (src == -1)
-}
-
-// localCut is a cut request served without a network hop: GlobalScan on a
-// member of the target shard parks it directly in the router queue.
-type localCut struct {
-	shard    int
-	frontier rt.Ticks
-	done     bool
-	resp     MsgCutResp
-}
-
-// pendingCall is one outbound routed request awaiting its response.
+// pendingCall is one request awaiting its answer: a routed request's
+// response, or an owned shard's contribution to a cut. After await it is
+// done either way; a nil resp then means nobody answered in time.
 type pendingCall struct {
+	id   uint64 // key in Node.calls (0: a local cut, answered by its hook)
 	done bool
 	resp rt.Message
 }
 
+// fill answers the call unless it was answered or given up on already
+// (atomicity domain).
+func (pc *pendingCall) fill(resp rt.Message) {
+	if !pc.done {
+		pc.resp, pc.done = resp, true
+	}
+}
+
 // Node is one physical node's cluster stack: the mux routing its shard
-// engines and the cluster channel, the owned shards' service fronts, the
-// router serving routed requests, and the client API (Update/Scan/
-// GlobalScan) that routes by the node's current shard map.
+// engines and the cluster channel, the owned shards' service fronts, and
+// the client API (Update/Scan/GlobalScan) that routes by the node's
+// current shard map. A routed request is admitted into the owning shard's
+// service queue by the message handler and answered by that shard's svc
+// worker (see handleCluster): the node has no thread of its own.
 //
 // Threads: the embedding application must run, per node, one thread per
-// owned shard calling Serve on that shard's service (see Services) and
-// one thread running ServeRouter. Update/Scan/GlobalScan may then be
-// called from any number of client threads.
+// owned shard calling Serve on that shard's service (see Services).
+// Update/Scan/GlobalScan may then be called from any number of client
+// threads.
 type Node struct {
 	rtm rt.Runtime
 	mx  *mux.Mux
@@ -134,7 +130,6 @@ type Node struct {
 	smap    ShardMap
 	rings   map[uint64]*Ring
 	owned   map[int]*shardState
-	queue   []*inbound
 	calls   map[uint64]*pendingCall
 	nextReq uint64
 	closed  bool
@@ -236,20 +231,8 @@ func (n *Node) Services() []*svc.Service {
 	return out
 }
 
-// OwnedShards returns the shard indices this node hosts engines for.
-func (n *Node) OwnedShards() []int {
-	var shards []int
-	n.rtm.Atomic(func() {
-		for s := range n.owned {
-			shards = append(shards, s)
-		}
-	})
-	slices.Sort(shards)
-	return shards
-}
-
-// Close stops admission everywhere: owned services drain, the router
-// serves what is queued and exits, new routed requests are refused.
+// Close stops admission everywhere: owned services drain what they have
+// admitted (routed requests included), new routed requests are refused.
 func (n *Node) Close() {
 	n.rtm.Atomic(func() { n.closed = true })
 	for _, st := range n.owned {
@@ -268,21 +251,28 @@ func (n *Node) Map() ShardMap {
 // engines for newly-owned shards must have been provisioned at
 // construction). Returns whether the map was adopted.
 func (n *Node) InstallMap(m ShardMap) (bool, error) {
-	if err := m.Validate(); err != nil {
+	if err := n.vet(m); err != nil {
 		return false, err
 	}
 	adopted := false
-	n.rtm.Atomic(func() { adopted = n.adoptLocked(m) })
+	n.rtm.Atomic(func() {
+		if adopted = m.Version > n.smap.Version; adopted {
+			n.smap = m
+		}
+	})
 	return adopted, nil
 }
 
-// adoptLocked installs a newer map; must run in the atomicity domain.
-func (n *Node) adoptLocked(m ShardMap) bool {
-	if m.Version <= n.smap.Version || len(m.Members) == 0 {
-		return false
+// vet is Validate plus what only a node can check: every member must be a
+// node of this topology (a larger id would be handed to Send).
+func (n *Node) vet(m ShardMap) error {
+	if err := m.Validate(); err != nil {
+		return err
 	}
-	n.smap = m
-	return true
+	if nodes := m.NumNodes(); nodes > n.rtm.N() {
+		return fmt.Errorf("cluster: shard map names node %d, topology has %d", nodes-1, n.rtm.N())
+	}
+	return nil
 }
 
 // ringLocked returns the cached placement ring of map m.
@@ -295,22 +285,15 @@ func (n *Node) ringLocked(m ShardMap) *Ring {
 	return r
 }
 
-// route returns the current map and the key's shard under it.
-func (n *Node) route(key string) (ShardMap, int) {
-	var m ShardMap
-	var s int
+// route returns the current map, the key's shard under it, and that
+// shard's state if this node hosts it.
+func (n *Node) route(key string) (m ShardMap, s int, st *shardState) {
 	n.rtm.Atomic(func() {
 		m = n.smap
 		s = n.ringLocked(m).ShardFor(key)
+		st = n.owned[s]
 	})
-	return m, s
-}
-
-// ownedState returns the state of shard s if this node hosts it.
-func (n *Node) ownedState(s int) *shardState {
-	var st *shardState
-	n.rtm.Atomic(func() { st = n.owned[s] })
-	return st
+	return m, s, st
 }
 
 // pickContact chooses a member of shard s to route to: spread by the
@@ -332,7 +315,9 @@ func (n *Node) pickContact(m ShardMap, s, attempt int) int {
 }
 
 // maxAttempts bounds routing retries for one operation: enough to try
-// every member of the largest shard plus a map-refetch round.
+// every member of the largest shard, plus one round a stale-map rejection
+// uses up (the adopted map re-routes the next) and one pickContact's
+// healthy-first skip can waste by landing on the member just tried.
 func (n *Node) maxAttempts(m ShardMap) int {
 	max := 0
 	for _, ms := range m.Members {
@@ -352,11 +337,11 @@ func (n *Node) maxAttempts(m ShardMap) int {
 func (n *Node) routed(op, key string, local func(st *shardState) error,
 	build func(req uint64, m ShardMap, s int) rt.Message, status func(resp rt.Message) (code byte, ok bool)) error {
 	var lastErr error
-	m, _ := n.route(key)
+	m, _, _ := n.route(key)
 	for attempt := 0; attempt < n.maxAttempts(m); attempt++ {
 		var s int
-		m, s = n.route(key)
-		if st := n.ownedState(s); st != nil {
+		var st *shardState
+		if m, s, st = n.route(key); st != nil {
 			return local(st)
 		}
 		contact := n.pickContact(m, s, attempt)
@@ -439,21 +424,6 @@ func extractKey(snap [][]byte, key string) [][]byte {
 	return out
 }
 
-// FetchMap asks a remote node for its shard map and adopts it if newer
-// (the refetch half of stale-map handling; normal operations also adopt
-// maps piggybacked on rejections).
-func (n *Node) FetchMap(from int) (ShardMap, error) {
-	resp, err := n.call(from, func(req uint64) rt.Message { return MsgMapReq{Req: req} })
-	if err != nil {
-		return ShardMap{}, err
-	}
-	r, ok := resp.(MsgMapResp)
-	if !ok {
-		return ShardMap{}, fmt.Errorf("cluster: unexpected %s from node %d", resp.Kind(), from)
-	}
-	return r.Map, nil
-}
-
 // suspect reports a timed-out contact to the health tracker.
 func (n *Node) suspect(id int) {
 	if n.cfg.Health != nil {
@@ -463,273 +433,145 @@ func (n *Node) suspect(id int) {
 
 // beginCall allocates a pending call and builds its request under the
 // atomicity domain.
-func (n *Node) beginCall(build func(req uint64) rt.Message) (uint64, *pendingCall, rt.Message) {
+func (n *Node) beginCall(build func(req uint64) rt.Message) (*pendingCall, rt.Message) {
 	pc := &pendingCall{}
-	var id uint64
 	var msg rt.Message
 	n.rtm.Atomic(func() {
 		n.nextReq++
-		id = n.nextReq
-		n.calls[id] = pc
-		msg = build(id)
+		pc.id = n.nextReq
+		n.calls[pc.id] = pc
+		msg = build(pc.id)
 	})
-	return id, pc, msg
+	return pc, msg
+}
+
+// await blocks until every call is answered or the routing timeout
+// passes, then gives up on the unanswered ones: their entries go, so a
+// late response finds none and is dropped.
+func (n *Node) await(label string, calls ...*pendingCall) error {
+	deadline := n.rtm.Now() + n.cfg.Timeout
+	return n.rtm.WaitUntilThen(label,
+		func() bool {
+			if n.rtm.Now() >= deadline {
+				return true
+			}
+			for _, pc := range calls {
+				if !pc.done {
+					return false
+				}
+			}
+			return true
+		},
+		func() {
+			for _, pc := range calls {
+				if !pc.done {
+					pc.done = true
+					delete(n.calls, pc.id)
+				}
+			}
+		})
 }
 
 // call sends one routed request and waits for its response or timeout.
 func (n *Node) call(dst int, build func(req uint64) rt.Message) (rt.Message, error) {
-	id, pc, msg := n.beginCall(build)
+	pc, msg := n.beginCall(build)
 	n.cl.Send(dst, msg)
-	deadline := n.rtm.Now() + n.cfg.Timeout
-	timedOut := false
-	err := n.rtm.WaitUntilThen("cluster: await "+msg.Kind(),
-		func() bool { return pc.done || n.rtm.Now() >= deadline },
-		func() {
-			if !pc.done {
-				delete(n.calls, id)
-				timedOut = true
-			}
-		})
-	if err != nil {
+	if err := n.await("cluster: await "+msg.Kind(), pc); err != nil {
 		return nil, err
 	}
-	if timedOut {
+	if pc.resp == nil {
 		return nil, errTimeout
 	}
 	return pc.resp, nil
 }
 
-// handleCluster is the "cluster" channel handler: it parks routed
-// requests for the router thread, completes this node's outbound calls,
-// serves map fetches inline (they read one field — no blocking), and
-// adopts newer maps piggybacked on any response.
+// handleCluster is the "cluster" channel handler. A routed request is
+// served where it arrives: admit vets it and puts it straight into the
+// owning shard's service queue, that shard's svc worker resolves it, and
+// the answer below — run by the worker in the resolving critical section —
+// sends the response. A response completes this node's outbound call.
 func (n *Node) handleCluster(src int, msg rt.Message) {
 	switch m := msg.(type) {
-	case MsgUpdateReq, MsgScanReq, MsgCutReq:
-		if n.closed {
-			n.refuse(src, msg)
-			return
-		}
-		n.queue = append(n.queue, &inbound{src: src, msg: msg})
-	case MsgMapReq:
-		n.cl.Send(src, MsgMapResp{Req: m.Req, Map: n.smap})
+	case MsgUpdateReq:
+		n.admit(m.Shard, m.MapVer, &svc.Record{K: m.Key, V: m.Val}, func(r MsgCutResp) {
+			n.cl.Send(src, MsgUpdateResp{Req: m.Req, Status: r.Status, Map: r.Map})
+		})
+	case MsgScanReq:
+		n.admit(m.Shard, m.MapVer, nil, func(r MsgCutResp) {
+			n.cl.Send(src, MsgScanResp{Req: m.Req, Status: r.Status, Map: r.Map, Vals: extractKey(r.Segments, m.Key)})
+		})
+	case MsgCutReq:
+		n.admit(m.Shard, m.MapVer, nil, func(r MsgCutResp) {
+			r.Req, r.Frontier = m.Req, m.Frontier
+			n.cl.Send(src, r)
+		})
 	case MsgUpdateResp:
-		n.adoptLocked(m.Map)
-		n.complete(m.Req, msg)
+		n.complete(m.Req, m.Map, msg)
 	case MsgScanResp:
-		n.adoptLocked(m.Map)
-		n.complete(m.Req, msg)
+		n.complete(m.Req, m.Map, msg)
 	case MsgCutResp:
-		n.adoptLocked(m.Map)
-		n.complete(m.Req, msg)
-	case MsgMapResp:
-		n.adoptLocked(m.Map)
-		n.complete(m.Req, msg)
+		n.complete(m.Req, m.Map, msg)
 	}
 }
 
-// refuse answers a routed request on a closed node with StatusErr.
-func (n *Node) refuse(src int, msg rt.Message) {
-	switch m := msg.(type) {
-	case MsgUpdateReq:
-		n.cl.Send(src, MsgUpdateResp{Req: m.Req, Status: StatusErr})
-	case MsgScanReq:
-		n.cl.Send(src, MsgScanResp{Req: m.Req, Status: StatusErr})
-	case MsgCutReq:
-		n.cl.Send(src, MsgCutResp{Req: m.Req, Status: StatusErr, Shard: m.Shard, Frontier: m.Frontier})
+// admit vets one request for shard — a closed node, a shard this node
+// does not host, a map older than this node's — and admits it into the
+// shard's service queue: write is the keyed update, nil for a scan.
+// answer runs exactly once with the outcome in cut-response form (Req and
+// Frontier are the caller's to set): at once on a rejection, which
+// carries this node's map so a stale router converges without a separate
+// fetch, or on a refusal (StatusErr: the queue is full, draining or its
+// worker dead — the caller moves to the next member); otherwise from the
+// svc worker, in the critical section that resolves the request. Must run
+// in the atomicity domain; never blocks.
+func (n *Node) admit(shard int, mapVer uint64, write *svc.Record, answer func(MsgCutResp)) {
+	r := MsgCutResp{Shard: shard, ScanStart: n.rtm.Now()}
+	st := n.owned[shard]
+	switch {
+	case n.closed:
+		r.Status = StatusErr
+	case st == nil:
+		r.Status = StatusWrongShard
+	case mapVer < n.smap.Version:
+		r.Status = StatusStaleMap
+	default:
+		then := func(snap [][]byte, err error) {
+			if err != nil {
+				r.Status = StatusErr
+			}
+			r.Segments, r.ScanEnd = snap, n.rtm.Now()
+			answer(r)
+		}
+		var err error
+		if write != nil {
+			err = st.svc.AdmitUpdate(svc.EncodeRecords([]svc.Record{*write}), then)
+		} else {
+			r.Pending, err = st.svc.AdmitScan(then)
+		}
+		if err == nil {
+			return
+		}
+		r.Status = StatusErr
 	}
+	r.Map = n.smap
+	answer(r)
 }
 
 // complete resolves an outbound call (late responses after a timeout are
-// dropped — the call entry is gone).
-func (n *Node) complete(id uint64, msg rt.Message) {
+// dropped — the call entry is gone), first adopting a newer map the
+// response carries. That map is bytes from outside the program: one that
+// fails vet is dropped, and the call still completes.
+func (n *Node) complete(id uint64, piggyback ShardMap, msg rt.Message) {
+	if piggyback.Version > n.smap.Version && n.vet(piggyback) == nil {
+		n.smap = piggyback
+	}
 	if pc, ok := n.calls[id]; ok {
-		pc.resp = msg
-		pc.done = true
+		pc.fill(msg)
 		delete(n.calls, id)
 	}
 }
 
-// enqueueLocal parks a local fast-path cut request in the router queue.
-func (n *Node) enqueueLocal(lc *localCut) {
-	n.rtm.Atomic(func() {
-		n.queue = append(n.queue, &inbound{src: -1, local: lc})
-	})
-}
-
-// ServeRouter runs the routing worker on the calling thread: it drains
-// the parked request queue and serves it through the owned shards'
-// services, batching scans (all scans and cut requests of one drain share
-// one shard snapshot). Returns nil once Close has been called and the
-// queue drained, or rt.ErrCrashed when the node crashes.
+// ServeRouter is inert, kept for the frozen benchmark/ (ROADMAP item 6): it returns once the node is closed or crashed.
 func (n *Node) ServeRouter() error {
-	for {
-		var batch []*inbound
-		var closed bool
-		err := n.rtm.WaitUntilThen("cluster: router idle",
-			func() bool { return len(n.queue) > 0 || n.closed },
-			func() {
-				batch = n.queue
-				n.queue = nil
-				closed = n.closed
-			})
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 {
-			if closed {
-				return nil
-			}
-			continue
-		}
-		n.serveBatch(batch)
-	}
-}
-
-// servedScan is one shard snapshot shared by a drain's scans and cuts.
-type servedScan struct {
-	ticket  *svc.Ticket
-	start   rt.Ticks
-	pending int
-	err     error
-}
-
-// serveBatch serves one drained router queue: updates are admitted first
-// (each key write becomes one service update, coalesced by the service
-// into the shard's cumulative segment), then one shared scan per shard
-// answers every scan and cut request of the drain.
-func (n *Node) serveBatch(batch []*inbound) {
-	m := n.Map()
-	type pendingUpdate struct {
-		in     *inbound
-		ticket *svc.Ticket
-	}
-	var updates []pendingUpdate
-	scans := make(map[int]*servedScan)
-	var served []*inbound
-
-	// ensureScan admits (at most) one shared scan per shard per drain.
-	ensureScan := func(st *shardState) *servedScan {
-		sc, ok := scans[st.shard]
-		if !ok {
-			sc = &servedScan{start: n.rtm.Now(), pending: st.svc.QueueLen()}
-			tk, err := st.svc.ScanAsync()
-			if err != nil {
-				sc.err = err
-			} else {
-				sc.ticket = tk
-			}
-			scans[st.shard] = sc
-		}
-		return sc
-	}
-
-	for _, in := range batch {
-		shard, mapVer := in.shard()
-		st := n.ownedState(shard)
-		if st == nil {
-			n.reject(in, StatusWrongShard, m)
-			continue
-		}
-		if in.src >= 0 && mapVer < m.Version {
-			n.reject(in, StatusStaleMap, m)
-			continue
-		}
-		switch req := in.msg.(type) {
-		case MsgUpdateReq:
-			payload := svc.EncodeRecords([]svc.Record{{K: req.Key, V: req.Val}})
-			tk, err := st.svc.UpdateAsync(payload)
-			if err != nil {
-				n.reject(in, StatusErr, m)
-				continue
-			}
-			updates = append(updates, pendingUpdate{in: in, ticket: tk})
-		default: // MsgScanReq or a (routed or local) cut
-			ensureScan(st)
-			served = append(served, in)
-		}
-	}
-
-	// Completion: updates in admission order, then the shared scans.
-	for _, pu := range updates {
-		req := pu.in.msg.(MsgUpdateReq)
-		if err := pu.ticket.Wait(); err != nil {
-			n.cl.Send(pu.in.src, MsgUpdateResp{Req: req.Req, Status: StatusErr})
-			continue
-		}
-		n.cl.Send(pu.in.src, MsgUpdateResp{Req: req.Req, Status: StatusOK})
-	}
-	for _, sc := range scans {
-		if sc.ticket == nil {
-			continue
-		}
-		if err := sc.ticket.Wait(); err != nil {
-			sc.err = err
-		}
-	}
-	end := n.rtm.Now()
-	for _, in := range served {
-		shard, _ := in.shard()
-		sc := scans[shard]
-		if sc.err != nil {
-			n.reject(in, StatusErr, m)
-			continue
-		}
-		snap := sc.ticket.Snap()
-		switch req := in.msg.(type) {
-		case MsgScanReq:
-			n.cl.Send(in.src, MsgScanResp{Req: req.Req, Status: StatusOK, Vals: extractKey(snap, req.Key)})
-		case MsgCutReq:
-			n.cl.Send(in.src, MsgCutResp{
-				Req: req.Req, Status: StatusOK, Shard: shard, Frontier: req.Frontier,
-				ScanStart: sc.start, ScanEnd: end, Pending: sc.pending, Segments: snap,
-			})
-		default: // local cut
-			n.rtm.Atomic(func() {
-				in.local.resp = MsgCutResp{
-					Status: StatusOK, Shard: shard, Frontier: in.local.frontier,
-					ScanStart: sc.start, ScanEnd: end, Pending: sc.pending, Segments: snap,
-				}
-				in.local.done = true
-			})
-		}
-	}
-}
-
-// shard extracts the target shard and map version of a routed request.
-func (in *inbound) shard() (int, uint64) {
-	if in.local != nil {
-		return in.local.shard, 0
-	}
-	switch req := in.msg.(type) {
-	case MsgUpdateReq:
-		return req.Shard, req.MapVer
-	case MsgScanReq:
-		return req.Shard, req.MapVer
-	case MsgCutReq:
-		return req.Shard, req.MapVer
-	}
-	return -1, 0
-}
-
-// reject answers a routed request with a non-OK status (carrying the
-// responder's map so stale clients converge without a separate fetch).
-// Local fast-path cuts cannot be stale or misrouted; a service error is
-// reported through the same localCut slot.
-func (n *Node) reject(in *inbound, status byte, m ShardMap) {
-	if in.local != nil {
-		n.rtm.Atomic(func() {
-			in.local.resp = MsgCutResp{Status: status, Shard: in.local.shard, Frontier: in.local.frontier}
-			in.local.done = true
-		})
-		return
-	}
-	switch req := in.msg.(type) {
-	case MsgUpdateReq:
-		n.cl.Send(in.src, MsgUpdateResp{Req: req.Req, Status: status, Map: m})
-	case MsgScanReq:
-		n.cl.Send(in.src, MsgScanResp{Req: req.Req, Status: status, Map: m})
-	case MsgCutReq:
-		n.cl.Send(in.src, MsgCutResp{Req: req.Req, Status: status, Map: m, Shard: req.Shard, Frontier: req.Frontier})
-	}
+	return n.rtm.WaitUntilThen("cluster: closed", func() bool { return n.closed }, func() {})
 }

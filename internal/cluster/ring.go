@@ -20,6 +20,11 @@ import (
 // part of the shard map (placement must be identical on every node).
 const DefaultVNodes = 64
 
+// maxVNodes is the largest per-shard vnode count a valid map may carry:
+// a node builds a ring of shards×VNodes points for every map version it
+// adopts, including maps that arrive on the wire.
+const maxVNodes = 1 << 12
+
 // Ring is a consistent-hash ring: each shard owns VNodes points on a
 // 64-bit hash circle, and a key belongs to the shard owning the first
 // point at or clockwise of the key's hash. Placement is a pure function

@@ -454,7 +454,6 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 		for si, s := range nd.Services() {
 			w.GoService(fmt.Sprintf("svc-%d.%d", id, si), id, func() { _ = s.Serve() })
 		}
-		w.GoService(fmt.Sprintf("router-%d", id), id, func() { _ = nd.ServeRouter() })
 	}
 	client := func(id int, inc int64) func() {
 		writer := fmt.Sprintf("w%dc0", id)
@@ -551,7 +550,7 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 	}
 	chaos.Inject(w, globalEvents(cfg, m, shardSchedules(cfg)), restart)
 
-	// Draining closes every node, so drained workers and idle routers exit.
+	// Draining closes every node, so drained workers exit.
 	rep.Blocked, err = w.Run(deadline, chaos.Grace, func() {
 		for id := range nodes {
 			node(id).Close()

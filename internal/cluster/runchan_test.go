@@ -77,6 +77,55 @@ func TestRunTCPSmoke(t *testing.T) {
 	}
 }
 
+// chanTopology brings map m up on the channel transport (1 D = 1 ms): every
+// node runs cfg with eqaso engines. start(id) runs node id's shard workers —
+// the only threads a node needs. Cleanup closes the nodes and waits for the
+// started workers.
+func chanTopology(t *testing.T, m ShardMap, cfg Config) (*transport.ChanNet, []*Node, func(id int)) {
+	t.Helper()
+	net := transport.NewChanNet(transport.ChanConfig{N: m.NumNodes(), F: m.F, D: time.Millisecond})
+	t.Cleanup(net.Close)
+	cfg.Map = m
+	cfg.NewEngine = func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
+		e := engine.MustLookup("eqaso").New(r)
+		return e, e
+	}
+	nodes := make([]*Node, m.NumNodes())
+	for id := range nodes {
+		nd, err := NewNode(net.Runtime(id), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[id] = nd
+		net.SetHandler(id, nd.Handler())
+	}
+	var serving sync.WaitGroup
+	t.Cleanup(func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+		serving.Wait()
+	})
+	return net, nodes, func(id int) {
+		for _, s := range nodes[id].Services() {
+			serving.Add(1)
+			go func() { defer serving.Done(); _ = s.Serve() }()
+		}
+	}
+}
+
+// keysOn returns count distinct keys nd routes to shard.
+func keysOn(nd *Node, shard, count int) []string {
+	var keys []string
+	for i := 0; len(keys) < count; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if _, s, _ := nd.route(k); s == shard {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // TestRoutedCallTimesOutOnIdleNode: a routed write to a shard whose every
 // member is down must fail with ErrNoContact after its timeouts — on a
 // node where nothing else is happening. The call's deadline sits inside a
@@ -84,48 +133,12 @@ func TestRunTCPSmoke(t *testing.T) {
 // runtime look at it again; chaos runs never saw the stall because other
 // clients' traffic kept waking the waiter.
 func TestRoutedCallTimesOutOnIdleNode(t *testing.T) {
-	const shards, n, f = 2, 3, 1
-	m := ContiguousMap(shards, n, f, 0)
-	net := transport.NewChanNet(transport.ChanConfig{N: m.NumNodes(), F: f, D: time.Millisecond})
-	defer net.Close()
-	nodes := make([]*Node, m.NumNodes())
-	var serving sync.WaitGroup
-	serve := func(fn func() error) {
-		serving.Add(1)
-		go func() { defer serving.Done(); _ = fn() }()
-	}
+	m := ContiguousMap(2, 3, 1, 0)
+	net, nodes, start := chanTopology(t, m, Config{Timeout: 5 * rt.TicksPerD})
 	for id := range nodes {
-		nd, err := NewNode(net.Runtime(id), Config{
-			Map:     m,
-			Timeout: 5 * rt.TicksPerD,
-			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
-				e := engine.MustLookup("eqaso").New(r)
-				return e, e
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = nd
-		net.SetHandler(id, nd.Handler())
-		for _, s := range nd.Services() {
-			serve(s.Serve)
-		}
-		serve(nd.ServeRouter)
+		start(id)
 	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-		serving.Wait()
-	}()
-	var key string
-	for i := 0; ; i++ {
-		key = fmt.Sprintf("k%d", i)
-		if _, s := nodes[0].route(key); s == 1 {
-			break
-		}
-	}
+	key := keysOn(nodes[0], 1, 1)[0]
 	for _, id := range m.Members[1] {
 		net.Crash(id)
 	}

@@ -78,8 +78,8 @@ func (m ShardMap) Validate() error {
 	if len(m.Members) == 0 {
 		return fmt.Errorf("cluster: shard map has no shards")
 	}
-	if m.VNodes <= 0 {
-		return fmt.Errorf("cluster: shard map needs VNodes > 0, got %d", m.VNodes)
+	if m.VNodes <= 0 || m.VNodes > maxVNodes {
+		return fmt.Errorf("cluster: shard map needs VNodes in [1, %d], got %d", maxVNodes, m.VNodes)
 	}
 	for s, ms := range m.Members {
 		if len(ms) <= 2*m.F {

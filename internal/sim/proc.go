@@ -99,7 +99,7 @@ func (p *Proc) waitUntilThen(node int, label string, pred func() bool, then func
 		return rt.ErrCrashed
 	}
 	if pred() {
-		then()
+		p.runThen(node, then)
 		return nil
 	}
 	wt := &waiter{p: p, node: node, label: label, pred: pred, since: w.now, seenVersion: -1}
@@ -109,8 +109,19 @@ func (p *Proc) waitUntilThen(node int, label string, pred func() bool, then func
 	if sig.crashed {
 		return rt.ErrCrashed
 	}
-	then()
+	p.runThen(node, then)
 	return nil
+}
+
+// runThen runs a wait's then as a critical section of its node.
+func (p *Proc) runThen(node int, then func()) {
+	if node < 0 {
+		then()
+		return
+	}
+	p.w.enter(node, "a WaitUntilThen's then")
+	then()
+	p.w.leave(node)
 }
 
 // WaitUntil blocks p until pred() holds, respecting p's node crash scope.

@@ -9,8 +9,9 @@ import (
 func debugStack() string { return string(debug.Stack()) }
 
 // nodeRuntime adapts a World node to the rt.Runtime interface. Because the
-// whole simulation is serialized by the scheduler, Atomic is trivial and
-// blocking waits go through the Proc handoff protocol.
+// whole simulation is serialized by the scheduler, Atomic only runs fn
+// (marking the critical section, see World.enter) and blocking waits go
+// through the Proc handoff protocol.
 type nodeRuntime struct {
 	w  *World
 	id int
@@ -25,12 +26,19 @@ func (r *nodeRuntime) F() int  { return r.w.cfg.F }
 func (r *nodeRuntime) Send(dst int, msg rt.Message) { r.w.send(r.id, dst, msg) }
 func (r *nodeRuntime) Broadcast(msg rt.Message)     { r.w.broadcast(r.id, msg) }
 
-func (r *nodeRuntime) Atomic(fn func()) { fn() }
+func (r *nodeRuntime) Atomic(fn func()) {
+	r.w.enter(r.id, "Atomic")
+	fn()
+	r.w.leave(r.id)
+}
 
 func (r *nodeRuntime) WaitUntilThen(label string, pred func() bool, then func()) error {
 	p := r.w.current
 	if p == nil {
 		panic("sim: WaitUntilThen called outside a process (handlers must not block)")
+	}
+	if in := r.w.nodes[r.id].inside; in != "" {
+		panic("sim: WaitUntilThen inside " + in + " would block holding the node's critical section")
 	}
 	return p.waitUntilThen(r.id, label, pred, then)
 }

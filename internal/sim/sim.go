@@ -171,7 +171,27 @@ type nodeState struct {
 	version   int64 // bumped whenever node state may have changed
 	sent      int64
 	delivered int64
+	// inside names the critical section the node is running ("" = none):
+	// a handler, an Atomic, or a WaitUntilThen's then. See World.enter.
+	inside string
 }
+
+// enter marks node id as inside one of its critical sections. On the chan
+// and tcp backends that section is a plain mutex, so entering it from
+// inside itself — Atomic from a handler or a then, Atomic in Atomic —
+// self-deadlocks; the simulator serializes everything and would pass the
+// same code, so it panics on the re-entry instead. The flag changes no
+// schedule.
+func (w *World) enter(id int, what string) {
+	ns := w.nodes[id]
+	if ns.inside != "" {
+		panic(fmt.Sprintf("sim: %s inside %s on node %d re-enters the node's critical section (a self-deadlock on the chan and tcp backends)", what, ns.inside, id))
+	}
+	ns.inside = what
+}
+
+// leave ends the critical section enter began.
+func (w *World) leave(id int) { w.nodes[id].inside = "" }
 
 type event struct {
 	t   rt.Ticks
@@ -453,7 +473,9 @@ func (w *World) deliver(src, dst int, msg rt.Message) {
 	}
 	w.observeMsg(rt.MsgDeliver, src, dst, msg)
 	if ns.handler != nil {
+		w.enter(dst, "a handler")
 		ns.handler.HandleMessage(src, msg)
+		w.leave(dst)
 	}
 }
 

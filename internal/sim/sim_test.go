@@ -426,3 +426,54 @@ func TestMaxEventsBackstop(t *testing.T) {
 		t.Fatalf("err = %v, want MaxEvents error", err)
 	}
 }
+
+// TestCriticalSectionReentryPanics: on chan and tcp a node's critical
+// section is a plain mutex, so code that enters it from inside itself
+// self-deadlocks there while passing every simulator test. The simulator
+// names the re-entry instead, one case per way of getting there; the same
+// sections entered one after the other stay legal.
+func TestCriticalSectionReentryPanics(t *testing.T) {
+	cases := []struct {
+		name, want string
+		run        func(w *World, r rt.Runtime)
+	}{
+		{"Atomic in a handler", "Atomic inside a handler", func(w *World, r rt.Runtime) {
+			w.SetHandler(0, rt.HandlerFunc(func(int, rt.Message) { r.Atomic(func() {}) }))
+			w.Go("driver", func(*Proc) { r.Send(0, testMsg{Kd: "m"}) })
+		}},
+		{"nested Atomic", "Atomic inside Atomic", func(w *World, r rt.Runtime) {
+			w.GoNode("client", 0, func(*Proc) { r.Atomic(func() { r.Atomic(func() {}) }) })
+		}},
+		{"Atomic in a then", "Atomic inside a WaitUntilThen's then", func(w *World, r rt.Runtime) {
+			w.GoNode("client", 0, func(*Proc) {
+				_ = r.WaitUntilThen("now", func() bool { return true }, func() { r.Atomic(func() {}) })
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Fatalf("recover = %v, want a panic naming %q", r, tc.want)
+				}
+			}()
+			w := New(Config{N: 1, F: 0, Seed: 1})
+			tc.run(w, w.Runtime(0))
+			_ = w.Run()
+			t.Fatal("unreachable: Run should have panicked")
+		})
+	}
+
+	w := New(Config{N: 1, F: 0, Seed: 1})
+	r := w.Runtime(0)
+	handled, sections := 0, 0
+	w.SetHandler(0, rt.HandlerFunc(func(int, rt.Message) { handled++ }))
+	w.GoNode("client", 0, func(*Proc) {
+		r.Atomic(func() { sections++; r.Send(0, testMsg{Kd: "m"}) })
+		_ = r.WaitUntilThen("handled", func() bool { return handled == 1 }, func() { sections++ })
+		r.Atomic(func() { sections++ })
+	})
+	if err := w.Run(); err != nil || sections != 3 {
+		t.Fatalf("sequential critical sections: err=%v sections=%d, want nil and 3", err, sections)
+	}
+}

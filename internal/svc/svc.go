@@ -42,6 +42,13 @@
 // drains, while PolicyReject fails fast with ErrOverloaded. Close drains:
 // already-admitted requests are still served, new ones get ErrClosed, and
 // Serve returns once the queue is empty.
+//
+// A request can also enter from inside the node's atomicity domain — a
+// message handler, which must not block: AdmitUpdate/AdmitScan queue it
+// with a completion hook the worker runs when it resolves the request, and
+// refuse at once when the queue is full, whatever the policy.
+// internal/cluster admits routed requests this way, so a node needs no
+// thread besides its shards' workers.
 package svc
 
 import (
@@ -148,7 +155,8 @@ type Options struct {
 type Stats struct {
 	// Updates / Scans are admitted client operations.
 	Updates, Scans int64
-	// Rejected counts PolicyReject refusals.
+	// Rejected counts full-queue refusals (PolicyReject, and AdmitUpdate/
+	// AdmitScan under either policy).
 	Rejected int64
 	// ProtoUpdates / ProtoScans are protocol operations issued by the
 	// worker; amortization is the ratio of client ops to protocol ops.
@@ -169,6 +177,8 @@ const (
 
 // request is one queued client operation; done/err/snap are written by the
 // worker inside the node's atomicity domain and read by the blocked caller.
+// It fills its malloc size class (112 B) exactly: a new field moves every
+// request to the next one.
 type request struct {
 	kind    opKind
 	payload []byte
@@ -178,6 +188,9 @@ type request struct {
 	// ch, under Options.DirectWait, is closed when the request resolves;
 	// the awaiting client blocks on it instead of the node's condvar.
 	ch chan struct{}
+	// then, on a request admitted by AdmitUpdate/AdmitScan, runs once at
+	// resolution, in the critical section that resolves it.
+	then func(snap [][]byte, err error)
 	// Observability: per-service op sequence number and admission time
 	// (set under the atomicity domain when the observer is installed).
 	id    int64
@@ -299,43 +312,32 @@ func (s *Service) ScanAsync() (*Ticket, error) {
 	return &Ticket{s: s, req: req}, nil
 }
 
-// enqueue admits the request, applying the backpressure policy.
+// AdmitUpdate admits an update from a message handler or a critical
+// section: call only inside the node's atomicity domain; never blocks;
+// refuses when full whatever Policy (ErrOverloaded, counted in
+// Stats.Rejected), and with ErrClosed or rt.ErrCrashed when nothing will
+// serve the queue. Once admitted, then runs exactly once, in the critical
+// section that resolves the request (its batch's commit, or failAll when
+// the worker dies), so it must neither block nor re-enter Atomic. A refused
+// request never runs then.
+func (s *Service) AdmitUpdate(payload []byte, then func(snap [][]byte, err error)) error {
+	return s.admitLocked(&request{kind: opUpdate, payload: payload, then: then})
+}
+
+// AdmitScan is AdmitUpdate for a scan: call only inside the node's
+// atomicity domain; never blocks; refuses when full whatever Policy. then
+// receives the shared, read-only snapshot of a protocol scan issued after
+// this admission; ahead is the queue depth the scan was admitted behind.
+func (s *Service) AdmitScan(then func(snap [][]byte, err error)) (ahead int, err error) {
+	ahead = len(s.q)
+	return ahead, s.admitLocked(&request{kind: opScan, then: then})
+}
+
+// enqueue admits the request from a client thread, applying the
+// backpressure policy.
 func (s *Service) enqueue(req *request) error {
-	if s.rtm.Crashed() {
-		return rt.ErrCrashed
-	}
 	var verdict error
-	admit := func() {
-		switch {
-		case s.stopped:
-			// The worker exited with an error (node crash); nothing will
-			// ever drain this queue again.
-			verdict = rt.ErrCrashed
-		case s.closed:
-			verdict = ErrClosed
-		case len(s.q) >= s.opts.MaxPending:
-			// Only reachable under PolicyReject: PolicyBlock's wait
-			// predicate holds the caller until there is room.
-			s.stats.Rejected++
-			verdict = ErrOverloaded
-		default:
-			if req.kind == opUpdate {
-				s.stats.Updates++
-			} else {
-				s.stats.Scans++
-			}
-			if s.opts.Observer != nil {
-				s.nextOp++
-				req.id = s.nextOp
-				req.start = s.rtm.Now()
-				s.opts.Observer.OnOp(rt.OpEvent{
-					T: req.start, Node: s.rtm.ID(), ID: req.id,
-					Op: req.opName(), Phase: rt.PhaseStart,
-				})
-			}
-			s.q = append(s.q, req)
-		}
-	}
+	admit := func() { verdict = s.admitLocked(req) }
 	if s.opts.Policy == PolicyReject {
 		s.rtm.Atomic(admit)
 		return verdict
@@ -347,6 +349,40 @@ func (s *Service) enqueue(req *request) error {
 		return err
 	}
 	return verdict
+}
+
+// admitLocked queues the request or says why not; must run in the
+// atomicity domain.
+func (s *Service) admitLocked(req *request) error {
+	switch {
+	case s.stopped || s.rtm.Crashed():
+		// The worker exited with an error (node crash) or is about to;
+		// nothing will ever drain this queue again.
+		return rt.ErrCrashed
+	case s.closed:
+		return ErrClosed
+	case len(s.q) >= s.opts.MaxPending:
+		// From a client thread only reachable under PolicyReject:
+		// PolicyBlock's wait predicate holds the caller until there is room.
+		s.stats.Rejected++
+		return ErrOverloaded
+	}
+	if req.kind == opUpdate {
+		s.stats.Updates++
+	} else {
+		s.stats.Scans++
+	}
+	if s.opts.Observer != nil {
+		s.nextOp++
+		req.id = s.nextOp
+		req.start = s.rtm.Now()
+		s.opts.Observer.OnOp(rt.OpEvent{
+			T: req.start, Node: s.rtm.ID(), ID: req.id,
+			Op: req.opName(), Phase: rt.PhaseStart,
+		})
+	}
+	s.q = append(s.q, req)
+	return nil
 }
 
 // await blocks until the worker resolves the request.
@@ -414,11 +450,7 @@ func (s *Service) failAll(err error) {
 		s.stopped = true
 		for _, req := range s.q {
 			req.err = err
-			req.done = true
-			s.observeEnd(req)
-			if req.ch != nil {
-				close(req.ch)
-			}
+			s.resolve(req)
 		}
 		s.q = nil
 	})
@@ -495,11 +527,7 @@ func (s *Service) serveUpdates(ups []*request) {
 		}
 		for _, req := range ups {
 			req.err = err
-			req.done = true
-			s.observeEnd(req)
-			if req.ch != nil {
-				close(req.ch)
-			}
+			s.resolve(req)
 		}
 	})
 }
@@ -514,13 +542,24 @@ func (s *Service) serveScans(scans []*request) {
 		for _, req := range scans {
 			req.snap = snap
 			req.err = err
-			req.done = true
-			s.observeEnd(req)
-			if req.ch != nil {
-				close(req.ch)
-			}
+			s.resolve(req)
 		}
 	})
+}
+
+// resolve finishes a request whose err/snap are final and wakes whoever
+// waits for it: the condvar waiter sees done, a DirectWait caller its
+// closed channel, an in-domain admission its then hook. Must run in the
+// atomicity domain.
+func (s *Service) resolve(req *request) {
+	req.done = true
+	s.observeEnd(req)
+	if req.ch != nil {
+		close(req.ch)
+	}
+	if req.then != nil {
+		req.then(req.snap, req.err)
+	}
 }
 
 // opName is the observer-facing operation name.

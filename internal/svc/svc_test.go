@@ -21,6 +21,8 @@ type fixture struct {
 	svcs    []*svc.Service
 	clients int
 	done    int
+	// front, if set, is what node's clients drive instead of the service.
+	front func(node int) harness.Object
 }
 
 func build(n, f int, seed int64, alg string, opts svc.Options) *fixture {
@@ -48,7 +50,11 @@ func build(n, f int, seed int64, alg string, opts svc.Options) *fixture {
 // tracked (even on error paths) so the closer knows when to drain.
 func (fx *fixture) client(node int, script func(o *harness.OpRunner)) {
 	fx.clients++
-	fx.c.ClientOn(node, fx.svcs[node], func(o *harness.OpRunner) {
+	var obj harness.Object = fx.svcs[node]
+	if fx.front != nil {
+		obj = fx.front(node)
+	}
+	fx.c.ClientOn(node, obj, func(o *harness.OpRunner) {
 		defer func() { fx.done++ }()
 		script(o)
 	})

@@ -82,7 +82,7 @@ func TestRegistryComplete(t *testing.T) {
 	}{
 		{"mux", 1, 1, 1}, {"transport", 2, 2, 1}, {"eqaso", 16, 29, 14}, {"la", 32, 38, 7},
 		{"laaso", 48, 56, 9}, {"abd", 64, 67, 4}, {"rbc", 80, 82, 3}, {"byzaso", 96, 100, 5},
-		{"cluster", 112, 119, 8}, {"regsnap", 128, 134, 6},
+		{"cluster", 112, 119, 6}, {"regsnap", 128, 134, 6},
 	}
 	got := make([]int, len(blocks))
 next:
