@@ -30,8 +30,6 @@ func parseLoadConfig(args []string, out io.Writer) (loadConfig, error) {
 	fs.DurationVar(&cfg.Gen.Duration, "duration", 2*time.Second, "recording window")
 	fs.DurationVar(&cfg.Gen.Warmup, "warmup", 500*time.Millisecond, "warmup excluded from every reported number")
 	fs.IntVar(&cfg.Gen.ScanPct, "scans", 10, "percentage of operations that are scans (0..100)")
-	fs.IntVar(&cfg.Gen.Keys, "keys", 1024, "virtual key-space size (keys route to node key mod n)")
-	fs.Float64Var(&cfg.Gen.ZipfS, "zipf", 0, "Zipf skew exponent for key choice (>1 skews; 0 = uniform)")
 	fs.Float64Var(&cfg.Gen.Rate, "rate", 0, "open-loop arrival rate in ops/sec across all sessions (0 = closed loop)")
 	fs.IntVar(&cfg.Gen.Payload, "payload", 16, "update payload bytes")
 	fs.DurationVar(&cfg.Gen.D, "d", 5*time.Millisecond, "transport delay bound D")
@@ -57,12 +55,6 @@ func parseLoadConfig(args []string, out io.Writer) (loadConfig, error) {
 	if cfg.Gen.ScanPct < 0 || cfg.Gen.ScanPct > 100 {
 		return cfg, fmt.Errorf("-scans %d: want 0..100", cfg.Gen.ScanPct)
 	}
-	if cfg.Gen.Keys < 1 {
-		return cfg, fmt.Errorf("-keys %d: need at least 1 key", cfg.Gen.Keys)
-	}
-	if cfg.Gen.ZipfS != 0 && cfg.Gen.ZipfS <= 1 {
-		return cfg, fmt.Errorf("-zipf %g: Zipf exponent must be > 1 (or 0 for uniform)", cfg.Gen.ZipfS)
-	}
 	if cfg.Gen.Rate < 0 {
 		return cfg, fmt.Errorf("-rate %g: must be >= 0", cfg.Gen.Rate)
 	}
@@ -77,7 +69,7 @@ func parseLoadConfig(args []string, out io.Writer) (loadConfig, error) {
 //
 //	aso load                                    # 4-node eqaso mesh, 64 closed-loop sessions, 2s
 //	aso load -engine fastsnap -clients 1024     # saturate the fastsnap challenger
-//	aso load -rate 50000 -zipf 1.2              # open loop at 50k ops/s with skewed keys
+//	aso load -rate 50000                        # open loop at 50k ops/s
 //	aso load -json run.json                     # also write the report (bench.Report envelope)
 func runLoad(args []string, out io.Writer) error {
 	cfg, err := parseLoadConfig(args, os.Stderr)

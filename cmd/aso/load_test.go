@@ -18,15 +18,15 @@ func TestParseLoadConfigDefaults(t *testing.T) {
 	if cfg.Gen.Duration != 2*time.Second || cfg.Gen.Warmup != 500*time.Millisecond {
 		t.Errorf("defaults: duration=%v warmup=%v", cfg.Gen.Duration, cfg.Gen.Warmup)
 	}
-	if cfg.Gen.Rate != 0 || cfg.Gen.ZipfS != 0 {
-		t.Errorf("defaults: rate=%g zipf=%g", cfg.Gen.Rate, cfg.Gen.ZipfS)
+	if cfg.Gen.Rate != 0 {
+		t.Errorf("defaults: rate=%g", cfg.Gen.Rate)
 	}
 }
 
 func TestParseLoadConfigFull(t *testing.T) {
 	cfg, err := parseLoadConfig(strings.Fields(
 		"-engine fastsnap -n 7 -f 3 -clients 1024 -duration 5s -warmup 1s "+
-			"-scans 25 -keys 4096 -zipf 1.2 -rate 50000 -payload 64 -seed 9 "+
+			"-scans 25 -rate 50000 -payload 64 -seed 9 "+
 			"-d 2ms -max-pending 8192 -json out.json -quiet"), io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +38,8 @@ func TestParseLoadConfigFull(t *testing.T) {
 	if g.Duration != 5*time.Second || g.Warmup != time.Second || g.D != 2*time.Millisecond {
 		t.Errorf("parsed: duration=%v warmup=%v d=%v", g.Duration, g.Warmup, g.D)
 	}
-	if g.ScanPct != 25 || g.Keys != 4096 || g.ZipfS != 1.2 || g.Rate != 50000 {
-		t.Errorf("parsed: scans=%d keys=%d zipf=%g rate=%g", g.ScanPct, g.Keys, g.ZipfS, g.Rate)
+	if g.ScanPct != 25 || g.Rate != 50000 {
+		t.Errorf("parsed: scans=%d rate=%g", g.ScanPct, g.Rate)
 	}
 	if g.Payload != 64 || g.Seed != 9 || g.MaxPending != 8192 {
 		t.Errorf("parsed: payload=%d seed=%d max-pending=%d", g.Payload, g.Seed, g.MaxPending)
@@ -55,14 +55,14 @@ func TestParseLoadConfigRejects(t *testing.T) {
 		{"-clients", "0"},             // no sessions
 		{"-scans", "101"},             // mix out of range
 		{"-scans", "-1"},              // mix out of range
-		{"-keys", "0"},                // empty key space
-		{"-zipf", "0.5"},              // exponent must be > 1
 		{"-rate", "-1"},               // negative arrival rate
 		{"-n", "5", "-f", "3"},        // f > (n-1)/2
 		{"-engine", "raft"},           // not in the registry
 		{"-bogus"},                    // unknown flag
 		{"-legacy"},                   // removed in PR 13 with the legacy stack
 		{"-flush", "50us"},            // removed in PR 13 (fixed transport constant)
+		{"-keys", "1024"},             // removed in PR 25 (a key only picked a node)
+		{"-zipf", "1.2"},              // removed in PR 25 with -keys
 		{"positional"},                // stray argument
 		{"-duration", "not-a-number"}, // malformed duration
 	} {

@@ -174,7 +174,6 @@ func clusterScanPoint(shards, n, f, keysPerShard, scans int, seed int64) (Cluste
 
 	keys := shards * keysPerShard
 	pt := ClusterPoint{Shards: shards, Nodes: total, Keys: keys, Scans: scans}
-	v := cluster.NewCutValidator(cluster.ValidatorOptions{CheckPlacement: true, RequireMarks: true})
 	var scanTotal, scanWorst, skewTotal, skewMax rt.Ticks
 	err := runProbe(w, func() {
 		for _, nd := range nodes {
@@ -197,7 +196,7 @@ func clusterScanPoint(shards, n, f, keysPerShard, scans int, seed int64) (Cluste
 		}
 		for i := 0; i < scans; i++ {
 			start := p.Now()
-			cut, err := nd.GlobalScanClosed(v, 0)
+			cut, err := nd.GlobalScanClosed()
 			if err != nil {
 				return fmt.Errorf("global scan %d: %w", i, err)
 			}

@@ -101,7 +101,6 @@ func TestUpdateScanAcrossShards(t *testing.T) {
 // closure-repaired GlobalScan and validates it.
 func TestGlobalScanClosed(t *testing.T) {
 	w, nodes := buildWorld(t, 3, 3, 1, 7)
-	v := NewCutValidator(ValidatorOptions{CheckPlacement: true, RequireMarks: true})
 	w.GoNode("writer", 1, func(p *sim.Proc) {
 		mc := newMarkClient("w1", 99, 8)
 		nd := nodes[1]
@@ -115,12 +114,12 @@ func TestGlobalScanClosed(t *testing.T) {
 			}
 			mc.lastKey, mc.lastSeq = key, mc.seq
 		}
-		cut, err := nodes[1].GlobalScanClosed(v, 0)
+		cut, err := nodes[1].GlobalScanClosed()
 		if err != nil {
 			t.Errorf("GlobalScanClosed: %v", err)
 			return
 		}
-		if vio := v.Validate(cut); len(vio) > 0 {
+		if vio := cut.Validate(); len(vio) > 0 {
 			t.Errorf("cut violations: %v", vio)
 		}
 		if cut.Skew() <= 0 {
@@ -169,25 +168,24 @@ func TestValidatorRejectsInjectedInconsistency(t *testing.T) {
 			},
 		}
 	}
-	v := NewCutValidator(ValidatorOptions{CheckPlacement: true, RequireMarks: true})
-	if vio := v.Validate(valid()); len(vio) != 0 {
+	if vio := valid().Validate(); len(vio) != 0 {
 		t.Fatalf("valid cut flagged: %v", vio)
 	}
 
 	// Missing predecessor: drop k0 from shard 0's cut.
 	c := valid()
 	c.Shards[0].Segments = [][]byte{nil, nil, nil}
-	if vio := v.Validate(c); len(vio) == 0 {
+	if vio := c.Validate(); len(vio) == 0 {
 		t.Errorf("missing predecessor not flagged")
 	}
-	if miss := v.MissingClosure(c); len(miss) != 1 || miss[0] != 0 {
-		t.Errorf("MissingClosure = %v, want [0]", miss)
+	if miss := c.missingClosure(); len(miss) != 1 || miss[0] != 0 {
+		t.Errorf("missingClosure = %v, want [0]", miss)
 	}
 
 	// Frontier violation: shard scan linearized before the frontier.
 	c = valid()
 	c.Shards[1].ScanStart = 90
-	if vio := v.Validate(c); len(vio) == 0 {
+	if vio := c.Validate(); len(vio) == 0 {
 		t.Errorf("pre-frontier scan not flagged")
 	}
 
@@ -195,14 +193,14 @@ func TestValidatorRejectsInjectedInconsistency(t *testing.T) {
 	c = valid()
 	alien := Mark{Writer: "intruder", Seq: 9}
 	c.Shards[0].Segments[1] = seg(map[string]Mark{k0: alien})
-	if vio := v.Validate(c); len(vio) == 0 {
+	if vio := c.Validate(); len(vio) == 0 {
 		t.Errorf("cross-writer collision not flagged")
 	}
 
 	// Placement violation: k1 planted on shard 0.
 	c = valid()
 	c.Shards[0].Segments[2] = seg(map[string]Mark{k1: {Writer: "w1", Seq: 1}})
-	if vio := v.Validate(c); len(vio) == 0 {
+	if vio := c.Validate(); len(vio) == 0 {
 		t.Errorf("misplaced key not flagged")
 	}
 }

@@ -20,7 +20,7 @@ const markMagic byte = 0xA7
 // Because a writer issues writes one at a time, any consistent cut that
 // contains write (Writer, Seq) must also reflect its predecessor at
 // sequence ≥ PrevSeq on whichever shard owns PrevKey — the per-writer
-// prefix-closure invariant the CutValidator checks, derived from (A1)
+// prefix-closure invariant Cut.Validate checks, derived from (A1)
 // order-consistency and (A4) snapshot containment stretched across
 // shards.
 type Mark struct {
@@ -71,7 +71,7 @@ type ShardCut struct {
 // Cut is a coordinated cross-shard snapshot: every shard scanned at or
 // after one timestamp frontier. Each per-shard scan is individually
 // linearizable (the EQ-ASO guarantee); the frontier plus closure repair
-// extend that to a consistent global cut, certified by CutValidator.
+// extend that to a consistent global cut, certified by Validate.
 type Cut struct {
 	Frontier rt.Ticks
 	Map      ShardMap
@@ -152,28 +152,25 @@ func (n *Node) GlobalScan() (*Cut, error) {
 	return cut, nil
 }
 
-// DefaultCutRounds bounds closure repair. Each repair round re-scans a
-// shard strictly after the round that detected the hole, and the missing
+// cutRounds bounds closure repair. Each repair round re-scans a shard
+// strictly after the round that detected the hole, and the missing
 // predecessor had already committed before detection, so one round closes
-// every detected hole; the cap only guards against a validator fed by a
-// non-mark workload.
-const DefaultCutRounds = 5
+// every detected hole; the cap only guards against a cut of a non-mark
+// workload.
+const cutRounds = 5
 
 // GlobalScanClosed takes a frontier cut and repairs it to prefix
-// closure: while the validator finds an update whose causal predecessor
-// is missing from the predecessor's shard, those shards are re-scanned at
-// the same frontier and the cut re-checked. The returned cut, when err is
-// nil, passes the validator's closure check.
-func (n *Node) GlobalScanClosed(v *CutValidator, maxRounds int) (*Cut, error) {
-	if maxRounds <= 0 {
-		maxRounds = DefaultCutRounds
-	}
+// closure: while the cut holds an update whose causal predecessor is
+// missing from the predecessor's shard, those shards are re-scanned at the
+// same frontier and the cut re-checked. The returned cut, when err is nil,
+// passes Validate's closure check.
+func (n *Node) GlobalScanClosed() (*Cut, error) {
 	cut, err := n.GlobalScan()
 	if err != nil {
 		return nil, err
 	}
-	for cut.Rounds < maxRounds {
-		missing := v.MissingClosure(cut)
+	for cut.Rounds < cutRounds {
+		missing := cut.missingClosure()
 		if len(missing) == 0 {
 			return cut, nil
 		}
@@ -189,7 +186,7 @@ func (n *Node) GlobalScanClosed(v *CutValidator, maxRounds int) (*Cut, error) {
 		}
 		cut.Rounds++
 	}
-	if missing := v.MissingClosure(cut); len(missing) > 0 {
+	if missing := cut.missingClosure(); len(missing) > 0 {
 		return cut, fmt.Errorf("cluster: cut not prefix-closed after %d rounds (shards %v)", cut.Rounds, missing)
 	}
 	return cut, nil
@@ -260,52 +257,35 @@ func (n *Node) scanShards(m ShardMap, frontier rt.Ticks, targets []int, out []Sh
 	return nil
 }
 
-// ValidatorOptions tunes the cut checks.
-type ValidatorOptions struct {
-	// CheckPlacement additionally requires every key to live on the shard
-	// the cut map's ring assigns it.
-	CheckPlacement bool
-	// RequireMarks makes non-mark values violations (set when the
-	// workload is known to write only encoded Marks).
-	RequireMarks bool
-}
-
-// CutValidator checks a Cut against the cross-shard consistency
-// invariants derived from the per-shard (A1)–(A4) guarantees:
+// Validate checks the cut against the cross-shard consistency invariants
+// derived from the per-shard (A1)–(A4) guarantees, and returns every
+// violation found (empty slice = the cut is consistent):
 //
 //   - frontier sanity: every shard scan linearized inside the cut's
 //     window (Frontier ≤ ScanStart ≤ ScanEnd);
+//   - every value is an encoded Mark (the marked workload writes nothing
+//     else);
 //   - per-key writer ownership: a key is written by exactly one writer
 //     (the marked workload's namespace discipline);
 //   - per-writer prefix closure: an update in cut(i) implies its causal
 //     predecessor — the same writer's previous write — is in cut(j) of
 //     the shard owning the predecessor key, at sequence ≥ PrevSeq;
-//   - optionally, ring placement of every key.
-type CutValidator struct {
-	Opts ValidatorOptions
-}
-
-// NewCutValidator builds a validator.
-func NewCutValidator(opts ValidatorOptions) *CutValidator {
-	return &CutValidator{Opts: opts}
-}
-
-// Validate returns every invariant violation found in the cut (empty
-// slice = the cut is consistent).
-func (v *CutValidator) Validate(cut *Cut) []string {
+//   - ring placement: every key lives on the shard the cut map's ring
+//     assigns it.
+func (c *Cut) Validate() []string {
 	var out []string
-	marks := make([]map[string]Mark, len(cut.Shards))
+	marks := make([]map[string]Mark, len(c.Shards))
 	writers := make(map[string]string) // key → writer, across all shards
-	ring := cut.Map.Ring()
-	for s := range cut.Shards {
-		sc := &cut.Shards[s]
+	ring := c.Map.Ring()
+	for s := range c.Shards {
+		sc := &c.Shards[s]
 		if sc.Segments == nil && sc.ScanEnd == 0 {
 			out = append(out, fmt.Sprintf("shard %d absent from cut", s))
 			marks[s] = map[string]Mark{}
 			continue
 		}
-		if sc.ScanStart < cut.Frontier {
-			out = append(out, fmt.Sprintf("shard %d scan linearized at %d, before frontier %d", s, sc.ScanStart, cut.Frontier))
+		if sc.ScanStart < c.Frontier {
+			out = append(out, fmt.Sprintf("shard %d scan linearized at %d, before frontier %d", s, sc.ScanStart, c.Frontier))
 		}
 		if sc.ScanEnd < sc.ScanStart {
 			out = append(out, fmt.Sprintf("shard %d scan window inverted [%d,%d]", s, sc.ScanStart, sc.ScanEnd))
@@ -315,9 +295,7 @@ func (v *CutValidator) Validate(cut *Cut) []string {
 			for _, rec := range svc.DecodeRecords(seg) {
 				mk, ok := ParseMark(rec.V)
 				if !ok {
-					if v.Opts.RequireMarks {
-						out = append(out, fmt.Sprintf("shard %d key %q holds a non-mark value", s, rec.K))
-					}
+					out = append(out, fmt.Sprintf("shard %d key %q holds a non-mark value", s, rec.K))
 					continue
 				}
 				if w, seen := writers[rec.K]; seen && w != mk.Writer {
@@ -325,28 +303,26 @@ func (v *CutValidator) Validate(cut *Cut) []string {
 				} else {
 					writers[rec.K] = mk.Writer
 				}
-				if v.Opts.CheckPlacement {
-					if owner := ring.ShardFor(rec.K); owner != s {
-						out = append(out, fmt.Sprintf("key %q found in cut(%d) but ring places it on shard %d", rec.K, s, owner))
-					}
+				if owner := ring.ShardFor(rec.K); owner != s {
+					out = append(out, fmt.Sprintf("key %q found in cut(%d) but ring places it on shard %d", rec.K, s, owner))
 				}
 			}
 		}
 	}
-	out = append(out, v.closureViolations(cut, marks, ring, nil)...)
+	out = append(out, c.closureViolations(marks, ring, nil)...)
 	return out
 }
 
-// MissingClosure returns the shards that must be re-scanned to restore
+// missingClosure returns the shards that must be re-scanned to restore
 // per-writer prefix closure: the owner shards of every missing or
 // too-old causal predecessor.
-func (v *CutValidator) MissingClosure(cut *Cut) []int {
-	marks := make([]map[string]Mark, len(cut.Shards))
-	for s := range cut.Shards {
-		marks[s] = bestMarks(cut.Shards[s].Segments)
+func (c *Cut) missingClosure() []int {
+	marks := make([]map[string]Mark, len(c.Shards))
+	for s := range c.Shards {
+		marks[s] = bestMarks(c.Shards[s].Segments)
 	}
 	need := make(map[int]bool)
-	v.closureViolations(cut, marks, cut.Map.Ring(), need)
+	c.closureViolations(marks, c.Map.Ring(), need)
 	out := make([]int, 0, len(need))
 	for s := range need {
 		out = append(out, s)
@@ -358,9 +334,9 @@ func (v *CutValidator) MissingClosure(cut *Cut) []int {
 // closureViolations runs the prefix-closure check over the indexed cut.
 // When need is non-nil, it collects the owner shards of the violated
 // predecessors instead of allocating messages for them.
-func (v *CutValidator) closureViolations(cut *Cut, marks []map[string]Mark, ring *Ring, need map[int]bool) []string {
+func (c *Cut) closureViolations(marks []map[string]Mark, ring *Ring, need map[int]bool) []string {
 	var out []string
-	for s := range cut.Shards {
+	for s := range c.Shards {
 		for k, mk := range marks[s] {
 			if mk.PrevKey == "" {
 				continue

@@ -5,7 +5,7 @@
 // to clients (stale-map requests are rejected with the newer map), routes
 // UPDATE/SCAN over the existing mux/transport stack, and implements
 // GlobalScan — a coordinated timestamp-frontier cut across all shards,
-// checked by CutValidator against cross-shard invariants derived from the
+// checked by Cut.Validate against cross-shard invariants derived from the
 // paper's (A1)–(A4) conditions.
 package cluster
 

@@ -60,13 +60,12 @@ func TestRoutedOpsNeedNoRouterThread(t *testing.T) {
 	if !found {
 		t.Errorf("routed scan: %q not in %q", val, vals)
 	}
-	v := NewCutValidator(ValidatorOptions{CheckPlacement: true, RequireMarks: true})
 	var cut *Cut
-	err = within(t, 5*time.Second, "cut", func() (err error) { cut, err = nd.GlobalScanClosed(v, 0); return })
+	err = within(t, 5*time.Second, "cut", func() (err error) { cut, err = nd.GlobalScanClosed(); return })
 	if err != nil {
 		t.Fatalf("GlobalScanClosed: %v", err)
 	}
-	if vio := v.Validate(cut); len(vio) > 0 {
+	if vio := cut.Validate(); len(vio) > 0 {
 		t.Errorf("cut violations: %v", vio)
 	}
 	if own, far := cut.Shards[0].Contact, cut.Shards[1].Contact; own != -1 || far < 3 {

@@ -378,7 +378,7 @@ func (c *markClient) step(nd *Node, scanRatio float64, rep *Report, lock func(fu
 }
 
 // recordCut folds one coordinator GlobalScan outcome into the report.
-func recordCut(rep *Report, v *CutValidator, cut *Cut, err error, lock func(func())) {
+func recordCut(rep *Report, cut *Cut, err error, lock func(func())) {
 	lock(func() {
 		rep.GlobalScans++
 		if err != nil {
@@ -388,7 +388,7 @@ func recordCut(rep *Report, v *CutValidator, cut *Cut, err error, lock func(func
 		if cut.Rounds > 1 {
 			rep.CutRepairs++
 		}
-		if vio := v.Validate(cut); len(vio) > 0 {
+		if vio := cut.Validate(); len(vio) > 0 {
 			rep.Violations = append(rep.Violations, vio...)
 			return
 		}
@@ -415,7 +415,7 @@ var buildNode = NewNode
 // Run executes one cluster chaos run on backend ("sim", "chan" or "tcp"):
 // Shards×N nodes, per-shard fault schedules (plus the whole-shard knobs),
 // the marked cross-shard workload, and per-shard coordinators taking
-// closure-repaired GlobalScans checked by the CutValidator. On the
+// closure-repaired GlobalScans checked by Cut.Validate. On the
 // simulator the whole run is a function of the seed; on the real
 // transports (one virtual D = chaos.DReal) the reproducible artifact is
 // the fault schedule and the validator verdict, not the exact op counts.
@@ -437,7 +437,6 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 	}
 	defer w.Close()
 	b := newNodeBuilder(cfg, backend, m, health)
-	validator := NewCutValidator(ValidatorOptions{CheckPlacement: true, RequireMarks: true})
 	rep := &Report{Shards: cfg.Shards, Nodes: total}
 	deadline := cfg.Duration
 
@@ -489,11 +488,11 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 				if w.Now() >= deadline {
 					return
 				}
-				cut, err := node(id).GlobalScanClosed(validator, 0)
+				cut, err := node(id).GlobalScanClosed()
 				if err != nil && errors.Is(err, rt.ErrCrashed) {
 					return
 				}
-				recordCut(rep, validator, cut, err, lock)
+				recordCut(rep, cut, err, lock)
 			}
 		}
 	}

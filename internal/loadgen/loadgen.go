@@ -16,12 +16,8 @@
 //     behind its schedule issues immediately (burst catch-up) rather
 //     than silently shedding load.
 //
-// Key-space skew: each operation draws a key from a Zipf distribution
-// over Keys keys (ZipfS > 1 skews toward hot keys; 0 means uniform) and
-// routes to node key mod N. The snapshot object model is one segment per
-// node, so the key only selects the target node and colours the payload —
-// but the resulting per-node load imbalance is exactly what the skew knob
-// is for.
+// Each operation goes to a node drawn uniformly: the snapshot object has
+// one segment per node, so there is no key to choose, only a node.
 package loadgen
 
 import (
@@ -55,16 +51,12 @@ type Config struct {
 	// ScanPct is the percentage of operations that are scans (0..100,
 	// default 10).
 	ScanPct int `json:"scanPct,omitempty"`
-	// Keys is the virtual key-space size (default 1024); ZipfS > 1 skews
-	// key choice (and thus per-node load) Zipf-style, 0 means uniform.
-	Keys  int     `json:"keys,omitempty"`
-	ZipfS float64 `json:"zipf,omitempty"`
 	// Rate, when > 0, switches to open-loop generation at Rate ops/sec
 	// across all sessions.
 	Rate float64 `json:"rate,omitempty"`
 	// Payload is the update payload size in bytes (default 16).
 	Payload int `json:"payload,omitempty"`
-	// Seed drives key choice and the op mix.
+	// Seed drives node choice and the op mix.
 	Seed int64 `json:"seed,omitempty"`
 	// D is the transport's delay bound passed to the mesh (default 5ms).
 	D time.Duration `json:"dNs,omitempty"`
@@ -90,9 +82,6 @@ func (c *Config) fill() {
 	}
 	if c.ScanPct == 0 {
 		c.ScanPct = 10
-	}
-	if c.Keys == 0 {
-		c.Keys = 1024
 	}
 	if c.Payload == 0 {
 		c.Payload = 16
@@ -201,14 +190,8 @@ func Run(cfg Config) (Result, error) {
 	var memOnce sync.Once
 	payload := make([]byte, cfg.Payload)
 
-	oneOp := func(rng *rand.Rand, zipf *rand.Zipf, recording bool) {
-		var key uint64
-		if zipf != nil {
-			key = zipf.Uint64()
-		} else {
-			key = uint64(rng.Intn(cfg.Keys))
-		}
-		node := int(key % uint64(cfg.N))
+	oneOp := func(rng *rand.Rand, recording bool) {
+		node := rng.Intn(cfg.N)
 		scan := rng.Intn(100) < cfg.ScanPct
 		t0 := time.Now()
 		var err error
@@ -241,10 +224,6 @@ func Run(cfg Config) (Result, error) {
 		go func() {
 			defer clients.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*1_000_003))
-			var zipf *rand.Zipf
-			if cfg.ZipfS > 1 {
-				zipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Keys-1))
-			}
 			if cfg.Rate <= 0 { // closed loop
 				for {
 					now := time.Now()
@@ -254,13 +233,13 @@ func Run(cfg Config) (Result, error) {
 					if !now.Before(warmEnd) {
 						memOnce.Do(func() { runtime.ReadMemStats(&m0) })
 					}
-					oneOp(rng, zipf, !now.Before(warmEnd))
+					oneOp(rng, !now.Before(warmEnd))
 				}
 			}
 			// Open loop: fixed per-session schedule, ops issued
 			// asynchronously so a slow completion never delays the next
-			// arrival. Each op gets its own rng (and Zipf) because the
-			// session's cannot be shared across concurrent ops.
+			// arrival. Each op gets its own rng because the session's
+			// cannot be shared across concurrent ops.
 			interval := time.Duration(float64(cfg.Clients) / cfg.Rate * float64(time.Second))
 			next := start.Add(time.Duration(c) * interval / time.Duration(cfg.Clients))
 			for {
@@ -281,12 +260,7 @@ func Run(cfg Config) (Result, error) {
 				inflight.Add(1)
 				go func() {
 					defer inflight.Done()
-					r := rng2(cfg.Seed, c, tick)
-					var z *rand.Zipf
-					if cfg.ZipfS > 1 {
-						z = rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Keys-1))
-					}
-					oneOp(r, z, recording)
+					oneOp(rng2(cfg.Seed, c, tick), recording)
 				}()
 			}
 		}()

@@ -35,13 +35,12 @@ func TestClosedLoopSmoke(t *testing.T) {
 	}
 }
 
-// TestOpenLoopSmoke: the open-loop scheduler functions end to end
-// (zipf-skewed keys included).
+// TestOpenLoopSmoke: the open-loop scheduler functions end to end.
 func TestOpenLoopSmoke(t *testing.T) {
 	res, err := Run(Config{
 		Engine: "eqaso", N: 3, F: 1, Clients: 8,
 		Duration: 400 * time.Millisecond, Warmup: 100 * time.Millisecond,
-		Rate: 2000, ZipfS: 1.2, Seed: 7,
+		Rate: 2000, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

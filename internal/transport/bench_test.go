@@ -63,7 +63,8 @@ func benchPair(b *testing.B) (rt.Runtime, *countingHandler, func()) {
 
 // BenchmarkTCPDeliver ships b.N messages from node 1 to node 0 and waits
 // for the last delivery, reporting allocations per delivered message on
-// the transport path: pipelined dispatch, pooled buffers, coalesced writes.
+// the transport path: coalesced writes, pooled buffers, and delivery in
+// batches by the goroutine that read them.
 func BenchmarkTCPDeliver(b *testing.B) {
 	rtm, h, closeAll := benchPair(b)
 	defer closeAll()

@@ -65,29 +65,15 @@ func (nd *node) init(d time.Duration, stop <-chan struct{}) {
 	}()
 }
 
-// deliver runs the handler atomically and wakes blocked waiters.
-func (nd *node) deliver(src int, msg rt.Message) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.crashed.Load() {
-		return
-	}
-	if nd.handler == nil {
-		nd.pending = append(nd.pending, pendingMsg{src: src, msg: msg})
-		return
-	}
-	nd.handler.HandleMessage(src, msg)
-	nd.cond.Broadcast()
-}
-
-// deliverBatch delivers a burst of same-source messages in one critical
-// section: one lock acquisition and one waiter wakeup for the whole
-// batch instead of one each per message. Handlers in this model never
-// block on waiters (they record state and return; waiters re-evaluate
-// predicates only when the lock is free), so running k handler calls
-// back-to-back under the lock is indistinguishable from k separate
-// deliver calls that happened to win the lock consecutively — an
-// ordering the concurrent transport always permitted.
+// deliverBatch is both transports' one way into the handler: it runs a
+// burst of same-source messages in one critical section, with one lock
+// acquisition and one waiter wakeup for the whole batch instead of one
+// each per message. Handlers in this model never block on waiters (they
+// record state and return; waiters re-evaluate predicates only when the
+// lock is free), so running k handler calls back-to-back under the lock is
+// indistinguishable from k single deliveries that happened to win the
+// lock consecutively — an ordering the concurrent transport always
+// permitted.
 func (nd *node) deliverBatch(src int, msgs []rt.Message) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
@@ -224,11 +210,15 @@ func (l *link) push(tm timedMsg) bool {
 }
 
 // drain delivers the link's messages to node dst in order, each no
-// earlier than its notBefo, until the net closes. It swaps the queue for
-// the batch it just finished, so a link in steady state allocates nothing.
+// earlier than its notBefo, until the net closes: it waits for the oldest
+// message to fall due, then hands it and every later one already due (at
+// most dispBatch) to deliverBatch in one critical section. It swaps the
+// queue for the batch it just finished, so a link in steady state
+// allocates nothing.
 func (l *link) drain(net *ChanNet, dst int) {
 	done := net.done
 	var batch []timedMsg
+	var due []rt.Message
 	for {
 		l.mu.Lock()
 		batch, l.in = l.in, batch[:0]
@@ -241,9 +231,8 @@ func (l *link) drain(net *ChanNet, dst int) {
 				return
 			}
 		}
-		for i, tm := range batch {
-			l.depth.Add(-1)
-			if wait := time.Until(tm.notBefo); wait > 0 {
+		for i := 0; i < len(batch); {
+			if wait := time.Until(batch[i].notBefo); wait > 0 {
 				select {
 				case <-time.After(wait):
 				case <-done:
@@ -256,9 +245,19 @@ func (l *link) drain(net *ChanNet, dst int) {
 				default:
 				}
 			}
-			net.observeMsg(rt.MsgDeliver, tm.src, dst, tm.msg)
-			net.nodes[dst].deliver(tm.src, tm.msg)
-			batch[i] = timedMsg{}
+			now := time.Now()
+			j := i
+			for j < len(batch) && len(due) < dispBatch && !batch[j].notBefo.After(now) {
+				net.observeMsg(rt.MsgDeliver, batch[j].src, dst, batch[j].msg)
+				due = append(due, batch[j].msg)
+				j++
+			}
+			l.depth.Add(-int32(j - i))
+			net.nodes[dst].deliverBatch(batch[i].src, due)
+			clear(due)
+			due = due[:0]
+			clear(batch[i:j])
+			i = j
 		}
 	}
 }

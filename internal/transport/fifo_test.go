@@ -63,12 +63,15 @@ func (h *fifoHandler) status() (int, error) {
 	return h.delivered, h.violation
 }
 
-// TestTCPPerSourceFIFO is the property test for the pipelined inbound
-// dispatch path: several peers concurrently blast sequence-numbered
-// messages at one node, and every source's sequence must be delivered
-// gap-free and in order even though framing/decode and handler execution
-// now run on different goroutines. Run with -race this also exercises
-// the dispatcher's publication safety.
+// TestTCPPerSourceFIFO is the property test for the inbound path: several
+// peers concurrently blast sequence-numbered messages at one node, and
+// every source's sequence must be delivered gap-free and in order while
+// each connection's reader hands what it has read to the handler in
+// batches, cut wherever the next frame is not yet whole in its 64 KB read
+// buffer. Frames larger than that buffer, mixed with small ones, can never
+// be whole in it, so they sit on exactly that boundary. Run with -race
+// this also checks that a batch is safe to hand to the handler while the
+// reader reuses its frame buffer.
 func TestTCPPerSourceFIFO(t *testing.T) {
 	const senders = 3
 	const perSender = 2000
@@ -80,6 +83,7 @@ func TestTCPPerSourceFIFO(t *testing.T) {
 	}
 	nodes := startRawMesh(t, handlers)
 
+	large := make([]byte, 80<<10) // larger than the 64 KB read buffer
 	var wg sync.WaitGroup
 	for i := 1; i <= senders; i++ {
 		rtm := nodes[i].Runtime()
@@ -90,7 +94,11 @@ func TestTCPPerSourceFIFO(t *testing.T) {
 			// boundaries at unpredictable offsets.
 			pad := []byte("0123456789abcdef0123456789abcdef")
 			for seq := 0; seq < perSender; seq++ {
-				rtm.Send(0, benchMsg{Seq: seq, Pad: pad[:seq%len(pad)]})
+				p := pad[:seq%len(pad)]
+				if seq%97 == 0 {
+					p = large[:len(large)-seq%len(pad)]
+				}
+				rtm.Send(0, benchMsg{Seq: seq, Pad: p})
 			}
 		}()
 	}

@@ -106,14 +106,6 @@ type TCPNode struct {
 	// a dead socket.
 	stale []atomic.Bool
 
-	// disp[src] is the per-source inbound FIFO decoupling socket reads
-	// from handler execution: every connection claiming the same source ID
-	// feeds the same queue, so per-peer delivery order is preserved even
-	// across a peer's reconnect (nil until the first inbound frame from
-	// src; see dispatchLoop). Guarded by dispMu.
-	dispMu sync.Mutex
-	disp   []chan rt.Message
-
 	connsMu sync.Mutex
 	conns   []net.Conn
 
@@ -156,11 +148,9 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 		hello:  hello,
 		outs:   make([]chan rt.Message, n),
 		stale:  make([]atomic.Bool, n),
-		disp:   make([]chan rt.Message, n),
 		conns:  make([]net.Conn, n),
 		closed: make(chan struct{}),
 	}
-	t.init(cfg.D, t.closed)
 	ln := cfg.Listener
 	if ln == nil {
 		ln, err = net.Listen("tcp", cfg.Addrs[cfg.ID])
@@ -169,6 +159,8 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 		}
 	}
 	t.listener = ln
+	// Only now can the node be closed, which is what stops the tick.
+	t.init(cfg.D, t.closed)
 
 	// Accept inbound connections: each peer dials us once and sends a
 	// hello frame; we then read frames from it until the stream ends or
@@ -277,9 +269,13 @@ const recvBufSize = 64 << 10
 // unknown tag, malformed body — closes only this connection and surfaces
 // a descriptive error through the error hook.
 //
-// The loop only frames and decodes: decoded messages are handed to the
-// source's FIFO dispatcher, so the next frame is read off the socket while
-// the handler still runs (pipelining).
+// The goroutine that reads a message delivers it, under the receive side's
+// twin of sendLoop's rule — take what was read: decoded messages gather in
+// a batch that goes to the handler in one critical section as soon as the
+// next frame is not already whole in the read buffer (reading it could
+// block) or the batch reaches dispBatch. Frames decoded before a bad one
+// are delivered before the connection is dropped. While the handler runs
+// nothing reads this socket, so backpressure is TCP flow control alone.
 func (t *TCPNode) recvLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -305,11 +301,19 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 		return
 	}
 	src := h.ID
-	disp := t.dispatcherFor(src)
 
+	batch := make([]rt.Message, 0, dispBatch)
+	deliver := func() {
+		if len(batch) > 0 {
+			t.deliverBatch(src, batch)
+			clear(batch)
+			batch = batch[:0]
+		}
+	}
 	for {
 		payload, err := wire.ReadFrame(r, buf, t.cfg.MaxFrame)
 		if err != nil {
+			deliver()
 			// The stream ended: the process behind it is gone (crash or
 			// restart), so our outbound connection to src is doomed too —
 			// flag it so the send loop redials before trusting it with
@@ -321,70 +325,25 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 		buf = payload
 		msg, err := wire.Unmarshal(payload)
 		if err != nil {
+			deliver()
 			t.observeMsg(rt.MsgCorrupt, src, t.cfg.ID, "", len(payload))
 			t.recvError(src, conn, err, true)
 			return
 		}
 		// Decoders copy all byte fields, so reusing buf for the next
-		// frame cannot mutate a delivered message.
+		// frame cannot mutate a batched message.
 		t.observeMsg(rt.MsgDeliver, src, t.cfg.ID, msg.Kind(), len(payload))
-		select {
-		case disp <- msg:
-		case <-t.closed:
-			return
+		batch = append(batch, msg)
+		if len(batch) == dispBatch || !wire.FrameBuffered(r) {
+			deliver()
 		}
 	}
 }
 
-// dispQueue bounds each source's dispatch queue. A full queue blocks the
-// source's recvLoop, which stops reading its socket: backpressure reaches
-// the sender through TCP flow control, never by dropping or reordering.
-const dispQueue = 4096
-
-// dispBatch caps how many queued messages one dispatch cycle hands to
-// the handler inside a single critical section.
+// dispBatch caps how many messages one critical section hands to the
+// handler, so a source streaming a backlog cannot hold the node lock
+// against the other sources and the node's waiters for longer.
 const dispBatch = 256
-
-// dispatcherFor returns src's dispatch queue, starting its worker on first
-// use.
-func (t *TCPNode) dispatcherFor(src int) chan rt.Message {
-	t.dispMu.Lock()
-	defer t.dispMu.Unlock()
-	if t.disp[src] == nil {
-		t.disp[src] = make(chan rt.Message, dispQueue)
-		t.wg.Add(1)
-		go t.dispatchLoop(src, t.disp[src])
-	}
-	return t.disp[src]
-}
-
-// dispatchLoop is the per-source delivery worker: it drains whatever has
-// accumulated on the queue (up to dispBatch) and runs the handler over
-// the whole batch in one critical section with a single waiter wakeup,
-// amortizing the node mutex and the condition broadcast over the batch
-// instead of paying both per message.
-func (t *TCPNode) dispatchLoop(src int, ch <-chan rt.Message) {
-	defer t.wg.Done()
-	batch := make([]rt.Message, 0, dispBatch)
-	for {
-		select {
-		case <-t.closed:
-			return
-		case msg := <-ch:
-			batch = append(batch[:0], msg)
-		drain:
-			for len(batch) < dispBatch {
-				select {
-				case m := <-ch:
-					batch = append(batch, m)
-				default:
-					break drain
-				}
-			}
-			t.deliverBatch(src, batch)
-		}
-	}
-}
 
 // recvError records or reports why a connection is being dropped. decode
 // marks errors past the framing layer, which are always wire errors;

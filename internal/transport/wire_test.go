@@ -123,6 +123,59 @@ func TestTCPDecodeErrorClosesOnlyThatConnection(t *testing.T) {
 	}
 }
 
+// TestTCPFramesBeforeACorruptFrameAreDelivered: a peer that writes k good
+// frames and then a bad one in a single write has those k frames
+// delivered, in order, before the node drops the connection — and only
+// that connection: the real peer behind the same ID still gets through.
+func TestTCPFramesBeforeACorruptFrameAreDelivered(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tcp loopback test")
+	}
+	const k = 5
+	tnodes, _, surfaced := startMesh(t, 3, 1)
+	sink := &fifoHandler{}
+	tnodes[0].SetHandler(sink)
+
+	rogue := dialRaw(t, tcpAddr(tnodes, 0), 1)
+	defer rogue.Close()
+	var stream []byte
+	for seq := 0; seq < k; seq++ {
+		frame, err := wire.MarshalFrame(benchMsg{Seq: seq, Pad: []byte("good")}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, frame...)
+	}
+	stream = append(stream, 0xFF, 0, 0, 0, 1, 42) // bad version byte
+	if _, err := rogue.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	serr := waitForError(t, surfaced, "peer 1")
+	if !errors.Is(serr, wire.ErrBadVersion) {
+		t.Fatalf("surfaced error = %v, want ErrBadVersion", serr)
+	}
+	rogue.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, rerr := rogue.Read(make([]byte, 1)); rerr == nil {
+		t.Fatal("rogue connection still open after the bad frame")
+	}
+
+	// The real node 1 reaches node 0 on its own connection, continuing
+	// source 1's sequence right after the k good frames.
+	tnodes[1].Runtime().Send(0, benchMsg{Seq: k})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got, violation := sink.status()
+		if violation != nil {
+			t.Fatalf("out of order or past the bad frame: %v", violation)
+		}
+		if got == k+1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d messages, want Seq 0..%d from peer 1", got, k)
+		}
+	}
+}
+
 // tcpAddr is node i's actual listen address.
 func tcpAddr(tnodes []*transport.TCPNode, i int) string {
 	return tnodes[i].Addr()

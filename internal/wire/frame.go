@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -72,6 +73,18 @@ func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: payload cut short: %w", ErrShortFrame, err)
 	}
 	return buf, nil
+}
+
+// FrameBuffered reports whether r already holds the whole next frame, so
+// that ReadFrame would return it without reading the underlying stream. It
+// looks at the length only: a malformed header is ReadFrame's to reject.
+func FrameBuffered(r *bufio.Reader) bool {
+	n := r.Buffered()
+	if n < HeaderLen {
+		return false
+	}
+	hdr, _ := r.Peek(HeaderLen)
+	return uint64(n-HeaderLen) >= uint64(binary.BigEndian.Uint32(hdr[1:]))
 }
 
 // ParseFrame parses one frame from the front of b, returning its payload
