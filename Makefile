@@ -50,8 +50,8 @@ test-race:
 test-transport:
 	$(GO) test -race -count=20 -cpu 1,2 ./internal/transport/
 
-# The service's serve loop and its crash drain (failAll closing every
-# DirectWait channel), repeated under the race detector the same way.
+# The service's serve loop, its clients parked on the node's waiter list
+# and their crash wake-up, repeated under the race detector the same way.
 test-svc:
 	$(GO) test -race -count=20 -cpu 1,2 ./internal/svc/
 

@@ -47,16 +47,13 @@ type nodeConfig struct {
 	GC bool
 }
 
-// svcOptions is the service front of a deployed node. TCP is a real-time
-// backend, so the node runs the completion path every benchmark measures:
-// waiters resolved through per-request channels, not the simulator-safe
-// condvar wait.
+// svcOptions is the service front of a deployed node: the serving mode its
+// engine needs, its queue bound and its observer.
 func (c nodeConfig) svcOptions(observer rt.Observer) svc.Options {
 	return svc.Options{
 		Mode:       svc.ModeFor(c.Engine),
 		MaxPending: c.MaxPending,
 		Observer:   observer,
-		DirectWait: true,
 	}
 }
 

@@ -99,9 +99,9 @@ func TestParseNodeConfig(t *testing.T) {
 	}
 }
 
-// TestSvcOptionsRunTheMeasuredPath pins the deployed node to the service
-// path the benchmarks exercise: TCP is a real-time backend, so aso node must
-// not fall back to the condvar wait.
+// TestSvcOptionsRunTheMeasuredPath pins the deployed node's service front
+// to its command line: the engine's serving mode, the queue bound and the
+// observer.
 func TestSvcOptionsRunTheMeasuredPath(t *testing.T) {
 	c, err := parseNodeConfig([]string{"-addrs=:1,:2,:3", "-engine", "sso", "-max-pending", "512"}, io.Discard)
 	if err != nil {
@@ -109,9 +109,6 @@ func TestSvcOptionsRunTheMeasuredPath(t *testing.T) {
 	}
 	trace := obs.NewTrace(4)
 	o := c.svcOptions(trace)
-	if !o.DirectWait {
-		t.Error("DirectWait is not set")
-	}
 	if o.Mode != svc.ModeSequential || o.MaxPending != 512 || o.Observer != rt.Observer(trace) {
 		t.Errorf("mode=%v maxPending=%d observer=%v", o.Mode, o.MaxPending, o.Observer)
 	}

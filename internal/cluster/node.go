@@ -571,7 +571,7 @@ func (n *Node) complete(id uint64, piggyback ShardMap, msg rt.Message) {
 	}
 }
 
-// ServeRouter is inert, kept for the frozen benchmark/ (ROADMAP item 6): it returns once the node is closed or crashed.
+// ServeRouter is inert, kept for the frozen benchmark/ (ROADMAP item 1): it returns once the node is closed or crashed.
 func (n *Node) ServeRouter() error {
 	return n.rtm.WaitUntilThen("cluster: closed", func() bool { return n.closed }, func() {})
 }

@@ -31,14 +31,10 @@ func within(t *testing.T, d time.Duration, what string, fn func() error) error {
 // nothing else — nobody calls ServeRouter — and a foreign-shard Update and
 // Scan and a validated cut still complete: the handler admits the routed
 // request and the contact's shard worker answers it. Handler-context
-// admission is what only a real mutex can deadlock, hence the chan backend
-// with deployment-style DirectWait.
+// admission is what only a real mutex can deadlock, hence the chan backend.
 func TestRoutedOpsNeedNoRouterThread(t *testing.T) {
 	m := ContiguousMap(2, 3, 1, 0)
-	_, nodes, start := chanTopology(t, m, Config{
-		Timeout:    200 * rt.TicksPerD,
-		SvcOptions: svc.Options{DirectWait: true},
-	})
+	_, nodes, start := chanTopology(t, m, Config{Timeout: 200 * rt.TicksPerD})
 	for id := range nodes {
 		start(id)
 	}
@@ -82,7 +78,7 @@ func TestFullShardQueueRefusesAtOnce(t *testing.T) {
 	m := ContiguousMap(2, 3, 1, 0)
 	_, nodes, start := chanTopology(t, m, Config{
 		Timeout:    20000 * rt.TicksPerD, // 20 s: a parked request must stay parked
-		SvcOptions: svc.Options{DirectWait: true, MaxPending: maxPending},
+		SvcOptions: svc.Options{MaxPending: maxPending},
 	})
 	// Node 0 routes shard 1's keys to node 3 first, then 4, then 5. Node 3
 	// hosts its engine (the shard has its quorum) but serves no clients yet.

@@ -291,13 +291,11 @@ func newNodeBuilder(cfg RunConfig, backend string, m ShardMap, health *Health) *
 
 // nodeConfig builds the cluster Config for node id. On recovery the
 // engine replays the durable WAL prefix and the router key map is
-// re-seeded from the last segment the dead incarnation published. The
-// real-time backends complete requests the way deployments do (per-request
-// channels, failAll on a crash), so the fault matrix covers that path;
-// only the simulator needs the condvar wait.
+// re-seeded from the last segment the dead incarnation published; the
+// service options are the defaults on every backend.
 func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
 	var seed []byte
-	c := Config{Map: b.m, Health: b.health, SvcOptions: svc.Options{DirectWait: b.backend != "sim"}}
+	c := Config{Map: b.m, Health: b.health}
 	c.NewEngine = func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
 		in := b.cfg.info
 		if !recover {

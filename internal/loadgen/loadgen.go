@@ -165,7 +165,6 @@ func Run(cfg Config) (Result, error) {
 		services[i] = svc.New(tn.Runtime(), eng, svc.Options{
 			Mode:       svc.ModeFor(cfg.Engine),
 			MaxPending: cfg.MaxPending,
-			DirectWait: true,
 		})
 	}
 	var workers sync.WaitGroup

@@ -83,12 +83,13 @@ type Runtime interface {
 	// WaitUntilThen blocks the calling client thread until pred() holds,
 	// then runs then() in the same critical section in which pred was
 	// observed true. pred must be side-effect free; it is evaluated under
-	// the node's atomicity guarantee, whenever the node's state changes
-	// and as the clock advances (a deadline may sit inside pred: the
-	// simulator re-evaluates on every clock change, the real-time
-	// transports at least once per D). label is used for deadlock
-	// diagnostics. Returns ErrCrashed if the node crashes before or
-	// while waiting.
+	// the node's atomicity guarantee, on whichever goroutine ends a
+	// critical section (then runs there too, so neither may block or
+	// re-enter the node), and as the clock advances (a deadline may sit
+	// inside pred: the simulator re-evaluates on every clock change, the
+	// real-time transports at least once per D while the waiter is
+	// parked). label is used for deadlock diagnostics. Returns ErrCrashed
+	// if the node crashes before or while waiting.
 	WaitUntilThen(label string, pred func() bool, then func()) error
 
 	// Now returns the current time in ticks (virtual time under the

@@ -3,13 +3,10 @@ package svc_test
 import (
 	"errors"
 	"testing"
-	"time"
 
-	"mpsnap/internal/engine"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
 	"mpsnap/internal/svc"
-	"mpsnap/internal/transport"
 )
 
 // TestAdmitRefusesAtOnceAndThenRunsOnce: an in-domain admission never
@@ -84,25 +81,5 @@ func TestAdmitRefusesAtOnceAndThenRunsOnce(t *testing.T) {
 	}
 	if third.calls != 0 {
 		t.Errorf("a refused request's then ran %d times", third.calls)
-	}
-}
-
-// TestDirectWaitRequestAllocations: a DirectWait request costs what it did
-// before requests carried a then hook — six allocations: the request, its
-// channel, the ticket, and enqueue's verdict and two closures (queue growth
-// amortizes below one).
-func TestDirectWaitRequestAllocations(t *testing.T) {
-	net := transport.NewChanNet(transport.ChanConfig{N: 1, F: 0, D: time.Millisecond})
-	defer net.Close()
-	nd := engine.MustLookup("eqaso").New(net.Runtime(0))
-	net.SetHandler(0, nd)
-	s := svc.New(net.Runtime(0), nd, svc.Options{DirectWait: true}) // no worker: requests only queue
-	payload := []byte("v")
-	if got := testing.AllocsPerRun(1000, func() {
-		if _, err := s.UpdateAsync(payload); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 6 {
-		t.Errorf("a DirectWait UpdateAsync costs %v allocations, want <= 6", got)
 	}
 }

@@ -137,18 +137,9 @@ type Options struct {
 	// measures bare protocol latency. Must be concurrency-safe and
 	// non-blocking.
 	Observer rt.Observer
-	// AdaptiveWindow is inert: the frozen benchmark/ module sets it
-	// (ROADMAP item 6 deletes it).
-	AdaptiveWindow bool
-	// DirectWait resolves Update/Scan waiters through a per-request
-	// channel closed by the worker, instead of the runtime's
-	// condition-variable wait. Under thousands of concurrent clients the
-	// condvar broadcast wakes every waiter on every state change
-	// (O(clients) wakeups per cycle); a closed channel wakes exactly the
-	// requests being resolved. Only safe on real-time backends (ChanNet,
-	// TCP): a raw channel receive on the virtual-time simulator would
-	// block outside the runtime's accounting and deadlock virtual time.
-	DirectWait bool
+	// AdaptiveWindow and DirectWait are inert: the frozen benchmark/
+	// module sets them (ROADMAP item 1 deletes them).
+	AdaptiveWindow, DirectWait bool
 }
 
 // Stats counts a service's activity.
@@ -164,7 +155,7 @@ type Stats struct {
 	// MaxBatch is the largest update batch committed at once.
 	MaxBatch int
 	// WindowGrows / WindowShrinks are inert, always zero: the frozen
-	// benchmark/ module reads them (ROADMAP item 6 deletes them).
+	// benchmark/ module reads them (ROADMAP item 1 deletes them).
 	WindowGrows, WindowShrinks int64
 }
 
@@ -177,17 +168,13 @@ const (
 
 // request is one queued client operation; done/err/snap are written by the
 // worker inside the node's atomicity domain and read by the blocked caller.
-// It fills its malloc size class (112 B) exactly: a new field moves every
-// request to the next one.
+// It sits in the 112 B malloc size class with one word to spare.
 type request struct {
 	kind    opKind
 	payload []byte
 	done    bool
 	err     error
 	snap    [][]byte
-	// ch, under Options.DirectWait, is closed when the request resolves;
-	// the awaiting client blocks on it instead of the node's condvar.
-	ch chan struct{}
 	// then, on a request admitted by AdmitUpdate/AdmitScan, runs once at
 	// resolution, in the critical section that resolves it.
 	then func(snap [][]byte, err error)
@@ -212,6 +199,8 @@ type Service struct {
 	stopped bool // worker exited with an error; no one will drain q
 	stats   Stats
 	nextOp  int64
+	// admissible is PolicyBlock's admission predicate, built once.
+	admissible func() bool
 }
 
 // New creates the service for one node's object. The object's protocol
@@ -221,7 +210,9 @@ func New(r rt.Runtime, obj Object, opts Options) *Service {
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = DefaultMaxPending
 	}
-	return &Service{rtm: r, obj: obj, opts: opts}
+	s := &Service{rtm: r, obj: obj, opts: opts}
+	s.admissible = func() bool { return s.stopped || s.closed || len(s.q) < s.opts.MaxPending }
+	return s
 }
 
 // Stats returns a copy of the counters.
@@ -290,9 +281,6 @@ func (t *Ticket) Snap() [][]byte { return t.req.snap }
 // with the batch's protocol rounds.
 func (s *Service) UpdateAsync(payload []byte) (*Ticket, error) {
 	req := &request{kind: opUpdate, payload: payload}
-	if s.opts.DirectWait {
-		req.ch = make(chan struct{})
-	}
 	if err := s.enqueue(req); err != nil {
 		return nil, err
 	}
@@ -303,9 +291,6 @@ func (s *Service) UpdateAsync(payload []byte) (*Ticket, error) {
 // snapshot is available from Snap.
 func (s *Service) ScanAsync() (*Ticket, error) {
 	req := &request{kind: opScan}
-	if s.opts.DirectWait {
-		req.ch = make(chan struct{})
-	}
 	if err := s.enqueue(req); err != nil {
 		return nil, err
 	}
@@ -342,9 +327,7 @@ func (s *Service) enqueue(req *request) error {
 		s.rtm.Atomic(admit)
 		return verdict
 	}
-	err := s.rtm.WaitUntilThen("svc: admission (backpressure)",
-		func() bool { return s.stopped || s.closed || len(s.q) < s.opts.MaxPending },
-		admit)
+	err := s.rtm.WaitUntilThen("svc: admission (backpressure)", s.admissible, admit)
 	if err != nil {
 		return err
 	}
@@ -387,18 +370,7 @@ func (s *Service) admitLocked(req *request) error {
 
 // await blocks until the worker resolves the request.
 func (s *Service) await(req *request) error {
-	if req.ch != nil {
-		// DirectWait: the worker closes the channel at resolution (or
-		// failAll does if the worker dies), waking exactly this caller.
-		// The close happens after the request's fields are finalized, so
-		// the reads below are ordered by the channel.
-		<-req.ch
-		return req.err
-	}
-	err := s.rtm.WaitUntilThen("svc: await response",
-		func() bool { return req.done },
-		func() {})
-	if err != nil {
+	if err := rt.WaitUntil(s.rtm, "svc: await response", func() bool { return req.done }); err != nil {
 		return err // node crashed while waiting
 	}
 	return req.err
@@ -416,22 +388,18 @@ func (s *Service) Serve() error {
 		s.serving = true
 	})
 	for {
-		var batch []*request
-		var closed bool
-		err := s.rtm.WaitUntilThen("svc: worker idle",
-			func() bool { return len(s.q) > 0 || s.closed },
-			func() {
-				batch, s.q = s.q, nil
-				closed = s.closed
-			})
-		if err != nil {
+		if err := rt.WaitUntil(s.rtm, "svc: worker idle", func() bool { return len(s.q) > 0 || s.closed }); err != nil {
 			// The worker is the only thing that resolves requests; fail
-			// everything still queued so DirectWait callers (who block on
-			// per-request channels, not the runtime's crash-aware wait)
-			// observe the crash instead of hanging forever.
+			// everything still queued so the then hooks of in-domain
+			// admissions run (parked clients already saw the crash).
 			s.failAll(err)
 			return err
 		}
+		// Take the queue once this thread runs, not in the critical section
+		// that woke it: whatever is admitted in between joins the batch.
+		var batch []*request
+		var closed bool
+		s.rtm.Atomic(func() { batch, s.q, closed = s.q, nil, s.closed })
 		if len(batch) == 0 {
 			if closed {
 				return nil
@@ -443,8 +411,8 @@ func (s *Service) Serve() error {
 }
 
 // failAll resolves every queued request with err and stops admission.
-// Called when Serve exits abnormally: without it, DirectWait callers
-// would block forever on channels no worker will ever close.
+// Called when Serve exits abnormally: without it, the then hook of an
+// in-domain admission would never run, and its caller never be answered.
 func (s *Service) failAll(err error) {
 	s.rtm.Atomic(func() {
 		s.stopped = true
@@ -547,16 +515,13 @@ func (s *Service) serveScans(scans []*request) {
 	})
 }
 
-// resolve finishes a request whose err/snap are final and wakes whoever
-// waits for it: the condvar waiter sees done, a DirectWait caller its
-// closed channel, an in-domain admission its then hook. Must run in the
-// atomicity domain.
+// resolve finishes a request whose err/snap are final and tells whoever
+// waits for it: a client parked in WaitUntilThen sees done when this
+// critical section ends, an in-domain admission runs its then hook here.
+// Must run in the atomicity domain.
 func (s *Service) resolve(req *request) {
 	req.done = true
 	s.observeEnd(req)
-	if req.ch != nil {
-		close(req.ch)
-	}
 	if req.then != nil {
 		req.then(req.snap, req.err)
 	}

@@ -9,8 +9,8 @@
 //
 // Both satisfy the paper's channel model: reliable FIFO point-to-point
 // links. Atomicity of handlers and critical sections is provided by a
-// per-node mutex; blocking waits use condition variables signalled on
-// every state change and once per D (a wait predicate may read the clock).
+// per-node mutex; a blocked wait parks on the node's waiter list until the
+// end of a critical section, or a once-per-D clock, finds it true.
 package transport
 
 import (
@@ -24,10 +24,9 @@ import (
 	"mpsnap/internal/wire"
 )
 
-// node is the shared mutex/cond machinery of both transports.
+// node is the shared mutex and waiter list of both transports.
 type node struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	handler rt.Handler
 	// crashed is atomic because the send path checks it without the node
 	// lock, and crash/restart may flip it from another goroutine (the
@@ -37,6 +36,11 @@ type node struct {
 	// installed (peers may finish their setup at different times;
 	// reliable channels must not drop early traffic).
 	pending []pendingMsg
+	waiters []waiter // parked, in registration order
+	// clock releases every d while a waiter is parked, until Close.
+	d      time.Duration
+	clock  *time.Timer
+	closed chan struct{}
 }
 
 type pendingMsg struct {
@@ -44,40 +48,29 @@ type pendingMsg struct {
 	msg rt.Message
 }
 
-// init arms the condvar and its once-per-D tick. Waiters otherwise
-// re-evaluate their predicates only on a state change, and a predicate may
-// read the clock (a routed call's deadline): on an idle node no state
-// change would ever announce that the deadline has passed. The tick ends
-// when stop is closed.
-func (nd *node) init(d time.Duration, stop <-chan struct{}) {
-	nd.cond = sync.NewCond(&nd.mu)
-	go func() {
-		tick := time.NewTicker(d)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				nd.cond.Broadcast()
-			}
-		}
-	}()
+// waiter is one parked WaitUntilThen, kept by value so that a release
+// walks the predicates without a hop. wake (capacity 1, pooled once its
+// caller has received) carries its one outcome, nil or rt.ErrCrashed.
+type waiter struct {
+	pred func() bool
+	then func()
+	wake chan error
 }
+
+var wakes = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // deliverBatch is both transports' one way into the handler: it runs a
 // burst of same-source messages in one critical section, with one lock
-// acquisition and one waiter wakeup for the whole batch instead of one
-// each per message. Handlers in this model never block on waiters (they
-// record state and return; waiters re-evaluate predicates only when the
-// lock is free), so running k handler calls back-to-back under the lock is
+// acquisition and one release for the whole batch instead of one each per
+// message. Handlers in this model never block on waiters (they record
+// state and return; predicates are evaluated only as a critical section
+// ends), so running k handler calls back-to-back under the lock is
 // indistinguishable from k single deliveries that happened to win the
 // lock consecutively — an ordering the concurrent transport always
 // permitted.
 func (nd *node) deliverBatch(src int, msgs []rt.Message) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	ran := false
 	for _, msg := range msgs {
 		if nd.crashed.Load() {
 			break
@@ -87,11 +80,8 @@ func (nd *node) deliverBatch(src int, msgs []rt.Message) {
 			continue
 		}
 		nd.handler.HandleMessage(src, msg)
-		ran = true
 	}
-	if ran {
-		nd.cond.Broadcast()
-	}
+	nd.release()
 }
 
 // setHandler installs the handler and flushes buffered deliveries.
@@ -103,38 +93,90 @@ func (nd *node) setHandler(h rt.Handler) {
 		h.HandleMessage(pm.src, pm.msg)
 	}
 	nd.pending = nil
-	nd.cond.Broadcast()
+	nd.release()
 }
 
 func (nd *node) atomic(fn func()) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	fn()
-	nd.cond.Broadcast()
+	nd.release()
 }
 
+// waitUntilThen runs then at once if pred holds, and otherwise parks the
+// caller until a release fires it or a crash fails it.
 func (nd *node) waitUntilThen(pred func() bool, then func()) error {
 	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	for !pred() {
-		if nd.crashed.Load() {
-			return rt.ErrCrashed
-		}
-		nd.cond.Wait()
-	}
 	if nd.crashed.Load() {
+		nd.mu.Unlock()
 		return rt.ErrCrashed
 	}
-	then()
-	nd.cond.Broadcast()
-	return nil
+	if pred() {
+		then()
+		nd.release()
+		nd.mu.Unlock()
+		return nil
+	}
+	wake := wakes.Get().(chan error)
+	if nd.waiters = append(nd.waiters, waiter{pred, then, wake}); len(nd.waiters) == 1 {
+		if nd.clock == nil {
+			nd.clock = time.AfterFunc(nd.d, nd.tick)
+		} else {
+			nd.clock.Reset(nd.d)
+		}
+	}
+	nd.mu.Unlock()
+	err := <-wake
+	wakes.Put(wake)
+	return err
 }
 
+// release ends every critical section: it fires each parked waiter whose
+// predicate holds, in registration order — runs its then here, drops it,
+// wakes its caller — and repeats until a pass fires nothing, since a then
+// may make an earlier predicate true. Must hold mu.
+func (nd *node) release() {
+	for n := -1; n != len(nd.waiters); {
+		n = len(nd.waiters)
+		kept := 0
+		for i, w := range nd.waiters {
+			if !w.pred() {
+				if kept != i {
+					nd.waiters[kept] = w
+				}
+				kept++
+				continue
+			}
+			w.then()
+			w.wake <- nil
+		}
+		clear(nd.waiters[kept:])
+		nd.waiters = nd.waiters[:kept]
+	}
+}
+
+// tick is the clock's critical section; after Close it re-arms nothing.
+func (nd *node) tick() {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	select {
+	case <-nd.closed:
+	default:
+		if nd.release(); len(nd.waiters) > 0 {
+			nd.clock.Reset(nd.d)
+		}
+	}
+}
+
+// crash fails every parked waiter; later waits fail at once.
 func (nd *node) crash() {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	nd.crashed.Store(true)
-	nd.cond.Broadcast()
+	for _, w := range nd.waiters {
+		w.wake <- rt.ErrCrashed
+	}
+	nd.waiters = nil
 }
 
 // restart clears the crash flag and installs the recovered incarnation's
@@ -149,7 +191,7 @@ func (nd *node) restart(h rt.Handler) {
 	nd.crashed.Store(false)
 	nd.handler = h
 	nd.pending = nil
-	nd.cond.Broadcast()
+	nd.release()
 }
 
 // ChanNet is an in-process cluster connected by channel-backed links.
@@ -267,7 +309,8 @@ type ChanConfig struct {
 	// N nodes with resilience bound F.
 	N, F int
 	// D is the real-time duration standing in for the maximum message
-	// delay (default 2ms). Each message is delayed uniformly in (0, D].
+	// delay (default 2ms). Each message is delayed uniformly in (0, D],
+	// and parked wait predicates are re-evaluated once per D.
 	D time.Duration
 	// Seed drives the delay randomness.
 	Seed int64
@@ -301,9 +344,7 @@ func NewChanNet(cfg ChanConfig) *ChanNet {
 	}
 	net.nodes = make([]*chanNode, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		nd := &chanNode{net: net, id: i, out: make([]*link, cfg.N)}
-		nd.init(cfg.D, net.done)
-		net.nodes[i] = nd
+		net.nodes[i] = &chanNode{node: node{d: cfg.D, closed: net.done}, net: net, id: i, out: make([]*link, cfg.N)}
 	}
 	// One goroutine per (src,dst) link preserves FIFO while applying
 	// per-message delays.

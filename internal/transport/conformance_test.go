@@ -3,6 +3,7 @@ package transport_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -148,6 +149,46 @@ func TestWaitUntilDeadlinePredicate(t *testing.T) {
 				}
 			case <-time.After(3 * time.Second):
 				t.Fatal("still parked 3s after a 10ms deadline: nothing re-evaluates the predicate")
+			}
+		})
+	}
+}
+
+// TestThenRunsInTheReleasingSection: a parked waiter is fired by the
+// goroutine that makes its predicate true, inside that goroutine's critical
+// section — its then has run by the time the Atomic that set the flag
+// returns, rather than whenever the waiter next gets the lock.
+func TestThenRunsInTheReleasingSection(t *testing.T) {
+	cn := transport.NewChanNet(transport.ChanConfig{N: 1, D: time.Second})
+	defer cn.Close()
+	mesh, err := transport.LoopbackMesh(1, transport.TCPConfig{D: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh[0].Close()
+	for name, tc := range map[string]struct {
+		r      rt.Runtime
+		parked func() int
+	}{
+		"chan": {cn.Runtime(0), func() int { return cn.Parked(0) }},
+		"tcp":  {mesh[0].Runtime(), mesh[0].Parked},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var flag bool
+			var ran atomic.Bool
+			done := make(chan error, 1)
+			go func() {
+				done <- tc.r.WaitUntilThen("flag", func() bool { return flag }, func() { ran.Store(true) })
+			}()
+			for tc.parked() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			tc.r.Atomic(func() { flag = true })
+			if !ran.Load() {
+				t.Error("then had not run when the Atomic that made its predicate true returned")
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

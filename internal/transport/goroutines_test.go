@@ -11,7 +11,7 @@ import (
 
 // settledGoroutines returns runtime.NumGoroutine once it has read the same
 // value for several samples in a row: goroutines of earlier tests' closed
-// nodes (the per-D tick) exit asynchronously.
+// nodes (a clock timer's callback) exit asynchronously.
 func settledGoroutines() int {
 	last, same := runtime.NumGoroutine(), 0
 	for deadline := time.Now().Add(5 * time.Second); same < 5 && time.Now().Before(deadline); {
@@ -26,9 +26,10 @@ func settledGoroutines() int {
 }
 
 // TestTCPConnectionIsOneGoroutine: once every link of a mesh has carried a
-// message, a node runs its per-D tick, its accept loop, one send loop per
-// peer and one receive loop per inbound connection — the goroutine that
-// reads a message delivers it, so no connection starts a second one.
+// message, a node runs its accept loop, one send loop per peer and one
+// receive loop per inbound connection — the goroutine that reads a message
+// delivers it, so no connection starts a second one, and the node itself
+// runs none.
 func TestTCPConnectionIsOneGoroutine(t *testing.T) {
 	const n = 3
 	before := settledGoroutines()
@@ -55,14 +56,27 @@ func TestTCPConnectionIsOneGoroutine(t *testing.T) {
 			t.Fatalf("only %d of %d deliveries", k, n*n)
 		}
 	}
-	if want, runs := n*(2+2*n), settledGoroutines()-before; runs != want {
-		t.Errorf("a %d-node mesh runs %d goroutines, want %d = n × (2 + 2n)", n, runs, want)
+	if want, runs := n*(1+2*n), settledGoroutines()-before; runs != want {
+		t.Errorf("a %d-node mesh runs %d goroutines, want %d = n × (1 + 2n)", n, runs, want)
+	}
+}
+
+// TestChanNetStartsNoPerNodeGoroutine: a ChanNet runs one drainer per
+// directed link and nothing per node — waiters are released by whoever
+// leaves a critical section, not by a thread of the node's.
+func TestChanNetStartsNoPerNodeGoroutine(t *testing.T) {
+	const n = 3
+	before := settledGoroutines()
+	cnet := transport.NewChanNet(transport.ChanConfig{N: n, D: 5 * time.Millisecond})
+	defer cnet.Close()
+	if want, runs := n*n, settledGoroutines()-before; runs != want {
+		t.Errorf("a %d-node ChanNet runs %d goroutines, want %d = n², the link drainers", n, runs, want)
 	}
 }
 
 // TestTCPFailedListenLeaksNothing: a NewTCPNode that cannot listen returns
-// its error and leaves no goroutine behind — in particular not the per-D
-// condvar tick, which only Close stops.
+// its error and leaves no goroutine behind (nor a clock timer: one is armed
+// only while a waiter is parked).
 func TestTCPFailedListenLeaksNothing(t *testing.T) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -116,8 +116,7 @@ type TCPNode struct {
 	errs        []error // the first maxRecordedErrs errors, when no OnError hook is set
 	errsDropped int     // how many more were counted but not kept
 
-	wg     sync.WaitGroup
-	closed chan struct{}
+	wg sync.WaitGroup
 }
 
 // NewTCPNode starts listening, connects to all peers, and returns once
@@ -143,13 +142,13 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 		return nil, fmt.Errorf("transport: encode handshake: %w", err)
 	}
 	t := &TCPNode{
-		cfg:    cfg,
-		start:  start,
-		hello:  hello,
-		outs:   make([]chan rt.Message, n),
-		stale:  make([]atomic.Bool, n),
-		conns:  make([]net.Conn, n),
-		closed: make(chan struct{}),
+		node:  node{d: cfg.D, closed: make(chan struct{})},
+		cfg:   cfg,
+		start: start,
+		hello: hello,
+		outs:  make([]chan rt.Message, n),
+		stale: make([]atomic.Bool, n),
+		conns: make([]net.Conn, n),
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -159,8 +158,6 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 		}
 	}
 	t.listener = ln
-	// Only now can the node be closed, which is what stops the tick.
-	t.init(cfg.D, t.closed)
 
 	// Accept inbound connections: each peer dials us once and sends a
 	// hello frame; we then read frames from it until the stream ends or
