@@ -19,7 +19,7 @@
 // all estimates are within ε.
 //
 // Run over the SSO instead, the nesting argument breaks; the package
-// requires an atomic object.
+// requires an atomic object (obj is an mpsnap.Object; it must be an ASO).
 package approx
 
 import (
@@ -27,39 +27,11 @@ import (
 	"fmt"
 	"math"
 
-	"mpsnap/internal/wire"
+	"mpsnap/internal/segment"
 )
 
-// Object is the atomic snapshot object the protocol runs over
-// (mpsnap.Object; must be an ASO, not an SSO).
-type Object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
-
-// state is one node's segment: its estimate per round.
-type state struct {
-	Vals []float64 // Vals[r] = the node's round-r estimate
-}
-
-func encodeState(s state) []byte {
-	var b wire.Buffer
-	b.PutUvarint(uint64(len(s.Vals)))
-	for _, v := range s.Vals {
-		b.PutFloat64(v)
-	}
-	return b.Bytes()
-}
-
-func decodeState(b []byte) (state, error) {
-	d := wire.NewDecoder(b)
-	n := d.Count(8)
-	var s state
-	for i := 0; i < n; i++ {
-		s.Vals = append(s.Vals, d.Float64())
-	}
-	return s, d.Err()
-}
+// vals is the codec of a node's segment: its estimate per round.
+var vals = segment.List(segment.Float64, 8)
 
 // Config parameterizes one agreement instance.
 type Config struct {
@@ -100,24 +72,23 @@ func (c Config) validate() error {
 // Rounds()+1 updates and a scan loop per round; every participating
 // correct node must call Agree for the rounds to fill (at most one
 // concurrent Agree per node).
-func Agree(obj Object, cfg Config, value float64) (float64, error) {
+func Agree(obj segment.Object, cfg Config, value float64) (float64, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
+	seg := segment.NewOwn(obj, -1, "approx", vals)
 	v := math.Min(math.Max(value, cfg.Lo), cfg.Hi)
-	st := state{Vals: []float64{v}}
-	if err := obj.Update(encodeState(st)); err != nil {
+	if err := seg.Put([]float64{v}); err != nil {
 		return 0, err
 	}
 	rounds := cfg.Rounds()
 	for r := 0; r < rounds; r++ {
-		lo, hi, err := collectRound(obj, cfg, r)
+		lo, hi, err := collectRound(seg, cfg, r)
 		if err != nil {
 			return 0, err
 		}
 		v = (lo + hi) / 2
-		st.Vals = append(st.Vals, v)
-		if err := obj.Update(encodeState(st)); err != nil {
+		if err := seg.Put(append(seg.Last(), v)); err != nil {
 			return 0, err
 		}
 	}
@@ -126,26 +97,19 @@ func Agree(obj Object, cfg Config, value float64) (float64, error) {
 
 // collectRound scans until at least n-f nodes expose a round-r estimate
 // and returns the min and max of the estimates seen.
-func collectRound(obj Object, cfg Config, r int) (lo, hi float64, err error) {
+func collectRound(seg *segment.Own[[]float64], cfg Config, r int) (lo, hi float64, err error) {
 	for {
-		snap, err := obj.Scan()
+		segs, err := seg.Scan()
 		if err != nil {
 			return 0, 0, err
 		}
 		count := 0
 		lo, hi = math.Inf(1), math.Inf(-1)
-		for i, seg := range snap {
-			if seg == nil {
-				continue
-			}
-			st, err := decodeState(seg)
-			if err != nil {
-				return 0, 0, fmt.Errorf("approx: segment %d: %w", i, err)
-			}
-			if r < len(st.Vals) {
+		for _, st := range segs {
+			if st != nil && r < len(*st) {
 				count++
-				lo = math.Min(lo, st.Vals[r])
-				hi = math.Max(hi, st.Vals[r])
+				lo = math.Min(lo, (*st)[r])
+				hi = math.Max(hi, (*st)[r])
 			}
 		}
 		if count >= cfg.N-cfg.F {

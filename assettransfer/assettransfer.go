@@ -1,7 +1,8 @@
 // Package assettransfer implements the asset transfer object
 // ("cryptocurrency") of Guerraoui et al. (reference [26]) on top of a
-// snapshot object, the application highlighted in the paper's abstract and
-// conclusion.
+// snapshot object (obj is an mpsnap.Object, and it must be atomic — an
+// ASO, not an SSO — for the no-double-spend argument), the application
+// highlighted in the paper's abstract and conclusion.
 //
 // Each node owns one account. A node's segment holds its *outgoing
 // transfer log*; an account balance is its initial funds plus incoming
@@ -17,15 +18,9 @@ import (
 	"errors"
 	"fmt"
 
+	"mpsnap/internal/segment"
 	"mpsnap/internal/wire"
 )
-
-// Object is the snapshot object the ledger runs over (mpsnap.Object).
-// It must be atomic (an ASO, not an SSO) for the no-double-spend argument.
-type Object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
 
 // Transfer is one outgoing transfer.
 type Transfer struct {
@@ -39,65 +34,44 @@ var ErrInsufficientFunds = errors.New("assettransfer: insufficient funds")
 // ErrBadAccount rejects an unknown account.
 var ErrBadAccount = errors.New("assettransfer: unknown account")
 
+var transfers = segment.List(segment.Codec[Transfer]{
+	Put: func(b *wire.Buffer, tr Transfer) { b.PutInt(tr.To); b.PutUvarint(tr.Amount) },
+	Get: func(d *wire.Decoder) Transfer { return Transfer{To: d.Int(), Amount: d.Uvarint()} },
+}, 2)
+
 // Ledger is one node's handle on the asset transfer object.
 type Ledger struct {
-	obj     Object
+	seg     *segment.Own[[]Transfer] // this node's outgoing log (single writer)
 	id      int
 	n       int
 	initial []uint64
-	log     []Transfer // this node's outgoing log (single writer)
 }
 
 // New binds account id (of n) to the node's snapshot object. initial
 // holds every account's genesis balance; all nodes must agree on it.
-func New(obj Object, id, n int, initial []uint64) (*Ledger, error) {
+func New(obj segment.Object, id, n int, initial []uint64) (*Ledger, error) {
 	if len(initial) != n {
 		return nil, fmt.Errorf("assettransfer: %d initial balances for %d accounts", len(initial), n)
 	}
-	return &Ledger{obj: obj, id: id, n: n, initial: append([]uint64(nil), initial...)}, nil
+	seg := segment.NewOwn(obj, id, "assettransfer", transfers)
+	return &Ledger{seg: seg, id: id, n: n, initial: append([]uint64(nil), initial...)}, nil
 }
 
-func encodeLog(log []Transfer) []byte {
-	var b wire.Buffer
-	b.PutUvarint(uint64(len(log)))
-	for _, tr := range log {
-		b.PutInt(tr.To)
-		b.PutUvarint(tr.Amount)
+// balances computes every account's balance from one SCAN.
+func (l *Ledger) balances() ([]int64, error) {
+	logs, err := l.seg.Scan()
+	if err != nil {
+		return nil, err
 	}
-	return b.Bytes()
-}
-
-func decodeLog(b []byte) ([]Transfer, error) {
-	d := wire.NewDecoder(b)
-	n := d.Count(2)
-	var log []Transfer
-	for i := 0; i < n; i++ {
-		log = append(log, Transfer{To: d.Int(), Amount: d.Uvarint()})
-	}
-	return log, d.Err()
-}
-
-// balances computes every account's balance from a snapshot.
-func (l *Ledger) balances(snap [][]byte) ([]int64, error) {
 	bal := make([]int64, l.n)
 	for i := range bal {
 		bal[i] = int64(l.initial[i])
 	}
-	for owner, seg := range snap {
-		log := []Transfer(nil)
-		if seg != nil {
-			var err error
-			log, err = decodeLog(seg)
-			if err != nil {
-				return nil, fmt.Errorf("assettransfer: segment %d: %w", owner, err)
-			}
+	for owner, log := range logs {
+		if log == nil {
+			continue
 		}
-		if owner == l.id && len(l.log) > len(log) {
-			// Our own segment: our local log is authoritative (the
-			// snapshot can only lag our completed updates, never lead).
-			log = l.log
-		}
-		for _, tr := range log {
+		for _, tr := range *log {
 			bal[owner] -= int64(tr.Amount)
 			if tr.To >= 0 && tr.To < l.n {
 				bal[tr.To] += int64(tr.Amount)
@@ -112,11 +86,7 @@ func (l *Ledger) Balance(account int) (uint64, error) {
 	if account < 0 || account >= l.n {
 		return 0, ErrBadAccount
 	}
-	snap, err := l.obj.Scan()
-	if err != nil {
-		return 0, err
-	}
-	bal, err := l.balances(snap)
+	bal, err := l.balances()
 	if err != nil {
 		return 0, err
 	}
@@ -140,14 +110,10 @@ func (l *Ledger) Transfer(to int, amount uint64) error {
 	if bal < amount {
 		return ErrInsufficientFunds
 	}
-	l.log = append(l.log, Transfer{To: to, Amount: amount})
-	if err := l.obj.Update(encodeLog(l.log)); err != nil {
-		// The update may still take effect (crash during completion);
-		// keeping it in the local log is the conservative choice.
-		return err
-	}
-	return nil
+	// A failed update may still take effect (crash during completion), so
+	// the transfer stays in the local log either way (segment.Own.Put).
+	return l.seg.Put(append(l.seg.Last(), Transfer{To: to, Amount: amount}))
 }
 
 // Outgoing returns a copy of this node's outgoing log.
-func (l *Ledger) Outgoing() []Transfer { return append([]Transfer(nil), l.log...) }
+func (l *Ledger) Outgoing() []Transfer { return append([]Transfer(nil), l.seg.Last()...) }

@@ -25,6 +25,10 @@
 // coins eventually align); the expected phase count is exponential in n
 // in the worst case — this package is an application demonstration, not a
 // high-performance consensus.
+//
+// Propose runs one Instance in a node's segment of obj, an mpsnap.Object
+// that must be atomic (an ASO); package rsm runs one Instance per log
+// slot, sweep and candidate, all in one segment.
 package consensus
 
 import (
@@ -32,49 +36,129 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mpsnap/internal/segment"
 	"mpsnap/internal/wire"
 )
 
-// Object is the atomic snapshot object the protocol runs over
-// (mpsnap.Object; must be an ASO).
-type Object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
+// A Record's proposal is ⊥ (noProposal) or not made yet (unset).
+const (
+	noProposal = -1
+	unset      = -2
+)
 
-const noProposal = -1
-
-// phaseRecord is a node's activity in one phase.
-type phaseRecord struct {
+// Record is one node's activity in one phase of an Instance.
+type Record struct {
 	Report   int // 0 or 1
-	Proposal int // 0, 1, or noProposal (⊥); -2 while unset
+	Proposal int // 0, 1, -1 (⊥), or -2 while the report step runs
 }
 
-// state is one node's segment: its per-phase records and decision.
+// Records is the wire codec of one node's records of one instance.
+var Records = segment.List(segment.Codec[Record]{
+	Put: func(b *wire.Buffer, r Record) { b.PutVarint(int64(r.Report)); b.PutVarint(int64(r.Proposal)) },
+	Get: func(d *wire.Decoder) Record { return Record{Report: d.Int(), Proposal: d.Int()} },
+}, 2)
+
+// Instance is one run of the protocol over records that live in snapshot
+// segments. It does not own a segment: Publish and Collect map its
+// records into whatever a node's segment holds, so one segment can carry
+// one instance (Propose) or unboundedly many (package rsm).
+type Instance struct {
+	// N nodes, resilience F (n > 2f).
+	N, F int
+	// Rand drives the local coin.
+	Rand *rand.Rand
+	// Publish writes this node's records (one UPDATE).
+	Publish func(mine []Record) error
+	// Collect scans and returns every node's records (nil for a node
+	// with none); stop ends the run at once, as when a decision was
+	// published elsewhere.
+	Collect func() (recs [][]Record, stop bool, err error)
+}
+
+// Run runs phases from input bit until a decision, a stop or maxPhases
+// phases. It returns the decided bit, or -1 when Collect stopped it.
+func (in *Instance) Run(bit, maxPhases int) (int, error) {
+	var mine []Record
+	pref := bit
+	for phase := 0; phase < maxPhases; phase++ {
+		// Report step.
+		mine = append(mine, Record{Report: pref, Proposal: unset})
+		if err := in.Publish(mine); err != nil {
+			return 0, err
+		}
+		reports, stop, err := in.count(phase, func(r Record) (int, bool) { return r.Report, true })
+		if err != nil || stop {
+			return -1, err
+		}
+		proposal := noProposal
+		for v := 0; v <= 1; v++ {
+			if reports[v] > in.N/2 {
+				proposal = v
+			}
+		}
+		// Proposal step.
+		mine[phase].Proposal = proposal
+		if err := in.Publish(mine); err != nil {
+			return 0, err
+		}
+		proposals, stop, err := in.count(phase, func(r Record) (int, bool) { return r.Proposal, r.Proposal != unset })
+		if err != nil || stop {
+			return -1, err
+		}
+		switch {
+		case proposals[0] >= in.F+1:
+			return 0, nil
+		case proposals[1] >= in.F+1:
+			return 1, nil
+		case proposals[0] > 0:
+			pref = 0
+		case proposals[1] > 0:
+			pref = 1
+		default:
+			pref = in.Rand.Intn(2)
+		}
+	}
+	return 0, ErrTooManyPhases
+}
+
+// count collects until at least n-f nodes expose a phase-`phase` record
+// accepted by get, returning per-value counts (index 0, 1; ⊥ ignored).
+func (in *Instance) count(phase int, get func(Record) (int, bool)) ([2]int, bool, error) {
+	for {
+		recs, stop, err := in.Collect()
+		if err != nil || stop {
+			return [2]int{}, stop, err
+		}
+		var counts [2]int
+		seen := 0
+		for _, rs := range recs {
+			if phase >= len(rs) {
+				continue
+			}
+			v, ok := get(rs[phase])
+			if !ok {
+				continue
+			}
+			seen++
+			if v == 0 || v == 1 {
+				counts[v]++
+			}
+		}
+		if seen >= in.N-in.F {
+			return counts, false, nil
+		}
+	}
+}
+
+// state is one node's segment: its phase records and decision.
 type state struct {
-	Phases  []phaseRecord
+	Phases  []Record
 	Decided int // -1 until decided
 }
 
-func encodeState(s state) []byte {
-	var b wire.Buffer
-	b.PutVarint(int64(s.Decided))
-	b.PutUvarint(uint64(len(s.Phases)))
-	for _, pr := range s.Phases {
-		b.PutVarint(int64(pr.Report))
-		b.PutVarint(int64(pr.Proposal))
-	}
-	return b.Bytes()
-}
-
-func decodeState(b []byte) (state, error) {
-	d := wire.NewDecoder(b)
-	s := state{Decided: d.Int()}
-	n := d.Count(2)
-	for i := 0; i < n; i++ {
-		s.Phases = append(s.Phases, phaseRecord{Report: d.Int(), Proposal: d.Int()})
-	}
-	return s, d.Err()
+var stateCodec = segment.Codec[state]{
+	Put: func(b *wire.Buffer, s state) { b.PutVarint(int64(s.Decided)); Records.Put(b, s.Phases) },
+	Get: func(d *wire.Decoder) state { return state{Decided: d.Int(), Phases: Records.Get(d)} },
 }
 
 // Config parameterizes one consensus instance.
@@ -104,7 +188,7 @@ var ErrTooManyPhases = errors.New("consensus: phase budget exceeded")
 
 // Propose runs binary consensus for one node with input bit (0 or 1) and
 // returns the decided bit. Every correct node must call Propose once.
-func Propose(obj Object, cfg Config, bit int) (int, error) {
+func Propose(obj segment.Object, cfg Config, bit int) (int, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
@@ -115,114 +199,39 @@ func Propose(obj Object, cfg Config, bit int) (int, error) {
 	if maxPhases == 0 {
 		maxPhases = 10000
 	}
-	pref := bit
-	st := state{Decided: -1}
-	for phase := 0; phase < maxPhases; phase++ {
-		// Report step.
-		st.Phases = append(st.Phases, phaseRecord{Report: pref, Proposal: -2})
-		if err := obj.Update(encodeState(st)); err != nil {
-			return 0, err
-		}
-		reports, decided, err := collect(obj, cfg, phase, func(pr phaseRecord) (int, bool) {
-			return pr.Report, true
-		})
-		if err != nil {
-			return 0, err
-		}
-		if decided >= 0 {
-			// Someone already decided: their f+1 proposals from an
-			// earlier phase guarantee safety of adopting directly.
-			return finish(obj, &st, decided)
-		}
-		proposal := noProposal
-		for v := 0; v <= 1; v++ {
-			if reports[v] > cfg.N/2 {
-				proposal = v
+	seg := segment.NewOwn(obj, -1, "consensus", stateCodec)
+	decided := -1
+	in := Instance{N: cfg.N, F: cfg.F, Rand: cfg.Rand,
+		Publish: func(mine []Record) error { return seg.Put(state{Phases: mine, Decided: -1}) },
+		Collect: func() ([][]Record, bool, error) {
+			segs, err := seg.Scan()
+			if err != nil {
+				return nil, false, err
 			}
-		}
-		// Proposal step.
-		st.Phases[phase].Proposal = proposal
-		if err := obj.Update(encodeState(st)); err != nil {
-			return 0, err
-		}
-		proposals, decided, err := collect(obj, cfg, phase, func(pr phaseRecord) (int, bool) {
-			if pr.Proposal == -2 {
-				return 0, false
+			recs := make([][]Record, len(segs))
+			for i, st := range segs {
+				if st != nil {
+					recs[i] = st.Phases
+					if st.Decided >= 0 {
+						decided = st.Decided
+					}
+				}
 			}
-			return pr.Proposal, true
-		})
-		if err != nil {
-			return 0, err
-		}
-		if decided >= 0 {
-			return finish(obj, &st, decided)
-		}
-		switch {
-		case proposals[0] >= cfg.F+1:
-			return finish(obj, &st, 0)
-		case proposals[1] >= cfg.F+1:
-			return finish(obj, &st, 1)
-		case proposals[0] > 0:
-			pref = 0
-		case proposals[1] > 0:
-			pref = 1
-		default:
-			pref = cfg.Rand.Intn(2)
-		}
+			return recs, decided >= 0, nil
+		},
 	}
-	return 0, ErrTooManyPhases
-}
-
-// finish publishes the decision (so laggards can short-circuit) and
-// returns it.
-func finish(obj Object, st *state, v int) (int, error) {
-	st.Decided = v
-	if err := obj.Update(encodeState(*st)); err != nil {
+	v, err := in.Run(bit, maxPhases)
+	if err != nil {
+		return 0, err
+	}
+	if v < 0 {
+		// Someone already decided: their f+1 proposals from an earlier
+		// phase guarantee safety of adopting directly.
+		v = decided
+	}
+	// Publish the decision, so laggards can short-circuit.
+	if err := seg.Put(state{Phases: seg.Last().Phases, Decided: v}); err != nil {
 		return 0, err
 	}
 	return v, nil
-}
-
-// collect scans until at least n-f nodes expose a phase-`phase` entry
-// accepted by get, returning per-value counts (index 0, 1; ⊥ ignored)
-// and any published decision it noticed (-1 if none).
-func collect(obj Object, cfg Config, phase int, get func(phaseRecord) (int, bool)) ([2]int, int, error) {
-	for {
-		snap, err := obj.Scan()
-		if err != nil {
-			return [2]int{}, -1, err
-		}
-		var counts [2]int
-		seen := 0
-		decided := -1
-		for i, seg := range snap {
-			if seg == nil {
-				continue
-			}
-			st, err := decodeState(seg)
-			if err != nil {
-				return [2]int{}, -1, fmt.Errorf("consensus: segment %d: %w", i, err)
-			}
-			if st.Decided >= 0 {
-				decided = st.Decided
-			}
-			if phase >= len(st.Phases) {
-				continue
-			}
-			v, ok := get(st.Phases[phase])
-			if !ok {
-				continue
-			}
-			seen++
-			if v == 0 || v == 1 {
-				counts[v]++
-			}
-		}
-		if decided >= 0 {
-			return counts, decided, nil
-		}
-		if seen >= cfg.N-cfg.F {
-			return counts, -1, nil
-		}
-	}
 }

@@ -3,117 +3,48 @@
 // "linearizable conflict-free replicated data types").
 //
 // Each node's CRDT contribution lives in its own segment of the snapshot
-// object: updates rewrite the caller's segment (single-writer), reads SCAN
-// all segments and join them. Run over an atomic snapshot (EQ-ASO), reads
-// and writes are linearizable; over an SSO they are sequentially
-// consistent (a classic consistency/latency trade: SSO reads are local).
+// object (obj is an mpsnap.Object): updates rewrite the caller's segment
+// (single-writer), reads SCAN all segments and join them. Run over an
+// atomic snapshot (EQ-ASO), reads and writes are linearizable; over an SSO
+// they are sequentially consistent (a classic consistency/latency trade:
+// SSO reads are local).
 //
 // All methods must be called from the owning node's client thread (at most
 // one operation at a time), matching the paper's sequential-node model.
 package crdt
 
 import (
-	"fmt"
 	"sort"
 
+	"mpsnap/internal/segment"
 	"mpsnap/internal/wire"
 )
 
-// Object is the snapshot object a CRDT runs over (mpsnap.Object).
-type Object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
-
-func encodeUint(v uint64) []byte {
-	var b wire.Buffer
-	b.PutUvarint(v)
-	return b.Bytes()
-}
-
-func decodeUint(b []byte) (uint64, error) {
-	d := wire.NewDecoder(b)
-	v := d.Uvarint()
-	return v, d.Err()
-}
-
-func encodePN(v pnState) []byte {
-	var b wire.Buffer
-	b.PutUvarint(v.P)
-	b.PutUvarint(v.N)
-	return b.Bytes()
-}
-
-func decodePN(b []byte) (pnState, error) {
-	d := wire.NewDecoder(b)
-	v := pnState{P: d.Uvarint(), N: d.Uvarint()}
-	return v, d.Err()
-}
-
-func encodeTP(st tpState) []byte {
-	var b wire.Buffer
-	putStrings(&b, st.Added)
-	putStrings(&b, st.Removed)
-	return b.Bytes()
-}
-
-func decodeTP(b []byte) (tpState, error) {
-	d := wire.NewDecoder(b)
-	st := tpState{Added: getStrings(d), Removed: getStrings(d)}
-	return st, d.Err()
-}
-
-func putStrings(b *wire.Buffer, ss []string) {
-	b.PutUvarint(uint64(len(ss)))
-	for _, s := range ss {
-		b.PutString(s)
-	}
-}
-
-func getStrings(d *wire.Decoder) []string {
-	n := d.Count(1)
-	if n == 0 {
-		return nil
-	}
-	ss := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		ss = append(ss, d.String())
-	}
-	return ss
-}
+var strs = segment.List(segment.String, 1)
 
 // GCounter is a grow-only counter: each segment holds the owner's
 // monotonically non-decreasing contribution; the value is their sum.
-type GCounter struct {
-	obj Object
-	own uint64
-}
+type GCounter struct{ seg *segment.Own[uint64] }
 
 // NewGCounter binds a counter to the node's snapshot object.
-func NewGCounter(obj Object) *GCounter { return &GCounter{obj: obj} }
+func NewGCounter(obj segment.Object) *GCounter {
+	return &GCounter{segment.NewOwn(obj, -1, "crdt", segment.Uvarint)}
+}
 
 // Add increments this node's contribution by delta.
-func (c *GCounter) Add(delta uint64) error {
-	c.own += delta
-	return c.obj.Update(encodeUint(c.own))
-}
+func (c *GCounter) Add(delta uint64) error { return c.seg.Put(c.seg.Last() + delta) }
 
 // Value reads the counter (one SCAN).
 func (c *GCounter) Value() (uint64, error) {
-	snap, err := c.obj.Scan()
+	segs, err := c.seg.Scan()
 	if err != nil {
 		return 0, err
 	}
 	var total uint64
-	for i, seg := range snap {
-		if seg == nil {
-			continue
+	for _, v := range segs {
+		if v != nil {
+			total += *v
 		}
-		v, err := decodeUint(seg)
-		if err != nil {
-			return 0, fmt.Errorf("crdt: segment %d: %w", i, err)
-		}
-		total += v
 	}
 	return total, nil
 }
@@ -121,41 +52,41 @@ func (c *GCounter) Value() (uint64, error) {
 // pnState is a PN-counter segment.
 type pnState struct{ P, N uint64 }
 
-// PNCounter supports increments and decrements (a pair of G-Counters).
-type PNCounter struct {
-	obj Object
-	own pnState
+var pnCodec = segment.Codec[pnState]{
+	Put: func(b *wire.Buffer, v pnState) { b.PutUvarint(v.P); b.PutUvarint(v.N) },
+	Get: func(d *wire.Decoder) pnState { return pnState{P: d.Uvarint(), N: d.Uvarint()} },
 }
 
+// PNCounter supports increments and decrements (a pair of G-Counters).
+type PNCounter struct{ seg *segment.Own[pnState] }
+
 // NewPNCounter binds a counter to the node's snapshot object.
-func NewPNCounter(obj Object) *PNCounter { return &PNCounter{obj: obj} }
+func NewPNCounter(obj segment.Object) *PNCounter {
+	return &PNCounter{segment.NewOwn(obj, -1, "crdt", pnCodec)}
+}
 
 // Add adjusts this node's contribution by delta (which may be negative).
 func (c *PNCounter) Add(delta int64) error {
+	v := c.seg.Last()
 	if delta >= 0 {
-		c.own.P += uint64(delta)
+		v.P += uint64(delta)
 	} else {
-		c.own.N += uint64(-delta)
+		v.N += uint64(-delta)
 	}
-	return c.obj.Update(encodePN(c.own))
+	return c.seg.Put(v)
 }
 
 // Value reads the counter (one SCAN).
 func (c *PNCounter) Value() (int64, error) {
-	snap, err := c.obj.Scan()
+	segs, err := c.seg.Scan()
 	if err != nil {
 		return 0, err
 	}
 	var total int64
-	for i, seg := range snap {
-		if seg == nil {
-			continue
+	for _, v := range segs {
+		if v != nil {
+			total += int64(v.P) - int64(v.N)
 		}
-		v, err := decodePN(seg)
-		if err != nil {
-			return 0, fmt.Errorf("crdt: segment %d: %w", i, err)
-		}
-		total += int64(v.P) - int64(v.N)
 	}
 	return total, nil
 }
@@ -166,23 +97,31 @@ type tpState struct {
 	Removed []string
 }
 
+var tpCodec = segment.Codec[tpState]{
+	Put: func(b *wire.Buffer, st tpState) { strs.Put(b, st.Added); strs.Put(b, st.Removed) },
+	Get: func(d *wire.Decoder) tpState { return tpState{Added: strs.Get(d), Removed: strs.Get(d)} },
+}
+
 // TwoPhaseSet is a set with add and remove, where a removed element can
 // never be re-added (2P-set semantics). Each segment holds the owner's
 // add- and tombstone-sets.
 type TwoPhaseSet struct {
-	obj     Object
+	seg     *segment.Own[tpState]
 	added   map[string]bool
 	removed map[string]bool
 }
 
 // NewTwoPhaseSet binds a set to the node's snapshot object.
-func NewTwoPhaseSet(obj Object) *TwoPhaseSet {
-	return &TwoPhaseSet{obj: obj, added: make(map[string]bool), removed: make(map[string]bool)}
+func NewTwoPhaseSet(obj segment.Object) *TwoPhaseSet {
+	return &TwoPhaseSet{
+		seg:     segment.NewOwn(obj, -1, "crdt", tpCodec),
+		added:   make(map[string]bool),
+		removed: make(map[string]bool),
+	}
 }
 
 func (s *TwoPhaseSet) push() error {
-	st := tpState{Added: keys(s.added), Removed: keys(s.removed)}
-	return s.obj.Update(encodeTP(st))
+	return s.seg.Put(tpState{Added: keys(s.added), Removed: keys(s.removed)})
 }
 
 // Add inserts e into the node's add-set.
@@ -214,19 +153,15 @@ func (s *TwoPhaseSet) Contains(e string) (bool, error) {
 // Elements reads the set (one SCAN): union of add-sets minus union of
 // tombstones, sorted.
 func (s *TwoPhaseSet) Elements() ([]string, error) {
-	snap, err := s.obj.Scan()
+	segs, err := s.seg.Scan()
 	if err != nil {
 		return nil, err
 	}
 	added := make(map[string]bool)
 	removed := make(map[string]bool)
-	for i, seg := range snap {
-		if seg == nil {
+	for _, st := range segs {
+		if st == nil {
 			continue
-		}
-		st, err := decodeTP(seg)
-		if err != nil {
-			return nil, fmt.Errorf("crdt: segment %d: %w", i, err)
 		}
 		for _, e := range st.Added {
 			added[e] = true

@@ -1,8 +1,7 @@
 package crdt
 
 import (
-	"fmt"
-
+	"mpsnap/internal/segment"
 	"mpsnap/internal/wire"
 )
 
@@ -14,18 +13,9 @@ type lwwState struct {
 	Unset bool
 }
 
-func encodeLWW(st lwwState) []byte {
-	var b wire.Buffer
-	b.PutVarint(st.Clock)
-	b.PutBytes(st.Val)
-	b.PutBool(st.Unset)
-	return b.Bytes()
-}
-
-func decodeLWW(b []byte) (lwwState, error) {
-	d := wire.NewDecoder(b)
-	st := lwwState{Clock: d.Varint(), Val: d.Bytes(), Unset: d.Bool()}
-	return st, d.Err()
+var lwwCodec = segment.Codec[lwwState]{
+	Put: func(b *wire.Buffer, st lwwState) { b.PutVarint(st.Clock); b.PutBytes(st.Val); b.PutBool(st.Unset) },
+	Get: func(d *wire.Decoder) lwwState { return lwwState{Clock: d.Varint(), Val: d.Bytes(), Unset: d.Bool()} },
 }
 
 // LWWRegister is a last-writer-wins register: each node's segment holds
@@ -33,34 +23,22 @@ func decodeLWW(b []byte) (lwwState, error) {
 // maximum (clock, node) pair over a SCAN. Over an atomic snapshot the
 // register is linearizable: a Set scans first, so its stamp dominates
 // everything that completed before it.
-type LWWRegister struct {
-	obj    Object
-	id     int
-	clock  int64
-	ownVal []byte
-	ownSet bool
-}
+type LWWRegister struct{ seg *segment.Own[lwwState] }
 
 // NewLWWRegister binds a register to the node's snapshot object; id must
 // be the node's ID.
-func NewLWWRegister(obj Object, id int) *LWWRegister {
-	return &LWWRegister{obj: obj, id: id}
+func NewLWWRegister(obj segment.Object, id int) *LWWRegister {
+	return &LWWRegister{segment.NewOwn(obj, id, "crdt", lwwCodec)}
 }
 
-// Set writes val (one SCAN to advance the clock + one UPDATE).
+// Set writes val (one SCAN to advance the clock + one UPDATE). The scan
+// includes this node's own last write, so the new clock exceeds it.
 func (r *LWWRegister) Set(val []byte) error {
 	_, maxClock, _, err := r.read()
 	if err != nil {
 		return err
 	}
-	if maxClock >= r.clock {
-		r.clock = maxClock + 1
-	} else {
-		r.clock++
-	}
-	r.ownVal = append([]byte(nil), val...)
-	r.ownSet = true
-	return r.obj.Update(encodeLWW(lwwState{Clock: r.clock, Val: r.ownVal}))
+	return r.seg.Put(lwwState{Clock: maxClock + 1, Val: append([]byte(nil), val...)})
 }
 
 // Get reads the register (one SCAN); ok is false while unwritten.
@@ -70,35 +48,18 @@ func (r *LWWRegister) Get() (val []byte, ok bool, err error) {
 }
 
 func (r *LWWRegister) read() (val []byte, maxClock int64, ok bool, err error) {
-	snap, err := r.obj.Scan()
+	segs, err := r.seg.Scan()
 	if err != nil {
 		return nil, 0, false, err
 	}
-	bestNode := -1
-	for i, seg := range snap {
-		if seg == nil {
+	// Ties go to the highest node ID.
+	for _, st := range segs {
+		if st == nil || st.Unset {
 			continue
 		}
-		st, err := decodeLWW(seg)
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("crdt: lww segment %d: %w", i, err)
+		if st.Clock >= maxClock {
+			maxClock, val, ok = st.Clock, st.Val, true
 		}
-		if st.Unset {
-			continue
-		}
-		if st.Clock > maxClock || (st.Clock == maxClock && i > bestNode) {
-			maxClock = st.Clock
-			bestNode = i
-			val = st.Val
-			ok = true
-		}
-	}
-	// This node's own completed write is authoritative if the snapshot
-	// lags it.
-	if r.ownSet && (r.clock > maxClock || (r.clock == maxClock && r.id > bestNode)) {
-		maxClock = r.clock
-		val = r.ownVal
-		ok = true
 	}
 	return val, maxClock, ok, nil
 }

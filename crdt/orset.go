@@ -1,9 +1,9 @@
 package crdt
 
 import (
-	"fmt"
 	"sort"
 
+	"mpsnap/internal/segment"
 	"mpsnap/internal/wire"
 )
 
@@ -18,56 +18,51 @@ type ORTag struct {
 // tags it has removed (of any node's insertions).
 type orState struct {
 	Adds    map[string][]ORTag
-	Removes []ORTag
+	Removes map[ORTag]bool
 }
 
-// encodeOR serializes an OR-set segment deterministically: Adds entries
-// are emitted in sorted element order (Removes is sorted by push).
-func encodeOR(st orState) []byte {
-	var b wire.Buffer
-	elems := make([]string, 0, len(st.Adds))
-	for e := range st.Adds {
-		elems = append(elems, e)
-	}
-	sort.Strings(elems)
-	b.PutUvarint(uint64(len(elems)))
-	for _, e := range elems {
-		b.PutString(e)
-		putTags(&b, st.Adds[e])
-	}
-	putTags(&b, st.Removes)
-	return b.Bytes()
-}
+var tagList = segment.List(segment.Codec[ORTag]{
+	Put: func(b *wire.Buffer, tag ORTag) { b.PutInt(tag.Node); b.PutInt(tag.Ctr) },
+	Get: func(d *wire.Decoder) ORTag { return ORTag{Node: d.Int(), Ctr: d.Int()} },
+}, 2)
 
-func decodeOR(b []byte) (orState, error) {
-	d := wire.NewDecoder(b)
-	st := orState{Adds: make(map[string][]ORTag)}
-	for i, n := 0, d.Count(2); i < n && d.Err() == nil; i++ {
-		e := d.String()
-		st.Adds[e] = getTags(d)
-	}
-	st.Removes = getTags(d)
-	return st, d.Err()
-}
-
-func putTags(b *wire.Buffer, tags []ORTag) {
-	b.PutUvarint(uint64(len(tags)))
-	for _, tag := range tags {
-		b.PutInt(tag.Node)
-		b.PutInt(tag.Ctr)
-	}
-}
-
-func getTags(d *wire.Decoder) []ORTag {
-	n := d.Count(2)
-	if n == 0 {
-		return nil
-	}
-	tags := make([]ORTag, 0, n)
-	for i := 0; i < n; i++ {
-		tags = append(tags, ORTag{Node: d.Int(), Ctr: d.Int()})
-	}
-	return tags
+// orCodec serializes an OR-set segment deterministically: Adds entries in
+// sorted element order, Removes sorted by (Node, Ctr).
+var orCodec = segment.Codec[orState]{
+	Put: func(b *wire.Buffer, st orState) {
+		elems := make([]string, 0, len(st.Adds))
+		for e := range st.Adds {
+			elems = append(elems, e)
+		}
+		sort.Strings(elems)
+		b.PutUvarint(uint64(len(elems)))
+		for _, e := range elems {
+			b.PutString(e)
+			tagList.Put(b, st.Adds[e])
+		}
+		removes := make([]ORTag, 0, len(st.Removes))
+		for tag := range st.Removes {
+			removes = append(removes, tag)
+		}
+		sort.Slice(removes, func(i, j int) bool {
+			if removes[i].Node != removes[j].Node {
+				return removes[i].Node < removes[j].Node
+			}
+			return removes[i].Ctr < removes[j].Ctr
+		})
+		tagList.Put(b, removes)
+	},
+	Get: func(d *wire.Decoder) orState {
+		st := orState{Adds: make(map[string][]ORTag), Removes: make(map[ORTag]bool)}
+		for i, n := 0, d.Count(2); i < n && d.Err() == nil; i++ {
+			e := d.String()
+			st.Adds[e] = tagList.Get(d)
+		}
+		for _, tag := range tagList.Get(d) {
+			st.Removes[tag] = true
+		}
+		return st
+	},
 }
 
 // ORSet is an observed-remove set with add-wins semantics: removing an
@@ -75,41 +70,27 @@ func getTags(d *wire.Decoder) []ORTag {
 // concurrent re-Add survives. Each segment carries the owner's insertions
 // and removals.
 type ORSet struct {
-	obj     Object
-	id      int
-	ctr     int
-	adds    map[string][]ORTag
-	removes map[ORTag]bool
+	seg *segment.Own[orState]
+	id  int
+	ctr int
+	st  orState
 }
 
 // NewORSet binds an OR-set to the node's snapshot object; id must be the
 // node's ID.
-func NewORSet(obj Object, id int) *ORSet {
-	return &ORSet{obj: obj, id: id, adds: make(map[string][]ORTag), removes: make(map[ORTag]bool)}
-}
-
-func (s *ORSet) push() error {
-	st := orState{Adds: make(map[string][]ORTag, len(s.adds))}
-	for e, tags := range s.adds {
-		st.Adds[e] = append([]ORTag(nil), tags...)
+func NewORSet(obj segment.Object, id int) *ORSet {
+	return &ORSet{
+		seg: segment.NewOwn(obj, id, "crdt", orCodec),
+		id:  id,
+		st:  orState{Adds: make(map[string][]ORTag), Removes: make(map[ORTag]bool)},
 	}
-	for tag := range s.removes {
-		st.Removes = append(st.Removes, tag)
-	}
-	sort.Slice(st.Removes, func(i, j int) bool {
-		if st.Removes[i].Node != st.Removes[j].Node {
-			return st.Removes[i].Node < st.Removes[j].Node
-		}
-		return st.Removes[i].Ctr < st.Removes[j].Ctr
-	})
-	return s.obj.Update(encodeOR(st))
 }
 
 // Add inserts e with a fresh tag (one UPDATE).
 func (s *ORSet) Add(e string) error {
 	s.ctr++
-	s.adds[e] = append(s.adds[e], ORTag{Node: s.id, Ctr: s.ctr})
-	return s.push()
+	s.st.Adds[e] = append(s.st.Adds[e], ORTag{Node: s.id, Ctr: s.ctr})
+	return s.seg.Put(s.st)
 }
 
 // Remove deletes e by tombstoning every currently observable insertion of
@@ -121,65 +102,38 @@ func (s *ORSet) Remove(e string) error {
 		return err
 	}
 	for _, tag := range visible[e] {
-		s.removes[tag] = true
+		s.st.Removes[tag] = true
 	}
-	return s.push()
+	return s.seg.Put(s.st)
 }
 
 // collect scans and returns, per element, the insertion tags not yet
 // removed by anyone.
 func (s *ORSet) collect() (map[string][]ORTag, error) {
-	snap, err := s.obj.Scan()
+	segs, err := s.seg.Scan()
 	if err != nil {
 		return nil, err
 	}
 	removed := make(map[ORTag]bool)
-	states := make([]orState, 0, len(snap))
-	for i, seg := range snap {
-		if seg == nil {
-			continue
+	for _, st := range segs {
+		if st != nil {
+			for tag := range st.Removes {
+				removed[tag] = true
+			}
 		}
-		st, err := decodeOR(seg)
-		if err != nil {
-			return nil, fmt.Errorf("crdt: orset segment %d: %w", i, err)
-		}
-		states = append(states, st)
-		for _, tag := range st.Removes {
-			removed[tag] = true
-		}
-	}
-	// The local state is authoritative for this node's own segment (the
-	// snapshot can lag but never lead completed local ops).
-	for tag := range s.removes {
-		removed[tag] = true
 	}
 	visible := make(map[string][]ORTag)
-	add := func(e string, tags []ORTag) {
-		for _, tag := range tags {
-			if !removed[tag] {
-				visible[e] = append(visible[e], tag)
+	for _, st := range segs {
+		if st == nil {
+			continue
+		}
+		for e, ts := range st.Adds {
+			for _, tag := range ts {
+				if !removed[tag] {
+					visible[e] = append(visible[e], tag)
+				}
 			}
 		}
-	}
-	for _, st := range states {
-		for e, tags := range st.Adds {
-			add(e, tags)
-		}
-	}
-	for e, tags := range s.adds {
-		add(e, tags)
-	}
-	// Deduplicate tags contributed twice (own segment + local copy).
-	for e, tags := range visible {
-		seen := make(map[ORTag]bool, len(tags))
-		out := tags[:0]
-		for _, tag := range tags {
-			if !seen[tag] {
-				seen[tag] = true
-				out = append(out, tag)
-			}
-		}
-		visible[e] = out
 	}
 	return visible, nil
 }

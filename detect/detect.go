@@ -4,12 +4,13 @@
 // programs", Section I).
 //
 // Each node continuously publishes its local state (active/passive flag
-// and message counters of the monitored computation) into its snapshot
-// segment. Because a SCAN of an atomic snapshot object is a *consistent*
-// global state, a stable predicate (one that never reverts from true to
-// false, like termination or deadlock) that holds in a scanned state holds
-// forever after — a single scan replaces the double-collect dance of
-// classical detection algorithms.
+// and message counters of the monitored computation) into its segment of
+// the snapshot object (obj is an mpsnap.Object, and it must be atomic: SSO
+// scans are not consistent global states). Because a SCAN of an atomic
+// snapshot object is a *consistent* global state, a stable predicate (one
+// that never reverts from true to false, like termination or deadlock)
+// that holds in a scanned state holds forever after — a single scan
+// replaces the double-collect dance of classical detection algorithms.
 //
 // The canonical instance is termination detection: the computation has
 // terminated exactly when every node is passive and every sent message
@@ -19,15 +20,9 @@ package detect
 import (
 	"fmt"
 
+	"mpsnap/internal/segment"
 	"mpsnap/internal/wire"
 )
-
-// Object is the snapshot object the monitor runs over (mpsnap.Object).
-// It must be atomic: SSO scans are not consistent global states.
-type Object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
 
 // Status is one node's published state of the monitored computation.
 type Status struct {
@@ -37,66 +32,48 @@ type Status struct {
 	Sent, Received int64
 }
 
+var statusCodec = segment.Codec[Status]{
+	Put: func(b *wire.Buffer, s Status) { b.PutBool(s.Active); b.PutVarint(s.Sent); b.PutVarint(s.Received) },
+	Get: func(d *wire.Decoder) Status { return Status{Active: d.Bool(), Sent: d.Varint(), Received: d.Varint()} },
+}
+
 // Monitor is one node's handle: it publishes the local Status and
 // evaluates global predicates.
-type Monitor struct {
-	obj Object
-	id  int
-	cur Status
-}
+type Monitor struct{ seg *segment.Own[Status] }
 
 // New binds node id's monitor to its snapshot object.
-func New(obj Object, id int) *Monitor { return &Monitor{obj: obj, id: id} }
-
-func encodeStatus(s Status) []byte {
-	var b wire.Buffer
-	b.PutBool(s.Active)
-	b.PutVarint(s.Sent)
-	b.PutVarint(s.Received)
-	return b.Bytes()
+func New(obj segment.Object, id int) *Monitor {
+	return &Monitor{segment.NewOwn(obj, id, "detect", statusCodec)}
 }
 
-func decodeStatus(b []byte) (Status, error) {
-	d := wire.NewDecoder(b)
-	s := Status{Active: d.Bool(), Sent: d.Varint(), Received: d.Varint()}
-	return s, d.Err()
-}
-
-// Publish applies mut to the local status and publishes it (one UPDATE).
-// Typical transitions: become active and count a receive; count sends;
-// become passive.
+// Publish applies mut to a copy of the local status and publishes it (one
+// UPDATE). Typical transitions: become active and count a receive; count
+// sends; become passive. A status with a negative counter is rejected
+// and leaves the local status as it was.
 func (m *Monitor) Publish(mut func(*Status)) error {
-	mut(&m.cur)
-	if m.cur.Sent < 0 || m.cur.Received < 0 {
-		return fmt.Errorf("detect: negative counters %+v", m.cur)
+	st := m.seg.Last()
+	mut(&st)
+	if st.Sent < 0 || st.Received < 0 {
+		return fmt.Errorf("detect: negative counters %+v", st)
 	}
-	return m.obj.Update(encodeStatus(m.cur))
+	return m.seg.Put(st)
 }
 
 // Local returns the local (published) status.
-func (m *Monitor) Local() Status { return m.cur }
+func (m *Monitor) Local() Status { return m.seg.Last() }
 
 // Snapshot scans and decodes every node's status. Nodes that never
 // published are zero-valued (passive, no traffic).
 func (m *Monitor) Snapshot() ([]Status, error) {
-	snap, err := m.obj.Scan()
+	segs, err := m.seg.Scan()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Status, len(snap))
-	for i, seg := range snap {
-		if seg == nil {
-			continue
+	out := make([]Status, len(segs))
+	for i, st := range segs {
+		if st != nil {
+			out[i] = *st
 		}
-		st, err := decodeStatus(seg)
-		if err != nil {
-			return nil, fmt.Errorf("detect: segment %d: %w", i, err)
-		}
-		out[i] = st
-	}
-	// Own completed publishes are authoritative if the snapshot lags.
-	if m.cur != (Status{}) {
-		out[m.id] = m.cur
 	}
 	return out, nil
 }

@@ -21,22 +21,20 @@ import (
 
 	"mpsnap/internal/core"
 	"mpsnap/internal/rt"
+	"mpsnap/internal/segment"
 	"mpsnap/internal/wal"
 )
 
 // Engine is the client+server face of one snapshot-object node: the
 // message handler driven by the server thread plus the Update/Scan
-// operations driven by the node's single client thread. Construct it on a
+// operations driven by the node's single client thread. Scan returns an
+// atomic snapshot of all n segments; for Sequential engines it is
+// sequentially consistent rather than linearizable. Construct it on a
 // runtime via Info.New (or Info.Recover) and install it as the node's
 // handler before operating on it.
 type Engine interface {
 	rt.Handler
-	// Update writes payload into this node's own segment.
-	Update(payload []byte) error
-	// Scan returns an atomic snapshot of all n segments (nil = never
-	// written). For Sequential engines the snapshot is sequentially
-	// consistent rather than linearizable.
-	Scan() ([][]byte, error)
+	segment.Object
 }
 
 // Observable is implemented by engines that emit operation lifecycle

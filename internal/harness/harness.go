@@ -10,17 +10,13 @@ import (
 
 	"mpsnap/internal/history"
 	"mpsnap/internal/rt"
+	"mpsnap/internal/segment"
 	"mpsnap/internal/sim"
 )
 
 // Object is the client interface every snapshot object in this repository
 // implements (EQ-ASO, SSO, Byzantine ASO, and all baselines).
-type Object interface {
-	// Update writes payload to the caller's segment.
-	Update(payload []byte) error
-	// Scan returns one entry per segment; nil marks ⊥.
-	Scan() ([][]byte, error)
-}
+type Object = segment.Object
 
 // Cluster is a simulated deployment of one snapshot object.
 type Cluster struct {

@@ -57,16 +57,12 @@ import (
 
 	"mpsnap/internal/engine"
 	"mpsnap/internal/rt"
+	"mpsnap/internal/segment"
 )
 
-// Object is the client face of a snapshot object (same contract as
-// harness.Object: EQ-ASO, SSO, Byz-ASO and all baselines implement it).
-type Object interface {
-	// Update writes payload to this node's segment.
-	Update(payload []byte) error
-	// Scan returns one entry per segment; nil marks ⊥.
-	Scan() ([][]byte, error)
-}
+// Object is the client face of a snapshot object (EQ-ASO, SSO, Byz-ASO
+// and all baselines implement it).
+type Object = segment.Object
 
 // BatchObject is an Object with a batch-friendly UPDATE entry point: all
 // payloads commit with one protocol round sequence (EQ-ASO and the SSO

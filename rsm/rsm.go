@@ -7,11 +7,12 @@
 // Commutative-command replication needs no consensus (see package
 // statemachine); a *totally ordered* log does. Each log slot is decided
 // by randomized binary consensus sweeps over the snapshot: candidates
-// (nodes) are considered in order, and a Ben-Or-style instance decides
+// (nodes) are considered in order, and a consensus.Instance decides
 // whether the candidate's next uncommitted proposal wins the slot. All
 // consensus state — proposals, per-instance phase records, and decided
 // slots — lives in the proposer's own snapshot segment, so the whole
-// construction is a single snapshot object underneath.
+// construction is a single snapshot object underneath (obj is an
+// mpsnap.Object; it must be an ASO).
 //
 // Safety (total order, no loss, no duplication, per-node FIFO) is
 // deterministic; termination of Append holds with probability 1 (local
@@ -22,18 +23,15 @@ package rsm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
+	"mpsnap/consensus"
+	"mpsnap/internal/segment"
 	"mpsnap/internal/wire"
 )
-
-// Object is the atomic snapshot object the log runs over (mpsnap.Object;
-// must be an ASO).
-type Object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
 
 // Config parameterizes a log replica.
 type Config struct {
@@ -55,93 +53,73 @@ type Entry struct {
 	Cmd []byte
 }
 
-// phaseRecord mirrors consensus: a report and a proposal per phase.
-type phaseRecord struct {
-	Report   int
-	Proposal int // 0, 1, -1 (⊥), -2 unset
+// state is a node's full published segment.
+type state struct {
+	Proposals [][]byte                      // the node's commands, in append order
+	Phases    map[string][]consensus.Record // consensus records per instance key
+	Decisions map[int]int                   // slot -> winning candidate (node id)
 }
 
-// segment is a node's full published state.
-type segment struct {
-	Proposals [][]byte                 // the node's commands, in append order
-	Phases    map[string][]phaseRecord // consensus state per instance key
-	Decisions map[int]int              // slot -> winning candidate (node id)
-}
+var proposals = segment.List(segment.Bytes, 1)
 
-// encodeSegment serializes a segment deterministically: map entries are
+// stateCodec serializes a segment deterministically: map entries are
 // emitted in sorted key order, so equal segments encode to equal bytes.
-func encodeSegment(s segment) []byte {
-	var b wire.Buffer
-	b.PutUvarint(uint64(len(s.Proposals)))
-	for _, p := range s.Proposals {
-		b.PutBytes(p)
-	}
-	keys := make([]string, 0, len(s.Phases))
-	for k := range s.Phases {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b.PutUvarint(uint64(len(keys)))
-	for _, k := range keys {
-		b.PutString(k)
-		recs := s.Phases[k]
-		b.PutUvarint(uint64(len(recs)))
-		for _, pr := range recs {
-			b.PutVarint(int64(pr.Report))
-			b.PutVarint(int64(pr.Proposal))
+var stateCodec = segment.Codec[state]{
+	Put: func(b *wire.Buffer, s state) {
+		proposals.Put(b, s.Proposals)
+		keys := make([]string, 0, len(s.Phases))
+		for k := range s.Phases {
+			keys = append(keys, k)
 		}
-	}
-	slots := make([]int, 0, len(s.Decisions))
-	for slot := range s.Decisions {
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-	b.PutUvarint(uint64(len(slots)))
-	for _, slot := range slots {
-		b.PutInt(slot)
-		b.PutInt(s.Decisions[slot])
-	}
-	return b.Bytes()
+		sort.Strings(keys)
+		b.PutUvarint(uint64(len(keys)))
+		for _, k := range keys {
+			b.PutString(k)
+			consensus.Records.Put(b, s.Phases[k])
+		}
+		slots := make([]int, 0, len(s.Decisions))
+		for slot := range s.Decisions {
+			slots = append(slots, slot)
+		}
+		sort.Ints(slots)
+		b.PutUvarint(uint64(len(slots)))
+		for _, slot := range slots {
+			b.PutInt(slot)
+			b.PutInt(s.Decisions[slot])
+		}
+	},
+	Get: func(d *wire.Decoder) state {
+		s := newState()
+		s.Proposals = proposals.Get(d)
+		for i, n := 0, d.Count(2); i < n && d.Err() == nil; i++ {
+			k := d.String()
+			s.Phases[k] = consensus.Records.Get(d)
+		}
+		for i, n := 0, d.Count(2); i < n && d.Err() == nil; i++ {
+			slot := d.Int()
+			s.Decisions[slot] = d.Int()
+		}
+		return s
+	},
 }
 
-func decodeSegment(b []byte) (segment, error) {
-	d := wire.NewDecoder(b)
-	s := segment{
-		Phases:    make(map[string][]phaseRecord),
-		Decisions: make(map[int]int),
-	}
-	for i, n := 0, d.Count(1); i < n; i++ {
-		s.Proposals = append(s.Proposals, d.Bytes())
-	}
-	for i, n := 0, d.Count(2); i < n && d.Err() == nil; i++ {
-		k := d.String()
-		nr := d.Count(2)
-		recs := make([]phaseRecord, 0, nr)
-		for j := 0; j < nr; j++ {
-			recs = append(recs, phaseRecord{Report: d.Int(), Proposal: d.Int()})
-		}
-		s.Phases[k] = recs
-	}
-	for i, n := 0, d.Count(2); i < n && d.Err() == nil; i++ {
-		slot := d.Int()
-		s.Decisions[slot] = d.Int()
-	}
-	return s, d.Err()
+func newState() state {
+	return state{Phases: make(map[string][]consensus.Record), Decisions: make(map[int]int)}
 }
 
 // Log is one node's replica handle.
 type Log struct {
-	obj Object
+	seg *segment.Own[state]
 	id  int
 	cfg Config
 
-	seg       segment
+	st        state
 	decisions map[int]int // local cache of slot -> candidate
 	committed []Entry     // decided prefix
 }
 
 // New creates node id's replica.
-func New(obj Object, id int, cfg Config) (*Log, error) {
+func New(obj segment.Object, id int, cfg Config) (*Log, error) {
 	if cfg.N <= 2*cfg.F || cfg.N <= 0 {
 		return nil, fmt.Errorf("rsm: need n > 2f, got n=%d f=%d", cfg.N, cfg.F)
 	}
@@ -152,42 +130,29 @@ func New(obj Object, id int, cfg Config) (*Log, error) {
 		cfg.MaxSweeps = 10000
 	}
 	return &Log{
-		obj: obj,
-		id:  id,
-		cfg: cfg,
-		seg: segment{
-			Phases:    make(map[string][]phaseRecord),
-			Decisions: make(map[int]int),
-		},
+		seg:       segment.NewOwn(obj, id, "rsm", stateCodec),
+		id:        id,
+		cfg:       cfg,
+		st:        newState(),
 		decisions: make(map[int]int),
 	}, nil
 }
 
-func (l *Log) publish() error { return l.obj.Update(encodeSegment(l.seg)) }
+func (l *Log) publish() error { return l.seg.Put(l.st) }
 
 // scan decodes all segments (nil for unwritten ones) and folds any newly
 // visible decisions into the local cache.
-func (l *Log) scan() ([]*segment, error) {
-	snap, err := l.obj.Scan()
+func (l *Log) scan() ([]*state, error) {
+	segs, err := l.seg.Scan()
 	if err != nil {
 		return nil, err
 	}
-	segs := make([]*segment, len(snap))
-	for i, raw := range snap {
-		if raw == nil {
-			continue
+	for _, s := range segs {
+		if s != nil {
+			for slot, cand := range s.Decisions {
+				l.decisions[slot] = cand
+			}
 		}
-		s, err := decodeSegment(raw)
-		if err != nil {
-			return nil, fmt.Errorf("rsm: segment %d: %w", i, err)
-		}
-		segs[i] = &s
-		for slot, cand := range s.Decisions {
-			l.decisions[slot] = cand
-		}
-	}
-	if segs[l.id] == nil || len(segs[l.id].Proposals) < len(l.seg.Proposals) {
-		segs[l.id] = &l.seg // own completed publishes are authoritative
 	}
 	return segs, nil
 }
@@ -195,8 +160,8 @@ func (l *Log) scan() ([]*segment, error) {
 // Append submits cmd and blocks until it is committed, returning its log
 // entry. At most one Append per node at a time (sequential nodes).
 func (l *Log) Append(cmd []byte) (Entry, error) {
-	l.seg.Proposals = append(l.seg.Proposals, append([]byte(nil), cmd...))
-	mySeq := len(l.seg.Proposals) // 1-based
+	l.st.Proposals = append(l.st.Proposals, append([]byte(nil), cmd...))
+	mySeq := len(l.st.Proposals) // 1-based
 	if err := l.publish(); err != nil {
 		return Entry{}, err
 	}
@@ -296,7 +261,7 @@ func (l *Log) commitSlot(slot int) (Entry, error) {
 				return l.applyChecked(slot, dec, segs)
 			}
 			if win == 1 {
-				l.seg.Decisions[slot] = cand
+				l.st.Decisions[slot] = cand
 				l.decisions[slot] = cand
 				if err := l.publish(); err != nil {
 					return Entry{}, err
@@ -331,7 +296,7 @@ func (l *Log) pendingIndex(cand int) int {
 	return k
 }
 
-func (l *Log) applyChecked(slot, cand int, segs []*segment) (Entry, error) {
+func (l *Log) applyChecked(slot, cand int, segs []*state) (Entry, error) {
 	if segs[cand] == nil || len(segs[cand].Proposals) <= l.pendingIndex(cand) {
 		// The winner's proposal must be visible: consensus validity
 		// means someone saw it, and our scan follows the deciding scan
@@ -351,7 +316,7 @@ func (l *Log) applyChecked(slot, cand int, segs []*segment) (Entry, error) {
 	return l.apply(slot, cand, segs), nil
 }
 
-func (l *Log) apply(slot, cand int, segs []*segment) Entry {
+func (l *Log) apply(slot, cand int, segs []*state) Entry {
 	idx := l.pendingIndex(cand)
 	e := Entry{
 		Slot: slot,
@@ -363,103 +328,40 @@ func (l *Log) apply(slot, cand int, segs []*segment) Entry {
 	// The slot's consensus instances are settled; drop their phase
 	// records so segments stay proportional to in-flight slots.
 	prefix := fmt.Sprintf("%d/", slot)
-	for key := range l.seg.Phases {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			delete(l.seg.Phases, key)
+	for key := range l.st.Phases {
+		if strings.HasPrefix(key, prefix) {
+			delete(l.st.Phases, key)
 		}
 	}
 	return e
 }
 
-// binaryConsensus is Ben-Or over the embedded per-key phase records (the
-// same protocol as package consensus, namespaced so unboundedly many
-// instances share one snapshot object). A published slot decision acts as
-// an early exit: callers check l.decisions after each call.
+// binaryConsensus runs one consensus.Instance whose records live under key
+// in every node's segment, so unboundedly many instances share one
+// snapshot object. A published slot decision stops it: callers check
+// l.decisions after each call.
 func (l *Log) binaryConsensus(key string, bit, slot int) (int, error) {
-	pref := bit
-	for phase := 0; ; phase++ {
-		// Report step.
-		l.seg.Phases[key] = append(l.seg.Phases[key], phaseRecord{Report: pref, Proposal: -2})
-		if err := l.publish(); err != nil {
-			return 0, err
-		}
-		reports, done, err := l.collect(key, phase, slot, func(pr phaseRecord) (int, bool) { return pr.Report, true })
-		if err != nil {
-			return 0, err
-		}
-		if done {
-			return 0, nil // slot decided elsewhere; value unused
-		}
-		proposal := -1
-		for v := 0; v <= 1; v++ {
-			if reports[v] > l.cfg.N/2 {
-				proposal = v
+	in := consensus.Instance{N: l.cfg.N, F: l.cfg.F, Rand: l.cfg.Rand,
+		Publish: func(mine []consensus.Record) error {
+			l.st.Phases[key] = mine
+			return l.publish()
+		},
+		Collect: func() ([][]consensus.Record, bool, error) {
+			segs, err := l.scan()
+			if err != nil {
+				return nil, false, err
 			}
-		}
-		// Proposal step.
-		l.seg.Phases[key][phase].Proposal = proposal
-		if err := l.publish(); err != nil {
-			return 0, err
-		}
-		proposals, done, err := l.collect(key, phase, slot, func(pr phaseRecord) (int, bool) {
-			if pr.Proposal == -2 {
-				return 0, false
+			if _, ok := l.decisions[slot]; ok {
+				return nil, true, nil
 			}
-			return pr.Proposal, true
-		})
-		if err != nil {
-			return 0, err
-		}
-		if done {
-			return 0, nil
-		}
-		switch {
-		case proposals[0] >= l.cfg.F+1:
-			return 0, nil
-		case proposals[1] >= l.cfg.F+1:
-			return 1, nil
-		case proposals[0] > 0:
-			pref = 0
-		case proposals[1] > 0:
-			pref = 1
-		default:
-			pref = l.cfg.Rand.Intn(2)
-		}
+			recs := make([][]consensus.Record, len(segs))
+			for i, s := range segs {
+				if s != nil {
+					recs[i] = s.Phases[key]
+				}
+			}
+			return recs, false, nil
+		},
 	}
-}
-
-// collect scans until n-f phase entries for key are visible, or the slot's
-// decision appears (done=true).
-func (l *Log) collect(key string, phase, slot int, get func(phaseRecord) (int, bool)) ([2]int, bool, error) {
-	for {
-		segs, err := l.scan()
-		if err != nil {
-			return [2]int{}, false, err
-		}
-		if _, ok := l.decisions[slot]; ok {
-			return [2]int{}, true, nil
-		}
-		var counts [2]int
-		seen := 0
-		for _, s := range segs {
-			if s == nil {
-				continue
-			}
-			recs := s.Phases[key]
-			if phase >= len(recs) {
-				continue
-			}
-			v, ok := get(recs[phase])
-			if !ok {
-				continue
-			}
-			seen++
-			if v == 0 || v == 1 {
-				counts[v]++
-			}
-		}
-		if seen >= l.cfg.N-l.cfg.F {
-			return counts, false, nil
-		}
-	}
+	return in.Run(bit, math.MaxInt)
 }

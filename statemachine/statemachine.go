@@ -1,24 +1,14 @@
 // Package statemachine implements the update-query state machine of
 // Faleiro et al. (reference [23]), another of the paper's motivating
 // applications. Updates are commutative commands appended to the calling
-// node's segment (its command log); queries fold a SCAN of all logs in a
-// deterministic order. Because commands commute, any linearization of the
-// per-node logs yields the same state, so an atomic snapshot suffices —
-// no consensus required.
+// node's segment (its command log) of the snapshot object (obj is an
+// mpsnap.Object); queries fold a SCAN of all logs in a deterministic
+// order. Because commands commute, any linearization of the per-node logs
+// yields the same state, so an atomic snapshot suffices — no consensus
+// required.
 package statemachine
 
-import (
-	"fmt"
-	"sort"
-
-	"mpsnap/internal/wire"
-)
-
-// Object is the snapshot object the machine runs over (mpsnap.Object).
-type Object interface {
-	Update(payload []byte) error
-	Scan() ([][]byte, error)
-}
+import "mpsnap/internal/segment"
 
 // Command is one applied command with its origin.
 type Command struct {
@@ -29,69 +19,36 @@ type Command struct {
 
 // Machine is one node's handle on the replicated update-query machine.
 type Machine struct {
-	obj Object
-	id  int
-	log [][]byte // this node's commands, in program order
+	seg *segment.Own[[][]byte] // this node's commands, in program order
 }
 
 // New binds node id's machine to its snapshot object.
-func New(obj Object, id int) *Machine { return &Machine{obj: obj, id: id} }
-
-func encodeLog(log [][]byte) []byte {
-	var b wire.Buffer
-	b.PutUvarint(uint64(len(log)))
-	for _, op := range log {
-		b.PutBytes(op)
-	}
-	return b.Bytes()
-}
-
-func decodeLog(b []byte) ([][]byte, error) {
-	d := wire.NewDecoder(b)
-	n := d.Count(1)
-	var log [][]byte
-	for i := 0; i < n; i++ {
-		log = append(log, d.Bytes())
-	}
-	return log, d.Err()
+func New(obj segment.Object, id int) *Machine {
+	return &Machine{segment.NewOwn(obj, id, "statemachine", segment.List(segment.Bytes, 1))}
 }
 
 // Apply appends a (commutative) command to this node's log (one UPDATE).
 func (m *Machine) Apply(op []byte) error {
-	m.log = append(m.log, append([]byte(nil), op...))
-	return m.obj.Update(encodeLog(m.log))
+	return m.seg.Put(append(m.seg.Last(), append([]byte(nil), op...)))
 }
 
 // Query scans all logs and returns every command in a deterministic
 // order: by (node, per-node sequence). Callers fold the commands into
 // their state; since commands commute, the fold is well-defined.
 func (m *Machine) Query() ([]Command, error) {
-	snap, err := m.obj.Scan()
+	logs, err := m.seg.Scan()
 	if err != nil {
 		return nil, err
 	}
 	var out []Command
-	for node, seg := range snap {
-		log := [][]byte(nil)
-		if seg != nil {
-			log, err = decodeLog(seg)
-			if err != nil {
-				return nil, fmt.Errorf("statemachine: segment %d: %w", node, err)
-			}
+	for node, log := range logs {
+		if log == nil {
+			continue
 		}
-		if node == m.id && len(m.log) > len(log) {
-			log = m.log // own completed commands are authoritative
-		}
-		for s, op := range log {
+		for s, op := range *log {
 			out = append(out, Command{Node: node, Seq: s + 1, Op: op})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Seq < out[j].Seq
-	})
 	return out, nil
 }
 
