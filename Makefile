@@ -64,8 +64,8 @@ test-svc:
 test-recovery:
 	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential|Straggler|Sync|Vouch|Seed' ./internal/chaos/ ./internal/wal/ ./internal/core/ ./internal/eqaso/ ./internal/cluster/
 
-# Sharded-cluster matrix under the race detector: routing, shard-map
-# races, and validated cross-shard cuts on the sim and chan backends
+# Sharded-cluster matrix under the race detector: routing, refusals,
+# and validated cross-shard cuts on the sim and chan backends
 # (TestRunChanSeeds covers 4 seeds with per-shard fault schedules), plus
 # whole-shard crash+recover and whole-shard partition episodes, each
 # shard a 3-node cluster under a one-of-each fault mix with a restart.

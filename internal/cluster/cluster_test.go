@@ -204,84 +204,3 @@ func TestValidatorRejectsInjectedInconsistency(t *testing.T) {
 		t.Errorf("misplaced key not flagged")
 	}
 }
-
-// TestShardMapVersionRace splits a 1-shard map into 2 shards while a
-// client still holds v1: the client's stale write is rejected with the
-// newer map piggybacked, adopted, and re-routed under v2.
-func TestShardMapVersionRace(t *testing.T) {
-	v1 := ShardMap{Version: 1, VNodes: DefaultVNodes, F: 1, Members: [][]int{{0, 1, 2}}}
-	v2 := ShardMap{Version: 2, VNodes: DefaultVNodes, F: 1, Members: [][]int{{0, 1, 2}, {3, 4, 5}}}
-	total := 6
-	w := sim.New(sim.Config{N: total, F: 1, Seed: 11})
-	nodes := make([]*Node, total)
-	for id := 0; id < total; id++ {
-		nd, err := NewNode(w.Runtime(id), Config{
-			Map:       v1,
-			Provision: []ShardMap{v2},
-			NewEngine: func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
-				e := engine.MustLookup("eqaso").New(r)
-				return e, e
-			},
-		})
-		if err != nil {
-			t.Fatalf("NewNode(%d): %v", id, err)
-		}
-		nodes[id] = nd
-		w.SetHandler(id, nd.Handler())
-	}
-	for id := 0; id < total; id++ {
-		id := id
-		for si, s := range nodes[id].Services() {
-			s := s
-			w.GoNode(fmt.Sprintf("svc-%d.%d", id, si), id, func(p *sim.Proc) { _ = s.Serve() })
-		}
-	}
-
-	// A key that moves to shard 1 under v2.
-	r2 := v2.Ring()
-	var key string
-	for i := 0; ; i++ {
-		key = fmt.Sprintf("moved/k%d", i)
-		if r2.ShardFor(key) == 1 {
-			break
-		}
-	}
-
-	w.GoNode("client", 3, func(p *sim.Proc) {
-		// Servers of shard 0 adopt the split; client node 3 still holds v1.
-		for id := 0; id < 3; id++ {
-			if ok, err := nodes[id].InstallMap(v2); err != nil || !ok {
-				t.Errorf("InstallMap on %d: ok=%v err=%v", id, ok, err)
-			}
-		}
-		if got := nodes[3].Map().Version; got != 1 {
-			t.Fatalf("client map version = %d, want 1", got)
-		}
-		// The stale write routes to shard 0 (v1 has only shard 0), gets a
-		// StaleMap rejection carrying v2, adopts it, and lands on shard 1
-		// — which node 3 owns, so it commits through the local fast path.
-		if err := nodes[3].Update(key, []byte("val")); err != nil {
-			t.Fatalf("update: %v", err)
-		}
-		if got := nodes[3].Map().Version; got != 2 {
-			t.Errorf("client map version after update = %d, want 2 (adopted from rejection)", got)
-		}
-		vals, err := nodes[3].Scan(key)
-		if err != nil {
-			t.Fatalf("scan: %v", err)
-		}
-		found := false
-		for _, v := range vals {
-			if bytes.Equal(v, []byte("val")) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("value not found on shard 1 after re-route: %q", vals)
-		}
-	})
-	closeAll(w, nodes, 400*rt.TicksPerD)
-	if err := w.Run(); err != nil {
-		t.Fatalf("sim: %v", err)
-	}
-}

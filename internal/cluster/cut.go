@@ -96,8 +96,7 @@ func (c *Cut) Skew() rt.Ticks {
 // sorted by svc.MergeKeys), so two dumps of equal cuts are byte-equal.
 func (c *Cut) DumpString() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "cut frontier=%d map=v%d shards=%d rounds=%d\n",
-		c.Frontier, c.Map.Version, len(c.Shards), c.Rounds)
+	fmt.Fprintf(&sb, "cut frontier=%d shards=%d rounds=%d\n", c.Frontier, len(c.Shards), c.Rounds)
 	for s, sc := range c.Shards {
 		fmt.Fprintf(&sb, "shard %d scan=[%d,%d] pending=%d rounds=%d\n",
 			s, sc.ScanStart, sc.ScanEnd, sc.Pending, sc.Rounds)
@@ -139,14 +138,14 @@ func bestMarks(segments [][]byte) map[string]Mark {
 // two shards' linearization points — use GlobalScanClosed for a
 // validated, repaired cut.
 func (n *Node) GlobalScan() (*Cut, error) {
-	m := n.Map()
+	m := n.cfg.Map
 	frontier := n.rtm.Now()
 	cut := &Cut{Frontier: frontier, Map: m, Shards: make([]ShardCut, m.Shards()), Rounds: 1}
 	targets := make([]int, m.Shards())
 	for s := range targets {
 		targets[s] = s
 	}
-	if err := n.scanShards(m, frontier, targets, cut.Shards); err != nil {
+	if err := n.scanShards(frontier, targets, cut.Shards); err != nil {
 		return nil, err
 	}
 	return cut, nil
@@ -178,7 +177,7 @@ func (n *Node) GlobalScanClosed() (*Cut, error) {
 		for _, s := range missing {
 			prev[s] = cut.Shards[s].Rounds
 		}
-		if err := n.scanShards(cut.Map, cut.Frontier, missing, cut.Shards); err != nil {
+		if err := n.scanShards(cut.Frontier, missing, cut.Shards); err != nil {
 			return cut, err
 		}
 		for _, s := range missing {
@@ -195,33 +194,29 @@ func (n *Node) GlobalScanClosed() (*Cut, error) {
 // scanShards scans the target shards at the given frontier in parallel,
 // writing results into out (indexed by shard). An owned shard's scan is
 // admitted like a routed one, its answer filling the same kind of slot a
-// remote MsgCutResp fills. Unresponsive contacts are suspected and the
-// shard retried on another member; a stale-map rejection aborts the cut
-// (placement moved under it).
-func (n *Node) scanShards(m ShardMap, frontier rt.Ticks, targets []int, out []ShardCut) error {
+// remote MsgCutResp fills. Unresponsive or refusing contacts are retried
+// on another member (an unresponsive one is suspected).
+func (n *Node) scanShards(frontier rt.Ticks, targets []int, out []ShardCut) error {
 	remaining := targets
-	for attempt := 0; len(remaining) > 0 && attempt < n.maxAttempts(m); attempt++ {
+	for attempt := 0; len(remaining) > 0 && attempt < n.attempts; attempt++ {
 		calls := make([]*pendingCall, len(remaining))
 		contacts := make([]int, len(remaining))
 		for i, s := range remaining {
-			n.rtm.Atomic(func() {
-				if n.owned[s] == nil {
-					return
-				}
+			if n.owned[s] != nil {
 				pc := &pendingCall{}
 				calls[i], contacts[i] = pc, -1
-				n.admit(s, m.Version, nil, func(r MsgCutResp) {
-					r.Frontier = frontier
-					pc.fill(r)
+				n.rtm.Atomic(func() {
+					n.admit(s, nil, func(r MsgCutResp) {
+						r.Frontier = frontier
+						pc.fill(r)
+					})
 				})
-			})
-			if calls[i] != nil {
 				continue
 			}
-			contacts[i] = n.pickContact(m, s, attempt)
+			contacts[i] = n.pickContact(s, attempt)
 			var msg rt.Message
 			calls[i], msg = n.beginCall(func(req uint64) rt.Message {
-				return MsgCutReq{Req: req, MapVer: m.Version, Shard: s, Frontier: frontier}
+				return MsgCutReq{Req: req, Shard: s, Frontier: frontier}
 			})
 			n.cl.Send(contacts[i], msg)
 		}
@@ -243,8 +238,6 @@ func (n *Node) scanShards(m ShardMap, frontier rt.Ticks, targets []int, out []Sh
 					ScanStart: resp.ScanStart, ScanEnd: resp.ScanEnd,
 					Pending: resp.Pending, Segments: resp.Segments, Rounds: 1,
 				}
-			case resp.Status == StatusStaleMap:
-				return fmt.Errorf("cluster: shard map changed during cut (had v%d)", m.Version)
 			default:
 				retry = append(retry, s)
 			}

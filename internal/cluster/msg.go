@@ -11,17 +11,12 @@ import (
 const (
 	// StatusOK: the request was served.
 	StatusOK byte = iota
-	// StatusStaleMap: the request's MapVer is older than the responder's
-	// shard map; the response carries the newer map, and the client must
-	// re-route under it.
+	// StatusStaleMap is inert, kept for the frozen benchmark/ (ROADMAP
+	// item 1): the shard map is fixed, so no node sends it.
 	StatusStaleMap
-	// StatusWrongShard: the named shard is not hosted by the responder
-	// under the responder's (same-version) map — a placement bug, or a
-	// racing map the responder has not adopted yet. Clients refetch.
-	StatusWrongShard
-	// StatusErr: the contact could not serve the operation — the shard
-	// engine failed it, or its service queue is full, draining for
-	// shutdown or dead. Clients try the next member.
+	// StatusErr: the contact could not serve the operation — it does not
+	// host the shard, the shard engine failed it, or its service queue is
+	// full, draining for shutdown or dead. Clients try the next member.
 	StatusErr
 )
 
@@ -40,11 +35,10 @@ const (
 
 // MsgUpdateReq routes one keyed UPDATE to a member of the owning shard.
 type MsgUpdateReq struct {
-	Req    uint64 // caller-local request ID, echoed by the response
-	MapVer uint64 // shard-map version the caller routed under
-	Shard  int    // owning shard under that map
-	Key    string
-	Val    []byte
+	Req   uint64 // caller-local request ID, echoed by the response
+	Shard int    // the key's owning shard
+	Key   string
+	Val   []byte
 }
 
 // Kind implements rt.Message.
@@ -54,7 +48,6 @@ func (MsgUpdateReq) Kind() string { return "cl.updateReq" }
 type MsgUpdateResp struct {
 	Req    uint64
 	Status byte
-	Map    ShardMap // the newer map, when Status == StatusStaleMap
 }
 
 // Kind implements rt.Message.
@@ -62,10 +55,9 @@ func (MsgUpdateResp) Kind() string { return "cl.updateResp" }
 
 // MsgScanReq routes one keyed SCAN to a member of the owning shard.
 type MsgScanReq struct {
-	Req    uint64
-	MapVer uint64
-	Shard  int
-	Key    string
+	Req   uint64
+	Shard int
+	Key   string
 }
 
 // Kind implements rt.Message.
@@ -77,7 +69,6 @@ func (MsgScanReq) Kind() string { return "cl.scanReq" }
 type MsgScanResp struct {
 	Req    uint64
 	Status byte
-	Map    ShardMap
 	Vals   [][]byte
 }
 
@@ -90,7 +81,6 @@ func (MsgScanResp) Kind() string { return "cl.scanResp" }
 // which is after the coordinator recorded Frontier).
 type MsgCutReq struct {
 	Req      uint64
-	MapVer   uint64
 	Shard    int
 	Frontier rt.Ticks
 }
@@ -105,7 +95,6 @@ func (MsgCutReq) Kind() string { return "cl.cutReq" }
 type MsgCutResp struct {
 	Req       uint64
 	Status    byte
-	Map       ShardMap
 	Shard     int
 	Frontier  rt.Ticks
 	ScanStart rt.Ticks
@@ -116,36 +105,6 @@ type MsgCutResp struct {
 
 // Kind implements rt.Message.
 func (MsgCutResp) Kind() string { return "cl.cutResp" }
-
-func encodeMap(b *wire.Buffer, m ShardMap) {
-	b.PutUvarint(m.Version)
-	b.PutInt(m.VNodes)
-	b.PutInt(m.F)
-	b.PutUvarint(uint64(len(m.Members)))
-	for _, ms := range m.Members {
-		b.PutUvarint(uint64(len(ms)))
-		for _, id := range ms {
-			b.PutInt(id)
-		}
-	}
-}
-
-func decodeMap(d *wire.Decoder) ShardMap {
-	var m ShardMap
-	m.Version = d.Uvarint()
-	m.VNodes = d.Int()
-	m.F = d.Int()
-	shards := d.Count(1)
-	for s := 0; s < shards; s++ {
-		n := d.Count(1)
-		ms := make([]int, 0, n)
-		for l := 0; l < n; l++ {
-			ms = append(ms, d.Int())
-		}
-		m.Members = append(m.Members, ms)
-	}
-	return m
-}
 
 // encodeSegs writes a per-member payload vector, preserving nil (⊥) vs
 // present via an explicit flag (a present-but-empty payload stays
@@ -180,22 +139,6 @@ func decodeSegs(d *wire.Decoder) [][]byte {
 	return out
 }
 
-func genMap(rng *rand.Rand) ShardMap {
-	m := ShardMap{Version: uint64(rng.Intn(8) + 1), VNodes: rng.Intn(16) + 1, F: rng.Intn(2)}
-	shards := rng.Intn(3) + 1
-	next := 0
-	for s := 0; s < shards; s++ {
-		n := rng.Intn(3) + 1
-		ms := make([]int, 0, n)
-		for l := 0; l < n; l++ {
-			ms = append(ms, next)
-			next++
-		}
-		m.Members = append(m.Members, ms)
-	}
-	return m
-}
-
 func genSegs(rng *rand.Rand) [][]byte {
 	n := rng.Intn(4)
 	if n == 0 {
@@ -220,19 +163,18 @@ func init() {
 		Encode: func(b *wire.Buffer, m rt.Message) {
 			v := m.(MsgUpdateReq)
 			b.PutUvarint(v.Req)
-			b.PutUvarint(v.MapVer)
 			b.PutInt(v.Shard)
 			b.PutString(v.Key)
 			b.PutBytes(v.Val)
 		},
 		Decode: func(d *wire.Decoder) (rt.Message, error) {
-			v := MsgUpdateReq{Req: d.Uvarint(), MapVer: d.Uvarint(), Shard: d.Int(), Key: d.String(), Val: d.Bytes()}
+			v := MsgUpdateReq{Req: d.Uvarint(), Shard: d.Int(), Key: d.String(), Val: d.Bytes()}
 			return v, d.Err()
 		},
 		Gen: func(rng *rand.Rand) rt.Message {
 			val := make([]byte, rng.Intn(16))
 			rng.Read(val)
-			return MsgUpdateReq{Req: rng.Uint64() >> 1, MapVer: uint64(rng.Intn(9)), Shard: rng.Intn(8), Key: genKey(rng), Val: val}
+			return MsgUpdateReq{Req: rng.Uint64() >> 1, Shard: rng.Intn(8), Key: genKey(rng), Val: val}
 		},
 	})
 	wire.Register(wire.Codec{
@@ -241,14 +183,13 @@ func init() {
 			v := m.(MsgUpdateResp)
 			b.PutUvarint(v.Req)
 			b.PutByte(v.Status)
-			encodeMap(b, v.Map)
 		},
 		Decode: func(d *wire.Decoder) (rt.Message, error) {
-			v := MsgUpdateResp{Req: d.Uvarint(), Status: d.Byte(), Map: decodeMap(d)}
+			v := MsgUpdateResp{Req: d.Uvarint(), Status: d.Byte()}
 			return v, d.Err()
 		},
 		Gen: func(rng *rand.Rand) rt.Message {
-			return MsgUpdateResp{Req: rng.Uint64() >> 1, Status: byte(rng.Intn(4)), Map: genMap(rng)}
+			return MsgUpdateResp{Req: rng.Uint64() >> 1, Status: byte(rng.Intn(3))}
 		},
 	})
 	wire.Register(wire.Codec{
@@ -256,16 +197,15 @@ func init() {
 		Encode: func(b *wire.Buffer, m rt.Message) {
 			v := m.(MsgScanReq)
 			b.PutUvarint(v.Req)
-			b.PutUvarint(v.MapVer)
 			b.PutInt(v.Shard)
 			b.PutString(v.Key)
 		},
 		Decode: func(d *wire.Decoder) (rt.Message, error) {
-			v := MsgScanReq{Req: d.Uvarint(), MapVer: d.Uvarint(), Shard: d.Int(), Key: d.String()}
+			v := MsgScanReq{Req: d.Uvarint(), Shard: d.Int(), Key: d.String()}
 			return v, d.Err()
 		},
 		Gen: func(rng *rand.Rand) rt.Message {
-			return MsgScanReq{Req: rng.Uint64() >> 1, MapVer: uint64(rng.Intn(9)), Shard: rng.Intn(8), Key: genKey(rng)}
+			return MsgScanReq{Req: rng.Uint64() >> 1, Shard: rng.Intn(8), Key: genKey(rng)}
 		},
 	})
 	wire.Register(wire.Codec{
@@ -274,15 +214,14 @@ func init() {
 			v := m.(MsgScanResp)
 			b.PutUvarint(v.Req)
 			b.PutByte(v.Status)
-			encodeMap(b, v.Map)
 			encodeSegs(b, v.Vals)
 		},
 		Decode: func(d *wire.Decoder) (rt.Message, error) {
-			v := MsgScanResp{Req: d.Uvarint(), Status: d.Byte(), Map: decodeMap(d), Vals: decodeSegs(d)}
+			v := MsgScanResp{Req: d.Uvarint(), Status: d.Byte(), Vals: decodeSegs(d)}
 			return v, d.Err()
 		},
 		Gen: func(rng *rand.Rand) rt.Message {
-			return MsgScanResp{Req: rng.Uint64() >> 1, Status: byte(rng.Intn(4)), Map: genMap(rng), Vals: genSegs(rng)}
+			return MsgScanResp{Req: rng.Uint64() >> 1, Status: byte(rng.Intn(3)), Vals: genSegs(rng)}
 		},
 	})
 	wire.Register(wire.Codec{
@@ -290,16 +229,15 @@ func init() {
 		Encode: func(b *wire.Buffer, m rt.Message) {
 			v := m.(MsgCutReq)
 			b.PutUvarint(v.Req)
-			b.PutUvarint(v.MapVer)
 			b.PutInt(v.Shard)
 			b.PutVarint(int64(v.Frontier))
 		},
 		Decode: func(d *wire.Decoder) (rt.Message, error) {
-			v := MsgCutReq{Req: d.Uvarint(), MapVer: d.Uvarint(), Shard: d.Int(), Frontier: rt.Ticks(d.Varint())}
+			v := MsgCutReq{Req: d.Uvarint(), Shard: d.Int(), Frontier: rt.Ticks(d.Varint())}
 			return v, d.Err()
 		},
 		Gen: func(rng *rand.Rand) rt.Message {
-			return MsgCutReq{Req: rng.Uint64() >> 1, MapVer: uint64(rng.Intn(9)), Shard: rng.Intn(8), Frontier: rt.Ticks(rng.Int63n(1 << 30))}
+			return MsgCutReq{Req: rng.Uint64() >> 1, Shard: rng.Intn(8), Frontier: rt.Ticks(rng.Int63n(1 << 30))}
 		},
 	})
 	wire.Register(wire.Codec{
@@ -308,7 +246,6 @@ func init() {
 			v := m.(MsgCutResp)
 			b.PutUvarint(v.Req)
 			b.PutByte(v.Status)
-			encodeMap(b, v.Map)
 			b.PutInt(v.Shard)
 			b.PutVarint(int64(v.Frontier))
 			b.PutVarint(int64(v.ScanStart))
@@ -318,7 +255,7 @@ func init() {
 		},
 		Decode: func(d *wire.Decoder) (rt.Message, error) {
 			v := MsgCutResp{
-				Req: d.Uvarint(), Status: d.Byte(), Map: decodeMap(d), Shard: d.Int(),
+				Req: d.Uvarint(), Status: d.Byte(), Shard: d.Int(),
 				Frontier: rt.Ticks(d.Varint()), ScanStart: rt.Ticks(d.Varint()), ScanEnd: rt.Ticks(d.Varint()),
 				Pending: d.Int(), Segments: decodeSegs(d),
 			}
@@ -327,7 +264,7 @@ func init() {
 		Gen: func(rng *rand.Rand) rt.Message {
 			t := rt.Ticks(rng.Int63n(1 << 30))
 			return MsgCutResp{
-				Req: rng.Uint64() >> 1, Status: byte(rng.Intn(4)), Map: genMap(rng), Shard: rng.Intn(8),
+				Req: rng.Uint64() >> 1, Status: byte(rng.Intn(3)), Shard: rng.Intn(8),
 				Frontier: t, ScanStart: t + rt.Ticks(rng.Intn(1000)), ScanEnd: t + rt.Ticks(1000+rng.Intn(1000)),
 				Pending: rng.Intn(8), Segments: genSegs(rng),
 			}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"mpsnap/internal/mux"
 	"mpsnap/internal/rt"
@@ -32,14 +31,11 @@ var ErrNoContact = errors.New("cluster: no responsive shard contact")
 
 // Config parameterizes one node of the cluster topology.
 type Config struct {
-	// Map is the initial shard map (Validate must pass). The node builds
-	// an engine + service for every shard it is a member of.
+	// Map is the topology's shard map (Validate must pass, and every
+	// member must be a node of the runtime). It is fixed for the node's
+	// life: the node builds an engine + service for every shard it is a
+	// member of and routes every key by this map.
 	Map ShardMap
-	// Provision lists additional maps whose owned shards are also bound
-	// at construction (engines are static; a node that will gain shards
-	// at a future map version must pre-provision them). A shard index
-	// provisioned twice must have identical membership.
-	Provision []ShardMap
 	// NewEngine builds one shard engine on its shard-local runtime,
 	// returning the engine's message handler and client face. The same
 	// constructor must be used on every member. Required.
@@ -111,8 +107,8 @@ func (pc *pendingCall) fill(resp rt.Message) {
 
 // Node is one physical node's cluster stack: the mux routing its shard
 // engines and the cluster channel, the owned shards' service fronts, and
-// the client API (Update/Scan/GlobalScan) that routes by the node's
-// current shard map. A routed request is admitted into the owning shard's
+// the client API (Update/Scan/GlobalScan) that routes by the shard map the
+// node was built with. A routed request is admitted into the owning shard's
 // service queue by the message handler and answered by that shard's svc
 // worker (see handleCluster): the node has no thread of its own.
 //
@@ -126,10 +122,12 @@ type Node struct {
 	cl  rt.Runtime // the "cluster" channel's runtime (global IDs)
 	cfg Config
 
+	// Fixed at construction, read without the atomicity domain.
+	ring     *Ring
+	owned    map[int]*shardState
+	attempts int // routing attempts per operation (see NewNode)
+
 	// Guarded by the node's atomicity domain.
-	smap    ShardMap
-	rings   map[uint64]*Ring
-	owned   map[int]*shardState
 	calls   map[uint64]*pendingCall
 	nextReq uint64
 	closed  bool
@@ -141,6 +139,9 @@ func NewNode(r rt.Runtime, cfg Config) (*Node, error) {
 	if err := cfg.Map.Validate(); err != nil {
 		return nil, err
 	}
+	if nodes := cfg.Map.NumNodes(); nodes > r.N() {
+		return nil, fmt.Errorf("cluster: shard map names node %d, topology has %d", nodes-1, r.N())
+	}
 	if cfg.NewEngine == nil {
 		return nil, fmt.Errorf("cluster: Config.NewEngine is required")
 	}
@@ -150,14 +151,24 @@ func NewNode(r rt.Runtime, cfg Config) (*Node, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
+	// Routing tries every member of the largest shard plus two spare
+	// rounds. The first covers pickContact's healthy-first skip landing on
+	// the member just tried. The second is there because it was measured:
+	// with one spare round the failed routed updates on the nightly
+	// `-shards 4 -shard-crash 1` chaos seeds 42/1337/90210 went from
+	// 3/3/5 to 6/6/10 (EXPERIMENTS.md, "One placement").
+	attempts := 0
+	for _, ms := range cfg.Map.Members {
+		attempts = max(attempts, len(ms)+2)
+	}
 	n := &Node{
-		rtm:   r,
-		mx:    mux.New(r),
-		cfg:   cfg,
-		smap:  cfg.Map,
-		rings: make(map[uint64]*Ring),
-		owned: make(map[int]*shardState),
-		calls: make(map[uint64]*pendingCall),
+		rtm:      r,
+		mx:       mux.New(r),
+		cfg:      cfg,
+		ring:     cfg.Map.Ring(),
+		owned:    make(map[int]*shardState),
+		attempts: attempts,
+		calls:    make(map[uint64]*pendingCall),
 		// Seed request IDs from the clock: a restarted incarnation must
 		// not reuse IDs the dead one has responses in flight for, or a
 		// stale response would complete a fresh call of another type.
@@ -167,20 +178,9 @@ func NewNode(r rt.Runtime, cfg Config) (*Node, error) {
 	if err := n.mx.BindErr(ClusterChannel, rt.HandlerFunc(n.handleCluster)); err != nil {
 		return nil, err
 	}
-	maps := append([]ShardMap{cfg.Map}, cfg.Provision...)
-	bound := make(map[int][]int) // shard → members already bound
-	for _, m := range maps {
-		for _, s := range m.OwnedBy(r.ID()) {
-			if prev, ok := bound[s]; ok {
-				if !slices.Equal(prev, m.Members[s]) {
-					return nil, fmt.Errorf("cluster: shard %d provisioned twice with different members", s)
-				}
-				continue
-			}
-			if err := n.bindShard(s, m); err != nil {
-				return nil, err
-			}
-			bound[s] = m.Members[s]
+	for _, s := range cfg.Map.OwnedBy(r.ID()) {
+		if err := n.bindShard(s); err != nil {
+			return nil, err
 		}
 	}
 	return n, nil
@@ -188,7 +188,8 @@ func NewNode(r rt.Runtime, cfg Config) (*Node, error) {
 
 // bindShard builds shard s's engine on its shard-local runtime and its
 // service front, binding the shard's mux channel.
-func (n *Node) bindShard(s int, m ShardMap) error {
+func (n *Node) bindShard(s int) error {
+	m := n.cfg.Map
 	members := m.Members[s]
 	local := m.LocalID(s, n.rtm.ID())
 	name := ShardChannel(s)
@@ -217,13 +218,7 @@ func (n *Node) Handler() rt.Handler { return n.mx }
 // Services returns the owned shards' service fronts in shard order; the
 // embedding application must run each one's Serve on a dedicated thread.
 func (n *Node) Services() []*svc.Service {
-	var shards []int
-	n.rtm.Atomic(func() {
-		for s := range n.owned {
-			shards = append(shards, s)
-		}
-	})
-	slices.Sort(shards)
+	shards := n.cfg.Map.OwnedBy(n.rtm.ID())
 	out := make([]*svc.Service, 0, len(shards))
 	for _, s := range shards {
 		out = append(out, n.owned[s].svc)
@@ -240,68 +235,12 @@ func (n *Node) Close() {
 	}
 }
 
-// Map returns the node's current shard map.
-func (n *Node) Map() ShardMap {
-	var m ShardMap
-	n.rtm.Atomic(func() { m = n.smap })
-	return m
-}
-
-// InstallMap adopts m if it is newer than the current map (routing only:
-// engines for newly-owned shards must have been provisioned at
-// construction). Returns whether the map was adopted.
-func (n *Node) InstallMap(m ShardMap) (bool, error) {
-	if err := n.vet(m); err != nil {
-		return false, err
-	}
-	adopted := false
-	n.rtm.Atomic(func() {
-		if adopted = m.Version > n.smap.Version; adopted {
-			n.smap = m
-		}
-	})
-	return adopted, nil
-}
-
-// vet is Validate plus what only a node can check: every member must be a
-// node of this topology (a larger id would be handed to Send).
-func (n *Node) vet(m ShardMap) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	if nodes := m.NumNodes(); nodes > n.rtm.N() {
-		return fmt.Errorf("cluster: shard map names node %d, topology has %d", nodes-1, n.rtm.N())
-	}
-	return nil
-}
-
-// ringLocked returns the cached placement ring of map m.
-func (n *Node) ringLocked(m ShardMap) *Ring {
-	if r, ok := n.rings[m.Version]; ok {
-		return r
-	}
-	r := m.Ring()
-	n.rings[m.Version] = r
-	return r
-}
-
-// route returns the current map, the key's shard under it, and that
-// shard's state if this node hosts it.
-func (n *Node) route(key string) (m ShardMap, s int, st *shardState) {
-	n.rtm.Atomic(func() {
-		m = n.smap
-		s = n.ringLocked(m).ShardFor(key)
-		st = n.owned[s]
-	})
-	return m, s, st
-}
-
 // pickContact chooses a member of shard s to route to: spread by the
 // caller's node ID so different routers load different members, advanced
 // by the attempt number on retry, skipping suspects while any member is
 // believed healthy.
-func (n *Node) pickContact(m ShardMap, s, attempt int) int {
-	members := m.Members[s]
+func (n *Node) pickContact(s, attempt int) int {
+	members := n.cfg.Map.Members[s]
 	base := n.rtm.ID() + attempt
 	if n.cfg.Health != nil {
 		for i := 0; i < len(members); i++ {
@@ -314,38 +253,21 @@ func (n *Node) pickContact(m ShardMap, s, attempt int) int {
 	return members[base%len(members)]
 }
 
-// maxAttempts bounds routing retries for one operation: enough to try
-// every member of the largest shard, plus one round a stale-map rejection
-// uses up (the adopted map re-routes the next) and one pickContact's
-// healthy-first skip can waste by landing on the member just tried.
-func (n *Node) maxAttempts(m ShardMap) int {
-	max := 0
-	for _, ms := range m.Members {
-		if len(ms) > max {
-			max = len(ms)
-		}
-	}
-	return max + 2
-}
-
 // routed runs one keyed operation against the key's owning shard: local
 // commits it through this node's own service when the node is a member
 // (no network hop); otherwise the request build makes goes to a shard
-// member, retrying across members on timeout and re-routing under the
-// newer map on a stale-map rejection. status reads the reply (ok = it is
-// the operation's response type).
+// member, retrying across members on a timeout or a refusal. status reads
+// the reply (ok = it is the operation's response type).
 func (n *Node) routed(op, key string, local func(st *shardState) error,
-	build func(req uint64, m ShardMap, s int) rt.Message, status func(resp rt.Message) (code byte, ok bool)) error {
+	build func(req uint64, s int) rt.Message, status func(resp rt.Message) (code byte, ok bool)) error {
+	s := n.ring.ShardFor(key)
+	if st := n.owned[s]; st != nil {
+		return local(st)
+	}
 	var lastErr error
-	m, _, _ := n.route(key)
-	for attempt := 0; attempt < n.maxAttempts(m); attempt++ {
-		var s int
-		var st *shardState
-		if m, s, st = n.route(key); st != nil {
-			return local(st)
-		}
-		contact := n.pickContact(m, s, attempt)
-		resp, err := n.call(contact, func(req uint64) rt.Message { return build(req, m, s) })
+	for attempt := 0; attempt < n.attempts; attempt++ {
+		contact := n.pickContact(s, attempt)
+		resp, err := n.call(contact, func(req uint64) rt.Message { return build(req, s) })
 		if err == errTimeout {
 			n.suspect(contact)
 			lastErr = err
@@ -360,9 +282,6 @@ func (n *Node) routed(op, key string, local func(st *shardState) error,
 			lastErr = fmt.Errorf("cluster: unexpected %s from node %d", resp.Kind(), contact)
 		case code == StatusOK:
 			return nil
-		case code == StatusStaleMap || code == StatusWrongShard:
-			// The adopted newer map re-routes on the next attempt.
-			lastErr = fmt.Errorf("cluster: map v%d stale at node %d", m.Version, contact)
 		default:
 			lastErr = fmt.Errorf("cluster: %s refused by node %d", op, contact)
 		}
@@ -376,8 +295,8 @@ func (n *Node) Update(key string, val []byte) error {
 		func(st *shardState) error {
 			return st.svc.Update(svc.EncodeRecords([]svc.Record{{K: key, V: val}}))
 		},
-		func(req uint64, m ShardMap, s int) rt.Message {
-			return MsgUpdateReq{Req: req, MapVer: m.Version, Shard: s, Key: key, Val: val}
+		func(req uint64, s int) rt.Message {
+			return MsgUpdateReq{Req: req, Shard: s, Key: key, Val: val}
 		},
 		func(resp rt.Message) (byte, bool) {
 			r, ok := resp.(MsgUpdateResp)
@@ -396,8 +315,8 @@ func (n *Node) Scan(key string) ([][]byte, error) {
 			vals = extractKey(snap, key)
 			return err
 		},
-		func(req uint64, m ShardMap, s int) rt.Message {
-			return MsgScanReq{Req: req, MapVer: m.Version, Shard: s, Key: key}
+		func(req uint64, s int) rt.Message {
+			return MsgScanReq{Req: req, Shard: s, Key: key}
 		},
 		func(resp rt.Message) (byte, bool) {
 			r, ok := resp.(MsgScanResp)
@@ -493,78 +412,65 @@ func (n *Node) call(dst int, build func(req uint64) rt.Message) (rt.Message, err
 func (n *Node) handleCluster(src int, msg rt.Message) {
 	switch m := msg.(type) {
 	case MsgUpdateReq:
-		n.admit(m.Shard, m.MapVer, &svc.Record{K: m.Key, V: m.Val}, func(r MsgCutResp) {
-			n.cl.Send(src, MsgUpdateResp{Req: m.Req, Status: r.Status, Map: r.Map})
+		n.admit(m.Shard, &svc.Record{K: m.Key, V: m.Val}, func(r MsgCutResp) {
+			n.cl.Send(src, MsgUpdateResp{Req: m.Req, Status: r.Status})
 		})
 	case MsgScanReq:
-		n.admit(m.Shard, m.MapVer, nil, func(r MsgCutResp) {
-			n.cl.Send(src, MsgScanResp{Req: m.Req, Status: r.Status, Map: r.Map, Vals: extractKey(r.Segments, m.Key)})
+		n.admit(m.Shard, nil, func(r MsgCutResp) {
+			n.cl.Send(src, MsgScanResp{Req: m.Req, Status: r.Status, Vals: extractKey(r.Segments, m.Key)})
 		})
 	case MsgCutReq:
-		n.admit(m.Shard, m.MapVer, nil, func(r MsgCutResp) {
+		n.admit(m.Shard, nil, func(r MsgCutResp) {
 			r.Req, r.Frontier = m.Req, m.Frontier
 			n.cl.Send(src, r)
 		})
 	case MsgUpdateResp:
-		n.complete(m.Req, m.Map, msg)
+		n.complete(m.Req, msg)
 	case MsgScanResp:
-		n.complete(m.Req, m.Map, msg)
+		n.complete(m.Req, msg)
 	case MsgCutResp:
-		n.complete(m.Req, m.Map, msg)
+		n.complete(m.Req, msg)
 	}
 }
 
-// admit vets one request for shard — a closed node, a shard this node
-// does not host, a map older than this node's — and admits it into the
-// shard's service queue: write is the keyed update, nil for a scan.
-// answer runs exactly once with the outcome in cut-response form (Req and
-// Frontier are the caller's to set): at once on a rejection, which
-// carries this node's map so a stale router converges without a separate
-// fetch, or on a refusal (StatusErr: the queue is full, draining or its
-// worker dead — the caller moves to the next member); otherwise from the
-// svc worker, in the critical section that resolves the request. Must run
-// in the atomicity domain; never blocks.
-func (n *Node) admit(shard int, mapVer uint64, write *svc.Record, answer func(MsgCutResp)) {
+// admit admits one request for shard into the shard's service queue:
+// write is the keyed update, nil for a scan. answer runs exactly once with
+// the outcome in cut-response form (Req and Frontier are the caller's to
+// set): at once on a refusal (StatusErr: the node is closed, does not host
+// the shard, or the shard's queue is full, draining or its worker dead —
+// the caller moves to the next member); otherwise from the svc worker, in
+// the critical section that resolves the request. Must run in the
+// atomicity domain; never blocks.
+func (n *Node) admit(shard int, write *svc.Record, answer func(MsgCutResp)) {
 	r := MsgCutResp{Shard: shard, ScanStart: n.rtm.Now()}
 	st := n.owned[shard]
-	switch {
-	case n.closed:
+	if n.closed || st == nil {
 		r.Status = StatusErr
-	case st == nil:
-		r.Status = StatusWrongShard
-	case mapVer < n.smap.Version:
-		r.Status = StatusStaleMap
-	default:
-		then := func(snap [][]byte, err error) {
-			if err != nil {
-				r.Status = StatusErr
-			}
-			r.Segments, r.ScanEnd = snap, n.rtm.Now()
-			answer(r)
-		}
-		var err error
-		if write != nil {
-			err = st.svc.AdmitUpdate(svc.EncodeRecords([]svc.Record{*write}), then)
-		} else {
-			r.Pending, err = st.svc.AdmitScan(then)
-		}
-		if err == nil {
-			return
-		}
-		r.Status = StatusErr
+		answer(r)
+		return
 	}
-	r.Map = n.smap
-	answer(r)
+	then := func(snap [][]byte, err error) {
+		if err != nil {
+			r.Status = StatusErr
+		}
+		r.Segments, r.ScanEnd = snap, n.rtm.Now()
+		answer(r)
+	}
+	var err error
+	if write != nil {
+		err = st.svc.AdmitUpdate(svc.EncodeRecords([]svc.Record{*write}), then)
+	} else {
+		r.Pending, err = st.svc.AdmitScan(then)
+	}
+	if err != nil {
+		r.Status = StatusErr
+		answer(r)
+	}
 }
 
 // complete resolves an outbound call (late responses after a timeout are
-// dropped — the call entry is gone), first adopting a newer map the
-// response carries. That map is bytes from outside the program: one that
-// fails vet is dropped, and the call still completes.
-func (n *Node) complete(id uint64, piggyback ShardMap, msg rt.Message) {
-	if piggyback.Version > n.smap.Version && n.vet(piggyback) == nil {
-		n.smap = piggyback
-	}
+// dropped — the call entry is gone).
+func (n *Node) complete(id uint64, msg rt.Message) {
 	if pc, ok := n.calls[id]; ok {
 		pc.fill(msg)
 		delete(n.calls, id)

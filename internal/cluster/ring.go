@@ -1,12 +1,12 @@
 // Package cluster is the multi-cluster placement and routing layer: it
 // runs many independent snapshot clusters ("shards", each an n-node EQ-ASO
 // instance with its own svc front) behind one keyed client API, places
-// keys on shards with a consistent-hash ring, serves a versioned shard map
-// to clients (stale-map requests are rejected with the newer map), routes
-// UPDATE/SCAN over the existing mux/transport stack, and implements
-// GlobalScan — a coordinated timestamp-frontier cut across all shards,
-// checked by Cut.Validate against cross-shard invariants derived from the
-// paper's (A1)–(A4) conditions.
+// keys on shards with a consistent-hash ring built once from the shard map
+// every node of the topology shares, routes UPDATE/SCAN over the existing
+// mux/transport stack, and implements GlobalScan — a coordinated
+// timestamp-frontier cut across all shards, checked by Cut.Validate
+// against cross-shard invariants derived from the paper's (A1)–(A4)
+// conditions.
 package cluster
 
 import (
@@ -21,8 +21,7 @@ import (
 const DefaultVNodes = 64
 
 // maxVNodes is the largest per-shard vnode count a valid map may carry:
-// a node builds a ring of shards×VNodes points for every map version it
-// adopts, including maps that arrive on the wire.
+// a node builds a ring of shards×VNodes points at construction.
 const maxVNodes = 1 << 12
 
 // Ring is a consistent-hash ring: each shard owns VNodes points on a

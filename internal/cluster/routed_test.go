@@ -140,48 +140,38 @@ func TestFullShardQueueRefusesAtOnce(t *testing.T) {
 	}
 }
 
-// TestHostileMapIsNotAdopted: a shard map piggybacked on a response is
-// bytes from a peer. One that is not a sound map of this topology must be
-// dropped — adopted, the first makes the next Update divide by zero in
-// pickContact, the second builds a 2^40-point ring, the third hands Send a
-// node that does not exist — while the call it rode on still completes and
-// a sound newer map is still adopted.
-func TestHostileMapIsNotAdopted(t *testing.T) {
+// TestUnhostedShardIsRefused: a routed request naming a shard the contact
+// does not host is refused with StatusErr from the handler, one round trip
+// after it was sent, and nothing is admitted into the shard the contact
+// does host.
+func TestUnhostedShardIsRefused(t *testing.T) {
 	w, nodes := buildWorld(t, 2, 3, 1, 5)
-	good := nodes[0].Map()
-	hostile := []ShardMap{
-		{Version: 9, VNodes: 1, Members: [][]int{{}, {}}},
-		{Version: 9, VNodes: 1 << 40, F: 1, Members: good.Members},
-		{Version: 9, VNodes: DefaultVNodes, F: 1, Members: [][]int{{0, 1, 2}, {3, 4, 6}}},
-	}
-	w.GoNode("client", 0, func(p *sim.Proc) {
-		nd := nodes[0]
-		for i, hm := range hostile {
-			pc, _ := nd.beginCall(func(req uint64) rt.Message { return MsgUpdateReq{Req: req} })
-			nodes[3].cl.Send(0, MsgUpdateResp{Req: pc.id, Status: StatusStaleMap, Map: hm})
-			if err := nd.await("test: hostile response", pc); err != nil || pc.resp == nil {
-				t.Errorf("hostile map %d: call not completed (err=%v)", i, err)
-			}
-			if got := nd.Map().Version; got != good.Version {
-				t.Errorf("hostile map %d adopted: version = %d", i, got)
-				return
-			}
+	w.GoNode("client", 3, func(p *sim.Proc) {
+		caller := nodes[3] // a member of shard 1
+		key := keysOn(caller, 1, 1)[0]
+		sent := w.Now()
+		pc, msg := caller.beginCall(func(req uint64) rt.Message {
+			return MsgUpdateReq{Req: req, Shard: 1, Key: key, Val: []byte("v")}
+		})
+		caller.cl.Send(0, msg) // node 0 hosts shard 0 only
+		if err := caller.await("test: refusal", pc); err != nil {
+			t.Errorf("await: %v", err)
+			return
 		}
-		key := keysOn(nd, 1, 1)[0]
-		if err := nd.Update(key, []byte("v")); err != nil {
-			t.Errorf("update after hostile maps: %v", err)
+		resp, ok := pc.resp.(MsgUpdateResp)
+		if !ok || resp.Status != StatusErr {
+			t.Errorf("response = %#v, want an MsgUpdateResp with StatusErr", pc.resp)
 		}
-		newer := good
-		newer.Version = 2
-		nodes[3].cl.Send(0, MsgUpdateResp{Status: StatusStaleMap, Map: newer})
-		_ = p.Sleep(2 * rt.TicksPerD)
-		if got := nd.Map().Version; got != 2 {
-			t.Errorf("sound newer map not adopted: version = %d, want 2", got)
+		if took := w.Now() - sent; took > 2*rt.TicksPerD {
+			t.Errorf("refusal took %d ticks, want one round trip (<= %d)", took, 2*rt.TicksPerD)
 		}
 	})
 	closeAll(w, nodes, 400*rt.TicksPerD)
 	if err := w.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
+	}
+	if got := nodes[0].Services()[0].Stats().Updates; got != 0 {
+		t.Errorf("node 0 admitted %d updates, want 0", got)
 	}
 }
 

@@ -119,7 +119,7 @@ func keysOn(nd *Node, shard, count int) []string {
 	var keys []string
 	for i := 0; len(keys) < count; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if _, s, _ := nd.route(k); s == shard {
+		if nd.ring.ShardFor(k) == shard {
 			keys = append(keys, k)
 		}
 	}

@@ -2,19 +2,11 @@ package cluster
 
 import "fmt"
 
-// ShardMap is the versioned placement document: which global nodes form
-// each shard's cluster, and how keys hash onto shards. Every node serves
-// its current map to clients; a request carrying an older version is
-// rejected with StatusStaleMap plus the newer map, so stale clients
-// converge by refetch instead of writing through dead placement.
-//
-// Versions are totally ordered and only ever move forward. A map change
-// (a split moving part of the keyspace, a membership change) installs a
-// strictly larger Version everywhere it lands; two maps with the same
-// Version must be identical.
+// ShardMap is the placement document: which global nodes form each
+// shard's cluster, and how keys hash onto shards. Every node of a topology
+// is built from the same map, which never changes: each shard is a static
+// n-process system.
 type ShardMap struct {
-	// Version orders maps; 0 is "no map" (never served).
-	Version uint64
 	// VNodes is the per-shard virtual-node count of the placement ring.
 	VNodes int
 	// F is the per-shard resilience bound (each shard tolerates F of its
@@ -43,7 +35,7 @@ func (m ShardMap) NumNodes() int {
 }
 
 // Ring builds the map's placement ring. Callers that route per-operation
-// should cache it per Version (Node does).
+// should build it once (Node does).
 func (m ShardMap) Ring() *Ring { return NewRing(m.Shards(), m.VNodes) }
 
 // OwnedBy returns the shards node id is a member of, in shard order.
@@ -72,9 +64,6 @@ func (m ShardMap) LocalID(s, id int) int {
 
 // Validate checks the map's structural invariants.
 func (m ShardMap) Validate() error {
-	if m.Version == 0 {
-		return fmt.Errorf("cluster: shard map version 0 (unversioned maps are never served)")
-	}
 	if len(m.Members) == 0 {
 		return fmt.Errorf("cluster: shard map has no shards")
 	}
@@ -100,12 +89,12 @@ func (m ShardMap) Validate() error {
 }
 
 // ContiguousMap builds the standard topology: shards × n nodes, shard s
-// owning global IDs [s·n, (s+1)·n), at map version 1.
+// owning global IDs [s·n, (s+1)·n).
 func ContiguousMap(shards, n, f, vnodes int) ShardMap {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	m := ShardMap{Version: 1, VNodes: vnodes, F: f, Members: make([][]int, shards)}
+	m := ShardMap{VNodes: vnodes, F: f, Members: make([][]int, shards)}
 	for s := 0; s < shards; s++ {
 		ms := make([]int, n)
 		for l := 0; l < n; l++ {

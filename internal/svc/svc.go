@@ -12,8 +12,9 @@
 //
 //   - UPDATE coalescing: all UPDATEs pending at the start of a worker
 //     cycle commit through one protocol UPDATE (a true protocol batch via
-//     BatchObject when the object supports it, otherwise last-value-wins);
-//     every caller unblocks when the batch containing its value commits.
+//     engine.Batcher when the object implements it, otherwise
+//     last-value-wins); every caller unblocks when the batch containing
+//     its value commits.
 //   - SCAN sharing: all SCANs pending at the start of a cycle are answered
 //     by one in-flight protocol SCAN. Only waiters that arrived before the
 //     scan was issued may share its result — a later arrival must not
@@ -64,16 +65,6 @@ import (
 // and all baselines implement it).
 type Object = segment.Object
 
-// BatchObject is an Object with a batch-friendly UPDATE entry point: all
-// payloads commit with one protocol round sequence (EQ-ASO and the SSO
-// expose this; see eqaso.UpdateBatch).
-type BatchObject interface {
-	Object
-	// UpdateBatch writes the payloads, in order, as successive values of
-	// this node's segment, amortizing one lattice renewal over the batch.
-	UpdateBatch(payloads [][]byte) error
-}
-
 // Mode selects the worker's serving discipline.
 type Mode int
 
@@ -122,7 +113,7 @@ type Options struct {
 	Serialize bool
 	// Coalesce, if set, folds an update batch's payloads (in arrival
 	// order) into the single payload committed for the batch; it takes
-	// precedence over BatchObject. internal/cluster uses it to merge
+	// precedence over engine.Batcher. internal/cluster uses it to merge
 	// per-key writes into one segment map.
 	Coalesce func(payloads [][]byte) []byte
 	// Observer, if set, receives "svc.update"/"svc.scan" operation
@@ -474,7 +465,7 @@ func (s *Service) serveUpdates(ups []*request) {
 	case s.opts.Coalesce != nil:
 		err = s.obj.Update(s.opts.Coalesce(payloads))
 	default:
-		if b, ok := s.obj.(BatchObject); ok {
+		if b, ok := s.obj.(engine.Batcher); ok {
 			err = b.UpdateBatch(payloads)
 		} else {
 			// Last-value-wins: the batch members are linearized
