@@ -56,7 +56,7 @@ test-svc:
 	$(GO) test -race -count=20 -cpu 1,2 ./internal/svc/
 
 # Crash-recovery matrix under the race detector: WAL replay, restart and
-# rejoin under chaos on both the sim and chan backends, plus the WAL's
+# rejoin under chaos on the sim, chan and tcp backends, plus the WAL's
 # crash-point suite, the pruned-log differential oracle, the value log's
 # straggler (below-frontier insert) tests, eqaso's acts-follow-syncs suite
 # (one sync per update, vouch and prune only after a durable record) and
@@ -65,10 +65,11 @@ test-recovery:
 	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential|Straggler|Sync|Vouch|Seed' ./internal/chaos/ ./internal/wal/ ./internal/core/ ./internal/eqaso/ ./internal/cluster/
 
 # Sharded-cluster matrix under the race detector: routing, refusals,
-# and validated cross-shard cuts on the sim and chan backends
+# and validated cross-shard cuts on the sim, chan and tcp backends
 # (TestRunChanSeeds covers 4 seeds with per-shard fault schedules), plus
-# whole-shard crash+recover and whole-shard partition episodes, each
-# shard a 3-node cluster under a one-of-each fault mix with a restart.
+# whole-shard crash+recover and whole-shard partition episodes on every
+# backend, each shard a 3-node cluster under a one-of-each fault mix with
+# a restart.
 # The chan/tcp tests are repeated on one and two Ps the way test-svc
 # repeats svc: a handler admitting into the shard's svc queue is exactly
 # what only a real mutex can deadlock (the simulator can only flag it).
@@ -76,8 +77,8 @@ CLUSTER_MIX = -n 3 -f 1 -restarts 1 -partitions 1 -drops 1 -spikes 1 -scan-ratio
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/mux/
 	$(GO) test -race -count=5 -cpu 1,2 -run 'Chan|TCP|Routed|Queue' ./internal/cluster/
-	$(GO) run ./cmd/aso chaos -backend sim,chan $(CLUSTER_MIX) -seed 7 -duration 1s -shards 3 -shard-crash 1
-	$(GO) run ./cmd/aso chaos -backend sim,chan $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
+	$(GO) run ./cmd/aso chaos -backend all $(CLUSTER_MIX) -seed 7 -duration 1s -shards 3 -shard-crash 1
+	$(GO) run ./cmd/aso chaos -backend all $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
 
 # Engine matrix under the race detector: the registry smoke across every
 # registered engine, the eqaso/acr/fastsnap differential corpus, the
@@ -126,13 +127,13 @@ bench-wallclock:
 # Churn matrix under the race detector: the streaming monitor's unit,
 # equivalence, and injected-violation suites, the churn schedule property
 # tests, then a short churn CLI matrix — eqaso, acr, fastsnap × 2 seeds
-# on the sim and chan backends with the monitor armed.
+# on the sim, chan and tcp backends with the monitor armed.
 test-churn:
 	$(GO) test -race -count=1 ./internal/monitor/
 	$(GO) test -race -count=1 -run 'TestChurn|TestGenerateChurn' ./internal/chaos/
 	@for eng in eqaso acr fastsnap; do \
 		for seed in 1 2; do \
-			$(GO) run ./cmd/aso chaos -backend sim,chan -engine $$eng -seed $$seed -duration 2s -churn || exit 1; \
+			$(GO) run ./cmd/aso chaos -backend sim,chan,tcp -engine $$eng -seed $$seed -duration 2s -churn || exit 1; \
 		done; \
 	done
 

@@ -46,7 +46,7 @@ func parseChaosConfig(args []string, out io.Writer) (chaosConfig, error) {
 	fs.Float64Var(&cfg.Chaos.Mix.SpikeExtraD, "spike-extra", 3, "extra delay inside a spike window, in units of D")
 	fs.IntVar(&cfg.Chaos.Mix.CorruptWindows, "corrupts", 0, "per-link wire-corruption windows (requires f > 0; undecodable mutants are dropped, decodable ones delivered only to byzaso)")
 	fs.Float64Var(&cfg.Chaos.Mix.CorruptProb, "corrupt-prob", 0.2, "corruption probability inside a corrupt window")
-	fs.IntVar(&cfg.Chaos.Mix.Restarts, "restarts", 0, "crash victims that later recover by WAL replay + rejoin (clamped to crashes; eqaso/sso on sim or chan)")
+	fs.IntVar(&cfg.Chaos.Mix.Restarts, "restarts", 0, "crash victims that later recover by WAL replay + rejoin (clamped to crashes; eqaso/sso)")
 	fs.Float64Var(&cfg.Chaos.Mix.RestartDelayD, "restart-delay", 0, "crash-to-recovery delay in units of D (default 5, min 3)")
 	fs.BoolVar(&cfg.Chaos.Churn, "churn", false, "churn mode: rolling crash→restart cycles (durable engines), membership flaps, lagging-node windows, bursty workload; replaces the fault mix and arms the streaming invariant monitor")
 	fs.BoolVar(&cfg.Chaos.Monitor, "monitor", false, "arm the streaming invariant monitor outside churn mode (first violation dumps into -trace-dir)")
@@ -57,7 +57,7 @@ func parseChaosConfig(args []string, out io.Writer) (chaosConfig, error) {
 	fs.IntVar(&cfg.Chaos.TraceCap, "trace-cap", 0, "trace ring capacity (default 8192)")
 	fs.BoolVar(&cfg.Chaos.TraceAlways, "trace-always", false, "dump the trace even when the check passes")
 	fs.IntVar(&cfg.Cluster.Shards, "shards", 0, "run this many independent shard clusters behind the routing layer instead of one object (atomic engines only; the mix applies per shard)")
-	fs.IntVar(&cfg.Cluster.CrashShard, "shard-crash", -1, "with -shards: crash EVERY member of this shard at 40% of the run, restart from WALs at 55% (sim and chan)")
+	fs.IntVar(&cfg.Cluster.CrashShard, "shard-crash", -1, "with -shards: crash EVERY member of this shard at 40% of the run, restart from WALs at 55%")
 	fs.IntVar(&cfg.Cluster.PartitionShard, "shard-partition", -1, "with -shards: isolate this whole shard from the rest of the topology during [30%, 60%] of the run")
 	fs.BoolVar(&cfg.ShowSched, "schedule", false, "print every fault event before running")
 	fs.BoolVar(&cfg.JSONOut, "json", false, "emit one JSON report per backend on stdout")

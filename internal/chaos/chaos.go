@@ -55,7 +55,10 @@ type Config struct {
 	ScanRatio float64
 	// Service routes all client operations through the internal/svc
 	// concurrent service layer (UPDATE coalescing + SCAN sharing)
-	// instead of calling the object directly. Sim backend only.
+	// instead of calling the object directly. Sim backend only: on chan
+	// and tcp a node's concurrent clients record BeginUpdateAs before svc
+	// admission fixes the write order, so the history can rank two
+	// updates opposite to their commit order.
 	Service bool
 	// Clients is the number of concurrent client threads per node
 	// (default 1). Values above 1 require Service: the raw protocol
@@ -278,16 +281,8 @@ func Run(cfg Config, backend string) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if backend != "sim" {
-		if cfg.Service {
-			return nil, fmt.Errorf("chaos: Service mode runs on the sim backend only")
-		}
-		if cfg.Mix.Restarts > 0 && backend != "chan" {
-			return nil, fmt.Errorf("chaos: restarts run on the sim and chan backends only (a tcp restart is a process restart)")
-		}
-		if cfg.Churn && cfg.info.Durable() && backend != "chan" {
-			return nil, fmt.Errorf("chaos: churn on a durable engine includes restarts, which run on the sim and chan backends only")
-		}
+	if backend != "sim" && cfg.Service {
+		return nil, fmt.Errorf("chaos: Service mode runs on the sim backend only (on chan and tcp a client records its update before svc admission fixes the write order)")
 	}
 	sched := cfg.schedule()
 	res := &Result{Schedule: sched}

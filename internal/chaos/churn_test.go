@@ -126,17 +126,21 @@ func TestChurnMonitorCatchesInjectedCorruption(t *testing.T) {
 	}
 }
 
-// TestChurnConfigRules pins the churn-mode gates: no Service layer, no
-// restart lane off the chan/sim backends, and the monitor usable on its
-// own outside churn mode.
+// TestChurnConfigRules pins the churn-mode gates: no Service layer, the
+// restart lane on every backend (tcp included), and the monitor usable on
+// its own outside churn mode.
 func TestChurnConfigRules(t *testing.T) {
 	if _, err := Run(Config{N: 5, F: 2, Seed: 1, Duration: 10 * rt.TicksPerD, Churn: true, Service: true}, "sim"); err == nil || !strings.Contains(err.Error(), "Service") {
 		t.Fatalf("churn with Service must be rejected, got %v", err)
 	}
-	if _, err := Run(Config{N: 3, F: 1, Seed: 1, Duration: 10 * rt.TicksPerD, Churn: true}, "tcp"); err == nil || !strings.Contains(err.Error(), "chan") {
-		t.Fatalf("churn restarts on tcp must be rejected, got %v", err)
+	res, err := Run(Config{N: 3, F: 1, Seed: 1, Duration: 40 * rt.TicksPerD, Churn: true}, "tcp")
+	if err != nil || !res.Schedule.HasRestarts() {
+		t.Fatalf("churn restarts on tcp: %v", err)
 	}
-	res, err := Run(Config{N: 3, F: 1, Seed: 2, Duration: 60 * rt.TicksPerD, Monitor: true}, "sim")
+	if !res.Check.OK || len(res.MonitorViolations) != 0 {
+		t.Fatalf("churn restarts on tcp: check %v, monitor %v", res.Check.Violations, res.MonitorViolations)
+	}
+	res, err = Run(Config{N: 3, F: 1, Seed: 2, Duration: 60 * rt.TicksPerD, Monitor: true}, "sim")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,8 +119,9 @@ func TestRestartRecoveryChan(t *testing.T) {
 	}
 }
 
-// TestRestartConfigValidation: restarts need a WAL-capable algorithm,
-// direct clients, and an in-process backend.
+// TestRestartConfigValidation: restarts need a WAL-capable algorithm and
+// direct clients, and run on every backend — an in-process tcp node
+// restarts like a chan node.
 func TestRestartConfigValidation(t *testing.T) {
 	mix := Mix{Crashes: 1, Restarts: 1}
 	if _, err := Run(Config{N: 7, F: 2, Engine: "byzaso", Duration: 1000, Mix: mix}, "sim"); err == nil {
@@ -129,7 +130,12 @@ func TestRestartConfigValidation(t *testing.T) {
 	if _, err := Run(Config{N: 5, F: 2, Engine: "sso", Service: true, Duration: 1000, Mix: mix}, "sim"); err == nil {
 		t.Error("service mode with restarts accepted, want error")
 	}
-	if _, err := Run(Config{N: 5, F: 2, Duration: 1000, Mix: mix}, "tcp"); err == nil {
-		t.Error("tcp backend with restarts accepted, want error")
+	res, err := Run(Config{N: 5, F: 2, Seed: 7, Duration: 40 * rt.TicksPerD, Mix: restartMix()}, "tcp")
+	if err != nil {
+		t.Fatalf("tcp backend with restarts: %v", err)
 	}
+	if !res.Check.OK {
+		t.Fatalf("tcp check failed: %v", res.Check.Violations)
+	}
+	requireRecovery(t, res)
 }

@@ -34,8 +34,7 @@ type wallWorld struct {
 	*faultNet
 	backend    string
 	setHandler func(id int, h rt.Handler)
-	// restart swaps a recovered node's handler in; nil on tcp, where a
-	// restart is a process restart (the runners reject such runs).
+	// restart swaps a recovered node's handler in.
 	restart func(id int, h rt.Handler)
 	close   func()
 
@@ -80,6 +79,7 @@ func newWallWorld(backend string, cfg WorldConfig) (*wallWorld, error) {
 		}
 		crash = func(id int) { nodes[id].Crash() }
 		w.setHandler = func(id int, h rt.Handler) { nodes[id].SetHandler(h) }
+		w.restart = func(id int, h rt.Handler) { nodes[id].Restart(h) }
 		w.close = func() {
 			for _, nd := range nodes {
 				nd.Close()

@@ -272,16 +272,15 @@ func globalEvents(cfg RunConfig, m ShardMap, scheds []chaos.Schedule) []chaos.Ev
 // and WAL recovery, capturing the rejoin handle and recovered segment.
 type nodeBuilder struct {
 	cfg     RunConfig
-	backend string
 	m       ShardMap
 	health  *Health
 	files   []*wal.MemFile
 	rejoins []engine.Rejoiner
 }
 
-func newNodeBuilder(cfg RunConfig, backend string, m ShardMap, health *Health) *nodeBuilder {
+func newNodeBuilder(cfg RunConfig, m ShardMap, health *Health) *nodeBuilder {
 	total := m.NumNodes()
-	b := &nodeBuilder{cfg: cfg, backend: backend, m: m, health: health,
+	b := &nodeBuilder{cfg: cfg, m: m, health: health,
 		files: make([]*wal.MemFile, total), rejoins: make([]engine.Rejoiner, total)}
 	for i := range b.files {
 		b.files[i] = wal.NewMemFile()
@@ -417,14 +416,9 @@ var buildNode = NewNode
 // simulator the whole run is a function of the seed; on the real
 // transports (one virtual D = chaos.DReal) the reproducible artifact is
 // the fault schedule and the validator verdict, not the exact op counts.
-// Restarts — including the whole-shard crash scenario, whose victims
-// recover — are sim/chan only: a TCP restart is a process restart.
 func Run(cfg RunConfig, backend string) (*Report, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
-	}
-	if backend == "tcp" && (cfg.Mix.Restarts > 0 || cfg.CrashShard >= 0) {
-		return nil, fmt.Errorf("cluster: restarts (incl. the recovering whole-shard crash) run on sim and chan only (a tcp restart is a process restart)")
 	}
 	m := ContiguousMap(cfg.Shards, cfg.N, cfg.F, DefaultVNodes)
 	total := m.NumNodes()
@@ -434,7 +428,7 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 		return nil, err
 	}
 	defer w.Close()
-	b := newNodeBuilder(cfg, backend, m, health)
+	b := newNodeBuilder(cfg, m, health)
 	rep := &Report{Shards: cfg.Shards, Nodes: total}
 	deadline := cfg.Duration
 

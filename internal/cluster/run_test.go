@@ -155,7 +155,7 @@ func TestRecoveredSeedSurvivesPrune(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	b := newNodeBuilder(cfg, "sim", ContiguousMap(1, n, 1, 0), nil)
+	b := newNodeBuilder(cfg, ContiguousMap(1, n, 1, 0), nil)
 	segment := svc.EncodeRecords([]svc.Record{{K: "k", V: []byte("served before the crash")}})
 	live := core.NewValueLog(n, self)
 	w := wal.NewWriter(b.files[self], chaos.WALBatch)

@@ -42,38 +42,33 @@ func TestRunChanSeeds(t *testing.T) {
 	}
 }
 
-// TestRunTCPSmoke runs one cluster chaos run over the TCP loopback mesh:
-// partitions and loss windows only (restarts are chan/sim-only — a TCP
-// restart is a process restart, which Run rejects on tcp).
+// TestRunTCPSmoke runs cluster chaos over the TCP loopback mesh: partitions
+// and loss windows, a restarting mix, and the whole-shard crash whose
+// victims recover — an in-process tcp node restarts like a chan node.
 func TestRunTCPSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp chaos runs burn wall clock; skipped with -short")
 	}
-	cfg := DefaultRunConfig()
-	cfg.Seed = 11
-	cfg.Duration = 100 * rt.TicksPerD
-	cfg.Mix = chaos.Mix{Partitions: 1, DropWindows: 1}
-	cfg.GlobalScanEvery = 15 * rt.TicksPerD
-	rep, err := Run(cfg, "tcp")
-	if err != nil {
-		t.Fatalf("Run: %v (report: %v)", err, rep)
-	}
-	if len(rep.Violations) > 0 {
-		t.Errorf("cut violations: %v", rep.Violations)
-	}
-	if rep.CutsOK == 0 {
-		t.Errorf("no validated cuts (report: %v)", rep)
-	}
-	t.Logf("%v", rep)
-
-	cfg.Mix = chaos.Mix{Crashes: 1, Restarts: 1}
-	if _, err := Run(cfg, "tcp"); err == nil {
-		t.Error("tcp accepted a restarting mix")
-	}
-	cfg.Mix = chaos.Mix{}
-	cfg.CrashShard = 0
-	if _, err := Run(cfg, "tcp"); err == nil {
-		t.Error("tcp accepted a whole-shard crash (restarting) scenario")
+	for name, set := range map[string]func(*RunConfig){
+		"partitions": func(c *RunConfig) { c.Mix = chaos.Mix{Partitions: 1, DropWindows: 1} },
+		"restarts":   func(c *RunConfig) { c.Mix = chaos.Mix{Crashes: 1, Restarts: 1} },
+		"shardcrash": func(c *RunConfig) { c.Mix, c.CrashShard = chaos.Mix{}, 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultRunConfig()
+			cfg.Seed = 11
+			cfg.Duration = 100 * rt.TicksPerD
+			cfg.GlobalScanEvery = 15 * rt.TicksPerD
+			set(&cfg)
+			rep, err := Run(cfg, "tcp")
+			if err != nil {
+				t.Fatalf("Run: %v (report: %v)", err, rep)
+			}
+			if !rep.OK() {
+				t.Errorf("violations %v, %d validated cuts (report: %v)", rep.Violations, rep.CutsOK, rep)
+			}
+			t.Logf("%v", rep)
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package engine defines the pluggable snapshot-engine abstraction: the
 // one interface every snapshot-object protocol implements, optional
-// capability surfaces (batching, view-returning batches, observability,
-// WAL durability and recovery), and a name-keyed registry through which
-// every layer above the protocols — the service front (internal/svc), the
+// capability surfaces (batching, observability, WAL durability and
+// recovery), and a name-keyed registry through which every layer above
+// the protocols — the service front (internal/svc), the
 // chaos harness (internal/chaos), the benchmark harness (internal/bench),
 // the sharded cluster (internal/cluster), and the cmds — instantiates
 // engines without referencing concrete node types.
@@ -19,7 +19,6 @@ import (
 	"strings"
 	"sync"
 
-	"mpsnap/internal/core"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/segment"
 	"mpsnap/internal/wal"
@@ -49,13 +48,6 @@ type Observable interface {
 // UPDATE coalescing fast path).
 type Batcher interface {
 	UpdateBatch(payloads [][]byte) error
-}
-
-// ViewBatcher is the view-returning batch surface of the EQ-ASO family:
-// one batched update returning the good view that certified it, for
-// layers (SSO adoption, WAL checkpointing) that need the view itself.
-type ViewBatcher interface {
-	UpdateBatchWithView(payloads [][]byte) (core.View, []core.Timestamp, error)
 }
 
 // Durable is implemented by engines that can persist their protocol state

@@ -94,7 +94,7 @@ func (m *Mux) HandleMessage(src int, msg rt.Message) {
 // on it, then register the instance with Bind. The same name must be used
 // on every node.
 func (m *Mux) Channel(name string) rt.Runtime {
-	return &chanRuntime{mux: m, name: name}
+	return &channelRuntime{mux: m, name: name}
 }
 
 // Bind installs the handler of the named instance. Must be called before
@@ -123,23 +123,6 @@ func (m *Mux) BindErr(name string, h rt.Handler) error {
 	return err
 }
 
-// Unbind removes the named instance's handler and reports whether it was
-// bound. Traffic arriving on an unbound channel is dropped, exactly like a
-// channel that never existed — so tearing an instance down while peers are
-// still sending to it is safe. The removal is atomic with the node's
-// handler: a message being dispatched concurrently is either routed to the
-// old handler or dropped, never delivered half-torn-down. The name becomes
-// available for BindErr again (dynamic shard placement binds, unbinds, and
-// rebinds channels as shard maps change).
-func (m *Mux) Unbind(name string) bool {
-	var had bool
-	m.rt.Atomic(func() {
-		_, had = m.handlers[name]
-		delete(m.handlers, name)
-	})
-	return had
-}
-
 // Channels lists the bound channel names (sorted; for tooling).
 func (m *Mux) Channels() []string {
 	var out []string
@@ -152,34 +135,34 @@ func (m *Mux) Channels() []string {
 	return out
 }
 
-// chanRuntime is the per-channel view of the underlying runtime: sends
+// channelRuntime is the per-channel view of the underlying runtime: sends
 // wrap messages in the channel's envelope; everything else passes through,
 // sharing the node's atomicity and clock.
-type chanRuntime struct {
+type channelRuntime struct {
 	mux  *Mux
 	name string
 }
 
-var _ rt.Runtime = (*chanRuntime)(nil)
+var _ rt.Runtime = (*channelRuntime)(nil)
 
-func (c *chanRuntime) ID() int { return c.mux.rt.ID() }
-func (c *chanRuntime) N() int  { return c.mux.rt.N() }
-func (c *chanRuntime) F() int  { return c.mux.rt.F() }
+func (c *channelRuntime) ID() int { return c.mux.rt.ID() }
+func (c *channelRuntime) N() int  { return c.mux.rt.N() }
+func (c *channelRuntime) F() int  { return c.mux.rt.F() }
 
-func (c *chanRuntime) Send(dst int, msg rt.Message) {
+func (c *channelRuntime) Send(dst int, msg rt.Message) {
 	c.mux.rt.Send(dst, Envelope{Channel: c.name, Msg: msg})
 }
 
-func (c *chanRuntime) Broadcast(msg rt.Message) {
+func (c *channelRuntime) Broadcast(msg rt.Message) {
 	c.mux.rt.Broadcast(Envelope{Channel: c.name, Msg: msg})
 }
 
-func (c *chanRuntime) Atomic(fn func()) { c.mux.rt.Atomic(fn) }
+func (c *channelRuntime) Atomic(fn func()) { c.mux.rt.Atomic(fn) }
 
-func (c *chanRuntime) WaitUntilThen(label string, pred func() bool, then func()) error {
+func (c *channelRuntime) WaitUntilThen(label string, pred func() bool, then func()) error {
 	return c.mux.rt.WaitUntilThen(c.name+": "+label, pred, then)
 }
 
-func (c *chanRuntime) Now() rt.Ticks { return c.mux.rt.Now() }
+func (c *channelRuntime) Now() rt.Ticks { return c.mux.rt.Now() }
 
-func (c *chanRuntime) Crashed() bool { return c.mux.rt.Crashed() }
+func (c *channelRuntime) Crashed() bool { return c.mux.rt.Crashed() }

@@ -169,98 +169,3 @@ func TestEnvelopeKind(t *testing.T) {
 		t.Fatalf("kind = %q", e.Kind())
 	}
 }
-
-// TestUnbindRemovesChannel: Unbind detaches a handler (reporting whether
-// one was bound), later traffic on the channel is dropped like any
-// unknown channel, and the name can be bound again.
-func TestUnbindRemovesChannel(t *testing.T) {
-	w := sim.New(sim.Config{N: 1, F: 0, Seed: 1})
-	m := mux.New(w.Runtime(0))
-	var got int
-	m.Bind("x", rt.HandlerFunc(func(int, rt.Message) { got++ }))
-	m.HandleMessage(0, mux.Envelope{Channel: "x", Msg: plainMsg{}})
-	if got != 1 {
-		t.Fatalf("delivery before unbind: got = %d, want 1", got)
-	}
-	if !m.Unbind("x") {
-		t.Error("Unbind of a bound channel reported false")
-	}
-	if m.Unbind("x") {
-		t.Error("second Unbind reported a handler")
-	}
-	m.HandleMessage(0, mux.Envelope{Channel: "x", Msg: plainMsg{}})
-	if got != 1 {
-		t.Errorf("delivery after unbind: got = %d, want 1", got)
-	}
-	if ch := m.Channels(); len(ch) != 0 {
-		t.Errorf("channels after unbind = %v, want none", ch)
-	}
-	if err := m.BindErr("x", rt.HandlerFunc(func(int, rt.Message) { got += 10 })); err != nil {
-		t.Fatalf("rebind after unbind: %v", err)
-	}
-	m.HandleMessage(0, mux.Envelope{Channel: "x", Msg: plainMsg{}})
-	if got != 11 {
-		t.Errorf("delivery after rebind: got = %d, want 11", got)
-	}
-}
-
-// TestUnbindUnderConcurrentShardTeardown: shard channels are torn down
-// one by one while a remote sender keeps a steady envelope stream on all
-// of them (the cluster-layer teardown pattern). Every unbound channel
-// stops delivering — in-flight envelopes at most one delay bound later —
-// and late traffic is dropped without panicking.
-func TestUnbindUnderConcurrentShardTeardown(t *testing.T) {
-	const shards = 4
-	w := sim.New(sim.Config{N: 2, F: 0, Seed: 9})
-	m0 := mux.New(w.Runtime(0))
-	m1 := mux.New(w.Runtime(1))
-	w.SetHandler(0, m0)
-	w.SetHandler(1, m1)
-	counts := make([]int, shards)
-	name := func(k int) string { return fmt.Sprintf("shard/%d", k) }
-	for k := 0; k < shards; k++ {
-		k := k
-		m1.Bind(name(k), rt.HandlerFunc(func(int, rt.Message) { counts[k]++ }))
-	}
-	chans := make([]rt.Runtime, shards)
-	for k := range chans {
-		chans[k] = m0.Channel(name(k))
-	}
-	stop := rt.Ticks(100 * rt.TicksPerD)
-	w.GoNode("sender", 0, func(p *sim.Proc) {
-		for p.Now() < stop {
-			for k := 0; k < shards; k++ {
-				chans[k].Send(1, plainMsg{})
-			}
-			if err := p.Sleep(rt.TicksPerD); err != nil {
-				return
-			}
-		}
-	})
-	frozen := make([]int, shards)
-	w.GoNode("teardown", 1, func(p *sim.Proc) {
-		for k := 0; k < shards; k++ {
-			_ = p.Sleep(10 * rt.TicksPerD)
-			if !m1.Unbind(name(k)) {
-				t.Errorf("Unbind(%s) reported no handler", name(k))
-			}
-			_ = p.Sleep(2 * rt.TicksPerD) // in-flight envelopes drain within D
-			frozen[k] = counts[k]
-		}
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < shards; k++ {
-		if counts[k] == 0 {
-			t.Errorf("shard %d saw no traffic before teardown", k)
-		}
-		if counts[k] != frozen[k] {
-			t.Errorf("shard %d delivered %d envelopes after unbind (count %d, frozen %d)",
-				k, counts[k]-frozen[k], counts[k], frozen[k])
-		}
-	}
-	if ch := m1.Channels(); len(ch) != 0 {
-		t.Errorf("channels after teardown = %v, want none", ch)
-	}
-}

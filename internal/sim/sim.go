@@ -315,11 +315,6 @@ func (w *World) Restart(id int) {
 	}
 }
 
-// RestartAt schedules node id to restart at time t.
-func (w *World) RestartAt(id int, t rt.Ticks) {
-	w.schedule(t, func() { w.Restart(id) })
-}
-
 // CrashedCount returns the number of crashed nodes.
 func (w *World) CrashedCount() int {
 	k := 0
@@ -385,7 +380,7 @@ func (w *World) send(src, dst int, msg rt.Message) {
 				if w.tracer != nil {
 					w.tracer(TraceEvent{T: w.now, Kind: "drop", Src: src, Dst: dst, Msg: msg.Kind()})
 				}
-				w.observeMsg(rt.MsgDrop, src, dst, msg)
+				w.observe(rt.MsgDrop, src, dst, msg)
 				return
 			}
 			extra = fate.Extra
@@ -398,7 +393,7 @@ func (w *World) send(src, dst int, msg rt.Message) {
 				if w.tracer != nil {
 					w.tracer(TraceEvent{T: w.now, Kind: "corrupt", Src: src, Dst: dst, Msg: msg.Kind()})
 				}
-				w.observeMsg(rt.MsgCorrupt, src, dst, msg)
+				w.observe(rt.MsgCorrupt, src, dst, msg)
 				return
 			}
 			if m != nil {
@@ -406,7 +401,7 @@ func (w *World) send(src, dst int, msg rt.Message) {
 				if w.tracer != nil {
 					w.tracer(TraceEvent{T: w.now, Kind: "corrupt", Src: src, Dst: dst, Msg: msg.Kind()})
 				}
-				w.observeMsg(rt.MsgCorrupt, src, dst, msg)
+				w.observe(rt.MsgCorrupt, src, dst, msg)
 				msg = m
 			}
 		}
@@ -422,14 +417,14 @@ func (w *World) send(src, dst int, msg rt.Message) {
 	if w.tracer != nil {
 		w.tracer(TraceEvent{T: w.now, Kind: "send", Src: src, Dst: dst, Msg: msg.Kind()})
 	}
-	w.observeMsg(rt.MsgSend, src, dst, msg)
+	w.observe(rt.MsgSend, src, dst, msg)
 	w.dispatch(src, dst, msg, extra)
 }
 
-// observeMsg forwards a message lifecycle event to the configured
+// observe forwards a message lifecycle event to the configured
 // Observer, if any. The encoded size is computed only when someone is
 // listening; unmarshalable test-local messages report 0 bytes.
-func (w *World) observeMsg(event string, src, dst int, msg rt.Message) {
+func (w *World) observe(event string, src, dst int, msg rt.Message) {
 	if w.cfg.Observer != nil {
 		w.cfg.Observer.OnMsg(rt.MsgEvent{
 			T: w.now, Event: event, Src: src, Dst: dst,
@@ -471,7 +466,7 @@ func (w *World) deliver(src, dst int, msg rt.Message) {
 	if w.tracer != nil {
 		w.tracer(TraceEvent{T: w.now, Kind: "deliver", Src: src, Dst: dst, Msg: msg.Kind()})
 	}
-	w.observeMsg(rt.MsgDeliver, src, dst, msg)
+	w.observe(rt.MsgDeliver, src, dst, msg)
 	if ns.handler != nil {
 		w.enter(dst, "a handler")
 		ns.handler.HandleMessage(src, msg)

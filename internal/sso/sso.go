@@ -115,23 +115,7 @@ func (nd *Node) Update(payload []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	for {
-		var done bool
-		nd.rtm.Atomic(func() {
-			nd.adopt(view)
-			// Covers, not Contains: with GC the written value may already
-			// sit inside the stored view's pruned prefix.
-			done = nd.stored.Covers(ts)
-		})
-		if done {
-			return nil
-		}
-		nd.rtm.Atomic(func() { nd.stats.ExtraRenewal++ })
-		view, err = nd.inner.RefreshView()
-		if err != nil {
-			return err
-		}
-	}
+	return nd.settle(view, ts)
 }
 
 // UpdateBatch writes the payloads, in order, as successive values of the
@@ -141,7 +125,7 @@ func (nd *Node) Update(payload []byte) (err error) {
 // tag-closed per writer, so a stored view containing timestamp r+k from
 // this node also contains its r+1..r+k-1 — every earlier batch member is
 // visible too (condition S2 for all of them at once).
-func (nd *Node) UpdateBatch(payloads [][]byte) error {
+func (nd *Node) UpdateBatch(payloads [][]byte) (err error) {
 	if len(payloads) == 0 {
 		return nil
 	}
@@ -160,26 +144,31 @@ func (nd *Node) UpdateBatch(payloads [][]byte) error {
 		return rt.ErrCrashed
 	}
 	nd.op.Start("update")
-	var err error
 	defer func() { nd.op.End(err) }()
 	nd.rtm.Atomic(func() { nd.stats.Updates += int64(len(payloads)) })
 	view, tss, err := bb.UpdateBatchWithView(payloads)
 	if err != nil {
 		return err
 	}
-	last := tss[len(tss)-1]
+	return nd.settle(view, tss[len(tss)-1])
+}
+
+// settle adopts the update's certifying view, then renews the lattice
+// until the stored view covers ts, the update's (last) timestamp.
+func (nd *Node) settle(view core.View, ts core.Timestamp) (err error) {
 	for {
 		var done bool
 		nd.rtm.Atomic(func() {
 			nd.adopt(view)
-			done = nd.stored.Covers(last)
+			// Covers, not Contains: with GC the written value may already
+			// sit inside the stored view's pruned prefix.
+			done = nd.stored.Covers(ts)
 		})
 		if done {
 			return nil
 		}
 		nd.rtm.Atomic(func() { nd.stats.ExtraRenewal++ })
-		view, err = nd.inner.RefreshView()
-		if err != nil {
+		if view, err = nd.inner.RefreshView(); err != nil {
 			return err
 		}
 	}

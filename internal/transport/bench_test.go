@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mpsnap/internal/mux"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/transport"
 	"mpsnap/internal/wire"
@@ -66,25 +67,38 @@ func benchPair(b *testing.B) (rt.Runtime, *countingHandler, func()) {
 // BenchmarkTCPDeliver ships b.N messages from node 1 to node 0 and waits
 // for the last delivery, reporting allocations per delivered message on
 // the transport path: coalesced writes, pooled buffers, and delivery in
-// batches by the goroutine that read them.
+// batches by the goroutine that read them. The envelope case is the
+// cluster's shape, every shard message wrapped in a mux.Envelope.
 func BenchmarkTCPDeliver(b *testing.B) {
-	rtm, h, closeAll := benchPair(b)
-	defer closeAll()
 	pad := []byte("0123456789abcdef0123456789abcdef") // 32B body
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The outbound queue is bounded; pace the sender against the
-		// receiver so the benchmark measures steady state, not overflow.
-		for int(h.n.Load()) < i-4096 {
-			time.Sleep(10 * time.Microsecond)
-		}
-		rtm.Send(0, benchMsg{Seq: i, Pad: pad})
+	for _, bc := range []struct {
+		name string
+		msg  func(seq int) rt.Message
+	}{
+		{"plain", func(seq int) rt.Message { return benchMsg{Seq: seq, Pad: pad} }},
+		{"envelope", func(seq int) rt.Message {
+			return mux.Envelope{Channel: "shard/0", Msg: benchMsg{Seq: seq, Pad: pad}}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rtm, h, closeAll := benchPair(b)
+			defer closeAll()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The outbound queue is bounded; pace the sender against the
+				// receiver so the benchmark measures steady state, not overflow.
+				for int(h.n.Load()) < i-4096 {
+					time.Sleep(10 * time.Microsecond)
+				}
+				rtm.Send(0, bc.msg(i))
+			}
+			for int(h.n.Load()) < b.N {
+				time.Sleep(50 * time.Microsecond)
+			}
+			b.StopTimer()
+		})
 	}
-	for int(h.n.Load()) < b.N {
-		time.Sleep(50 * time.Microsecond)
-	}
-	b.StopTimer()
 }
 
 // BenchmarkRelease is the price of the waiter list: ns per Atomic on a node

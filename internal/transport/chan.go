@@ -8,9 +8,11 @@
 //     (`aso node`), where the kernel's stream ordering provides FIFO.
 //
 // Both satisfy the paper's channel model: reliable FIFO point-to-point
-// links. Atomicity of handlers and critical sections is provided by a
-// per-node mutex; a blocked wait parks on the node's waiter list until the
-// end of a critical section, or a once-per-D clock, finds it true.
+// links. Both run the same node and hand protocols the same rt.Runtime;
+// they differ only in how a sent message reaches its peer. Atomicity of
+// handlers and critical sections is provided by a per-node mutex; a
+// blocked wait parks on the node's waiter list until the end of a critical
+// section, or a once-per-D clock, finds it true.
 package transport
 
 import (
@@ -24,195 +26,14 @@ import (
 	"mpsnap/internal/wire"
 )
 
-// node is the shared mutex and waiter list of both transports.
-type node struct {
-	mu      sync.Mutex
-	handler rt.Handler
-	// crashed is atomic because the send path checks it without the node
-	// lock, and crash/restart may flip it from another goroutine (the
-	// chaos harness's mid-broadcast crash, the recovery path).
-	crashed atomic.Bool
-	// pending buffers messages that arrive before the handler is
-	// installed (peers may finish their setup at different times;
-	// reliable channels must not drop early traffic).
-	pending []pendingMsg
-	waiters []waiter // parked, in registration order
-	// clock releases every d while a waiter is parked, until Close.
-	d      time.Duration
-	clock  *time.Timer
-	closed chan struct{}
-}
-
-type pendingMsg struct {
-	src int
-	msg rt.Message
-}
-
-// waiter is one parked WaitUntilThen, kept by value so that a release
-// walks the predicates without a hop. wake (capacity 1, pooled once its
-// caller has received) carries its one outcome, nil or rt.ErrCrashed.
-type waiter struct {
-	pred func() bool
-	then func()
-	wake chan error
-}
-
-var wakes = sync.Pool{New: func() any { return make(chan error, 1) }}
-
-// deliverBatch is both transports' one way into the handler: it runs a
-// burst of same-source messages in one critical section, with one lock
-// acquisition and one release for the whole batch instead of one each per
-// message. Handlers in this model never block on waiters (they record
-// state and return; predicates are evaluated only as a critical section
-// ends), so running k handler calls back-to-back under the lock is
-// indistinguishable from k single deliveries that happened to win the
-// lock consecutively — an ordering the concurrent transport always
-// permitted.
-func (nd *node) deliverBatch(src int, msgs []rt.Message) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	for _, msg := range msgs {
-		if nd.crashed.Load() {
-			break
-		}
-		if nd.handler == nil {
-			nd.pending = append(nd.pending, pendingMsg{src: src, msg: msg})
-			continue
-		}
-		nd.handler.HandleMessage(src, msg)
-	}
-	nd.release()
-}
-
-// setHandler installs the handler and flushes buffered deliveries.
-func (nd *node) setHandler(h rt.Handler) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	nd.handler = h
-	for _, pm := range nd.pending {
-		h.HandleMessage(pm.src, pm.msg)
-	}
-	nd.pending = nil
-	nd.release()
-}
-
-func (nd *node) atomic(fn func()) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	fn()
-	nd.release()
-}
-
-// waitUntilThen runs then at once if pred holds, and otherwise parks the
-// caller until a release fires it or a crash fails it.
-func (nd *node) waitUntilThen(pred func() bool, then func()) error {
-	nd.mu.Lock()
-	if nd.crashed.Load() {
-		nd.mu.Unlock()
-		return rt.ErrCrashed
-	}
-	if pred() {
-		then()
-		nd.release()
-		nd.mu.Unlock()
-		return nil
-	}
-	wake := wakes.Get().(chan error)
-	if nd.waiters = append(nd.waiters, waiter{pred, then, wake}); len(nd.waiters) == 1 {
-		if nd.clock == nil {
-			nd.clock = time.AfterFunc(nd.d, nd.tick)
-		} else {
-			nd.clock.Reset(nd.d)
-		}
-	}
-	nd.mu.Unlock()
-	err := <-wake
-	wakes.Put(wake)
-	return err
-}
-
-// release ends every critical section: it fires each parked waiter whose
-// predicate holds, in registration order — runs its then here, drops it,
-// wakes its caller — and repeats until a pass fires nothing, since a then
-// may make an earlier predicate true. Must hold mu.
-func (nd *node) release() {
-	for n := -1; n != len(nd.waiters); {
-		n = len(nd.waiters)
-		kept := 0
-		for i, w := range nd.waiters {
-			if !w.pred() {
-				if kept != i {
-					nd.waiters[kept] = w
-				}
-				kept++
-				continue
-			}
-			w.then()
-			w.wake <- nil
-		}
-		clear(nd.waiters[kept:])
-		nd.waiters = nd.waiters[:kept]
-	}
-}
-
-// tick is the clock's critical section; after Close it re-arms nothing.
-func (nd *node) tick() {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	select {
-	case <-nd.closed:
-	default:
-		if nd.release(); len(nd.waiters) > 0 {
-			nd.clock.Reset(nd.d)
-		}
-	}
-}
-
-// crash fails every parked waiter; later waits fail at once.
-func (nd *node) crash() {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	nd.crashed.Store(true)
-	for _, w := range nd.waiters {
-		w.wake <- rt.ErrCrashed
-	}
-	nd.waiters = nil
-}
-
-// restart clears the crash flag and installs the recovered incarnation's
-// handler in one critical section, so no message can reach the old
-// handler after the node is back. Messages that arrived during the
-// downtime were dropped (the model's crashed-receiver semantics); any
-// buffered pre-install deliveries belonged to the old incarnation and are
-// discarded with it.
-func (nd *node) restart(h rt.Handler) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	nd.crashed.Store(false)
-	nd.handler = h
-	nd.pending = nil
-	nd.release()
-}
-
 // ChanNet is an in-process cluster connected by channel-backed links.
 type ChanNet struct {
-	n, f        int
-	d           time.Duration
-	copyThrough bool
-	obs         rt.Observer
-	nodes       []*chanNode
-	rng         *rand.Rand
-	rngMu       sync.Mutex
-	start       time.Time
-	wg          sync.WaitGroup
-	done        chan struct{}
-}
-
-type chanNode struct {
-	node
-	net *ChanNet
-	id  int
-	out []*link // per-destination FIFO queues
+	d     time.Duration
+	nodes []*node
+	rng   *rand.Rand
+	rngMu sync.Mutex
+	wg    sync.WaitGroup
+	done  chan struct{}
 }
 
 type timedMsg struct {
@@ -257,8 +78,7 @@ func (l *link) push(tm timedMsg) bool {
 // most dispBatch) to deliverBatch in one critical section. It swaps the
 // queue for the batch it just finished, so a link in steady state
 // allocates nothing.
-func (l *link) drain(net *ChanNet, dst int) {
-	done := net.done
+func (l *link) drain(done <-chan struct{}, dst *node) {
 	var batch []timedMsg
 	var due []rt.Message
 	for {
@@ -290,12 +110,12 @@ func (l *link) drain(net *ChanNet, dst int) {
 			now := time.Now()
 			j := i
 			for j < len(batch) && len(due) < dispBatch && !batch[j].notBefo.After(now) {
-				net.observeMsg(rt.MsgDeliver, batch[j].src, dst, batch[j].msg)
+				dst.observe(rt.MsgDeliver, batch[j].src, dst.id, batch[j].msg, -1)
 				due = append(due, batch[j].msg)
 				j++
 			}
 			l.depth.Add(-int32(j - i))
-			net.nodes[dst].deliverBatch(batch[i].src, due)
+			dst.deliverBatch(batch[i].src, due)
 			clear(due)
 			due = due[:0]
 			clear(batch[i:j])
@@ -332,51 +152,62 @@ func NewChanNet(cfg ChanConfig) *ChanNet {
 	if cfg.D == 0 {
 		cfg.D = 2 * time.Millisecond
 	}
-	net := &ChanNet{
-		n:           cfg.N,
-		f:           cfg.F,
-		d:           cfg.D,
-		copyThrough: cfg.CopyThrough,
-		obs:         cfg.Observer,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		start:       time.Now(),
-		done:        make(chan struct{}),
+	c := &ChanNet{
+		d:     cfg.D,
+		nodes: make([]*node, cfg.N),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		done:  make(chan struct{}),
 	}
-	net.nodes = make([]*chanNode, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		net.nodes[i] = &chanNode{node: node{d: cfg.D, closed: net.done}, net: net, id: i, out: make([]*link, cfg.N)}
+	epoch := time.Now()
+	links := make([][]*link, cfg.N) // links[src][dst]
+	for src := range c.nodes {
+		out := make([]*link, cfg.N)
+		for dst := range out {
+			out[dst] = &link{wake: make(chan struct{}, 1)}
+		}
+		links[src] = out
+		c.nodes[src] = &node{id: src, n: cfg.N, f: cfg.F, d: cfg.D, epoch: epoch, obs: cfg.Observer, closed: c.done,
+			enqueue: func(dst int, msg rt.Message) {
+				if cfg.CopyThrough && wire.Marshalable(msg) {
+					m, err := wire.Roundtrip(msg)
+					if err != nil {
+						panic(fmt.Sprintf("transport: copy-through %d->%d: %v", src, dst, err))
+					}
+					msg = m
+				}
+				if !out[dst].push(timedMsg{src: src, msg: msg, notBefo: time.Now().Add(c.delay())}) {
+					panic(fmt.Sprintf("transport: link %d->%d overflow", src, dst))
+				}
+			}}
 	}
 	// One goroutine per (src,dst) link preserves FIFO while applying
 	// per-message delays.
-	for src := 0; src < cfg.N; src++ {
-		for dst := 0; dst < cfg.N; dst++ {
-			l := &link{wake: make(chan struct{}, 1)}
-			net.nodes[src].out[dst] = l
-			net.wg.Add(1)
+	for _, out := range links {
+		for dst, l := range out {
+			c.wg.Add(1)
 			go func() {
-				defer net.wg.Done()
-				l.drain(net, dst)
+				defer c.wg.Done()
+				l.drain(c.done, c.nodes[dst])
 			}()
 		}
 	}
-	return net
+	return c
 }
 
 // SetHandler installs node id's message handler; messages that arrived
 // earlier are delivered to it immediately.
-func (c *ChanNet) SetHandler(id int, h rt.Handler) { c.nodes[id].setHandler(h) }
+func (c *ChanNet) SetHandler(id int, h rt.Handler) { c.nodes[id].SetHandler(h) }
 
 // Runtime returns node id's rt.Runtime.
-func (c *ChanNet) Runtime(id int) rt.Runtime { return &chanRuntime{net: c, nd: c.nodes[id]} }
+func (c *ChanNet) Runtime(id int) rt.Runtime { return c.nodes[id].Runtime() }
 
 // Crash crash-stops node id.
-func (c *ChanNet) Crash(id int) { c.nodes[id].crash() }
+func (c *ChanNet) Crash(id int) { c.nodes[id].Crash() }
 
-// Restart brings a crashed node back with the recovered incarnation's
-// handler (crash-recovery). The node resumes receiving and sending; its
-// per-link FIFO queues were never torn down, so channel ordering survives
-// the downtime.
-func (c *ChanNet) Restart(id int, h rt.Handler) { c.nodes[id].restart(h) }
+// Restart brings crashed node id back with the recovered incarnation's
+// handler (crash-recovery); its links were never torn down, so channel
+// ordering survives the downtime.
+func (c *ChanNet) Restart(id int, h rt.Handler) { c.nodes[id].Restart(h) }
 
 // Close tears the cluster down.
 func (c *ChanNet) Close() {
@@ -384,67 +215,8 @@ func (c *ChanNet) Close() {
 	c.wg.Wait()
 }
 
-// nowTicks is wall time scaled into ticks, matching chanRuntime.Now.
-func (c *ChanNet) nowTicks() rt.Ticks {
-	return rt.Ticks(time.Since(c.start) * time.Duration(rt.TicksPerD) / c.d)
-}
-
-func (c *ChanNet) observeMsg(event string, src, dst int, msg rt.Message) {
-	if c.obs != nil {
-		c.obs.OnMsg(rt.MsgEvent{
-			T: c.nowTicks(), Event: event, Src: src, Dst: dst,
-			Kind: msg.Kind(), Bytes: wire.EncodedSize(msg),
-		})
-	}
-}
-
 func (c *ChanNet) delay() time.Duration {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
 	return time.Duration(c.rng.Int63n(int64(c.d))) + 1
 }
-
-type chanRuntime struct {
-	net *ChanNet
-	nd  *chanNode
-}
-
-var _ rt.Runtime = (*chanRuntime)(nil)
-
-func (r *chanRuntime) ID() int { return r.nd.id }
-func (r *chanRuntime) N() int  { return r.net.n }
-func (r *chanRuntime) F() int  { return r.net.f }
-
-func (r *chanRuntime) Send(dst int, msg rt.Message) {
-	if r.nd.crashed.Load() { // crashed nodes stop sending
-		return
-	}
-	if r.net.copyThrough && wire.Marshalable(msg) {
-		m, err := wire.Roundtrip(msg)
-		if err != nil {
-			panic(fmt.Sprintf("transport: copy-through %d->%d: %v", r.nd.id, dst, err))
-		}
-		msg = m
-	}
-	tm := timedMsg{src: r.nd.id, msg: msg, notBefo: time.Now().Add(r.net.delay())}
-	r.net.observeMsg(rt.MsgSend, r.nd.id, dst, msg)
-	if !r.nd.out[dst].push(tm) {
-		panic(fmt.Sprintf("transport: link %d->%d overflow", r.nd.id, dst))
-	}
-}
-
-func (r *chanRuntime) Broadcast(msg rt.Message) {
-	for dst := 0; dst < r.net.n; dst++ {
-		r.Send(dst, msg)
-	}
-}
-
-func (r *chanRuntime) Atomic(fn func()) { r.nd.atomic(fn) }
-
-func (r *chanRuntime) WaitUntilThen(label string, pred func() bool, then func()) error {
-	return r.nd.waitUntilThen(pred, then)
-}
-
-func (r *chanRuntime) Now() rt.Ticks { return r.net.nowTicks() }
-
-func (r *chanRuntime) Crashed() bool { return r.nd.crashed.Load() }

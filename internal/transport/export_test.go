@@ -6,7 +6,7 @@ import "time"
 var LoopbackMeshWith = loopbackMesh
 
 // Epoch is the time-zero the node measures Now() from.
-func (t *TCPNode) Epoch() time.Time { return t.start }
+func (t *TCPNode) Epoch() time.Time { return t.epoch }
 
 // Parked is the length of the node's waiter list.
 func (nd *node) Parked() int {

@@ -88,13 +88,14 @@ type TCPConfig struct {
 // loss of the crash model — the crashed-receiver semantics crash-recovery
 // deployments (`aso node -wal`) repair on rejoin — but the mesh heals, so
 // a restarted process receives the replies it is owed. The transport
-// never re-delivers frames it knows a socket accepted.
+// never re-delivers frames it knows a socket accepted. SetHandler,
+// Runtime, Crash and Restart are the shared node's: an in-process Restart
+// keeps the connections up, as a ChanNet restart keeps its links.
 type TCPNode struct {
 	node
 	cfg TCPConfig
 
 	listener net.Listener
-	start    time.Time
 	hello    []byte // this node's encoded handshake frame
 
 	outs []chan rt.Message // per-peer outbound queues
@@ -133,23 +134,23 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 	if cfg.ID < 0 || cfg.ID >= n {
 		return nil, fmt.Errorf("transport: id %d out of range", cfg.ID)
 	}
-	start := cfg.Epoch
-	if start.IsZero() {
-		start = time.Now()
+	epoch := cfg.Epoch
+	if epoch.IsZero() {
+		epoch = time.Now()
 	}
 	hello, err := wire.MarshalFrame(Hello{ID: cfg.ID}, cfg.MaxFrame)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode handshake: %w", err)
 	}
 	t := &TCPNode{
-		node:  node{d: cfg.D, closed: make(chan struct{})},
+		node:  node{id: cfg.ID, n: n, f: cfg.F, d: cfg.D, epoch: epoch, obs: cfg.Observer, closed: make(chan struct{})},
 		cfg:   cfg,
-		start: start,
 		hello: hello,
 		outs:  make([]chan rt.Message, n),
 		stale: make([]atomic.Bool, n),
 		conns: make([]net.Conn, n),
 	}
+	t.enqueue = t.push
 	ln := cfg.Listener
 	if ln == nil {
 		ln, err = net.Listen("tcp", cfg.Addrs[cfg.ID])
@@ -288,7 +289,7 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 	buf = payload
 	hm, err := wire.Unmarshal(payload)
 	if err != nil {
-		t.observeMsg(rt.MsgCorrupt, -1, t.cfg.ID, "", len(payload))
+		t.observe(rt.MsgCorrupt, -1, t.id, nil, len(payload))
 		t.recvError(-1, conn, err, true)
 		return
 	}
@@ -323,13 +324,13 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 		msg, err := wire.Unmarshal(payload)
 		if err != nil {
 			deliver()
-			t.observeMsg(rt.MsgCorrupt, src, t.cfg.ID, "", len(payload))
+			t.observe(rt.MsgCorrupt, src, t.id, nil, len(payload))
 			t.recvError(src, conn, err, true)
 			return
 		}
 		// Decoders copy all byte fields, so reusing buf for the next
 		// frame cannot mutate a batched message.
-		t.observeMsg(rt.MsgDeliver, src, t.cfg.ID, msg.Kind(), len(payload))
+		t.observe(rt.MsgDeliver, src, t.id, msg, len(payload))
 		batch = append(batch, msg)
 		if len(batch) == dispBatch || !wire.FrameBuffered(r) {
 			deliver()
@@ -491,35 +492,9 @@ func (t *TCPNode) sendLoop(peer int, conn net.Conn, out <-chan rt.Message) {
 	}
 }
 
-// nowTicks is wall time scaled into ticks, matching tcpRuntime.Now.
-func (t *TCPNode) nowTicks() rt.Ticks {
-	return rt.Ticks(time.Since(t.start) * time.Duration(rt.TicksPerD) / t.cfg.D)
-}
-
-func (t *TCPNode) observeMsg(event string, src, dst int, kind string, bytes int) {
-	if t.cfg.Observer != nil {
-		t.cfg.Observer.OnMsg(rt.MsgEvent{
-			T: t.nowTicks(), Event: event, Src: src, Dst: dst,
-			Kind: kind, Bytes: bytes,
-		})
-	}
-}
-
 // Addr is the node's actual listen address (useful when the config bound
 // port 0).
 func (t *TCPNode) Addr() string { return t.listener.Addr().String() }
-
-// SetHandler installs the message handler; messages that arrived earlier
-// (peers finish setup at different times) are delivered to it immediately.
-func (t *TCPNode) SetHandler(h rt.Handler) { t.setHandler(h) }
-
-// Runtime returns this node's rt.Runtime.
-func (t *TCPNode) Runtime() rt.Runtime { return (*tcpRuntime)(t) }
-
-// Crash crash-stops the node: it stops handling messages and blocked
-// waits return rt.ErrCrashed. Connections stay open (peers need not
-// distinguish a crashed node from a silent one).
-func (t *TCPNode) Crash() { t.crash() }
 
 // Close shuts the node down.
 func (t *TCPNode) Close() {
@@ -547,39 +522,16 @@ func (t *TCPNode) Close() {
 	t.wg.Wait()
 }
 
-type tcpRuntime TCPNode
-
-var _ rt.Runtime = (*tcpRuntime)(nil)
-
-func (r *tcpRuntime) ID() int { return r.cfg.ID }
-func (r *tcpRuntime) N() int  { return len(r.cfg.Addrs) }
-func (r *tcpRuntime) F() int  { return r.cfg.F }
-
-func (r *tcpRuntime) Send(dst int, msg rt.Message) {
-	out := r.outs[dst]
+// push hands msg to peer dst's send loop. The queue is bounded; a full one
+// is a bug, not backpressure.
+func (t *TCPNode) push(dst int, msg rt.Message) {
+	out := t.outs[dst]
 	if out == nil {
 		return
 	}
-	(*TCPNode)(r).observeMsg(rt.MsgSend, r.cfg.ID, dst, msg.Kind(), wire.EncodedSize(msg))
 	select {
 	case out <- msg:
 	default:
 		panic(fmt.Sprintf("transport: outbound queue to node %d overflow", dst))
 	}
 }
-
-func (r *tcpRuntime) Broadcast(msg rt.Message) {
-	for dst := range r.cfg.Addrs {
-		r.Send(dst, msg)
-	}
-}
-
-func (r *tcpRuntime) Atomic(fn func()) { (*TCPNode)(r).atomic(fn) }
-
-func (r *tcpRuntime) WaitUntilThen(label string, pred func() bool, then func()) error {
-	return (*TCPNode)(r).waitUntilThen(pred, then)
-}
-
-func (r *tcpRuntime) Now() rt.Ticks { return (*TCPNode)(r).nowTicks() }
-
-func (r *tcpRuntime) Crashed() bool { return (*TCPNode)(r).crashed.Load() }
