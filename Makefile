@@ -81,7 +81,8 @@ test-cluster:
 	$(GO) run ./cmd/aso chaos -backend all $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
 
 # Engine matrix under the race detector: the registry smoke across every
-# registered engine, the eqaso/acr/fastsnap differential corpus, the
+# registered engine, the differential corpus (eqaso against every other
+# linearizable engine), the
 # register-vector core's own suite (both first-collect rules), and the
 # challenger chaos matrix (4 seeds × sim + chan with the default fault
 # mix).
@@ -163,19 +164,17 @@ fuzz-monitor:
 	$(GO) test -fuzz=FuzzMonitorWindow -fuzztime=30s -run '^$$' ./internal/monitor/
 
 # Differential engine fuzzing: random sequential op schedules run on
-# EQ-ASO vs the acr and fastsnap challengers, every scan compared
-# pointwise against the reference and the trivial oracle.
+# EQ-ASO vs every other non-Sequential engine of the registry, every scan
+# compared pointwise against the reference and the trivial oracle.
 fuzz-engines:
 	$(GO) test -fuzz=FuzzEngineEquivalence -fuzztime=30s -run '^$$' ./internal/engine/
 
-# Bounded-exhaustive schedule exploration of the core algorithms; acr and
-# fastsnap are one core (internal/regsnap) explored under its two
-# first-collect rules, across the fast/slow-path boundary.
+# Bounded-exhaustive schedule exploration: every row of explore.Scenarios
+# crossed with every registered engine and the atomic one-shot, each at
+# its row's depth (the whole grid, ~20 s). A cell the engine's fault model
+# rejects (byzaso and sso-byz need n > 3f) is reported, not run.
 explore:
-	$(GO) run ./cmd/aso explore -engine eqaso -depth 6
-	$(GO) run ./cmd/aso explore -engine oneshot -depth 6
-	$(GO) run ./cmd/aso explore -engine acr -depth 6
-	$(GO) run ./cmd/aso explore -engine fastsnap -depth 6
+	$(GO) run ./cmd/aso explore
 
 # Regenerate every table/figure of EXPERIMENTS.md.
 experiments:

@@ -117,7 +117,10 @@ func NewSimCluster(cfg Config) (*SimCluster, error) {
 			buildErr = err
 			return m, obj
 		}
-		m.Bind("primary", h)
+		if err := m.Bind("primary", h); err != nil {
+			buildErr = err
+			return m, obj
+		}
 		byName := make(map[string]Object, len(cfg.Extra))
 		for _, ex := range cfg.Extra {
 			alg := ex.Algorithm
@@ -129,7 +132,10 @@ func NewSimCluster(cfg Config) (*SimCluster, error) {
 				buildErr = err
 				return m, obj
 			}
-			m.Bind("x:"+ex.Name, eh)
+			if err := m.Bind("x:"+ex.Name, eh); err != nil {
+				buildErr = err
+				return m, obj
+			}
 			byName[ex.Name] = eobj
 		}
 		extras[r.ID()] = byName

@@ -175,17 +175,16 @@ func chaosOne(cfg chaosConfig, be string, out io.Writer) (any, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	rep := chaos.NewReport(be, cfg.Engine, res)
-	if cfg.Dump != "" && res.Hist != nil {
+	if cfg.Dump != "" {
 		path := fmt.Sprintf("%s-%s.json", strings.TrimSuffix(cfg.Dump, ".json"), be)
 		if err := dumpHistory(path, res.Hist.DumpJSON, out); err != nil {
 			return nil, false, err
 		}
 	}
 	if !cfg.JSONOut {
-		printReport(out, rep, cfg, time.Since(startWall))
+		printReport(out, res, cfg, time.Since(startWall))
 	}
-	return rep, rep.OK, nil
+	return res, res.OK, nil
 }
 
 // shardsOne is the -shards dispatch: the same seed, mix, and topology
@@ -225,7 +224,7 @@ func shardsOne(cfg chaosConfig, be string, out io.Writer) (any, bool, error) {
 	return outcome{Backend: be, Report: rep, OK: ok}, ok, nil
 }
 
-func printReport(out io.Writer, rep chaos.Report, cfg chaosConfig, took time.Duration) {
+func printReport(out io.Writer, rep *chaos.Result, cfg chaosConfig, took time.Duration) {
 	c := cfg.Chaos
 	fmt.Fprintf(out, "backend=%-4s engine=%s n=%d f=%d seed=%d duration=%s (%d ticks) schedule=%s\n",
 		rep.Backend, rep.Engine, c.N, c.F, c.Seed, cfg.Duration, c.Duration, rep.ScheduleHash)
@@ -306,7 +305,7 @@ func printReport(out io.Writer, rep chaos.Report, cfg chaosConfig, took time.Dur
 
 // traceLine is the one-line pointer from a report to its trace dump: the
 // path plus everything needed to regenerate it (seed + schedule digest).
-func traceLine(rep chaos.Report) string {
+func traceLine(rep *chaos.Result) string {
 	s := fmt.Sprintf("trace: %s (seed=%d schedule=%s", rep.TracePath, rep.Schedule.Seed, rep.ScheduleHash)
 	if rep.TraceDropped > 0 {
 		s += fmt.Sprintf(", %d older events evicted", rep.TraceDropped)

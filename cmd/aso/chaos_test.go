@@ -129,7 +129,7 @@ func TestParseChaosConfig(t *testing.T) {
 // TestTraceLine: the failure report's one-line trace pointer carries the
 // dump path, the seed, and the schedule digest.
 func TestTraceLine(t *testing.T) {
-	rep := chaos.Report{
+	rep := &chaos.Result{
 		TracePath:    "traces/chaos-eqaso-seed42-deadbeef.jsonl",
 		ScheduleHash: "deadbeefdeadbeef",
 		Schedule:     chaos.Schedule{Seed: 42},

@@ -178,43 +178,53 @@ func (cfg *Config) checker() func(*history.History) *history.Report {
 	return (*history.History).CheckLinearizable
 }
 
-// Result is the outcome of one chaos run.
+// Result is the outcome of one chaos run; its JSON is what `aso chaos
+// -json` emits per backend.
 type Result struct {
-	// Schedule is the fault schedule that was injected.
-	Schedule Schedule
-	// Hist is the recorded operation history (pending operations mark
-	// crashed or force-aborted clients).
-	Hist *history.History
-	// Check is the consistency verdict: linearizability for the atomic
-	// engines, sequential consistency for the SSO family.
-	Check *history.Report
-	// Blocked lists operations that were still stuck at the end of the
-	// run (their nodes were crash-aborted so the run could terminate);
-	// each entry names the node and the blocked wait predicate.
-	Blocked []string
-	// Stats holds simulator counters (sim backend only).
-	Stats *sim.Stats
-	// NetDrops / NetHeld count messages dropped and parked by the
-	// transport fault injector (transport backends only).
-	NetDrops, NetHeld int64
-	// NetCorrupt counts messages hit by a wire-corruption window
-	// (transport backends only; the sim counts these in Stats).
-	NetCorrupt int64
-	// TracePath is the JSONL trace dump written for this run ("" when
-	// tracing was off or the run passed without TraceAlways).
-	TracePath string
-	// TraceDropped counts trace events evicted by ring wraparound (the
-	// dump holds the most recent TraceCap events).
-	TraceDropped uint64
-	// MonitorStats summarizes the streaming invariant monitor (nil when
-	// the monitor was off); MonitorViolations lists its findings.
-	MonitorStats      *monitor.Stats
-	MonitorViolations []string
-	// MonitorPath / MonitorTracePath name the first-violation dumps: the
-	// monitor's window transcript JSON and the obs trace ring captured at
-	// the moment of the violation ("" when no violation or no TraceDir).
-	MonitorPath      string
-	MonitorTracePath string
+	Backend string `json:"backend"`
+	Engine  string `json:"engine"`
+	// OK: the consistency check passed and the monitor, if armed, is clean.
+	OK bool `json:"ok"`
+	// Schedule is the injected fault schedule; two runs with equal
+	// ScheduleHash injected the exact same faults.
+	Schedule     Schedule `json:"schedule"`
+	ScheduleHash string   `json:"scheduleHash"`
+	// Ops counts the recorded operations; Pending those left without a
+	// response by a crashed or force-aborted client.
+	Ops     int `json:"ops"`
+	Pending int `json:"pending"`
+	// Violations are the checker's complaints (empty when OK).
+	Violations []string `json:"violations,omitempty"`
+	// Blocked lists operations still stuck at the end of the run (their
+	// nodes were crash-aborted so the run could terminate), each naming the
+	// node and the blocked wait predicate.
+	Blocked []string `json:"blocked,omitempty"`
+	// HistoryHash fingerprints the recorded history JSON; on the sim
+	// backend it is identical across runs with the same seed.
+	HistoryHash string     `json:"historyHash,omitempty"`
+	Stats       *sim.Stats `json:"stats,omitempty"` // sim backend only
+	// NetDrops / NetHeld / NetCorrupt count messages the transport fault
+	// injector dropped, parked and corrupted (transport backends only).
+	NetDrops   int64 `json:"netDrops,omitempty"`
+	NetHeld    int64 `json:"netHeld,omitempty"`
+	NetCorrupt int64 `json:"netCorrupt,omitempty"`
+	// TracePath names the JSONL trace dump ("" when tracing was off or the
+	// run passed without TraceAlways); TraceDropped counts the events ring
+	// wraparound evicted before it.
+	TracePath    string `json:"tracePath,omitempty"`
+	TraceDropped uint64 `json:"traceDropped,omitempty"`
+	// MonitorStats / MonitorViolations are the streaming invariant
+	// monitor's verdict (nil / empty when it was off); MonitorPath and
+	// MonitorTracePath name its first-violation dumps: the window
+	// transcript and the obs trace ring at that moment.
+	MonitorStats      *monitor.Stats `json:"monitor,omitempty"`
+	MonitorViolations []string       `json:"monitorViolations,omitempty"`
+	MonitorPath       string         `json:"monitorPath,omitempty"`
+	MonitorTracePath  string         `json:"monitorTracePath,omitempty"`
+	// Hist is the recorded history; Check its consistency verdict
+	// (linearizability, or sequential consistency for the SSO family).
+	Hist  *history.History `json:"-"`
+	Check *history.Report  `json:"-"`
 }
 
 // Grace is how long past the workload deadline an in-flight operation may
@@ -285,7 +295,7 @@ func Run(cfg Config, backend string) (*Result, error) {
 		return nil, fmt.Errorf("chaos: Service mode runs on the sim backend only (on chan and tcp a client records its update before svc admission fixes the write order)")
 	}
 	sched := cfg.schedule()
-	res := &Result{Schedule: sched}
+	res := &Result{Backend: backend, Engine: cfg.Engine, Schedule: sched, ScheduleHash: sched.Hash()}
 	w, err := NewWorld(backend, WorldConfig{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Byzantine: cfg.info.Byzantine})
 	if err != nil {
 		return nil, err
@@ -452,7 +462,7 @@ func Run(cfg Config, backend string) (*Result, error) {
 	}
 
 	res.Blocked, err = w.Run(cfg.Duration, Grace, drain)
-	res.Hist = rec.History()
+	res.setHistory(rec.History())
 	if err != nil {
 		return res, err
 	}
@@ -468,9 +478,11 @@ func Run(cfg Config, backend string) (*Result, error) {
 		res.Check = &history.Report{OK: false, Violations: []string{"forced failure (chaos test hook)"}}
 	}
 	harvestMonitor(mon, res)
-	if tr != nil && (!res.Check.OK || cfg.TraceAlways || len(res.MonitorViolations) > 0) {
+	res.OK = res.Check.OK && len(res.MonitorViolations) == 0
+	res.Violations = res.Check.Violations
+	if tr != nil && (!res.OK || cfg.TraceAlways) {
 		path := filepath.Join(cfg.TraceDir,
-			fmt.Sprintf("chaos-%s-seed%d-%s.jsonl", cfg.Engine, cfg.Seed, sched.Hash()))
+			fmt.Sprintf("chaos-%s-seed%d-%s.jsonl", cfg.Engine, cfg.Seed, res.ScheduleHash))
 		if err := tr.DumpJSONL(path); err != nil {
 			return res, fmt.Errorf("chaos: %w", err)
 		}

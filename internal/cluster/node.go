@@ -175,7 +175,7 @@ func NewNode(r rt.Runtime, cfg Config) (*Node, error) {
 		nextReq: uint64(r.Now()) << 24,
 	}
 	n.cl = n.mx.Channel(ClusterChannel)
-	if err := n.mx.BindErr(ClusterChannel, rt.HandlerFunc(n.handleCluster)); err != nil {
+	if err := n.mx.Bind(ClusterChannel, rt.HandlerFunc(n.handleCluster)); err != nil {
 		return nil, err
 	}
 	for _, s := range cfg.Map.OwnedBy(r.ID()) {
@@ -195,7 +195,7 @@ func (n *Node) bindShard(s int) error {
 	name := ShardChannel(s)
 	srt := newShardRuntime(n.mx.Channel(name), members, local, m.F)
 	h, obj := n.cfg.NewEngine(s, srt)
-	if err := n.mx.BindErr(name, remapHandler{members: members, inner: h}); err != nil {
+	if err := n.mx.Bind(name, remapHandler{members: members, inner: h}); err != nil {
 		return err
 	}
 	st := &shardState{shard: s, cum: make(map[string][]byte)}

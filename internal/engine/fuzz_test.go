@@ -13,8 +13,8 @@ import (
 
 // Differential engine fuzzing: decode the fuzz input into one sequential
 // schedule of UPDATE/SCAN operations across the cluster's nodes, run the
-// identical schedule on EQ-ASO and on each challenger engine, and compare
-// every scan pointwise. Because the schedule is sequential (each operation
+// identical schedule on EQ-ASO and on every other linearizable engine of
+// the registry, and compare every scan pointwise. Because the schedule is sequential (each operation
 // completes before the next is issued), linearizability admits exactly one
 // outcome — every segment holds the last value its node wrote — so any
 // divergence between engines, or from that trivial oracle, is a bug.
@@ -25,9 +25,18 @@ const (
 	fuzzOpsCap = 48
 )
 
-// fuzzEngines lists EQ-ASO (the reference) first; every later engine is
-// compared against it.
-var fuzzEngines = []string{"eqaso", "acr", "fastsnap"}
+// fuzzEngines lists EQ-ASO (the reference) first, then every other
+// registered engine that is not Sequential (a sequentially consistent scan
+// may lag the trivial oracle); each later engine is compared against it.
+var fuzzEngines = func() []string {
+	out := []string{"eqaso"}
+	for _, name := range engine.Names() {
+		if name != "eqaso" && !engine.MustLookup(name).Sequential {
+			out = append(out, name)
+		}
+	}
+	return out
+}()
 
 type fuzzOp struct {
 	node int
@@ -162,8 +171,8 @@ func checkSchedule(t *testing.T, data []byte) {
 }
 
 // FuzzEngineEquivalence is the native fuzz target behind `make
-// fuzz-engines`: random operation schedules on EQ-ASO versus the acr and
-// fastsnap challengers, scans compared pointwise.
+// fuzz-engines`: random operation schedules on EQ-ASO versus every other
+// linearizable engine, scans compared pointwise.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{1, 1, 1, 4, 4, 4, 0, 16, 32, 64, 128, 255})

@@ -10,8 +10,10 @@
 // deterministic given the choice sequence, the search walks the schedule
 // tree depth-first with an odometer over recorded branching widths.
 //
-// This is how the repository demonstrates, for small configurations, that
-// EQ-ASO's guarantees hold under *every* early schedule — and that the
+// The scenarios are the rows of one table (Scenarios), crossed with every
+// registered engine and the atomic one-shot (Objects) by Explore. This is
+// how the repository demonstrates, for small configurations, that the
+// engines' guarantees hold under *every* early schedule — and that the
 // paper's one-shot warm-up sketch (Section III-C) genuinely needs the
 // "typical quorum techniques": the explorer finds its counterexample
 // schedule in milliseconds (see the tests).
@@ -27,6 +29,7 @@ import (
 type Options struct {
 	// Depth is the number of initial scheduling decisions explored
 	// exhaustively; later decisions take the default (first eligible).
+	// Explore reads 0 as the scenario's Depth.
 	Depth int
 	// MaxRuns caps the number of executions (0 = 1,000,000).
 	MaxRuns int
@@ -79,21 +82,12 @@ func (s *Sequencer) Next(eligible []sim.EventInfo) int {
 	return 0
 }
 
-// Replay returns a sequencer that forces the given schedule prefix and
-// takes defaults afterwards — reproducing a Violation deterministically.
-func Replay(schedule []int) *Sequencer {
-	return &Sequencer{prefix: append([]int(nil), schedule...)}
-}
-
-// Run executes the scenario under every schedule of the bounded tree.
-// runOne must build a fresh scenario each call, install the given
-// sequencer via sim.Config.Sequencer, execute it, and return a non-nil
-// error if verification fails. Run returns a *Violation for the first
-// failing schedule, or the exploration result.
+// Run executes runOne under every schedule of the bounded tree. runOne
+// must build a fresh execution each call, install the given sequencer via
+// sim.Config.Sequencer, run it, and return a non-nil error if verification
+// fails. Run returns a *Violation for the first failing schedule, or the
+// exploration result.
 func Run(opts Options, runOne func(s sim.Sequencer) error) (Result, error) {
-	if opts.Depth <= 0 {
-		opts.Depth = 6
-	}
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 1_000_000
 	}

@@ -14,7 +14,6 @@ package mux
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"mpsnap/internal/rt"
 	"mpsnap/internal/wire"
@@ -99,19 +98,10 @@ func (m *Mux) Channel(name string) rt.Runtime {
 
 // Bind installs the handler of the named instance. Must be called before
 // traffic flows on that channel (instances created at setup time).
-// Registering the same name twice is always a setup bug — two instances
-// would steal each other's protocol messages — so it panics; components
-// that assemble channels dynamically should use BindErr instead.
-func (m *Mux) Bind(name string, h rt.Handler) {
-	if err := m.BindErr(name, h); err != nil {
-		panic(err)
-	}
-}
-
-// BindErr is Bind returning a descriptive error instead of panicking when
-// the channel name is already taken. The registration is atomic: on error
-// the existing handler is untouched.
-func (m *Mux) BindErr(name string, h rt.Handler) error {
+// Registering the same name twice is a setup bug — two instances would
+// steal each other's protocol messages — so Bind reports it and leaves the
+// existing handler untouched.
+func (m *Mux) Bind(name string, h rt.Handler) error {
 	var err error
 	m.rt.Atomic(func() {
 		if _, dup := m.handlers[name]; dup {
@@ -121,18 +111,6 @@ func (m *Mux) BindErr(name string, h rt.Handler) error {
 		m.handlers[name] = h
 	})
 	return err
-}
-
-// Channels lists the bound channel names (sorted; for tooling).
-func (m *Mux) Channels() []string {
-	var out []string
-	m.rt.Atomic(func() {
-		for name := range m.handlers {
-			out = append(out, name)
-		}
-	})
-	sort.Strings(out)
-	return out
 }
 
 // channelRuntime is the per-channel view of the underlying runtime: sends

@@ -1,6 +1,7 @@
 package mux_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -24,11 +25,9 @@ func TestTwoObjectsOverOneCluster(t *testing.T) {
 		m := mux.New(w.Runtime(i))
 		w.SetHandler(i, m)
 		asos[i] = eqaso.New(m.Channel("aso"))
-		m.Bind("aso", asos[i])
 		ssos[i] = sso.New(m.Channel("sso"))
-		m.Bind("sso", ssos[i])
-		if got := m.Channels(); len(got) != 2 || got[0] != "aso" || got[1] != "sso" {
-			t.Fatalf("channels = %v", got)
+		if err := errors.Join(m.Bind("aso", asos[i]), m.Bind("sso", ssos[i])); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -78,10 +77,11 @@ func TestMuxedHistoriesStayLinearizable(t *testing.T) {
 		m := mux.New(r)
 		muxes = append(muxes, m)
 		nd := eqaso.New(m.Channel("main"))
-		m.Bind("main", nd)
 		// A second, unrelated object generating background traffic.
 		aux := eqaso.New(m.Channel("aux"))
-		m.Bind("aux", aux)
+		if err := errors.Join(m.Bind("main", nd), m.Bind("aux", aux)); err != nil {
+			t.Fatal(err)
+		}
 		return m, nd
 	})
 	for i := 0; i < n; i++ {
@@ -101,33 +101,21 @@ func TestMuxedHistoriesStayLinearizable(t *testing.T) {
 	}
 }
 
-func TestBindTwicePanics(t *testing.T) {
-	w := sim.New(sim.Config{N: 1, F: 0, Seed: 1})
-	m := mux.New(w.Runtime(0))
-	m.Bind("x", rt.HandlerFunc(func(int, rt.Message) {}))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double bind must panic")
-		}
-	}()
-	m.Bind("x", rt.HandlerFunc(func(int, rt.Message) {}))
-}
-
-// TestBindErrReportsDuplicate: the non-panicking registration reports a
-// duplicate channel name descriptively and leaves the original handler in
-// place (components that assemble channels dynamically, like cluster.Node,
-// depend on both properties).
-func TestBindErrReportsDuplicate(t *testing.T) {
+// TestBindReportsDuplicate: a duplicate channel name is reported
+// descriptively and the original handler stays in place (components that
+// assemble channels dynamically, like cluster.Node, depend on both
+// properties).
+func TestBindReportsDuplicate(t *testing.T) {
 	w := sim.New(sim.Config{N: 1, F: 0, Seed: 1})
 	m := mux.New(w.Runtime(0))
 	var got []string
 	first := rt.HandlerFunc(func(int, rt.Message) { got = append(got, "first") })
-	if err := m.BindErr("x", first); err != nil {
-		t.Fatalf("first BindErr: %v", err)
+	if err := m.Bind("x", first); err != nil {
+		t.Fatalf("first Bind: %v", err)
 	}
-	err := m.BindErr("x", rt.HandlerFunc(func(int, rt.Message) { got = append(got, "second") }))
+	err := m.Bind("x", rt.HandlerFunc(func(int, rt.Message) { got = append(got, "second") }))
 	if err == nil {
-		t.Fatal("duplicate BindErr must error")
+		t.Fatal("duplicate Bind must error")
 	}
 	for _, want := range []string{"x", "bound twice"} {
 		if !strings.Contains(err.Error(), want) {
@@ -137,10 +125,7 @@ func TestBindErrReportsDuplicate(t *testing.T) {
 	// The original binding must be untouched.
 	m.HandleMessage(0, mux.Envelope{Channel: "x", Msg: plainMsg{}})
 	if len(got) != 1 || got[0] != "first" {
-		t.Errorf("after duplicate BindErr, delivery went to %v (want [first])", got)
-	}
-	if ch := m.Channels(); len(ch) != 1 || ch[0] != "x" {
-		t.Errorf("channels = %v", ch)
+		t.Errorf("after duplicate Bind, delivery went to %v (want [first])", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package mpsnap_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mpsnap"
@@ -83,5 +84,9 @@ func TestExtraObjectValidation(t *testing.T) {
 	if _, err := mpsnap.NewSimCluster(mpsnap.Config{N: 3, F: 1,
 		Extra: []mpsnap.ExtraObject{{Name: "b", Algorithm: "bogus"}}}); err == nil {
 		t.Fatal("unknown extra algorithm must be rejected")
+	}
+	if _, err := mpsnap.NewSimCluster(mpsnap.Config{N: 3, F: 1,
+		Extra: []mpsnap.ExtraObject{{Name: "b"}, {Name: "b"}}}); err == nil || !strings.Contains(err.Error(), "bound twice") {
+		t.Fatalf("duplicate extra name must be rejected, got %v", err)
 	}
 }
