@@ -60,7 +60,8 @@ test-svc:
 # crash-point suite, the pruned-log differential oracle, the value log's
 # straggler (below-frontier insert) tests, eqaso's acts-follow-syncs suite
 # (one sync per update, vouch and prune only after a durable record) and
-# the cluster's recovered-seed test.
+# the cluster's recovered-segment tests (a member restarted, once and
+# twice, after GC pruned its early writes).
 test-recovery:
 	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential|Straggler|Sync|Vouch|Seed' ./internal/chaos/ ./internal/wal/ ./internal/core/ ./internal/eqaso/ ./internal/cluster/
 
@@ -73,12 +74,19 @@ test-recovery:
 # The chan/tcp tests are repeated on one and two Ps the way test-svc
 # repeats svc: a handler admitting into the shard's svc queue is exactly
 # what only a real mutex can deadlock (the simulator can only flag it).
+# The last two lines are the two ways a member's segment is built: heavy
+# loss on eqaso shards, which fold each write's delta and hold back a value
+# that outran its predecessor, and acr shards, which have no fold and so
+# commit each member's whole segment through the writer-side accumulator
+# (acr has no WAL, hence no restarts).
 CLUSTER_MIX = -n 3 -f 1 -restarts 1 -partitions 1 -drops 1 -spikes 1 -scan-ratio 0.2
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/mux/
 	$(GO) test -race -count=5 -cpu 1,2 -run 'Chan|TCP|Routed|Queue' ./internal/cluster/
 	$(GO) run ./cmd/aso chaos -backend all $(CLUSTER_MIX) -seed 7 -duration 1s -shards 3 -shard-crash 1
 	$(GO) run ./cmd/aso chaos -backend all $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
+	$(GO) run ./cmd/aso chaos -backend sim $(CLUSTER_MIX) -seed 1 -duration 1s -shards 2 -drops 4 -drop-prob 0.5
+	$(GO) run ./cmd/aso chaos -backend sim $(CLUSTER_MIX) -seed 7 -duration 1s -shards 2 -engine acr -restarts 0
 
 # Engine matrix under the race detector: the registry smoke across every
 # registered engine, the differential corpus (eqaso against every other

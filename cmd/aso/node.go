@@ -185,7 +185,7 @@ func runNode(args []string, out io.Writer) error {
 			return fmt.Errorf("wal: %w", err)
 		}
 		if len(data) > 0 {
-			walSt = wal.Recover(data, cfg.N, cfg.ID)
+			walSt = wal.Recover(data, cfg.N, cfg.ID, nil)
 			if walSt.Intact < len(data) {
 				if err := os.Truncate(cfg.WAL, int64(walSt.Intact)); err != nil {
 					return fmt.Errorf("wal: truncate torn tail: %w", err)

@@ -95,7 +95,7 @@ func recovery(p Params) (*Report, error) {
 			var st *wal.State
 			start := time.Now()
 			for r := 0; r < reps; r++ {
-				st = wal.Recover(data, n, 0)
+				st = wal.Recover(data, n, 0, nil)
 			}
 			elapsed := time.Since(start)
 			pt := RecoveryPoint{

@@ -418,7 +418,7 @@ func Run(cfg Config, backend string) (*Result, error) {
 		}
 		f := walFiles[id]
 		f.Crash()
-		st := wal.Recover(f.Durable(), cfg.N, id)
+		st := wal.Recover(f.Durable(), cfg.N, id, nil)
 		// GC stays on: recovery under pruning is the point. Durable engines
 		// (normalize checked) rejoin after recovery.
 		e := cfg.info.Recover(w.Runtime(id), st, wal.NewWriter(f, WALBatch), true)

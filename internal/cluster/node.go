@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"mpsnap/internal/engine"
 	"mpsnap/internal/mux"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/svc"
@@ -39,16 +40,19 @@ type Config struct {
 	// NewEngine builds one shard engine on its shard-local runtime,
 	// returning the engine's message handler and client face. The same
 	// constructor must be used on every member. Required.
+	//
+	// A routed write is the delta of the keys it changed (svc.Record), and
+	// a member's segment in the shard snapshot is the fold of its deltas
+	// (svc.RecordFold). A handler that implements engine.Folder, with a
+	// client face that implements engine.Batcher, folds them itself: each
+	// write of a batch commits as its own value, and a restarted member's
+	// segment is rebuilt from its WAL when the WAL is replayed under the
+	// same fold (wal.Recover). Any other engine — one register per writer —
+	// gets the writer-side accumulator instead, which commits this member's
+	// whole segment on every batch.
 	NewEngine func(shard int, r rt.Runtime) (rt.Handler, svc.Object)
-	// SvcOptions configures each owned shard's service front. Coalesce is
-	// reserved (the node installs the cumulative key-map merger).
+	// SvcOptions configures each owned shard's service front.
 	SvcOptions svc.Options
-	// SeedSegment, if set, returns the node's recovered cumulative key
-	// segment for a shard (nil for none). A restarted node must resume
-	// its router key map from the last segment it published, or its next
-	// routed write would publish a fresh map and erase every key this
-	// member served before the crash from the shard snapshot.
-	SeedSegment func(shard int) []byte
 	// Health, if set, orders routing contacts healthy-first and receives
 	// timeout suspicions. Typically one shared Health fed by the
 	// backend's message observer.
@@ -57,35 +61,21 @@ type Config struct {
 	Timeout rt.Ticks
 }
 
-// shardState is one owned shard: its service front plus this node's
-// cumulative key map (only the shard's svc worker calls merge, so it needs
-// no lock).
-type shardState struct {
-	shard int
-	svc   *svc.Service
-	cum   map[string][]byte
-	order []string
+// accumulator is the writer side of the record fold, for an engine that
+// keeps one register per writer: it folds each batch into this member's
+// segment so far and commits the whole segment as one value. Only the
+// shard's svc worker calls it, so it needs no lock.
+type accumulator struct {
+	svc.Object
+	seg []byte
 }
 
-// merge folds a batch of routed key writes into the cumulative map and
-// returns the full map as the committed segment payload. The map must be
-// cumulative — a snapshot only keeps each writer's latest segment, so a
-// key written in an earlier batch survives only by being re-committed
-// here.
-func (st *shardState) merge(payloads [][]byte) []byte {
-	for _, p := range payloads {
-		for _, rec := range svc.DecodeRecords(p) {
-			if _, seen := st.cum[rec.K]; !seen {
-				st.order = append(st.order, rec.K)
-			}
-			st.cum[rec.K] = rec.V
-		}
-	}
-	recs := make([]svc.Record, 0, len(st.order))
-	for _, k := range st.order {
-		recs = append(recs, svc.Record{K: k, V: st.cum[k]})
-	}
-	return svc.EncodeRecords(recs)
+func (a *accumulator) Update(payload []byte) error { return a.UpdateBatch([][]byte{payload}) }
+
+// UpdateBatch implements engine.Batcher.
+func (a *accumulator) UpdateBatch(payloads [][]byte) error {
+	a.seg = svc.RecordFold.Fold(a.seg, payloads)
+	return a.Object.Update(a.seg)
 }
 
 // pendingCall is one request awaiting its answer: a routed request's
@@ -124,7 +114,7 @@ type Node struct {
 
 	// Fixed at construction, read without the atomicity domain.
 	ring     *Ring
-	owned    map[int]*shardState
+	owned    map[int]*svc.Service
 	attempts int // routing attempts per operation (see NewNode)
 
 	// Guarded by the node's atomicity domain.
@@ -145,9 +135,6 @@ func NewNode(r rt.Runtime, cfg Config) (*Node, error) {
 	if cfg.NewEngine == nil {
 		return nil, fmt.Errorf("cluster: Config.NewEngine is required")
 	}
-	if cfg.SvcOptions.Coalesce != nil {
-		return nil, fmt.Errorf("cluster: Config.SvcOptions.Coalesce is reserved by the node")
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
@@ -166,7 +153,7 @@ func NewNode(r rt.Runtime, cfg Config) (*Node, error) {
 		mx:       mux.New(r),
 		cfg:      cfg,
 		ring:     cfg.Map.Ring(),
-		owned:    make(map[int]*shardState),
+		owned:    make(map[int]*svc.Service),
 		attempts: attempts,
 		calls:    make(map[uint64]*pendingCall),
 		// Seed request IDs from the clock: a restarted incarnation must
@@ -195,20 +182,18 @@ func (n *Node) bindShard(s int) error {
 	name := ShardChannel(s)
 	srt := newShardRuntime(n.mx.Channel(name), members, local, m.F)
 	h, obj := n.cfg.NewEngine(s, srt)
+	f, folds := h.(engine.Folder)
+	if _, batches := obj.(engine.Batcher); folds && batches {
+		if err := f.SetFold(svc.RecordFold); err != nil {
+			return fmt.Errorf("cluster: shard %d: %w", s, err)
+		}
+	} else {
+		obj = &accumulator{Object: obj}
+	}
 	if err := n.mx.Bind(name, remapHandler{members: members, inner: h}); err != nil {
 		return err
 	}
-	st := &shardState{shard: s, cum: make(map[string][]byte)}
-	if n.cfg.SeedSegment != nil {
-		for _, rec := range svc.DecodeRecords(n.cfg.SeedSegment(s)) {
-			st.order = append(st.order, rec.K)
-			st.cum[rec.K] = rec.V
-		}
-	}
-	opts := n.cfg.SvcOptions
-	opts.Coalesce = st.merge
-	st.svc = svc.New(srt, obj, opts)
-	n.owned[s] = st
+	n.owned[s] = svc.New(srt, obj, n.cfg.SvcOptions)
 	return nil
 }
 
@@ -221,7 +206,7 @@ func (n *Node) Services() []*svc.Service {
 	shards := n.cfg.Map.OwnedBy(n.rtm.ID())
 	out := make([]*svc.Service, 0, len(shards))
 	for _, s := range shards {
-		out = append(out, n.owned[s].svc)
+		out = append(out, n.owned[s])
 	}
 	return out
 }
@@ -230,8 +215,8 @@ func (n *Node) Services() []*svc.Service {
 // admitted (routed requests included), new routed requests are refused.
 func (n *Node) Close() {
 	n.rtm.Atomic(func() { n.closed = true })
-	for _, st := range n.owned {
-		st.svc.Close()
+	for _, sv := range n.owned {
+		sv.Close()
 	}
 }
 
@@ -258,11 +243,11 @@ func (n *Node) pickContact(s, attempt int) int {
 // (no network hop); otherwise the request build makes goes to a shard
 // member, retrying across members on a timeout or a refusal. status reads
 // the reply (ok = it is the operation's response type).
-func (n *Node) routed(op, key string, local func(st *shardState) error,
+func (n *Node) routed(op, key string, local func(sv *svc.Service) error,
 	build func(req uint64, s int) rt.Message, status func(resp rt.Message) (code byte, ok bool)) error {
 	s := n.ring.ShardFor(key)
-	if st := n.owned[s]; st != nil {
-		return local(st)
+	if sv := n.owned[s]; sv != nil {
+		return local(sv)
 	}
 	var lastErr error
 	for attempt := 0; attempt < n.attempts; attempt++ {
@@ -292,8 +277,8 @@ func (n *Node) routed(op, key string, local func(st *shardState) error,
 // Update writes key=val on the key's owning shard (see routed).
 func (n *Node) Update(key string, val []byte) error {
 	return n.routed("update", key,
-		func(st *shardState) error {
-			return st.svc.Update(svc.EncodeRecords([]svc.Record{{K: key, V: val}}))
+		func(sv *svc.Service) error {
+			return sv.Update(svc.EncodeRecords([]svc.Record{{K: key, V: val}}))
 		},
 		func(req uint64, s int) rt.Message {
 			return MsgUpdateReq{Req: req, Shard: s, Key: key, Val: val}
@@ -310,8 +295,8 @@ func (n *Node) Update(key string, val []byte) error {
 func (n *Node) Scan(key string) ([][]byte, error) {
 	var vals [][]byte
 	err := n.routed("scan", key,
-		func(st *shardState) error {
-			snap, err := st.svc.Scan()
+		func(sv *svc.Service) error {
+			snap, err := sv.Scan()
 			vals = extractKey(snap, key)
 			return err
 		},
@@ -443,8 +428,8 @@ func (n *Node) handleCluster(src int, msg rt.Message) {
 // atomicity domain; never blocks.
 func (n *Node) admit(shard int, write *svc.Record, answer func(MsgCutResp)) {
 	r := MsgCutResp{Shard: shard, ScanStart: n.rtm.Now()}
-	st := n.owned[shard]
-	if n.closed || st == nil {
+	sv := n.owned[shard]
+	if n.closed || sv == nil {
 		r.Status = StatusErr
 		answer(r)
 		return
@@ -458,9 +443,9 @@ func (n *Node) admit(shard int, write *svc.Record, answer func(MsgCutResp)) {
 	}
 	var err error
 	if write != nil {
-		err = st.svc.AdmitUpdate(svc.EncodeRecords([]svc.Record{*write}), then)
+		err = sv.AdmitUpdate(svc.EncodeRecords([]svc.Record{*write}), then)
 	} else {
-		r.Pending, err = st.svc.AdmitScan(then)
+		r.Pending, err = sv.AdmitScan(then)
 	}
 	if err != nil {
 		r.Status = StatusErr

@@ -269,7 +269,7 @@ func globalEvents(cfg RunConfig, m ShardMap, scheds []chaos.Schedule) []chaos.Ev
 }
 
 // nodeBuilder wires one node's engine construction for both fresh boot
-// and WAL recovery, capturing the rejoin handle and recovered segment.
+// and WAL recovery, capturing the rejoin handle.
 type nodeBuilder struct {
 	cfg     RunConfig
 	m       ShardMap
@@ -289,11 +289,10 @@ func newNodeBuilder(cfg RunConfig, m ShardMap, health *Health) *nodeBuilder {
 }
 
 // nodeConfig builds the cluster Config for node id. On recovery the
-// engine replays the durable WAL prefix and the router key map is
-// re-seeded from the last segment the dead incarnation published; the
-// service options are the defaults on every backend.
+// engine replays the durable WAL prefix under the record fold, which
+// rebuilds this member's segment — pruned writes included — from the WAL
+// alone; the service options are the defaults on every backend.
 func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
-	var seed []byte
 	c := Config{Map: b.m, Health: b.health}
 	c.NewEngine = func(shard int, r rt.Runtime) (rt.Handler, svc.Object) {
 		in := b.cfg.info
@@ -306,15 +305,11 @@ func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
 			return nd, nd
 		}
 		f := b.files[id]
-		st := wal.Recover(f.Durable(), r.N(), r.ID())
-		// From the extract, not Log.Get: once GC has pruned the member's
-		// last own value only the pruned-prefix summary still holds it.
-		seed = st.Log.AllView().Extract(r.N())[r.ID()]
+		st := wal.Recover(f.Durable(), r.N(), r.ID(), svc.RecordFold)
 		nd := in.Recover(r, st, wal.NewWriter(f, chaos.WALBatch), true)
 		b.rejoins[id] = nd.(engine.Rejoiner)
 		return nd, nd
 	}
-	c.SeedSegment = func(shard int) []byte { return seed }
 	return c
 }
 
@@ -511,7 +506,7 @@ func Run(cfg RunConfig, backend string) (*Report, error) {
 
 	// Restart: replay the durable WAL prefix into a fresh engine, rebuild
 	// the whole node stack (router state dies with the incarnation; the
-	// key map is re-seeded from the recovered segment), rejoin, and
+	// member's segment lives in the replayed log), rejoin, and
 	// respawn the serving threads and clients under a new incarnation. The
 	// rejoin thread counts as a client, so the run cannot end under it.
 	incarnation := make([]int64, total)

@@ -1,18 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"mpsnap/internal/chaos"
-	"mpsnap/internal/core"
 	"mpsnap/internal/rt"
-	"mpsnap/internal/sim"
-	"mpsnap/internal/svc"
-	"mpsnap/internal/wal"
 )
 
 // testRunConfig is a chaos run small enough for the test suite: 2 shards
@@ -140,51 +135,5 @@ func TestRestartRebuildFailureIsReported(t *testing.T) {
 		if builds.Load() <= boot {
 			t.Errorf("%s: no restart reached the node builder (%d builds)", backend, builds.Load())
 		}
-	}
-}
-
-// TestRecoveredSeedSurvivesPrune: a restarted shard member re-seeds its
-// router from the last key map it published, and must find it even when GC
-// has pruned that value out of the retained log — otherwise its next routed
-// write publishes a fresh map and erases every key it served before the
-// crash. The WAL is the smallest that gets there: three writers, the
-// member's own value at tag 1, a checkpoint over all three, a prune.
-func TestRecoveredSeedSurvivesPrune(t *testing.T) {
-	const n, self = 3, 1
-	cfg := DefaultRunConfig()
-	if err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	b := newNodeBuilder(cfg, ContiguousMap(1, n, 1, 0), nil)
-	segment := svc.EncodeRecords([]svc.Record{{K: "k", V: []byte("served before the crash")}})
-	live := core.NewValueLog(n, self)
-	w := wal.NewWriter(b.files[self], chaos.WALBatch)
-	for tag, writer := range []int{self, 0, 2} {
-		v := core.Value{TS: core.Timestamp{Tag: core.Tag(tag + 1), Writer: writer}, Payload: []byte("foreign")}
-		if writer == self {
-			v.Payload = segment
-		}
-		live.Add(writer, v)
-		w.AppendValue(writer, v)
-	}
-	live.AdvanceFrontier(3)
-	ck := live.Frontier()
-	w.AppendCheckpoint(ck)
-	w.AppendPrune(ck)
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	st := wal.Recover(b.files[self].Durable(), n, self)
-	if st.Log.PrunedCount() != 3 {
-		t.Fatalf("fixture: recovered log pruned %d values, want all 3", st.Log.PrunedCount())
-	}
-	if _, ok := st.Log.Get(core.Timestamp{Tag: st.OwnTag, Writer: self}); ok {
-		t.Fatal("fixture: the own value is still retained, so the prune is not exercised")
-	}
-	c := b.nodeConfig(self, true)
-	c.NewEngine(0, sim.New(sim.Config{N: n, F: 1, Seed: 1}).Runtime(self))
-	if got := c.SeedSegment(0); !bytes.Equal(got, segment) {
-		t.Fatalf("recovered seed = %q, want the pruned own segment %q", got, segment)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // ValueLog is the history-independent replacement for an array of per-peer
 // ValueSets. One timestamp-sorted sequence holds each value the node knows
@@ -48,8 +51,8 @@ import "sort"
 // while digsum is re-based so digsum[i] remains the absolute digest of
 // pruned ∪ the first i retained values exactly (the digests are
 // order-independent sums).
-// The pruned prefix survives as a per-writer extract (preExt) attached to
-// views, so SCAN extraction still sees every writer's latest value.
+// The pruned prefix survives as a per-writer extract (pre) attached to
+// views, so SCAN extraction still sees every writer's segment.
 type ValueLog struct {
 	n, self int
 	// The retained values, sorted by timestamp, no duplicates: position p is
@@ -64,19 +67,19 @@ type ValueLog struct {
 	off       int // values pruned below the globally-vouched checkpoint
 	prunedTag Tag // tag of the last checkpoint pruned to
 
+	// fold is how a writer's values combine into its segment (nil: the
+	// latest wins); every view cut from the log carries it.
+	fold Fold
 	// Per-writer extract over the pruned prefix (cumulative across prunes),
-	// published as preExt and attached to views so extracts stay exact.
-	preTags []Tag
-	prePays [][]byte
-	preExt  *baseExtract
-
+	// published (pre.pub) and attached to views so extracts stay exact.
+	pre chains
 	// Master per-writer extract over the frozen prefix, republished as an
-	// immutable snapshot (ext) at each freeze so views can cache it.
-	extTags  []Tag
-	extPays  [][]byte
-	ext      *baseExtract
-	extOK    bool // false once a writer outside [0,n) is seen
-	extStale bool // master differs from published snapshot
+	// immutable snapshot (ext.pub) at each freeze so views can cache it.
+	ext   chains
+	extOK bool // false once a writer outside [0,n) is seen
+	// last[w] is the largest tag of writer w that V[self] holds, the pruned
+	// prefix included (0: none).
+	last []Tag
 
 	stats LogStats
 }
@@ -122,26 +125,66 @@ type LogStats struct {
 
 // NewValueLog returns an empty log for node self of n.
 func NewValueLog(n, self int) *ValueLog {
-	l := &ValueLog{
-		n:       n,
-		self:    self,
-		digsum:  make([]uint64, 1, 16),
-		peers:   make([]peerSet, n),
-		extTags: make([]Tag, n),
-		extPays: make([][]byte, n),
-		preTags: make([]Tag, n),
-		prePays: make([][]byte, n),
-		extOK:   true,
+	return &ValueLog{
+		n:      n,
+		self:   self,
+		digsum: make([]uint64, 1, 16),
+		peers:  make([]peerSet, n),
+		pre:    newChains(n),
+		ext:    newChains(n),
+		extOK:  true,
+		last:   make([]Tag, n),
 	}
-	for i := range l.extTags {
-		l.extTags[i] = -1
-		l.preTags[i] = -1
-	}
-	return l
 }
+
+// SetFold makes f the fold of every writer's segment. It must be called
+// before the log holds a value, unless f is the fold the log already has.
+func (l *ValueLog) SetFold(f Fold) error {
+	if f == l.fold {
+		return nil
+	}
+	if l.SelfLen() > 0 {
+		return fmt.Errorf("core: a value log holding %d values cannot change its fold", l.SelfLen())
+	}
+	l.fold = f
+	l.pre.setFold(f)
+	l.ext.setFold(f)
+	return nil
+}
+
+// Fold returns the log's fold (nil: the latest value wins).
+func (l *ValueLog) Fold() Fold { return l.fold }
 
 // N returns the cluster size the log was built for.
 func (l *ValueLog) N() int { return l.n }
+
+// LastTag returns the largest tag of writer w that V[self] holds, counting
+// the pruned prefix (0 when none, or w is out of range). A node that admits
+// each writer's values in order holds every earlier value of w too.
+func (l *ValueLog) LastTag(w int) Tag {
+	if w < 0 || w >= l.n {
+		return 0
+	}
+	return l.last[w]
+}
+
+// PrevTag returns the tag of writer ts.Writer's value just below ts that
+// V[self] holds (0 when none), the pruned prefix included — so 0 for the
+// stand-in a Standalone view puts at the latest pruned tag. It walks back
+// from ts to the writer's previous value: for re-sending a stretch of the
+// log, not for the hot path.
+func (l *ValueLog) PrevTag(ts Timestamp) Tag {
+	p, _ := l.locate(ts)
+	for p--; p >= 0; p-- {
+		if v := l.at(p); v.TS.Writer == ts.Writer {
+			return v.TS.Tag
+		}
+	}
+	if w := ts.Writer; w >= 0 && w < l.n && l.pre.tags[w] >= 0 && l.pre.tags[w] < ts.Tag {
+		return l.pre.tags[w]
+	}
+	return 0
+}
 
 // Stats returns the structural counters.
 func (l *ValueLog) Stats() LogStats { return l.stats }
@@ -316,6 +359,9 @@ func (l *ValueLog) insert(p int, v Value) {
 		ps.strag = append(ns, ps.strag...)
 		ps.prefix = p
 	}
+	if w := v.TS.Writer; w >= 0 && w < l.n && v.TS.Tag > l.last[w] {
+		l.last[w] = v.TS.Tag
+	}
 	w := p - len(l.sealed)
 	switch {
 	case p < l.frozen:
@@ -358,33 +404,22 @@ func insertCopy(s []Value, p int, v Value) []Value {
 }
 
 // noteFrozen folds a newly frozen value into the master per-writer extract.
+// Under a Fold the values of one writer must freeze in tag order, which a
+// log whose writers' values each enter after their predecessor guarantees:
+// a straggler frozen in below the frontier is then its writer's latest.
 func (l *ValueLog) noteFrozen(v Value) {
-	w := v.TS.Writer
-	if w < 0 || w >= l.n {
+	if w := v.TS.Writer; w < 0 || w >= l.n {
 		l.extOK = false
 		return
 	}
-	if v.TS.Tag > l.extTags[w] {
-		l.extTags[w] = v.TS.Tag
-		l.extPays[w] = v.Payload
-		l.extStale = true
-	}
+	l.ext.note(v)
 }
 
 // publishExt snapshots the master extract for attachment to views.
 func (l *ValueLog) publishExt() {
-	if !l.extOK {
-		l.ext = nil
-		return
+	if l.extOK {
+		l.ext.publish()
 	}
-	if !l.extStale && l.ext != nil {
-		return
-	}
-	l.ext = &baseExtract{
-		tags: append([]Tag(nil), l.extTags...),
-		pays: append([][]byte(nil), l.extPays...),
-	}
-	l.extStale = false
 }
 
 // AdvanceFrontier marks every value with tag ≤ r stable: the node learned
@@ -443,12 +478,12 @@ func (l *ValueLog) Vouches(ck Checkpoint) bool {
 // the log's two pieces, with the pruned-prefix summary attached.
 func (l *ValueLog) frozenView(k int) View {
 	ns := min(k, len(l.sealed))
-	v := View{base: l.sealed[:ns:ns], mid: l.win[: k-ns : k-ns]}
-	if k == l.frozen {
-		v.ext = l.ext
+	v := View{base: l.sealed[:ns:ns], mid: l.win[: k-ns : k-ns], fold: l.fold}
+	if k == l.frozen && l.extOK {
+		v.ext = l.ext.pub
 	}
 	if l.off > 0 {
-		v.pre = l.preExt
+		v.pre = l.pre.pub
 		v.pruned = l.off
 	}
 	return v
@@ -617,17 +652,9 @@ func (l *ValueLog) PruneTo(ck Checkpoint) bool {
 		}
 	}
 	for i := 0; i < idx; i++ {
-		v := l.at(i)
-		w := v.TS.Writer
-		if v.TS.Tag > l.preTags[w] {
-			l.preTags[w] = v.TS.Tag
-			l.prePays[w] = v.Payload
-		}
+		l.pre.note(l.at(i))
 	}
-	l.preExt = &baseExtract{
-		tags: append([]Tag(nil), l.preTags...),
-		pays: append([][]byte(nil), l.prePays...),
-	}
+	l.pre.publish()
 	// Fresh backing arrays for the pieces the prune cuts: the old ones stay
 	// alive only while previously published views still reference them.
 	ks := min(idx, len(l.sealed))

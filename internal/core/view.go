@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // View is an immutable set of values, sorted by timestamp. Views are what
 // good lattice operations return and what SCANs extract their vectors from
@@ -18,29 +21,50 @@ type View struct {
 	base []Value
 	mid  []Value
 	tail []Value
-	// ext, when set, caches the per-writer latest value over base and mid,
-	// so Extract only walks tail. It is published by the owning ValueLog
+	// ext, when set, caches the per-writer extract over base and mid, so
+	// Extract only walks tail. It is published by the owning ValueLog
 	// together with the frozen prefix and is immutable.
 	ext *baseExtract
 	// pre, when set, summarizes a garbage-collected log prefix that the
 	// view logically includes but no longer holds physically: for each
-	// writer, the latest pruned value. Every pruned timestamp sorts below
-	// every value in the segments. pruned counts the values the summary
-	// stands for (the view's logical length is pruned + Len()).
+	// writer, the extract of its pruned values. Every pruned timestamp sorts
+	// below every value in the segments. pruned counts the values the
+	// summary stands for (the view's logical length is pruned + Len()).
 	pre    *baseExtract
 	pruned int
+	// fold is how Extract combines a writer's values (nil: the latest wins).
+	fold Fold
 }
 
-// baseExtract is the cached extract of a frozen log prefix: for each
-// writer, the largest tag (−1 = none) and its payload.
+// baseExtract is the cached extract of a log prefix: for each writer, the
+// largest tag (−1 = none) and its segment — the payload under the default
+// fold; under a Fold, a materialised base plus the payloads still to fold
+// over it (tails, nil under the default fold).
 type baseExtract struct {
-	tags []Tag
-	pays [][]byte
+	tags  []Tag
+	pays  [][]byte
+	tails []tail
+}
+
+// tail is a writer's payloads still to fold in a published extract, and the
+// folded segment once a reader folded them (the one part of a published
+// extract written after publication).
+type tail struct {
+	vals [][]byte
+	seg  atomic.Pointer[[]byte]
 }
 
 // ViewOf builds a view from values already sorted by timestamp. The slice
 // is retained, not copied.
 func ViewOf(vals ...Value) View { return View{tail: vals} }
+
+// WithFold returns v extracting under f. Views cut from a log carry the
+// log's fold already; a view that arrived some other way (a full view off
+// the wire) is given it by the node that extracts from it.
+func (v View) WithFold(f Fold) View {
+	v.fold = f
+	return v
+}
 
 // Len returns the number of values the view holds physically. A view cut
 // from a pruned log logically also includes the pruned prefix (see
@@ -124,10 +148,11 @@ func (v View) Contains(ts Timestamp) bool {
 // Covers reports whether the view holds ts physically or its garbage-
 // collected prefix held it. The pruned prefix is a timestamp-order prefix
 // of the log, so for a value that exists, a latest-pruned tag for its
-// writer at or above ts.Tag proves ts was inside the prefix (per-writer
-// channels are FIFO: every earlier tag of that writer was delivered and
-// sorted below). Callers must only pass timestamps of values actually
-// written (the SSO passes its own just-written timestamps).
+// writer at or above ts.Tag proves ts was inside the prefix (a log admits
+// each writer's values only after their predecessor — eqaso holds back
+// one that arrives early — so every earlier tag of that writer entered the
+// log and sorted below). Callers must only pass timestamps of values
+// actually written (the SSO passes its own just-written timestamps).
 func (v View) Covers(ts Timestamp) bool {
 	if v.Contains(ts) {
 		return true
@@ -183,49 +208,67 @@ func (v View) Equal(o View) bool {
 }
 
 // Extract implements the extract(S) procedure (lines 31–34 of Algorithm 1):
-// for each node j, the payload with the largest tag among j's values in the
-// view; nil marks ⊥ (no value). When the view carries a cached extract of
-// its frozen segments (views cut from a frozen log prefix do), only the
-// tail is walked, so SCAN extraction is O(n + |tail|) instead of O(H).
+// for each node j, j's segment in the view — by default the payload with
+// the largest tag among j's values, under a Fold the fold of all of them;
+// nil marks ⊥ (no value). When the view carries a cached extract of its
+// frozen segments (views cut from a frozen log prefix do), only the tail is
+// walked, so SCAN extraction is O(n + |tail|) instead of O(H); under a Fold,
+// each segment with values still to fold is re-encoded once.
 func (v View) Extract(n int) [][]byte {
 	snap := make([][]byte, n)
 	best := make([]Tag, n)
 	for i := range best {
 		best[i] = -1
 	}
+	var base *baseExtract
 	start := 0
 	switch {
 	case v.ext != nil && len(v.ext.tags) <= n:
 		// The base extract already folds in any pruned prefix (the master
 		// extract is cumulative and never truncated), so pre is subsumed.
-		copy(best, v.ext.tags)
-		copy(snap, v.ext.pays)
-		start = len(v.base) + len(v.mid)
+		base, start = v.ext, len(v.base)+len(v.mid)
 	case v.pre != nil && len(v.pre.tags) <= n:
-		copy(best, v.pre.tags)
-		copy(snap, v.pre.pays)
+		base = v.pre
 	}
+	if base != nil {
+		copy(best, base.tags)
+		for w := range base.pays {
+			snap[w] = base.segment(v.fold, w)
+		}
+	}
+	var more [][][]byte // under a Fold: per writer, its payloads above the base
 	for k := start; k < v.Len(); k++ {
 		val := v.At(k)
 		w := val.TS.Writer
-		if w < 0 || w >= n {
-			continue // defensive: ignore out-of-range writers
+		if w < 0 || w >= n || val.TS.Tag <= best[w] {
+			continue // out-of-range writers are ignored (defensive)
 		}
-		if val.TS.Tag > best[w] {
-			best[w] = val.TS.Tag
+		best[w] = val.TS.Tag
+		if v.fold == nil {
 			snap[w] = val.Payload
+			continue
+		}
+		if more == nil {
+			more = make([][][]byte, n)
+		}
+		more[w] = append(more[w], val.Payload)
+	}
+	for w, m := range more {
+		if len(m) > 0 {
+			snap[w] = v.fold.Fold(snap[w], m)
 		}
 	}
 	return snap
 }
 
 // Standalone flattens the view into one that depends on no pruned-prefix
-// summary: each writer's latest pruned value is materialized as a real
-// value ahead of the retained ones (every pruned timestamp sorts below
-// every retained one, so the result stays sorted). The materialized view
-// approximates the original — intermediate pruned values are gone — but
-// extracts identically, which is what wire-encoded full views and rejoin
-// replies need.
+// summary: each writer's pruned values are materialized as one real value
+// at its latest pruned timestamp, ahead of the retained ones (every pruned
+// timestamp sorts below every retained one, so the result stays sorted) —
+// under a Fold, that value's payload is the fold of the pruned values,
+// itself a valid delta. The materialized view approximates the original —
+// intermediate pruned values are gone — but extracts identically, which is
+// what wire-encoded full views and rejoin replies need.
 func (v View) Standalone() View {
 	if v.pre == nil || v.pruned == 0 {
 		return v
@@ -233,14 +276,14 @@ func (v View) Standalone() View {
 	var pv []Value
 	for w, tag := range v.pre.tags {
 		if tag >= 0 {
-			pv = append(pv, Value{TS: Timestamp{Tag: tag, Writer: w}, Payload: v.pre.pays[w]})
+			pv = append(pv, Value{TS: Timestamp{Tag: tag, Writer: w}, Payload: v.pre.segment(v.fold, w)})
 		}
 	}
 	sort.Slice(pv, func(i, j int) bool { return pv[i].TS.Less(pv[j].TS) })
 	out := make([]Value, 0, len(pv)+v.Len())
 	out = append(out, pv...)
 	v.Each(func(val Value) { out = append(out, val) })
-	return ViewOf(out...)
+	return ViewOf(out...).WithFold(v.fold)
 }
 
 func (v View) String() string {

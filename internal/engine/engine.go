@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"mpsnap/internal/core"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/segment"
 	"mpsnap/internal/wal"
@@ -48,6 +49,16 @@ type Observable interface {
 // UPDATE coalescing fast path).
 type Batcher interface {
 	UpdateBatch(payloads [][]byte) error
+}
+
+// Folder is implemented by engines whose scans extract each writer's
+// segment as the fold of all its values (core.Fold) rather than its latest
+// one, so a writer may publish deltas. internal/cluster asserts it on the
+// handler a shard's constructor returns; SetFold must be called before the
+// engine is installed as a message handler, and fails on an engine that
+// already holds values under another fold.
+type Folder interface {
+	SetFold(f core.Fold) error
 }
 
 // Durable is implemented by engines that can persist their protocol state

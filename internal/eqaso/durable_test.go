@@ -243,7 +243,7 @@ func crashPoints(t *testing.T, verify func(d *durableCluster, st *wal.State)) {
 		mixedWorkload(t, d, rounds)
 		d.run()
 		d.files[0].Crash()
-		st := wal.Recover(d.files[0].Durable(), n, 0)
+		st := wal.Recover(d.files[0].Durable(), n, 0, nil)
 		if st.TailErr != nil {
 			t.Fatalf("failAt %d: durable prefix torn: %v", failAt, st.TailErr)
 		}

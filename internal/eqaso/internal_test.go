@@ -1,9 +1,11 @@
 package eqaso
 
 import (
+	"reflect"
 	"testing"
 
 	"mpsnap/internal/core"
+	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
 	"mpsnap/internal/wal"
 )
@@ -293,5 +295,58 @@ func TestMaybeEscalateOnce(t *testing.T) {
 	nd.maybeEscalate(7) // second nak: already escalated
 	if nd.stats.BorrowsEscalated != 1 || !nd.curBorrow.escalated {
 		t.Fatalf("want exactly one escalation: %+v", nd.stats)
+	}
+}
+
+// recordingRuntime records the node's broadcasts on their way out.
+type recordingRuntime struct {
+	rt.Runtime
+	sent []rt.Message
+}
+
+func (r *recordingRuntime) Broadcast(m rt.Message) {
+	r.sent = append(r.sent, m)
+	r.Runtime.Broadcast(m)
+}
+
+// TestValueHeldBackUntilItsPredecessor: writer 0's value t2 reaches node 1
+// before t1 — t1's direct copy was lost and its forward from node 2 is
+// late. t2 waits: it is neither in node 1's log nor forwarded. When t1
+// arrives, both enter the log and go out, t1 first, each naming its
+// predecessor.
+func TestValueHeldBackUntilItsPredecessor(t *testing.T) {
+	w := sim.New(sim.Config{N: 3, F: 1, Seed: 1})
+	r := &recordingRuntime{Runtime: w.Runtime(1)}
+	nd := New(r)
+	t1 := core.Value{TS: core.Timestamp{Tag: 1, Writer: 0}, Payload: []byte("a")}
+	t2 := core.Value{TS: core.Timestamp{Tag: 3, Writer: 0}, Payload: []byte("b")}
+
+	nd.HandleMessage(0, MsgValue{Val: t2, Prev: 1})
+	if nd.log.Has(t2.TS) || len(r.sent) != 0 {
+		t.Fatalf("t2 admitted or forwarded before t1: in log %v, sent %v", nd.log.Has(t2.TS), r.sent)
+	}
+	if nd.stats.HeldBack != 1 {
+		t.Fatalf("HeldBack = %d, want 1", nd.stats.HeldBack)
+	}
+
+	nd.HandleMessage(2, MsgValue{Val: t1, Prev: 0})
+	if !nd.log.Has(t1.TS) || !nd.log.Has(t2.TS) {
+		t.Fatalf("after t1: t1 in log %v, t2 in log %v, want both", nd.log.Has(t1.TS), nd.log.Has(t2.TS))
+	}
+	want := []rt.Message{MsgValue{Val: t1, Prev: 0}, MsgValue{Val: t2, Prev: 1}}
+	if !reflect.DeepEqual(r.sent, want) {
+		t.Fatalf("forwarded %v, want %v", r.sent, want)
+	}
+	// Each value is credited to the peer it came from.
+	if nd.log.Len(0) != 1 || nd.log.Len(2) != 1 {
+		t.Fatalf("V[0] has %d values, V[2] has %d: want t2 from 0 and t1 from 2", nd.log.Len(0), nd.log.Len(2))
+	}
+	if len(nd.held) != 0 {
+		t.Fatalf("values still held: %v", nd.held)
+	}
+	// t2's late forward is a duplicate: credited, not held, not forwarded.
+	nd.HandleMessage(2, MsgValue{Val: t2, Prev: 1})
+	if nd.stats.HeldBack != 1 || len(r.sent) != 2 || nd.log.Len(2) != 2 {
+		t.Fatalf("duplicate t2: HeldBack %d, %d sent, V[2] %d values", nd.stats.HeldBack, len(r.sent), nd.log.Len(2))
 	}
 }

@@ -11,8 +11,14 @@ import (
 // Message types of Algorithm 1 plus two liveness-hardening messages
 // ("borrowReq"/"goodView", see the package comment in node.go).
 
-// MsgValue carries a written or forwarded value ("value", ⟨v, ts⟩).
-type MsgValue struct{ Val core.Value }
+// MsgValue carries a written or forwarded value ("value", ⟨v, ts⟩) and the
+// tag of its writer's previous value (0: none). A receiver admits the value
+// only after that previous value, so every log — and every view cut from
+// one — holds a prefix of each writer's values.
+type MsgValue struct {
+	Val  core.Value
+	Prev core.Tag
+}
 
 // Kind implements rt.Message.
 func (MsgValue) Kind() string { return "value" }
@@ -146,9 +152,17 @@ func (MsgRejoinAck) Kind() string { return "rejoinAck" }
 func init() {
 	wire.Register(wire.Codec{
 		Tag: 16, Proto: MsgValue{},
-		Encode: func(b *wire.Buffer, m rt.Message) { wire.PutValue(b, m.(MsgValue).Val) },
-		Decode: func(d *wire.Decoder) (rt.Message, error) { return MsgValue{Val: wire.GetValue(d)}, d.Err() },
-		Gen:    func(rng *rand.Rand) rt.Message { return MsgValue{Val: wire.GenValue(rng)} },
+		Encode: func(b *wire.Buffer, m rt.Message) {
+			msg := m.(MsgValue)
+			wire.PutValue(b, msg.Val)
+			wire.PutTag(b, msg.Prev)
+		},
+		Decode: func(d *wire.Decoder) (rt.Message, error) {
+			return MsgValue{Val: wire.GetValue(d), Prev: wire.GetTag(d)}, d.Err()
+		},
+		Gen: func(rng *rand.Rand) rt.Message {
+			return MsgValue{Val: wire.GenValue(rng), Prev: core.Tag(rng.Int63n(1 << 20))}
+		},
 	})
 	wire.Register(wire.Codec{
 		Tag: 17, Proto: MsgReadTag{},

@@ -59,6 +59,12 @@ type Stats struct {
 	Rejoins            int64 // crash-recovery rejoins performed by this node
 	WALAppends         int64 // records written to the WAL
 	WALSyncs           int64 // file syncs paid for them (own values' plus the every-batch-appends ones)
+
+	// HeldBack counts values that arrived before their writer's previous
+	// value and waited for it. Channels are FIFO and every value is
+	// forwarded by every node, so only a lost message causes one: a drop,
+	// or a delivery missed while this node was down.
+	HeldBack int64
 }
 
 type readState struct {
@@ -72,6 +78,15 @@ type readState struct {
 type pendingBorrow struct {
 	tag  core.Tag
 	base core.Checkpoint
+}
+
+// heldValue is a value received from src before its writer's previous
+// value (tag prev) was admitted: it waits in Node.held, unlogged and
+// unforwarded.
+type heldValue struct {
+	src  int
+	val  core.Value
+	prev core.Tag
 }
 
 // borrowWait is the client thread's in-flight borrow, visible to the
@@ -108,6 +123,13 @@ type Node struct {
 	// Borrow protocol state.
 	pending   map[int]pendingBorrow // requester id → unanswered borrowReq
 	curBorrow *borrowWait
+
+	// Hold-back state: ownTag is the tag of this node's latest own value
+	// (the previous tag its next value carries; the client thread's alone);
+	// held holds, per writer, the values waiting for their predecessor (nil
+	// until one waits).
+	ownTag core.Tag
+	held   map[int][]heldValue
 
 	// Crash-recovery state (nil/zero when the node runs without a WAL).
 	// wal is the durability sink. Only own values force a sync (before they
@@ -174,6 +196,12 @@ func (nd *Node) AttachWAL(w *wal.Writer, gc bool) {
 	nd.wal = w
 	nd.gc = gc
 }
+
+// SetFold makes the node's scans extract every writer's segment as the fold
+// of its values (engine.Folder). Call it before the node is installed as a
+// message handler; a recovered node replayed its WAL under a fold already
+// (wal.Recover), and setting the same one again is a no-op.
+func (nd *Node) SetFold(f core.Fold) error { return nd.log.SetFold(f) }
 
 // Stats returns a copy of the node's counters.
 func (nd *Node) Stats() Stats {
@@ -254,7 +282,7 @@ func (nd *Node) LocalView() core.View {
 func (nd *Node) HandleMessage(src int, m rt.Message) {
 	switch msg := m.(type) {
 	case MsgValue:
-		nd.addValue(src, msg.Val)
+		nd.receiveValue(src, msg.Val, msg.Prev)
 	case MsgReadTag:
 		nd.rt.Send(src, MsgReadAck{ReqID: msg.ReqID, Tag: nd.maxTag})
 	case MsgReadAck:
@@ -299,7 +327,7 @@ func (nd *Node) HandleMessage(src int, m rt.Message) {
 	case MsgBorrowNak:
 		nd.maybeEscalate(msg.Tag)
 	case MsgGoodView:
-		nd.adoptBorrowed(msg.Tag, src, msg.View)
+		nd.adoptBorrowed(msg.Tag, src, msg.View.WithFold(nd.log.Fold()))
 	case MsgGoodViewDelta:
 		if view, ok := nd.log.ComposeAt(msg.Base, msg.Delta); ok {
 			nd.adoptBorrowed(msg.Tag, src, view)
@@ -337,11 +365,32 @@ func (nd *Node) HandleMessage(src int, m rt.Message) {
 	}
 }
 
+// receiveValue handles a MsgValue from src: v is admitted once the log
+// holds its writer's previous value (tag prev), and held back until then.
+// Channels are FIFO and every node forwards what it admits, so a value can
+// only outrun its predecessor when a message was lost, and the predecessor
+// still arrives by another path (a forward, or a rejoin reply): holding v
+// is a delay the model allows. It keeps the log closed under each writer's
+// prefix, which a fold needs and View.Covers assumes.
+func (nd *Node) receiveValue(src int, v core.Value, prev core.Tag) {
+	if w := v.TS.Writer; w >= 0 && w < nd.n && prev > nd.log.LastTag(w) {
+		if nd.held == nil {
+			nd.held = make(map[int][]heldValue)
+		}
+		nd.held[w] = append(nd.held[w], heldValue{src: src, val: v, prev: prev})
+		nd.stats.HeldBack++
+		return
+	}
+	nd.addValue(src, v)
+}
+
 // addValue admits a value received from src (the "value" handler, line 40
 // of Algorithm 1): into the log, the active EQ wait, the WAL, and — on
 // first receipt, which the log reports as newToSelf — back out to everyone
-// (reliable broadcast). The writer's own values went out from Update.
+// (reliable broadcast), carrying its writer's previous tag. The writer's
+// own values went out from Update. Values held back for this one follow.
 func (nd *Node) addValue(src int, v core.Value) {
+	last := nd.log.LastTag(v.TS.Writer)
 	newToJ, newToSelf := nd.log.Add(src, v)
 	if nd.wait != nil {
 		nd.wait.OnAdd(src, v, newToJ, newToSelf)
@@ -351,7 +400,37 @@ func (nd *Node) addValue(src int, v core.Value) {
 		nd.releaseDurable() // this append may have been the batch's last
 	}
 	if newToSelf && v.TS.Writer != nd.id {
-		nd.rt.Broadcast(MsgValue{Val: v})
+		if last >= v.TS.Tag {
+			// Admitted behind a later value of its writer (a rejoin reply
+			// restoring a flattened prefix): look its predecessor up.
+			last = nd.log.PrevTag(v.TS)
+		}
+		nd.rt.Broadcast(MsgValue{Val: v, Prev: last})
+	}
+	if len(nd.held) > 0 {
+		nd.releaseHeld(v.TS.Writer)
+	}
+}
+
+// releaseHeld admits, in order, the values of writer w whose predecessor
+// the log now holds.
+func (nd *Node) releaseHeld(w int) {
+	for {
+		q := nd.held[w]
+		i := 0
+		for i < len(q) && q[i].prev > nd.log.LastTag(w) {
+			i++
+		}
+		if i == len(q) {
+			return
+		}
+		h := q[i]
+		if len(q) == 1 {
+			delete(nd.held, w)
+		} else {
+			nd.held[w] = append(q[:i:i], q[i+1:]...)
+		}
+		nd.addValue(h.src, h.val)
 	}
 }
 

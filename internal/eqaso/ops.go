@@ -201,6 +201,7 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 		return core.View{}, nil, err
 	}
 	tss = make([]core.Timestamp, len(payloads))
+	prev := nd.ownTag
 	var walErr error
 	nd.rt.Atomic(func() {
 		for i := range payloads {
@@ -224,6 +225,7 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 			nd.releaseDurable()
 		}
 	})
+	nd.ownTag = tss[len(tss)-1].Tag
 	if walErr != nil {
 		// The batch is not durable: disseminating it would let peers act on
 		// (and GC behind) values this node cannot reconstruct after a crash.
@@ -233,7 +235,8 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 	}
 	nd.op.Phase("disseminate")
 	for i, payload := range payloads {
-		nd.rt.Broadcast(MsgValue{Val: core.Value{TS: tss[i], Payload: payload}})
+		nd.rt.Broadcast(MsgValue{Val: core.Value{TS: tss[i], Payload: payload}, Prev: prev})
+		prev = tss[i].Tag
 	}
 	if _, _, err = nd.lattice(r); err != nil { // phase 0
 		return core.View{}, tss, err

@@ -1,7 +1,6 @@
 package eqaso
 
 import (
-	"mpsnap/internal/core"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/wal"
 )
@@ -29,6 +28,7 @@ func Recover(r rt.Runtime, st *wal.State, w *wal.Writer, gc bool) *Node {
 	if st.OwnTag > nd.maxTag {
 		nd.maxTag = st.OwnTag
 	}
+	nd.ownTag = st.OwnTag
 	// The recovered frontier is the latest durable checkpoint — one the node
 	// vouched before the crash or had parked for it — so the node stands
 	// behind it either way (Rejoin's MsgRejoinReq carries it to the peers).
@@ -47,20 +47,23 @@ func Recover(r rt.Runtime, st *wal.State, w *wal.Writer, gc bool) *Node {
 // only sends — the acks are absorbed by the message handler — so the
 // client thread can start operating immediately after it returns.
 func (nd *Node) Rejoin() {
-	var vals []core.Value
+	var msgs []MsgValue
 	var req MsgRejoinReq
 	nd.rt.Atomic(func() {
 		nd.stats.Rejoins++
 		base := nd.log.Frontier()
-		if delta, ok := nd.log.DeltaAbove(nd.log.AllView(), base); ok {
-			vals = delta
-		} else {
+		vals, ok := nd.log.DeltaAbove(nd.log.AllView(), base)
+		if !ok {
 			vals = nd.log.AllView().Standalone().Values()
+		}
+		msgs = make([]MsgValue, len(vals))
+		for i, v := range vals {
+			msgs[i] = MsgValue{Val: v, Prev: nd.log.PrevTag(v.TS)}
 		}
 		req = MsgRejoinReq{Base: base}
 	})
-	for _, v := range vals {
-		nd.rt.Broadcast(MsgValue{Val: v})
+	for _, m := range msgs {
+		nd.rt.Broadcast(m)
 	}
 	nd.rt.Broadcast(req)
 }

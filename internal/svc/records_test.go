@@ -94,3 +94,28 @@ func TestEncodeRecordsBytesUnchanged(t *testing.T) {
 		t.Errorf("EncodeRecords allocates %.0f times per call, want 1 (the sized buffer)", allocs)
 	}
 }
+
+// BenchmarkRecordFold folds one routed write (one record) over a segment of
+// 135 keys with 64-byte values — the shape of a member's segment on the
+// sharded benchmark — as a scan does for every writer with new values.
+func BenchmarkRecordFold(b *testing.B) {
+	recs := make([]svc.Record, 135)
+	for i := range recs {
+		recs[i] = svc.Record{K: fmt.Sprintf("k%04d", i*7), V: bytes.Repeat([]byte{byte(i)}, 64)}
+	}
+	seg := svc.EncodeRecords(recs)
+	for _, c := range []struct {
+		name   string
+		deltas [][]byte
+	}{
+		{"overwrite", [][]byte{svc.EncodeRecords([]svc.Record{{K: "k0350", V: bytes.Repeat([]byte("x"), 64)}})}},
+		{"newkey", [][]byte{svc.EncodeRecords([]svc.Record{{K: "k9999", V: bytes.Repeat([]byte("x"), 64)}})}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				svc.RecordFold.Fold(seg, c.deltas)
+			}
+		})
+	}
+}

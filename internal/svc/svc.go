@@ -111,11 +111,6 @@ type Options struct {
 	// request per protocol operation. This is the one-op-at-a-time
 	// baseline the batched modes are benchmarked against.
 	Serialize bool
-	// Coalesce, if set, folds an update batch's payloads (in arrival
-	// order) into the single payload committed for the batch; it takes
-	// precedence over engine.Batcher. internal/cluster uses it to merge
-	// per-key writes into one segment map.
-	Coalesce func(payloads [][]byte) []byte
 	// Observer, if set, receives "svc.update"/"svc.scan" operation
 	// events: start at admission (the request's position in the serving
 	// order is fixed), end when the worker resolves it. The measured
@@ -461,19 +456,14 @@ func (s *Service) serveUpdates(ups []*request) {
 		payloads[i] = req.payload
 	}
 	var err error
-	switch {
-	case s.opts.Coalesce != nil:
-		err = s.obj.Update(s.opts.Coalesce(payloads))
-	default:
-		if b, ok := s.obj.(engine.Batcher); ok {
-			err = b.UpdateBatch(payloads)
-		} else {
-			// Last-value-wins: the batch members are linearized
-			// consecutively (arrival order) at the commit point; only the
-			// last value is ever observable, as if each had been
-			// immediately overwritten by its concurrent successor.
-			err = s.obj.Update(payloads[len(payloads)-1])
-		}
+	if b, ok := s.obj.(engine.Batcher); ok {
+		err = b.UpdateBatch(payloads)
+	} else {
+		// Last-value-wins: the batch members are linearized consecutively
+		// (arrival order) at the commit point; only the last value is ever
+		// observable, as if each had been immediately overwritten by its
+		// concurrent successor.
+		err = s.obj.Update(payloads[len(payloads)-1])
 	}
 	s.rtm.Atomic(func() {
 		s.stats.ProtoUpdates++

@@ -123,7 +123,7 @@ func TestCrashPointEveryPrefix(t *testing.T) {
 				t.Fatalf("%d records, %d snapshots", len(bounds), len(snaps)-1)
 			}
 			for cut := 0; cut <= len(whole); cut++ {
-				st := Recover(whole[:cut], n, self)
+				st := Recover(whole[:cut], n, self, nil)
 				want := snaps[st.Records]
 				if st.Log.SelfLen() != want.selfLen || st.Log.PrunedCount() != want.pruned {
 					t.Fatalf("cut %d (%d records): sizes (%d,%d), want (%d,%d)",
@@ -198,7 +198,7 @@ func TestCrashPointSyncHook(t *testing.T) {
 		w.Sync()
 		note()
 		f.Crash()
-		st := Recover(f.Durable(), n, self)
+		st := Recover(f.Durable(), n, self, nil)
 		if st.TailErr != nil {
 			t.Fatalf("failAt %d: durable prefix torn: %v", failAt, st.TailErr)
 		}

@@ -72,7 +72,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// Recover must never panic and must agree with a manual replay of
 		// the decoded records.
-		st := Recover(data, 3, 0)
+		st := Recover(data, 3, 0, nil)
 		if st.Records != len(recs) {
 			t.Fatalf("Recover saw %d records, Replay %d", st.Records, len(recs))
 		}

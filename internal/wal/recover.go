@@ -31,11 +31,15 @@ type State struct {
 	TailErr error
 }
 
-// Recover replays a WAL image into a fresh ValueLog for node self of n.
-// It never fails: corrupt input yields the state of the longest intact
-// prefix, with TailErr saying where and why replay stopped.
-func Recover(data []byte, n, self int) *State {
+// Recover replays a WAL image into a fresh ValueLog for node self of n,
+// under fold (nil: the latest value wins) — the one the node's segments
+// are extracted with, in force before the first record so that the pruned
+// prefix's summary is a fold too. It never fails: corrupt input yields the
+// state of the longest intact prefix, with TailErr saying where and why
+// replay stopped.
+func Recover(data []byte, n, self int, fold core.Fold) *State {
 	st := &State{Log: core.NewValueLog(n, self)}
+	st.Log.SetFold(fold) // cannot fail: the log is empty
 	recs, intact, err := Replay(data)
 	st.TailErr = err
 	st.Intact = intact

@@ -185,7 +185,7 @@ func TestRecoverRebuildsLog(t *testing.T) {
 	add(0, val(11, 0))
 	w.Sync()
 
-	st := Recover(f.Durable(), n, self)
+	st := Recover(f.Durable(), n, self, nil)
 	if st.TailErr != nil {
 		t.Fatalf("tail error on clean wal: %v", st.TailErr)
 	}
@@ -225,7 +225,7 @@ func TestRecoverTruncateAppendRecover(t *testing.T) {
 	// Crash mid-append: the file keeps a torn half-record tail.
 	torn := append(f.Bytes()[:f.Len():f.Len()], 0, 0, 0, 42, 0xde, 0xad)
 
-	st := Recover(torn, 3, 0)
+	st := Recover(torn, 3, 0, nil)
 	if st.Records != 2 || st.TailErr == nil {
 		t.Fatalf("first recovery: records=%d err=%v", st.Records, st.TailErr)
 	}
@@ -241,7 +241,7 @@ func TestRecoverTruncateAppendRecover(t *testing.T) {
 	w2 := NewWriter(f2, 1)
 	w2.AppendValue(0, val(5, 0))
 
-	again := Recover(f2.Durable(), 3, 0)
+	again := Recover(f2.Durable(), 3, 0, nil)
 	if again.TailErr != nil {
 		t.Fatalf("second recovery tail: %v", again.TailErr)
 	}
@@ -252,10 +252,10 @@ func TestRecoverTruncateAppendRecover(t *testing.T) {
 }
 
 func TestRecoverEmptyAndGarbage(t *testing.T) {
-	if st := Recover(nil, 3, 0); st.Records != 0 || st.TailErr != nil {
+	if st := Recover(nil, 3, 0, nil); st.Records != 0 || st.TailErr != nil {
 		t.Fatalf("empty wal: %+v", st)
 	}
-	st := Recover([]byte("not a wal at all, just bytes"), 3, 0)
+	st := Recover([]byte("not a wal at all, just bytes"), 3, 0, nil)
 	if st.Records != 0 || st.TailErr == nil {
 		t.Fatalf("garbage wal: records=%d err=%v", st.Records, st.TailErr)
 	}
