@@ -56,7 +56,8 @@ test-svc:
 	$(GO) test -race -count=20 -cpu 1,2 ./internal/svc/
 
 # Crash-recovery matrix under the race detector: WAL replay, restart and
-# rejoin under chaos on the sim, chan and tcp backends, plus the WAL's
+# rejoin under chaos on the sim, chan and tcp backends (plain and sharded
+# runs, whole-shard crash included), plus the WAL's
 # crash-point suite, the pruned-log differential oracle, the value log's
 # straggler (below-frontier insert) tests, eqaso's acts-follow-syncs suite
 # (one sync per update, vouch and prune only after a durable record) and
@@ -67,13 +68,15 @@ test-recovery:
 
 # Sharded-cluster matrix under the race detector: routing, refusals,
 # and validated cross-shard cuts on the sim, chan and tcp backends
-# (TestRunChanSeeds covers 4 seeds with per-shard fault schedules), plus
+# (a sharded run is a chaos.Run: internal/chaos's TestShards* tests, e.g.
+# TestShardsChanSeeds covers 4 seeds with per-shard fault schedules), plus
 # whole-shard crash+recover and whole-shard partition episodes on every
 # backend, each shard a 3-node cluster under a one-of-each fault mix with
 # a restart.
-# The chan/tcp tests are repeated on one and two Ps the way test-svc
-# repeats svc: a handler admitting into the shard's svc queue is exactly
-# what only a real mutex can deadlock (the simulator can only flag it).
+# The sharded runs and the routed-call tests are repeated on one and two
+# Ps the way test-svc repeats svc: a handler admitting into the shard's svc
+# queue is exactly what only a real mutex can deadlock (the simulator can
+# only flag it).
 # The last two lines are the two ways a member's segment is built: heavy
 # loss on eqaso shards, which fold each write's delta and hold back a value
 # that outran its predecessor, and acr shards, which have no fold and so
@@ -82,7 +85,8 @@ test-recovery:
 CLUSTER_MIX = -n 3 -f 1 -restarts 1 -partitions 1 -drops 1 -spikes 1 -scan-ratio 0.2
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/mux/
-	$(GO) test -race -count=5 -cpu 1,2 -run 'Chan|TCP|Routed|Queue' ./internal/cluster/
+	$(GO) test -race -count=5 -cpu 1,2 -run 'Routed|Queue' ./internal/cluster/
+	$(GO) test -race -count=5 -cpu 1,2 -run '^TestShards' ./internal/chaos/
 	$(GO) run ./cmd/aso chaos -backend all $(CLUSTER_MIX) -seed 7 -duration 1s -shards 3 -shard-crash 1
 	$(GO) run ./cmd/aso chaos -backend all $(CLUSTER_MIX) -seed 9 -duration 1s -shards 2 -shard-partition 0
 	$(GO) run ./cmd/aso chaos -backend sim $(CLUSTER_MIX) -seed 1 -duration 1s -shards 2 -drops 4 -drop-prob 0.5

@@ -9,23 +9,21 @@ import (
 	"time"
 
 	"mpsnap/internal/chaos"
-	"mpsnap/internal/cluster"
 	"mpsnap/internal/rt"
 )
 
 // chaosConfig is the parsed `aso chaos` command line: the chaos.Config for
-// every selected backend plus command-level options. When Cluster.Shards
-// is positive the run dispatches to the sharded cluster runner instead,
-// with the same seed, mix, and topology flags applied per shard.
+// every selected backend plus command-level options.
 type chaosConfig struct {
 	topology
 	Chaos     chaos.Config
-	Cluster   cluster.RunConfig
 	Backends  []string
 	Duration  time.Duration
 	ShowSched bool
 	JSONOut   bool
 	Dump      string
+	// flags is the parsed command line, which reproduce replays.
+	flags *flag.FlagSet
 }
 
 // parseChaosConfig parses and validates the `aso chaos` command line. Usage
@@ -35,68 +33,81 @@ func parseChaosConfig(args []string, out io.Writer) (chaosConfig, error) {
 	var backend string
 	fs := flag.NewFlagSet("aso chaos", flag.ContinueOnError)
 	fs.SetOutput(out)
+	cfg.flags = fs
+	c := &cfg.Chaos
 	cfg.register(fs, flagEngine, flagN, flagF, flagSeed)
 	fs.DurationVar(&cfg.Duration, "duration", 5*time.Second, "workload length (wall time on transports; 1 D per 10ms everywhere)")
 	fs.StringVar(&backend, "backend", "both", "backend(s): sim|chan|tcp|both (sim+tcp)|all, or a comma list")
-	fs.IntVar(&cfg.Chaos.Mix.Crashes, "crashes", 1, "crash events (clamped to f; every other one strikes mid-broadcast)")
-	fs.IntVar(&cfg.Chaos.Mix.Partitions, "partitions", 2, "partition->heal episodes")
-	fs.IntVar(&cfg.Chaos.Mix.DropWindows, "drops", 2, "per-link message-loss windows")
-	fs.Float64Var(&cfg.Chaos.Mix.DropProb, "drop-prob", 0.25, "loss probability inside a drop window")
-	fs.IntVar(&cfg.Chaos.Mix.SpikeWindows, "spikes", 2, "per-link delay-spike windows")
-	fs.Float64Var(&cfg.Chaos.Mix.SpikeExtraD, "spike-extra", 3, "extra delay inside a spike window, in units of D")
-	fs.IntVar(&cfg.Chaos.Mix.CorruptWindows, "corrupts", 0, "per-link wire-corruption windows (requires f > 0; undecodable mutants are dropped, decodable ones delivered only to byzaso)")
-	fs.Float64Var(&cfg.Chaos.Mix.CorruptProb, "corrupt-prob", 0.2, "corruption probability inside a corrupt window")
-	fs.IntVar(&cfg.Chaos.Mix.Restarts, "restarts", 0, "crash victims that later recover by WAL replay + rejoin (clamped to crashes; eqaso/sso)")
-	fs.Float64Var(&cfg.Chaos.Mix.RestartDelayD, "restart-delay", 0, "crash-to-recovery delay in units of D (default 5, min 3)")
-	fs.BoolVar(&cfg.Chaos.Churn, "churn", false, "churn mode: rolling crash→restart cycles (durable engines), membership flaps, lagging-node windows, bursty workload; replaces the fault mix and arms the streaming invariant monitor")
-	fs.BoolVar(&cfg.Chaos.Monitor, "monitor", false, "arm the streaming invariant monitor outside churn mode (first violation dumps into -trace-dir)")
+	fs.IntVar(&c.Mix.Crashes, "crashes", 1, "crash events (clamped to f; every other one strikes mid-broadcast)")
+	fs.IntVar(&c.Mix.Partitions, "partitions", 2, "partition->heal episodes")
+	fs.IntVar(&c.Mix.DropWindows, "drops", 2, "per-link message-loss windows")
+	fs.Float64Var(&c.Mix.DropProb, "drop-prob", 0.25, "loss probability inside a drop window")
+	fs.IntVar(&c.Mix.SpikeWindows, "spikes", 2, "per-link delay-spike windows")
+	fs.Float64Var(&c.Mix.SpikeExtraD, "spike-extra", 3, "extra delay inside a spike window, in units of D")
+	fs.IntVar(&c.Mix.CorruptWindows, "corrupts", 0, "per-link wire-corruption windows (requires f > 0; undecodable mutants are dropped, decodable ones delivered only to byzaso)")
+	fs.Float64Var(&c.Mix.CorruptProb, "corrupt-prob", 0.2, "corruption probability inside a corrupt window")
+	fs.IntVar(&c.Mix.Restarts, "restarts", 0, "crash victims that later recover by WAL replay + rejoin (clamped to crashes; eqaso/sso)")
+	fs.Float64Var(&c.Mix.RestartDelayD, "restart-delay", 0, "crash-to-recovery delay in units of D (default 5, min 3)")
+	fs.BoolVar(&c.Churn, "churn", false, "churn mode: rolling crash→restart cycles (durable engines), membership flaps, lagging-node windows, bursty workload; replaces the fault mix and arms the streaming invariant monitor")
+	fs.BoolVar(&c.Monitor, "monitor", false, "arm the streaming invariant monitor outside churn mode (first violation dumps into -trace-dir)")
 	var monWindowD float64
 	fs.Float64Var(&monWindowD, "monitor-window", 0, "streaming monitor sliding window in units of D (default 100)")
-	fs.Float64Var(&cfg.Chaos.ScanRatio, "scan-ratio", 0.5, "fraction of scans in the workload")
-	fs.StringVar(&cfg.Chaos.TraceDir, "trace-dir", "", "dump a JSONL observability trace into this directory when the check fails (sim backend)")
-	fs.IntVar(&cfg.Chaos.TraceCap, "trace-cap", 0, "trace ring capacity (default 8192)")
-	fs.BoolVar(&cfg.Chaos.TraceAlways, "trace-always", false, "dump the trace even when the check passes")
-	fs.IntVar(&cfg.Cluster.Shards, "shards", 0, "run this many independent shard clusters behind the routing layer instead of one object (atomic engines only; the mix applies per shard)")
-	fs.IntVar(&cfg.Cluster.CrashShard, "shard-crash", -1, "with -shards: crash EVERY member of this shard at 40% of the run, restart from WALs at 55%")
-	fs.IntVar(&cfg.Cluster.PartitionShard, "shard-partition", -1, "with -shards: isolate this whole shard from the rest of the topology during [30%, 60%] of the run")
+	fs.Float64Var(&c.ScanRatio, "scan-ratio", 0.5, "fraction of scans in the workload")
+	fs.StringVar(&c.TraceDir, "trace-dir", "", "dump a JSONL observability trace into this directory when the check fails (sim backend)")
+	fs.IntVar(&c.TraceCap, "trace-cap", 0, "trace ring capacity (default 8192)")
+	fs.BoolVar(&c.TraceAlways, "trace-always", false, "dump the trace even when the check passes")
+	fs.IntVar(&c.Shards, "shards", 0, "run this many independent shard clusters behind the routing layer instead of one object (atomic engines only; the mix applies per shard)")
+	fs.IntVar(&c.ShardCrash, "shard-crash", -1, "with -shards: crash EVERY member of this shard at 40% of the run, restart from WALs at 55%")
+	fs.IntVar(&c.ShardPartition, "shard-partition", -1, "with -shards: isolate this whole shard from the rest of the topology during [30%, 60%] of the run")
 	fs.BoolVar(&cfg.ShowSched, "schedule", false, "print every fault event before running")
 	fs.BoolVar(&cfg.JSONOut, "json", false, "emit one JSON report per backend on stdout")
 	fs.StringVar(&cfg.Dump, "dump", "", "write each backend's history JSON to <prefix>-<backend>.json")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
-	cfg.Chaos.Duration = chaos.TicksOf(cfg.Duration)
-	cfg.Chaos.MonitorWindow = rt.Ticks(monWindowD * float64(rt.TicksPerD))
+	c.Duration = chaos.TicksOf(cfg.Duration)
+	c.MonitorWindow = rt.Ticks(monWindowD * float64(rt.TicksPerD))
 	if err := cfg.resolve(); err != nil {
 		return cfg, err
 	}
-	cfg.Chaos.Engine, cfg.Chaos.N, cfg.Chaos.F, cfg.Chaos.Seed = cfg.Engine, cfg.N, cfg.F, cfg.Seed
+	c.Engine, c.N, c.F, c.Seed = cfg.Engine, cfg.N, cfg.F, cfg.Seed
 	var err error
 	cfg.Backends, err = expandBackends(backend)
 	if err != nil {
 		return cfg, err
 	}
-	if cfg.Cluster.Shards > 0 {
-		if cfg.Chaos.Mix.CorruptWindows > 0 {
-			return cfg, fmt.Errorf("-corrupts is not supported with -shards")
-		}
-		if cfg.Chaos.Churn || cfg.Chaos.Monitor {
-			return cfg, fmt.Errorf("-churn and -monitor are not supported with -shards (the cluster report has no single-object history)")
-		}
-		if cfg.Chaos.TraceDir != "" {
-			return cfg, fmt.Errorf("-trace-dir is not supported with -shards")
-		}
-		if cfg.Dump != "" {
-			return cfg, fmt.Errorf("-dump is not supported with -shards (the cluster report has no single-object history)")
-		}
-		cfg.Cluster.Engine, cfg.Cluster.N, cfg.Cluster.F, cfg.Cluster.Seed = cfg.Engine, cfg.N, cfg.F, cfg.Seed
-		cfg.Cluster.Duration = cfg.Chaos.Duration
-		cfg.Cluster.Mix = cfg.Chaos.Mix
-		cfg.Cluster.ScanRatio = cfg.Chaos.ScanRatio
-	} else if cfg.Cluster.CrashShard >= 0 || cfg.Cluster.PartitionShard >= 0 {
+	switch {
+	case c.Shards == 0 && (c.ShardCrash >= 0 || c.ShardPartition >= 0):
 		return cfg, fmt.Errorf("-shard-crash and -shard-partition require -shards")
+	case c.Shards > 0 && cfg.Dump != "":
+		return cfg, fmt.Errorf("-dump is not supported with -shards (the cluster report has no single-object history)")
 	}
-	return cfg, nil
+	_, err = c.Schedule()
+	return cfg, err
+}
+
+// reproduce is the command line that replays the run on backend: every
+// flag whose value differs from its default.
+func (cfg chaosConfig) reproduce(backend string) string {
+	line := "aso chaos -backend " + backend
+	cfg.flags.VisitAll(func(f *flag.Flag) {
+		v := f.Value.String()
+		switch {
+		case f.Name == "backend" || v == f.DefValue:
+		case v == "true" && isBoolFlag(f):
+			line += " -" + f.Name
+		case isBoolFlag(f):
+			line += " -" + f.Name + "=" + v
+		default:
+			line += " -" + f.Name + " " + v
+		}
+	})
+	return line
+}
+
+func isBoolFlag(f *flag.Flag) bool {
+	b, ok := f.Value.(interface{ IsBoolFlag() bool })
+	return ok && b.IsBoolFlag()
 }
 
 func expandBackends(s string) ([]string, error) {
@@ -124,7 +135,9 @@ func expandBackends(s string) ([]string, error) {
 // mid-broadcast), transient partitions with heal, per-link loss and delay
 // spikes — against a snapshot object while concurrent clients issue
 // UPDATE/SCAN operations, then checks the recorded history for
-// linearizability (sequential consistency for SSO).
+// linearizability (sequential consistency for SSO). With -shards the same
+// run drives the sharded store instead, and the check is the cut
+// validator's on every coordinator's cross-shard cut.
 //
 //	aso chaos -seed 42 -duration 5s
 //	aso chaos -backend tcp -engine byzaso -n 7 -f 2 -json
@@ -143,22 +156,28 @@ func runChaos(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	one := chaosOne
-	if cfg.Cluster.Shards > 0 {
-		one = shardsOne
-	}
-	var reports []any
+	var results []*chaos.Result
 	failed := false
 	for _, be := range cfg.Backends {
-		rep, ok, err := one(cfg, be, out)
+		startWall := time.Now()
+		res, err := chaos.Run(cfg.Chaos, be)
 		if err != nil {
 			return fmt.Errorf("backend %s: %w", be, err)
 		}
-		reports = append(reports, rep)
-		failed = failed || !ok
+		if cfg.Dump != "" {
+			path := fmt.Sprintf("%s-%s.json", strings.TrimSuffix(cfg.Dump, ".json"), be)
+			if err := dumpHistory(path, res.Hist.DumpJSON, out); err != nil {
+				return err
+			}
+		}
+		if !cfg.JSONOut {
+			printReport(out, res, cfg, time.Since(startWall))
+		}
+		results = append(results, res)
+		failed = failed || !res.OK
 	}
 	if cfg.JSONOut {
-		if err := emitJSON(out, reports); err != nil {
+		if err := emitJSON(out, results); err != nil {
 			return err
 		}
 	}
@@ -168,66 +187,14 @@ func runChaos(args []string, out io.Writer) error {
 	return nil
 }
 
-// chaosOne runs the single-object schedule on one backend.
-func chaosOne(cfg chaosConfig, be string, out io.Writer) (any, bool, error) {
-	startWall := time.Now()
-	res, err := chaos.Run(cfg.Chaos, be)
-	if err != nil {
-		return nil, false, err
-	}
-	if cfg.Dump != "" {
-		path := fmt.Sprintf("%s-%s.json", strings.TrimSuffix(cfg.Dump, ".json"), be)
-		if err := dumpHistory(path, res.Hist.DumpJSON, out); err != nil {
-			return nil, false, err
-		}
-	}
-	if !cfg.JSONOut {
-		printReport(out, res, cfg, time.Since(startWall))
-	}
-	return res, res.OK, nil
-}
-
-// shardsOne is the -shards dispatch: the same seed, mix, and topology
-// flags, but applied per shard to N independent clusters behind the
-// routing layer, with validated cross-shard GlobalScans in place of the
-// single-object linearizability check.
-func shardsOne(cfg chaosConfig, be string, out io.Writer) (any, bool, error) {
-	type outcome struct {
-		Backend string          `json:"backend"`
-		Report  *cluster.Report `json:"report"`
-		OK      bool            `json:"ok"`
-	}
-	startWall := time.Now()
-	rep, err := cluster.Run(cfg.Cluster, be)
-	if err != nil {
-		return nil, false, err
-	}
-	ok := rep.OK()
-	if !cfg.JSONOut {
-		r := cfg.Cluster
-		fmt.Fprintf(out, "backend=%-4s shards=%d n=%d f=%d seed=%d duration=%s (%d ticks)\n",
-			be, r.Shards, r.N, r.F, r.Seed, cfg.Duration, r.Duration)
-		fmt.Fprintf(out, "  %v (%.1fs wall)\n", rep, time.Since(startWall).Seconds())
-		for _, b := range rep.Blocked {
-			fmt.Fprintf(out, "  stuck: %s\n", b)
-		}
-		if ok {
-			fmt.Fprintf(out, "  cuts: consistent across shards (prefix closure, placement, marks) ✓\n")
-		} else if len(rep.Violations) > 0 {
-			fmt.Fprintf(out, "  cuts: FAILED — %d violations; first: %s\n", len(rep.Violations), rep.Violations[0])
-			fmt.Fprintf(out, "  reproduce: aso chaos -backend %s -shards %d -n %d -f %d -seed %d -duration %s\n",
-				be, r.Shards, r.N, r.F, r.Seed, cfg.Duration)
-		} else {
-			fmt.Fprintf(out, "  cuts: FAILED — no validated cut completed (availability, not consistency)\n")
-		}
-	}
-	return outcome{Backend: be, Report: rep, OK: ok}, ok, nil
-}
-
 func printReport(out io.Writer, rep *chaos.Result, cfg chaosConfig, took time.Duration) {
 	c := cfg.Chaos
-	fmt.Fprintf(out, "backend=%-4s engine=%s n=%d f=%d seed=%d duration=%s (%d ticks) schedule=%s\n",
-		rep.Backend, rep.Engine, c.N, c.F, c.Seed, cfg.Duration, c.Duration, rep.ScheduleHash)
+	shards := ""
+	if c.Shards > 0 {
+		shards = fmt.Sprintf(" shards=%d", c.Shards)
+	}
+	fmt.Fprintf(out, "backend=%-4s engine=%s%s n=%d f=%d seed=%d duration=%s (%d ticks) schedule=%s\n",
+		rep.Backend, rep.Engine, shards, c.N, c.F, c.Seed, cfg.Duration, c.Duration, rep.ScheduleHash)
 	events := rep.Schedule.Events
 	count := func(kind chaos.EventKind) (k int) {
 		for _, ev := range events {
@@ -241,12 +208,18 @@ func printReport(out io.Writer, rep *chaos.Result, cfg chaosConfig, took time.Du
 		fmt.Fprintf(out, "  churn: %d crash→restart cycles, %d membership flaps, %d lagging-link windows — %d events\n",
 			count(chaos.EvRestart), count(chaos.EvPartition), count(chaos.EvSpikeOn), len(events))
 	} else {
-		mix := rep.Schedule.Mix
-		fmt.Fprintf(out, "  faults: %d crashes, %d partitions, %d drop windows (p=%.2f), %d spikes (+%gD), %d corrupt windows — %d events\n",
-			mix.Crashes, mix.Partitions, mix.DropWindows, mix.DropProb, mix.SpikeWindows, mix.SpikeExtraD,
+		mix, per := rep.Schedule.Mix, ""
+		if c.Shards > 0 {
+			per = " per shard"
+		}
+		fmt.Fprintf(out, "  faults%s: %d crashes, %d partitions, %d drop windows (p=%.2f), %d spikes (+%gD), %d corrupt windows — %d events\n",
+			per, mix.Crashes, mix.Partitions, mix.DropWindows, mix.DropProb, mix.SpikeWindows, mix.SpikeExtraD,
 			mix.CorruptWindows, len(events))
-		if mix.Restarts > 0 {
-			fmt.Fprintf(out, "  recovery: %d of %d crash victims restart (WAL replay + rejoin)\n", count(chaos.EvRestart), mix.Crashes)
+		if c.ShardCrash >= 0 || c.ShardPartition >= 0 {
+			fmt.Fprintf(out, "  whole shard: crash %d at 40%%, restart at 55%%; partition %d during [30%%, 60%%] (-1: none)\n", c.ShardCrash, c.ShardPartition)
+		}
+		if k := count(chaos.EvRestart); k > 0 {
+			fmt.Fprintf(out, "  recovery: %d restarts (WAL replay + rejoin)\n", k)
 		}
 	}
 	if cfg.ShowSched {
@@ -254,7 +227,11 @@ func printReport(out io.Writer, rep *chaos.Result, cfg chaosConfig, took time.Du
 			fmt.Fprintf(out, "    %s\n", ev)
 		}
 	}
-	fmt.Fprintf(out, "  ops=%d pending=%d", rep.Ops, rep.Pending)
+	if rep.Cuts != nil {
+		fmt.Fprintf(out, "  %v violations=%d blocked=%d", rep.Cuts, len(rep.Violations), len(rep.Blocked))
+	} else {
+		fmt.Fprintf(out, "  ops=%d pending=%d", rep.Ops, rep.Pending)
+	}
 	if rep.Stats != nil {
 		fmt.Fprintf(out, " msgs=%d dropped=%d held=%d corrupt=%d",
 			rep.Stats.MsgsTotal, rep.Stats.MsgsDrop, rep.Stats.MsgsHeld, rep.Stats.MsgsCorrupt)
@@ -268,10 +245,19 @@ func printReport(out io.Writer, rep *chaos.Result, cfg chaosConfig, took time.Du
 	for _, b := range rep.Blocked {
 		fmt.Fprintf(out, "  stuck: %s\n", b)
 	}
-	if len(rep.Violations) == 0 {
+	check := "consistency"
+	if rep.Cuts != nil {
+		check = "cuts"
+	}
+	switch {
+	case len(rep.Violations) > 0:
+		fmt.Fprintf(out, "  %s: FAILED — %d violations; first: %s\n", check, len(rep.Violations), rep.Violations[0])
+	case rep.Cuts == nil:
 		fmt.Fprintf(out, "  consistency: %s ✓\n", consistency(cfg.Info))
-	} else {
-		fmt.Fprintf(out, "  consistency: FAILED — %d violations; first: %s\n", len(rep.Violations), rep.Violations[0])
+	case rep.Cuts.OK > 0:
+		fmt.Fprintf(out, "  cuts: consistent across shards (prefix closure, placement, marks) ✓\n")
+	default:
+		fmt.Fprintf(out, "  cuts: FAILED — no validated cut completed (availability, not consistency)\n")
 	}
 	if rep.MonitorStats != nil {
 		st := rep.MonitorStats
@@ -291,12 +277,7 @@ func printReport(out io.Writer, rep *chaos.Result, cfg chaosConfig, took time.Du
 		}
 	}
 	if !rep.OK {
-		churn := ""
-		if c.Churn {
-			churn = " -churn"
-		}
-		fmt.Fprintf(out, "  reproduce: aso chaos -backend %s -engine %s%s -n %d -f %d -seed %d -duration %s\n",
-			rep.Backend, rep.Engine, churn, c.N, c.F, c.Seed, cfg.Duration)
+		fmt.Fprintf(out, "  reproduce: %s\n", cfg.reproduce(rep.Backend))
 	}
 	if rep.TracePath != "" {
 		fmt.Fprintln(out, "  "+traceLine(rep))

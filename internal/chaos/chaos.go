@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"path/filepath"
 
+	"mpsnap/internal/cluster"
+	"mpsnap/internal/core"
 	"mpsnap/internal/engine"
 	_ "mpsnap/internal/engine/all" // register every snapshot engine
 	"mpsnap/internal/harness"
@@ -20,7 +22,7 @@ import (
 // Config parameterizes one chaos run.
 type Config struct {
 	// N nodes with resilience bound F (n > 2f; n > 3f for Byzantine
-	// engines).
+	// engines). With Shards, N and F are each shard's.
 	N, F int
 	// Engine selects the snapshot engine by registry name ("eqaso",
 	// "byzaso", "sso", "acr", "fastsnap", ...; default "eqaso").
@@ -77,6 +79,20 @@ type Config struct {
 	TraceCap int
 	// TraceAlways dumps the trace even when the check passes.
 	TraceAlways bool
+	// Shards, if positive, runs the sharded store instead of one object:
+	// Shards clusters of N nodes each behind the cluster routing layer
+	// (see shards.go), each shard under its own Mix schedule. The check is
+	// the cut validator's, in place of the history's.
+	Shards int
+	// ShardCrash, with Shards, crashes every member of that shard at 40%
+	// of the run and restarts them from their WALs at 55%; negative for
+	// none (0 names shard 0).
+	ShardCrash int
+	// ShardPartition, with Shards, isolates that whole shard from the
+	// rest of the topology during [30%, 60%] of the run (the shard keeps
+	// its internal quorum; only cross-shard routing is cut); negative for
+	// none.
+	ShardPartition int
 	// forceCheckFail (test hook) overrides the checker verdict to
 	// exercise the failure path: correct algorithms never fail the check,
 	// so the dump-on-failure plumbing needs a forced failure to be
@@ -89,6 +105,9 @@ type Config struct {
 	// monitor's view lies, so the dump-on-violation plumbing is testable
 	// against engines that never misbehave.
 	monitorCorrupt bool
+	// rebuildErr (test hook) fails every restart's node rebuild with this
+	// error, so the failed-rebuild path is testable.
+	rebuildErr error
 
 	// info is the resolved registry entry, filled by normalize.
 	info engine.Info
@@ -141,16 +160,33 @@ func (cfg *Config) normalize() error {
 	if cfg.monitorCorrupt && !cfg.Monitor {
 		return fmt.Errorf("chaos: monitorCorrupt needs the monitor armed")
 	}
+	if cfg.Shards < 0 {
+		return fmt.Errorf("chaos: Shards must not be negative, got %d", cfg.Shards)
+	}
+	if cfg.Shards > 0 {
+		return cfg.shardLimits()
+	}
 	return nil
 }
 
-// schedule generates the run's fault schedule: churn when armed, the Mix
-// schedule otherwise. Churn restarts ride the rolling-restart lane only
-// when the engine can recover from a WAL; other engines get flap-only
-// churn.
+// Schedule validates cfg and returns the fault schedule Run injects.
+func (cfg Config) Schedule() (Schedule, error) {
+	if err := cfg.normalize(); err != nil {
+		return Schedule{}, err
+	}
+	return cfg.schedule(), nil
+}
+
+// schedule generates the run's fault schedule: churn when armed, the
+// per-shard merge on a sharded run, the Mix schedule otherwise. Churn
+// restarts ride the rolling-restart lane only when the engine can recover
+// from a WAL; other engines get flap-only churn.
 func (cfg *Config) schedule() Schedule {
-	if cfg.Churn {
+	switch {
+	case cfg.Churn:
 		return GenerateChurn(cfg.Seed, cfg.N, cfg.F, cfg.Duration, cfg.info.Durable())
+	case cfg.Shards > 0:
+		return cfg.shardSchedule()
 	}
 	return Generate(cfg.Seed, cfg.N, cfg.F, cfg.Duration, cfg.Mix)
 }
@@ -178,12 +214,30 @@ func (cfg *Config) checker() func(*history.History) *history.Report {
 	return (*history.History).CheckLinearizable
 }
 
+// newEngine builds one engine on r: fresh, logging to f when f is set, or
+// (recover) rebuilt from f's durable prefix replayed under fold (nil for
+// the plain last-value segments). GC stays on: recovery under pruning is
+// the point.
+func (cfg *Config) newEngine(r rt.Runtime, f *wal.MemFile, fold core.Fold, recover bool) engine.Engine {
+	switch {
+	case f == nil:
+		return cfg.info.New(r)
+	case recover:
+		st := wal.Recover(f.Durable(), r.N(), r.ID(), fold)
+		return cfg.info.Recover(r, st, wal.NewWriter(f, WALBatch), true)
+	}
+	e := cfg.info.New(r)
+	e.(engine.Durable).AttachWAL(wal.NewWriter(f, WALBatch), true)
+	return e
+}
+
 // Result is the outcome of one chaos run; its JSON is what `aso chaos
 // -json` emits per backend.
 type Result struct {
 	Backend string `json:"backend"`
 	Engine  string `json:"engine"`
-	// OK: the consistency check passed and the monitor, if armed, is clean.
+	// OK: the check passed — no violations, the monitor (if armed) clean,
+	// and on a sharded run at least one validated cut.
 	OK bool `json:"ok"`
 	// Schedule is the injected fault schedule; two runs with equal
 	// ScheduleHash injected the exact same faults.
@@ -193,7 +247,10 @@ type Result struct {
 	// response by a crashed or force-aborted client.
 	Ops     int `json:"ops"`
 	Pending int `json:"pending"`
-	// Violations are the checker's complaints (empty when OK).
+	// Cuts is a sharded run's workload and cut tally (nil otherwise).
+	Cuts *Cuts `json:"cuts,omitempty"`
+	// Violations are the checker's complaints — the history checker's, or
+	// on a sharded run the cut validator's (empty when OK).
 	Violations []string `json:"violations,omitempty"`
 	// Blocked lists operations still stuck at the end of the run (their
 	// nodes were crash-aborted so the run could terminate), each naming the
@@ -223,6 +280,7 @@ type Result struct {
 	MonitorTracePath  string         `json:"monitorTracePath,omitempty"`
 	// Hist is the recorded history; Check its consistency verdict
 	// (linearizability, or sequential consistency for the SSO family).
+	// Both are nil on a sharded run.
 	Hist  *history.History `json:"-"`
 	Check *history.Report  `json:"-"`
 }
@@ -249,12 +307,15 @@ type clientMix struct {
 }
 
 // clientMix returns the mix for a client of the given node. Outside churn
-// it is the configured ratio and think time. Churn's adversarial workload:
-// every third node hammers its own segment (hot-segment update storms),
-// the rest lean into scan storms, and all clients fire bursts of
-// back-to-back operations with halved think time.
+// it is the configured ratio and think time (a sharded client's own).
+// Churn's adversarial workload: every third node hammers its own segment
+// (hot-segment update storms), the rest lean into scan storms, and all
+// clients fire bursts of back-to-back operations with halved think time.
 func (c *Config) clientMix(node int) clientMix {
-	if !c.Churn {
+	switch {
+	case c.Shards > 0:
+		return clientMix{scanP: c.ScanRatio, maxSleep: shardMaxSleep}
+	case !c.Churn:
 		return clientMix{scanP: c.ScanRatio, maxSleep: maxSleep}
 	}
 	m := clientMix{scanP: 1 - (1-c.ScanRatio)/3, maxSleep: maxSleep / 2, bursty: true}
@@ -280,10 +341,56 @@ func (m clientMix) think(rng *rand.Rand) rt.Ticks {
 	return rt.Ticks(rng.Int63n(int64(m.maxSleep) + 1))
 }
 
+// clientSeed seeds the workload stream of a node's client: cid tells a
+// node's concurrent clients apart, inc its incarnations, so a node
+// restarted twice never replays the same stream.
+func (c *Config) clientSeed(node, cid, inc int) int64 {
+	return c.Seed*1009 + int64(node) + 7919*int64(cid) + 104729*int64(inc)
+}
+
+// runClient is the one client loop: until the deadline, draw an iteration
+// from mix, run its operations, and think. op performs one operation and
+// reports false once the client must stop (its node died under it).
+func runClient(w World, deadline rt.Ticks, mix clientMix, rng *rand.Rand, op func(scan bool) bool) {
+	for w.Now() < deadline {
+		scans, burst := mix.next(rng)
+		for b := 0; b < burst; b++ {
+			if !op(scans) {
+				return
+			}
+			if w.Now() >= deadline {
+				return
+			}
+		}
+		if w.Sleep(mix.think(rng)) != nil {
+			return
+		}
+	}
+}
+
+// stack is the node software a run drives on every node: one snapshot
+// object (plainStack) or the sharded store (shardStack). Run owns
+// everything else — the schedule, the WAL files, the restart sequence and
+// the end of the run — and never learns which stack it got.
+type stack struct {
+	// build constructs node id's stack on its runtime — fresh, or
+	// (recover) with its engine replayed from f — and returns the node's
+	// handler and the engine's rejoin handle. f is nil when the run has no
+	// restarts.
+	build func(id int, f *wal.MemFile, recover bool) (rt.Handler, engine.Rejoiner, error)
+	// start spawns node id's threads for incarnation inc: at boot, and
+	// after a restart once the node has rejoined.
+	start func(id, inc int)
+	// drain, if set, closes the service threads once the clients are done.
+	drain func()
+	// finish fills the result's workload fields and violations.
+	finish func(res *Result)
+}
+
 // Run executes one chaos run on backend: "sim" (the deterministic
 // simulator — schedule, workload and recorded history are a function of
 // cfg alone, so a failing seed replays byte-identically), "chan"
-// (in-process goroutine links) or "tcp" (a TCP loopback cluster, all n
+// (in-process goroutine links) or "tcp" (a TCP loopback cluster, all
 // nodes in this process). The same seeded Schedule is injected on every
 // backend; on the real transports only the fault schedule and the check
 // verdict reproduce, not the exact history.
@@ -296,29 +403,18 @@ func Run(cfg Config, backend string) (*Result, error) {
 	}
 	sched := cfg.schedule()
 	res := &Result{Backend: backend, Engine: cfg.Engine, Schedule: sched, ScheduleHash: sched.Hash()}
-	w, err := NewWorld(backend, WorldConfig{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Byzantine: cfg.info.Byzantine})
+	wc := WorldConfig{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Byzantine: cfg.info.Byzantine}
+	var health *cluster.Health
+	if cfg.Shards > 0 {
+		wc.N = cfg.Shards * cfg.N
+		health = cluster.NewHealth(wc.N)
+		wc.Observer = health
+	}
+	w, err := NewWorld(backend, wc)
 	if err != nil {
 		return nil, err
 	}
 	defer w.Close()
-
-	// Crash-recovery: each node persists to an in-memory WAL (with GC of
-	// the value log below the globally-vouched checkpoint); a restart
-	// event replays the durable prefix, rejoins, and respawns the client.
-	objs := make([]svc.Object, cfg.N)
-	var walFiles []*wal.MemFile
-	if sched.HasRestarts() {
-		walFiles = make([]*wal.MemFile, cfg.N)
-	}
-	for i := range objs {
-		e := cfg.info.New(w.Runtime(i))
-		if walFiles != nil {
-			walFiles[i] = wal.NewMemFile()
-			e.(engine.Durable).AttachWAL(wal.NewWriter(walFiles[i], WALBatch), true)
-		}
-		w.SetHandler(i, e)
-		objs[i] = e
-	}
 
 	// Observability trace (sim only: the dump is worth keeping because it
 	// is a function of the seed): op/phase events from the objects and
@@ -326,11 +422,6 @@ func Run(cfg Config, backend string) (*Result, error) {
 	// send/deliver traffic is deliberately NOT recorded — it would evict
 	// the op events a failure post-mortem actually needs from the ring.
 	var tr *obs.Trace
-	observe := func(obj svc.Object) {
-		if so, ok := obj.(interface{ SetObserver(rt.Observer) }); ok && tr != nil {
-			so.SetObserver(tr)
-		}
-	}
 	if sw, ok := w.(*simWorld); ok && cfg.TraceDir != "" {
 		capacity := cfg.TraceCap
 		if capacity <= 0 {
@@ -343,126 +434,76 @@ func Run(cfg Config, backend string) (*Result, error) {
 				tr.Sys(te.T, te.Kind, te.Src, te.Dst, te.Msg)
 			}
 		})
-		for _, obj := range objs {
-			observe(obj)
-		}
 	}
 
-	// Streaming invariant monitor: consumes completions as the recorder
-	// produces them; the first violation dumps the monitor transcript and
-	// the obs ring as they stand at that moment.
-	rec := history.NewRecorder(cfg.N)
-	mon := attachMonitor(&cfg, sched, rec, tr, res)
-
-	// Workload: every client thread alternates seeded updates/scans with
-	// think time until the deadline, recording each operation against the
-	// world's one clock. cid names the thread among its node's clients:
-	// client 0 writes "v<node>-<seq>", client c>0 "v<node>.<c>-<seq>", so
-	// values stay unique across a node's clients and incarnations. rejoin,
-	// when set, runs before the first operation.
-	client := func(i, cid int, seed int64, obj svc.Object, rejoin engine.Rejoiner) {
-		name, prefix := fmt.Sprintf("client-%d", i), fmt.Sprintf("v%d-", i)
-		if cid > 0 {
-			name, prefix = fmt.Sprintf("client-%d.%d", i, cid), fmt.Sprintf("v%d.%d-", i, cid)
-		}
-		w.GoClient(name, i, func() {
-			if rejoin != nil {
-				rejoin.Rejoin()
-			}
-			rng := rand.New(rand.NewSource(seed))
-			mix := cfg.clientMix(i)
-			seq := 0
-			for w.Now() < cfg.Duration {
-				scans, burst := mix.next(rng)
-				for b := 0; b < burst; b++ {
-					if scans {
-						p := rec.BeginScanAs(i, cid, w.Now())
-						snap, err := obj.Scan()
-						if err != nil {
-							return // node crashed: op stays pending
-						}
-						p.EndScan(harness.SnapStrings(snap), w.Now())
-					} else {
-						seq++
-						v := fmt.Sprintf("%s%d", prefix, seq)
-						p := rec.BeginUpdateAs(i, cid, v, w.Now())
-						if err := obj.Update([]byte(v)); err != nil {
-							return
-						}
-						p.End(w.Now())
-					}
-					if w.Now() >= cfg.Duration {
-						return
-					}
-				}
-				if w.Sleep(mix.think(rng)) != nil {
-					return
-				}
-			}
-		})
+	var s stack
+	if cfg.Shards > 0 {
+		s = shardStack(&cfg, w, health)
+	} else {
+		s = plainStack(&cfg, w, tr, res)
 	}
 
-	// Crash-recovery: replay the victim's durable WAL prefix (the unsynced
-	// tail died with the process), rebuild the node on the same runtime,
-	// un-crash it, and respawn its client — which first rejoins (re-
-	// disseminating retained values above the recovered frontier and
-	// requesting the delta it missed) and then resumes the workload. The
-	// incarnation count is both the respawned client's cid (restarts drive
-	// direct clients only, so cid 0 was the node's one pre-crash client)
-	// and part of its seed, so a node restarted twice neither reuses value
-	// names nor replays the same RNG stream.
-	incarnation := make([]int, cfg.N)
+	// Crash-recovery: each node persists to an in-memory WAL (with GC of
+	// the value log below the globally-vouched checkpoint); a restart
+	// event replays the durable prefix, rejoins, and restores the node's
+	// threads.
+	files := make([]*wal.MemFile, wc.N)
+	for id := range files {
+		if sched.HasRestarts() {
+			files[id] = wal.NewMemFile()
+		}
+		h, _, err := s.build(id, files[id], false)
+		if err != nil {
+			return nil, err
+		}
+		w.SetHandler(id, h)
+	}
+	for id := range files {
+		s.start(id, 0)
+	}
+
+	// Restart: replay the victim's durable WAL prefix (the unsynced tail
+	// died with the process), rebuild the node on the same runtime, un-crash
+	// it, and hand the new incarnation to a thread of its own, which first
+	// rejoins (re-disseminating retained values above the recovered
+	// frontier and requesting the delta it missed) and then restores the
+	// node's threads. The rejoin thread counts as a client, so the run
+	// cannot end under it. A rebuild that fails leaves the victim crashed
+	// and fails the run.
+	incarnation := make([]int, wc.N)
+	var rebuildErr error
 	restart := func(id int) {
-		if walFiles == nil || !w.Crashed(id) {
+		if files[id] == nil || !w.Crashed(id) {
 			return
 		}
-		f := walFiles[id]
-		f.Crash()
-		st := wal.Recover(f.Durable(), cfg.N, id, nil)
-		// GC stays on: recovery under pruning is the point. Durable engines
-		// (normalize checked) rejoin after recovery.
-		e := cfg.info.Recover(w.Runtime(id), st, wal.NewWriter(f, WALBatch), true)
-		observe(e)
-		w.Restart(id, e)
+		files[id].Crash()
+		h, rj, err := s.build(id, files[id], true)
+		if err == nil {
+			err = cfg.rebuildErr
+		}
+		if err != nil {
+			rebuildErr = err
+			return
+		}
+		w.Restart(id, h)
 		incarnation[id]++
 		inc := incarnation[id]
-		client(id, inc, cfg.Seed*1009+int64(id)+104729*int64(inc), e, e.(engine.Rejoiner))
+		w.GoClient(fmt.Sprintf("rejoin-%d.%d", id, inc), id, func() {
+			if rj != nil {
+				rj.Rejoin()
+			}
+			s.start(id, inc)
+		})
 	}
 	Inject(w, sched.Events, restart)
 
-	// Service layer (optional): wrap each node's object in a svc.Service
-	// whose worker runs on a dedicated node thread; all of the node's
-	// clients then share it.
-	fronts := objs
-	var drain func()
-	if cfg.Service {
-		services := make([]*svc.Service, cfg.N)
-		fronts = make([]svc.Object, cfg.N)
-		for i := range services {
-			opts := svc.Options{Mode: svc.ModeFor(cfg.Engine)}
-			if tr != nil {
-				opts.Observer = tr
-			}
-			s := svc.New(w.Runtime(i), objs[i], opts)
-			services[i], fronts[i] = s, s
-			w.GoService(fmt.Sprintf("svc-%d", i), i, func() {
-				_ = s.Serve() // returns on drain (nil) or node crash
-			})
-		}
-		drain = func() {
-			for _, s := range services {
-				s.Close()
-			}
-		}
+	// The wall world joins its restart driver before returning, so
+	// rebuildErr is read after its last write.
+	res.Blocked, err = w.Run(cfg.Duration, Grace, s.drain)
+	s.finish(res)
+	if err == nil {
+		err = rebuildErr
 	}
-	for i := 0; i < cfg.N; i++ {
-		for cid := 0; cid < cfg.Clients; cid++ {
-			client(i, cid, cfg.Seed*1009+int64(i)+7919*int64(cid), fronts[i], nil)
-		}
-	}
-
-	res.Blocked, err = w.Run(cfg.Duration, Grace, drain)
-	res.setHistory(rec.History())
 	if err != nil {
 		return res, err
 	}
@@ -473,13 +514,13 @@ func Run(cfg Config, backend string) (*Result, error) {
 	case *wallWorld:
 		res.NetDrops, res.NetHeld, res.NetCorrupt = b.Counters()
 	}
-	res.Check = cfg.checker()(res.Hist)
 	if cfg.forceCheckFail {
-		res.Check = &history.Report{OK: false, Violations: []string{"forced failure (chaos test hook)"}}
+		res.Violations = []string{"forced failure (chaos test hook)"}
+		if res.Check != nil {
+			res.Check = &history.Report{Violations: res.Violations}
+		}
 	}
-	harvestMonitor(mon, res)
-	res.OK = res.Check.OK && len(res.MonitorViolations) == 0
-	res.Violations = res.Check.Violations
+	res.OK = len(res.Violations) == 0 && len(res.MonitorViolations) == 0 && (res.Cuts == nil || res.Cuts.OK > 0)
 	if tr != nil && (!res.OK || cfg.TraceAlways) {
 		path := filepath.Join(cfg.TraceDir,
 			fmt.Sprintf("chaos-%s-seed%d-%s.jsonl", cfg.Engine, cfg.Seed, res.ScheduleHash))
@@ -490,4 +531,94 @@ func Run(cfg Config, backend string) (*Result, error) {
 		res.TraceDropped = tr.Dropped()
 	}
 	return res, nil
+}
+
+// plainStack is one snapshot object per node: every client records its
+// operations, and the history is checked for the engine's consistency
+// condition (with the streaming monitor alongside when armed). In Service
+// mode a node's clients share a svc.Service whose worker runs on a
+// dedicated node thread.
+func plainStack(cfg *Config, w World, tr *obs.Trace, res *Result) stack {
+	rec := history.NewRecorder(cfg.N)
+	// Streaming invariant monitor: consumes completions as the recorder
+	// produces them; the first violation dumps the monitor transcript and
+	// the obs ring as they stand at that moment.
+	mon := attachMonitor(cfg, res.Schedule, rec, tr, res)
+	objs := make([]svc.Object, cfg.N)
+	var services []*svc.Service
+	s := stack{
+		build: func(id int, f *wal.MemFile, recover bool) (rt.Handler, engine.Rejoiner, error) {
+			e := cfg.newEngine(w.Runtime(id), f, nil, recover)
+			if so, ok := e.(interface{ SetObserver(rt.Observer) }); ok && tr != nil {
+				so.SetObserver(tr)
+			}
+			objs[id] = e
+			rj, _ := e.(engine.Rejoiner)
+			return e, rj, nil
+		},
+		finish: func(res *Result) {
+			res.setHistory(rec.History())
+			res.Check = cfg.checker()(res.Hist)
+			res.Violations = res.Check.Violations
+			harvestMonitor(mon, res)
+		},
+	}
+	if cfg.Service {
+		s.drain = func() {
+			for _, sv := range services {
+				sv.Close()
+			}
+		}
+	}
+	// Client c of incarnation inc records as cid c+inc and writes
+	// "v<node>-<seq>" (cid 0) or "v<node>.<cid>-<seq>", so values stay
+	// unique across a node's clients and incarnations. Restarts drive
+	// direct clients only, so a restarted node's one client takes the
+	// incarnation count as its cid.
+	s.start = func(i, inc int) {
+		front := objs[i]
+		if cfg.Service {
+			opts := svc.Options{Mode: svc.ModeFor(cfg.Engine)}
+			if tr != nil {
+				opts.Observer = tr
+			}
+			sv := svc.New(w.Runtime(i), objs[i], opts)
+			services, front = append(services, sv), sv
+			w.GoService(fmt.Sprintf("svc-%d", i), i, func() {
+				_ = sv.Serve() // returns on drain (nil) or node crash
+			})
+		}
+		for c := 0; c < cfg.Clients; c++ {
+			cid := c + inc
+			name, prefix := fmt.Sprintf("client-%d", i), fmt.Sprintf("v%d-", i)
+			if cid > 0 {
+				name, prefix = fmt.Sprintf("client-%d.%d", i, cid), fmt.Sprintf("v%d.%d-", i, cid)
+			}
+			seed := cfg.clientSeed(i, c, inc)
+			w.GoClient(name, i, func() {
+				rng := rand.New(rand.NewSource(seed))
+				seq := 0
+				runClient(w, cfg.Duration, cfg.clientMix(i), rng, func(scan bool) bool {
+					if scan {
+						op := rec.BeginScanAs(i, cid, w.Now())
+						snap, err := front.Scan()
+						if err != nil {
+							return false // node crashed: op stays pending
+						}
+						op.EndScan(harness.SnapStrings(snap), w.Now())
+						return true
+					}
+					seq++
+					v := fmt.Sprintf("%s%d", prefix, seq)
+					op := rec.BeginUpdateAs(i, cid, v, w.Now())
+					if err := front.Update([]byte(v)); err != nil {
+						return false
+					}
+					op.End(w.Now())
+					return true
+				})
+			})
+		}
+	}
+	return s
 }

@@ -1,8 +1,8 @@
 package chaos
 
 import (
-	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mpsnap/internal/engine"
@@ -13,35 +13,33 @@ import (
 )
 
 // TestSeedDeterminism: the sim backend is a pure function of the seed —
-// two runs produce byte-identical history JSON and the same schedule.
+// two runs, plain or sharded, produce equal results (history, schedule,
+// message counters, cut tally), and a different seed changes the faults.
 func TestSeedDeterminism(t *testing.T) {
-	cfg := Config{N: 5, F: 2, Seed: 42, Duration: 60 * rt.TicksPerD}
-	run := func() ([]byte, Schedule) {
-		res, err := Run(cfg, "sim")
-		if err != nil {
-			t.Fatal(err)
+	sharded := shardConfig(3)
+	sharded.ShardCrash = 1
+	for _, cfg := range []Config{{N: 5, F: 2, Seed: 42, Duration: 60 * rt.TicksPerD}, sharded} {
+		run := func() *Result {
+			res, err := Run(cfg, "sim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.OK {
+				t.Fatalf("shards=%d: check failed: %v", cfg.Shards, res.Violations)
+			}
+			return res
 		}
-		if !res.Check.OK {
-			t.Fatalf("not linearizable: %v", res.Check.Violations)
+		a, b := run(), run()
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("shards=%d: same seed, different results:\n%+v\n%+v", cfg.Shards, a, b)
 		}
-		var buf bytes.Buffer
-		if err := res.Hist.DumpJSON(&buf); err != nil {
-			t.Fatal(err)
+		if a.Stats.MsgsTotal == 0 || (a.Cuts != nil && a.Cuts.GlobalScans == 0) {
+			t.Fatalf("shards=%d: no traffic to compare", cfg.Shards)
 		}
-		return buf.Bytes(), res.Schedule
-	}
-	b1, s1 := run()
-	b2, s2 := run()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("schedules differ:\n%+v\n%+v", s1, s2)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("same seed produced different histories (%d vs %d bytes)", len(b1), len(b2))
-	}
-	// And a different seed actually changes the faults.
-	cfg.Seed = 43
-	if _, s3 := run(); s3.Hash() == s1.Hash() {
-		t.Fatalf("seeds 42 and 43 generated the same schedule %s", s1.Hash())
+		cfg.Seed++
+		if c := run(); c.ScheduleHash == a.ScheduleHash {
+			t.Fatalf("shards=%d: seeds %d and %d generated the same schedule %s", cfg.Shards, cfg.Seed-1, cfg.Seed, a.ScheduleHash)
+		}
 	}
 }
 
@@ -156,16 +154,33 @@ func TestRunTransportTCP(t *testing.T) {
 	}
 }
 
-// TestConfigValidation rejects the classic mistakes.
+// TestConfigValidation rejects the classic mistakes, and what a sharded
+// run cannot do, each for its reason.
 func TestConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{
-		{N: 4, F: 2, Duration: 1000},                   // n ≤ 2f
-		{N: 6, F: 2, Engine: "byzaso", Duration: 1000}, // n ≤ 3f
-		{N: 5, F: 2, Engine: "paxos", Duration: 1000},  // unknown alg
-		{N: 5, F: 2}, // no duration
+	shards := func(set func(*Config)) Config {
+		c := shardConfig(1)
+		set(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{N: 4, F: 2, Duration: 1000}, "n > 2f"},
+		{Config{N: 6, F: 2, Engine: "byzaso", Duration: 1000}, "n > 3f"},
+		{Config{N: 5, F: 2, Engine: "paxos", Duration: 1000}, "unknown engine"},
+		{Config{N: 5, F: 2}, "Duration"},
+		{shards(func(c *Config) { c.Mix.CorruptWindows = 1 }), "-corrupts is not supported with -shards"},
+		{shards(func(c *Config) { c.Churn = true }), "-churn and -monitor are not supported with -shards"},
+		{shards(func(c *Config) { c.Monitor = true }), "-churn and -monitor are not supported with -shards"},
+		{shards(func(c *Config) { c.TraceDir = "traces" }), "-trace-dir is not supported with -shards"},
+		{shards(func(c *Config) { c.ShardCrash = 2 }), "-shard-crash 2 out of range"},
+		{shards(func(c *Config) { c.ShardPartition = 5 }), "-shard-partition 5 out of range"},
+		{shards(func(c *Config) { c.Engine = "sso" }), "sequentially consistent"},
+		{shards(func(c *Config) { c.Engine, c.Mix.Restarts, c.ShardCrash = "acr", 0, 0 }), "WAL-capable"},
 	} {
-		if _, err := Run(cfg, "sim"); err == nil {
-			t.Errorf("config %+v accepted, want error", cfg)
+		if _, err := Run(tc.cfg, "sim"); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("config %+v: err = %v, want one containing %q", tc.cfg, err, tc.want)
 		}
 	}
 }

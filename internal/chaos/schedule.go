@@ -4,7 +4,9 @@
 // (including mid-broadcast), transient network partitions with heal, and
 // per-link message-loss / delay-spike windows, then records every
 // operation with internal/history and checks the resulting history
-// against the appropriate consistency condition.
+// against the appropriate consistency condition. With Config.Shards the
+// same run drives the sharded store (internal/cluster) instead, and the
+// check is the cut validator's on cross-shard cuts.
 //
 // The same Schedule runs on two backends: the deterministic virtual-time
 // simulator (internal/sim — byte-identical histories per seed) and the
@@ -155,7 +157,7 @@ type Schedule struct {
 }
 
 // HasRestarts reports whether the schedule contains any restart event —
-// the runners use it to decide whether nodes need WAL files attached.
+// Run uses it to decide whether nodes need WAL files attached.
 func (s Schedule) HasRestarts() bool {
 	for _, e := range s.Events {
 		if e.Kind == EvRestart {

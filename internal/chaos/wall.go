@@ -98,19 +98,17 @@ func newWallWorld(backend string, cfg WorldConfig) (*wallWorld, error) {
 
 func (w *wallWorld) SetHandler(id int, h rt.Handler) { w.setHandler(id, h) }
 
-func (w *wallWorld) GoClient(_ string, _ int, fn func()) bool {
+func (w *wallWorld) GoClient(_ string, _ int, fn func()) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.active < 0 {
-		w.mu.Unlock()
-		return false
+		return
 	}
 	w.active++
-	w.mu.Unlock()
 	go func() {
 		defer w.clientDone()
 		fn()
 	}()
-	return true
 }
 
 func (w *wallWorld) clientDone() {

@@ -9,10 +9,11 @@ import (
 
 // World is the backend a schedule-driven run executes on: n nodes, one
 // clock in virtual ticks, threads, and the fault actions a Schedule can
-// name. The runners (Run here, cluster.Run) are written once against it
-// and never learn which of the two implementations they got: simWorld
-// (the deterministic simulator, virtual time) or wallWorld (the chan and
-// tcp transports, DReal of wall clock per D). What differs between the
+// name. The one runner, Run, is written once against it — plain and
+// sharded runs alike — and never learns which of the two implementations
+// it got: simWorld (the deterministic simulator, virtual time) or
+// wallWorld (the chan and tcp transports, DReal of wall clock per D).
+// What differs between the
 // two — how time passes, how a thread is spawned, what must be waited out
 // before a dead node's WAL may be touched, and how a run that lost its
 // quorum is brought to an end — is behind this interface.
@@ -23,9 +24,9 @@ type World interface {
 	SetHandler(id int, h rt.Handler)
 
 	// GoClient spawns a workload thread on node; the run lasts until every
-	// client thread has returned. It reports false, without running fn,
-	// once the run is over — only a mid-run respawn can see that.
-	GoClient(name string, node int, fn func()) bool
+	// client thread has returned. Once the run is over (only a mid-run
+	// respawn can see that) it drops fn.
+	GoClient(name string, node int, fn func())
 	// GoService spawns a thread that serves until its node is closed or
 	// crashes; the run does not wait for it.
 	GoService(name string, node int, fn func())
@@ -194,10 +195,7 @@ func newSimWorld(cfg WorldConfig) *simWorld {
 	return s
 }
 
-func (s *simWorld) GoClient(name string, node int, fn func()) bool {
-	s.GoService(name, node, fn)
-	return true
-}
+func (s *simWorld) GoClient(name string, node int, fn func()) { s.GoService(name, node, fn) }
 
 func (s *simWorld) GoService(name string, node int, fn func()) {
 	s.GoNode(name, node, func(*sim.Proc) { fn() })

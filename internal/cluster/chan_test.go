@@ -7,70 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"mpsnap/internal/chaos"
 	"mpsnap/internal/engine"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/svc"
 	"mpsnap/internal/transport"
 )
-
-// TestRunChanSeeds runs the cluster chaos harness on the channel
-// transport across several seeds (fewer and shorter than sim — these
-// burn wall clock at DReal per virtual D).
-func TestRunChanSeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chan chaos runs burn wall clock; skipped with -short")
-	}
-	seeds := []int64{1, 2, 3, 4}
-	for _, seed := range seeds {
-		cfg := DefaultRunConfig()
-		cfg.Seed = seed
-		cfg.Duration = 120 * rt.TicksPerD
-		cfg.Mix = chaos.Mix{Crashes: 1, Partitions: 1, DropWindows: 1, SpikeWindows: 1, Restarts: 1}
-		cfg.GlobalScanEvery = 15 * rt.TicksPerD
-		rep, err := Run(cfg, "chan")
-		if err != nil {
-			t.Fatalf("seed %d: %v (report: %v)", seed, err, rep)
-		}
-		if len(rep.Violations) > 0 {
-			t.Errorf("seed %d: cut violations: %v", seed, rep.Violations)
-		}
-		if rep.CutsOK == 0 {
-			t.Errorf("seed %d: no validated cuts (report: %v)", seed, rep)
-		}
-		t.Logf("seed %d: %v", seed, rep)
-	}
-}
-
-// TestRunTCPSmoke runs cluster chaos over the TCP loopback mesh: partitions
-// and loss windows, a restarting mix, and the whole-shard crash whose
-// victims recover — an in-process tcp node restarts like a chan node.
-func TestRunTCPSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tcp chaos runs burn wall clock; skipped with -short")
-	}
-	for name, set := range map[string]func(*RunConfig){
-		"partitions": func(c *RunConfig) { c.Mix = chaos.Mix{Partitions: 1, DropWindows: 1} },
-		"restarts":   func(c *RunConfig) { c.Mix = chaos.Mix{Crashes: 1, Restarts: 1} },
-		"shardcrash": func(c *RunConfig) { c.Mix, c.CrashShard = chaos.Mix{}, 0 },
-	} {
-		t.Run(name, func(t *testing.T) {
-			cfg := DefaultRunConfig()
-			cfg.Seed = 11
-			cfg.Duration = 100 * rt.TicksPerD
-			cfg.GlobalScanEvery = 15 * rt.TicksPerD
-			set(&cfg)
-			rep, err := Run(cfg, "tcp")
-			if err != nil {
-				t.Fatalf("Run: %v (report: %v)", err, rep)
-			}
-			if !rep.OK() {
-				t.Errorf("violations %v, %d validated cuts (report: %v)", rep.Violations, rep.CutsOK, rep)
-			}
-			t.Logf("%v", rep)
-		})
-	}
-}
 
 // chanTopology brings map m up on the channel transport (1 D = 1 ms): every
 // node runs cfg with eqaso engines. start(id) runs node id's shard workers —

@@ -3,9 +3,11 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"mpsnap/internal/engine"
+	_ "mpsnap/internal/engine/all" // register every snapshot engine
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
 	"mpsnap/internal/svc"
@@ -102,17 +104,17 @@ func TestUpdateScanAcrossShards(t *testing.T) {
 func TestGlobalScanClosed(t *testing.T) {
 	w, nodes := buildWorld(t, 3, 3, 1, 7)
 	w.GoNode("writer", 1, func(p *sim.Proc) {
-		mc := newMarkClient("w1", 99, 8)
-		nd := nodes[1]
-		for i := 0; i < 20; i++ {
-			mc.seq++
-			key := mc.key()
-			mk := Mark{Writer: mc.writer, Seq: mc.seq, PrevKey: mc.lastKey, PrevSeq: mc.lastSeq}
-			if err := nd.Update(key, mk.Encode()); err != nil {
-				t.Errorf("update %d: %v", i, err)
+		rng := rand.New(rand.NewSource(99))
+		var lastKey string
+		var lastSeq int64
+		for seq := int64(1); seq <= 20; seq++ {
+			key := fmt.Sprintf("w1/k%d", rng.Intn(8))
+			mk := Mark{Writer: "w1", Seq: seq, PrevKey: lastKey, PrevSeq: lastSeq}
+			if err := nodes[1].Update(key, mk.Encode()); err != nil {
+				t.Errorf("update %d: %v", seq, err)
 				return
 			}
-			mc.lastKey, mc.lastSeq = key, mc.seq
+			lastKey, lastSeq = key, seq
 		}
 		cut, err := nodes[1].GlobalScanClosed()
 		if err != nil {

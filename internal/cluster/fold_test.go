@@ -190,17 +190,43 @@ func (s spy) HandleMessage(src int, m rt.Message) {
 	s.Engine.HandleMessage(src, m)
 }
 
+// walBatch is the WAL fsync batch a sharded chaos run gives its members.
+const walBatch = 8
+
+// nodeBuilder builds one shard member's node stack on a durable eqaso
+// engine (GC on), fresh or recovered from the member's WAL under the
+// record fold, the way a sharded chaos run does, and keeps the recovered
+// engine's rejoin handle.
+type nodeBuilder struct {
+	m       ShardMap
+	files   []*wal.MemFile
+	rejoins []engine.Rejoiner
+}
+
+func (b *nodeBuilder) nodeConfig(id int, recover bool) Config {
+	return Config{Map: b.m, NewEngine: func(_ int, r rt.Runtime) (rt.Handler, svc.Object) {
+		in, f := engine.MustLookup("eqaso"), b.files[id]
+		if !recover {
+			e := in.New(r)
+			e.(engine.Durable).AttachWAL(wal.NewWriter(f, walBatch), true)
+			return e, e
+		}
+		st := wal.Recover(f.Durable(), r.N(), r.ID(), svc.RecordFold)
+		e := in.Recover(r, st, wal.NewWriter(f, walBatch), true)
+		b.rejoins[id] = e.(engine.Rejoiner)
+		return e, e
+	}}
+}
+
 // foldTopology brings up one shard of three durable eqaso members (GC on)
-// on the simulator, through the chaos run's node builder. wrap, if set,
-// wraps each member's engine handler.
+// on the simulator, through nodeBuilder. wrap, if set, wraps each member's
+// engine handler.
 func foldTopology(t *testing.T, wrap func(id int, e engine.Engine) rt.Handler) (*sim.World, []*Node, *nodeBuilder) {
 	t.Helper()
-	cfg := DefaultRunConfig()
-	if err := cfg.normalize(); err != nil {
-		t.Fatal(err)
+	b := &nodeBuilder{m: ContiguousMap(1, 3, 1, 0), files: make([]*wal.MemFile, 3), rejoins: make([]engine.Rejoiner, 3)}
+	for id := range b.files {
+		b.files[id] = wal.NewMemFile()
 	}
-	m := ContiguousMap(1, 3, 1, 0)
-	b := newNodeBuilder(cfg, m, nil)
 	w := sim.New(sim.Config{N: 3, F: 1, Seed: 5})
 	nodes := make([]*Node, 3)
 	for id := range nodes {

@@ -7,12 +7,14 @@ import (
 	"mpsnap/internal/wire"
 
 	// Blank imports pull in every package that registers message codecs —
-	// the whole engine registry, the sharded cluster's router messages, and
-	// the lattice-agreement objects no engine links — so the fuzz targets
-	// and benchmarks exercise the full registry (TestRegistryComplete).
+	// the whole engine registry, the sharded cluster's router messages, the
+	// transport's own frames, and the lattice-agreement objects no engine
+	// links — so the fuzz targets and benchmarks exercise the full registry
+	// (TestRegistryComplete).
 	_ "mpsnap/internal/cluster"
 	_ "mpsnap/internal/engine/all"
 	_ "mpsnap/internal/la"
+	_ "mpsnap/internal/transport"
 )
 
 // FuzzWireRoundTrip: for every registered codec, a generated message must
