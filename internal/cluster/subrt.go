@@ -1,6 +1,9 @@
 package cluster
 
-import "mpsnap/internal/rt"
+import (
+	"mpsnap/internal/mux"
+	"mpsnap/internal/rt"
+)
 
 // shardRuntime is a shard member's view of its shard cluster: an
 // rt.Runtime restricted to the shard's member list, with shard-local node
@@ -8,22 +11,23 @@ import "mpsnap/internal/rt"
 // engine built on it sees an n-member cluster with IDs [0, n) while its
 // messages actually travel between global nodes inside mux envelopes.
 //
-// Broadcast is realized as a loop of Sends over the member list — exactly
-// the equivalence rt.Runtime documents — so a mid-loop crash reaches a
-// prefix of the members, preserving the paper's failure-chain mechanism
-// at shard scope (a plain pass-through Broadcast would leak the envelope
-// to every node of every shard).
+// Broadcast is realized as a loop of sends over the member list, in
+// member order — exactly the equivalence rt.Runtime documents — so a
+// mid-loop crash reaches a prefix of the members, preserving the paper's
+// failure-chain mechanism at shard scope (a plain pass-through Broadcast
+// would leak the envelope to every node of every shard), wrapping the
+// message in one envelope for all of them.
 type shardRuntime struct {
-	rt.Runtime       // mux channel runtime (global IDs)
-	members    []int // members[local] = global node ID
-	local      int   // this node's shard-local ID
-	f          int
+	*mux.Channel       // global IDs
+	members      []int // members[local] = global node ID
+	local        int   // this node's shard-local ID
+	f            int
 }
 
 // newShardRuntime builds the member view. The caller guarantees the
 // node is a member (LocalID >= 0).
-func newShardRuntime(under rt.Runtime, members []int, local, f int) *shardRuntime {
-	return &shardRuntime{Runtime: under, members: members, local: local, f: f}
+func newShardRuntime(under *mux.Channel, members []int, local, f int) *shardRuntime {
+	return &shardRuntime{Channel: under, members: members, local: local, f: f}
 }
 
 func (r *shardRuntime) ID() int { return r.local }
@@ -31,13 +35,11 @@ func (r *shardRuntime) N() int  { return len(r.members) }
 func (r *shardRuntime) F() int  { return r.f }
 
 func (r *shardRuntime) Send(dst int, msg rt.Message) {
-	r.Runtime.Send(r.members[dst], msg)
+	r.Channel.Send(r.members[dst], msg)
 }
 
 func (r *shardRuntime) Broadcast(msg rt.Message) {
-	for _, g := range r.members {
-		r.Runtime.Send(g, msg)
-	}
+	r.Channel.Multicast(r.members, msg)
 }
 
 // remapHandler translates inbound shard traffic from global to shard-

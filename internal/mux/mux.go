@@ -14,6 +14,7 @@ package mux
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"mpsnap/internal/rt"
 	"mpsnap/internal/wire"
@@ -92,8 +93,8 @@ func (m *Mux) HandleMessage(src int, msg rt.Message) {
 // Channel returns the sub-runtime for name. Build the protocol instance
 // on it, then register the instance with Bind. The same name must be used
 // on every node.
-func (m *Mux) Channel(name string) rt.Runtime {
-	return &channelRuntime{mux: m, name: name}
+func (m *Mux) Channel(name string) *Channel {
+	return &Channel{mux: m, name: name, labels: make(map[string]string)}
 }
 
 // Bind installs the handler of the named instance. Must be called before
@@ -113,34 +114,57 @@ func (m *Mux) Bind(name string, h rt.Handler) error {
 	return err
 }
 
-// channelRuntime is the per-channel view of the underlying runtime: sends
-// wrap messages in the channel's envelope; everything else passes through,
+// Channel is the per-channel view of the underlying runtime: sends wrap
+// messages in the channel's envelope; everything else passes through,
 // sharing the node's atomicity and clock.
-type channelRuntime struct {
+type Channel struct {
 	mux  *Mux
 	name string
+	// labels maps each wait label to its channel-prefixed form: engines
+	// wait under a few constant labels, so each is built once.
+	mu     sync.Mutex
+	labels map[string]string
 }
 
-var _ rt.Runtime = (*channelRuntime)(nil)
+var _ rt.Runtime = (*Channel)(nil)
 
-func (c *channelRuntime) ID() int { return c.mux.rt.ID() }
-func (c *channelRuntime) N() int  { return c.mux.rt.N() }
-func (c *channelRuntime) F() int  { return c.mux.rt.F() }
+func (c *Channel) ID() int { return c.mux.rt.ID() }
+func (c *Channel) N() int  { return c.mux.rt.N() }
+func (c *Channel) F() int  { return c.mux.rt.F() }
 
-func (c *channelRuntime) Send(dst int, msg rt.Message) {
+func (c *Channel) Send(dst int, msg rt.Message) {
 	c.mux.rt.Send(dst, Envelope{Channel: c.name, Msg: msg})
 }
 
-func (c *channelRuntime) Broadcast(msg rt.Message) {
+func (c *Channel) Broadcast(msg rt.Message) {
 	c.mux.rt.Broadcast(Envelope{Channel: c.name, Msg: msg})
 }
 
-func (c *channelRuntime) Atomic(fn func()) { c.mux.rt.Atomic(fn) }
-
-func (c *channelRuntime) WaitUntilThen(label string, pred func() bool, then func()) error {
-	return c.mux.rt.WaitUntilThen(c.name+": "+label, pred, then)
+// Multicast sends msg to each node of dsts in order, boxing one envelope
+// for all of them where a loop of Sends boxes one each. Like that loop, a
+// crash mid-way reaches a prefix of dsts.
+func (c *Channel) Multicast(dsts []int, msg rt.Message) {
+	var env rt.Message = Envelope{Channel: c.name, Msg: msg}
+	for _, dst := range dsts {
+		c.mux.rt.Send(dst, env)
+	}
 }
 
-func (c *channelRuntime) Now() rt.Ticks { return c.mux.rt.Now() }
+func (c *Channel) Atomic(fn func()) { c.mux.rt.Atomic(fn) }
 
-func (c *channelRuntime) Crashed() bool { return c.mux.rt.Crashed() }
+// WaitUntilThen waits under the label prefixed with the channel's name,
+// which names the channel in the simulator's deadlock reports.
+func (c *Channel) WaitUntilThen(label string, pred func() bool, then func()) error {
+	c.mu.Lock()
+	p, ok := c.labels[label]
+	if !ok {
+		p = c.name + ": " + label
+		c.labels[label] = p
+	}
+	c.mu.Unlock()
+	return c.mux.rt.WaitUntilThen(p, pred, then)
+}
+
+func (c *Channel) Now() rt.Ticks { return c.mux.rt.Now() }
+
+func (c *Channel) Crashed() bool { return c.mux.rt.Crashed() }

@@ -154,3 +154,36 @@ func TestEnvelopeKind(t *testing.T) {
 		t.Fatalf("kind = %q", e.Kind())
 	}
 }
+
+// waitRuntime runs every wait at once and keeps the last wait's label; the
+// rest of rt.Runtime is never called.
+type waitRuntime struct {
+	rt.Runtime
+	label string
+}
+
+func (w *waitRuntime) WaitUntilThen(label string, pred func() bool, then func()) error {
+	w.label = label
+	then()
+	return nil
+}
+
+// TestChannelWaitLabelAllocatesNothing: a channel names itself in its wait
+// labels (the simulator's deadlock reports read them) without building the
+// prefixed label again on every wait.
+func TestChannelWaitLabelAllocatesNothing(t *testing.T) {
+	under := &waitRuntime{}
+	ch := mux.New(under).Channel("shard/0")
+	holds, nop := func() bool { return true }, func() {}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ch.WaitUntilThen("EQ predicate", holds, nop); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a wait whose predicate holds allocates %.1f times, want 0", allocs)
+	}
+	if under.label != "shard/0: EQ predicate" {
+		t.Errorf("label = %q, want the channel-prefixed one", under.label)
+	}
+}

@@ -46,43 +46,40 @@ type countingHandler struct{ n atomic.Int64 }
 
 func (h *countingHandler) HandleMessage(src int, msg rt.Message) { h.n.Add(1) }
 
-// benchPair builds a two-node mesh and returns the sender runtime plus
-// the receiver's delivery counter.
-func benchPair(b *testing.B) (rt.Runtime, *countingHandler, func()) {
-	b.Helper()
-	nodes, err := transport.LoopbackMesh(2, transport.TCPConfig{D: 5 * time.Millisecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := &countingHandler{}
-	nodes[0].SetHandler(h)
-	nodes[1].SetHandler(&countingHandler{})
-	return nodes[1].Runtime(), h, func() {
-		for _, tn := range nodes {
-			tn.Close()
-		}
-	}
-}
-
-// BenchmarkTCPDeliver ships b.N messages from node 1 to node 0 and waits
-// for the last delivery, reporting allocations per delivered message on
-// the transport path: coalesced writes, pooled buffers, and delivery in
+// BenchmarkTCPDeliver ships b.N messages to node 0 of a two-node mesh and
+// waits for the last delivery, reporting allocations per delivered message
+// on the transport path: coalesced writes, pooled buffers, and delivery in
 // batches by the goroutine that read them. The envelope case is the
-// cluster's shape, every shard message wrapped in a mux.Envelope.
+// cluster's shape, every shard message wrapped in a mux.Envelope; the self
+// case is node 0 sending to itself, which touches no socket.
 func BenchmarkTCPDeliver(b *testing.B) {
 	pad := []byte("0123456789abcdef0123456789abcdef") // 32B body
+	plain := func(seq int) rt.Message { return benchMsg{Seq: seq, Pad: pad} }
 	for _, bc := range []struct {
 		name string
+		from int
 		msg  func(seq int) rt.Message
 	}{
-		{"plain", func(seq int) rt.Message { return benchMsg{Seq: seq, Pad: pad} }},
-		{"envelope", func(seq int) rt.Message {
+		{"plain", 1, plain},
+		{"envelope", 1, func(seq int) rt.Message {
 			return mux.Envelope{Channel: "shard/0", Msg: benchMsg{Seq: seq, Pad: pad}}
 		}},
+		{"self", 0, plain},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			rtm, h, closeAll := benchPair(b)
-			defer closeAll()
+			nodes, err := transport.LoopbackMesh(2, transport.TCPConfig{D: 5 * time.Millisecond})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() {
+				for _, tn := range nodes {
+					tn.Close()
+				}
+			}()
+			h := &countingHandler{}
+			nodes[0].SetHandler(h)
+			nodes[1].SetHandler(&countingHandler{})
+			rtm := nodes[bc.from].Runtime()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -8,11 +8,15 @@
 //     (`aso node`), where the kernel's stream ordering provides FIFO.
 //
 // Both satisfy the paper's channel model: reliable FIFO point-to-point
-// links. Both run the same node and hand protocols the same rt.Runtime;
-// they differ only in how a sent message reaches its peer. Atomicity of
-// handlers and critical sections is provided by a per-node mutex; a
-// blocked wait parks on the node's waiter list until the end of a critical
-// section, or a once-per-D clock, finds it true.
+// links, a node's link to itself included. Both run the same node, hand
+// protocols the same rt.Runtime and queue every sent message on the same
+// link type, which grows with use; they differ only in what drains a link.
+// A ChanNet link, and a TCP node's link to itself, is drained straight
+// into the destination's handler, by reference as in the simulator; a TCP
+// link to a peer is drained by that peer's send loop onto its socket.
+// Atomicity of handlers and critical sections is provided by a per-node
+// mutex; a blocked wait parks on the node's waiter list until the end of a
+// critical section, or a once-per-D clock, finds it true.
 package transport
 
 import (
@@ -36,27 +40,31 @@ type ChanNet struct {
 	done  chan struct{}
 }
 
+// timedMsg is a queued message and when it falls due (zero: at once).
 type timedMsg struct {
-	src     int
 	msg     rt.Message
 	notBefo time.Time
 }
 
-// linkDepth bounds the messages queued on one directed link; Send panics
-// past it (a receiver that far behind is a bug, not backpressure).
+// linkDepth bounds the messages queued, and not yet taken, on one link of
+// either transport; Send panics past it (a receiver that far behind is a
+// bug, not backpressure).
 const linkDepth = 1 << 16
 
-// link is one directed FIFO link: a queue that grows with use (an idle
-// link holds no buffer) drained by one delivery goroutine.
+// link is one directed FIFO link from node src, the one outbound queue of
+// both transports: it grows with use (an idle link holds no buffer), and
+// one goroutine takes it whole — drain, or a TCP peer's send loop.
 type link struct {
+	src   int
 	mu    sync.Mutex
-	in    []timedMsg    // queued, oldest first; the drainer takes it whole
-	depth atomic.Int32  // queued and not yet taken for delivery, for the overflow check
+	in    []timedMsg    // queued, oldest first
+	depth atomic.Int32  // len(in), for the overflow check without the lock
 	wake  chan struct{} // capacity 1: signalled after every push
 }
 
-// push enqueues tm, reporting false when linkDepth messages already wait
-// behind the one being delivered.
+func newLink(src int) *link { return &link{src: src, wake: make(chan struct{}, 1)} }
+
+// push enqueues tm, reporting false when linkDepth messages already wait.
 func (l *link) push(tm timedMsg) bool {
 	if l.depth.Add(1) > linkDepth {
 		l.depth.Add(-1)
@@ -72,20 +80,27 @@ func (l *link) push(tm timedMsg) bool {
 	return true
 }
 
+// take returns what is queued and reuses spent, the drainer's finished
+// batch, as the new queue, so a link in steady state allocates nothing.
+func (l *link) take(spent []timedMsg) []timedMsg {
+	clear(spent)
+	l.mu.Lock()
+	batch := l.in
+	l.in = spent[:0]
+	l.depth.Add(-int32(len(batch)))
+	l.mu.Unlock()
+	return batch
+}
+
 // drain delivers the link's messages to node dst in order, each no
-// earlier than its notBefo, until the net closes: it waits for the oldest
+// earlier than its notBefo, until done closes: it waits for the oldest
 // message to fall due, then hands it and every later one already due (at
-// most dispBatch) to deliverBatch in one critical section. It swaps the
-// queue for the batch it just finished, so a link in steady state
-// allocates nothing.
+// most dispBatch) to deliverBatch in one critical section.
 func (l *link) drain(done <-chan struct{}, dst *node) {
 	var batch []timedMsg
 	var due []rt.Message
 	for {
-		l.mu.Lock()
-		batch, l.in = l.in, batch[:0]
-		l.mu.Unlock()
-		if len(batch) == 0 {
+		if batch = l.take(batch); len(batch) == 0 {
 			select {
 			case <-l.wake:
 				continue
@@ -110,15 +125,13 @@ func (l *link) drain(done <-chan struct{}, dst *node) {
 			now := time.Now()
 			j := i
 			for j < len(batch) && len(due) < dispBatch && !batch[j].notBefo.After(now) {
-				dst.observe(rt.MsgDeliver, batch[j].src, dst.id, batch[j].msg, -1)
+				dst.observe(rt.MsgDeliver, l.src, dst.id, batch[j].msg, -1)
 				due = append(due, batch[j].msg)
 				j++
 			}
-			l.depth.Add(-int32(j - i))
-			dst.deliverBatch(batch[i].src, due)
+			dst.deliverBatch(l.src, due)
 			clear(due)
 			due = due[:0]
-			clear(batch[i:j])
 			i = j
 		}
 	}
@@ -159,31 +172,28 @@ func NewChanNet(cfg ChanConfig) *ChanNet {
 		done:  make(chan struct{}),
 	}
 	epoch := time.Now()
-	links := make([][]*link, cfg.N) // links[src][dst]
 	for src := range c.nodes {
-		out := make([]*link, cfg.N)
-		for dst := range out {
-			out[dst] = &link{wake: make(chan struct{}, 1)}
+		nd := &node{id: src, n: cfg.N, f: cfg.F, d: cfg.D, epoch: epoch, obs: cfg.Observer, closed: c.done,
+			out: make([]*link, cfg.N)}
+		nd.stamp = func(dst int, msg rt.Message) timedMsg {
+			if cfg.CopyThrough && wire.Marshalable(msg) {
+				m, err := wire.Roundtrip(msg)
+				if err != nil {
+					panic(fmt.Sprintf("transport: copy-through %d->%d: %v", src, dst, err))
+				}
+				msg = m
+			}
+			return timedMsg{msg: msg, notBefo: time.Now().Add(c.delay())}
 		}
-		links[src] = out
-		c.nodes[src] = &node{id: src, n: cfg.N, f: cfg.F, d: cfg.D, epoch: epoch, obs: cfg.Observer, closed: c.done,
-			enqueue: func(dst int, msg rt.Message) {
-				if cfg.CopyThrough && wire.Marshalable(msg) {
-					m, err := wire.Roundtrip(msg)
-					if err != nil {
-						panic(fmt.Sprintf("transport: copy-through %d->%d: %v", src, dst, err))
-					}
-					msg = m
-				}
-				if !out[dst].push(timedMsg{src: src, msg: msg, notBefo: time.Now().Add(c.delay())}) {
-					panic(fmt.Sprintf("transport: link %d->%d overflow", src, dst))
-				}
-			}}
+		for dst := range nd.out {
+			nd.out[dst] = newLink(src)
+		}
+		c.nodes[src] = nd
 	}
 	// One goroutine per (src,dst) link preserves FIFO while applying
 	// per-message delays.
-	for _, out := range links {
-		for dst, l := range out {
+	for _, nd := range c.nodes {
+		for dst, l := range nd.out {
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()

@@ -64,14 +64,15 @@ func (h *fifoHandler) status() (int, error) {
 }
 
 // TestTCPPerSourceFIFO is the property test for the inbound path: several
-// peers concurrently blast sequence-numbered messages at one node, and
-// every source's sequence must be delivered gap-free and in order while
-// each connection's reader hands what it has read to the handler in
-// batches, cut wherever the next frame is not yet whole in its 64 KB read
-// buffer. Frames larger than that buffer, mixed with small ones, can never
-// be whole in it, so they sit on exactly that boundary. Run with -race
-// this also checks that a batch is safe to hand to the handler while the
-// reader reuses its frame buffer.
+// peers and the node itself concurrently blast sequence-numbered messages
+// at one node, and every source's sequence must be delivered gap-free and
+// in order while each connection's reader hands what it has read to the
+// handler in batches, cut wherever the next frame is not yet whole in its
+// 64 KB read buffer — and the node's own link, which no socket carries,
+// is held to the same property. Frames larger than that buffer, mixed
+// with small ones, can never be whole in it, so they sit on exactly that
+// boundary. Run with -race this also checks that a batch is safe to hand
+// to the handler while the reader reuses its frame buffer.
 func TestTCPPerSourceFIFO(t *testing.T) {
 	const senders = 3
 	const perSender = 2000
@@ -85,7 +86,7 @@ func TestTCPPerSourceFIFO(t *testing.T) {
 
 	large := make([]byte, 80<<10) // larger than the 64 KB read buffer
 	var wg sync.WaitGroup
-	for i := 1; i <= senders; i++ {
+	for i := 0; i <= senders; i++ { // node 0 sends to itself too
 		rtm := nodes[i].Runtime()
 		wg.Add(1)
 		go func() {
@@ -110,11 +111,11 @@ func TestTCPPerSourceFIFO(t *testing.T) {
 		if violation != nil {
 			t.Fatalf("FIFO violation: %v", violation)
 		}
-		if got == senders*perSender {
+		if got == (senders+1)*perSender {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d of %d messages", got, senders*perSender)
+			t.Fatalf("delivered %d of %d messages", got, (senders+1)*perSender)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -26,10 +26,11 @@ func settledGoroutines() int {
 }
 
 // TestTCPConnectionIsOneGoroutine: once every link of a mesh has carried a
-// message, a node runs its accept loop, one send loop per peer and one
-// receive loop per inbound connection — the goroutine that reads a message
-// delivers it, so no connection starts a second one, and the node itself
-// runs none.
+// message, a node runs its accept loop, the drainer of its link to itself,
+// one send loop per other peer and one receive loop per inbound connection
+// — the goroutine that reads a message delivers it, so no connection
+// starts a second one, no node dials itself, and the node itself runs
+// none.
 func TestTCPConnectionIsOneGoroutine(t *testing.T) {
 	const n = 3
 	before := settledGoroutines()
@@ -56,8 +57,8 @@ func TestTCPConnectionIsOneGoroutine(t *testing.T) {
 			t.Fatalf("only %d of %d deliveries", k, n*n)
 		}
 	}
-	if want, runs := n*(1+2*n), settledGoroutines()-before; runs != want {
-		t.Errorf("a %d-node mesh runs %d goroutines, want %d = n × (1 + 2n)", n, runs, want)
+	if want, runs := n*2*n, settledGoroutines()-before; runs != want {
+		t.Errorf("a %d-node mesh runs %d goroutines, want %d = n × 2n", n, runs, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,15 +12,20 @@ import (
 
 // node is one real-time process of either transport: its fixed identity,
 // clock and observer, the mutex every handler and critical section holds,
-// the waiter list, and crash and restart. The transport supplies enqueue,
-// which hands one message to its link toward dst without blocking.
+// the waiter list, crash and restart, and one outbound link per
+// destination, itself included. The transport supplies what drains each
+// link and, optionally, stamp.
 type node struct {
 	id, n, f int
 	// d is the wall time of one rt.TicksPerD; the clock counts from epoch.
-	d       time.Duration
-	epoch   time.Time
-	obs     rt.Observer
-	enqueue func(dst int, msg rt.Message)
+	d     time.Duration
+	epoch time.Time
+	obs   rt.Observer
+	out   []*link // out[dst] is the link toward dst
+	// stamp, if set, turns a message sent to dst into what its link queues
+	// (ChanNet: copy-through and a random delay); without it the message
+	// itself is queued, due at once.
+	stamp func(dst int, msg rt.Message) timedMsg
 
 	mu      sync.Mutex
 	handler rt.Handler
@@ -195,14 +201,20 @@ func (r *nodeRuntime) F() int        { return r.f }
 func (r *nodeRuntime) Now() rt.Ticks { return (*node)(r).now() }
 func (r *nodeRuntime) Crashed() bool { return r.crashed.Load() }
 
-// Send hands msg to the transport's link toward dst; a crashed node sends
-// nothing.
+// Send queues msg on the link toward dst; a crashed node sends nothing.
+// This is both transports' one overflow site: a link linkDepth deep panics.
 func (r *nodeRuntime) Send(dst int, msg rt.Message) {
 	if r.crashed.Load() {
 		return
 	}
 	(*node)(r).observe(rt.MsgSend, r.id, dst, msg, -1)
-	r.enqueue(dst, msg)
+	tm := timedMsg{msg: msg}
+	if r.stamp != nil {
+		tm = r.stamp(dst, msg)
+	}
+	if !r.out[dst].push(tm) {
+		panic(fmt.Sprintf("transport: link %d->%d overflow", r.id, dst))
+	}
 }
 
 func (r *nodeRuntime) Broadcast(msg rt.Message) {

@@ -88,7 +88,9 @@ type TCPConfig struct {
 // loss of the crash model — the crashed-receiver semantics crash-recovery
 // deployments (`aso node -wal`) repair on rejoin — but the mesh heals, so
 // a restarted process receives the replies it is owed. The transport
-// never re-delivers frames it knows a socket accepted. SetHandler,
+// never re-delivers frames it knows a socket accepted. A message to the
+// node itself touches no socket: its link is drained straight into the
+// handler, by reference, as on ChanNet and the simulator. SetHandler,
 // Runtime, Crash and Restart are the shared node's: an in-process Restart
 // keeps the connections up, as a ChanNet restart keeps its links.
 type TCPNode struct {
@@ -97,8 +99,6 @@ type TCPNode struct {
 
 	listener net.Listener
 	hello    []byte // this node's encoded handshake frame
-
-	outs []chan rt.Message // per-peer outbound queues
 
 	// stale[peer] is set when peer's inbound stream ends: the process
 	// behind it is gone, so our outbound connection is doomed even though
@@ -120,7 +120,7 @@ type TCPNode struct {
 	wg sync.WaitGroup
 }
 
-// NewTCPNode starts listening, connects to all peers, and returns once
+// NewTCPNode starts listening, connects to every other peer, and returns once
 // the full mesh is up. Peers must be started within DialTimeout of each
 // other.
 func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
@@ -143,14 +143,16 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 		return nil, fmt.Errorf("transport: encode handshake: %w", err)
 	}
 	t := &TCPNode{
-		node:  node{id: cfg.ID, n: n, f: cfg.F, d: cfg.D, epoch: epoch, obs: cfg.Observer, closed: make(chan struct{})},
+		node: node{id: cfg.ID, n: n, f: cfg.F, d: cfg.D, epoch: epoch, obs: cfg.Observer, closed: make(chan struct{}),
+			out: make([]*link, n)},
 		cfg:   cfg,
 		hello: hello,
-		outs:  make([]chan rt.Message, n),
 		stale: make([]atomic.Bool, n),
 		conns: make([]net.Conn, n),
 	}
-	t.enqueue = t.push
+	for dst := range t.out {
+		t.out[dst] = newLink(cfg.ID)
+	}
 	ln := cfg.Listener
 	if ln == nil {
 		ln, err = net.Listen("tcp", cfg.Addrs[cfg.ID])
@@ -166,23 +168,29 @@ func NewTCPNode(cfg TCPConfig) (*TCPNode, error) {
 	t.wg.Add(1)
 	go t.acceptLoop()
 
-	// Connect to every peer (including ourselves, for uniform
-	// self-delivery through the loopback). Peers of a cluster may come up
-	// in any order, so early connection refusals are expected, not fatal;
-	// only a peer still unreachable once the whole budget is spent is an
-	// error.
+	// The link to ourselves is drained as a ChanNet link is: no socket.
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		t.out[cfg.ID].drain(t.closed, &t.node)
+	}()
+
+	// Connect to every other peer. Peers of a cluster may come up in any
+	// order, so early connection refusals are expected, not fatal; only a
+	// peer still unreachable once the whole budget is spent is an error.
 	deadline := time.Now().Add(cfg.DialTimeout)
 	for peer := 0; peer < n; peer++ {
+		if peer == cfg.ID {
+			continue
+		}
 		conn, err := t.connect(peer, deadline)
 		if err != nil {
 			t.Close()
 			return nil, fmt.Errorf("transport: node %d unreachable at %s (retried with backoff for %v): %w",
 				peer, cfg.Addrs[peer], cfg.DialTimeout, err)
 		}
-		out := make(chan rt.Message, 1<<14)
-		t.outs[peer] = out
 		t.wg.Add(1)
-		go t.sendLoop(peer, conn, out)
+		go t.sendLoop(peer, conn, t.out[peer])
 	}
 	return t, nil
 }
@@ -293,9 +301,11 @@ func (t *TCPNode) recvLoop(conn net.Conn) {
 		t.recvError(-1, conn, err, true)
 		return
 	}
+	// No node dials itself: a Hello naming this node comes from a
+	// misconfigured or spoofing peer whose frames would pass for our own.
 	h, ok := hm.(Hello)
-	if !ok || h.ID < 0 || h.ID >= len(t.cfg.Addrs) {
-		t.recvError(-1, conn, fmt.Errorf("transport: bad handshake %q from %s", hm.Kind(), conn.RemoteAddr()), true)
+	if !ok || h.ID < 0 || h.ID >= len(t.cfg.Addrs) || h.ID == t.id {
+		t.recvError(-1, conn, fmt.Errorf("transport: bad handshake %q (ID %d) from %s to node %d", hm.Kind(), h.ID, conn.RemoteAddr(), t.id), true)
 		return
 	}
 	src := h.ID
@@ -416,11 +426,12 @@ func (t *TCPNode) Errors() []error {
 const maxSendBatch = 64 << 10
 
 // sendLoop encodes and writes frames for one peer under the data path's
-// one batching rule: take what is queued, never wait for more. It blocks
-// for one message, encodes everything else already queued into the
-// pending batch (cut at maxSendBatch), and writes as soon as it sees the
-// queue empty — so a burst coalesces into one write syscall, a backlog
-// into 64 KB writes, and a solitary frame leaves at once.
+// one batching rule: take what is queued, never wait for more. It waits
+// for the link to hold something, takes the whole queue and encodes it
+// into the pending batch (cut at maxSendBatch, the rest kept for the next
+// batch), takes again, and writes as soon as it finds the link empty — so
+// a burst coalesces into one write syscall, a backlog into 64 KB writes,
+// and a solitary frame leaves at once.
 //
 // A write failure (or a stale flag raised by the receive side) means the
 // connection died; the loop reconnects with backoff and resends the WHOLE
@@ -433,11 +444,13 @@ const maxSendBatch = 64 << 10
 // by the rejoin path when the peer recovers with a WAL; without the
 // reconnect a restarted process would never again receive this node's
 // messages and its first operation would starve awaiting a quorum.
-func (t *TCPNode) sendLoop(peer int, conn net.Conn, out <-chan rt.Message) {
+func (t *TCPNode) sendLoop(peer int, conn net.Conn, l *link) {
 	defer t.wg.Done()
 	var body wire.Buffer
 	// pending holds encoded frames not yet accepted by a socket write.
 	var pending []byte
+	var taken []timedMsg // the link's last take; taken[next:] are not encoded yet
+	next := 0
 	// encode appends msg as one frame to pending. Encode failures are
 	// local programming errors (unregistered type, oversized frame); they
 	// are surfaced but must not tear down the connection.
@@ -455,23 +468,23 @@ func (t *TCPNode) sendLoop(peer int, conn net.Conn, out <-chan rt.Message) {
 		pending = p
 	}
 	for {
-		select {
-		case <-t.closed:
-			return
-		case msg := <-out:
-			encode(msg)
-		}
-	gather:
 		for len(pending) < maxSendBatch {
-			select {
-			case m := <-out:
-				encode(m)
-			default:
-				break gather
+			if next == len(taken) {
+				if taken, next = l.take(taken), 0; len(taken) == 0 {
+					break
+				}
 			}
+			encode(taken[next].msg)
+			next++
 		}
 		if len(pending) == 0 {
-			continue // every gathered frame failed to encode
+			// Nothing queued, or every taken frame failed to encode.
+			select {
+			case <-t.closed:
+				return
+			case <-l.wake:
+				continue
+			}
 		}
 		for {
 			// A raised stale flag means the peer's inbound stream ended
@@ -520,18 +533,4 @@ func (t *TCPNode) Close() {
 	}
 	t.acceptedMu.Unlock()
 	t.wg.Wait()
-}
-
-// push hands msg to peer dst's send loop. The queue is bounded; a full one
-// is a bug, not backpressure.
-func (t *TCPNode) push(dst int, msg rt.Message) {
-	out := t.outs[dst]
-	if out == nil {
-		return
-	}
-	select {
-	case out <- msg:
-	default:
-		panic(fmt.Sprintf("transport: outbound queue to node %d overflow", dst))
-	}
 }

@@ -176,6 +176,36 @@ func TestTCPFramesBeforeACorruptFrameAreDelivered(t *testing.T) {
 	}
 }
 
+// TestTCPHandshakeNamingTheReceiverRefused: no node dials itself, so a
+// connection whose Hello claims the receiving node's own ID comes from a
+// misconfigured or spoofing peer. Its frames would be delivered as the
+// node's own; instead the connection is dropped and the error reported,
+// and nothing sent on it is delivered.
+func TestTCPHandshakeNamingTheReceiverRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tcp loopback test")
+	}
+	tnodes, _, surfaced := startMesh(t, 3, 1)
+	sink := &fifoHandler{}
+	tnodes[0].SetHandler(sink)
+
+	rogue := dialRaw(t, tcpAddr(tnodes, 0), 0)
+	defer rogue.Close()
+	frame, err := wire.MarshalFrame(benchMsg{Seq: 0, Pad: []byte("spoof")}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue.Write(frame) // may fail if the node already dropped the connection
+	waitForError(t, surfaced, "bad handshake \"transportHello\" (ID 0)")
+	rogue.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, rerr := rogue.Read(make([]byte, 1)); rerr == nil {
+		t.Fatal("connection claiming the receiver's ID still open")
+	}
+	if got, _ := sink.status(); got != 0 {
+		t.Fatalf("%d messages from the spoofed connection were delivered", got)
+	}
+}
+
 // tcpAddr is node i's actual listen address.
 func tcpAddr(tnodes []*transport.TCPNode, i int) string {
 	return tnodes[i].Addr()
