@@ -233,11 +233,9 @@ func printReport(out io.Writer, rep *chaos.Result, cfg chaosConfig, took time.Du
 		fmt.Fprintf(out, "  ops=%d pending=%d", rep.Ops, rep.Pending)
 	}
 	if rep.Stats != nil {
-		fmt.Fprintf(out, " msgs=%d dropped=%d held=%d corrupt=%d",
-			rep.Stats.MsgsTotal, rep.Stats.MsgsDrop, rep.Stats.MsgsHeld, rep.Stats.MsgsCorrupt)
-	} else {
-		fmt.Fprintf(out, " dropped=%d held=%d corrupt=%d", rep.NetDrops, rep.NetHeld, rep.NetCorrupt)
+		fmt.Fprintf(out, " msgs=%d", rep.Stats.MsgsTotal)
 	}
+	fmt.Fprintf(out, " dropped=%d held=%d corrupt=%d", rep.Faults.Dropped, rep.Faults.Held, rep.Faults.Corrupt)
 	if rep.HistoryHash != "" {
 		fmt.Fprintf(out, " history=%s", rep.HistoryHash)
 	}

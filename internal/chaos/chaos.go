@@ -260,11 +260,7 @@ type Result struct {
 	// backend it is identical across runs with the same seed.
 	HistoryHash string     `json:"historyHash,omitempty"`
 	Stats       *sim.Stats `json:"stats,omitempty"` // sim backend only
-	// NetDrops / NetHeld / NetCorrupt count messages the transport fault
-	// injector dropped, parked and corrupted (transport backends only).
-	NetDrops   int64 `json:"netDrops,omitempty"`
-	NetHeld    int64 `json:"netHeld,omitempty"`
-	NetCorrupt int64 `json:"netCorrupt,omitempty"`
+	Faults      FaultTally `json:"faults"`
 	// TracePath names the JSONL trace dump ("" when tracing was off or the
 	// run passed without TraceAlways); TraceDropped counts the events ring
 	// wraparound evicted before it.
@@ -283,6 +279,16 @@ type Result struct {
 	// Both are nil on a sharded run.
 	Hist  *history.History `json:"-"`
 	Check *history.Report  `json:"-"`
+}
+
+// FaultTally counts, on every backend, the messages a run's fault windows
+// dropped (a loss window, or a corruption that did not decode), held (sent
+// across a partition cut, or on chan and tcp into a spike window) and
+// corrupted.
+type FaultTally struct {
+	Dropped int64 `json:"dropped"`
+	Held    int64 `json:"held"`
+	Corrupt int64 `json:"corrupt"`
 }
 
 // Grace is how long past the workload deadline an in-flight operation may
@@ -507,13 +513,11 @@ func Run(cfg Config, backend string) (*Result, error) {
 	if err != nil {
 		return res, err
 	}
-	switch b := w.(type) {
-	case *simWorld:
-		st := b.Stats()
+	if sw, ok := w.(*simWorld); ok {
+		st := sw.Stats()
 		res.Stats = &st
-	case *wallWorld:
-		res.NetDrops, res.NetHeld, res.NetCorrupt = b.Counters()
 	}
+	res.Faults = w.Tally()
 	if cfg.forceCheckFail {
 		res.Violations = []string{"forced failure (chaos test hook)"}
 		if res.Check != nil {

@@ -25,7 +25,8 @@ import (
 //     is Byzantine behaviour the model excludes, so it is dropped too.
 //
 // Both backends serialize calls (the sim on its scheduler goroutine, the
-// faultNet under its mutex), so the corrupter does no locking of its own.
+// wall world under the faults' mutex), so the corrupter does no locking
+// of its own.
 type corrupter struct {
 	rng            *rand.Rand
 	deliverMutants bool

@@ -173,7 +173,7 @@ func TestRunTransportChanWithCorruption(t *testing.T) {
 	if !res.Check.OK {
 		t.Fatalf("check failed under corruption: %v", res.Check.Violations)
 	}
-	if res.NetCorrupt == 0 {
-		t.Fatal("NetCorrupt = 0: corrupt windows never hit a message")
+	if res.Faults.Corrupt == 0 {
+		t.Fatal("Faults.Corrupt = 0: corrupt windows never hit a message")
 	}
 }

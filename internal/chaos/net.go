@@ -1,69 +1,44 @@
 package chaos
 
 import (
-	"math/rand"
-	"sync"
-
 	"mpsnap/internal/rt"
+	"mpsnap/internal/sim"
 )
 
-// faultNet is the wall world's fault state: it wraps each node's rt.Runtime so
-// every outgoing Send/Broadcast passes through the shared partition cut,
-// per-link drop probability, per-link spike hold and crash flags. The same
-// Schedule that drives the simulator drives a ChanNet or TCP loopback
-// cluster through this wrapper.
-//
-// Partitioned and spiked links hold messages (in send order) and release
-// them when the cut heals or the window closes, preserving per-link FIFO
-// — a partition is indistinguishable from a long delay, exactly as on
-// the simulator. Dropped messages are lost for good.
+// faultNet is the wall world's fault injector: it wraps each node's
+// rt.Runtime so every send and broadcast consults the fault objects the
+// simulator uses too (loss and corruption windows, armed mid-broadcast
+// crashes) and the crash flags. It keeps no message of its own: a link
+// the partition cuts or a spike window covers is held on the transport
+// itself, so what is sent on it waits there in send order and is
+// delivered when the cut heals or the window closes — even if its sender
+// crashed meanwhile, since it was already sent. A partition is a long
+// delay, as on the simulator; a spike holds its link for the whole
+// window. Dropped messages are lost for good.
 type faultNet struct {
-	mu     sync.Mutex
-	n      int
-	rng    *rand.Rand
-	unders []rt.Runtime
-	// crash crash-stops a node of the underlying transport so blocked
-	// waits release with rt.ErrCrashed.
+	*faults // mu also guards every field below
+	unders  []rt.Runtime
+	all     []int // every node, the destinations of a broadcast
+	// crashFn crash-stops a node of the underlying transport so blocked
+	// waits release with rt.ErrCrashed; hold holds or releases one of its
+	// links.
 	crashFn func(id int)
+	hold    func(src, dst int, on bool)
 
-	cutOn   bool
-	cut     [][]bool
-	drop    map[[2]int]float64
-	spike   map[[2]int]bool
-	held    []heldNetMsg
+	cut     [][]bool // the partition's cut, nil while healed
 	crashed []bool
-	armed   []bool
-	// corr mutates messages at the wire layer inside corrupt windows (see
-	// corrupter); accessed under mu.
-	corr *corrupter
-
-	drops, holds, corrupts int64
+	tally   FaultTally
 }
 
-type heldNetMsg struct {
-	src, dst int
-	msg      rt.Message
-}
-
-// newFaultNet wraps the underlying per-node runtimes. crashFn must crash-stop
-// node id on the backing transport.
-func newFaultNet(seed int64, unders []rt.Runtime, crashFn func(id int), corr *corrupter) *faultNet {
-	n := len(unders)
-	nt := &faultNet{
-		n:       n,
-		rng:     rand.New(rand.NewSource(seed)),
-		unders:  unders,
-		crashFn: crashFn,
-		corr:    corr,
-		cut:     make([][]bool, n),
-		drop:    make(map[[2]int]float64),
-		spike:   make(map[[2]int]bool),
-		crashed: make([]bool, n),
-		armed:   make([]bool, n),
+// newFaultNet wraps the underlying per-node runtimes. crashFn must
+// crash-stop node id on the backing transport, hold hold or release its
+// src→dst link.
+func newFaultNet(f *faults, unders []rt.Runtime, crashFn func(id int), hold func(src, dst int, on bool)) *faultNet {
+	nt := &faultNet{faults: f, unders: unders, crashFn: crashFn, hold: hold, crashed: make([]bool, len(unders))}
+	for id := range unders {
+		nt.all = append(nt.all, id)
 	}
-	for i := range nt.cut {
-		nt.cut[i] = make([]bool, n)
-	}
+	f.spiked = nt.relink
 	return nt
 }
 
@@ -80,20 +55,11 @@ func (nt *faultNet) Crashed(id int) bool {
 	return nt.crashed[id]
 }
 
-// Counters returns how many messages the loss windows discarded, how many
-// were parked at a cut or spike, and how many the corrupt windows hit.
-func (nt *faultNet) Counters() (drops, holds, corrupts int64) {
+// Tally implements World.
+func (nt *faultNet) Tally() FaultTally {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
-	return nt.drops, nt.holds, nt.corrupts
-}
-
-// Corrupt sets the wire-corruption probability of the src→dst link (0
-// ends the window).
-func (nt *faultNet) Corrupt(src, dst int, prob float64) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	nt.corr.windows[[2]int{src, dst}] = prob
+	return nt.tally
 }
 
 // Crash crash-stops node id: its sends are suppressed and the backing
@@ -109,103 +75,52 @@ func (nt *faultNet) Crash(id int) {
 	nt.crashFn(id)
 }
 
-// ClearCrashed unmarks a crash-stopped node so its sends flow again. The
-// caller must have restored the backing transport (and reinstalled the
-// recovered handler) first.
+// ClearCrashed unmarks a crash-stopped node so its sends flow again, and
+// disarms a mid-broadcast crash it never reached. The caller must have
+// restored the backing transport (and reinstalled the recovered handler)
+// first.
 func (nt *faultNet) ClearCrashed(id int) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	nt.crashed[id] = false
-	nt.armed[id] = false
-}
-
-// CrashAll crash-stops every node (end-of-run abort of stuck clients).
-func (nt *faultNet) CrashAll() {
-	for id := 0; id < nt.n; id++ {
-		nt.Crash(id)
-	}
-}
-
-// ArmMidCrash makes node id's next broadcast reach only a random prefix
-// of the destinations before the node crashes (mid-broadcast crash).
-func (nt *faultNet) ArmMidCrash(id int) {
-	nt.mu.Lock()
-	nt.armed[id] = true
-	nt.mu.Unlock()
+	delete(nt.mid.armed, id)
 }
 
 // Partition isolates the given islands (nodes in no group form one
-// implicit extra island), holding cross-cut messages until Heal.
+// implicit extra island) by holding every link the cut severs; a link it
+// no longer severs is released.
 func (nt *faultNet) Partition(groups ...[]int) {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
-	island := make([]int, nt.n)
-	for i := range island {
-		island[i] = -1
-	}
-	for g, nodes := range groups {
-		for _, id := range nodes {
-			island[id] = g
-		}
-	}
-	for s := 0; s < nt.n; s++ {
-		for d := 0; d < nt.n; d++ {
-			nt.cut[s][d] = s != d && island[s] != island[d]
-		}
-	}
-	nt.cutOn = true
+	nt.cut = sim.Cut(len(nt.all), groups...)
+	nt.relinkAll()
 }
 
-// Heal removes the partition and releases every releasable held message
-// in send order.
+// Heal removes the partition, releasing every link no spike holds.
 func (nt *faultNet) Heal() {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
-	nt.cutOn = false
-	for i := range nt.cut {
-		for j := range nt.cut[i] {
-			nt.cut[i][j] = false
+	nt.cut = nil
+	nt.relinkAll()
+}
+
+// held reports whether the src→dst link is cut or spiked. Must hold mu.
+func (nt *faultNet) held(src, dst int) bool {
+	return (nt.cut != nil && nt.cut[src][dst]) || nt.link.extra[[2]int{src, dst}] > 0
+}
+
+// relink holds the src→dst link exactly while it is cut or spiked. Must
+// hold mu.
+func (nt *faultNet) relink(src, dst int) { nt.hold(src, dst, nt.held(src, dst)) }
+
+func (nt *faultNet) relinkAll() {
+	for _, src := range nt.all {
+		for _, dst := range nt.all {
+			if src != dst {
+				nt.relink(src, dst)
+			}
 		}
 	}
-	nt.flushLocked()
-}
-
-// Drop sets the loss probability of the src→dst link (0 ends the window).
-func (nt *faultNet) Drop(src, dst int, prob float64) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	nt.drop[[2]int{src, dst}] = prob
-}
-
-// Spike starts a delay spike on the src→dst link when extra > 0: the link
-// holds its messages until the window closes (extra == 0), delaying them
-// by up to the window length rather than by extra itself; closing
-// releases the held messages.
-func (nt *faultNet) Spike(src, dst int, extra rt.Ticks) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	if extra > 0 {
-		nt.spike[[2]int{src, dst}] = true
-		return
-	}
-	delete(nt.spike, [2]int{src, dst})
-	nt.flushLocked()
-}
-
-// flushLocked re-sends every held message whose link is clear, keeping
-// the rest parked. Held messages survive a sender crash (they were
-// in flight), though a crash-stop backing transport may still discard
-// them on the sender side.
-func (nt *faultNet) flushLocked() {
-	var keep []heldNetMsg
-	for _, hm := range nt.held {
-		if (nt.cutOn && nt.cut[hm.src][hm.dst]) || nt.spike[[2]int{hm.src, hm.dst}] {
-			keep = append(keep, hm)
-			continue
-		}
-		nt.unders[hm.src].Send(hm.dst, hm.msg)
-	}
-	nt.held = keep
 }
 
 func (nt *faultNet) send(src, dst int, msg rt.Message) {
@@ -219,23 +134,21 @@ func (nt *faultNet) sendLocked(src, dst int, msg rt.Message) {
 		return
 	}
 	if src != dst {
-		key := [2]int{src, dst}
-		if p := nt.drop[key]; p > 0 && nt.rng.Float64() < p {
-			nt.drops++
+		now := nt.unders[src].Now()
+		if nt.link.OnSend(now, src, dst, msg.Kind()).Drop {
+			nt.tally.Dropped++
 			return
 		}
-		if m, drop := nt.corr.OnWire(0, src, dst, msg); drop {
-			nt.corrupts++
-			nt.drops++
+		if m, drop := nt.corr.OnWire(now, src, dst, msg); drop {
+			nt.tally.Corrupt++
+			nt.tally.Dropped++
 			return
 		} else if m != nil {
-			nt.corrupts++
+			nt.tally.Corrupt++
 			msg = m
 		}
-		if (nt.cutOn && nt.cut[src][dst]) || nt.spike[key] {
-			nt.holds++
-			nt.held = append(nt.held, heldNetMsg{src: src, dst: dst, msg: msg})
-			return
+		if nt.held(src, dst) {
+			nt.tally.Held++
 		}
 	}
 	nt.unders[src].Send(dst, msg)
@@ -247,12 +160,11 @@ func (nt *faultNet) broadcast(src int, msg rt.Message) {
 		nt.mu.Unlock()
 		return
 	}
-	if nt.armed[src] {
-		nt.armed[src] = false
-		prefix := nt.rng.Intn(nt.n)
-		for dst := 0; dst < prefix; dst++ {
-			nt.sendLocked(src, dst, msg)
-		}
+	dsts, crash := nt.mid.OnBroadcast(nt.unders[src].Now(), src, msg, nt.all)
+	for _, dst := range dsts {
+		nt.sendLocked(src, dst, msg)
+	}
+	if crash {
 		// Crash the victim without re-entering the transport from this
 		// goroutine: the broadcaster holds its own node lock (transports
 		// run protocol sections under it), so a synchronous crashFn
@@ -264,9 +176,6 @@ func (nt *faultNet) broadcast(src int, msg rt.Message) {
 		nt.mu.Unlock()
 		go nt.crashFn(src)
 		return
-	}
-	for dst := 0; dst < nt.n; dst++ {
-		nt.sendLocked(src, dst, msg)
 	}
 	nt.mu.Unlock()
 }

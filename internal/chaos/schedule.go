@@ -343,7 +343,7 @@ const (
 	churnFlapDownD   float64 = 6
 	// One lagging-node lane: churnSlowExtraD of added delay on the node's
 	// links for churnSlowOnD, every churnSlowPeriodD. The window is short
-	// because the transport fault injector parks spiked messages until it
+	// because on chan and tcp a spike holds its link until the window
 	// ends.
 	churnSlowExtraD  float64 = 2
 	churnSlowPeriodD float64 = 15

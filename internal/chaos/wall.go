@@ -25,11 +25,11 @@ func TicksOf(d time.Duration) rt.Ticks { return rt.Ticks(d / tickReal) }
 
 // wallWorld is the World over a real transport — "chan" (in-process
 // goroutine links) or "tcp" (a loopback mesh, all nodes in this process)
-// — with D = DReal. The embedded faultNet holds the fault state and wraps the
-// transport's runtimes; threads are goroutines; At callbacks replay on one
-// driver goroutine (so restarts are serialized); and since real scheduling
-// is not deterministic, only the fault schedule and the verdict reproduce,
-// not the exact history.
+// — with D = DReal. The embedded faultNet wraps the transport's runtimes
+// and applies the fault objects to their sends; threads are goroutines;
+// At callbacks replay on one driver goroutine (so restarts are
+// serialized); and since real scheduling is not deterministic, only the
+// fault schedule and the verdict reproduce, not the exact history.
 type wallWorld struct {
 	*faultNet
 	backend    string
@@ -63,10 +63,11 @@ func newWallWorld(backend string, cfg WorldConfig) (*wallWorld, error) {
 	w := &wallWorld{backend: backend, active: 1, finished: make(chan struct{})}
 	var unders []rt.Runtime
 	var crash func(id int)
+	var hold func(src, dst int, on bool)
 	switch backend {
 	case "chan":
 		cn := transport.NewChanNet(transport.ChanConfig{N: cfg.N, F: cfg.F, D: DReal, Seed: cfg.Seed, Observer: cfg.Observer})
-		crash, w.setHandler, w.restart, w.close = cn.Crash, cn.SetHandler, cn.Restart, cn.Close
+		crash, hold, w.setHandler, w.restart, w.close = cn.Crash, cn.Hold, cn.SetHandler, cn.Restart, cn.Close
 		for i := 0; i < cfg.N; i++ {
 			unders = append(unders, cn.Runtime(i))
 		}
@@ -78,6 +79,7 @@ func newWallWorld(backend string, cfg WorldConfig) (*wallWorld, error) {
 			return nil, err
 		}
 		crash = func(id int) { nodes[id].Crash() }
+		hold = func(src, dst int, on bool) { nodes[src].Hold(dst, on) }
 		w.setHandler = func(id int, h rt.Handler) { nodes[id].SetHandler(h) }
 		w.restart = func(id int, h rt.Handler) { nodes[id].Restart(h) }
 		w.close = func() {
@@ -91,7 +93,7 @@ func newWallWorld(backend string, cfg WorldConfig) (*wallWorld, error) {
 	default:
 		return nil, fmt.Errorf("chaos: unknown backend %q (want sim|chan|tcp)", backend)
 	}
-	w.faultNet = newFaultNet(cfg.Seed+3, unders, crash, newCorrupter(cfg.Seed+4, cfg.Byzantine))
+	w.faultNet = newFaultNet(newFaults(cfg.Seed, cfg.Byzantine), unders, crash, hold)
 	w.start = time.Now()
 	return w, nil
 }
@@ -181,7 +183,9 @@ func (w *wallWorld) Run(deadline, grace rt.Ticks, drain func()) ([]string, error
 	case <-time.After(w.until(deadline + grace)):
 		blocked = append(blocked, fmt.Sprintf("%s: clients still blocked %v past the deadline; crash-aborted all nodes",
 			w.backend, time.Duration(grace)*tickReal))
-		w.CrashAll()
+		for _, id := range w.all {
+			w.Crash(id)
+		}
 		<-w.finished
 	}
 	close(stop)

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"math/rand"
+	"sync"
 
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
@@ -53,14 +54,22 @@ type World interface {
 	Restart(id int, h rt.Handler)
 
 	// Partition isolates the given islands (nodes in no group form one
-	// more) and holds cross-cut messages, in send order, until Heal.
+	// more) and holds cross-cut messages, in send order, until Heal or a
+	// Partition that no longer cuts their link; they are delivered even
+	// if their sender crashed meanwhile.
 	Partition(groups ...[]int)
 	Heal()
 	// Drop, Spike and Corrupt open a loss, delay or wire-corruption window
-	// on the src→dst link; a zero argument closes it.
+	// on the src→dst link; a zero argument closes it. A spike delays each
+	// message by extra on the simulator and holds the link for the whole
+	// window on chan and tcp.
 	Drop(src, dst int, prob float64)
 	Spike(src, dst int, extra rt.Ticks)
 	Corrupt(src, dst int, prob float64)
+
+	// Tally counts the messages the fault windows dropped, held and
+	// corrupted so far.
+	Tally() FaultTally
 
 	// Run executes the run: client threads stop invoking operations at
 	// deadline, and any still blocked grace ticks later lost its quorum, so
@@ -131,10 +140,66 @@ func Inject(w World, events []Event, restart func(id int)) {
 	}
 }
 
+// faults is the fault state a Schedule drives, one set for both worlds:
+// the drop and spike windows (simLink), the armed mid-broadcast crashes
+// (midCrash) and the wire-corruption windows (corrupter), each from its
+// own seeded stream. Its methods are the World's Drop, Spike, Corrupt and
+// ArmMidCrash on both. The simulator consults the three as its adversaries
+// on its one thread; the wall world's senders consult them under mu.
+type faults struct {
+	mu   sync.Mutex
+	link *simLink
+	mid  *midCrash
+	corr *corrupter
+	// spiked, if set, learns under mu that src→dst's spike window opened
+	// or closed (the wall world holds the link while it is open).
+	spiked func(src, dst int)
+}
+
+func newFaults(seed int64, byzantine bool) *faults {
+	return &faults{
+		link: &simLink{
+			rng:   rand.New(rand.NewSource(seed + 1)),
+			drop:  make(map[[2]int]float64),
+			extra: make(map[[2]int]rt.Ticks),
+		},
+		mid:  &midCrash{rng: rand.New(rand.NewSource(seed + 2)), armed: make(map[int]bool)},
+		corr: newCorrupter(seed+4, byzantine),
+	}
+}
+
+func (f *faults) ArmMidCrash(id int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.mid.armed[id] = true
+}
+
+func (f *faults) Drop(src, dst int, prob float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.link.drop[[2]int{src, dst}] = prob
+}
+
+func (f *faults) Spike(src, dst int, extra rt.Ticks) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.link.extra[[2]int{src, dst}] = extra
+	if f.spiked != nil {
+		f.spiked(src, dst)
+	}
+}
+
+func (f *faults) Corrupt(src, dst int, prob float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.corr.windows[[2]int{src, dst}] = prob
+}
+
 // simLink realizes the schedule's drop and spike windows as a
-// sim.LinkAdversary. State is mutated by scheduled events; the RNG is
-// consulted only for links inside an active drop window, in send order,
-// so runs replay exactly.
+// sim.LinkAdversary: a spike adds its extra delay on the simulator (the
+// wall world holds the link instead). State is mutated by scheduled
+// events; the RNG is consulted only for links inside an active drop
+// window, in send order, so runs replay exactly.
 type simLink struct {
 	rng   *rand.Rand
 	drop  map[[2]int]float64
@@ -169,30 +234,22 @@ func (a *midCrash) OnBroadcast(now rt.Ticks, src int, msg rt.Message, dsts []int
 }
 
 // simWorld is the World over the deterministic simulator: the embedded
-// sim.World supplies the nodes, clock, crash flags and partition cut; the
-// three adversaries hold the link, mid-broadcast and wire fault state.
-// Everything runs on the scheduler's one thread, so the whole run is a
-// function of the seed and of the order of At and Go* calls.
+// sim.World supplies the nodes, clock, crash flags and partition cut, and
+// the fault objects act as its adversaries. Everything runs on the
+// scheduler's one thread, so the whole run is a function of the seed and
+// of the order of At and Go* calls.
 type simWorld struct {
 	*sim.World
-	link *simLink
-	mid  *midCrash
-	corr *corrupter
+	*faults
 }
 
 func newSimWorld(cfg WorldConfig) *simWorld {
-	s := &simWorld{
-		link: &simLink{
-			rng:   rand.New(rand.NewSource(cfg.Seed + 1)),
-			drop:  make(map[[2]int]float64),
-			extra: make(map[[2]int]rt.Ticks),
-		},
-		mid:  &midCrash{rng: rand.New(rand.NewSource(cfg.Seed + 2)), armed: make(map[int]bool)},
-		corr: newCorrupter(cfg.Seed+4, cfg.Byzantine),
+	f := newFaults(cfg.Seed, cfg.Byzantine)
+	return &simWorld{
+		World: sim.New(sim.Config{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Observer: cfg.Observer,
+			Adversary: f.mid, Link: f.link, Wire: f.corr}),
+		faults: f,
 	}
-	s.World = sim.New(sim.Config{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Observer: cfg.Observer,
-		Adversary: s.mid, Link: s.link, Wire: s.corr})
-	return s
 }
 
 func (s *simWorld) GoClient(name string, node int, fn func()) { s.GoService(name, node, fn) }
@@ -203,16 +260,16 @@ func (s *simWorld) GoService(name string, node int, fn func()) {
 
 func (s *simWorld) At(t rt.Ticks, fn func()) { s.After(t-s.Now(), fn) }
 
-func (s *simWorld) ArmMidCrash(id int) { s.mid.armed[id] = true }
-
 func (s *simWorld) Restart(id int, h rt.Handler) {
 	s.SetHandler(id, h)
 	s.World.Restart(id)
 }
 
-func (s *simWorld) Drop(src, dst int, prob float64)    { s.link.drop[[2]int{src, dst}] = prob }
-func (s *simWorld) Spike(src, dst int, extra rt.Ticks) { s.link.extra[[2]int{src, dst}] = extra }
-func (s *simWorld) Corrupt(src, dst int, prob float64) { s.corr.windows[[2]int{src, dst}] = prob }
+// Tally implements World.
+func (s *simWorld) Tally() FaultTally {
+	st := s.Stats()
+	return FaultTally{Dropped: st.MsgsDrop, Held: st.MsgsHeld, Corrupt: st.MsgsCorrupt}
+}
 
 // Run drains strictly before the first unblock sweep, so drained workers
 // exit instead of being mistaken for stuck operations. Each sweep either

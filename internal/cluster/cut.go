@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"mpsnap/internal/rt"
 	"mpsnap/internal/svc"
@@ -41,8 +40,8 @@ func (mk Mark) Encode() []byte {
 	return b.Bytes()
 }
 
-// ParseMark decodes a mark, reporting false for non-mark values.
-func ParseMark(p []byte) (Mark, bool) {
+// parseMark decodes a mark, reporting false for non-mark values.
+func parseMark(p []byte) (Mark, bool) {
 	if len(p) == 0 || p[0] != markMagic {
 		return Mark{}, false
 	}
@@ -92,33 +91,13 @@ func (c *Cut) Skew() rt.Ticks {
 	return max
 }
 
-// DumpString renders the cut deterministically (shards in order, keys
-// sorted by svc.MergeKeys), so two dumps of equal cuts are byte-equal.
-func (c *Cut) DumpString() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "cut frontier=%d shards=%d rounds=%d\n", c.Frontier, len(c.Shards), c.Rounds)
-	for s, sc := range c.Shards {
-		fmt.Fprintf(&sb, "shard %d scan=[%d,%d] pending=%d rounds=%d\n",
-			s, sc.ScanStart, sc.ScanEnd, sc.Pending, sc.Rounds)
-		best := bestMarks(sc.Segments)
-		for _, k := range svc.MergeKeys(sc.Segments) {
-			if mk, ok := best[k]; ok {
-				fmt.Fprintf(&sb, "  %s = %s@%d prev=%s@%d\n", k, mk.Writer, mk.Seq, mk.PrevKey, mk.PrevSeq)
-			} else {
-				fmt.Fprintf(&sb, "  %s = <%d members>\n", k, len(sc.Segments))
-			}
-		}
-	}
-	return sb.String()
-}
-
 // bestMarks indexes a shard snapshot: per key, the highest-sequence mark
 // any member segment holds for it.
 func bestMarks(segments [][]byte) map[string]Mark {
 	best := make(map[string]Mark)
 	for _, seg := range segments {
 		for _, rec := range svc.DecodeRecords(seg) {
-			mk, ok := ParseMark(rec.V)
+			mk, ok := parseMark(rec.V)
 			if !ok {
 				continue
 			}
@@ -286,7 +265,7 @@ func (c *Cut) Validate() []string {
 		marks[s] = bestMarks(sc.Segments)
 		for _, seg := range sc.Segments {
 			for _, rec := range svc.DecodeRecords(seg) {
-				mk, ok := ParseMark(rec.V)
+				mk, ok := parseMark(rec.V)
 				if !ok {
 					out = append(out, fmt.Sprintf("shard %d key %q holds a non-mark value", s, rec.K))
 					continue

@@ -200,20 +200,17 @@ func Names() []string {
 	return out
 }
 
-// ProtocolNames lists the non-baseline engines, sorted — the vocabulary
-// the -engine CLI flags advertise.
-func ProtocolNames() []string {
+// FlagHelp renders the -engine flag vocabulary: the non-baseline engines,
+// sorted and joined by "|" ("acr|byzaso|...").
+func FlagHelp() string {
 	mu.RLock()
 	defer mu.RUnlock()
-	out := make([]string, 0, len(registry))
+	var out []string
 	for name, in := range registry {
 		if !in.Baseline {
 			out = append(out, name)
 		}
 	}
 	sort.Strings(out)
-	return out
+	return strings.Join(out, "|")
 }
-
-// FlagHelp renders the -engine flag vocabulary ("eqaso|byzaso|...").
-func FlagHelp() string { return strings.Join(ProtocolNames(), "|") }

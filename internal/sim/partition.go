@@ -28,40 +28,18 @@ type LinkAdversary interface {
 	OnSend(now rt.Ticks, src, dst int, kind string) LinkFate
 }
 
-// LinkAdversaryFunc adapts a function to the LinkAdversary interface.
-type LinkAdversaryFunc func(now rt.Ticks, src, dst int, kind string) LinkFate
-
-// OnSend implements LinkAdversary.
-func (f LinkAdversaryFunc) OnSend(now rt.Ticks, src, dst int, kind string) LinkFate {
-	return f(now, src, dst, kind)
-}
-
-// heldMsg is a message parked at a partition cut, waiting for Heal.
+// heldMsg is a message parked at a partition cut, waiting for its link to
+// be released.
 type heldMsg struct {
 	src, dst int
 	msg      rt.Message
 }
 
-// Partition splits the nodes into isolated islands: messages between
-// nodes of different groups are held at the cut and delivered only after
-// Heal (with a fresh delay). Nodes not listed in any group form one
-// implicit additional island. Self-delivery is never cut.
-//
-// Holding (rather than dropping) preserves the reliable-channel model:
-// a partition is indistinguishable from a long asynchronous delay, so
-// algorithm guarantees that hold under asynchrony must survive any
-// partition/heal schedule.
-//
-// Calling Partition while a partition is active replaces the cut;
-// messages already held stay held until Heal.
-func (w *World) Partition(groups ...[]int) {
-	n := w.cfg.N
-	if w.cut == nil {
-		w.cut = make([][]bool, n)
-		for i := range w.cut {
-			w.cut[i] = make([]bool, n)
-		}
-	}
+// Cut returns the n×n partition cut that isolates the given islands:
+// cut[src][dst] is set when src and dst lie in different islands. Nodes
+// not listed in any group form one implicit additional island, and a
+// node's link to itself is never cut.
+func Cut(n int, groups ...[]int) [][]bool {
 	island := make([]int, n)
 	for i := range island {
 		island[i] = -1 // implicit extra group
@@ -71,15 +49,36 @@ func (w *World) Partition(groups ...[]int) {
 			island[id] = g
 		}
 	}
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			w.cut[s][d] = s != d && island[s] != island[d]
+	cut := make([][]bool, n)
+	for s := range cut {
+		cut[s] = make([]bool, n)
+		for d := range cut[s] {
+			cut[s][d] = island[s] != island[d]
 		}
 	}
+	return cut
+}
+
+// Partition splits the nodes into isolated islands (see Cut): messages
+// between nodes of different groups are held at the cut and delivered
+// only after Heal (with a fresh delay).
+//
+// Holding (rather than dropping) preserves the reliable-channel model:
+// a partition is indistinguishable from a long asynchronous delay, so
+// algorithm guarantees that hold under asynchrony must survive any
+// partition/heal schedule.
+//
+// Calling Partition while a partition is active replaces the cut: held
+// messages whose link the new cut no longer severs are sent on at once,
+// in send order, ahead of any later traffic on their link; the rest stay
+// held until Heal.
+func (w *World) Partition(groups ...[]int) {
+	w.cut = Cut(w.cfg.N, groups...)
 	w.partitioned = true
 	if w.tracer != nil {
 		w.tracer(TraceEvent{T: w.now, Kind: "partition", Src: -1, Dst: -1})
 	}
+	w.release()
 }
 
 // Heal removes the partition and releases every held message, in send
@@ -90,23 +89,25 @@ func (w *World) Heal() {
 		return
 	}
 	w.partitioned = false
-	for i := range w.cut {
-		for j := range w.cut[i] {
-			w.cut[i][j] = false
-		}
-	}
-	held := w.held
-	w.held = nil
 	if w.tracer != nil {
 		w.tracer(TraceEvent{T: w.now, Kind: "heal", Src: -1, Dst: -1})
 	}
+	w.release()
+}
+
+// release dispatches, in send order, every held message whose link is no
+// longer cut, and keeps the rest held.
+func (w *World) release() {
+	held := w.held
+	w.held = nil
 	for _, hm := range held {
+		if w.partitioned && w.cut[hm.src][hm.dst] {
+			w.held = append(w.held, hm)
+			continue
+		}
 		w.dispatch(hm.src, hm.dst, hm.msg, 0)
 	}
 }
-
-// Partitioned reports whether a partition is currently in effect.
-func (w *World) Partitioned() bool { return w.partitioned }
 
 // BlockedWaiter describes one process blocked in WaitUntilThen.
 type BlockedWaiter struct {

@@ -11,6 +11,14 @@ type pingMsg struct{ Seq int }
 
 func (pingMsg) Kind() string { return "ping" }
 
+// LinkAdversaryFunc adapts a function to the LinkAdversary interface.
+type LinkAdversaryFunc func(now rt.Ticks, src, dst int, kind string) LinkFate
+
+// OnSend implements LinkAdversary.
+func (f LinkAdversaryFunc) OnSend(now rt.Ticks, src, dst int, kind string) LinkFate {
+	return f(now, src, dst, kind)
+}
+
 // collect records delivered sequence numbers per node.
 type collect struct{ got []int }
 
@@ -173,7 +181,7 @@ func TestHealIsIdempotent(t *testing.T) {
 	w.Partition([]int{0}, []int{1})
 	w.Heal()
 	w.Heal()
-	if w.Partitioned() {
+	if w.partitioned {
 		t.Fatal("still partitioned after Heal")
 	}
 	if err := w.Run(); err != nil {

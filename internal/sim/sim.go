@@ -125,7 +125,7 @@ type World struct {
 	lastDeliv [][]rt.Ticks
 
 	// Partition state: cut[src][dst] marks severed channels; held parks
-	// cross-cut messages (in send order) until Heal.
+	// cross-cut messages (in send order) until their link is no longer cut.
 	partitioned bool
 	cut         [][]bool
 	held        []heldMsg
@@ -528,10 +528,6 @@ func (w *World) Stats() Stats {
 	}
 	return s
 }
-
-// SentBy returns the number of messages node id has sent so far. Useful for
-// asserting communication-free operations (e.g. SSO scans).
-func (w *World) SentBy(id int) int64 { return w.nodes[id].sent }
 
 // DeadlockError is returned by Run when no event can make progress while
 // processes are still blocked. Waiters identifies every blocked

@@ -83,14 +83,14 @@ func TestScanSendsNoMessages(t *testing.T) {
 			}
 			// Let the system quiesce, then scan.
 			_ = o.P.Sleep(50 * rt.TicksPerD)
-			p := &probe{before: c.W.SentBy(i)}
+			p := &probe{before: c.W.Stats().SentByNode[i]}
 			snap, err := o.Scan()
 			if err != nil {
 				t.Errorf("scan: %v", err)
 				return
 			}
 			p.snap = snap
-			p.after = c.W.SentBy(i)
+			p.after = c.W.Stats().SentByNode[i]
 			probes[i] = p
 		})
 	}

@@ -53,13 +53,16 @@ const linkDepth = 1 << 16
 
 // link is one directed FIFO link from node src, the one outbound queue of
 // both transports: it grows with use (an idle link holds no buffer), and
-// one goroutine takes it whole — drain, or a TCP peer's send loop.
+// one goroutine takes it whole — drain, or a TCP peer's send loop. A held
+// link gives its drainer nothing: what is pushed meanwhile waits here, in
+// order, and counts against linkDepth.
 type link struct {
 	src   int
 	mu    sync.Mutex
 	in    []timedMsg    // queued, oldest first
+	held  bool          // take returns nothing while set
 	depth atomic.Int32  // len(in), for the overflow check without the lock
-	wake  chan struct{} // capacity 1: signalled after every push
+	wake  chan struct{} // capacity 1: signalled after every push and release
 }
 
 func newLink(src int) *link { return &link{src: src, wake: make(chan struct{}, 1)} }
@@ -73,18 +76,36 @@ func (l *link) push(tm timedMsg) bool {
 	l.mu.Lock()
 	l.in = append(l.in, tm)
 	l.mu.Unlock()
+	l.signal()
+	return true
+}
+
+func (l *link) signal() {
 	select {
 	case l.wake <- struct{}{}:
 	default:
 	}
-	return true
+}
+
+// hold stops (on) or resumes (!on) the link's delivery and wakes the
+// drainer: resumed, it takes everything queued since, in send order.
+func (l *link) hold(on bool) {
+	l.mu.Lock()
+	l.held = on
+	l.mu.Unlock()
+	l.signal()
 }
 
 // take returns what is queued and reuses spent, the drainer's finished
-// batch, as the new queue, so a link in steady state allocates nothing.
+// batch, as the new queue, so a link in steady state allocates nothing. A
+// held link returns nothing and keeps its queue.
 func (l *link) take(spent []timedMsg) []timedMsg {
 	clear(spent)
 	l.mu.Lock()
+	if l.held {
+		l.mu.Unlock()
+		return spent[:0]
+	}
 	batch := l.in
 	l.in = spent[:0]
 	l.depth.Add(-int32(len(batch)))
@@ -214,6 +235,11 @@ func (c *ChanNet) Runtime(id int) rt.Runtime { return c.nodes[id].Runtime() }
 // Crash crash-stops node id.
 func (c *ChanNet) Crash(id int) { c.nodes[id].Crash() }
 
+// Hold holds (on) or releases (!on) the link from src to dst: a held link
+// delivers nothing, and a release delivers what waited, in send order,
+// even if src crashed meanwhile.
+func (c *ChanNet) Hold(src, dst int, on bool) { c.nodes[src].Hold(dst, on) }
+
 // Restart brings crashed node id back with the recovered incarnation's
 // handler (crash-recovery); its links were never torn down, so channel
 // ordering survives the downtime.
@@ -223,6 +249,9 @@ func (c *ChanNet) Restart(id int, h rt.Handler) { c.nodes[id].Restart(h) }
 func (c *ChanNet) Close() {
 	close(c.done)
 	c.wg.Wait()
+	for _, nd := range c.nodes {
+		nd.close()
+	}
 }
 
 func (c *ChanNet) delay() time.Duration {

@@ -17,3 +17,20 @@ func (nd *node) Parked() int {
 
 // Parked is the length of node id's waiter list.
 func (c *ChanNet) Parked(id int) int { return c.nodes[id].Parked() }
+
+// Retained is how many entries the node's link queues and waiter list
+// have room for.
+func (nd *node) Retained() int {
+	nd.mu.Lock()
+	n := cap(nd.waiters)
+	nd.mu.Unlock()
+	for _, l := range nd.out {
+		l.mu.Lock()
+		n += cap(l.in)
+		l.mu.Unlock()
+	}
+	return n
+}
+
+// Retained is node id's Retained.
+func (c *ChanNet) Retained(id int) int { return c.nodes[id].Retained() }

@@ -160,6 +160,21 @@ func (nd *node) tick() {
 	}
 }
 
+// close drops, once nothing drains the node any more, the room its link
+// queues and idle waiter list kept for their busiest moment.
+func (nd *node) close() {
+	nd.mu.Lock()
+	if len(nd.waiters) == 0 {
+		nd.waiters = nil
+	}
+	nd.mu.Unlock()
+	for _, l := range nd.out {
+		l.mu.Lock()
+		l.in = nil
+		l.mu.Unlock()
+	}
+}
+
 // Crash crash-stops the node: it stops sending and handling messages,
 // parked waits fail with rt.ErrCrashed, and later waits fail at once. Its
 // links stay up (peers need not tell a crashed node from a silent one).
@@ -172,6 +187,13 @@ func (nd *node) Crash() {
 	}
 	nd.waiters = nil
 }
+
+// Hold holds (on) or releases (!on) the node's link toward dst. A held
+// link delivers nothing: messages sent on it wait there, in send order,
+// and a release delivers them — also when the node crashed meanwhile,
+// for they were already sent. Messages its drainer took before the hold
+// are not held back.
+func (nd *node) Hold(dst int, on bool) { nd.out[dst].hold(on) }
 
 // Restart brings a crashed node back with the recovered incarnation's
 // handler (crash-recovery): it clears the crash flag and installs h in one

@@ -533,4 +533,5 @@ func (t *TCPNode) Close() {
 	}
 	t.acceptedMu.Unlock()
 	t.wg.Wait()
+	t.node.close()
 }

@@ -87,9 +87,9 @@ func FrameBuffered(r *bufio.Reader) bool {
 	return uint64(n-HeaderLen) >= uint64(binary.BigEndian.Uint32(hdr[1:]))
 }
 
-// ParseFrame parses one frame from the front of b, returning its payload
+// parseFrame parses one frame from the front of b, returning its payload
 // (aliasing b) and the bytes after the frame.
-func ParseFrame(b []byte, max int) (payload, rest []byte, err error) {
+func parseFrame(b []byte, max int) (payload, rest []byte, err error) {
 	max = maxOrDefault(max)
 	if len(b) < HeaderLen {
 		return nil, nil, fmt.Errorf("%w: %d header bytes of %d", ErrShortFrame, len(b), HeaderLen)
@@ -120,7 +120,7 @@ func MarshalFrame(msg rt.Message, max int) ([]byte, error) {
 // UnmarshalFrame parses one complete frame and decodes its message,
 // rejecting trailing bytes after the frame.
 func UnmarshalFrame(b []byte, max int) (rt.Message, error) {
-	payload, rest, err := ParseFrame(b, max)
+	payload, rest, err := parseFrame(b, max)
 	if err != nil {
 		return nil, err
 	}

@@ -138,8 +138,8 @@ func Lookup(tag uint16) (*Codec, bool) {
 	return c, ok
 }
 
-// CodecFor returns the codec registered for msg's concrete type.
-func CodecFor(msg rt.Message) (*Codec, bool) {
+// codecFor returns the codec registered for msg's concrete type.
+func codecFor(msg rt.Message) (*Codec, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	c, ok := byType[reflect.TypeOf(msg)]
@@ -151,7 +151,7 @@ func CodecFor(msg rt.Message) (*Codec, bool) {
 // nests. Copy-through layers use it to let test-local unregistered
 // payloads pass through untouched instead of failing mid-send.
 func Marshalable(msg rt.Message) bool {
-	c, ok := CodecFor(msg)
+	c, ok := codecFor(msg)
 	if !ok {
 		return false
 	}
@@ -194,7 +194,7 @@ func GenLeaf(rng *rand.Rand) rt.Message {
 
 // AppendMessage appends msg's payload encoding (tag + body) to b.
 func AppendMessage(b *Buffer, msg rt.Message) error {
-	c, ok := CodecFor(msg)
+	c, ok := codecFor(msg)
 	if !ok {
 		return fmt.Errorf("%w: %T (kind %q)", ErrNotRegistered, msg, msg.Kind())
 	}
