@@ -34,9 +34,9 @@ type Config struct {
 	// Duration is the workload length in virtual ticks (rt.TicksPerD
 	// ticks per D). Clients stop invoking new operations past it.
 	Duration rt.Ticks
-	// Mix is the fault mix; zero value means DefaultMix.
+	// Mix is the fault mix; zero value means defaultMix.
 	Mix Mix
-	// Churn switches the run to the churn schedule (GenerateChurn):
+	// Churn switches the run to the churn schedule (generateChurn):
 	// sustained rolling crash→restart cycles over the WAL recovery path
 	// (durable engines; flap-only otherwise), single-node membership
 	// flaps, lagging-node delay windows, and a bursty hot-segment /
@@ -123,7 +123,7 @@ func (cfg *Config) normalize() error {
 	}
 	cfg.info = in
 	if cfg.Mix == (Mix{}) {
-		cfg.Mix = DefaultMix()
+		cfg.Mix = defaultMix()
 	}
 	if cfg.ScanRatio == 0 {
 		cfg.ScanRatio = 0.5
@@ -184,11 +184,11 @@ func (cfg Config) Schedule() (Schedule, error) {
 func (cfg *Config) schedule() Schedule {
 	switch {
 	case cfg.Churn:
-		return GenerateChurn(cfg.Seed, cfg.N, cfg.F, cfg.Duration, cfg.info.Durable())
+		return generateChurn(cfg.Seed, cfg.N, cfg.F, cfg.Duration, cfg.info.Durable())
 	case cfg.Shards > 0:
 		return cfg.shardSchedule()
 	}
-	return Generate(cfg.Seed, cfg.N, cfg.F, cfg.Duration, cfg.Mix)
+	return generate(cfg.Seed, cfg.N, cfg.F, cfg.Duration, cfg.Mix)
 }
 
 // durableNames lists the registered engines that can recover from a WAL.
@@ -291,10 +291,10 @@ type FaultTally struct {
 	Corrupt int64 `json:"corrupt"`
 }
 
-// Grace is how long past the workload deadline an in-flight operation may
+// grace is how long past the workload deadline an in-flight operation may
 // take before it is considered stuck: generous against the worst measured
 // op latencies (≤ ~10D) plus spike delays.
-const Grace = 30 * rt.TicksPerD
+const grace = 30 * rt.TicksPerD
 
 // WALBatch is the WAL fsync batch of chaos runs and `aso node -wal`: foreign
 // values, checkpoints and prunes ride a batch (a vouch or a prune is
@@ -357,7 +357,7 @@ func (c *Config) clientSeed(node, cid, inc int) int64 {
 // runClient is the one client loop: until the deadline, draw an iteration
 // from mix, run its operations, and think. op performs one operation and
 // reports false once the client must stop (its node died under it).
-func runClient(w World, deadline rt.Ticks, mix clientMix, rng *rand.Rand, op func(scan bool) bool) {
+func runClient(w world, deadline rt.Ticks, mix clientMix, rng *rand.Rand, op func(scan bool) bool) {
 	for w.Now() < deadline {
 		scans, burst := mix.next(rng)
 		for b := 0; b < burst; b++ {
@@ -409,14 +409,14 @@ func Run(cfg Config, backend string) (*Result, error) {
 	}
 	sched := cfg.schedule()
 	res := &Result{Backend: backend, Engine: cfg.Engine, Schedule: sched, ScheduleHash: sched.Hash()}
-	wc := WorldConfig{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Byzantine: cfg.info.Byzantine}
+	wc := worldConfig{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Byzantine: cfg.info.Byzantine}
 	var health *cluster.Health
 	if cfg.Shards > 0 {
 		wc.N = cfg.Shards * cfg.N
 		health = cluster.NewHealth(wc.N)
 		wc.Observer = health
 	}
-	w, err := NewWorld(backend, wc)
+	w, err := newWorld(backend, wc)
 	if err != nil {
 		return nil, err
 	}
@@ -501,11 +501,11 @@ func Run(cfg Config, backend string) (*Result, error) {
 			s.start(id, inc)
 		})
 	}
-	Inject(w, sched.Events, restart)
+	inject(w, sched.Events, restart)
 
 	// The wall world joins its restart driver before returning, so
 	// rebuildErr is read after its last write.
-	res.Blocked, err = w.Run(cfg.Duration, Grace, s.drain)
+	res.Blocked, err = w.Run(cfg.Duration, grace, s.drain)
 	s.finish(res)
 	if err == nil {
 		err = rebuildErr
@@ -542,7 +542,7 @@ func Run(cfg Config, backend string) (*Result, error) {
 // condition (with the streaming monitor alongside when armed). In Service
 // mode a node's clients share a svc.Service whose worker runs on a
 // dedicated node thread.
-func plainStack(cfg *Config, w World, tr *obs.Trace, res *Result) stack {
+func plainStack(cfg *Config, w world, tr *obs.Trace, res *Result) stack {
 	rec := history.NewRecorder(cfg.N)
 	// Streaming invariant monitor: consumes completions as the recorder
 	// produces them; the first violation dumps the monitor transcript and

@@ -39,12 +39,12 @@ func init() {
 // perturb any other fault's RNG draws — a seed's crash, partition, drop,
 // and spike events are identical with and without CorruptWindows.
 func TestGenerateCorruptBackwardCompat(t *testing.T) {
-	base := DefaultMix()
+	base := defaultMix()
 	withCorrupt := base
 	withCorrupt.CorruptWindows = 3
 	for seed := int64(1); seed <= 5; seed++ {
-		plain := Generate(seed, 5, 2, 60*rt.TicksPerD, base)
-		mixed := Generate(seed, 5, 2, 60*rt.TicksPerD, withCorrupt)
+		plain := generate(seed, 5, 2, 60*rt.TicksPerD, base)
+		mixed := generate(seed, 5, 2, 60*rt.TicksPerD, withCorrupt)
 		var kept []Event
 		corrupt := 0
 		srcs := map[int]bool{}
@@ -72,9 +72,9 @@ func TestGenerateCorruptBackwardCompat(t *testing.T) {
 // TestGenerateCorruptNeedsFaultBudget: with f=0 there is no fault budget
 // to attribute Byzantine bytes to, so no corrupt events are generated.
 func TestGenerateCorruptNeedsFaultBudget(t *testing.T) {
-	mix := DefaultMix()
+	mix := defaultMix()
 	mix.CorruptWindows = 3
-	s := Generate(1, 5, 0, 60*rt.TicksPerD, mix)
+	s := generate(1, 5, 0, 60*rt.TicksPerD, mix)
 	for _, ev := range s.Events {
 		if ev.Kind == EvCorruptOn || ev.Kind == EvCorruptOff {
 			t.Fatalf("f=0 schedule contains %s", ev)
@@ -135,7 +135,7 @@ func TestCorrupterOutcomes(t *testing.T) {
 // keep their consistency condition under active corrupt windows, and the
 // sim's corruption counter proves the windows actually fired.
 func TestRunSimWithCorruption(t *testing.T) {
-	mix := DefaultMix()
+	mix := defaultMix()
 	mix.CorruptWindows = 3
 	mix.CorruptProb = 0.5
 	for _, tc := range []struct {
@@ -163,7 +163,7 @@ func TestRunSimWithCorruption(t *testing.T) {
 // TestRunTransportChanWithCorruption: the corrupter also rides the real
 // transport path through faultNet.
 func TestRunTransportChanWithCorruption(t *testing.T) {
-	mix := DefaultMix()
+	mix := defaultMix()
 	mix.CorruptWindows = 3
 	mix.CorruptProb = 0.5
 	res, err := Run(Config{N: 5, F: 2, Seed: 9, Duration: 30 * rt.TicksPerD, Mix: mix}, "chan")

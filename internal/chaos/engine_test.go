@@ -24,7 +24,7 @@ func TestChallengerEnginesUnderChaosSim(t *testing.T) {
 				t.Parallel()
 				res, err := Run(Config{
 					N: 5, F: 2, Engine: eng, Seed: seed,
-					Duration: 60 * rt.TicksPerD, Mix: DefaultMix(),
+					Duration: 60 * rt.TicksPerD, Mix: defaultMix(),
 				}, "sim")
 				if err != nil {
 					t.Fatal(err)
@@ -53,7 +53,7 @@ func TestChallengerEnginesUnderChaosChan(t *testing.T) {
 			t.Run(eng+"/seed="+itoa(seed), func(t *testing.T) {
 				res, err := Run(Config{
 					N: 5, F: 2, Engine: eng, Seed: seed,
-					Duration: 30 * rt.TicksPerD, Mix: DefaultMix(),
+					Duration: 30 * rt.TicksPerD, Mix: defaultMix(),
 				}, "chan")
 				if err != nil {
 					t.Fatal(err)

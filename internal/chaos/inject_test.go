@@ -9,12 +9,12 @@ import (
 	"mpsnap/internal/rt"
 )
 
-// recWorld is a recording World: At collects the timers, fire replays them
+// recWorld is a recording world: At collects the timers, fire replays them
 // in tick order, and every fault action appends "<tick> <call>" to calls.
-// The embedded nil World makes any method Inject has no business calling
+// The embedded nil world makes any method inject has no business calling
 // panic.
 type recWorld struct {
-	World
+	world
 	timers []wallTimer
 	now    rt.Ticks
 	calls  []string
@@ -42,7 +42,7 @@ func (w *recWorld) fire() {
 }
 
 // TestInjectEveryEventKind: each EventKind maps to exactly the expected
-// World call at the expected tick — nothing more, nothing earlier.
+// world call at the expected tick — nothing more, nothing earlier.
 func TestInjectEveryEventKind(t *testing.T) {
 	const D = rt.TicksPerD
 	for _, tc := range []struct {
@@ -63,7 +63,7 @@ func TestInjectEveryEventKind(t *testing.T) {
 		{Event{At: 42, Kind: EvRestart, Node: 1}, []string{"42 restart 1"}},
 	} {
 		w := &recWorld{}
-		Inject(w, []Event{tc.ev}, func(id int) { w.logf("restart %d", id) })
+		inject(w, []Event{tc.ev}, func(id int) { w.logf("restart %d", id) })
 		if len(w.calls) != 0 {
 			t.Errorf("%s: acted before Run: %v", tc.ev.Kind, w.calls)
 		}
@@ -78,7 +78,7 @@ func TestInjectEveryEventKind(t *testing.T) {
 // order, and a mid-crash fallback lands between the events around it.
 func TestInjectKeepsScheduleOrder(t *testing.T) {
 	w := &recWorld{}
-	Inject(w, []Event{
+	inject(w, []Event{
 		{At: 10, Kind: EvCrash, Node: 0, Mid: true},
 		{At: 10, Kind: EvPartition, Groups: [][]int{{1}}},
 		{At: 10 + 2*rt.TicksPerD, Kind: EvHeal},

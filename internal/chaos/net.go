@@ -8,33 +8,31 @@ import (
 // faultNet is the wall world's fault injector: it wraps each node's
 // rt.Runtime so every send and broadcast consults the fault objects the
 // simulator uses too (loss and corruption windows, armed mid-broadcast
-// crashes) and the crash flags. It keeps no message of its own: a link
-// the partition cuts or a spike window covers is held on the transport
-// itself, so what is sent on it waits there in send order and is
-// delivered when the cut heals or the window closes — even if its sender
-// crashed meanwhile, since it was already sent. A partition is a long
-// delay, as on the simulator; a spike holds its link for the whole
-// window. Dropped messages are lost for good.
+// crashes). It keeps no crash flag (the transport's is the one) and no
+// message of its own: a link the partition cuts or a spike window covers
+// is held on the transport itself, so what is sent on it waits there in
+// send order and is delivered when the cut heals or the window closes —
+// even if its sender crashed meanwhile, since it was already sent. A
+// partition is a long delay, as on the simulator; a spike holds its link
+// for the whole window. Dropped messages are lost for good.
 type faultNet struct {
 	*faults // mu also guards every field below
 	unders  []rt.Runtime
 	all     []int // every node, the destinations of a broadcast
-	// crashFn crash-stops a node of the underlying transport so blocked
-	// waits release with rt.ErrCrashed; hold holds or releases one of its
-	// links.
-	crashFn func(id int)
-	hold    func(src, dst int, on bool)
+	// crash crash-stops a node of the underlying transport (also from
+	// inside its own critical section); hold holds or releases a link.
+	crash func(id int)
+	hold  func(src, dst int, on bool)
 
-	cut     [][]bool // the partition's cut, nil while healed
-	crashed []bool
-	tally   FaultTally
+	cut   [][]bool // the partition's cut, nil while healed
+	tally FaultTally
 }
 
-// newFaultNet wraps the underlying per-node runtimes. crashFn must
+// newFaultNet wraps the underlying per-node runtimes. crash must
 // crash-stop node id on the backing transport, hold hold or release its
 // src→dst link.
-func newFaultNet(f *faults, unders []rt.Runtime, crashFn func(id int), hold func(src, dst int, on bool)) *faultNet {
-	nt := &faultNet{faults: f, unders: unders, crashFn: crashFn, hold: hold, crashed: make([]bool, len(unders))}
+func newFaultNet(f *faults, unders []rt.Runtime, crash func(id int), hold func(src, dst int, on bool)) *faultNet {
+	nt := &faultNet{faults: f, unders: unders, crash: crash, hold: hold}
 	for id := range unders {
 		nt.all = append(nt.all, id)
 	}
@@ -48,42 +46,17 @@ func (nt *faultNet) Runtime(id int) rt.Runtime {
 	return &faultyRuntime{Runtime: nt.unders[id], nt: nt}
 }
 
-// Crashed reports whether the chaos controller crashed node id.
-func (nt *faultNet) Crashed(id int) bool {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	return nt.crashed[id]
-}
-
-// Tally implements World.
+// Tally implements world.
 func (nt *faultNet) Tally() FaultTally {
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	return nt.tally
 }
 
-// Crash crash-stops node id: its sends are suppressed and the backing
-// transport releases its blocked waits with rt.ErrCrashed.
+// Crash crash-stops node id on the transport and disarms it.
 func (nt *faultNet) Crash(id int) {
-	nt.mu.Lock()
-	if nt.crashed[id] {
-		nt.mu.Unlock()
-		return
-	}
-	nt.crashed[id] = true
-	nt.mu.Unlock()
-	nt.crashFn(id)
-}
-
-// ClearCrashed unmarks a crash-stopped node so its sends flow again, and
-// disarms a mid-broadcast crash it never reached. The caller must have
-// restored the backing transport (and reinstalled the recovered handler)
-// first.
-func (nt *faultNet) ClearCrashed(id int) {
-	nt.mu.Lock()
-	defer nt.mu.Unlock()
-	nt.crashed[id] = false
-	delete(nt.mid.armed, id)
+	nt.disarm(id)
+	nt.crash(id)
 }
 
 // Partition isolates the given islands (nodes in no group form one
@@ -130,7 +103,7 @@ func (nt *faultNet) send(src, dst int, msg rt.Message) {
 }
 
 func (nt *faultNet) sendLocked(src, dst int, msg rt.Message) {
-	if nt.crashed[src] {
+	if nt.unders[src].Crashed() {
 		return
 	}
 	if src != dst {
@@ -154,10 +127,12 @@ func (nt *faultNet) sendLocked(src, dst int, msg rt.Message) {
 	nt.unders[src].Send(dst, msg)
 }
 
+// broadcast sends msg to every node, or, if src is armed to crash
+// mid-broadcast, to a prefix and then crashes src in the sending section.
 func (nt *faultNet) broadcast(src int, msg rt.Message) {
 	nt.mu.Lock()
-	if nt.crashed[src] {
-		nt.mu.Unlock()
+	defer nt.mu.Unlock()
+	if nt.unders[src].Crashed() {
 		return
 	}
 	dsts, crash := nt.mid.OnBroadcast(nt.unders[src].Now(), src, msg, nt.all)
@@ -165,19 +140,8 @@ func (nt *faultNet) broadcast(src int, msg rt.Message) {
 		nt.sendLocked(src, dst, msg)
 	}
 	if crash {
-		// Crash the victim without re-entering the transport from this
-		// goroutine: the broadcaster holds its own node lock (transports
-		// run protocol sections under it), so a synchronous crashFn
-		// would self-deadlock. Marking crashed here already suppresses
-		// every later send; the transport-level crash — which releases
-		// the victim's blocked waits — lands as soon as the in-progress
-		// critical section ends.
-		nt.crashed[src] = true
-		nt.mu.Unlock()
-		go nt.crashFn(src)
-		return
+		nt.crash(src)
 	}
-	nt.mu.Unlock()
 }
 
 // faultyRuntime is a node's fault-injected view of the transport: the

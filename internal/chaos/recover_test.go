@@ -12,7 +12,7 @@ import (
 // restartMix is the standard crash-recovery diet: two crash victims both
 // come back, with the usual partition/loss/spike background noise.
 func restartMix() Mix {
-	m := DefaultMix()
+	m := defaultMix()
 	m.Crashes = 2
 	m.Restarts = 2
 	m.Partitions = 1

@@ -11,7 +11,7 @@
 // The same Schedule runs on two backends: the deterministic virtual-time
 // simulator (internal/sim — byte-identical histories per seed) and the
 // real transports (internal/transport — ChanNet or a TCP loopback
-// cluster), where one D of virtual time maps to DReal of wall clock.
+// cluster), where one D of virtual time maps to dReal of wall clock.
 package chaos
 
 import (
@@ -69,9 +69,9 @@ type Mix struct {
 	RestartDelayD float64 `json:"restartDelayD,omitempty"`
 }
 
-// DefaultMix is the standard chaotic diet: one crash, two partition
+// defaultMix is the standard chaotic diet: one crash, two partition
 // episodes, two loss windows, two delay spikes.
-func DefaultMix() Mix {
+func defaultMix() Mix {
 	return Mix{Crashes: 1, Partitions: 2, DropWindows: 2, DropProb: 0.25, SpikeWindows: 2, SpikeExtraD: 3}
 }
 
@@ -149,7 +149,7 @@ type Schedule struct {
 	F        int      `json:"f"`
 	Duration rt.Ticks `json:"duration"`
 	Mix      Mix      `json:"mix"`
-	// Churn is set on schedules produced by GenerateChurn (Mix is then
+	// Churn is set on schedules produced by generateChurn (Mix is then
 	// zero); it participates in Hash, so churn and plain schedules with
 	// the same seed never collide.
 	Churn  bool    `json:"churn,omitempty"`
@@ -167,10 +167,10 @@ func (s Schedule) HasRestarts() bool {
 	return false
 }
 
-// Generate derives the fault schedule from the seed. All randomness comes
+// generate derives the fault schedule from the seed. All randomness comes
 // from one private RNG consumed in a fixed order, so schedules reproduce
 // exactly; events are sorted by time (generation order breaks ties).
-func Generate(seed int64, n, f int, duration rt.Ticks, mix Mix) Schedule {
+func generate(seed int64, n, f int, duration rt.Ticks, mix Mix) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	if mix.DropProb == 0 {
 		mix.DropProb = 0.25
@@ -350,16 +350,16 @@ const (
 	churnSlowOnD     float64 = 5
 )
 
-// GenerateChurn derives a churn schedule from the seed: round-robin
+// generateChurn derives a churn schedule from the seed: round-robin
 // crash→restart cycles (when restarts is set — the engine can recover
 // from its WAL), single-node partition flaps, and periodic delay windows
-// that make one node lag. Like Generate it is a pure function of its
+// that make one node lag. Like generate it is a pure function of its
 // arguments, and it honors the fault budget at every instant: the number
 // of nodes crashed or isolated never exceeds f. With f == 1 the restart
 // and flap lanes are serialized into one alternating lane; with f ≥ 2
 // they run concurrently (each lane impairs at most one node at a time).
 // All faults land in [5D, 0.9·duration), leaving a clean tail to drain.
-func GenerateChurn(seed int64, n, f int, duration rt.Ticks, restarts bool) Schedule {
+func generateChurn(seed int64, n, f int, duration rt.Ticks, restarts bool) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	ticksD := func(d float64) rt.Ticks { return rt.Ticks(d * float64(rt.TicksPerD)) }
 	jit := func(maxD float64) rt.Ticks { return rt.Ticks(rng.Int63n(int64(ticksD(maxD)) + 1)) }

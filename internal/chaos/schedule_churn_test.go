@@ -13,8 +13,8 @@ import (
 // gives a distinct hash.
 func TestGenerateChurnDeterministic(t *testing.T) {
 	dur := 400 * rt.TicksPerD
-	a := GenerateChurn(7, 5, 2, dur, true)
-	b := GenerateChurn(7, 5, 2, dur, true)
+	a := generateChurn(7, 5, 2, dur, true)
+	b := generateChurn(7, 5, 2, dur, true)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same inputs must generate identical schedules")
 	}
@@ -27,18 +27,18 @@ func TestGenerateChurnDeterministic(t *testing.T) {
 	if !a.HasRestarts() {
 		t.Fatal("restart lane missing with restarts enabled")
 	}
-	c := GenerateChurn(8, 5, 2, dur, true)
+	c := generateChurn(8, 5, 2, dur, true)
 	if a.Hash() == c.Hash() {
 		t.Fatal("different seeds must hash apart")
 	}
-	d := GenerateChurn(7, 5, 2, dur, false)
+	d := generateChurn(7, 5, 2, dur, false)
 	if d.HasRestarts() {
 		t.Fatal("restart lane must be off for non-durable engines")
 	}
 	if a.Hash() == d.Hash() {
 		t.Fatal("restart-lane toggle must hash apart")
 	}
-	m := Generate(7, 5, 2, dur, DefaultMix())
+	m := generate(7, 5, 2, dur, defaultMix())
 	if a.Hash() == m.Hash() {
 		t.Fatal("churn and mix schedules of the same seed must hash apart")
 	}
@@ -64,7 +64,7 @@ func TestChurnScheduleBudget(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		for _, tc := range cases {
 			dur := rt.Ticks(200+17*seed) * rt.TicksPerD
-			s := GenerateChurn(seed, tc.n, tc.f, dur, tc.restarts)
+			s := generateChurn(seed, tc.n, tc.f, dur, tc.restarts)
 			validateChurn(t, s, tc.restarts)
 		}
 	}

@@ -58,7 +58,7 @@ func (cfg *Config) shardMap() cluster.ShardMap {
 }
 
 // shardSchedule is a sharded run's one fault stream: each shard's own
-// Generate schedule (seed offset by the shard index) remapped onto its
+// generate schedule (seed offset by the shard index) remapped onto its
 // members, plus the whole-shard crash/restart and partition episodes,
 // merged by partition union. Its N counts every node of the topology; its
 // Mix is each shard's.
@@ -67,7 +67,7 @@ func (cfg *Config) shardSchedule() Schedule {
 	var mix Mix
 	sources := make([][]Event, 0, cfg.Shards+2)
 	for s, members := range m.Members {
-		sched := Generate(cfg.Seed+int64(s)*9973, cfg.N, cfg.F, cfg.Duration, cfg.Mix)
+		sched := generate(cfg.Seed+int64(s)*9973, cfg.N, cfg.F, cfg.Duration, cfg.Mix)
 		mix = sched.Mix
 		sources = append(sources, remapEvents(sched.Events, members))
 	}
@@ -198,7 +198,7 @@ func (c *Cuts) String() string {
 
 // shardStack is the sharded store on the world's Shards × N nodes, each
 // routing by one contiguous shard map and ordering contacts by health.
-func shardStack(cfg *Config, w World, health *cluster.Health) stack {
+func shardStack(cfg *Config, w world, health *cluster.Health) stack {
 	m := cfg.shardMap()
 	// mu guards the node table and the tally: on the real transports
 	// clients, coordinators and the restart driver are concurrent

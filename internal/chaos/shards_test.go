@@ -26,7 +26,7 @@ func shardConfig(seed int64) Config {
 }
 
 // quietMix injects no per-shard faults (it is not the zero Mix, which
-// would mean DefaultMix): the whole-shard episode is the event under test.
+// would mean defaultMix): the whole-shard episode is the event under test.
 var quietMix = Mix{DropProb: 0.25}
 
 // requireCuts fails unless the sharded run validated at least one cut and
@@ -83,7 +83,7 @@ func TestShardsSimShardPartition(t *testing.T) {
 }
 
 // TestShardsChanSeeds runs sharded chaos on the channel transport across
-// several seeds (shorter than sim: these burn wall clock at DReal per
+// several seeds (shorter than sim: these burn wall clock at dReal per
 // virtual D).
 func TestShardsChanSeeds(t *testing.T) {
 	if testing.Short() {

@@ -10,22 +10,22 @@ import (
 	"mpsnap/internal/transport"
 )
 
-// DReal is the wall-clock duration standing in for one maximum message
+// dReal is the wall-clock duration standing in for one maximum message
 // delay D on the real transports, so a Schedule's virtual times map to
-// wall time uniformly across backends: ev.At ticks → ev.At·(DReal/TicksPerD).
-const DReal = 10 * time.Millisecond
+// wall time uniformly across backends: ev.At ticks → ev.At·(dReal/TicksPerD).
+const dReal = 10 * time.Millisecond
 
 // tickReal is the wall-clock duration of one virtual tick.
-const tickReal = DReal / time.Duration(rt.TicksPerD)
+const tickReal = dReal / time.Duration(rt.TicksPerD)
 
 // TicksOf converts a wall-clock duration into virtual ticks under the
-// DReal mapping, so "-duration 5s" means the same schedule on every
+// dReal mapping, so "-duration 5s" means the same schedule on every
 // backend.
 func TicksOf(d time.Duration) rt.Ticks { return rt.Ticks(d / tickReal) }
 
-// wallWorld is the World over a real transport — "chan" (in-process
+// wallWorld is the world over a real transport — "chan" (in-process
 // goroutine links) or "tcp" (a loopback mesh, all nodes in this process)
-// — with D = DReal. The embedded faultNet wraps the transport's runtimes
+// — with D = dReal. The embedded faultNet wraps the transport's runtimes
 // and applies the fault objects to their sends; threads are goroutines;
 // At callbacks replay on one driver goroutine (so restarts are
 // serialized); and since real scheduling is not deterministic, only the
@@ -59,14 +59,14 @@ type wallTimer struct {
 	fn func()
 }
 
-func newWallWorld(backend string, cfg WorldConfig) (*wallWorld, error) {
+func newWallWorld(backend string, cfg worldConfig) (*wallWorld, error) {
 	w := &wallWorld{backend: backend, active: 1, finished: make(chan struct{})}
 	var unders []rt.Runtime
 	var crash func(id int)
 	var hold func(src, dst int, on bool)
 	switch backend {
 	case "chan":
-		cn := transport.NewChanNet(transport.ChanConfig{N: cfg.N, F: cfg.F, D: DReal, Seed: cfg.Seed, Observer: cfg.Observer})
+		cn := transport.NewChanNet(transport.ChanConfig{N: cfg.N, F: cfg.F, D: dReal, Seed: cfg.Seed, Observer: cfg.Observer})
 		crash, hold, w.setHandler, w.restart, w.close = cn.Crash, cn.Hold, cn.SetHandler, cn.Restart, cn.Close
 		for i := 0; i < cfg.N; i++ {
 			unders = append(unders, cn.Runtime(i))
@@ -74,7 +74,7 @@ func newWallWorld(backend string, cfg WorldConfig) (*wallWorld, error) {
 	case "tcp":
 		// The mesh shares one epoch, so construction skew never shows up as
 		// clock skew between nodes.
-		nodes, err := transport.LoopbackMesh(cfg.N, transport.TCPConfig{F: cfg.F, D: DReal, Observer: cfg.Observer})
+		nodes, err := transport.LoopbackMesh(cfg.N, transport.TCPConfig{F: cfg.F, D: dReal, Observer: cfg.Observer})
 		if err != nil {
 			return nil, err
 		}
@@ -134,11 +134,11 @@ func (w *wallWorld) Sleep(d rt.Ticks) error {
 
 func (w *wallWorld) At(t rt.Ticks, fn func()) { w.timers = append(w.timers, wallTimer{t, fn}) }
 
-// Crashed also waits out the dead incarnation's last critical section:
-// handlers and WAL appends run under the transport node's mutex, and a
-// crashed node starts no new one.
+// Crashed reads the transport's crash flag and also waits out the dead
+// incarnation's last critical section: handlers and WAL appends run under
+// the transport node's mutex, and a crashed node starts no new one.
 func (w *wallWorld) Crashed(id int) bool {
-	if !w.faultNet.Crashed(id) {
+	if !w.unders[id].Crashed() {
 		return false
 	}
 	w.unders[id].Atomic(func() {})
@@ -146,11 +146,8 @@ func (w *wallWorld) Crashed(id int) bool {
 }
 
 // Restart swaps the handler in and clears the transport's crash flag in
-// one critical section, then lets the node's sends flow again.
-func (w *wallWorld) Restart(id int, h rt.Handler) {
-	w.restart(id, h)
-	w.ClearCrashed(id)
-}
+// one critical section.
+func (w *wallWorld) Restart(id int, h rt.Handler) { w.restart(id, h) }
 
 func (w *wallWorld) until(t rt.Ticks) time.Duration {
 	return time.Until(w.start.Add(time.Duration(t) * tickReal))
@@ -198,4 +195,4 @@ func (w *wallWorld) Run(deadline, grace rt.Ticks, drain func()) ([]string, error
 
 func (w *wallWorld) Close() { w.close() }
 
-var _ World = (*wallWorld)(nil)
+var _ world = (*wallWorld)(nil)

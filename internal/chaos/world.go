@@ -8,17 +8,17 @@ import (
 	"mpsnap/internal/sim"
 )
 
-// World is the backend a schedule-driven run executes on: n nodes, one
+// world is the backend a schedule-driven run executes on: n nodes, one
 // clock in virtual ticks, threads, and the fault actions a Schedule can
 // name. The one runner, Run, is written once against it — plain and
 // sharded runs alike — and never learns which of the two implementations
 // it got: simWorld (the deterministic simulator, virtual time) or
-// wallWorld (the chan and tcp transports, DReal of wall clock per D).
+// wallWorld (the chan and tcp transports, dReal of wall clock per D).
 // What differs between the
 // two — how time passes, how a thread is spawned, what must be waited out
 // before a dead node's WAL may be touched, and how a run that lost its
 // quorum is brought to an end — is behind this interface.
-type World interface {
+type world interface {
 	// Runtime returns node id's fault-injected runtime: build the node's
 	// stack against it and install its handler with SetHandler.
 	Runtime(id int) rt.Runtime
@@ -40,9 +40,11 @@ type World interface {
 	// precedes Run.
 	At(t rt.Ticks, fn func())
 
-	// Crash crash-stops node id (idempotent). ArmMidCrash makes its next
-	// broadcast reach only a random prefix of the destinations before it
-	// crashes — the paper's crash-while-sending.
+	// Crash crash-stops node id (idempotent) and disarms its armed
+	// mid-broadcast crash, if any. ArmMidCrash makes its next broadcast
+	// reach only a random prefix of the destinations before it crashes,
+	// inside the critical section of that broadcast — the paper's
+	// crash-while-sending.
 	Crash(id int)
 	ArmMidCrash(id int)
 	// Crashed reports whether node id is crash-stopped. Once it returns
@@ -50,7 +52,7 @@ type World interface {
 	// caller may replay its WAL.
 	Crashed(id int) bool
 	// Restart brings a crashed node back with the recovered incarnation's
-	// handler.
+	// handler, installed in the same step.
 	Restart(id int, h rt.Handler)
 
 	// Partition isolates the given islands (nodes in no group form one
@@ -81,8 +83,8 @@ type World interface {
 	Close()
 }
 
-// WorldConfig parameterizes NewWorld.
-type WorldConfig struct {
+// worldConfig parameterizes newWorld.
+type worldConfig struct {
 	N, F int
 	// Seed drives message delays and every fault coin (loss, corruption,
 	// mid-broadcast prefix), each from its own stream.
@@ -95,18 +97,18 @@ type WorldConfig struct {
 	Byzantine bool
 }
 
-// NewWorld brings up the named backend: "sim", "chan" or "tcp".
-func NewWorld(backend string, cfg WorldConfig) (World, error) {
+// newWorld brings up the named backend: "sim", "chan" or "tcp".
+func newWorld(backend string, cfg worldConfig) (world, error) {
 	if backend == "sim" {
 		return newSimWorld(cfg), nil
 	}
 	return newWallWorld(backend, cfg)
 }
 
-// Inject schedules every fault event on w; restart handles EvRestart (the
+// inject schedules every fault event on w; restart handles EvRestart (the
 // runner owns WAL replay and the rebuilt node's stack). It is the only
 // place a fault Event becomes an action.
-func Inject(w World, events []Event, restart func(id int)) {
+func inject(w world, events []Event, restart func(id int)) {
 	for _, ev := range events {
 		switch ev.Kind {
 		case EvCrash:
@@ -143,7 +145,7 @@ func Inject(w World, events []Event, restart func(id int)) {
 // faults is the fault state a Schedule drives, one set for both worlds:
 // the drop and spike windows (simLink), the armed mid-broadcast crashes
 // (midCrash) and the wire-corruption windows (corrupter), each from its
-// own seeded stream. Its methods are the World's Drop, Spike, Corrupt and
+// own seeded stream. Its methods are the world's Drop, Spike, Corrupt and
 // ArmMidCrash on both. The simulator consults the three as its adversaries
 // on its one thread; the wall world's senders consult them under mu.
 type faults struct {
@@ -172,6 +174,15 @@ func (f *faults) ArmMidCrash(id int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.mid.armed[id] = true
+}
+
+// disarm drops node id's armed mid-broadcast crash, for both worlds'
+// Crash: a crash ends the incarnation the arm was aimed at, and it must
+// not strike the next one.
+func (f *faults) disarm(id int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.mid.armed, id)
 }
 
 func (f *faults) Drop(src, dst int, prob float64) {
@@ -233,7 +244,7 @@ func (a *midCrash) OnBroadcast(now rt.Ticks, src int, msg rt.Message, dsts []int
 	return dsts[:a.rng.Intn(len(dsts))], true
 }
 
-// simWorld is the World over the deterministic simulator: the embedded
+// simWorld is the world over the deterministic simulator: the embedded
 // sim.World supplies the nodes, clock, crash flags and partition cut, and
 // the fault objects act as its adversaries. Everything runs on the
 // scheduler's one thread, so the whole run is a function of the seed and
@@ -243,7 +254,7 @@ type simWorld struct {
 	*faults
 }
 
-func newSimWorld(cfg WorldConfig) *simWorld {
+func newSimWorld(cfg worldConfig) *simWorld {
 	f := newFaults(cfg.Seed, cfg.Byzantine)
 	return &simWorld{
 		World: sim.New(sim.Config{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Observer: cfg.Observer,
@@ -260,12 +271,13 @@ func (s *simWorld) GoService(name string, node int, fn func()) {
 
 func (s *simWorld) At(t rt.Ticks, fn func()) { s.After(t-s.Now(), fn) }
 
-func (s *simWorld) Restart(id int, h rt.Handler) {
-	s.SetHandler(id, h)
-	s.World.Restart(id)
+// Crash crash-stops node id and disarms it.
+func (s *simWorld) Crash(id int) {
+	s.disarm(id)
+	s.World.Crash(id)
 }
 
-// Tally implements World.
+// Tally implements world.
 func (s *simWorld) Tally() FaultTally {
 	st := s.Stats()
 	return FaultTally{Dropped: st.MsgsDrop, Held: st.MsgsHeld, Corrupt: st.MsgsCorrupt}
@@ -296,4 +308,4 @@ func (s *simWorld) Run(deadline, grace rt.Ticks, drain func()) ([]string, error)
 
 func (s *simWorld) Close() {}
 
-var _ World = (*simWorld)(nil)
+var _ world = (*simWorld)(nil)

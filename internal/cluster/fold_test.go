@@ -366,8 +366,7 @@ func restartAfterPrune(t *testing.T, restarts int) {
 			return
 		}
 		nodes[0] = nd
-		w.SetHandler(0, nd.Handler())
-		w.Restart(0)
+		w.Restart(0, nd.Handler())
 		rounds++
 		view := recovered.LocalView()
 		if view.Pruned() == 0 {

@@ -294,17 +294,18 @@ func (w *World) crash(id int) {
 	}
 }
 
-// Restart brings a crashed node back: it resumes receiving, sending, and
-// handling messages. The caller installs the recovered incarnation's
-// handler (SetHandler) before the restart and spawns a fresh client
-// process (GoNode) after it — processes of the old incarnation died with
+// Restart brings a crashed node back with the recovered incarnation's
+// handler h, installed in the same step: it resumes receiving, sending,
+// and handling messages. The caller spawns a fresh client process
+// (GoNode) after it — processes of the old incarnation died with
 // rt.ErrCrashed at crash time and stay dead. Channel state survives the
 // model's way: messages already in flight to the node when it crashed are
 // delivered to the NEW incarnation if their delivery time falls after the
 // restart (the node re-binds the same identity), while deliveries that
 // fired during the downtime are lost forever.
-func (w *World) Restart(id int) {
+func (w *World) Restart(id int, h rt.Handler) {
 	ns := w.nodes[id]
+	ns.handler = h
 	if !ns.crashed {
 		return
 	}

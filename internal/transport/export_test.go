@@ -18,6 +18,17 @@ func (nd *node) Parked() int {
 // Parked is the length of node id's waiter list.
 func (c *ChanNet) Parked(id int) int { return c.nodes[id].Parked() }
 
+// Locked runs fn while holding the node's lock and ends without a
+// release, as a thread that is past its release but not yet unlocked.
+func (nd *node) Locked(fn func()) {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	fn()
+}
+
+// Locked is node id's Locked.
+func (c *ChanNet) Locked(id int, fn func()) { c.nodes[id].Locked(fn) }
+
 // Retained is how many entries the node's link queues and waiter list
 // have room for.
 func (nd *node) Retained() int {

@@ -29,9 +29,8 @@ type node struct {
 
 	mu      sync.Mutex
 	handler rt.Handler
-	// crashed is atomic because the send path checks it without the node
-	// lock, and crash/restart may flip it from another goroutine (the
-	// chaos harness's mid-broadcast crash, the recovery path).
+	// crashed is the node's one crash flag: Crash sets it without the
+	// node lock, and the send path reads it without the lock too.
 	crashed atomic.Bool
 	// pending buffers messages that arrive before the handler is
 	// installed (peers may finish their setup at different times;
@@ -126,9 +125,19 @@ func (nd *node) Runtime() rt.Runtime { return (*nodeRuntime)(nd) }
 // release ends every critical section: it fires each parked waiter whose
 // predicate holds, in registration order — runs its then here, drops it,
 // wakes its caller — and repeats until a pass fires nothing, since a then
-// may make an earlier predicate true. Must hold mu.
+// may make an earlier predicate true. It is the one place a crash fails
+// parked waits: once the node is crashed, also by a then of this pass,
+// every remaining waiter gets rt.ErrCrashed. Must hold mu.
 func (nd *node) release() {
 	for n := -1; n != len(nd.waiters); {
+		if nd.crashed.Load() {
+			for _, w := range nd.waiters {
+				w.wake <- rt.ErrCrashed
+			}
+			clear(nd.waiters)
+			nd.waiters = nd.waiters[:0]
+			return
+		}
 		n = len(nd.waiters)
 		kept := 0
 		for i, w := range nd.waiters {
@@ -141,6 +150,10 @@ func (nd *node) release() {
 			}
 			w.then()
 			w.wake <- nil
+			if nd.crashed.Load() { // the then crashed the node: the next pass fails the rest
+				kept += copy(nd.waiters[kept:], nd.waiters[i+1:])
+				break
+			}
 		}
 		clear(nd.waiters[kept:])
 		nd.waiters = nd.waiters[:kept]
@@ -175,17 +188,19 @@ func (nd *node) close() {
 	}
 }
 
-// Crash crash-stops the node: it stops sending and handling messages,
-// parked waits fail with rt.ErrCrashed, and later waits fail at once. Its
-// links stay up (peers need not tell a crashed node from a silent one).
+// Crash crash-stops the node: from this instant it sends and handles
+// nothing, and later waits fail at once. It is the one call the node
+// accepts from inside its own critical section (a handler, an Atomic fn, a
+// then). Parked waits fail in release: at once if the lock is free, else
+// when the holder's section ends, or at the next clock tick (within one D)
+// if the holder was past its release. Its links stay up (peers need not
+// tell a crashed node from a silent one).
 func (nd *node) Crash() {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
 	nd.crashed.Store(true)
-	for _, w := range nd.waiters {
-		w.wake <- rt.ErrCrashed
+	if nd.mu.TryLock() {
+		nd.release()
+		nd.mu.Unlock()
 	}
-	nd.waiters = nil
 }
 
 // Hold holds (on) or releases (!on) the node's link toward dst. A held
@@ -198,13 +213,15 @@ func (nd *node) Hold(dst int, on bool) { nd.out[dst].hold(on) }
 // Restart brings a crashed node back with the recovered incarnation's
 // handler (crash-recovery): it clears the crash flag and installs h in one
 // critical section, so no message can reach the old handler after the node
-// is back. Messages that arrived during the downtime were dropped (the
-// model's crashed-receiver semantics); any buffered pre-install deliveries
+// is back; a wait parked before the crash is failed first, never resumed.
+// Messages that arrived during the downtime were dropped (the model's
+// crashed-receiver semantics); any buffered pre-install deliveries
 // belonged to the old incarnation and are discarded with it. The links
 // were never torn down, so channel ordering survives the downtime.
 func (nd *node) Restart(h rt.Handler) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
+	nd.release()
 	nd.crashed.Store(false)
 	nd.handler = h
 	nd.pending = nil
