@@ -10,7 +10,10 @@ type Adversary interface {
 	// OnBroadcast is consulted once per broadcast. dsts is the full
 	// destination list (all nodes). The returned slice is the set of
 	// destinations actually sent to, in order; if crashAfter is true the
-	// sender crashes immediately after those sends complete.
+	// sender crashes immediately after those sends complete. dsts is
+	// valid only during the call: the World refills it for the next
+	// broadcast, so an implementation may return a subslice of it but
+	// must copy it to keep it.
 	OnBroadcast(now rt.Ticks, src int, msg rt.Message, dsts []int) (send []int, crashAfter bool)
 }
 

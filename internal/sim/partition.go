@@ -33,6 +33,7 @@ type LinkAdversary interface {
 type heldMsg struct {
 	src, dst int
 	msg      rt.Message
+	kind     string
 }
 
 // Cut returns the n×n partition cut that isolates the given islands:
@@ -105,7 +106,7 @@ func (w *World) release() {
 			w.held = append(w.held, hm)
 			continue
 		}
-		w.dispatch(hm.src, hm.dst, hm.msg, 0)
+		w.dispatch(hm.src, hm.dst, hm.msg, hm.kind, 0)
 	}
 }
 

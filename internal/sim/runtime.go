@@ -23,7 +23,7 @@ func (r *nodeRuntime) ID() int { return r.id }
 func (r *nodeRuntime) N() int  { return r.w.cfg.N }
 func (r *nodeRuntime) F() int  { return r.w.cfg.F }
 
-func (r *nodeRuntime) Send(dst int, msg rt.Message) { r.w.send(r.id, dst, msg) }
+func (r *nodeRuntime) Send(dst int, msg rt.Message) { r.w.send(r.id, dst, msg, msg.Kind()) }
 func (r *nodeRuntime) Broadcast(msg rt.Message)     { r.w.broadcast(r.id, msg) }
 
 func (r *nodeRuntime) Atomic(fn func()) {

@@ -16,10 +16,11 @@
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -108,7 +109,9 @@ type EventInfo struct {
 // Sequencer chooses which eligible event fires next. Implementations must
 // be deterministic functions of the choice history to support replay.
 type Sequencer interface {
-	// Next returns an index into eligible (len ≥ 1).
+	// Next returns an index into eligible (len ≥ 1). eligible is valid
+	// only during the call: the World reuses it on the next step, so an
+	// implementation that keeps it must copy it.
 	Next(eligible []EventInfo) int
 }
 
@@ -129,6 +132,16 @@ type World struct {
 	partitioned bool
 	cut         [][]bool
 	held        []heldMsg
+
+	// Per-step buffers, reused so a scheduler step allocates nothing:
+	// dsts is the destination list handed to the Adversary; chanHead,
+	// cands and infos are pickSequenced's channel-head index (1 + the
+	// index in cands of channel src*N+dst's oldest message, 0 = none),
+	// eligible heap indices and their descriptions.
+	dsts     []int
+	chanHead []int
+	cands    []int
+	infos    []EventInfo
 
 	procs    []*Proc
 	newProcs []*Proc
@@ -193,29 +206,82 @@ func (w *World) enter(id int, what string) {
 // leave ends the critical section enter began.
 func (w *World) leave(id int) { w.nodes[id].inside = "" }
 
+// event is one scheduled step, held by value in the World's queue. A
+// message delivery is data — src, dst, msg and the kind named once at
+// send time — that Run hands to deliver; fn is set only for timer and
+// crash events, which have src = dst = -1.
 type event struct {
-	t   rt.Ticks
-	seq int64
-	fn  func()
-	// Metadata for the sequencer (schedule exploration): message events
-	// carry src/dst/kind; other events have src = -1.
+	t        rt.Ticks
+	seq      int64
 	src, dst int
 	kind     string
+	msg      rt.Message
+	fn       func()
 }
 
+// eventHeap is a binary min-heap of events ordered by (t, seq). Once its
+// backing array has grown to the run's peak queue, push and remove
+// allocate nothing.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peekTime() rt.Ticks { return h[0].t }
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+// remove takes out the event at index i (0 is the earliest). It clears
+// the slot it vacates, so the queue's spare capacity keeps no delivered
+// message alive.
+func (h *eventHeap) remove(i int) event {
+	q := *h
+	n := len(q) - 1
+	e := q[i]
+	q[i] = q[n]
+	q[n] = event{}
+	*h = q[:n]
+	if i < n && !h.down(i) {
+		h.up(i)
+	}
+	return e
+}
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down sifts h[i0] toward the leaves and reports whether it moved.
+func (h eventHeap) down(i0 int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return i > i0
+}
 
 // New creates a fresh simulated world.
 func New(cfg Config) *World {
@@ -247,6 +313,12 @@ func New(cfg Config) *World {
 	w.lastDeliv = make([][]rt.Ticks, cfg.N)
 	for i := range w.lastDeliv {
 		w.lastDeliv[i] = make([]rt.Ticks, cfg.N)
+	}
+	if cfg.Adversary != nil {
+		w.dsts = make([]int, cfg.N)
+	}
+	if cfg.Sequencer != nil {
+		w.chanHead = make([]int, cfg.N*cfg.N)
 	}
 	return w
 }
@@ -329,20 +401,18 @@ func (w *World) CrashedCount() int {
 
 // schedule enqueues fn to run at time t (>= now).
 func (w *World) schedule(t rt.Ticks, fn func()) {
-	if t < w.now {
-		t = w.now
-	}
-	w.seq++
-	heap.Push(&w.pq, event{t: t, seq: w.seq, fn: fn, src: -1, dst: -1})
+	w.enqueue(event{t: t, src: -1, dst: -1, fn: fn})
 }
 
-// scheduleMsg enqueues a message delivery with sequencer metadata.
-func (w *World) scheduleMsg(t rt.Ticks, src, dst int, kind string, fn func()) {
-	if t < w.now {
-		t = w.now
+// enqueue stamps e with the next sequence number and queues it, no
+// earlier than now.
+func (w *World) enqueue(e event) {
+	if e.t < w.now {
+		e.t = w.now
 	}
 	w.seq++
-	heap.Push(&w.pq, event{t: t, seq: w.seq, fn: fn, src: src, dst: dst, kind: kind})
+	e.seq = w.seq
+	w.pq.push(e)
 }
 
 // After schedules fn to run d ticks from now. It is the hook scenario code
@@ -350,8 +420,9 @@ func (w *World) scheduleMsg(t rt.Ticks, src, dst int, kind string, fn func()) {
 func (w *World) After(d rt.Ticks, fn func()) { w.schedule(w.now+d, fn) }
 
 // send transmits one message on the (src,dst) channel, consulting the
-// link adversary, the wire-fault hook, and the partition cut.
-func (w *World) send(src, dst int, msg rt.Message) {
+// link adversary, the wire-fault hook, and the partition cut. kind is
+// msg.Kind(), named once by the caller.
+func (w *World) send(src, dst int, msg rt.Message, kind string) {
 	if w.nodes[src].crashed {
 		return
 	}
@@ -371,17 +442,17 @@ func (w *World) send(src, dst int, msg rt.Message) {
 	}
 	w.nodes[src].sent++
 	w.msgsTotal++
-	w.msgsByKind[msg.Kind()]++
+	w.msgsByKind[kind]++
 	var extra rt.Ticks
 	if src != dst {
 		if w.cfg.Link != nil {
-			fate := w.cfg.Link.OnSend(w.now, src, dst, msg.Kind())
+			fate := w.cfg.Link.OnSend(w.now, src, dst, kind)
 			if fate.Drop {
 				w.msgsDrop++
 				if w.tracer != nil {
-					w.tracer(TraceEvent{T: w.now, Kind: "drop", Src: src, Dst: dst, Msg: msg.Kind()})
+					w.tracer(TraceEvent{T: w.now, Kind: "drop", Src: src, Dst: dst, Msg: kind})
 				}
-				w.observe(rt.MsgDrop, src, dst, msg)
+				w.observe(rt.MsgDrop, src, dst, msg, kind)
 				return
 			}
 			extra = fate.Extra
@@ -392,44 +463,44 @@ func (w *World) send(src, dst int, msg rt.Message) {
 				w.msgsCorrupt++
 				w.msgsDrop++
 				if w.tracer != nil {
-					w.tracer(TraceEvent{T: w.now, Kind: "corrupt", Src: src, Dst: dst, Msg: msg.Kind()})
+					w.tracer(TraceEvent{T: w.now, Kind: "corrupt", Src: src, Dst: dst, Msg: kind})
 				}
-				w.observe(rt.MsgCorrupt, src, dst, msg)
+				w.observe(rt.MsgCorrupt, src, dst, msg, kind)
 				return
 			}
 			if m != nil {
 				w.msgsCorrupt++
 				if w.tracer != nil {
-					w.tracer(TraceEvent{T: w.now, Kind: "corrupt", Src: src, Dst: dst, Msg: msg.Kind()})
+					w.tracer(TraceEvent{T: w.now, Kind: "corrupt", Src: src, Dst: dst, Msg: kind})
 				}
-				w.observe(rt.MsgCorrupt, src, dst, msg)
-				msg = m
+				w.observe(rt.MsgCorrupt, src, dst, msg, kind)
+				msg, kind = m, m.Kind()
 			}
 		}
 		if w.partitioned && w.cut[src][dst] {
 			w.msgsHeld++
-			w.held = append(w.held, heldMsg{src: src, dst: dst, msg: msg})
+			w.held = append(w.held, heldMsg{src: src, dst: dst, msg: msg, kind: kind})
 			if w.tracer != nil {
-				w.tracer(TraceEvent{T: w.now, Kind: "hold", Src: src, Dst: dst, Msg: msg.Kind()})
+				w.tracer(TraceEvent{T: w.now, Kind: "hold", Src: src, Dst: dst, Msg: kind})
 			}
 			return
 		}
 	}
 	if w.tracer != nil {
-		w.tracer(TraceEvent{T: w.now, Kind: "send", Src: src, Dst: dst, Msg: msg.Kind()})
+		w.tracer(TraceEvent{T: w.now, Kind: "send", Src: src, Dst: dst, Msg: kind})
 	}
-	w.observe(rt.MsgSend, src, dst, msg)
-	w.dispatch(src, dst, msg, extra)
+	w.observe(rt.MsgSend, src, dst, msg, kind)
+	w.dispatch(src, dst, msg, kind, extra)
 }
 
 // observe forwards a message lifecycle event to the configured
 // Observer, if any. The encoded size is computed only when someone is
 // listening; unmarshalable test-local messages report 0 bytes.
-func (w *World) observe(event string, src, dst int, msg rt.Message) {
+func (w *World) observe(event string, src, dst int, msg rt.Message, kind string) {
 	if w.cfg.Observer != nil {
 		w.cfg.Observer.OnMsg(rt.MsgEvent{
 			T: w.now, Event: event, Src: src, Dst: dst,
-			Kind: msg.Kind(), Bytes: wire.EncodedSize(msg),
+			Kind: kind, Bytes: wire.EncodedSize(msg),
 		})
 	}
 }
@@ -438,10 +509,10 @@ func (w *World) observe(event string, src, dst int, msg rt.Message) {
 // delay model (1 tick for a message a node sends to itself), plus any
 // adversarial extra, never overtaking earlier sends
 // on the same channel (FIFO).
-func (w *World) dispatch(src, dst int, msg rt.Message, extra rt.Ticks) {
+func (w *World) dispatch(src, dst int, msg rt.Message, kind string, extra rt.Ticks) {
 	d := rt.Ticks(1)
 	if src != dst {
-		d = w.cfg.Delay.Delay(src, dst, msg.Kind(), w.now, w.rng)
+		d = w.cfg.Delay.Delay(src, dst, kind, w.now, w.rng)
 	}
 	if d < 1 {
 		d = 1
@@ -454,10 +525,10 @@ func (w *World) dispatch(src, dst int, msg rt.Message, extra rt.Ticks) {
 		t = w.lastDeliv[src][dst] // FIFO: never overtake an earlier send
 	}
 	w.lastDeliv[src][dst] = t
-	w.scheduleMsg(t, src, dst, msg.Kind(), func() { w.deliver(src, dst, msg) })
+	w.enqueue(event{t: t, src: src, dst: dst, kind: kind, msg: msg})
 }
 
-func (w *World) deliver(src, dst int, msg rt.Message) {
+func (w *World) deliver(src, dst int, msg rt.Message, kind string) {
 	ns := w.nodes[dst]
 	if ns.crashed {
 		return
@@ -465,9 +536,9 @@ func (w *World) deliver(src, dst int, msg rt.Message) {
 	ns.delivered++
 	ns.version++
 	if w.tracer != nil {
-		w.tracer(TraceEvent{T: w.now, Kind: "deliver", Src: src, Dst: dst, Msg: msg.Kind()})
+		w.tracer(TraceEvent{T: w.now, Kind: "deliver", Src: src, Dst: dst, Msg: kind})
 	}
-	w.observe(rt.MsgDeliver, src, dst, msg)
+	w.observe(rt.MsgDeliver, src, dst, msg, kind)
 	if ns.handler != nil {
 		w.enter(dst, "a handler")
 		ns.handler.HandleMessage(src, msg)
@@ -481,16 +552,19 @@ func (w *World) broadcast(src int, msg rt.Message) {
 	if w.nodes[src].crashed {
 		return
 	}
-	dsts := make([]int, w.cfg.N)
-	for i := range dsts {
-		dsts[i] = i
+	kind := msg.Kind()
+	if w.cfg.Adversary == nil {
+		for dst := 0; dst < w.cfg.N; dst++ {
+			w.send(src, dst, msg, kind)
+		}
+		return
 	}
-	crashAfter := false
-	if w.cfg.Adversary != nil {
-		dsts, crashAfter = w.cfg.Adversary.OnBroadcast(w.now, src, msg, dsts)
+	for i := range w.dsts {
+		w.dsts[i] = i
 	}
+	dsts, crashAfter := w.cfg.Adversary.OnBroadcast(w.now, src, msg, w.dsts)
 	for _, dst := range dsts {
-		w.send(src, dst, msg)
+		w.send(src, dst, msg, kind)
 	}
 	if crashAfter {
 		w.crash(src)
@@ -595,17 +669,21 @@ func (w *World) Run() error {
 		}
 		// 3. Advance virtual time to the next event (or let the
 		//    sequencer pick any eligible one, for schedule exploration).
-		if w.pq.Len() > 0 {
+		if len(w.pq) > 0 {
 			var ev event
 			if w.cfg.Sequencer != nil {
 				ev = w.pickSequenced()
 			} else {
-				ev = heap.Pop(&w.pq).(event)
+				ev = w.pq.remove(0)
 			}
 			if ev.t > w.now {
 				w.now = ev.t
 			}
-			ev.fn()
+			if ev.src >= 0 {
+				w.deliver(ev.src, ev.dst, ev.msg, ev.kind)
+			} else {
+				ev.fn()
+			}
 			continue
 		}
 		// 4. Quiescent.
@@ -621,41 +699,39 @@ func (w *World) Run() error {
 // sequencer choose. Eligible events are presented in a deterministic
 // (send-sequence) order so choices replay exactly.
 func (w *World) pickSequenced() event {
-	type cand struct {
-		heapIdx int
-		seq     int64
-		info    EventInfo
-	}
-	var cands []cand
-	chanBest := make(map[[2]int]int)
-	for i, ev := range w.pq {
+	n := w.cfg.N
+	cands := w.cands[:0]
+	for i := range w.pq {
+		ev := &w.pq[i]
 		if ev.src < 0 {
-			cands = append(cands, cand{heapIdx: i, seq: ev.seq, info: EventInfo{Src: -1, Dst: -1}})
+			cands = append(cands, i)
 			continue
 		}
-		key := [2]int{ev.src, ev.dst}
-		info := EventInfo{Src: ev.src, Dst: ev.dst, Kind: ev.kind}
-		if j, ok := chanBest[key]; ok {
-			if ev.seq < cands[j].seq {
-				cands[j] = cand{heapIdx: i, seq: ev.seq, info: info}
+		c := ev.src*n + ev.dst
+		if j := w.chanHead[c] - 1; j >= 0 {
+			if ev.seq < w.pq[cands[j]].seq {
+				cands[j] = i
 			}
 			continue
 		}
-		chanBest[key] = len(cands)
-		cands = append(cands, cand{heapIdx: i, seq: ev.seq, info: info})
+		cands = append(cands, i)
+		w.chanHead[c] = len(cands)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
-	infos := make([]EventInfo, len(cands))
-	for i, c := range cands {
-		infos[i] = c.info
+	slices.SortFunc(cands, func(a, b int) int { return cmp.Compare(w.pq[a].seq, w.pq[b].seq) })
+	infos := w.infos[:0]
+	for _, i := range cands {
+		ev := &w.pq[i]
+		if ev.src >= 0 {
+			w.chanHead[ev.src*n+ev.dst] = 0
+		}
+		infos = append(infos, EventInfo{Src: ev.src, Dst: ev.dst, Kind: ev.kind})
 	}
+	w.cands, w.infos = cands, infos
 	choice := w.cfg.Sequencer.Next(infos)
 	if choice < 0 || choice >= len(cands) {
 		panic(fmt.Sprintf("sim: sequencer chose %d of %d eligible events", choice, len(cands)))
 	}
-	ev := w.pq[cands[choice].heapIdx]
-	heap.Remove(&w.pq, cands[choice].heapIdx)
-	return ev
+	return w.pq.remove(cands[choice])
 }
 
 func (w *World) findFireable() int {
