@@ -60,9 +60,13 @@ test-svc:
 # runs, whole-shard crash included), plus the WAL's
 # crash-point suite, the pruned-log differential oracle, the value log's
 # straggler (below-frontier insert) tests, eqaso's acts-follow-syncs suite
-# (one sync per update, vouch and prune only after a durable record) and
-# the cluster's recovered-segment tests (a member restarted, once and
-# twice, after GC pruned its early writes).
+# (one sync per update, vouch and prune only after a durable record), the
+# cluster's recovered-segment tests (a member restarted, once and twice,
+# after GC pruned its early writes) and crash-stop pruning without a WAL:
+# eqaso's TestPruneKeepsActiveWindowWithoutWAL and
+# TestCrashedPeerStopsPruneWithoutWAL on sim, chan and tcp, and the views
+# compared across prune points (TestGoodViewsComparableAcrossPrunes, core's
+# TestViewsComparableAcrossPrunePoints), which CI's race job runs here.
 test-recovery:
 	$(GO) test -race -count=1 -run 'Restart|Recover|Replay|Writer|CrashPoint|Prune|NoteVouch|Differential|Straggler|Sync|Vouch|Seed' ./internal/chaos/ ./internal/wal/ ./internal/core/ ./internal/eqaso/ ./internal/cluster/
 

@@ -40,11 +40,9 @@ type nodeConfig struct {
 	TraceCap int
 	// WAL, if non-empty, persists the node's protocol state to this
 	// file; if the file already holds a durable prefix the node recovers
-	// from it and rejoins the cluster (durable engines only).
+	// from it and rejoins the cluster (durable engines only). A node
+	// without one is crash-stop: restarting it is outside the model.
 	WAL string
-	// GC prunes the in-memory value log below the globally-vouched
-	// checkpoint (requires WAL).
-	GC bool
 }
 
 // svcOptions is the service front of a deployed node: the serving mode its
@@ -84,8 +82,7 @@ func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 	fs.IntVar(&cfg.MaxPending, "max-pending", svc.DefaultMaxPending, "service queue bound (backpressure blocks past it)")
 	fs.StringVar(&cfg.HTTP, "http", "", "optional listen address for /metrics and /debug/trace")
 	fs.IntVar(&cfg.TraceCap, "trace-cap", 4096, "event capacity of the /debug/trace ring buffer")
-	fs.StringVar(&cfg.WAL, "wal", "", "write-ahead log file for crash-recovery; recovers and rejoins if it already has content (durable engines)")
-	fs.BoolVar(&cfg.GC, "gc", false, "prune the value log below the globally-vouched checkpoint (requires -wal)")
+	fs.StringVar(&cfg.WAL, "wal", "", "write-ahead log file for crash-recovery; recovers and rejoins if it already has content (durable engines). Without it the node is crash-stop: do not restart it")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -108,9 +105,6 @@ func parseNodeConfig(args []string, out io.Writer) (nodeConfig, error) {
 	}
 	if cfg.WAL != "" && !cfg.Info.Durable() {
 		return cfg, fmt.Errorf("-wal needs a crash-recovery engine, and %q has no WAL support", cfg.Engine)
-	}
-	if cfg.GC && cfg.WAL == "" {
-		return cfg, fmt.Errorf("-gc requires -wal (pruning is only safe below a durable checkpoint)")
 	}
 	return cfg, nil
 }
@@ -208,12 +202,12 @@ func runNode(args []string, out io.Writer) error {
 	var nd engine.Engine
 	var rejoin func()
 	if walSt != nil {
-		nd = cfg.Info.Recover(tn.Runtime(), walSt, walW, cfg.GC)
+		nd = cfg.Info.Recover(tn.Runtime(), walSt, walW, true)
 		rejoin = nd.(engine.Rejoiner).Rejoin
 	} else {
 		nd = cfg.Info.New(tn.Runtime())
 		if walW != nil {
-			nd.(engine.Durable).AttachWAL(walW, cfg.GC)
+			nd.(engine.Durable).AttachWAL(walW, true)
 		}
 	}
 	if observer != nil {

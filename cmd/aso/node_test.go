@@ -74,6 +74,7 @@ func TestParseNodeConfig(t *testing.T) {
 		{name: "no addrs", args: nil, wantErr: "at least 3"},
 		{name: "two addrs", args: []string{"-addrs=:1,:2"}, wantErr: "at least 3"},
 		{name: "alg alias removed", args: []string{addrs, "-alg", "eqaso"}, wantErr: "flag provided but not defined: -alg"},
+		{name: "gc flag removed", args: []string{addrs, "-wal", "x.wal", "-gc"}, wantErr: "flag provided but not defined: -gc"},
 		{name: "bad engine", args: []string{addrs, "-engine", "raft"}, wantErr: "unknown engine"},
 		{name: "id out of range", args: []string{addrs, "-id", "5"}, wantErr: "out of range"},
 		{name: "f too big", args: []string{addrs, "-f", "2", "-addrs=:1,:2,:3"}, wantErr: "n > 2f"},

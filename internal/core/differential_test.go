@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -181,7 +182,7 @@ func (d *diffState) check(t *testing.T) {
 				t.Fatalf("CountLE(%d, %d): log %d, map %d", j, r, got, want)
 			}
 			lv, mv := d.publish(d.log.PeerViewLE(j, r)), d.sets[j].ViewLE(r)
-			if !lv.Equal(d.retained(mv)) {
+			if !slices.Equal(lv.Timestamps(), d.retained(mv).Timestamps()) || !lv.Equal(mv) {
 				t.Fatalf("PeerViewLE(%d, %d): log %v, map %v", j, r, lv, mv)
 			}
 			// Extraction must stay exact across GC: the pruned-prefix
@@ -199,7 +200,7 @@ func (d *diffState) check(t *testing.T) {
 			continue
 		}
 		lv, mv := d.publish(d.log.ViewLE(r)), d.sets[0].ViewLE(r)
-		if !lv.Equal(d.retained(mv)) {
+		if !slices.Equal(lv.Timestamps(), d.retained(mv).Timestamps()) || !lv.Equal(mv) {
 			t.Fatalf("ViewLE(%d): log %v, map %v", r, lv, mv)
 		}
 		if got, want := lv.LogicalLen(), mv.Len(); got != want {

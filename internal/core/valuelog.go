@@ -64,8 +64,9 @@ type ValueLog struct {
 	frontier Tag      // largest tag passed to AdvanceFrontier
 	peers    []peerSet
 
-	off       int // values pruned below the globally-vouched checkpoint
-	prunedTag Tag // tag of the last checkpoint pruned to
+	off       int       // values pruned below the globally-vouched checkpoint
+	prunedTag Tag       // tag of the last checkpoint pruned to
+	prunedTS  Timestamp // the largest timestamp pruned
 
 	// fold is how a writer's values combine into its segment (nil: the
 	// latest wins); every view cut from the log carries it.
@@ -284,13 +285,16 @@ func (l *ValueLog) CountLE(j int, r Tag) int {
 func (l *ValueLog) Add(j int, v Value) (newToJ, newToSelf bool) {
 	p, present := l.locate(v.TS)
 	if !present {
-		if l.off > 0 && v.TS.Tag <= l.prunedTag {
-			// Presumed already pruned: re-admitting a value at or below the
-			// pruned checkpoint tag would double-count it in the absolute
-			// counts and diverge the digests. In-protocol this loses
-			// nothing — a genuinely new value always carries a tag above
-			// any globally-vouched frontier (its writeTag quorum intersects
-			// the vouching lattice operation's readTag quorum).
+		if l.off > 0 && !l.prunedTS.Less(v.TS) {
+			// At or below the last pruned value: one the pruned prefix
+			// holds, forwarded again. Re-admitting it would double-count it
+			// in the absolute counts and diverge the digests. No new value
+			// sorts there: its writer vouched a prefix that starts with the
+			// pruned one, and either held the value then — so it lies inside
+			// that prefix — or wrote it later, tagged above the vouch. The
+			// checkpoint's tag is no such bound: a node can freeze at a tag
+			// above the values it holds while one tagged in between is still
+			// on its way.
 			return false, false
 		}
 		l.insert(p, v)
@@ -655,16 +659,15 @@ func (l *ValueLog) PruneTo(ck Checkpoint) bool {
 		l.pre.note(l.at(i))
 	}
 	l.pre.publish()
+	l.prunedTS = l.at(idx - 1).TS
 	// Fresh backing arrays for the pieces the prune cuts: the old ones stay
 	// alive only while previously published views still reference them.
 	ks := min(idx, len(l.sealed))
-	l.sealed = append([]Value(nil), l.sealed[ks:]...)
+	l.sealed = regrow(l.sealed[ks:], ks)
 	if idx > ks {
-		l.win = append([]Value(nil), l.win[idx-ks:]...)
+		l.win = regrow(l.win[idx-ks:], idx-ks)
 	}
-	nd := make([]uint64, len(l.digsum)-idx)
-	copy(nd, l.digsum[idx:])
-	l.digsum = nd
+	l.digsum = regrow(l.digsum[idx:], idx)
 	l.frozen -= idx
 	l.off += idx
 	if ck.Tag > l.prunedTag {
@@ -678,6 +681,25 @@ func (l *ValueLog) PruneTo(ck Checkpoint) bool {
 	l.stats.Prunes++
 	l.stats.PrunedVals += int64(idx)
 	return true
+}
+
+// regrow copies what a prune keeps of a piece into a fresh array with room
+// for as many more as the prune dropped from it: the array keeps its old
+// size, so the inserts up to the next prune — which drops about as many —
+// do not grow it again from the few values kept.
+func regrow[T any](s []T, room int) []T {
+	out := make([]T, len(s), len(s)+room)
+	copy(out, s)
+	return out
+}
+
+// PruneWorthwhile reports whether PruneTo(ck) would drop at least half a
+// window of values. A prune copies the pieces and digest sums it keeps and
+// republishes the pre-extract, so a node free to choose when to prune — one
+// without a WAL record to honour — waits until that cost is spread over as
+// many values as a seal moves at least.
+func (l *ValueLog) PruneWorthwhile(ck Checkpoint) bool {
+	return ck.Count-l.off >= windowCap/2
 }
 
 // HeapBytes estimates the log's resident size in bytes (backing arrays,

@@ -225,3 +225,72 @@ func TestPruneToAcrossSealSeam(t *testing.T) {
 		})
 	}
 }
+
+// TestViewsComparableAcrossPrunePoints: views cut from one log before and
+// after a prune compare as the sets they stand for. The later view holds
+// fewer values physically than the earlier one, and some it does not hold
+// at all, yet it contains the earlier view; a view with a value neither
+// holds nor summarizes is comparable with neither.
+func TestViewsComparableAcrossPrunePoints(t *testing.T) {
+	l := pruneFixture(t, []Tag{2, 4, 6, 8, 10, 12, 14, 16}, 16)
+	early := l.ViewLE(10)
+	before := l.AllView()
+	for _, tag := range []Tag{18, 20} {
+		l.Add(1, diffValue(tag, int(tag)%3))
+		l.Add(2, diffValue(tag, int(tag)%3))
+	}
+	if !l.PruneTo(l.Frontier()) {
+		t.Fatal("PruneTo refused")
+	}
+	after := l.AllView()
+	if after.Len() >= before.Len() || after.Pruned() != 8 {
+		t.Fatalf("after the prune: %d held, %d pruned; want fewer than %d held, 8 pruned", after.Len(), after.Pruned(), before.Len())
+	}
+	for _, c := range []struct {
+		name     string
+		sub, sup View
+	}{
+		{"early ⊆ after", early, after},
+		{"before ⊆ after", before, after},
+		{"early ⊆ before", early, before},
+	} {
+		if !c.sub.SubsetOf(c.sup) || c.sup.SubsetOf(c.sub) || !c.sup.ComparableWith(c.sub) {
+			t.Errorf("%s: want a strict subset", c.name)
+		}
+	}
+	if !before.Equal(l.ViewLE(16)) || !l.ViewLE(16).Equal(before) {
+		t.Error("the pruned log's view at the old frontier differs from the view cut there before the prune")
+	}
+	// A value below the retained ones that the log never held (its writer's
+	// latest pruned tag is lower): neither view contains the other.
+	odd := ViewOf(diffValue(17, 0))
+	if odd.ComparableWith(after) || after.ComparableWith(odd) {
+		t.Error("a view holding a value the pruned log never held compares with it")
+	}
+}
+
+// TestPruneAdmitsLaterValueBelowCheckpointTag: a node can freeze at a tag
+// above every value it holds (here 8, holding 2, 4 and 6), and every node
+// can vouch that prefix while a value tagged in between (7) is still on
+// its way. Once it arrives it sorts above every pruned value, so it is new
+// and must be admitted; only a value at or below the last pruned timestamp
+// is one the pruned prefix already holds.
+func TestPruneAdmitsLaterValueBelowCheckpointTag(t *testing.T) {
+	l := pruneFixture(t, []Tag{2, 4, 6}, 8)
+	ck := l.Frontier()
+	if ck.Tag != 8 || ck.Count != 3 || !l.PruneTo(ck) {
+		t.Fatalf("PruneTo(%+v) refused", ck)
+	}
+	if _, newSelf := l.Add(1, diffValue(7, 1)); !newSelf {
+		t.Fatal("Add rejected a value above every pruned one")
+	}
+	if _, newSelf := l.Add(2, diffValue(4, 1)); newSelf {
+		t.Fatal("Add re-admitted a pruned value")
+	}
+	if got := l.SelfLen(); got != 4 {
+		t.Fatalf("SelfLen = %d, want 4", got)
+	}
+	if got := l.AllView().Extract(3)[1]; !bytes.Equal(got, diffValue(7, 1).Payload) {
+		t.Fatalf("Extract[1] = %q, want the admitted value", got)
+	}
+}

@@ -68,8 +68,8 @@ func (v View) WithFold(f Fold) View {
 
 // Len returns the number of values the view holds physically. A view cut
 // from a pruned log logically also includes the pruned prefix (see
-// LogicalLen); Len, At, Each and the subset relations see only the
-// physical values.
+// LogicalLen); Len, At and Each see only the physical values, the subset
+// relations the logical ones.
 func (v View) Len() int { return len(v.base) + len(v.mid) + len(v.tail) }
 
 // segs returns the segments in timestamp order.
@@ -168,12 +168,24 @@ func sameBacking(a, b []Value) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
-// SubsetOf reports v ⊆ o (by timestamp). When both views cut their frozen
+// SubsetOf reports v ⊆ o (by timestamp), counting the values each view
+// stands for: views cut from logs with different prune points compare as
+// the sets they represent. v's pruned prefix is inside o when o covers each
+// writer's latest pruned tag in v (views are closed under each writer's
+// prefix, see Covers); a physical value of v that sorts below o's first
+// one must lie in o's pruned prefix. When both views cut their frozen
 // segments from the same log arrays the shared prefix is skipped without
 // comparing, making containment checks between sibling views O(tail).
 func (v View) SubsetOf(o View) bool {
-	if v.Len() > o.Len() {
+	if v.LogicalLen() > o.LogicalLen() {
 		return false
+	}
+	if v.pruned > 0 && v.pre != nil {
+		for w, tag := range v.pre.tags {
+			if tag >= 0 && !o.Covers(Timestamp{Tag: tag, Writer: w}) {
+				return false
+			}
+		}
 	}
 	start := 0
 	if sameBacking(v.base, o.base) {
@@ -185,6 +197,12 @@ func (v View) SubsetOf(o View) bool {
 	i := start
 	for k := start; k < v.Len(); k++ {
 		ts := v.At(k).TS
+		if o.pruned > 0 && (o.Len() == 0 || ts.Less(o.At(0).TS)) {
+			if !o.Covers(ts) {
+				return false
+			}
+			continue
+		}
 		for i < o.Len() && o.At(i).TS.Less(ts) {
 			i++
 		}
@@ -202,9 +220,9 @@ func (v View) ComparableWith(o View) bool {
 	return v.SubsetOf(o) || o.SubsetOf(v)
 }
 
-// Equal reports that v and o hold exactly the same timestamps.
+// Equal reports that v and o stand for exactly the same timestamps.
 func (v View) Equal(o View) bool {
-	return v.Len() == o.Len() && v.SubsetOf(o)
+	return v.LogicalLen() == o.LogicalLen() && v.SubsetOf(o)
 }
 
 // Extract implements the extract(S) procedure (lines 31–34 of Algorithm 1):

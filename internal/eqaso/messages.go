@@ -65,7 +65,15 @@ func (MsgEchoTag) Kind() string { return "echoTag" }
 // MsgGoodLA announces that the sender completed a good lattice operation
 // with the given tag ("goodLA"); by FIFO, the receiver's V[sender]
 // restricted to the tag equals the sender's equivalence set.
-type MsgGoodLA struct{ Tag core.Tag }
+//
+// Ck, when its Count is positive, is the sender's vouch for the frontier
+// that operation froze, as MsgCkptVouch would carry it. Only a pruning node
+// without a WAL sends one: in the crash-stop model a checkpoint is
+// permanent the moment it is taken, since a crashed node never acts again.
+type MsgGoodLA struct {
+	Tag core.Tag
+	Ck  core.Checkpoint
+}
 
 // Kind implements rt.Message.
 func (MsgGoodLA) Kind() string { return "goodLA" }
@@ -220,9 +228,32 @@ func init() {
 	})
 	wire.Register(wire.Codec{
 		Tag: 22, Proto: MsgGoodLA{},
-		Encode: func(b *wire.Buffer, m rt.Message) { wire.PutTag(b, m.(MsgGoodLA).Tag) },
-		Decode: func(d *wire.Decoder) (rt.Message, error) { return MsgGoodLA{Tag: wire.GetTag(d)}, d.Err() },
-		Gen:    func(rng *rand.Rand) rt.Message { return MsgGoodLA{Tag: core.Tag(rng.Int63n(1 << 20))} },
+		// A goodLA without a vouch costs one byte more than its tag: the
+		// zero count, with the checkpoint's tag and digest left out.
+		Encode: func(b *wire.Buffer, m rt.Message) {
+			msg := m.(MsgGoodLA)
+			wire.PutTag(b, msg.Tag)
+			b.PutUvarint(uint64(msg.Ck.Count))
+			if msg.Ck.Count > 0 {
+				wire.PutTag(b, msg.Ck.Tag)
+				b.PutUint64(msg.Ck.Digest)
+			}
+		},
+		Decode: func(d *wire.Decoder) (rt.Message, error) {
+			msg := MsgGoodLA{Tag: wire.GetTag(d)}
+			if msg.Ck.Count = int(d.Uvarint()); msg.Ck.Count > 0 {
+				msg.Ck.Tag, msg.Ck.Digest = wire.GetTag(d), d.Uint64()
+			}
+			return msg, d.Err()
+		},
+		Gen: func(rng *rand.Rand) rt.Message {
+			msg := MsgGoodLA{Tag: core.Tag(rng.Int63n(1 << 20))}
+			if rng.Intn(2) == 1 {
+				msg.Ck = wire.GenCheckpoint(rng)
+				msg.Ck.Count++
+			}
+			return msg
+		},
 	})
 	wire.Register(wire.Codec{
 		Tag: 23, Proto: MsgBorrowReq{},

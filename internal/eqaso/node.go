@@ -51,7 +51,8 @@ type Stats struct {
 	BorrowPendingServed int64 // replies sent late, once a view became known
 	BorrowDeltaRejects  int64 // received deltas whose checkpoint no longer matched
 
-	// Durability and garbage-collection counters (WAL mode only).
+	// Durability and garbage-collection counters (a node without a WAL
+	// counts only its prunes: its vouches ride goodLA).
 	VouchesSent        int64 // checkpoint vouches broadcast after a durable frontier advance
 	LogPrunes          int64 // value-log prefixes garbage-collected
 	RejoinDeltaReplies int64 // rejoinReq answered with a delta above the base
@@ -131,18 +132,21 @@ type Node struct {
 	ownTag core.Tag
 	held   map[int][]heldValue
 
-	// Crash-recovery state (nil/zero when the node runs without a WAL).
-	// wal is the durability sink. Only own values force a sync (before they
-	// are disseminated); a frontier checkpoint or a prune is appended and
-	// its act — the vouch, the PruneTo — parked until a later sync has
-	// covered the record (releaseDurable). ckpt is the latest checkpoint
-	// appended and prune the floor of the latest prune record; ckptSeq and
-	// pruneSeq are the WAL append counts as of those records while the act
-	// is parked, 0 once it is done. vouched[j] is the largest checkpoint
-	// node j has durably vouched AND this log can verify; rawVouch[j] is the
-	// largest vouch received from j regardless of local verifiability
-	// (re-checked when the local frontier catches up); gc enables pruning
-	// below the global minimum.
+	// Durability and garbage-collection state. wal is the durability sink
+	// (nil: the node is crash-stop). Only own values force a sync (before
+	// they are disseminated); a frontier checkpoint or a prune is appended
+	// and its act — the vouch, the PruneTo — parked until a later sync has
+	// covered the record (releaseDurable). Without a WAL a checkpoint is
+	// permanent as soon as it is taken, so the vouch rides the goodLA that
+	// announces it and a prune runs when it is decided (maybeGC). ckpt is
+	// the latest checkpoint appended and prune the floor of the latest
+	// prune; ckptSeq and pruneSeq are the WAL append counts as of those
+	// records while the act is parked (pruneSeq is 1 without a WAL), 0 once
+	// it is done. vouched[j] is the largest checkpoint node j has vouched
+	// AND this log can verify; rawVouch[j] is the largest vouch received
+	// from j regardless of local verifiability (re-checked when the local
+	// frontier catches up); gc enables pruning below the global minimum
+	// (set for every node the engine registry builds).
 	wal               *wal.Writer
 	gc                bool
 	ckpt, prune       core.Checkpoint
@@ -190,8 +194,8 @@ func New(r rt.Runtime) *Node {
 // appended to w (own values synced before dissemination), frontier
 // checkpoints are appended and vouched to peers once durable, and — when
 // gc is set — the value log is pruned below the globally-vouched
-// checkpoint. Must be called before the node is installed as a message
-// handler.
+// checkpoint, each prune logged before it runs. Must be called before the
+// node is installed as a message handler.
 func (nd *Node) AttachWAL(w *wal.Writer, gc bool) {
 	nd.wal = w
 	nd.gc = gc
@@ -216,15 +220,17 @@ func (nd *Node) Stats() Stats {
 	return s
 }
 
-// MemoryStats reports the node's state sizes: the number of values held
-// (the snapshot's full value history — growth is inherent to the paper's
-// model, which never discards segment history) and the good-view caches,
-// which pruneBelow keeps proportional to in-flight activity rather than
-// to the execution's length.
+// MemoryStats reports the node's state sizes: the number of values learned
+// and held, and the good-view caches, which pruneBelow keeps proportional
+// to in-flight activity rather than to the execution's length. The paper's
+// node keeps every value, but a scan needs only each writer's segment: a
+// pruning node drops the prefix every node has vouched and keeps its
+// segments, so what it holds tracks the active window — until a crashed
+// node's vouch stops the floor.
 type MemoryStats struct {
 	// Values is the size of V[id] (every value ever learned).
 	Values int
-	// Retained is the number of values held physically; with GC enabled
+	// Retained is the number of values held physically; on a pruning node
 	// it tracks the active window instead of the whole history.
 	Retained int
 	// Pruned is the number of values garbage-collected below the
@@ -314,6 +320,9 @@ func (nd *Node) HandleMessage(src int, m rt.Message) {
 			nd.OnGoodLAView(msg.Tag, src, view)
 		}
 		nd.servePending()
+		if msg.Ck.Count > 0 {
+			nd.noteVouch(src, msg.Ck)
+		}
 	case MsgBorrowReq:
 		if msg.Attempt == 0 && !nd.inSample(src, msg.Tag) {
 			// Reply amplification gate: on the first attempt only f+1
@@ -434,13 +443,27 @@ func (nd *Node) releaseHeld(w int) {
 	}
 }
 
+// crashStopVouch returns the vouch a good lattice operation's goodLA
+// carries: the frontier it just froze when the node prunes without a WAL,
+// the zero checkpoint otherwise. In the crash-stop model the vouch needs no
+// sync to be permanent — a crashed node never acts again, so it can never
+// hold less than it vouched. The advanced frontier may verify vouches that
+// outran this log, as after a durable vouch in releaseDurable.
+func (nd *Node) crashStopVouch() core.Checkpoint {
+	if nd.wal != nil || !nd.gc {
+		return core.Checkpoint{}
+	}
+	nd.recheckVouches()
+	return nd.log.Frontier()
+}
+
 // vouchFrontier logs a checkpoint of the current frontier and parks the
 // vouch for it. Called (atomically) after a good lattice operation advanced
 // the frontier. The record forces no sync: the vouch goes out from
 // releaseDurable once the record IS durable, so a peer can only GC below a
 // frontier this node will still hold after any crash. A checkpoint logged
 // while an older one is still parked replaces it — one vouch, for the
-// latest, covers both.
+// latest, covers both. Without a WAL the vouch went out with the goodLA.
 func (nd *Node) vouchFrontier() {
 	if nd.wal == nil {
 		return
@@ -457,11 +480,15 @@ func (nd *Node) vouchFrontier() {
 // covered: it is called (atomically) after every append and after the
 // writer's own sync-before-disseminate, so an act leaves in the critical
 // section of the sync that made it safe — the node's next update, or the
-// every-batch-appends sync of a node that is only receiving. After a
-// write or sync error Durable never advances and nothing is released. The
-// node's own vouch is recorded via the self-delivered broadcast.
+// every-batch-appends sync of a node that is only receiving. After a write
+// or sync error Durable never advances and nothing is released. The node's
+// own vouch is recorded via the self-delivered broadcast. Without a WAL
+// every record is durable as soon as it is taken.
 func (nd *Node) releaseDurable() {
-	durable := nd.wal.Counters().Durable
+	durable := int64(1)
+	if nd.wal != nil {
+		durable = nd.wal.Counters().Durable
+	}
 	if nd.pruneSeq != 0 && nd.pruneSeq <= durable && nd.wait == nil {
 		// Not while an EQ wait is active (the tracker caches absolute
 		// counts): the prune stays parked for the next release. PruneTo
@@ -515,13 +542,20 @@ func (nd *Node) recheckVouches() {
 	}
 }
 
-// maybeGC logs a prune below the smallest checkpoint every node has durably
+// maybeGC logs a prune below the smallest checkpoint every node has
 // vouched and parks it; releaseDurable executes it once the record is
 // durable, so replay prunes at least as far as the live node did and
 // recovered digests match live peers. One prune is parked at a time: a
 // higher floor is logged after it has run.
+//
+// Without a WAL there is no record to wait for. A floor every node vouched
+// is held by every node, and in the crash-stop model none of them can lose
+// it, so no node can need the dropped values again. A prune rebuilds the
+// arrays it keeps, so the node waits until the floor has passed half a log
+// window of values; and it prunes only between EQ waits, retrying at the
+// next vouch — every goodLA carries one, the node's own included.
 func (nd *Node) maybeGC() {
-	if nd.wal == nil || !nd.gc || nd.pruneSeq != 0 {
+	if !nd.gc || nd.pruneSeq != 0 {
 		return
 	}
 	floor := nd.vouched[0]
@@ -530,10 +564,20 @@ func (nd *Node) maybeGC() {
 			floor = ck
 		}
 	}
-	if floor.Count <= nd.log.PrunedCount() || !nd.log.Vouches(floor) || nd.wal.AppendPrune(floor) != nil {
+	if floor.Count <= nd.log.PrunedCount() || !nd.log.Vouches(floor) {
 		return
 	}
-	nd.prune, nd.pruneSeq = floor, nd.wal.Counters().Appends
+	switch {
+	case nd.wal == nil:
+		if nd.wait != nil || !nd.log.PruneWorthwhile(floor) {
+			return
+		}
+		nd.prune, nd.pruneSeq = floor, 1
+	case nd.wal.AppendPrune(floor) != nil:
+		return
+	default:
+		nd.prune, nd.pruneSeq = floor, nd.wal.Counters().Appends
+	}
 	nd.releaseDurable()
 }
 

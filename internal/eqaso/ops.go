@@ -32,11 +32,13 @@ func (nd *Node) readTag() (core.Tag, error) {
 }
 
 // writeTag implements writeTag(tag) (lines 38-39): write the tag to at
-// least n-f nodes.
+// least n-f nodes. It opens every lattice operation, so the operation is
+// counted in its critical section.
 func (nd *Node) writeTag(tag core.Tag) error {
 	nd.op.Phase("writeTag")
 	var req int64
 	nd.rt.Atomic(func() {
+		nd.stats.LatticeOps++
 		nd.nextReq++
 		req = nd.nextReq
 		nd.writeAcks[req] = 0
@@ -51,7 +53,6 @@ func (nd *Node) writeTag(tag core.Tag) error {
 // equivalence quorum predicate EQ(V^{≤r}, i), and atomically decide whether
 // the operation is good (maxTag ≤ r).
 func (nd *Node) lattice(r core.Tag) (good bool, view core.View, err error) {
-	nd.rt.Atomic(func() { nd.stats.LatticeOps++ })
 	if err := nd.writeTag(r); err != nil {
 		return false, core.View{}, err
 	}
@@ -81,7 +82,7 @@ func (nd *Node) lattice(r core.Tag) (good bool, view core.View, err error) {
 				if nd.OnGoodLattice != nil {
 					nd.OnGoodLattice(r, view)
 				}
-				nd.rt.Broadcast(MsgGoodLA{Tag: r})
+				nd.rt.Broadcast(MsgGoodLA{Tag: r, Ck: nd.crashStopVouch()})
 				nd.vouchFrontier()
 				nd.servePending()
 			}

@@ -106,7 +106,7 @@ func (w *World) release() {
 			w.held = append(w.held, hm)
 			continue
 		}
-		w.dispatch(hm.src, hm.dst, hm.msg, hm.kind, 0)
+		w.post(hm.src, hm.dst, hm.msg, hm.kind, 0)
 	}
 }
 

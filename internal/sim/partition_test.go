@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"mpsnap/internal/rt"
@@ -65,6 +67,47 @@ func TestPartitionHoldsUntilHeal(t *testing.T) {
 	}
 	if st := w.Stats(); st.MsgsHeld != 1 {
 		t.Fatalf("MsgsHeld = %d, want 1", st.MsgsHeld)
+	}
+}
+
+// msgLog records the observer's message events as "event:src>dst".
+type msgLog struct{ events []string }
+
+func (l *msgLog) OnOp(rt.OpEvent) {}
+func (l *msgLog) OnMsg(ev rt.MsgEvent) {
+	l.events = append(l.events, fmt.Sprintf("%s:%d>%d", ev.Event, ev.Src, ev.Dst))
+}
+
+// TestHeldMessageIsSentOnce: a message a cut holds emits its send event —
+// to the tracer and to the Observer — exactly once, when the heal
+// dispatches it, and before its delivery.
+func TestHeldMessageIsSentOnce(t *testing.T) {
+	obs := &msgLog{}
+	w := New(Config{N: 2, F: 0, Seed: 5, Observer: obs})
+	w.SetHandler(0, rt.HandlerFunc(func(int, rt.Message) {}))
+	w.SetHandler(1, &collect{})
+	var traced []string
+	w.SetTracer(func(ev TraceEvent) {
+		if ev.Src >= 0 {
+			traced = append(traced, fmt.Sprintf("%s:%d>%d", ev.Kind, ev.Src, ev.Dst))
+		}
+	})
+	w.Go("driver", func(p *Proc) {
+		w.Partition([]int{0}, []int{1})
+		w.Runtime(0).Send(1, pingMsg{Seq: 1})
+		if err := p.Sleep(1_000); err != nil {
+			t.Error(err)
+		}
+		w.Heal()
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"send:0>1", "deliver:0>1"}; !slices.Equal(obs.events, want) {
+		t.Errorf("observer saw %v, want %v", obs.events, want)
+	}
+	if want := []string{"hold:0>1", "send:0>1", "deliver:0>1"}; !slices.Equal(traced, want) {
+		t.Errorf("tracer saw %v, want %v", traced, want)
 	}
 }
 

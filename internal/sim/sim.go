@@ -486,6 +486,13 @@ func (w *World) send(src, dst int, msg rt.Message, kind string) {
 			return
 		}
 	}
+	w.post(src, dst, msg, kind, extra)
+}
+
+// post emits the send event of a message that leaves for its destination
+// now — at its send, or at the heal that releases it from a cut — and
+// dispatches it.
+func (w *World) post(src, dst int, msg rt.Message, kind string, extra rt.Ticks) {
 	if w.tracer != nil {
 		w.tracer(TraceEvent{T: w.now, Kind: "send", Src: src, Dst: dst, Msg: kind})
 	}
