@@ -80,7 +80,10 @@ func (e *mapEngine) goodOp(r core.Tag, quorum int) {
 
 func (e *mapEngine) stabilize(core.Tag) {}
 
-type logEngine struct{ l *core.ValueLog }
+type logEngine struct {
+	l  *core.ValueLog
+	eq core.EQTracker // re-armed per operation, as a node keeps its one
+}
 
 func newLogEngine(n int) hotpathEngine { return &logEngine{l: core.NewValueLog(n, 0)} }
 
@@ -89,8 +92,8 @@ func (e *logEngine) name() string { return "log" }
 func (e *logEngine) add(src int, v core.Value) { e.l.Add(src, v) }
 
 func (e *logEngine) goodOp(r core.Tag, quorum int) {
-	t := core.NewEQTrackerFromLog(e.l, r, quorum)
-	_ = t.Satisfied()
+	e.eq.ResetFromLog(e.l, r, quorum)
+	_ = e.eq.Satisfied()
 	e.l.AdvanceFrontier(r)
 	_ = e.l.ViewLE(r)
 }

@@ -172,6 +172,9 @@ type Node struct {
 	tagQueries []pendingQuery
 	haveCount  map[core.Timestamp]int
 
+	// eq is the node's one EQ tracker, re-armed by every lattice
+	// operation; wait points at it while an EQ wait is active.
+	eq    core.EQTracker
 	wait  *core.EQTracker
 	stats Stats
 

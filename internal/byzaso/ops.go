@@ -44,15 +44,14 @@ func (nd *Node) latticeLoop(r core.Tag) (core.View, error) {
 		if err := nd.tagQuorum(r); err != nil {
 			return core.View{}, err
 		}
-		var tracker *core.EQTracker
 		nd.rt.Atomic(func() {
-			tracker = core.NewEQTrackerFromLog(nd.log, r, nd.quorum)
-			nd.wait = tracker
+			nd.eq.ResetFromLog(nd.log, r, nd.quorum)
+			nd.wait = &nd.eq
 		})
 		var good bool
 		var view core.View
 		err := nd.rt.WaitUntilThen("byz EQ predicate",
-			tracker.Satisfied,
+			nd.eq.Satisfied,
 			func() {
 				nd.wait = nil
 				if nd.maxTag <= r {

@@ -131,10 +131,11 @@ func BenchmarkEQTrackerSetup(b *testing.B) {
 	})
 	b.Run("log", func(b *testing.B) {
 		l := prefillLog(benchH)
+		var t EQTracker
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			NewEQTrackerFromLog(l, r, quorum)
+			t.ResetFromLog(l, r, quorum)
 		}
 	})
 }

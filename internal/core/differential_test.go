@@ -213,9 +213,11 @@ func (d *diffState) check(t *testing.T) {
 			}
 		}
 		// EQ-tracker equivalence: both constructions must agree on the
-		// predicate at every quorum size.
+		// predicate at every quorum size; the log's tracker is re-armed
+		// each time, as a node re-arms its one.
+		var lt EQTracker
 		for q := 1; q <= diffNodes; q++ {
-			lt := NewEQTrackerFromLog(d.log, r, q)
+			lt.ResetFromLog(d.log, r, q)
 			mt := NewEQTracker(d.sets, 0, r, q)
 			if lt.Satisfied() != mt.Satisfied() {
 				t.Fatalf("EQTracker(r=%d, q=%d): log %v, map %v", r, q, lt.Satisfied(), mt.Satisfied())

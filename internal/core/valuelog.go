@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -42,7 +43,7 @@ import (
 // Per-operation costs with H total values and n nodes: Add is O(log H)
 // amortized (appends dominate in tag order; a mid-tail insert memmoves
 // only the unfrozen tail; a straggler allocates O(windowCap)), CountLE is
-// O(log H), NewEQTrackerFromLog is O(n log H), and ViewLE at or below the
+// O(log H), EQTracker.ResetFromLog is O(n log H), and ViewLE at or below the
 // frontier is O(1).
 // Garbage collection: once a checkpoint has been vouched by every node
 // (each peer's NoteVouch recorded), PruneTo drops the value prefix below
@@ -718,15 +719,17 @@ func (l *ValueLog) HeapBytes() int {
 	return b
 }
 
-// NewEQTrackerFromLog returns an incremental tracker for EQ(V^{≤r}, self)
-// over a log, set up in O(n log H) via the per-peer cursors.
-func NewEQTrackerFromLog(l *ValueLog, r Tag, quorum int) *EQTracker {
-	t := &EQTracker{R: r, self: l.self, quorum: quorum, cnt: make([]int, l.n)}
-	for j := 0; j < l.n; j++ {
+// ResetFromLog re-arms t as the incremental tracker for EQ(V^{≤r}, self)
+// over a log, set up in O(n log H) via the per-peer cursors. It reuses t's
+// counters, so a node that keeps one tracker for its one EQ wait at a time
+// allocates nothing per lattice operation.
+func (t *EQTracker) ResetFromLog(l *ValueLog, r Tag, quorum int) {
+	t.R, t.self, t.quorum = r, l.self, quorum
+	t.cnt = slices.Grow(t.cnt[:0], l.n)[:l.n]
+	for j := range t.cnt {
 		t.cnt[j] = l.CountLE(j, r)
 	}
 	t.cntSelf = t.cnt[l.self]
-	return t
 }
 
 // digestValue hashes one value (FNV-1a over timestamp and payload, then an

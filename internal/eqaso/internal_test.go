@@ -1,12 +1,19 @@
 package eqaso
 
 import (
+	"errors"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"mpsnap/internal/core"
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
+	"mpsnap/internal/transport"
 	"mpsnap/internal/wal"
 )
 
@@ -93,11 +100,74 @@ func TestAddBorrowOverwritesPerSender(t *testing.T) {
 	}
 }
 
-func TestSortedTags(t *testing.T) {
-	m := map[core.Tag]core.View{5: {}, 1: {}, 3: {}}
-	got := sortedTags(m)
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("sortedTags = %v", got)
+// sortedBestViewAtLeast is the sort-based rule bestViewAtLeast replaced:
+// own good views in tag order, then each borrowed tag's lowest sender,
+// the first strictly smaller tag winning.
+func sortedBestViewAtLeast(nd *Node, r core.Tag) (core.Tag, core.View, bool) {
+	bestTag := core.Tag(-1)
+	var bestView core.View
+	consider := func(tag core.Tag, view core.View) {
+		if tag >= r && (bestTag < 0 || tag < bestTag) {
+			bestTag, bestView = tag, view
+		}
+	}
+	own := make([]core.Tag, 0, len(nd.ownGood))
+	for tag := range nd.ownGood {
+		own = append(own, tag)
+	}
+	slices.Sort(own)
+	for _, tag := range own {
+		consider(tag, nd.ownGood[tag])
+	}
+	for tag, byNode := range nd.borrow {
+		if tag < r {
+			continue
+		}
+		nodes := make([]int, 0, len(byNode))
+		for j := range byNode {
+			nodes = append(nodes, j)
+		}
+		slices.Sort(nodes)
+		consider(tag, byNode[nodes[0]])
+	}
+	if bestTag < 0 {
+		return 0, core.View{}, false
+	}
+	return bestTag, bestView, true
+}
+
+// TestBestViewAtLeastMatchesSortedRule: on random good-view caches, the
+// one-pass bestViewAtLeast picks what the sort-based rule picked — the
+// smallest tag, the node's own view on a tie, a borrowed tag's lowest
+// sender — and allocates nothing.
+func TestBestViewAtLeastMatchesSortedRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		nd := newTestNode(t)
+		// Each view is told apart by its one value: writer = holder
+		// (3 = the node's own), tag = the cached tag.
+		labelled := func(tag core.Tag, holder int) core.View {
+			return core.ViewOf(core.Value{TS: core.Timestamp{Tag: tag, Writer: holder}, Payload: []byte("x")})
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			tag := core.Tag(1 + rng.Intn(12))
+			nd.ownGood[tag] = labelled(tag, 3)
+		}
+		for i := rng.Intn(8); i > 0; i-- {
+			tag, from := core.Tag(1+rng.Intn(12)), rng.Intn(3)
+			nd.addBorrow(tag, from, labelled(tag, from))
+		}
+		for r := core.Tag(0); r <= 13; r++ {
+			gotTag, gotView, gotOK := nd.bestViewAtLeast(r)
+			wantTag, wantView, wantOK := sortedBestViewAtLeast(nd, r)
+			if gotOK != wantOK || gotTag != wantTag || !reflect.DeepEqual(gotView.Timestamps(), wantView.Timestamps()) {
+				t.Fatalf("trial %d, r=%d: got (%d, %v, %v), want (%d, %v, %v)", trial, r,
+					gotTag, gotView.Timestamps(), gotOK, wantTag, wantView.Timestamps(), wantOK)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { nd.bestViewAtLeast(1) }); allocs != 0 {
+			t.Fatalf("bestViewAtLeast allocates %v times, want 0", allocs)
+		}
 	}
 }
 
@@ -348,5 +418,40 @@ func TestValueHeldBackUntilItsPredecessor(t *testing.T) {
 	nd.HandleMessage(2, MsgValue{Val: t2, Prev: 1})
 	if nd.stats.HeldBack != 1 || len(r.sent) != 2 || nd.log.Len(2) != 2 {
 		t.Fatalf("duplicate t2: HeldBack %d, %d sent, V[2] %d values", nd.stats.HeldBack, len(r.sent), nd.log.Len(2))
+	}
+}
+
+// TestSecondConcurrentOperationPanics: a node has one sequential client
+// thread (the paper's Section II-A), and its operation's state is node
+// state, so an operation started while another is in flight panics, naming
+// the rule, instead of corrupting the first.
+func TestSecondConcurrentOperationPanics(t *testing.T) {
+	net := transport.NewChanNet(transport.ChanConfig{N: 3, F: 1, D: 20 * time.Microsecond})
+	defer net.Close()
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		nodes[i] = New(net.Runtime(i))
+		net.SetHandler(i, nodes[i])
+	}
+	// Without its peers node 0's readTag never gathers a quorum, so its
+	// first operation stays in flight until node 0 crashes.
+	net.Crash(1)
+	net.Crash(2)
+	first := make(chan error, 1)
+	go func() { first <- nodes[0].Update([]byte("a")) }()
+	for !nodes[0].busy.Load() {
+		runtime.Gosched()
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_, _ = nodes[0].Scan()
+		return nil
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, "one sequential client thread") {
+		t.Errorf("a second operation in flight: recovered %v, want a panic naming the one-client rule", got)
+	}
+	net.Crash(0)
+	if err := <-first; !errors.Is(err, rt.ErrCrashed) {
+		t.Errorf("first operation ended with %v, want rt.ErrCrashed", err)
 	}
 }

@@ -28,6 +28,7 @@ package eqaso
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"mpsnap/internal/core"
 	"mpsnap/internal/rt"
@@ -68,9 +69,25 @@ type Stats struct {
 	HeldBack int64
 }
 
-type readState struct {
-	count int
-	max   core.Tag
+// call is the node's one in-flight quorum call, a readTag or a writeTag.
+// HandleMessage counts an ack only when its ReqID is req; req is 0 between
+// calls, so a late ack of an earlier call is ignored.
+type call struct {
+	req  int64
+	acks int
+	max  core.Tag // readTag: the largest maxTag acked, seeded with the node's own
+}
+
+// step carries the client thread's inputs into the critical sections built
+// in New, and their results back out. The client clears it when its
+// operation ends, so it retains no view or payload between operations.
+type step struct {
+	r        core.Tag // the tag the lattice operation, or the borrow, works at
+	good     bool     // the EQ wait's verdict: maxTag ≤ r
+	view     core.View
+	payloads [][]byte
+	tss      []core.Timestamp
+	walErr   error
 }
 
 // pendingBorrow is a borrowReq this node could not answer yet: it is
@@ -115,15 +132,29 @@ type Node struct {
 	borrow  map[core.Tag]map[int]core.View // D, kept per (tag, sender)
 	ownGood map[core.Tag]core.View         // this node's good-lattice views
 
-	// In-flight quorum calls and the active EQ wait.
-	nextReq   int64
-	readAcks  map[int64]*readState
-	writeAcks map[int64]int
-	wait      *core.EQTracker
+	// lastGood[j] is the tag of node j's latest goodLA (0: none since its
+	// last rejoin); trimmed is the tag noteGood last trimmed the caches to.
+	lastGood []core.Tag
+	trimmed  core.Tag
 
-	// Borrow protocol state.
+	// The client thread's operation (Section II-A: a node has one
+	// sequential client thread, so at most one operation, one quorum call
+	// and one EQ wait are ever in flight, and their state is the node's).
+	// busy marks an operation in flight; eq is the EQ tracker each lattice
+	// operation re-arms, and wait points at it while an EQ wait is active.
+	busy    atomic.Bool
+	nextReq int64
+	call    call
+	eq      core.EQTracker
+	wait    *core.EQTracker
+	step    step
+	cs      sections
+
+	// Borrow protocol state. curBorrow points at borrowing while the
+	// client thread's borrow is in flight.
 	pending   map[int]pendingBorrow // requester id → unanswered borrowReq
 	curBorrow *borrowWait
+	borrowing borrowWait
 
 	// Hold-back state: ownTag is the tag of this node's latest own value
 	// (the previous tag its next value carries; the client thread's alone);
@@ -173,20 +204,20 @@ type Node struct {
 func New(r rt.Runtime) *Node {
 	n := r.N()
 	nd := &Node{
-		rt:        r,
-		id:        r.ID(),
-		n:         n,
-		quorum:    n - r.F(),
-		op:        rt.NewOpTrace(r),
-		log:       core.NewValueLog(n, r.ID()),
-		borrow:    make(map[core.Tag]map[int]core.View),
-		ownGood:   make(map[core.Tag]core.View),
-		readAcks:  make(map[int64]*readState),
-		writeAcks: make(map[int64]int),
-		pending:   make(map[int]pendingBorrow),
-		vouched:   make([]core.Checkpoint, n),
-		rawVouch:  make([]core.Checkpoint, n),
+		rt:       r,
+		id:       r.ID(),
+		n:        n,
+		quorum:   n - r.F(),
+		op:       rt.NewOpTrace(r),
+		log:      core.NewValueLog(n, r.ID()),
+		borrow:   make(map[core.Tag]map[int]core.View),
+		ownGood:  make(map[core.Tag]core.View),
+		pending:  make(map[int]pendingBorrow),
+		lastGood: make([]core.Tag, n),
+		vouched:  make([]core.Checkpoint, n),
+		rawVouch: make([]core.Checkpoint, n),
 	}
+	nd.cs = newSections(nd)
 	return nd
 }
 
@@ -292,10 +323,10 @@ func (nd *Node) HandleMessage(src int, m rt.Message) {
 	case MsgReadTag:
 		nd.rt.Send(src, MsgReadAck{ReqID: msg.ReqID, Tag: nd.maxTag})
 	case MsgReadAck:
-		if st, ok := nd.readAcks[msg.ReqID]; ok {
-			st.count++
-			if msg.Tag > st.max {
-				st.max = msg.Tag
+		if msg.ReqID == nd.call.req {
+			nd.call.acks++
+			if msg.Tag > nd.call.max {
+				nd.call.max = msg.Tag
 			}
 		}
 	case MsgWriteTag:
@@ -305,8 +336,8 @@ func (nd *Node) HandleMessage(src int, m rt.Message) {
 		}
 		nd.rt.Send(src, MsgWriteAck{ReqID: msg.ReqID, Tag: msg.Tag})
 	case MsgWriteAck:
-		if _, ok := nd.writeAcks[msg.ReqID]; ok {
-			nd.writeAcks[msg.ReqID]++
+		if msg.ReqID == nd.call.req {
+			nd.call.acks++
 		}
 	case MsgEchoTag:
 		if msg.Tag > nd.maxTag {
@@ -320,6 +351,7 @@ func (nd *Node) HandleMessage(src int, m rt.Message) {
 			nd.OnGoodLAView(msg.Tag, src, view)
 		}
 		nd.servePending()
+		nd.noteGood(src, msg.Tag)
 		if msg.Ck.Count > 0 {
 			nd.noteVouch(src, msg.Ck)
 		}
@@ -352,8 +384,10 @@ func (nd *Node) HandleMessage(src int, m rt.Message) {
 		// src recovered with durable state through Base: that prefix
 		// survived the crash, so credit src's cursor with it — this also
 		// repairs goodLA FIFO reconstruction for values src received but
-		// whose broadcasts were cut short pre-crash.
+		// whose broadcasts were cut short pre-crash. Its tags before the
+		// crash no longer bound its requests (noteGood).
 		nd.noteVouch(src, msg.Base)
+		nd.lastGood[src] = 0
 		all := nd.log.AllView()
 		if delta, ok := nd.log.DeltaAbove(all, msg.Base); ok {
 			nd.stats.RejoinDeltaReplies++
@@ -684,42 +718,65 @@ func (nd *Node) maybeEscalate(tag core.Tag) {
 }
 
 // bestViewAtLeast returns the smallest-tagged good view this node knows
-// with tag ≥ r (its own good views or borrowed ones). Deterministic.
+// with tag ≥ r. Deterministic: the node's own good view wins a tie with a
+// borrowed one, and among the holders of a borrowed tag the lowest sender
+// wins. One pass that allocates nothing, as the borrow wait's predicate
+// must be.
 func (nd *Node) bestViewAtLeast(r core.Tag) (core.Tag, core.View, bool) {
 	bestTag := core.Tag(-1)
 	var bestView core.View
-	consider := func(tag core.Tag, view core.View) {
+	for tag, view := range nd.ownGood {
 		if tag >= r && (bestTag < 0 || tag < bestTag) {
 			bestTag, bestView = tag, view
 		}
 	}
-	for _, tag := range sortedTags(nd.ownGood) {
-		consider(tag, nd.ownGood[tag])
-	}
+	var holders map[int]core.View // the winning borrowed tag's, if one wins
 	for tag, byNode := range nd.borrow {
-		if tag < r {
-			continue
+		if tag >= r && (bestTag < 0 || tag < bestTag) {
+			bestTag, holders = tag, byNode
 		}
-		nodes := make([]int, 0, len(byNode))
-		for j := range byNode {
-			nodes = append(nodes, j)
-		}
-		sort.Ints(nodes)
-		consider(tag, byNode[nodes[0]])
 	}
 	if bestTag < 0 {
 		return 0, core.View{}, false
 	}
+	lowest := nd.n
+	for j, view := range holders {
+		if j < lowest {
+			lowest, bestView = j, view
+		}
+	}
 	return bestTag, bestView, true
 }
 
-func sortedTags(m map[core.Tag]core.View) []core.Tag {
-	tags := make([]core.Tag, 0, len(m))
-	for t := range m {
-		tags = append(tags, t)
+// noteGood records node j's goodLA at tag and trims the good-view caches
+// below the smallest tag a lookup can still ask for (DESIGN §9). A node's
+// tags never decrease, so every request a peer sends after a good lattice
+// operation at tag g is at a tag ≥ g, and by FIFO its earlier requests have
+// arrived: answered, or parked in pending. This node's own operation asks
+// at tags ≥ its latest goodLA's, and one not yet begun at tags ≥ maxTag.
+// Dropping views below the smallest of these bounds changes no answer, and
+// the caches of a node whose client has stopped follow its peers' progress.
+func (nd *Node) noteGood(j int, tag core.Tag) {
+	if tag <= nd.lastGood[j] {
+		return
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-	return tags
+	nd.lastGood[j] = tag
+	low := nd.maxTag
+	if nd.busy.Load() {
+		low = nd.lastGood[nd.id]
+	}
+	for k, g := range nd.lastGood {
+		if k != nd.id {
+			low = min(low, g)
+		}
+	}
+	for _, pb := range nd.pending {
+		low = min(low, pb.tag)
+	}
+	if low > nd.trimmed {
+		nd.trimmed = low
+		nd.pruneBelow(low)
+	}
 }
 
 // pruneBelow discards borrow/ownGood entries with tag < r; every future

@@ -5,30 +5,79 @@ import (
 	"mpsnap/internal/rt"
 )
 
+// sections are the critical sections and wait predicates of the client
+// thread's operations, bound once per node in New so that an operation's
+// steps allocate no closures. Each reads its inputs from the node's call
+// and step and leaves its results there.
+type sections struct {
+	startRead, endRead     func()
+	startWrite, endCall    func()
+	acked                  func() bool
+	armEQ, decideEQ        func()
+	eqHolds                func() bool
+	countOp, stamp         func()
+	countDirect, readMax   func()
+	startBorrow, endBorrow func()
+	borrowReady            func() bool
+}
+
+func newSections(nd *Node) sections {
+	return sections{
+		startRead: nd.startRead, endRead: nd.endRead,
+		startWrite: nd.startWrite, endCall: nd.endCall,
+		acked: nd.acked,
+		armEQ: nd.armEQ, decideEQ: nd.decideEQ,
+		eqHolds: nd.eq.Satisfied,
+		countOp: nd.countOp, stamp: nd.stamp,
+		countDirect: nd.countDirect, readMax: nd.readMax,
+		startBorrow: nd.startBorrow, endBorrow: nd.endBorrow,
+		borrowReady: nd.borrowReady,
+	}
+}
+
+// begin marks an operation in flight. The paper's node has one sequential
+// client thread (Section II-A), and the state of its one operation — the
+// quorum call, the EQ wait, the borrow — is node state, so a second
+// operation started while one is in flight is a caller's bug.
+func (nd *Node) begin() {
+	if !nd.busy.CompareAndSwap(false, true) {
+		panic("eqaso: an operation started while another is in flight on this node; " +
+			"a node has one sequential client thread (Section II-A of the paper), " +
+			"so serialize its operations (internal/svc does)")
+	}
+}
+
+// end closes the operation begin opened: nothing of it stays reachable.
+func (nd *Node) end() {
+	nd.step = step{}
+	nd.busy.Store(false)
+}
+
 // readTag implements readTag() (lines 35-37): read the largest maxTag from
 // at least n-f nodes.
 func (nd *Node) readTag() (core.Tag, error) {
 	nd.op.Phase("readTag")
-	var req int64
-	var st *readState
-	nd.rt.Atomic(func() {
-		nd.nextReq++
-		req = nd.nextReq
-		// Seed with the local maxTag: the quorum maximum can only raise it,
-		// and a node recovering from its WAL must never pick a timestamp at
-		// or below one it already wrote durably.
-		st = &readState{max: nd.maxTag}
-		nd.readAcks[req] = st
-	})
-	nd.rt.Broadcast(MsgReadTag{ReqID: req})
-	var r core.Tag
-	err := nd.rt.WaitUntilThen("readTag quorum",
-		func() bool { return st.count >= nd.quorum },
-		func() {
-			r = st.max
-			delete(nd.readAcks, req)
-		})
-	return r, err
+	nd.rt.Atomic(nd.cs.startRead)
+	nd.rt.Broadcast(MsgReadTag{ReqID: nd.nextReq})
+	if err := nd.rt.WaitUntilThen("readTag quorum", nd.cs.acked, nd.cs.endRead); err != nil {
+		return 0, err
+	}
+	return nd.step.r, nil
+}
+
+// startRead opens a readTag call. Its maximum is seeded with the local
+// maxTag: the quorum maximum can only raise it, and a node recovering from
+// its WAL must never pick a timestamp at or below one it already wrote
+// durably.
+func (nd *Node) startRead() {
+	nd.nextReq++
+	nd.call = call{req: nd.nextReq, max: nd.maxTag}
+}
+
+// endRead closes a readTag call with its result in step.r.
+func (nd *Node) endRead() {
+	nd.step.r = nd.call.max
+	nd.endCall()
 }
 
 // writeTag implements writeTag(tag) (lines 38-39): write the tag to at
@@ -36,18 +85,22 @@ func (nd *Node) readTag() (core.Tag, error) {
 // counted in its critical section.
 func (nd *Node) writeTag(tag core.Tag) error {
 	nd.op.Phase("writeTag")
-	var req int64
-	nd.rt.Atomic(func() {
-		nd.stats.LatticeOps++
-		nd.nextReq++
-		req = nd.nextReq
-		nd.writeAcks[req] = 0
-	})
-	nd.rt.Broadcast(MsgWriteTag{ReqID: req, Tag: tag})
-	return nd.rt.WaitUntilThen("writeTag quorum",
-		func() bool { return nd.writeAcks[req] >= nd.quorum },
-		func() { delete(nd.writeAcks, req) })
+	nd.rt.Atomic(nd.cs.startWrite)
+	nd.rt.Broadcast(MsgWriteTag{ReqID: nd.nextReq, Tag: tag})
+	return nd.rt.WaitUntilThen("writeTag quorum", nd.cs.acked, nd.cs.endCall)
 }
+
+func (nd *Node) startWrite() {
+	nd.stats.LatticeOps++
+	nd.nextReq++
+	nd.call = call{req: nd.nextReq}
+}
+
+// acked is a quorum call's wait predicate.
+func (nd *Node) acked() bool { return nd.call.acks >= nd.quorum }
+
+// endCall closes the quorum call: its later acks are ignored.
+func (nd *Node) endCall() { nd.call.req = 0 }
 
 // lattice implements Lattice(r) (lines 14-21): write the tag, wait for the
 // equivalence quorum predicate EQ(V^{≤r}, i), and atomically decide whether
@@ -56,37 +109,12 @@ func (nd *Node) lattice(r core.Tag) (good bool, view core.View, err error) {
 	if err := nd.writeTag(r); err != nil {
 		return false, core.View{}, err
 	}
-	var tracker *core.EQTracker
-	nd.rt.Atomic(func() {
-		// This node will never need a view with tag < r again (its tags
-		// are nondecreasing), so keep the good-view caches bounded by
-		// in-flight activity.
-		nd.pruneBelow(r)
-		tracker = core.NewEQTrackerFromLog(nd.log, r, nd.quorum)
-		nd.wait = tracker
-	})
+	nd.step.r = r
+	nd.rt.Atomic(nd.cs.armEQ)
 	nd.op.Phase("eqWait")
-	err = nd.rt.WaitUntilThen("EQ predicate",
-		tracker.Satisfied,
-		func() {
-			// Lines 16-21, executed atomically.
-			nd.wait = nil
-			if nd.maxTag <= r {
-				good = true
-				// The prefix ≤ r is an equivalence set held by n−f
-				// nodes: freeze it first, so the view below is a
-				// zero-copy alias of the frozen log.
-				nd.log.AdvanceFrontier(r)
-				view = nd.log.ViewLE(r)
-				nd.ownGood[r] = view
-				if nd.OnGoodLattice != nil {
-					nd.OnGoodLattice(r, view)
-				}
-				nd.rt.Broadcast(MsgGoodLA{Tag: r, Ck: nd.crashStopVouch()})
-				nd.vouchFrontier()
-				nd.servePending()
-			}
-		})
+	err = nd.rt.WaitUntilThen("EQ predicate", nd.cs.eqHolds, nd.cs.decideEQ)
+	good, view = nd.step.good, nd.step.view
+	nd.step.good, nd.step.view = false, core.View{}
 	if err != nil {
 		return false, core.View{}, err
 	}
@@ -96,6 +124,40 @@ func (nd *Node) lattice(r core.Tag) (good bool, view core.View, err error) {
 		nd.op.Phase("eqNotGood")
 	}
 	return good, view, nil
+}
+
+// armEQ re-arms the node's EQ tracker for EQ(V^{≤r}, self), r = step.r.
+func (nd *Node) armEQ() {
+	// This node will never need a view with tag < r again (its tags are
+	// nondecreasing), so keep the good-view caches bounded by in-flight
+	// activity.
+	nd.pruneBelow(nd.step.r)
+	nd.eq.ResetFromLog(nd.log, nd.step.r, nd.quorum)
+	nd.wait = &nd.eq
+}
+
+// decideEQ is lines 16-21, executed atomically once the EQ predicate
+// holds: the operation is good when maxTag ≤ r, and its view goes to
+// step.view.
+func (nd *Node) decideEQ() {
+	nd.wait = nil
+	r := nd.step.r
+	if nd.maxTag > r {
+		return
+	}
+	nd.step.good = true
+	// The prefix ≤ r is an equivalence set held by n−f nodes: freeze it
+	// first, so the view below is a zero-copy alias of the frozen log.
+	nd.log.AdvanceFrontier(r)
+	view := nd.log.ViewLE(r)
+	nd.step.view = view
+	nd.ownGood[r] = view
+	if nd.OnGoodLattice != nil {
+		nd.OnGoodLattice(r, view)
+	}
+	nd.rt.Broadcast(MsgGoodLA{Tag: r, Ck: nd.crashStopVouch()})
+	nd.vouchFrontier()
+	nd.servePending()
 }
 
 // latticeRenewal implements LatticeRenewal(r) (lines 22-30): at most three
@@ -109,13 +171,14 @@ func (nd *Node) latticeRenewal(r core.Tag) (core.View, error) {
 			return core.View{}, err
 		}
 		if good {
-			nd.rt.Atomic(func() { nd.stats.DirectViews++ })
+			nd.rt.Atomic(nd.cs.countDirect)
 			return view, nil // direct view
 		}
 		if phase == 3 {
 			break
 		}
-		nd.rt.Atomic(func() { r = nd.maxTag })
+		nd.rt.Atomic(nd.cs.readMax)
+		r = nd.step.r
 	}
 	// Borrow an indirect view for tag ≥ r (see the package comment for
 	// why ≥ rather than = preserves correctness and improves liveness).
@@ -123,23 +186,39 @@ func (nd *Node) latticeRenewal(r core.Tag) (core.View, error) {
 	// with a delta, and is answered by a sampled subset of nodes first
 	// (escalated to everyone on a borrowNak — see maybeEscalate).
 	nd.op.Phase("borrow")
-	var req MsgBorrowReq
-	nd.rt.Atomic(func() {
-		nd.pruneBelow(r)
-		base := nd.log.Frontier()
-		nd.curBorrow = &borrowWait{tag: r, base: base}
-		req = MsgBorrowReq{Tag: r, Attempt: 0, Base: base}
-	})
-	nd.rt.Broadcast(req)
-	var view core.View
-	err := nd.rt.WaitUntilThen("borrow goodLA view",
-		func() bool { _, _, ok := nd.bestViewAtLeast(r); return ok },
-		func() {
-			_, view, _ = nd.bestViewAtLeast(r)
-			nd.curBorrow = nil
-			nd.stats.IndirectViews++
-		})
+	nd.step.r = r
+	nd.rt.Atomic(nd.cs.startBorrow)
+	nd.rt.Broadcast(MsgBorrowReq{Tag: r, Attempt: 0, Base: nd.borrowing.base})
+	err := nd.rt.WaitUntilThen("borrow goodLA view", nd.cs.borrowReady, nd.cs.endBorrow)
+	view := nd.step.view
+	nd.step.view = core.View{}
 	return view, err
+}
+
+func (nd *Node) countDirect() { nd.stats.DirectViews++ }
+
+// readMax copies maxTag to step.r.
+func (nd *Node) readMax() { nd.step.r = nd.maxTag }
+
+// startBorrow opens the borrow at tag step.r, advertising the frontier.
+func (nd *Node) startBorrow() {
+	nd.pruneBelow(nd.step.r)
+	nd.borrowing = borrowWait{tag: nd.step.r, base: nd.log.Frontier()}
+	nd.curBorrow = &nd.borrowing
+}
+
+// borrowReady is the borrow's wait predicate: a good view with tag ≥ the
+// borrow's is known.
+func (nd *Node) borrowReady() bool {
+	_, _, ok := nd.bestViewAtLeast(nd.borrowing.tag)
+	return ok
+}
+
+// endBorrow closes the borrow with the view it obtained in step.view.
+func (nd *Node) endBorrow() {
+	_, nd.step.view, _ = nd.bestViewAtLeast(nd.borrowing.tag)
+	nd.curBorrow = nil
+	nd.stats.IndirectViews++
 }
 
 // Update implements UPDATE(v) (lines 4-10): obtain a fresh timestamp,
@@ -190,49 +269,27 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 	if len(payloads) == 0 {
 		return core.View{}, nil, nil
 	}
+	nd.begin()
+	defer nd.end()
 	nd.op.Start("update")
 	defer func() { nd.op.End(err) }()
-	k := core.Tag(len(payloads))
-	nd.rt.Atomic(func() {
-		nd.stats.Updates += int64(k)
-		nd.stats.Batches++
-	})
+	nd.step.payloads = payloads
+	nd.rt.Atomic(nd.cs.countOp)
 	r, err := nd.readTag()
 	if err != nil {
 		return core.View{}, nil, err
 	}
 	tss = make([]core.Timestamp, len(payloads))
+	nd.step.r, nd.step.tss = r, tss
 	prev := nd.ownTag
-	var walErr error
-	nd.rt.Atomic(func() {
-		for i := range payloads {
-			tss[i] = core.Timestamp{Tag: r + 1 + core.Tag(i), Writer: nd.id}
-		}
-		if nd.wal != nil {
-			// Durable-before-disseminate: admit the batch to V[self] and
-			// sync it BEFORE any peer can observe a value, so no value a
-			// survivor holds can be lost by this node's crash. Without a
-			// WAL the values enter the log through the self-delivered
-			// broadcast below, exactly as before.
-			for i := range payloads {
-				v := core.Value{TS: tss[i], Payload: payloads[i]}
-				if nd.log.AddSelf(v) {
-					nd.wal.AppendValue(nd.id, v)
-				}
-			}
-			// The one sync an operation waits for; checkpoint vouches and
-			// prunes parked since the last one ride it.
-			walErr = nd.wal.Sync()
-			nd.releaseDurable()
-		}
-	})
+	nd.rt.Atomic(nd.cs.stamp)
 	nd.ownTag = tss[len(tss)-1].Tag
-	if walErr != nil {
+	if err := nd.step.walErr; err != nil {
 		// The batch is not durable: disseminating it would let peers act on
 		// (and GC behind) values this node cannot reconstruct after a crash.
 		// Writer errors latch, so every subsequent update fails here too —
 		// the node is write-fenced until the operator intervenes.
-		return core.View{}, nil, walErr
+		return core.View{}, nil, err
 	}
 	nd.op.Phase("disseminate")
 	for i, payload := range payloads {
@@ -242,20 +299,54 @@ func (nd *Node) UpdateBatchWithView(payloads [][]byte) (view core.View, tss []co
 	if _, _, err = nd.lattice(r); err != nil { // phase 0
 		return core.View{}, tss, err
 	}
-	var r2 core.Tag
-	nd.rt.Atomic(func() {
-		r2 = r + k
-		if nd.maxTag > r2 {
-			r2 = nd.maxTag
-		}
-	})
-	view, err = nd.latticeRenewal(r2)
+	nd.rt.Atomic(nd.cs.readMax)
+	view, err = nd.latticeRenewal(max(r+core.Tag(len(payloads)), nd.step.r))
 	return view, tss, err
+}
+
+// countOp counts the operation starting: an update batch of
+// step.payloads, or a scan when there are none.
+func (nd *Node) countOp() {
+	if k := len(nd.step.payloads); k > 0 {
+		nd.stats.Updates += int64(k)
+		nd.stats.Batches++
+	} else {
+		nd.stats.Scans++
+	}
+}
+
+// stamp gives step.payloads the timestamps step.r+1.. in step.tss and,
+// on a durable node, logs and syncs them (the sync's error to
+// step.walErr).
+func (nd *Node) stamp() {
+	r, tss, payloads := nd.step.r, nd.step.tss, nd.step.payloads
+	for i := range payloads {
+		tss[i] = core.Timestamp{Tag: r + 1 + core.Tag(i), Writer: nd.id}
+	}
+	if nd.wal == nil {
+		// The values enter the log through the self-delivered broadcast.
+		return
+	}
+	// Durable-before-disseminate: admit the batch to V[self] and sync it
+	// BEFORE any peer can observe a value, so no value a survivor holds
+	// can be lost by this node's crash.
+	for i := range payloads {
+		v := core.Value{TS: tss[i], Payload: payloads[i]}
+		if nd.log.AddSelf(v) {
+			nd.wal.AppendValue(nd.id, v)
+		}
+	}
+	// The one sync an operation waits for; checkpoint vouches and prunes
+	// parked since the last one ride it.
+	nd.step.walErr = nd.wal.Sync()
+	nd.releaseDurable()
 }
 
 // RefreshView runs one readTag + LatticeRenewal and returns the obtained
 // view (used by the SSO to catch up until its own value is visible).
 func (nd *Node) RefreshView() (core.View, error) {
+	nd.begin()
+	defer nd.end()
 	r, err := nd.readTag()
 	if err != nil {
 		return core.View{}, err
@@ -280,9 +371,11 @@ func (nd *Node) ScanView() (view core.View, err error) {
 	if nd.rt.Crashed() {
 		return core.View{}, rt.ErrCrashed
 	}
+	nd.begin()
+	defer nd.end()
 	nd.op.Start("scan")
 	defer func() { nd.op.End(err) }()
-	nd.rt.Atomic(func() { nd.stats.Scans++ })
+	nd.rt.Atomic(nd.cs.countOp)
 	r, err := nd.readTag()
 	if err != nil {
 		return core.View{}, err

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"mpsnap/internal/rt"
 	"mpsnap/internal/wire"
@@ -45,9 +46,13 @@ func init() {
 			}
 		},
 		Decode: func(d *wire.Decoder) (rt.Message, error) {
-			ch := d.String()
+			name := d.RawString()
 			if err := d.Err(); err != nil {
 				return nil, err
+			}
+			ch, ok := (*boundNames.Load())[string(name)]
+			if !ok {
+				ch = string(name) // a channel no one here bound: copy it
 			}
 			inner, err := wire.DecodeMessageFrom(d)
 			if err != nil {
@@ -62,6 +67,33 @@ func init() {
 			return wire.Marshalable(m.(Envelope).Msg)
 		},
 	})
+}
+
+// boundNames holds every channel name bound in this process, keyed by
+// itself, so that decoding an envelope resolves its name to the bound
+// string instead of copying it out of the frame. It only grows, by Bind,
+// and is replaced whole, so a decoder reads it without a lock.
+var (
+	boundNames  atomic.Pointer[map[string]string]
+	boundNamesW sync.Mutex // serializes Bind's replacements
+)
+
+func init() { boundNames.Store(&map[string]string{}) }
+
+// internName adds name to boundNames.
+func internName(name string) {
+	boundNamesW.Lock()
+	defer boundNamesW.Unlock()
+	old := *boundNames.Load()
+	if _, ok := old[name]; ok {
+		return
+	}
+	m := make(map[string]string, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	m[name] = name
+	boundNames.Store(&m)
 }
 
 // Mux is one node's multiplexer. Create it, register it as the node's
@@ -111,6 +143,9 @@ func (m *Mux) Bind(name string, h rt.Handler) error {
 		}
 		m.handlers[name] = h
 	})
+	if err == nil {
+		internName(name)
+	}
 	return err
 }
 

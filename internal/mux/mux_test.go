@@ -12,6 +12,7 @@ import (
 	"mpsnap/internal/rt"
 	"mpsnap/internal/sim"
 	"mpsnap/internal/sso"
+	"mpsnap/internal/wire"
 )
 
 // TestTwoObjectsOverOneCluster: an EQ-ASO and an SSO share the same nodes
@@ -185,5 +186,32 @@ func TestChannelWaitLabelAllocatesNothing(t *testing.T) {
 	}
 	if under.label != "shard/0: EQ predicate" {
 		t.Errorf("label = %q, want the channel-prefixed one", under.label)
+	}
+}
+
+// TestBoundChannelNameDecodesWithoutCopy: an envelope on a channel bound in
+// this process decodes to the bound name, with one allocation fewer than
+// an envelope on a channel no one bound, whose name is copied out of the
+// frame. Both decode to what was sent.
+func TestBoundChannelNameDecodesWithoutCopy(t *testing.T) {
+	const bound, unbound = "decode-test/bound-channel", "decode-test/never-bound-one"
+	w := sim.New(sim.Config{N: 1, F: 0, Seed: 1})
+	if err := mux.New(w.Runtime(0)).Bind(bound, rt.HandlerFunc(func(int, rt.Message) {})); err != nil {
+		t.Fatal(err)
+	}
+	decodeAllocs := func(name string) float64 {
+		sent := mux.Envelope{Channel: name, Msg: eqaso.MsgReadTag{ReqID: 7}}
+		frame, err := wire.Marshal(sent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := wire.Unmarshal(frame)
+		if err != nil || got != sent {
+			t.Fatalf("%s: decoded %v, %v; want %v", name, got, err, sent)
+		}
+		return testing.AllocsPerRun(100, func() { _, _ = wire.Unmarshal(frame) })
+	}
+	if b, u := decodeAllocs(bound), decodeAllocs(unbound); b != u-1 {
+		t.Errorf("decoding allocates %v times on a bound channel and %v on an unbound one; want one fewer (no name copy)", b, u)
 	}
 }

@@ -150,7 +150,8 @@ const (
 
 // request is one queued client operation; done/err/snap are written by the
 // worker inside the node's atomicity domain and read by the blocked caller.
-// It sits in the 112 B malloc size class with one word to spare.
+// A client thread's request lives in its Ticket; a handler's is allocated
+// alone, in the 112 B malloc size class with one word to spare.
 type request struct {
 	kind    opKind
 	payload []byte
@@ -181,8 +182,18 @@ type Service struct {
 	stopped bool // worker exited with an error; no one will drain q
 	stats   Stats
 	nextOp  int64
-	// admissible is PolicyBlock's admission predicate, built once.
-	admissible func() bool
+
+	// The worker's own: the batch it serves, which becomes the next queue
+	// once served (the queue is double-buffered), the queue's closed flag
+	// as of the take, and the scans of an atomic-mode cycle.
+	batch       []*request
+	batchClosed bool
+	scans       []*request
+
+	// Built once: PolicyBlock's admission predicate, the worker's idle
+	// predicate and its queue take.
+	admissible, ready func() bool
+	take              func()
 }
 
 // New creates the service for one node's object. The object's protocol
@@ -194,6 +205,8 @@ func New(r rt.Runtime, obj Object, opts Options) *Service {
 	}
 	s := &Service{rtm: r, obj: obj, opts: opts}
 	s.admissible = func() bool { return s.stopped || s.closed || len(s.q) < s.opts.MaxPending }
+	s.ready = func() bool { return len(s.q) > 0 || s.closed }
+	s.take = func() { s.batch, s.q, s.batchClosed = s.q, s.batch[:0], s.closed }
 	return s
 }
 
@@ -243,14 +256,21 @@ func (s *Service) Scan() ([][]byte, error) {
 }
 
 // Ticket is the handle to an operation that has been admitted (its place
-// in the serving order is fixed) but not awaited yet.
+// in the serving order is fixed) but not awaited yet. It is the request
+// itself: the queue holds a pointer into it.
 type Ticket struct {
-	s   *Service
-	req *request
+	s       *Service
+	req     request
+	verdict error // the admission's, set in the critical section that admits
 }
 
 // Wait blocks until the operation commits or fails.
-func (t *Ticket) Wait() error { return t.s.await(t.req) }
+func (t *Ticket) Wait() error {
+	if err := rt.WaitUntil(t.s.rtm, "svc: await response", func() bool { return t.req.done }); err != nil {
+		return err // node crashed while waiting
+	}
+	return t.req.err
+}
 
 // Snap returns a scan ticket's snapshot after a successful Wait (nil for
 // update tickets). Shared among the scan's waiters; treat as read-only.
@@ -262,21 +282,13 @@ func (t *Ticket) Snap() [][]byte { return t.req.snap }
 // completion, letting a client pipeline requests or overlap its own work
 // with the batch's protocol rounds.
 func (s *Service) UpdateAsync(payload []byte) (*Ticket, error) {
-	req := &request{kind: opUpdate, payload: payload}
-	if err := s.enqueue(req); err != nil {
-		return nil, err
-	}
-	return &Ticket{s: s, req: req}, nil
+	return s.enqueue(&Ticket{s: s, req: request{kind: opUpdate, payload: payload}})
 }
 
 // ScanAsync admits a scan and returns without waiting; after Wait the
 // snapshot is available from Snap.
 func (s *Service) ScanAsync() (*Ticket, error) {
-	req := &request{kind: opScan}
-	if err := s.enqueue(req); err != nil {
-		return nil, err
-	}
-	return &Ticket{s: s, req: req}, nil
+	return s.enqueue(&Ticket{s: s, req: request{kind: opScan}})
 }
 
 // AdmitUpdate admits an update from a message handler or a critical
@@ -300,20 +312,19 @@ func (s *Service) AdmitScan(then func(snap [][]byte, err error)) (ahead int, err
 	return ahead, s.admitLocked(&request{kind: opScan, then: then})
 }
 
-// enqueue admits the request from a client thread, applying the
-// backpressure policy.
-func (s *Service) enqueue(req *request) error {
-	var verdict error
-	admit := func() { verdict = s.admitLocked(req) }
+// enqueue admits the ticket's request from a client thread, applying the
+// backpressure policy; it returns the ticket once admitted.
+func (s *Service) enqueue(tk *Ticket) (*Ticket, error) {
+	admit := func() { tk.verdict = s.admitLocked(&tk.req) }
 	if s.opts.Policy == PolicyReject {
 		s.rtm.Atomic(admit)
-		return verdict
+	} else if err := s.rtm.WaitUntilThen("svc: admission (backpressure)", s.admissible, admit); err != nil {
+		return nil, err
 	}
-	err := s.rtm.WaitUntilThen("svc: admission (backpressure)", s.admissible, admit)
-	if err != nil {
-		return err
+	if tk.verdict != nil {
+		return nil, tk.verdict
 	}
-	return verdict
+	return tk, nil
 }
 
 // admitLocked queues the request or says why not; must run in the
@@ -350,14 +361,6 @@ func (s *Service) admitLocked(req *request) error {
 	return nil
 }
 
-// await blocks until the worker resolves the request.
-func (s *Service) await(req *request) error {
-	if err := rt.WaitUntil(s.rtm, "svc: await response", func() bool { return req.done }); err != nil {
-		return err // node crashed while waiting
-	}
-	return req.err
-}
-
 // Serve runs the worker loop on the calling thread (the node's one client
 // thread in the paper's model): it repeatedly takes the whole queue and
 // serves it with batched protocol operations. It returns nil after Close once the
@@ -369,8 +372,10 @@ func (s *Service) Serve() error {
 		}
 		s.serving = true
 	})
+	// The worker's buffers go with it.
+	defer func() { s.batch, s.scans = nil, nil }()
 	for {
-		if err := rt.WaitUntil(s.rtm, "svc: worker idle", func() bool { return len(s.q) > 0 || s.closed }); err != nil {
+		if err := rt.WaitUntil(s.rtm, "svc: worker idle", s.ready); err != nil {
 			// The worker is the only thing that resolves requests; fail
 			// everything still queued so the then hooks of in-domain
 			// admissions run (parked clients already saw the crash).
@@ -379,16 +384,17 @@ func (s *Service) Serve() error {
 		}
 		// Take the queue once this thread runs, not in the critical section
 		// that woke it: whatever is admitted in between joins the batch.
-		var batch []*request
-		var closed bool
-		s.rtm.Atomic(func() { batch, s.q, closed = s.q, nil, s.closed })
-		if len(batch) == 0 {
-			if closed {
+		// The served batch, emptied, is the next queue.
+		s.rtm.Atomic(s.take)
+		if len(s.batch) == 0 {
+			if s.batchClosed {
+				s.rtm.Atomic(func() { s.q = nil }) // its buffer is the last batch's
 				return nil
 			}
 			continue
 		}
-		s.serveCycle(batch)
+		s.serveCycle(s.batch)
+		clear(s.batch) // resolved requests belong to their clients now
 	}
 }
 
@@ -410,11 +416,11 @@ func (s *Service) failAll(err error) {
 func (s *Service) serveCycle(batch []*request) {
 	switch {
 	case s.opts.Serialize:
-		for _, req := range batch {
+		for i, req := range batch {
 			if req.kind == opUpdate {
-				s.serveUpdates([]*request{req})
+				s.serveUpdates(batch[i : i+1])
 			} else {
-				s.serveScans([]*request{req})
+				s.serveScans(batch[i : i+1])
 			}
 		}
 	case s.opts.Mode == ModeSequential:
@@ -432,19 +438,23 @@ func (s *Service) serveCycle(batch []*request) {
 			i = j
 		}
 	default: // ModeAtomic
-		var ups, scans []*request
+		// Updates move to the batch's front in arrival order; scans go to
+		// the worker's scratch slice.
+		ups := batch[:0]
 		for _, req := range batch {
 			if req.kind == opUpdate {
 				ups = append(ups, req)
 			} else {
-				scans = append(scans, req)
+				s.scans = append(s.scans, req)
 			}
 		}
 		if len(ups) > 0 {
 			s.serveUpdates(ups)
 		}
-		if len(scans) > 0 {
-			s.serveScans(scans)
+		if len(s.scans) > 0 {
+			s.serveScans(s.scans)
+			clear(s.scans)
+			s.scans = s.scans[:0]
 		}
 	}
 }

@@ -202,16 +202,23 @@ func (d *Decoder) Bytes() []byte {
 }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string {
+func (d *Decoder) String() string { return string(d.RawString()) }
+
+// RawString reads a length-prefixed string and returns its bytes without
+// copying them: the slice aliases the input, so it is valid only until the
+// caller's buffer is reused. A caller that keeps the string copies it, or
+// looks it up among strings it already holds (a map index keyed by
+// string(b) does not allocate).
+func (d *Decoder) RawString() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(d.Remaining()) {
 		d.fail("string length %d exceeds %d remaining bytes", n, d.Remaining())
-		return ""
+		return nil
 	}
-	v := string(d.buf[d.off : d.off+int(n)])
+	v := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
 	return v
 }
